@@ -521,29 +521,8 @@ struct ParallelBenchEntry {
     speedup_vs_materialized: f64,
 }
 
-/// One cell of the vectorized axis: the same plan evaluated serially
-/// under the row-streaming mode and the vectorized (columnar-kernel)
-/// mode, with the materializing interpreter as the common baseline. Run
-/// at one thread so the comparison isolates the inner evaluation loop
-/// from morsel parallelism.
-#[derive(serde::Serialize)]
-struct VectorizedBenchEntry {
-    group: &'static str,
-    name: String,
-    input_rows: usize,
-    output_rows: usize,
-    materialized_ms: f64,
-    row_streaming_ms: f64,
-    vectorized_ms: f64,
-    /// Vectorized kernels vs the row-at-a-time streaming loop — the axis
-    /// DESIGN.md §11 documents. Fallback-lane plans sit near 1.0x by
-    /// construction.
-    speedup_vs_row_streaming: f64,
-    speedup_vs_materialized: f64,
-}
-
-/// One cell of the storage axis: the same plan evaluated serially under
-/// vectorized mode against row-resting storage (every scan shreds rows
+/// One cell of the storage axis: the same plan evaluated serially
+/// against row-resting storage (every scan shreds rows
 /// into column lanes per batch; no zone maps, so pruning is off) and
 /// segment-resting storage (scans emit pre-built lanes straight from
 /// sealed segments, and fused filter predicates skip segments whose zone
@@ -554,10 +533,10 @@ struct StorageBenchEntry {
     name: String,
     input_rows: usize,
     output_rows: usize,
-    /// Vectorized evaluation over row-resting storage: per-scan shred
+    /// Evaluation over row-resting storage: per-scan shred
     /// cost paid every evaluation, zone-map pruning unavailable.
     row_storage_ms: f64,
-    /// Vectorized evaluation over sealed column segments: zero-shred
+    /// Evaluation over sealed column segments: zero-shred
     /// scans with zone-map pruning on.
     segment_storage_ms: f64,
     speedup: f64,
@@ -568,12 +547,11 @@ struct StorageBenchEntry {
 }
 
 /// One cell of the optimizer axis: the same logical query under the
-/// syntactic physical plan (left-deep join order as written / static
-/// filter tower) and under the plan the statistics-driven layer picks
-/// (cost-based join re-association via `optimize_with_stats`, or the
-/// adaptive executor's observed-selectivity filter reordering). Both
-/// sides are asserted byte-identical before timing — the optimizer only
-/// ever chooses *between* equivalent plans (DESIGN.md §17).
+/// syntactic physical plan (left-deep join order as written) and under
+/// the plan the statistics-driven layer picks (cost-based join
+/// re-association via `optimize_with_stats`). Both sides are asserted
+/// byte-identical before timing — the optimizer only ever chooses
+/// *between* equivalent plans (DESIGN.md §17).
 #[derive(serde::Serialize)]
 struct OptimizerBenchEntry {
     group: &'static str,
@@ -581,9 +559,9 @@ struct OptimizerBenchEntry {
     input_rows: usize,
     output_rows: usize,
     /// The plan as written: rule-optimized but with the syntactic
-    /// left-deep join order / declared filter order.
+    /// left-deep join order.
     syntactic_ms: f64,
-    /// The cost-based (join_order) or adaptive (adaptive_tower) run.
+    /// The cost-based run.
     optimized_ms: f64,
     speedup: f64,
 }
@@ -608,9 +586,12 @@ struct BenchReport {
     optimizer_rows: usize,
     benches: Vec<BenchEntry>,
     parallel: Vec<ParallelBenchEntry>,
-    vectorized: Vec<VectorizedBenchEntry>,
+    /// The expression-kernel axis: serial executor vs oracle over fused
+    /// Select/Project plans (kernel-friendly funnel, arithmetic
+    /// projection, CASE row fallback).
+    vectorized: Vec<BenchEntry>,
     /// The resting-storage axis (GUAVA_STORAGE equivalent): identical
-    /// plans under vectorized serial evaluation with the warehouse tables
+    /// plans under serial evaluation with the warehouse tables
     /// resting as rows (shred per scan, no pruning) vs as sealed column
     /// segments (zero-shred scans, zone-map segment skipping,
     /// dictionary-coded low-cardinality strings).
@@ -620,11 +601,10 @@ struct BenchReport {
     /// probe, grouped aggregation, pivot, sort), so the ratios isolate the
     /// lane-aware kernels from the pipeline fusion the `vectorized`
     /// section measures.
-    blocking: Vec<VectorizedBenchEntry>,
-    /// The optimizer axis (DESIGN.md §17): syntactic physical plans vs
-    /// the statistics-driven choices — cost-based join re-association on
-    /// a skewed multi-join study, and adaptive filter-tower reordering
-    /// under `GUAVA_EXEC_ADAPTIVE`.
+    blocking: Vec<BenchEntry>,
+    /// The optimizer axis (DESIGN.md §17): the syntactic physical plan vs
+    /// the statistics-driven choice — cost-based join re-association on
+    /// a skewed multi-join study.
     optimizer: Vec<OptimizerBenchEntry>,
 }
 
@@ -1122,13 +1102,33 @@ fn bench_parallel_section(entries: &mut Vec<ParallelBenchEntry>, rows: usize) {
     }
 }
 
-/// The vectorized axis: row-streaming vs columnar-kernel evaluation at
-/// one thread, over the kernel-friendly funnel, an arithmetic
-/// projection, and a CASE-bearing plan that exercises the row fallback
-/// lane. Every mode must produce the same row count (asserted).
-fn bench_vectorized_section(entries: &mut Vec<VectorizedBenchEntry>, rows: usize) {
-    use guava::relational::exec::{ExecMode, Executor};
+/// Time each plan on the one-thread executor against the oracle
+/// interpreter — the shared shape of the `vectorized` and `blocking` axes.
+fn measure_serial_vs_oracle(
+    entries: &mut Vec<BenchEntry>,
+    group: &'static str,
+    rows: usize,
+    db: &Database,
+    plans: Vec<(&str, Plan)>,
+) {
+    let exec = guava::relational::exec::Executor::new().threads(1);
+    for (name, plan) in plans {
+        entries.push(measure(
+            group,
+            name,
+            rows,
+            || exec.execute(&plan, db).unwrap().len(),
+            || plan.eval_materialized(db).unwrap().len(),
+        ));
+    }
+}
 
+/// The vectorized axis: the executor's columnar expression kernels at one
+/// thread against the oracle interpreter, over the kernel-friendly
+/// funnel, an arithmetic projection, and a CASE-bearing plan that
+/// exercises the row fallback lane. Both must produce the same row count
+/// (asserted).
+fn bench_vectorized_section(entries: &mut Vec<BenchEntry>, rows: usize) {
     let db = bench_naive_db(rows);
     // The Study-1-shaped eligibility funnel again: a deep fused
     // Select/Project stack where every expression lowers onto kernels.
@@ -1172,49 +1172,17 @@ fn bench_vectorized_section(entries: &mut Vec<VectorizedBenchEntry>, rows: usize
         ("arith_project", arith),
         ("case_fallback", fallback),
     ];
-    let row_exec = Executor::new().threads(1).mode(ExecMode::Streaming);
-    let vec_exec = Executor::new().threads(1).mode(ExecMode::Vectorized);
-    for (name, plan) in plans {
-        let (mat_secs, mat_rows) = median_secs(|| plan.eval_materialized(&db).unwrap().len());
-        let (row_secs, row_rows) = median_secs(|| row_exec.execute(&plan, &db).unwrap().len());
-        let (vec_secs, vec_rows) = median_secs(|| vec_exec.execute(&plan, &db).unwrap().len());
-        assert_eq!(mat_rows, row_rows, "vectorized/{name}: oracle disagrees");
-        assert_eq!(row_rows, vec_rows, "vectorized/{name}: modes disagree");
-        let entry = VectorizedBenchEntry {
-            group: "vectorized",
-            name: name.to_string(),
-            input_rows: rows,
-            output_rows: vec_rows,
-            materialized_ms: mat_secs * 1e3,
-            row_streaming_ms: row_secs * 1e3,
-            vectorized_ms: vec_secs * 1e3,
-            speedup_vs_row_streaming: row_secs / vec_secs,
-            speedup_vs_materialized: mat_secs / vec_secs,
-        };
-        println!(
-            "  {:<16} {:<21} {:>9.3} {:>10.3} {:>10.3} {:>7.2}x",
-            entry.group,
-            entry.name,
-            entry.materialized_ms,
-            entry.row_streaming_ms,
-            entry.vectorized_ms,
-            entry.speedup_vs_row_streaming,
-        );
-        entries.push(entry);
-    }
+    measure_serial_vs_oracle(entries, "vectorized", rows, &db, plans);
 }
 
-/// The blocking-operator axis: row-streaming vs vectorized evaluation at
-/// one thread over plans whose cost sits in one blocking operator — a
-/// hash-join probe, a grouped aggregation, an EAV pivot, and a sort. The
-/// streaming mode runs these operators row-at-a-time (`Vec<Value>` keys,
-/// `Value` comparators); the vectorized mode hashes, accumulates, and
-/// compares typed key lanes directly. Every mode must produce the same
-/// row count (asserted; full-table equality is covered by the test
-/// suites).
-fn bench_blocking_section(entries: &mut Vec<VectorizedBenchEntry>, rows: usize) {
-    use guava::relational::exec::{ExecMode, Executor};
-
+/// The blocking-operator axis: the executor at one thread against the
+/// oracle interpreter over plans whose cost sits in one blocking operator
+/// — a hash-join probe, a grouped aggregation, an EAV pivot, and a sort.
+/// The interpreter runs these operators row-at-a-time (`Vec<Value>` keys,
+/// `Value` comparators); the executor hashes, accumulates, and compares
+/// typed key lanes directly. Both must produce the same row count
+/// (asserted; full-table equality is covered by the test suites).
+fn bench_blocking_section(entries: &mut Vec<BenchEntry>, rows: usize) {
     let dim_rows = (rows / 20).max(1);
     let mut db = bench_naive_db(rows);
     db.create_table(
@@ -1304,39 +1272,10 @@ fn bench_blocking_section(entries: &mut Vec<VectorizedBenchEntry>, rows: usize) 
         ("pivot", pivot),
         ("sort", sort),
     ];
-    let row_exec = Executor::new().threads(1).mode(ExecMode::Streaming);
-    let vec_exec = Executor::new().threads(1).mode(ExecMode::Vectorized);
-    for (name, plan) in plans {
-        let (mat_secs, mat_rows) = median_secs(|| plan.eval_materialized(&db).unwrap().len());
-        let (row_secs, row_rows) = median_secs(|| row_exec.execute(&plan, &db).unwrap().len());
-        let (vec_secs, vec_rows) = median_secs(|| vec_exec.execute(&plan, &db).unwrap().len());
-        assert_eq!(mat_rows, row_rows, "blocking/{name}: oracle disagrees");
-        assert_eq!(row_rows, vec_rows, "blocking/{name}: modes disagree");
-        let entry = VectorizedBenchEntry {
-            group: "blocking",
-            name: name.to_string(),
-            input_rows: rows,
-            output_rows: vec_rows,
-            materialized_ms: mat_secs * 1e3,
-            row_streaming_ms: row_secs * 1e3,
-            vectorized_ms: vec_secs * 1e3,
-            speedup_vs_row_streaming: row_secs / vec_secs,
-            speedup_vs_materialized: mat_secs / vec_secs,
-        };
-        println!(
-            "  {:<16} {:<21} {:>9.3} {:>10.3} {:>10.3} {:>7.2}x",
-            entry.group,
-            entry.name,
-            entry.materialized_ms,
-            entry.row_streaming_ms,
-            entry.vectorized_ms,
-            entry.speedup_vs_row_streaming,
-        );
-        entries.push(entry);
-    }
+    measure_serial_vs_oracle(entries, "blocking", rows, &db, plans);
 }
 
-/// The resting-storage axis: vectorized evaluation at one thread with
+/// The resting-storage axis: evaluation at one thread with
 /// the scanned tables resting as rows vs as sealed column segments.
 /// `full_scan` isolates the shred cost — its predicates keep every
 /// segment alive, so zone maps contribute nothing and the gap is the
@@ -1354,7 +1293,7 @@ fn bench_storage_section(
     host_threads: usize,
     scaling_valid: bool,
 ) {
-    use guava::relational::exec::{ExecMode, Executor, StorageMode};
+    use guava::relational::exec::{Executor, StorageMode};
 
     let mut db = bench_naive_db(rows);
     // Low-cardinality site labels: few enough distinct strings that the
@@ -1395,14 +1334,8 @@ fn bench_storage_section(
         ("zone_prune", zone_prune),
         ("dict_filter", dict_filter),
     ];
-    let row_exec = Executor::new()
-        .threads(1)
-        .mode(ExecMode::Vectorized)
-        .storage(StorageMode::Row);
-    let seg_exec = Executor::new()
-        .threads(1)
-        .mode(ExecMode::Vectorized)
-        .storage(StorageMode::Segment);
+    let row_exec = Executor::new().threads(1).storage(StorageMode::Row);
+    let seg_exec = Executor::new().threads(1).storage(StorageMode::Segment);
     for (name, plan) in plans {
         // The warm-up evaluation inside `median_secs` also pays the
         // one-time lazy segment build, keeping it out of the samples —
@@ -1434,14 +1367,10 @@ fn bench_storage_section(
 /// dimension. Written left-deep, the first join builds a `rows`-entry
 /// hash table and materializes a `rows`-wide intermediate; the cost
 /// model re-associates so the tiny dimension collapses the bridge first
-/// and the wide tables are only ever probed. `adaptive_tower` declares a
-/// conjunctive filter tower with its selective conjunct *last*; the
-/// static executor pays every leading predicate on ~90% of rows, while
-/// the adaptive executor observes per-batch selectivities during warm-up
-/// and hoists the selective filter. Both cells assert byte-identical
-/// output before timing.
+/// and the wide tables are only ever probed. The cell asserts
+/// byte-identical output before timing.
 fn bench_optimizer_section(entries: &mut Vec<OptimizerBenchEntry>, rows: usize) {
-    use guava::relational::exec::{ExecMode, Executor};
+    use guava::relational::exec::Executor;
     use guava::relational::stats::{optimize_with_stats, StatsCatalog};
 
     let int = || DataType::Int;
@@ -1486,7 +1415,7 @@ fn bench_optimizer_section(entries: &mut Vec<OptimizerBenchEntry>, rows: usize) 
     ))
     .unwrap();
 
-    let exec = Executor::new().threads(1).mode(ExecMode::Vectorized);
+    let exec = Executor::new().threads(1);
     let catalog = StatsCatalog::collect(&db);
 
     // join_order: syntactic left-deep vs the CBO's re-association.
@@ -1521,39 +1450,6 @@ fn bench_optimizer_section(entries: &mut Vec<OptimizerBenchEntry>, rows: usize) 
         entry.group, entry.name, entry.syntactic_ms, entry.optimized_ms, entry.speedup,
     );
     entries.push(entry);
-
-    // adaptive_tower: static declared filter order vs observed-selectivity
-    // reordering. Streaming rows keep the per-row short-circuit, so the
-    // gap is exactly the predicate evaluations the reorder avoids
-    // (~2.7 evals/row static vs ~1.0 adaptive on this tower).
-    let tower = Plan::scan("fact")
-        .select(Expr::col("f_x").lt(Expr::lit(90i64)))
-        .select(Expr::col("f_y").ge(Expr::lit(1i64)))
-        .select(Expr::col("f_x").eq(Expr::lit(13i64)));
-    let static_exec = Executor::new().threads(1).mode(ExecMode::Streaming);
-    let adaptive_exec = static_exec.adaptive(true);
-    assert_eq!(
-        static_exec.execute(&tower, &db).unwrap(),
-        adaptive_exec.execute(&tower, &db).unwrap(),
-        "optimizer/adaptive_tower: adaptive run disagrees"
-    );
-    let (stat_secs, stat_rows) = median_secs(|| static_exec.execute(&tower, &db).unwrap().len());
-    let (ad_secs, ad_rows) = median_secs(|| adaptive_exec.execute(&tower, &db).unwrap().len());
-    assert_eq!(stat_rows, ad_rows);
-    let entry = OptimizerBenchEntry {
-        group: "optimizer",
-        name: "adaptive_tower".to_string(),
-        input_rows: rows,
-        output_rows: ad_rows,
-        syntactic_ms: stat_secs * 1e3,
-        optimized_ms: ad_secs * 1e3,
-        speedup: stat_secs / ad_secs,
-    };
-    println!(
-        "  {:<16} {:<21} {:>10.3} {:>10.3} {:>7.2}x",
-        entry.group, entry.name, entry.syntactic_ms, entry.optimized_ms, entry.speedup,
-    );
-    entries.push(entry);
 }
 
 fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
@@ -1576,16 +1472,12 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
     let mut parallel = Vec::new();
     bench_parallel_section(&mut parallel, PARALLEL_ROWS);
     println!(
-        "\n  {:<16} {:<21} {:>9} {:>10} {:>10} {:>8}",
-        "group", "bench", "mat (ms)", "row (ms)", "vec (ms)", "vs row"
+        "\n  {:<16} {:<28} {:>10} {:>10} {:>10}",
+        "group", "bench", "mat (ms)", "stream(ms)", "speedup"
     );
     let mut vectorized = Vec::new();
     bench_vectorized_section(&mut vectorized, PARALLEL_ROWS);
     const BLOCKING_ROWS: usize = 200_000;
-    println!(
-        "\n  {:<16} {:<21} {:>9} {:>10} {:>10} {:>8}",
-        "group", "bench", "mat (ms)", "row (ms)", "vec (ms)", "vs row"
-    );
     let mut blocking = Vec::new();
     bench_blocking_section(&mut blocking, BLOCKING_ROWS);
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1618,22 +1510,21 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
                       `parallel` section is the threads axis: the same plans run \
                       morsel-parallel (GUAVA_EXEC_THREADS equivalent) at 2/4/8 \
                       workers against serial-streaming and materializing baselines. \
-                      The `vectorized` section is the evaluation-mode axis \
-                      (GUAVA_EXEC_MODE equivalent): columnar batch kernels vs the \
-                      row-at-a-time streaming loop at one thread. The `blocking` \
-                      section applies the same mode axis to plans dominated by one \
+                      The `vectorized` section is the expression-kernel axis: \
+                      the serial executor's columnar batch kernels vs the \
+                      interpreter over fused Select/Project plans. The `blocking` \
+                      section applies the same comparison to plans dominated by one \
                       blocking operator (hash-join probe, grouped aggregation, \
                       pivot, sort), isolating the lane-aware kernels from pipeline \
                       fusion. The `storage` section is the resting-storage axis \
-                      (GUAVA_STORAGE equivalent): vectorized serial evaluation over \
+                      (GUAVA_STORAGE equivalent): serial evaluation over \
                       row-resting tables (per-scan shredding, no zone maps) vs \
                       sealed column segments (zero-shred scans, zone-map segment \
                       pruning, dictionary-coded strings). The `optimizer` section \
                       is the statistics axis (DESIGN.md \u{a7}17): the syntactic \
                       physical plan vs the cost-based join re-association \
-                      (join_order) and the adaptive filter-tower reordering under \
-                      GUAVA_EXEC_ADAPTIVE (adaptive_tower); both sides are \
-                      asserted byte-identical before timing.",
+                      (join_order); both sides are asserted byte-identical \
+                      before timing.",
         decode_rows: DECODE_ROWS,
         join_rows: JOIN_ROWS,
         parallel_rows: PARALLEL_ROWS,

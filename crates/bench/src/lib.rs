@@ -15,9 +15,9 @@
 //!   streaming executor ([`Plan::eval`]) over each contributor's decode
 //!   stack, sweeps the morsel-parallel executor across a threads axis
 //!   (`1` serial baseline, then 2/4/8 via
-//!   [`ExecConfig::with_threads`]), and sweeps the evaluation-mode axis
-//!   (row-streaming vs vectorized columnar kernels, via
-//!   [`Executor`] with [`ExecMode`]). Results land in
+//!   [`ExecConfig::with_threads`]), and times the serial [`Executor`]'s
+//!   columnar expression and blocking kernels against the interpreter.
+//!   Results land in
 //!   `BENCH_executor.json`; EXPERIMENTS.md documents how to read and
 //!   regenerate them.
 //!
@@ -30,7 +30,6 @@
 //! [`Plan::eval_materialized`]: guava::relational::algebra::Plan::eval_materialized
 //! [`ExecConfig::with_threads`]: guava::relational::exec::ExecConfig::with_threads
 //! [`Executor`]: guava::relational::exec::Executor
-//! [`ExecMode`]: guava::relational::exec::ExecMode
 
 use guava::clinical::prelude::*;
 use guava::etl::prelude::*;

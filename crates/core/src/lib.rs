@@ -34,8 +34,7 @@
 //!
 //! Underneath all of it sits [`relational`], the embedded engine whose
 //! [`relational::exec::Executor`] sessions evaluate plans with columnar
-//! batch kernels by default ([`relational::exec::ExecMode`],
-//! `GUAVA_EXEC_MODE`) and run them morsel-parallel above a cardinality
+//! batch kernels and run them morsel-parallel above a cardinality
 //! threshold ([`relational::exec::ExecConfig`], `GUAVA_EXEC_THREADS`;
 //! DESIGN.md §10–§11) — study workflows inherit this transparently
 //! through `Workflow::run` / `Workflow::run_with`, or pin a shared

@@ -236,9 +236,8 @@ impl Plan {
     /// Evaluate the plan against a database.
     ///
     /// A thin wrapper over [`Executor::from_env`](crate::exec::Executor):
-    /// execution routes through the batch executor ([`crate::exec`]) in
-    /// its environment-selected mode — by default the vectorized one,
-    /// where scans read the source table's `Arc`-shared row storage
+    /// execution routes through the batch executor ([`crate::exec`]),
+    /// where scans read the source table's `Arc`-shared storage
     /// without copying it and chains of Select/Project/Rename run fused
     /// columnar passes over 1024-row batches. Only the blocking operators
     /// (Pivot, AggregateBy, Sort) gather their full input. The original
@@ -254,35 +253,31 @@ impl Plan {
     /// [`Executor::with_config`](crate::exec::Executor::with_config)
     /// followed by `execute`.
     ///
-    /// The configuration only chooses the physical path — execution mode,
-    /// serial or morsel-parallel — and the result (table bytes and error
-    /// status alike) is identical for every configuration. Use this where
-    /// determinism must not depend on the process environment: tests pin
-    /// paths explicitly, and ETL runs thread one configuration through a
-    /// whole workflow.
+    /// The configuration only chooses the physical path — resting
+    /// storage, serial or morsel-parallel — and the result (table bytes
+    /// and error status alike) is identical for every configuration. Use
+    /// this where determinism must not depend on the process environment:
+    /// tests pin paths explicitly, and ETL runs thread one configuration
+    /// through a whole workflow.
     pub fn eval_with(&self, db: &Database, cfg: &crate::exec::ExecConfig) -> RelResult<Table> {
         crate::exec::Executor::with_config(*cfg).execute(self, db)
     }
 
     /// Evaluate the plan by materializing a full [`Table`] at every
-    /// operator — a thin wrapper over an
-    /// [`Executor`](crate::exec::Executor) in
-    /// [`ExecMode::Materialized`](crate::exec::ExecMode).
+    /// operator.
     ///
     /// This is the reference interpreter: simple, obviously correct, and
-    /// the cross-validation oracle for the streaming executor —
+    /// the cross-validation oracle for the batch executor —
     /// `tests/algebra_properties.rs` checks [`Plan::eval`] agrees with it
-    /// on random plans, including failing ones. Prefer `eval` unless you
+    /// on random plans, including failing ones. It is not a configuration
+    /// of the executor and reads none. Prefer `eval` unless you
     /// specifically want operator-at-a-time materialization.
     pub fn eval_materialized(&self, db: &Database) -> RelResult<Table> {
-        crate::exec::Executor::new()
-            .mode(crate::exec::ExecMode::Materialized)
-            .execute(self, db)
+        self.interpret(db)
     }
 
     /// The materializing interpreter itself: the recursion behind
-    /// [`Plan::eval_materialized`], called by the executor when the
-    /// configured mode is `Materialized`.
+    /// [`Plan::eval_materialized`].
     pub(crate) fn interpret(&self, db: &Database) -> RelResult<Table> {
         match self {
             // O(1) since table row storage is Arc-shared.
@@ -389,7 +384,7 @@ impl Plan {
 
 // ---------------------------------------------------------------------------
 // Binding and row-level kernels, shared between the materializing
-// interpreter above and the streaming executor (`crate::exec`). Keeping both
+// interpreter above and the batch executor (`crate::exec`). Keeping both
 // evaluators on the same schema computations and per-row algorithms is what
 // makes them provably interchangeable.
 // ---------------------------------------------------------------------------
@@ -629,7 +624,7 @@ pub(crate) fn aggregate_output_schema(
 /// The state is **mergeable**: [`AggAcc::merge`] combines two accumulators
 /// built over disjoint row ranges into the accumulator the full range would
 /// have produced. That is what lets the parallel executor
-/// (`exec::morsel`) fold per-morsel partial states in a final reduce.
+/// (`exec::blocking`) fold per-morsel partial states in a final reduce.
 /// Every combining operation here is associative (integer sums use
 /// wrapping addition; min/max keep the first-seen extremum), **except**
 /// the `f64` sum used for FLOAT columns — which is why the executor falls
@@ -791,12 +786,9 @@ impl AggAcc {
     }
 }
 
-/// Grouped aggregation state: accumulators per group key, with groups kept
-/// in first-seen order. Built row-by-row by the serial kernel; built
-/// per-morsel and merged in morsel-index order by the parallel executor —
-/// because morsels are contiguous row ranges, merging partials in morsel
-/// order reproduces the serial first-seen group order exactly.
-pub(crate) struct GroupedAggState {
+/// Grouped aggregation state of the row kernel ([`aggregate_rows`]):
+/// accumulators per group key, with groups kept in first-seen order.
+struct GroupedAggState {
     order: Vec<Vec<Value>>,
     groups: HashMap<Vec<Value>, Vec<AggAcc>>,
     n_aggs: usize,
@@ -805,7 +797,7 @@ pub(crate) struct GroupedAggState {
 impl GroupedAggState {
     /// Fresh state. When `global` (no GROUP BY), the single output group is
     /// pre-seeded: SQL's COUNT(*) over an empty input is one `0` row.
-    pub(crate) fn new(global: bool, n_aggs: usize) -> GroupedAggState {
+    fn new(global: bool, n_aggs: usize) -> GroupedAggState {
         let mut st = GroupedAggState {
             order: Vec::new(),
             groups: HashMap::new(),
@@ -820,7 +812,7 @@ impl GroupedAggState {
     }
 
     /// Fold one row into its group's accumulators.
-    pub(crate) fn update(&mut self, row: &[Value], g_idx: &[usize], agg_idx: &[Option<usize>]) {
+    fn update(&mut self, row: &[Value], g_idx: &[usize], agg_idx: &[Option<usize>]) {
         let key: Vec<Value> = g_idx.iter().map(|&i| row[i].clone()).collect();
         let n_aggs = self.n_aggs;
         let accs = self.groups.entry(key.clone()).or_insert_with(|| {
@@ -832,28 +824,8 @@ impl GroupedAggState {
         }
     }
 
-    /// Merge a partial state built over a *later* contiguous row range.
-    /// `other`'s new groups append after `self`'s in `other`'s own
-    /// first-seen order, preserving global first-seen order overall.
-    pub(crate) fn merge(&mut self, mut other: GroupedAggState) {
-        for key in std::mem::take(&mut other.order) {
-            let incoming = other.groups.remove(&key).expect("group exists");
-            match self.groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (acc, inc) in e.get_mut().iter_mut().zip(incoming) {
-                        acc.merge(inc);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    self.order.push(e.key().clone());
-                    e.insert(incoming);
-                }
-            }
-        }
-    }
-
     /// Emit one output row per group, in first-seen order.
-    pub(crate) fn finish(mut self, aggregates: &[Aggregate]) -> Vec<Row> {
+    fn finish(mut self, aggregates: &[Aggregate]) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.order.len());
         for key in self.order {
             let accs = self.groups.remove(&key).expect("group exists");

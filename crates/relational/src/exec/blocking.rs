@@ -1,17 +1,16 @@
 //! Lane-aware kernels for the blocking operators: hash-join build/probe,
 //! grouped aggregation, pivot, and sort.
 //!
-//! These are the [`ExecMode::Vectorized`](super::ExecMode::Vectorized)
-//! counterparts of the row kernels shared with the materializing
-//! interpreter (`probe_rows` here, `aggregate_rows` / `pivot_rows` /
-//! `sort_rows` in [`crate::algebra`]). Each one consumes typed column
-//! lanes ([`super::batch`]) instead of materializing a `Vec<Value>` key or
-//! fetching `Value`s per row:
+//! These are the executor's counterparts of the row kernels the
+//! materializing interpreter runs (`aggregate_rows` / `pivot_rows` /
+//! `sort_rows` and the join loop in [`crate::algebra`]). Each one
+//! consumes typed column lanes ([`super::batch`]) instead of materializing
+//! a `Vec<Value>` key or fetching `Value`s per row:
 //!
 //! * **Join** builds a `u64-hash → build positions` index from
 //!   [`key_hashes`] and probes with the same hashes; candidates verify
 //!   with [`keys_eq`], so the emitted (probe row × postings) sequence is
-//!   identical to the `HashMap<Vec<Value>, _>` index the row kernel uses.
+//!   identical to the `HashMap<Vec<&Value>, _>` index the interpreter uses.
 //! * **Aggregation** ([`lane_aggregate`]) groups by lane hash and feeds
 //!   INT/FLOAT source columns into [`AggAcc`] through monomorphic
 //!   `update_int` / `update_float` calls; every other source type goes
@@ -28,88 +27,30 @@
 //!   count.
 //!
 //! Every kernel here is held to the executor's hard bar: rows, order, and
-//! first-error-in-row-order byte-identical to the row path (and thus to
-//! the materializing oracle) — see `tests/exec_vectorized.rs` and the
-//! 4-lane property suite.
+//! first-error-in-row-order byte-identical to the materializing oracle —
+//! see `tests/exec_vectorized.rs` and the property suites.
 
 use super::batch::{
     build_lane, key_hashes, keys_eq, Gathered, HashBuckets, Lane, SortKeys, HASH_SEED,
 };
 use super::morsel::{morsel_bounds, n_morsels, run_tasks};
 use super::ExecConfig;
-use crate::algebra::{cast_text, pivot_rows, sort_rows, AggAcc, Aggregate, JoinKind};
+use crate::algebra::{cast_text, pivot_rows, AggAcc, Aggregate, JoinKind};
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::table::Row;
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// Probe one chunk of left rows against a `Vec<Value>`-keyed build index —
-/// the row kernel, used by [`ExecMode::Streaming`](super::ExecMode::Streaming)
-/// and shared with the morsel-parallel probe.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn probe_rows(
-    lrows: &[Row],
-    index: &HashMap<Vec<Value>, Vec<usize>>,
-    right: &[Row],
-    l_idx: &[usize],
-    kind: JoinKind,
-    l_arity: usize,
-    r_arity: usize,
-) -> Vec<Row> {
-    let mut out: Vec<Row> = Vec::with_capacity(lrows.len());
-    for lrow in lrows {
-        let key: Vec<Value> = l_idx.iter().map(|&i| lrow[i].clone()).collect();
-        let hit = if key.iter().any(|v| v.is_null()) {
-            None
-        } else {
-            index.get(&key)
-        };
-        match hit {
-            Some(positions) => {
-                for &ri in positions {
-                    let rrow = &right[ri];
-                    let mut row = Vec::with_capacity(l_arity + r_arity);
-                    row.extend(lrow.iter().cloned());
-                    row.extend(rrow.iter().cloned());
-                    out.push(row);
-                }
-            }
-            None if kind == JoinKind::Left => {
-                let mut row = Vec::with_capacity(l_arity + r_arity);
-                row.extend(lrow.iter().cloned());
-                row.extend(std::iter::repeat_n(Value::Null, r_arity));
-                out.push(row);
-            }
-            None => {}
-        }
-    }
-    out
-}
-
-/// Serial `Vec<Value>`-keyed index build (the streaming lane's serial
-/// path; the parallel variant lives in [`super::morsel::par_build_index`]).
-pub(super) fn build_value_index(rows: &[Row], r_idx: &[usize]) -> HashMap<Vec<Value>, Vec<usize>> {
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (at, row) in rows.iter().enumerate() {
-        let key: Vec<Value> = r_idx.iter().map(|&i| row[i].clone()).collect();
-        if !key.iter().any(|v| v.is_null()) {
-            index.entry(key).or_default().push(at);
-        }
-    }
-    index
-}
-
 /// Lane-hash join index: `u64 key hash → build-side row positions`, in
 /// build-row order. NULL keys are absent (SQL: NULL never matches). Hash
 /// collisions are resolved at probe time with [`keys_eq`], so the postings
-/// a probe row actually joins against are exactly the `Vec<Value>`-keyed
-/// index's postings, in the same order.
+/// a probe row actually joins against are exactly those of the
+/// interpreter's value-keyed index, in the same order.
 pub(super) struct HashIndex {
     buckets: HashBuckets<Vec<u32>>,
 }
@@ -161,7 +102,7 @@ pub(super) fn par_build_hash_index(
 /// Probe a chunk of left rows against the lane-hash index. Key hashes come
 /// off the probe side's lanes; candidate postings are verified with
 /// [`keys_eq`] in postings order, so output rows, order, and left-join
-/// NULL padding match [`probe_rows`] byte for byte.
+/// NULL padding match the interpreter's join byte for byte.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn probe_hash(
     lrows: &[Row],
@@ -282,10 +223,10 @@ struct LaneGroup {
     accs: Vec<AggAcc>,
 }
 
-/// Grouped aggregation state over lane-hashed keys, mirroring
-/// `algebra::GroupedAggState`: groups in first-seen order, a bucket map
-/// from key hash to group slots, and per-group accumulators. Partial
-/// states over disjoint morsel ranges merge in morsel order.
+/// Grouped aggregation state over lane-hashed keys, mirroring the row
+/// kernel behind `algebra::aggregate_rows`: groups in first-seen order, a
+/// bucket map from key hash to group slots, and per-group accumulators.
+/// Partial states over disjoint morsel ranges merge in morsel order.
 pub(super) struct LaneAggState<'a> {
     rows: &'a [Row],
     buckets: HashBuckets<Vec<u32>>,
@@ -399,9 +340,9 @@ impl<'a> LaneAggState<'a> {
     }
 
     /// Merge a partial state over a *later* morsel range, walking the
-    /// other state's groups in its first-seen order — the same rule as
-    /// `GroupedAggState::merge`, so group output order stays first-seen
-    /// across the whole input.
+    /// other state's groups in its first-seen order: its new groups append
+    /// after `self`'s, and because morsels are contiguous row ranges,
+    /// group output order stays first-seen across the whole input.
     fn merge(&mut self, other: LaneAggState<'a>, g_idx: &[usize]) {
         for g in other.groups {
             match self.find_group(g.hash, g.rep as usize, g_idx) {
@@ -456,7 +397,7 @@ pub(super) fn lane_aggregate(
 
 /// Morsel-parallel lane-aware aggregation: per-morsel partial states
 /// merged in morsel order. Only called when every SUM/AVG input is
-/// non-FLOAT (the same associativity gate as `morsel::par_aggregate`).
+/// non-FLOAT (`f64` addition is not associative).
 pub(super) fn par_lane_aggregate(
     rows: &[Row],
     schema: &Schema,
@@ -571,48 +512,30 @@ pub(super) fn pivot_lanes(
 // Sort: lane keys + parallel merge path
 // ---------------------------------------------------------------------------
 
-/// Sort a gathered input. Serial streaming is `sort_rows` unchanged;
-/// serial vectorized stable-sorts an index permutation against
-/// [`SortKeys`] and applies it with O(n) row moves. The parallel path
-/// (both modes) stable-sorts per-morsel index runs and merges adjacent
-/// runs pairwise with left-wins-ties — equivalent to one full stable sort,
-/// so the output is independent of morsel size and thread count and
-/// byte-identical to the serial kernels.
+/// Sort a gathered input: stable-sort an index permutation against
+/// [`SortKeys`] and apply it with O(n) row moves. The parallel path
+/// stable-sorts per-morsel index runs and merges adjacent runs pairwise
+/// with left-wins-ties — equivalent to one full stable sort, so the output
+/// is independent of morsel size and thread count and byte-identical to
+/// the serial kernel (and to the interpreter's `sort_rows`).
 pub(super) fn sort_gathered(
     g: Gathered,
     schema: &Schema,
     idxs: &[usize],
     cfg: ExecConfig,
-    vectorized: bool,
 ) -> Vec<Row> {
     let n = g.as_slice().len();
-    if !cfg.parallel_for(n) {
-        if !vectorized {
-            let mut rows = g.into_rows();
-            sort_rows(&mut rows, idxs);
-            return rows;
-        }
-        let rows = g.into_rows();
-        let perm = {
-            let keys = SortKeys::build(&rows, schema, idxs);
+    let rows = g.into_rows();
+    let perm = {
+        let keys = SortKeys::build(&rows, schema, idxs);
+        if cfg.parallel_for(n) {
+            par_sort_indices(n, cfg, |a, b| keys.cmp(a, b))
+        } else {
             let mut perm: Vec<u32> = (0..n as u32).collect();
             // Stable sort over ascending initial indices == stable row sort.
             perm.sort_by(|&a, &b| keys.cmp(a as usize, b as usize));
             perm
-        };
-        return apply_perm(rows, &perm);
-    }
-    let rows = g.into_rows();
-    let perm = if vectorized {
-        let keys = SortKeys::build(&rows, schema, idxs);
-        par_sort_indices(n, cfg, |a, b| keys.cmp(a, b))
-    } else {
-        par_sort_indices(n, cfg, |a, b| {
-            idxs.iter()
-                .map(|&c| rows[a][c].total_cmp(&rows[b][c]))
-                .find(|o| !o.is_eq())
-                .unwrap_or(Ordering::Equal)
-        })
+        }
     };
     apply_perm(rows, &perm)
 }
@@ -683,7 +606,8 @@ fn merge_runs<F: Fn(usize, usize) -> Ordering>(a: &[u32], b: &[u32], cmp: &F) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{aggregate_rows, AggFunc};
+    use crate::algebra::{aggregate_rows, sort_rows, AggFunc, Plan};
+    use crate::database::Database;
     use crate::schema::Column;
 
     fn kv_schema() -> Schema {
@@ -720,10 +644,25 @@ mod tests {
     fn hash_index_probe_matches_row_probe() {
         let schema = kv_schema();
         let rows = kv_rows(50);
-        let value_index = build_value_index(&rows, &[0]);
         let hash_index = build_hash_index(&rows, &schema, &[0]);
+        // The row probe is the interpreter's value-keyed join loop.
+        let values = |names: [&str; 2]| Plan::Values {
+            schema: Schema::new(
+                "t",
+                vec![
+                    Column::new(names[0], DataType::Int),
+                    Column::new(names[1], DataType::Float),
+                ],
+            )
+            .unwrap(),
+            rows: rows.clone(),
+        };
         for kind in [JoinKind::Inner, JoinKind::Left] {
-            let want = probe_rows(&rows, &value_index, &rows, &[0], kind, 2, 2);
+            let want = values(["k", "v"])
+                .join(values(["rk", "rv"]), vec![("k", "rk")], kind)
+                .interpret(&Database::new("d"))
+                .unwrap()
+                .into_rows();
             let got = probe_hash(&rows, &schema, &hash_index, &rows, &[0], &[0], kind, 2, 2);
             assert_eq!(got, want, "{kind:?}");
         }
@@ -782,16 +721,8 @@ mod tests {
                 morsel_size: morsel,
                 ..ExecConfig::serial()
             };
-            for vectorized in [false, true] {
-                let got = sort_gathered(
-                    Gathered::Owned(rows.clone()),
-                    &schema,
-                    &[0],
-                    cfg,
-                    vectorized,
-                );
-                assert_eq!(got, want, "morsel {morsel}, vectorized {vectorized}");
-            }
+            let got = sort_gathered(Gathered::Owned(rows.clone()), &schema, &[0], cfg);
+            assert_eq!(got, want, "morsel {morsel}");
         }
     }
 }

@@ -14,13 +14,12 @@
 //! pull-based executor had — and for a union it means children concatenate
 //! in declaration order.
 //!
-//! Mode and parallelism selection happen **per operator, per batch**: each
+//! Parallelism selection happens **per operator, per batch**: each
 //! operator holds the session [`ExecConfig`] and dispatches to its
-//! row-streaming kernel, its lane-aware kernel (`exec::blocking`, in
-//! [`ExecMode::Vectorized`]), or the morsel-parallel variant (when the
-//! batch is a full shared-storage window that
-//! [`ExecConfig::parallel_for`](super::ExecConfig) accepts). Every
-//! dispatch target is byte-identical to every other — rows, order, and
+//! lane-aware kernel (`exec::vector`, `exec::blocking`) or that kernel's
+//! morsel-parallel variant (when the batch is a full shared-storage window
+//! that [`ExecConfig::parallel_for`](super::ExecConfig) accepts). Both
+//! dispatch targets are byte-identical — rows, order, and
 //! first-error-in-row-order — so the choice is invisible in the output.
 //!
 //! # Error ordering
@@ -40,17 +39,13 @@ use super::batch::{key_hashes, keys_eq, segment_lanes, Batch, Gathered, HashBuck
 use super::blocking::{self, HashIndex};
 use super::morsel;
 use super::vector::{self, StageProg};
-use super::{
-    apply_stages, reorderable_prefix, segment_pruned, ExecConfig, ExecMode, Flow, SimplePred,
-    Stage, ADAPT_WARMUP, BATCH_SIZE,
-};
-use crate::algebra::{aggregate_rows, pivot_rows, unpivot_rows, Aggregate, JoinKind};
+use super::{apply_stages, segment_pruned, ExecConfig, SimplePred, Stage, BATCH_SIZE};
+use crate::algebra::{unpivot_rows, Aggregate, JoinKind};
 use crate::error::RelResult;
 use crate::schema::Schema;
 use crate::segment::ScanPart;
 use crate::table::Row;
-use crate::value::{DataType, Value};
-use std::collections::{HashMap, HashSet};
+use crate::value::DataType;
 use std::mem;
 use std::sync::Arc;
 
@@ -147,63 +142,18 @@ fn push_rows(out: &mut Vec<Batch>, rows: Vec<Row>) {
 // Fused Select/Project pipeline
 // ---------------------------------------------------------------------------
 
-/// Overall pass rate at or above which an adaptive pipeline running row
-/// kernels switches to compiled lane programs: with most rows surviving,
-/// short-circuiting buys little and columnar evaluation amortizes.
-const ADAPT_LANE_MIN_PASS: f64 = 0.05;
-
-/// Overall pass rate below which an adaptive vectorized pipeline falls
-/// back to row kernels for batches whose lanes must be shredded (plain
-/// shared windows): when almost nothing survives, per-row short-circuit
-/// beats paying full lane materialization. Segment-backed batches keep
-/// their zero-shred lanes regardless.
-const ADAPT_ROW_MAX_PASS: f64 = 1.0 / 256.0;
-
-/// Warm-up observation state of an adaptive pipeline ([`ExecConfig::adaptive`]).
-///
-/// While active, rows run the counted row path; once [`ADAPT_WARMUP`]
-/// rows have been observed the pipeline decides — at a `BATCH_SIZE`
-/// chunk boundary, so segment lane offsets stay aligned — whether to
-/// permute its re-orderable filter prefix and/or switch kernels, then
-/// dissolves. Pass counters are *conditional* (a stage only sees rows
-/// that survived the stages before it under the original order), which is
-/// exactly the quantity the greedy cheapest-first reorder wants.
-struct AdaptState {
-    /// Leading filter stages legal to permute ([`reorderable_prefix`]).
-    prefix: usize,
-    /// Per prefix stage: (rows seen, rows passed) under the original
-    /// short-circuit order.
-    counts: Vec<(u64, u64)>,
-    /// Total rows observed so far (= `counts[0].0`).
-    observed: usize,
-}
-
-/// Fused Select/Project chain: one pass per row (or one columnar pass per
-/// batch in [`ExecMode::Vectorized`]), no intermediate tables. A full
-/// shared-storage window large enough for the parallel path runs the whole
-/// chain morsel-parallel instead.
-///
-/// With [`ExecConfig::adaptive`] set, the pipeline observes real
-/// selectivities over a warm-up prefix of its input and may re-order its
-/// statically infallible filter tower (cheapest-first by observed pass
-/// rate) and/or switch row↔lane kernels mid-query. Every adaptive choice
-/// dispatches between kernels that are already byte-identical, and filter
-/// permutation is gated on [`reorderable_prefix`]'s legality proof — so
-/// output bytes and errors never depend on the knob (DESIGN.md §17).
+/// Fused Select/Project chain: one columnar pass per batch, no
+/// intermediate tables. A full shared-storage window large enough for the
+/// parallel path runs the whole chain morsel-parallel instead.
 pub(super) struct PipelineOp<'p> {
     stages: Vec<Stage<'p>>,
-    /// Columnar stage programs, compiled once in [`open`] when the mode is
-    /// vectorized. Owned batches (child-produced rows the row path can
-    /// move rather than clone) stay on `apply_stages` — the fallback rule
-    /// of DESIGN.md §11.
+    /// Columnar stage programs, compiled once in [`open`]. Owned batches
+    /// (child-produced rows the row path can move rather than clone) stay
+    /// on `apply_stages` — the fallback rule of DESIGN.md §11.
     ///
     /// [`open`]: PhysicalOperator::open
-    programs: Option<Vec<StageProg>>,
+    programs: Vec<StageProg>,
     cfg: ExecConfig,
-    /// `Some` while the adaptive warm-up is still observing.
-    adapt: Option<AdaptState>,
-    /// Adaptive verdict: shred-requiring batches take the row path.
-    row_only: bool,
     out: Vec<Batch>,
 }
 
@@ -211,210 +161,16 @@ impl<'p> PipelineOp<'p> {
     pub(super) fn new(stages: Vec<Stage<'p>>, cfg: ExecConfig) -> PipelineOp<'p> {
         PipelineOp {
             stages,
-            programs: None,
+            programs: Vec::new(),
             cfg,
-            adapt: None,
-            row_only: false,
             out: Vec::new(),
-        }
-    }
-
-    /// Counted row path used during warm-up: evaluate the re-orderable
-    /// filter prefix stage by stage, recording seen/passed per stage, then
-    /// hand survivors to the untracked tail. Byte-identical to
-    /// [`apply_stages`] over the full stage list.
-    fn apply_counted(&mut self, row: Flow<'_>) -> RelResult<Option<Row>> {
-        let st = self.adapt.as_mut().expect("warm-up active");
-        st.observed += 1;
-        for (i, c) in st.counts.iter_mut().enumerate() {
-            let Stage::Filter { predicate, schema } = &self.stages[i] else {
-                unreachable!("reorderable prefix contains only filters");
-            };
-            c.0 += 1;
-            if !predicate.matches(schema, row.as_slice())? {
-                return Ok(None);
-            }
-            c.1 += 1;
-        }
-        let prefix = st.prefix;
-        apply_stages(&self.stages[prefix..], row)
-    }
-
-    /// End of warm-up: permute the re-orderable filter prefix ascending by
-    /// observed pass rate (stable — unobserved or tied stages keep their
-    /// order) and apply the kernel-switch thresholds. Runs at most once.
-    fn decide(&mut self) {
-        let Some(st) = self.adapt.take() else { return };
-        let seen = st.counts.first().map_or(0, |c| c.0);
-        if seen == 0 {
-            return;
-        }
-        let rates: Vec<f64> = st
-            .counts
-            .iter()
-            .map(|&(s, p)| if s == 0 { 1.0 } else { p as f64 / s as f64 })
-            .collect();
-        let mut order: Vec<usize> = (0..st.prefix).collect();
-        order.sort_by(|&a, &b| {
-            rates[a]
-                .partial_cmp(&rates[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let changed = order.iter().enumerate().any(|(i, &s)| i != s);
-        if changed {
-            let mut head: Vec<Option<Stage>> = self.stages.drain(..st.prefix).map(Some).collect();
-            let reordered = order.iter().map(|&s| head[s].take().expect("permutation"));
-            // Collect before splicing: the iterator borrows `head`.
-            let reordered: Vec<Stage> = reordered.collect();
-            self.stages.splice(0..0, reordered);
-        }
-        // Fraction of observed rows surviving the whole prefix.
-        let overall = st.counts.last().map_or(1.0, |c| c.1 as f64) / seen as f64;
-        match &self.programs {
-            None => {
-                // Row kernels (streaming mode): with most rows surviving,
-                // switch to compiled lane programs.
-                if overall >= ADAPT_LANE_MIN_PASS {
-                    self.programs = Some(vector::compile_stages(&self.stages));
-                }
-            }
-            Some(_) => {
-                if changed {
-                    self.programs = Some(vector::compile_stages(&self.stages));
-                }
-                if overall < ADAPT_ROW_MAX_PASS {
-                    self.row_only = true;
-                }
-            }
-        }
-    }
-
-    /// Warm-up path for one batch: counted row processing in `BATCH_SIZE`
-    /// chunks until enough rows were observed, then the decided kernels
-    /// for the rest of the batch. Deciding only at chunk boundaries keeps
-    /// the remainder `BATCH_SIZE`-aligned, so segment-backed windows keep
-    /// slicing their lanes at the correct offsets.
-    fn push_adaptive(&mut self, batch: Batch) -> RelResult<()> {
-        match batch {
-            b @ Batch::Shared { .. } => {
-                let seg = b.segment().cloned();
-                let slice = b.as_slice();
-                let mut off = 0;
-                while off < slice.len() && self.adapt.is_some() {
-                    let chunk = &slice[off..(off + BATCH_SIZE).min(slice.len())];
-                    let mut rows = Vec::with_capacity(chunk.len());
-                    for row in chunk {
-                        if let Some(r) = self.apply_counted(Flow::Borrowed(row))? {
-                            rows.push(r);
-                        }
-                    }
-                    push_rows(&mut self.out, rows);
-                    off += chunk.len();
-                    if self
-                        .adapt
-                        .as_ref()
-                        .is_some_and(|s| s.observed >= ADAPT_WARMUP)
-                    {
-                        self.decide();
-                    }
-                }
-                if off >= slice.len() {
-                    return Ok(());
-                }
-                // Remainder under the decided configuration. Morsel and
-                // chunk boundaries are relative to the remainder slice;
-                // pipeline stages are row-local, so partitioning does not
-                // affect output bytes or error order.
-                let rest = &slice[off..];
-                if (b.is_full_shared() || seg.is_some()) && self.cfg.parallel_for(rest.len()) {
-                    let progs = if self.row_only && seg.is_none() {
-                        None
-                    } else {
-                        self.programs.as_deref()
-                    };
-                    let rows = morsel::par_pipeline(rest, &self.stages, progs, self.cfg)?;
-                    push_rows(&mut self.out, rows);
-                    return Ok(());
-                }
-                for (k, chunk) in rest.chunks(BATCH_SIZE).enumerate() {
-                    let rows = match (&self.programs, &seg) {
-                        (Some(progs), Some(seg)) => {
-                            let seed = segment_lanes(seg, off + k * BATCH_SIZE, chunk.len());
-                            vector::run_batch_seeded(&self.stages, progs, chunk, seed)?
-                        }
-                        (Some(progs), None) if !self.row_only => {
-                            vector::run_batch(&self.stages, progs, chunk)?
-                        }
-                        _ => {
-                            let mut rows = Vec::with_capacity(chunk.len());
-                            for row in chunk {
-                                if let Some(r) = apply_stages(&self.stages, Flow::Borrowed(row))? {
-                                    rows.push(r);
-                                }
-                            }
-                            rows
-                        }
-                    };
-                    push_rows(&mut self.out, rows);
-                }
-                Ok(())
-            }
-            Batch::Owned(batch_rows) => {
-                // Owned batches run row-wise either way; just thread them
-                // through the counters until warm-up completes.
-                let mut rows = Vec::with_capacity(batch_rows.len());
-                let mut since_decide_check = 0usize;
-                for row in batch_rows {
-                    let kept = if self.adapt.is_some() {
-                        since_decide_check += 1;
-                        let r = self.apply_counted(Flow::Owned(row))?;
-                        if since_decide_check >= BATCH_SIZE {
-                            since_decide_check = 0;
-                            if self
-                                .adapt
-                                .as_ref()
-                                .is_some_and(|s| s.observed >= ADAPT_WARMUP)
-                            {
-                                self.decide();
-                            }
-                        }
-                        r
-                    } else {
-                        apply_stages(&self.stages, Flow::Owned(row))?
-                    };
-                    if let Some(r) = kept {
-                        rows.push(r);
-                    }
-                }
-                if self
-                    .adapt
-                    .as_ref()
-                    .is_some_and(|s| s.observed >= ADAPT_WARMUP)
-                {
-                    self.decide();
-                }
-                push_rows(&mut self.out, rows);
-                Ok(())
-            }
         }
     }
 }
 
 impl PhysicalOperator for PipelineOp<'_> {
     fn open(&mut self) -> RelResult<()> {
-        if self.cfg.mode == ExecMode::Vectorized && !self.stages.is_empty() {
-            self.programs = Some(vector::compile_stages(&self.stages));
-        }
-        if self.cfg.adaptive {
-            let prefix = reorderable_prefix(&self.stages);
-            if prefix >= 1 {
-                self.adapt = Some(AdaptState {
-                    prefix,
-                    counts: vec![(0, 0); prefix],
-                    observed: 0,
-                });
-            }
-        }
+        self.programs = vector::compile_stages(&self.stages);
         Ok(())
     }
 
@@ -423,52 +179,33 @@ impl PhysicalOperator for PipelineOp<'_> {
             self.out.push(batch);
             return Ok(());
         }
-        if self.adapt.is_some() {
-            return self.push_adaptive(batch);
-        }
         // Whole-table windows and per-segment windows both partition
         // deterministically (morsel bounds are relative to the window, so
         // output and error order match the serial run batch for batch).
         if (batch.is_full_shared() || batch.segment().is_some())
             && self.cfg.parallel_for(batch.len())
         {
-            let progs = if self.row_only && batch.segment().is_none() {
-                None
-            } else {
-                self.programs.as_deref()
-            };
-            let rows = morsel::par_pipeline(batch.as_slice(), &self.stages, progs, self.cfg)?;
+            let rows =
+                morsel::par_pipeline(batch.as_slice(), &self.stages, &self.programs, self.cfg)?;
             push_rows(&mut self.out, rows);
             return Ok(());
         }
         match batch {
             b @ Batch::Shared { .. } => {
                 // Serial shared window: process in BATCH_SIZE chunks so the
-                // pipeline's working set stays cache-sized, columnar when
-                // programs are compiled. Segment-backed windows seed each
-                // chunk's lanes straight from columnar storage — the
-                // zero-shred path (the live window always starts at
-                // segment row 0, so the chunk offset is the segment
-                // offset).
+                // pipeline's working set stays cache-sized. Segment-backed
+                // windows seed each chunk's lanes straight from columnar
+                // storage — the zero-shred path (the live window always
+                // starts at segment row 0, so the chunk offset is the
+                // segment offset).
                 let seg = b.segment().cloned();
                 for (k, chunk) in b.as_slice().chunks(BATCH_SIZE).enumerate() {
-                    let rows = match (&self.programs, &seg) {
-                        (Some(progs), Some(seg)) => {
+                    let rows = match &seg {
+                        Some(seg) => {
                             let seed = segment_lanes(seg, k * BATCH_SIZE, chunk.len());
-                            vector::run_batch_seeded(&self.stages, progs, chunk, seed)?
+                            vector::run_batch_seeded(&self.stages, &self.programs, chunk, seed)?
                         }
-                        (Some(progs), None) if !self.row_only => {
-                            vector::run_batch(&self.stages, progs, chunk)?
-                        }
-                        _ => {
-                            let mut rows = Vec::with_capacity(chunk.len());
-                            for row in chunk {
-                                if let Some(r) = apply_stages(&self.stages, Flow::Borrowed(row))? {
-                                    rows.push(r);
-                                }
-                            }
-                            rows
-                        }
+                        None => vector::run_batch(&self.stages, &self.programs, chunk)?,
                     };
                     push_rows(&mut self.out, rows);
                 }
@@ -476,7 +213,7 @@ impl PhysicalOperator for PipelineOp<'_> {
             Batch::Owned(batch_rows) => {
                 let mut rows = Vec::with_capacity(batch_rows.len());
                 for row in batch_rows {
-                    if let Some(r) = apply_stages(&self.stages, Flow::Owned(row))? {
+                    if let Some(r) = apply_stages(&self.stages, row)? {
                         rows.push(r);
                     }
                 }
@@ -495,19 +232,11 @@ impl PhysicalOperator for PipelineOp<'_> {
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// The gathered build side plus its key index. In vectorized mode the
-/// index is lane-hashed (`u64` key hash → positions, candidates verified
-/// with [`keys_eq`] at probe time); in streaming mode it is the
-/// `Vec<Value>`-keyed map the row kernels use. Both index shapes yield the
-/// same postings in the same order for every probe row.
+/// The gathered build side plus its lane-hashed key index (`u64` key hash
+/// → positions, candidates verified with [`keys_eq`] at probe time).
 struct BuildSide {
     rows: Gathered,
-    index: JoinIndex,
-}
-
-enum JoinIndex {
-    Lanes(HashIndex),
-    Values(HashMap<Vec<Value>, Vec<usize>>),
+    index: HashIndex,
 }
 
 /// Hash join. Input 0 is the **build** side (the plan's right child — the
@@ -559,18 +288,10 @@ impl JoinOp {
         let rows = Gathered::from_batches(mem::take(&mut self.build_buf));
         let slice = rows.as_slice();
         let par = self.cfg.parallel_for(slice.len());
-        let index = if self.cfg.mode == ExecMode::Vectorized {
-            JoinIndex::Lanes(if par {
-                blocking::par_build_hash_index(slice, &self.rschema, &self.r_idx, self.cfg)
-            } else {
-                blocking::build_hash_index(slice, &self.rschema, &self.r_idx)
-            })
+        let index = if par {
+            blocking::par_build_hash_index(slice, &self.rschema, &self.r_idx, self.cfg)
         } else {
-            JoinIndex::Values(if par {
-                morsel::par_build_index(slice, &self.r_idx, self.cfg)
-            } else {
-                blocking::build_value_index(slice, &self.r_idx)
-            })
+            blocking::build_hash_index(slice, &self.rschema, &self.r_idx)
         };
         self.build = Some(BuildSide { rows, index });
     }
@@ -587,59 +308,31 @@ impl PhysicalOperator for JoinOp {
         let lrows = batch.as_slice();
         let right = build.rows.as_slice();
         let par = batch.is_full_shared() && self.cfg.parallel_for(batch.len());
-        let rows = match &build.index {
-            JoinIndex::Lanes(index) => {
-                if par {
-                    blocking::par_probe_hash(
-                        lrows,
-                        &self.lschema,
-                        index,
-                        right,
-                        &self.l_idx,
-                        &self.r_idx,
-                        self.kind,
-                        self.l_arity,
-                        self.r_arity,
-                        self.cfg,
-                    )
-                } else {
-                    blocking::probe_hash(
-                        lrows,
-                        &self.lschema,
-                        index,
-                        right,
-                        &self.l_idx,
-                        &self.r_idx,
-                        self.kind,
-                        self.l_arity,
-                        self.r_arity,
-                    )
-                }
-            }
-            JoinIndex::Values(index) => {
-                if par {
-                    morsel::par_probe(
-                        lrows,
-                        index,
-                        right,
-                        &self.l_idx,
-                        self.kind,
-                        self.l_arity,
-                        self.r_arity,
-                        self.cfg,
-                    )
-                } else {
-                    blocking::probe_rows(
-                        lrows,
-                        index,
-                        right,
-                        &self.l_idx,
-                        self.kind,
-                        self.l_arity,
-                        self.r_arity,
-                    )
-                }
-            }
+        let rows = if par {
+            blocking::par_probe_hash(
+                lrows,
+                &self.lschema,
+                &build.index,
+                right,
+                &self.l_idx,
+                &self.r_idx,
+                self.kind,
+                self.l_arity,
+                self.r_arity,
+                self.cfg,
+            )
+        } else {
+            blocking::probe_hash(
+                lrows,
+                &self.lschema,
+                &build.index,
+                right,
+                &self.l_idx,
+                &self.r_idx,
+                self.kind,
+                self.l_arity,
+                self.r_arity,
+            )
         };
         push_rows(&mut self.out, rows);
         Ok(())
@@ -702,42 +395,27 @@ impl PhysicalOperator for UnionOp {
 // Distinct
 // ---------------------------------------------------------------------------
 
-/// δ dedup state: the streaming lane keeps the classic seen-set; the
-/// vectorized lane buckets first occurrences by lane key hash and verifies
-/// candidates with [`keys_eq`] — same equality relation (`Value` equality
-/// is `total_cmp`-consistent, and so is the lane hash), so both emit the
-/// identical first-occurrence sequence.
-enum DistinctState {
-    Rowwise { seen: HashSet<Row> },
-    Lanes { buckets: HashBuckets<Vec<u32>> },
-}
-
 /// Streaming δ: forwards first occurrences across all input batches.
+/// First occurrences are bucketed by lane key hash and candidates verified
+/// with [`keys_eq`] — the same equality relation as the interpreter's
+/// seen-set (`Value` equality is `total_cmp`-consistent, and so is the
+/// lane hash), so the emitted first-occurrence sequence is identical.
 pub(super) struct DistinctOp {
     schema: Schema,
     /// All column positions — distinct keys on the whole row.
     cols: Vec<usize>,
     cfg: ExecConfig,
-    state: DistinctState,
+    buckets: HashBuckets<Vec<u32>>,
     kept: Vec<Row>,
 }
 
 impl DistinctOp {
     pub(super) fn new(schema: Schema, cfg: ExecConfig) -> DistinctOp {
-        let state = if cfg.mode == ExecMode::Vectorized {
-            DistinctState::Lanes {
-                buckets: HashBuckets::default(),
-            }
-        } else {
-            DistinctState::Rowwise {
-                seen: HashSet::new(),
-            }
-        };
         DistinctOp {
             cols: (0..schema.arity()).collect(),
             schema,
             cfg,
-            state,
+            buckets: HashBuckets::default(),
             kept: Vec::new(),
         }
     }
@@ -745,34 +423,23 @@ impl DistinctOp {
 
 impl PhysicalOperator for DistinctOp {
     fn push_batch(&mut self, _input: usize, batch: Batch) -> RelResult<()> {
-        match &mut self.state {
-            DistinctState::Rowwise { seen } => {
-                for row in batch.into_rows() {
-                    if seen.insert(row.clone()) {
-                        self.kept.push(row);
-                    }
-                }
-            }
-            DistinctState::Lanes { buckets } => {
-                let rows = batch.as_slice();
-                // The hash pass is columnar (and morsel-parallel for large
-                // shared windows); the bucket walk stays serial to keep
-                // first-occurrence order.
-                let (hashes, _) = if self.cfg.parallel_for(rows.len()) {
-                    blocking::par_key_hashes(rows, &self.schema, &self.cols, self.cfg)
-                } else {
-                    key_hashes(rows, &self.schema, &self.cols)
-                };
-                for (i, row) in rows.iter().enumerate() {
-                    let bucket = buckets.entry(hashes[i]).or_default();
-                    let dup = bucket
-                        .iter()
-                        .any(|&s| keys_eq(row, &self.cols, &self.kept[s as usize], &self.cols));
-                    if !dup {
-                        bucket.push(self.kept.len() as u32);
-                        self.kept.push(row.clone());
-                    }
-                }
+        let rows = batch.as_slice();
+        // The hash pass is columnar (and morsel-parallel for large shared
+        // windows); the bucket walk stays serial to keep first-occurrence
+        // order.
+        let (hashes, _) = if self.cfg.parallel_for(rows.len()) {
+            blocking::par_key_hashes(rows, &self.schema, &self.cols, self.cfg)
+        } else {
+            key_hashes(rows, &self.schema, &self.cols)
+        };
+        for (i, row) in rows.iter().enumerate() {
+            let bucket = self.buckets.entry(hashes[i]).or_default();
+            let dup = bucket
+                .iter()
+                .any(|&s| keys_eq(row, &self.cols, &self.kept[s as usize], &self.cols));
+            if !dup {
+                bucket.push(self.kept.len() as u32);
+                self.kept.push(row.clone());
             }
         }
         Ok(())
@@ -831,10 +498,10 @@ impl PhysicalOperator for UnpivotOp {
 // ---------------------------------------------------------------------------
 
 /// Grouped aggregation: buffers its input, then dispatches on
-/// (mode, associativity × cardinality) to the lane kernel, the row kernel,
-/// or their morsel-parallel variants. SUM/AVG over FLOAT pins a serial
-/// kernel in either mode — `f64` addition is not associative, and both
-/// serial kernels add in row order, so results stay bit-identical.
+/// associativity × cardinality to the lane kernel or its morsel-parallel
+/// variant. SUM/AVG over FLOAT pins the serial kernel — `f64` addition is
+/// not associative, and the serial kernel adds in row order like the
+/// interpreter, so results stay bit-identical.
 pub(super) struct AggregateOp<'p> {
     in_schema: Schema,
     out_schema: Schema,
@@ -880,26 +547,23 @@ impl PhysicalOperator for AggregateOp<'_> {
         let g = Gathered::from_batches(mem::take(&mut self.buf));
         let rows = g.as_slice();
         let par = self.associative && self.cfg.parallel_for(rows.len());
-        let out = match (self.cfg.mode == ExecMode::Vectorized, par) {
-            (true, true) => blocking::par_lane_aggregate(
+        let out = if par {
+            blocking::par_lane_aggregate(
                 rows,
                 &self.in_schema,
                 &self.g_idx,
                 &self.agg_idx,
                 self.aggregates,
                 self.cfg,
-            ),
-            (true, false) => blocking::lane_aggregate(
+            )
+        } else {
+            blocking::lane_aggregate(
                 rows,
                 &self.in_schema,
                 &self.g_idx,
                 &self.agg_idx,
                 self.aggregates,
-            ),
-            (false, true) => {
-                morsel::par_aggregate(rows, &self.g_idx, &self.agg_idx, self.aggregates, self.cfg)
-            }
-            (false, false) => aggregate_rows(rows, &self.g_idx, &self.agg_idx, self.aggregates),
+            )
         };
         // Validate emitted rows exactly where the materializing
         // interpreter's `from_rows` does — e.g. SUM over a TEXT column
@@ -914,9 +578,8 @@ impl PhysicalOperator for AggregateOp<'_> {
 }
 
 /// Pivot: buffers its input, then runs the lane kernel
-/// ([`blocking::pivot_lanes`]) or the row kernel shared with the
-/// interpreter — per morsel when the input is large, with wide rows merged
-/// entity-by-entity in morsel order.
+/// ([`blocking::pivot_lanes`]) — per morsel when the input is large, with
+/// wide rows merged entity-by-entity in morsel order.
 pub(super) struct PivotOp<'p> {
     in_schema: Schema,
     key_idx: Vec<usize>,
@@ -958,24 +621,14 @@ impl PhysicalOperator for PivotOp<'_> {
         let g = Gathered::from_batches(mem::take(&mut self.buf));
         let rows = g.as_slice();
         let kernel = |slice: &[Row]| {
-            if self.cfg.mode == ExecMode::Vectorized {
-                blocking::pivot_lanes(
-                    slice,
-                    &self.in_schema,
-                    &self.key_idx,
-                    self.attr_idx,
-                    self.val_idx,
-                    self.attrs,
-                )
-            } else {
-                pivot_rows(
-                    slice,
-                    &self.key_idx,
-                    self.attr_idx,
-                    self.val_idx,
-                    self.attrs,
-                )
-            }
+            blocking::pivot_lanes(
+                slice,
+                &self.in_schema,
+                &self.key_idx,
+                self.attr_idx,
+                self.val_idx,
+                self.attrs,
+            )
         };
         let out = if self.cfg.parallel_for(rows.len()) {
             morsel::par_pivot(rows, self.key_idx.len(), self.cfg, kernel)?
@@ -989,9 +642,8 @@ impl PhysicalOperator for PivotOp<'_> {
 }
 
 /// Sort: buffers its input, then sorts via [`blocking::sort_gathered`] —
-/// lane sort keys in vectorized mode, `sort_rows` in streaming mode, and
-/// the parallel merge-path kernel over sorted morsel runs for large inputs
-/// in either mode.
+/// lane sort keys, and the parallel merge-path kernel over sorted morsel
+/// runs for large inputs.
 pub(super) struct SortOp {
     schema: Schema,
     idxs: Vec<usize>,
@@ -1018,13 +670,7 @@ impl PhysicalOperator for SortOp {
 
     fn finish(&mut self) -> RelResult<Vec<Batch>> {
         let g = Gathered::from_batches(mem::take(&mut self.buf));
-        let rows = blocking::sort_gathered(
-            g,
-            &self.schema,
-            &self.idxs,
-            self.cfg,
-            self.cfg.mode == ExecMode::Vectorized,
-        );
+        let rows = blocking::sort_gathered(g, &self.schema, &self.idxs, self.cfg);
         let mut batches = Vec::new();
         push_rows(&mut batches, rows);
         Ok(batches)
@@ -1072,6 +718,7 @@ impl PhysicalOperator for LimitOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn int_rows(n: i64) -> Vec<Row> {
         (0..n).map(|i| vec![Value::Int(i)]).collect()

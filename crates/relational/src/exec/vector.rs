@@ -1,7 +1,7 @@
 //! Columnar batch kernels for vectorized `Expr` evaluation.
 //!
-//! This module is the MonetDB/X100-style execution lane behind
-//! [`ExecMode::Vectorized`](super::ExecMode::Vectorized): instead of calling
+//! This module is the MonetDB/X100-style execution lane behind the fused
+//! pipeline operator: instead of calling
 //! `Expr::eval` once per row — one enum dispatch, one `schema.index_of`
 //! name lookup, and one boxed `Value` allocation per column reference per
 //! row — the fused pipeline hands a whole batch (one scan batch or one

@@ -14,15 +14,13 @@
 //!
 //! Plans evaluate through an [`exec::Executor`] session: a streaming,
 //! batch-at-a-time engine that fuses Select/Project/Rename towers,
-//! lowers fused expressions onto columnar batch kernels
-//! ([`exec::ExecMode::Vectorized`], the default), and, above a
+//! lowers fused expressions onto columnar batch kernels, and, above a
 //! cardinality threshold, runs scans morsel-parallel with a
-//! work-stealing scheduler ([`exec::ExecConfig`], `GUAVA_EXEC_THREADS`,
-//! `GUAVA_EXEC_MODE`). Every mode produces byte-identical output —
+//! work-stealing scheduler ([`exec::ExecConfig`], `GUAVA_EXEC_THREADS`).
+//! Every configuration produces byte-identical output —
 //! DESIGN.md §9–§11 document the execution model, and the original
 //! tree-walking interpreter survives as
-//! [`exec::ExecMode::Materialized`] / [`algebra::Plan::eval_materialized`],
-//! the differential-testing oracle.
+//! [`algebra::Plan::eval_materialized`], the differential-testing oracle.
 //!
 //! ```
 //! use guava_relational::prelude::*;
@@ -69,7 +67,7 @@ pub mod prelude {
         TableDelta,
     };
     pub use crate::error::{RelError, RelResult};
-    pub use crate::exec::{ExecConfig, ExecMode, Executor, StorageMode};
+    pub use crate::exec::{ExecConfig, Executor, StorageMode};
     pub use crate::expr::{BinOp, Expr};
     pub use crate::optimize::optimize;
     pub use crate::schema::{Column, Schema};

@@ -1,23 +1,24 @@
 //! Engine configuration: explicit builder fields over env defaults.
 //!
-//! The env-only config path (`GUAVA_EXEC_THREADS` / `GUAVA_EXEC_MODE` /
-//! `GUAVA_STORAGE`) made the executor's knobs invisible in the API: the
-//! only way to pin a configuration was to mutate the process environment.
-//! [`EngineConfig`] inverts that: every knob is an explicit builder
-//! field, and the environment is honored *as the default layer* —
-//! [`EngineConfig::default`] (and [`Engine::build`]) starts from
-//! [`ExecConfig::from_env`], preserving the hard-error parse behavior
-//! (a typo in an env var is still a loud failure, never a silent
-//! fallback), then builder calls override on top.
+//! The env-only config path (`GUAVA_EXEC_THREADS` / `GUAVA_STORAGE`) made
+//! the executor's knobs invisible in the API: the only way to pin a
+//! configuration was to mutate the process environment. [`EngineConfig`]
+//! inverts that: every knob is an explicit builder field. The environment
+//! is honored only when asked for — [`EngineConfig::from_env`] starts from
+//! [`ExecConfig::from_env`], preserving the hard-error parse behavior (a
+//! typo in an env var is still a loud failure, never a silent fallback),
+//! and builder calls override on top. [`EngineConfig::default`] ignores
+//! the environment entirely: an engine handed to [`Engine::build`] runs
+//! the configuration its caller wrote down.
 //!
 //! [`Engine::build`]: crate::service::Engine::build
 
 use crate::materialize::MaterializationPolicy;
 use crate::service::error::ServiceResult;
-use guava_relational::exec::{ExecConfig, ExecMode, Executor, StorageMode};
+use guava_relational::exec::{ExecConfig, Executor, StorageMode};
 
 /// Configuration for [`Engine::build`](crate::service::Engine::build):
-/// the executor knobs (threads, mode, storage, morsel tuning) plus the
+/// the executor knobs (threads, storage, morsel tuning) plus the
 /// warehouse materialization policy.
 ///
 /// Construct with [`EngineConfig::from_env`] (env vars as defaults, hard
@@ -27,12 +28,12 @@ use guava_relational::exec::{ExecConfig, ExecMode, Executor, StorageMode};
 ///
 /// ```
 /// use guava_warehouse::service::EngineConfig;
-/// use guava_relational::exec::ExecMode;
+/// use guava_relational::exec::StorageMode;
 ///
 /// let cfg = EngineConfig::from_env()
 ///     .unwrap()
 ///     .threads(2)
-///     .mode(ExecMode::Streaming);
+///     .storage(StorageMode::Row);
 /// assert_eq!(cfg.exec().threads, 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +54,8 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Environment-as-defaults constructor: reads `GUAVA_EXEC_THREADS`,
-    /// `GUAVA_EXEC_MODE`, and `GUAVA_STORAGE` exactly as
+    /// Environment-as-defaults constructor: reads `GUAVA_EXEC_THREADS`
+    /// and `GUAVA_STORAGE` exactly as
     /// [`ExecConfig::from_env`] does — unset/empty keeps the default,
     /// anything unparsable is a hard error. Builder methods then override
     /// individual fields without touching the environment again.
@@ -71,12 +72,10 @@ impl EngineConfig {
     /// [`ExecConfig::from_env_values`]).
     pub fn from_env_values(
         threads: Option<&str>,
-        mode: Option<&str>,
         storage: Option<&str>,
-        adaptive: Option<&str>,
     ) -> ServiceResult<EngineConfig> {
         Ok(EngineConfig {
-            exec: ExecConfig::from_env_values(threads, mode, storage, adaptive)?,
+            exec: ExecConfig::from_env_values(threads, storage)?,
             policy: MaterializationPolicy::Full,
         })
     }
@@ -108,22 +107,9 @@ impl EngineConfig {
         self
     }
 
-    /// Evaluation strategy (vectorized, streaming, or materialized).
-    pub fn mode(mut self, mode: ExecMode) -> EngineConfig {
-        self.exec.mode = mode;
-        self
-    }
-
     /// Resting storage format scans read from.
     pub fn storage(mut self, storage: StorageMode) -> EngineConfig {
         self.exec.storage = storage;
-        self
-    }
-
-    /// Enable or disable adaptive execution
-    /// ([`ExecConfig::adaptive`] / `GUAVA_EXEC_ADAPTIVE`).
-    pub fn adaptive(mut self, adaptive: bool) -> EngineConfig {
-        self.exec.adaptive = adaptive;
         self
     }
 
@@ -156,42 +142,23 @@ mod tests {
 
     #[test]
     fn env_defaults_then_builder_overrides() {
-        let cfg =
-            EngineConfig::from_env_values(Some("3"), Some("streaming"), Some("row"), Some("on"))
-                .unwrap()
-                .threads(5)
-                .mode(ExecMode::Materialized);
+        let cfg = EngineConfig::from_env_values(Some("3"), Some("row"))
+            .unwrap()
+            .threads(5);
         assert_eq!(cfg.exec().threads, 5);
-        assert_eq!(cfg.exec().mode, ExecMode::Materialized);
         // Untouched fields keep the env layer.
         assert_eq!(cfg.exec().storage, StorageMode::Row);
-        assert!(cfg.exec().adaptive);
     }
 
     #[test]
     fn env_hard_errors_preserved() {
         // The builder path must not soften the env grammar: unparsable
         // values stay hard errors, exactly as ExecConfig::from_env.
-        assert!(EngineConfig::from_env_values(Some("two"), None, None, None).is_err());
-        assert!(EngineConfig::from_env_values(None, Some("turbo"), None, None).is_err());
-        assert!(EngineConfig::from_env_values(None, None, Some("tape"), None).is_err());
-        assert!(EngineConfig::from_env_values(None, None, None, Some("maybe")).is_err());
+        assert!(EngineConfig::from_env_values(Some("two"), None).is_err());
+        assert!(EngineConfig::from_env_values(None, Some("tape")).is_err());
         // Unset / empty / "0" keep defaults.
-        let auto = EngineConfig::from_env_values(Some("0"), Some(""), None, Some("")).unwrap();
-        assert_eq!(auto.exec().mode, ExecMode::default());
-        assert_eq!(auto.exec().storage, StorageMode::default());
-        assert!(!auto.exec().adaptive);
-        // The adaptive grammar accepts the documented spellings.
-        for (v, want) in [
-            ("1", true),
-            ("true", true),
-            ("ON", true),
-            ("0", false),
-            ("off", false),
-        ] {
-            let cfg = EngineConfig::from_env_values(None, None, None, Some(v)).unwrap();
-            assert_eq!(cfg.exec().adaptive, want, "adaptive={v}");
-        }
+        let auto = EngineConfig::from_env_values(Some("0"), Some("")).unwrap();
+        assert_eq!(auto.exec(), &ExecConfig::default());
     }
 
     #[test]
@@ -199,12 +166,10 @@ mod tests {
         let cfg = EngineConfig::with_exec(ExecConfig::serial())
             .policy(MaterializationPolicy::OnDemand)
             .morsel_size(0)
-            .parallel_threshold(1)
-            .adaptive(true);
+            .parallel_threshold(1);
         assert_eq!(cfg.exec().threads, 1);
         assert_eq!(cfg.exec().morsel_size, 1); // clamped
         assert_eq!(cfg.exec().parallel_threshold, 1);
-        assert!(cfg.exec().adaptive);
         assert_eq!(
             cfg.materialization_policy(),
             &MaterializationPolicy::OnDemand

@@ -4,35 +4,11 @@
 
 use guava::prelude::*;
 use guava_relational::algebra::{AggFunc, Aggregate};
-use guava_relational::exec::{ExecConfig, ExecMode};
 use guava_relational::value::DataType;
 use proptest::prelude::*;
 
-/// A configuration that forces the morsel-parallel path for *every*
-/// operator over these tiny fixtures: no cardinality threshold, several
-/// workers, and a deliberately odd morsel size so most plans span multiple
-/// morsels and exercise the merge logic. The [`StorageMode`] is inherited
-/// from the environment so `scripts/check.sh` can rerun the whole lane
-/// matrix with `GUAVA_STORAGE=row` as a segment-vs-row drift canary.
-fn parallel_cfg(mode: ExecMode) -> ExecConfig {
-    ExecConfig {
-        threads: 3,
-        parallel_threshold: 1,
-        morsel_size: 7,
-        mode,
-        ..ExecConfig::from_env().unwrap()
-    }
-}
-
-/// A serial configuration pinned to one execution mode (storage from the
-/// environment, as above).
-fn serial_cfg(mode: ExecMode) -> ExecConfig {
-    ExecConfig {
-        threads: 1,
-        mode,
-        ..ExecConfig::from_env().unwrap()
-    }
-}
+mod common;
+use common::lanes;
 
 fn schema() -> Schema {
     Schema::new(
@@ -375,8 +351,8 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
 
-    /// Every physical lane of the batch executor — row streaming and
-    /// vectorized, serial and morsel-parallel — and the materializing
+    /// Every physical lane of the batch executor — serial and
+    /// morsel-parallel, over segment and row storage — and the materializing
     /// interpreter are observationally identical: same table (schema,
     /// rows, order) on success, and failure on all sides for broken plans.
     #[test]
@@ -386,12 +362,10 @@ proptest! {
     ) {
         let d = db(rows);
         let oracle = plan.eval_materialized(&d);
-        let lanes = [
-            ("serial-streaming", plan.eval_with(&d, &serial_cfg(ExecMode::Streaming))),
-            ("serial-vectorized", plan.eval_with(&d, &serial_cfg(ExecMode::Vectorized))),
-            ("parallel-streaming", plan.eval_with(&d, &parallel_cfg(ExecMode::Streaming))),
-            ("parallel-vectorized", plan.eval_with(&d, &parallel_cfg(ExecMode::Vectorized))),
-        ];
+        let lanes: Vec<_> = lanes()
+            .into_iter()
+            .map(|(name, exec)| (name, exec.execute(&plan, &d)))
+            .collect();
         for (which, result) in &lanes {
             match (result, &oracle) {
                 (Ok(s), Ok(m)) => prop_assert_eq!(s, m, "{} != oracle", which),
@@ -407,11 +381,11 @@ proptest! {
         // including which error a multi-fault plan reports: morsel merges
         // keep row order, and the vectorized kernels accumulate errors in
         // original row order (first-error-in-row-order, DESIGN.md §11).
-        let (_, reference) = &lanes[0];
+        let (first, reference) = &lanes[0];
         for (which, result) in &lanes[1..] {
             prop_assert_eq!(
                 result, reference,
-                "{} != serial-streaming for {:?}", which, plan
+                "{} != {} for {:?}", which, first, plan
             );
         }
     }
@@ -434,11 +408,9 @@ proptest! {
         ];
         for plan in faults {
             let oracle = plan.eval_materialized(&d).unwrap_err();
-            for mode in [ExecMode::Streaming, ExecMode::Vectorized] {
-                let serial = plan.eval_with(&d, &serial_cfg(mode)).unwrap_err();
-                let parallel = plan.eval_with(&d, &parallel_cfg(mode)).unwrap_err();
-                prop_assert_eq!(&serial, &oracle, "serial {:?}", mode);
-                prop_assert_eq!(&parallel, &oracle, "parallel {:?}", mode);
+            for (name, exec) in lanes() {
+                let got = exec.execute(&plan, &d).unwrap_err();
+                prop_assert_eq!(&got, &oracle, "{}", name);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Satellite suite for the statistics catalog and the cost-based
 //! optimizer (DESIGN.md §17): whatever plan the CBO picks must be
 //! **observationally invisible** — byte-identical tables in all four
-//! streaming lanes and under the materializing oracle, and exact error
+//! executor lanes and under the materializing oracle, and exact error
 //! parity on single-fault plans — while the statistics that drove the
 //! choice stay sound under incremental patches.
 //!
@@ -20,9 +20,6 @@
 //!   on counts and conservatively (widen-only) on min/max/NDV — both at
 //!   the relational layer and through the warehouse engine's
 //!   generational refresh.
-//! * Adaptive execution (`GUAVA_EXEC_ADAPTIVE`) keeps byte-identity and
-//!   error parity across lanes, including the fallible-filter case it
-//!   must refuse to reorder.
 
 use guava::prelude::*;
 use guava::warehouse::service::{Engine, EngineConfig};
@@ -32,25 +29,8 @@ use guava_relational::stats::{optimize_with_stats, StatsCatalog, TableStats};
 use guava_relational::value::DataType;
 use proptest::prelude::*;
 
-fn lanes() -> Vec<(&'static str, Executor)> {
-    let parallel = Executor::new()
-        .threads(3)
-        .parallel_threshold(1)
-        .morsel_size(7);
-    vec![
-        (
-            "serial-streaming",
-            Executor::new().threads(1).mode(ExecMode::Streaming),
-        ),
-        (
-            "serial-vectorized",
-            Executor::new().threads(1).mode(ExecMode::Vectorized),
-        ),
-        ("parallel-streaming", parallel.mode(ExecMode::Streaming)),
-        ("parallel-vectorized", parallel.mode(ExecMode::Vectorized)),
-        ("materialized", Executor::new().mode(ExecMode::Materialized)),
-    ]
-}
+mod common;
+use common::lanes_with_oracle as lanes;
 
 // ---------------------------------------------------------------------------
 // Fixture: a four-table star/chain with globally distinct column names
@@ -463,94 +443,4 @@ fn engine_refresh_patches_snapshot_stats() {
         naive_stats.column("instance_id").unwrap().max,
         Value::Int(77)
     );
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive execution parity.
-// ---------------------------------------------------------------------------
-
-fn adaptive_db(rows: i64) -> Database {
-    let schema = chain_schema(
-        "t",
-        &[
-            ("id", DataType::Int),
-            ("x", DataType::Int),
-            ("y", DataType::Int),
-            ("z", DataType::Int),
-        ],
-    );
-    let rows: Vec<Row> = (0..rows)
-        .map(|i| {
-            vec![
-                Value::Int(i),
-                Value::Int(i % 100),
-                if i % 13 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(i % 7)
-                },
-                Value::Int(i % 3),
-            ]
-        })
-        .collect();
-    let mut db = Database::new("ad");
-    db.create_table(Table::from_rows(schema, rows).unwrap())
-        .unwrap();
-    db
-}
-
-/// Adaptive filter-tower reordering and mid-query kernel switches keep
-/// byte-identity: a long tower whose *last* filter is the selective one
-/// (so the adaptive pass has something to hoist), run past the warm-up
-/// window, must match the static oracle in every lane.
-#[test]
-fn adaptive_towers_keep_byte_identity() {
-    // 3 * ADAPT_WARMUP rows: warm-up, the decision point, and a long
-    // post-decision remainder all get exercised.
-    let db = adaptive_db(3 * guava_relational::exec::ADAPT_WARMUP as i64);
-    let towers = [
-        // Selective filter last: adaptive reorder hoists it.
-        Plan::scan("t")
-            .select(Expr::col("x").lt(Expr::lit(95i64)))
-            .select(Expr::col("y").ge(Expr::lit(0i64)))
-            .select(Expr::col("x").eq(Expr::lit(42i64))),
-        // Near-zero overall pass rate: the row-kernel switch engages.
-        Plan::scan("t")
-            .select(Expr::col("x").eq(Expr::lit(3i64)))
-            .select(Expr::col("z").eq(Expr::lit(2i64)))
-            .select(Expr::col("y").eq(Expr::lit(6i64))),
-        // IS NULL / inequality mix, still statically infallible.
-        Plan::scan("t")
-            .select(Expr::col("y").is_not_null())
-            .select(Expr::col("z").ne(Expr::lit(1i64)))
-            .select(Expr::col("x").ge(Expr::lit(97i64))),
-    ];
-    for plan in &towers {
-        let oracle = plan.eval_materialized(&db).unwrap();
-        for (name, exec) in lanes() {
-            let got = exec.adaptive(true).execute(plan, &db).unwrap();
-            assert_eq!(got, oracle, "lane {name}: adaptive run diverged");
-        }
-    }
-}
-
-/// A fallible filter (division that hits a zero mid-stream) must keep
-/// its exact error under adaptivity: the reorderable prefix excludes it,
-/// so the fault fires exactly as in the static plan.
-#[test]
-fn adaptive_keeps_error_parity_on_fallible_towers() {
-    let db = adaptive_db(2 * guava_relational::exec::ADAPT_WARMUP as i64);
-    // x takes value 0 every 100 rows: the division faults well after
-    // the warm-up window on some lanes, immediately on others.
-    let plan = Plan::scan("t")
-        .select(Expr::col("z").ge(Expr::lit(0i64)))
-        .select(Expr::lit(100i64).div(Expr::col("x")).gt(Expr::lit(0i64)));
-    for (name, exec) in lanes() {
-        let adaptive = exec.adaptive(true).execute(&plan, &db);
-        let static_run = exec.adaptive(false).execute(&plan, &db);
-        let (Err(a), Err(b)) = (&adaptive, &static_run) else {
-            panic!("lane {name}: expected both runs to fault: {adaptive:?} vs {static_run:?}");
-        };
-        assert_eq!(a.to_string(), b.to_string(), "lane {name}: error drifted");
-    }
 }

@@ -1,7 +1,8 @@
-//! Differential tests for the vectorized (columnar-kernel) executor
-//! mode: every plan here must produce byte-identical tables *and errors*
-//! across the materializing oracle, the row-streaming path, and the
-//! vectorized path, serial and morsel-parallel alike (DESIGN.md §10–§11).
+//! Differential tests for the executor's columnar kernels: every plan
+//! here must produce byte-identical tables *and errors* under the
+//! materializing oracle and under the executor, serial and
+//! morsel-parallel, over segment and row storage alike (DESIGN.md
+//! §10–§11).
 //!
 //! The cases target the spots where the columnar lowering could plausibly
 //! diverge from row-at-a-time semantics: null masks, rows that error
@@ -11,35 +12,14 @@
 
 use guava::relational::prelude::*;
 
-/// The four streaming executor lanes checked against the oracle. The
-/// parallel lanes use a tiny morsel size so even small tables split
-/// across workers.
-fn lanes() -> Vec<(&'static str, Executor)> {
-    let parallel = Executor::new()
-        .threads(3)
-        .parallel_threshold(1)
-        .morsel_size(7);
-    vec![
-        (
-            "serial-streaming",
-            Executor::new().threads(1).mode(ExecMode::Streaming),
-        ),
-        (
-            "serial-vectorized",
-            Executor::new().threads(1).mode(ExecMode::Vectorized),
-        ),
-        ("parallel-streaming", parallel.mode(ExecMode::Streaming)),
-        ("parallel-vectorized", parallel.mode(ExecMode::Vectorized)),
-    ]
-}
+mod common;
+use common::lanes;
 
 /// Evaluate `plan` under every lane and assert each agrees exactly with
 /// the materializing interpreter — including which error is reported.
 /// Returns the oracle's result for additional assertions.
 fn assert_all_modes(plan: &Plan, db: &Database) -> RelResult<Table> {
-    let oracle = Executor::new()
-        .mode(ExecMode::Materialized)
-        .execute(plan, db);
+    let oracle = plan.eval_materialized(db);
     for (name, exec) in lanes() {
         let got = exec.execute(plan, db);
         match (&got, &oracle) {
@@ -559,22 +539,19 @@ fn merge_path_sort_parity_across_morsel_sizes() {
     let db = mixed_db();
     // Duplicate sort keys (a repeats mod 11, s mod 6) make stability
     // observable: any unstable merge reorders the `id` column. Sweep
-    // morsel sizes so runs split at every awkward boundary, in both
-    // modes, and compare against the serial oracle byte for byte.
+    // morsel sizes so runs split at every awkward boundary, over both
+    // storages, and compare against the serial oracle byte for byte.
     let plan = Plan::scan("m").sort_by(&["a", "s"]);
-    let oracle = Executor::new()
-        .mode(ExecMode::Materialized)
-        .execute(&plan, &db)
-        .unwrap();
+    let oracle = plan.eval_materialized(&db).unwrap();
     for morsel in [1usize, 3, 7, 16, 64] {
-        for mode in [ExecMode::Streaming, ExecMode::Vectorized] {
+        for storage in [StorageMode::Segment, StorageMode::Row] {
             let exec = Executor::new()
                 .threads(4)
                 .parallel_threshold(1)
                 .morsel_size(morsel)
-                .mode(mode);
+                .storage(storage);
             let got = exec.execute(&plan, &db).unwrap();
-            assert_eq!(got, oracle, "morsel {morsel}, {mode:?}");
+            assert_eq!(got, oracle, "morsel {morsel}, {storage:?}");
         }
     }
 }
@@ -617,13 +594,9 @@ fn etl_workflows_run_under_a_shared_executor() {
     let base = wf
         .run_with(&mut expected_catalog, &ExecConfig::serial())
         .unwrap();
-    for mode in [
-        ExecMode::Streaming,
-        ExecMode::Vectorized,
-        ExecMode::Materialized,
-    ] {
+    for (name, exec) in lanes() {
         let mut c = catalog.clone();
-        let runs = wf.run_on(&mut c, &Executor::new().mode(mode)).unwrap();
+        let runs = wf.run_on(&mut c, &exec).unwrap();
         assert_eq!(runs.len(), base.len());
         assert_eq!(
             c.database("out").unwrap().table("kept").unwrap(),
@@ -632,7 +605,7 @@ fn etl_workflows_run_under_a_shared_executor() {
                 .unwrap()
                 .table("kept")
                 .unwrap(),
-            "{mode:?}"
+            "{name}"
         );
     }
 }

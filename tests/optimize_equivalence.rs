@@ -2,7 +2,7 @@
 //! invisible. For random plans — biased toward the Select/Project/Rename
 //! towers the pattern-decode rewriter emits, the optimizer's home turf —
 //! the optimized plan must produce byte-identical tables in all four
-//! executor lanes (streaming/vectorized × serial/parallel) and under the
+//! executor lanes (serial/parallel × segment/row storage) and under the
 //! materializing oracle, and must fail whenever the original fails.
 //!
 //! Multi-fault plans may legitimately *report* a different one of their
@@ -15,25 +15,8 @@ use guava::prelude::*;
 use guava_relational::value::DataType;
 use proptest::prelude::*;
 
-fn lanes() -> Vec<(&'static str, Executor)> {
-    let parallel = Executor::new()
-        .threads(3)
-        .parallel_threshold(1)
-        .morsel_size(7);
-    vec![
-        (
-            "serial-streaming",
-            Executor::new().threads(1).mode(ExecMode::Streaming),
-        ),
-        (
-            "serial-vectorized",
-            Executor::new().threads(1).mode(ExecMode::Vectorized),
-        ),
-        ("parallel-streaming", parallel.mode(ExecMode::Streaming)),
-        ("parallel-vectorized", parallel.mode(ExecMode::Vectorized)),
-        ("materialized", Executor::new().mode(ExecMode::Materialized)),
-    ]
-}
+mod common;
+use common::lanes_with_oracle as lanes;
 
 fn schema() -> Schema {
     Schema::new(

@@ -8,8 +8,7 @@
 //! rebuild**: same rows, same order (after the documented canonical
 //! merge — retained rows first, updated/inserted rows at the end), and
 //! the same first error, under randomized plans and randomized update
-//! sequences, across all four executor lanes plus the materializing
-//! oracle. A refresh that errors must poison itself and recover by
+//! sequences, across all four executor lanes. A refresh that errors must poison itself and recover by
 //! re-initializing on the next round — also byte-identically. The
 //! grouped-aggregate suite additionally pins the §15 first-occurrence
 //! lineage: group order under random insert/delete/revise interleavings
@@ -21,29 +20,8 @@ use guava_relational::algebra::{AggFunc, Aggregate};
 use guava_relational::value::DataType;
 use proptest::prelude::*;
 
-/// The four streaming lanes plus the materializing interpreter. The
-/// parallel lanes use a tiny morsel size so even these small fixtures
-/// split across workers; `DeltaPlan` routes its internal delta batches
-/// through the same executor, so each lane exercises its own kernels.
-fn lanes() -> Vec<(&'static str, Executor)> {
-    let parallel = Executor::new()
-        .threads(3)
-        .parallel_threshold(1)
-        .morsel_size(7);
-    vec![
-        (
-            "serial-streaming",
-            Executor::new().threads(1).mode(ExecMode::Streaming),
-        ),
-        (
-            "serial-vectorized",
-            Executor::new().threads(1).mode(ExecMode::Vectorized),
-        ),
-        ("parallel-streaming", parallel.mode(ExecMode::Streaming)),
-        ("parallel-vectorized", parallel.mode(ExecMode::Vectorized)),
-        ("materialized", Executor::new().mode(ExecMode::Materialized)),
-    ]
-}
+mod common;
+use common::lanes;
 
 fn schema() -> Schema {
     Schema::new(
@@ -366,7 +344,7 @@ proptest! {
     /// the output bit-for-bit alone.
     #[test]
     fn unchanged_refresh_reports_unchanged(rows in arb_rows(20), plan in arb_plan()) {
-        let (_, exec) = lanes().remove(1);
+        let (_, exec) = lanes().remove(0);
         let cat = catalog(rows);
         let db = cat.database("d").unwrap();
         if let Ok(mut dplan) = DeltaPlan::init(&plan, db, &exec) {

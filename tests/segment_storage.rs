@@ -2,13 +2,16 @@
 //! cases — NaN / `-0.0` / huge-integer zone maps, null-only columns,
 //! empty tables, dictionary overflow — plus the storage-mode equivalence
 //! bar: scans over sealed segments must stay **byte-identical** to
-//! row-store scans (same rows, same order, same first error) across all
-//! four executor lanes, and `DeltaPlan` refreshes must agree between the
+//! row-store scans (same rows, same order, same first error) in the
+//! serial and the parallel executor, and `DeltaPlan` refreshes must agree between the
 //! two storage modes round after round.
 
 use guava::prelude::*;
 use guava_relational::segment::{DICT_MAX, SEGMENT_ROWS};
 use proptest::prelude::*;
+
+mod common;
+use common::lanes_on as lanes;
 
 /// One table, four columns: a monotone INT key (zone maps prune on it), a
 /// FLOAT lane, a low-cardinality TEXT lane (dictionary-encodes), and a
@@ -33,23 +36,6 @@ fn db_of(rows: Vec<Row>) -> Database {
     db.create_table(Table::from_rows(schema(), rows).unwrap())
         .unwrap();
     db
-}
-
-/// The four push-based lanes (streaming/vectorized × serial/parallel),
-/// each pinned to one [`StorageMode`].
-fn lanes(storage: StorageMode) -> Vec<(&'static str, Executor)> {
-    let parallel = Executor::new()
-        .threads(3)
-        .parallel_threshold(1)
-        .morsel_size(7)
-        .storage(storage);
-    let serial = Executor::new().threads(1).storage(storage);
-    vec![
-        ("serial-streaming", serial.mode(ExecMode::Streaming)),
-        ("serial-vectorized", serial.mode(ExecMode::Vectorized)),
-        ("parallel-streaming", parallel.mode(ExecMode::Streaming)),
-        ("parallel-vectorized", parallel.mode(ExecMode::Vectorized)),
-    ]
 }
 
 /// Assert row and segment storage agree on `plan` in every lane: equal
@@ -407,8 +393,8 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
-    /// Segment-backed scans are byte-identical to row-store scans in all
-    /// four lanes: same table (schema, rows, order) on success, same
+    /// Segment-backed scans are byte-identical to row-store scans in
+    /// both lanes: same table (schema, rows, order) on success, same
     /// error on failure.
     #[test]
     fn segment_scans_match_row_scans(rows in arb_rows(40), plan in arb_plan()) {

@@ -24,28 +24,8 @@ use guava_relational::algebra::{AggFunc, Aggregate};
 use guava_relational::value::DataType;
 use proptest::prelude::*;
 
-/// The four streaming lanes plus the materializing interpreter, as in
-/// tests/refresh_incremental.rs: tiny morsels so these small fixtures
-/// still split across workers.
-fn lanes() -> Vec<(&'static str, Executor)> {
-    let parallel = Executor::new()
-        .threads(3)
-        .parallel_threshold(1)
-        .morsel_size(7);
-    vec![
-        (
-            "serial-streaming",
-            Executor::new().threads(1).mode(ExecMode::Streaming),
-        ),
-        (
-            "serial-vectorized",
-            Executor::new().threads(1).mode(ExecMode::Vectorized),
-        ),
-        ("parallel-streaming", parallel.mode(ExecMode::Streaming)),
-        ("parallel-vectorized", parallel.mode(ExecMode::Vectorized)),
-        ("materialized", Executor::new().mode(ExecMode::Materialized)),
-    ]
-}
+mod common;
+use common::lanes;
 
 // ---------------------------------------------------------------------------
 // Fixture: the CORI Procedure warehouse from the refresh suites.
