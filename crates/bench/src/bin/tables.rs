@@ -526,7 +526,9 @@ struct ParallelBenchEntry {
 /// into column lanes per batch; no zone maps, so pruning is off) and
 /// segment-resting storage (scans emit pre-built lanes straight from
 /// sealed segments, and fused filter predicates skip segments whose zone
-/// maps prove them empty). The ratio is the GUAVA_STORAGE axis.
+/// maps prove them empty). The ratio is the GUAVA_STORAGE axis. The
+/// `after_installs/*` cells time the *first* evaluation on a fresh
+/// generation instead (see `bench_after_installs`).
 #[derive(serde::Serialize)]
 struct StorageBenchEntry {
     group: &'static str,
@@ -1340,25 +1342,201 @@ fn bench_storage_section(
         // The warm-up evaluation inside `median_secs` also pays the
         // one-time lazy segment build, keeping it out of the samples —
         // matching resting storage, where tables are sealed on load.
-        let (row_secs, row_rows) = median_secs(|| row_exec.execute(&plan, &db).unwrap().len());
-        let (seg_secs, seg_rows) = median_secs(|| seg_exec.execute(&plan, &db).unwrap().len());
-        assert_eq!(row_rows, seg_rows, "storage/{name}: storage modes disagree");
-        let entry = StorageBenchEntry {
-            group: "storage",
-            name: name.to_string(),
-            input_rows: rows,
-            output_rows: seg_rows,
-            row_storage_ms: row_secs * 1e3,
-            segment_storage_ms: seg_secs * 1e3,
-            speedup: row_secs / seg_secs,
+        let row = median_secs(|| row_exec.execute(&plan, &db).unwrap().len());
+        let seg = median_secs(|| seg_exec.execute(&plan, &db).unwrap().len());
+        entries.push(storage_entry(
+            name.to_string(),
+            rows,
+            row,
+            seg,
             host_threads,
             scaling_valid,
+        ));
+    }
+    bench_after_installs(entries, host_threads, scaling_valid);
+}
+
+fn storage_entry(
+    name: String,
+    input_rows: usize,
+    (row_secs, row_rows): (f64, usize),
+    (seg_secs, seg_rows): (f64, usize),
+    host_threads: usize,
+    scaling_valid: bool,
+) -> StorageBenchEntry {
+    assert_eq!(row_rows, seg_rows, "storage/{name}: storage modes disagree");
+    let entry = StorageBenchEntry {
+        group: "storage",
+        name,
+        input_rows,
+        output_rows: seg_rows,
+        row_storage_ms: row_secs * 1e3,
+        segment_storage_ms: seg_secs * 1e3,
+        speedup: row_secs / seg_secs,
+        host_threads,
+        scaling_valid,
+    };
+    println!(
+        "  {:<16} {:<21} {:>10.3} {:>10.3} {:>7.2}x",
+        entry.group, entry.name, entry.row_storage_ms, entry.segment_storage_ms, entry.speedup,
+    );
+    entry
+}
+
+/// The `after_installs/*` cells of the storage axis: what an analyst's
+/// dashboard pays on a table that keeps being written — the shape of the
+/// spine's `analyst_queries` workload, which the warm cells above cannot
+/// see. A 30 000-row report table takes 200 mixed 11-row installs (8 new
+/// reports, 2 amendments of scattered reports, 1 retirement of the
+/// oldest; scanned, hence sealed, after each, as readers of a live
+/// engine do). Every sample then installs one more generation (untimed)
+/// and times the **first** evaluation of the plan on it: row storage
+/// materializes its flat view per generation, segment storage seals the
+/// 11 new rows and scans one zero-copy window per live run of the chunks
+/// it already sealed. The five plans are the dashboard's shapes:
+/// unselective two-conjunct filter, key range the zone maps prune,
+/// dictionary-string equality, group-by count, and a self-join.
+fn bench_after_installs(
+    entries: &mut Vec<StorageBenchEntry>,
+    host_threads: usize,
+    scaling_valid: bool,
+) {
+    use guava::relational::exec::{Executor, StorageMode};
+    const ROWS: i64 = 30_000;
+    const INSTALLS: i64 = 200;
+
+    let schema = Schema::new(
+        "report",
+        vec![
+            Column::required("instance_id", DataType::Int),
+            Column::new("flag", DataType::Bool),
+            Column::new("count", DataType::Int),
+            Column::new("kind", DataType::Text),
+            Column::new("note", DataType::Text),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["instance_id"])
+    .unwrap();
+    let report = |id: i64| -> Row {
+        vec![
+            Value::Int(id),
+            Value::Bool(id % 2 == 0),
+            Value::Int(id % 100),
+            Value::text(format!("kind{}", id % 8)),
+            Value::text(format!("note{id}")),
+        ]
+    };
+    // Install `g` (0-based): positions are relative to the table it is
+    // applied to; amended reports keep their key and move to the end.
+    let install = |t: &Table, g: i64| -> Table {
+        let n = t.len() as i64;
+        let mut at = vec![
+            0,
+            n / 2 + (g * 7919) % (n / 4),
+            3 * n / 4 + (g * 104_729) % (n / 8),
+        ];
+        at.dedup();
+        let deleted: Vec<(usize, Row)> = at
+            .iter()
+            .map(|&p| (p as usize, t.row_at(p as usize).unwrap().clone()))
+            .collect();
+        let mut inserted: Vec<Row> = (0..8).map(|k| report(ROWS + 1 + 8 * g + k)).collect();
+        for (_, row) in &deleted[1..] {
+            let mut amended = row.clone();
+            amended[4] = Value::text(format!("follow-up {g}"));
+            inserted.push(amended);
+        }
+        let delta = TableDelta {
+            pre_len: t.len(),
+            deleted,
+            inserted,
         };
-        println!(
-            "  {:<16} {:<21} {:>10.3} {:>10.3} {:>7.2}x",
-            entry.group, entry.name, entry.row_storage_ms, entry.segment_storage_ms, entry.speedup,
+        t.apply_delta(&delta).unwrap()
+    };
+    let mut table = Table::from_rows(schema, (1..=ROWS).map(report)).unwrap();
+    table.segments();
+    for g in 0..INSTALLS {
+        table = install(&table, g);
+        table.segments();
+    }
+
+    let hi = ROWS + 8 * INSTALLS - 300;
+    let plans = vec![
+        (
+            "full_scan",
+            Plan::scan("report")
+                .select(
+                    Expr::col("count")
+                        .ge(Expr::lit(25i64))
+                        .and(Expr::col("flag").eq(Expr::lit(true))),
+                )
+                .project_cols(&["instance_id", "count"]),
+        ),
+        (
+            "zone_prune",
+            Plan::scan("report")
+                .select(Expr::col("instance_id").gt(Expr::lit(hi)))
+                .project_cols(&["instance_id", "note"]),
+        ),
+        (
+            "dict_eq",
+            Plan::scan("report")
+                .select(Expr::col("kind").eq(Expr::lit("kind3")))
+                .project_cols(&["instance_id"]),
+        ),
+        (
+            "group_by",
+            Plan::scan("report").aggregate(
+                &["kind", "flag"],
+                vec![Aggregate {
+                    func: AggFunc::CountAll,
+                    alias: "n".into(),
+                }],
+            ),
+        ),
+        (
+            "join",
+            Plan::scan("report")
+                .project_cols(&["instance_id", "count"])
+                .join(
+                    Plan::scan("report").project(vec![
+                        ("rid".to_owned(), Expr::col("instance_id")),
+                        ("rkind".to_owned(), Expr::col("kind")),
+                    ]),
+                    vec![("instance_id", "rid")],
+                    JoinKind::Inner,
+                ),
+        ),
+    ];
+    let first_eval = |exec: Executor, plan: &Plan| {
+        let mut generation = table.clone();
+        let mut g = INSTALLS;
+        median_secs_prepared(
+            || {
+                generation = install(&generation, g);
+                g += 1;
+                let mut db = Database::new("naive");
+                db.create_table(generation.clone()).unwrap();
+                db
+            },
+            |db| (exec.execute(plan, &db).unwrap().len(), db),
+        )
+    };
+    for (name, plan) in plans {
+        let row = first_eval(Executor::new().threads(1).storage(StorageMode::Row), &plan);
+        let seg = first_eval(
+            Executor::new().threads(1).storage(StorageMode::Segment),
+            &plan,
         );
-        entries.push(entry);
+        entries.push(storage_entry(
+            format!("after_installs/{name}"),
+            table.len(),
+            row,
+            seg,
+            host_threads,
+            scaling_valid,
+        ));
     }
 }
 

@@ -499,7 +499,9 @@ fn serve_queries() -> Vec<(&'static str, Plan)> {
 /// optimizer picks for one of the `serve` menu queries, against the demo
 /// engine's statistics catalog. Each node shows estimated rows and
 /// cumulative cost; `--analyze` additionally evaluates every subtree and
-/// appends its actual row count.
+/// appends its actual row count, and each scan leaf's physical table
+/// layout (chunks, scan parts, sealed spans, dead rows under seals, small
+/// tail chunks).
 fn cmd_explain(query: &str, flag: Option<&str>) -> CmdResult {
     let analyze = match flag {
         None => false,

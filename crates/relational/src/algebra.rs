@@ -525,7 +525,7 @@ pub(crate) fn pivot_output_schema(
 /// Decode EAV triples back into wide rows, preserving first-seen entity
 /// order for deterministic output.
 pub(crate) fn pivot_rows(
-    rows: &[Row],
+    rows: &[impl AsRef<[Value]>],
     key_idx: &[usize],
     attr_idx: usize,
     val_idx: usize,
@@ -542,6 +542,7 @@ pub(crate) fn pivot_rows(
         .map(|(i, (n, _))| (n.as_str(), i))
         .collect();
     for row in rows {
+        let row = row.as_ref();
         let key: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
         let slot = match groups.entry(key) {
             Entry::Occupied(e) => *e.get(),

@@ -22,12 +22,14 @@
 //! * **Union forwards** batches in child order; **Join** builds a hash
 //!   index over its build side (driven first) and probes batch-by-batch;
 //!   **Distinct** forwards first occurrences as input arrives.
-//! * The inherently blocking operators — Pivot, AggregateBy, Sort —
-//!   buffer their input batches (still zero-copy for a bare scan) and run
-//!   their kernel in `finish`.
+//! * The inherently blocking operators — Pivot, AggregateBy, Sort, and
+//!   the join's build side — buffer their input batches and read them *by
+//!   reference* in `finish`: however many windows a scan arrived as, no
+//!   shared row is copied to be grouped, indexed or pivoted (sort clones
+//!   each shared row once, into its output slot).
 //!
 //! Parallelism selection is **per operator**: each operator holds the
-//! session [`ExecConfig`] and dispatches each batch to its columnar lane
+//! session [`ExecConfig`] and dispatches its input to its columnar lane
 //! kernel (`exec::vector` for fused pipelines, `exec::blocking` for
 //! join/aggregate/pivot/sort) or that kernel's morsel-parallel variant
 //! (`exec::morsel`). There is exactly one operator tree shape and one
@@ -45,15 +47,17 @@
 //!
 //! # Parallel execution
 //!
-//! Large inputs take a **morsel-parallel** path (see [`morsel`]): shared
-//! scan storage is split into fixed-size row ranges and a small
-//! work-stealing scheduler runs the fused pipeline — or a join build /
-//! probe, aggregation, pivot, sort, or union-check kernel — over the
-//! morsels on scoped threads, merging per-morsel results strictly in
-//! morsel-index order. That merge rule, together with
-//! thread-count-independent morsel boundaries, makes parallel output
-//! **byte-identical** to serial output at any thread count; errors keep
-//! row order because the lowest-index failing morsel wins. The choice
+//! Large inputs take a **morsel-parallel** path (see [`morsel`]): the
+//! input — one gathered row list, or for the fused pipeline and the join
+//! probe the *list of windows* a scan arrived as — is cut into row ranges
+//! of at most a morsel, never across a window, and a small work-stealing
+//! scheduler runs the kernel over the morsels on scoped threads, merging
+//! per-morsel results strictly in morsel-index order. That merge rule,
+//! together with morsel boundaries that depend on the input's window
+//! layout and the morsel size but never on the thread count, makes
+//! parallel output **byte-identical** to serial output at any thread
+//! count; errors keep row order because the lowest-index failing morsel
+//! wins. The choice
 //! between the serial and parallel path is made per operator by
 //! [`ExecConfig`]: inputs below [`ExecConfig::parallel_threshold`] stay
 //! serial, and the [`GUAVA_EXEC_THREADS`](THREADS_ENV) environment
@@ -138,15 +142,20 @@ pub const PARALLEL_THRESHOLD: usize = 4096;
 /// tables and errors; they differ only in how scan batches are formed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageMode {
-    /// Scans emit the table's row storage as one zero-copy window; lanes
-    /// are shredded per batch (the pre-segment layout, kept as the drift
-    /// canary — see `scripts/check.sh`).
+    /// Scans emit the table's flat row view ([`Table::shared_rows`]) as
+    /// one zero-copy window; lanes are shredded per batch and nothing is
+    /// pruned. The flat view is the table's backing itself while nothing
+    /// was deleted or installed, and an O(rows) copy made once per table
+    /// version after that — the cost this mode pays per generation where
+    /// [`StorageMode::Segment`] pays none.
     Row,
-    /// Scans read the table's sealed columnar prefix
-    /// ([`crate::segment`]): per-segment batches with lanes sliced
-    /// straight from segment storage (zero shredding), zone-map pruning
-    /// of pushed-down filter conjuncts, and a row-form scan of the delta
-    /// tail past the sealed prefix.
+    /// Scans read the table's sealed chunks ([`crate::segment`]): one
+    /// zero-copy window per maximal run of live rows, lanes sliced
+    /// straight from the chunk's segment at the window's offset (zero
+    /// shredding, serial or parallel), and zone-map pruning of pushed-down
+    /// filter conjuncts. Chunks are sealed once — on the first scan that
+    /// meets them — and stay sealed across installs, deletes included
+    /// (DESIGN.md §18).
     #[default]
     Segment,
 }
@@ -426,8 +435,8 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: ExecConfig) -> RelResult<(Sch
         Plan::Scan(name) => {
             let t = db.table(name)?;
             // Under segment storage the scan reads the table's sealed
-            // columnar prefix (plus the row-form delta tail); under row
-            // storage it stays the historical single shared window.
+            // chunks, one window per run of live rows; under row storage
+            // it stays the historical single shared window.
             let source = if cfg.storage == StorageMode::Segment {
                 ops::OpTree::SegmentLeaf {
                     parts: t.scan_parts(),
@@ -757,14 +766,22 @@ enum CmpDomain {
 }
 
 impl SimplePred {
-    /// Could evaluating this predicate over the segment's rows raise an
-    /// error? Equality and null tests never error. Ordering comparisons
-    /// error exactly when both sides are non-null and incomparable, so
-    /// they are infallible when the literal is NULL, when the column is
-    /// all-NULL, or when both sides share a [`CmpDomain`] with no NaN on
-    /// either side. Pruning must never skip a segment the real scan would
-    /// have errored on — a prune group with any fallible conjunct
-    /// disqualifies the whole segment from skipping.
+    /// Could evaluating this predicate over the rows a scan emits from
+    /// this segment raise an error? Equality and null tests never error.
+    /// Ordering comparisons error exactly when both sides are non-null
+    /// and incomparable, so they are infallible when the literal is NULL,
+    /// when the column is all-NULL, or when both sides share a
+    /// [`CmpDomain`] with no NaN on either side. Pruning must never skip
+    /// a segment the real scan would have errored on — a prune group with
+    /// any fallible conjunct disqualifies the whole segment from skipping.
+    ///
+    /// The segment describes a **superset** of the emitted rows (rows
+    /// deleted since the seal stay in it — see the zone-map contract in
+    /// [`crate::segment`]). Each test above is universal over the sealed
+    /// rows — *every* row NULL, *no* value NaN, *all* values of one
+    /// storage domain — so it holds for any subset; a deleted NaN or a
+    /// deleted non-NULL row can only turn a `true` into a `false`, i.e.
+    /// make pruning refuse.
     fn infallible_on(&self, seg: &Segment) -> bool {
         match self.op {
             PredOp::Eq | PredOp::Ne | PredOp::IsNull | PredOp::IsNotNull => true,
@@ -812,6 +829,16 @@ impl SimplePred {
     /// compare through the same lossy `sql_cmp`, and `sql_eq`'s exact
     /// Int–Int equality implies `f64` equality, which a strict `sql_cmp`
     /// inequality excludes.
+    ///
+    /// Sound over a superset, arm by arm (the scan emits a subset of the
+    /// sealed rows): `IS NULL` skips when *no* sealed row is NULL and
+    /// `IS NOT NULL` when *every* sealed row is — both survive removing
+    /// rows; the all-NULL shortcut likewise; and the ordering and equality
+    /// arms compare the literal against `min`/`max`, which bracket the
+    /// sealed values and hence the live ones — a bound that rules the
+    /// literal out for more rows rules it out for fewer. Deleting the row
+    /// that *was* the minimum only leaves the bound looser than it could
+    /// be, so a prune may be missed, never wrongly taken.
     fn proves_empty(&self, seg: &Segment) -> bool {
         use std::cmp::Ordering::{Equal, Greater, Less};
         let zone = seg.zone(self.col);

@@ -5,8 +5,10 @@
 //! [`PhysicalOperator`](super::ops::PhysicalOperator)s: a contiguous chunk
 //! of rows that is either a zero-copy window over a table's `Arc`-shared
 //! storage or an owned vector produced by an upstream operator. Blocking
-//! operators collect their batches into a [`Gathered`] input, which stays
-//! zero-copy when the whole input is one shared window (a bare scan).
+//! operators collect their batches into a [`Gathered`] input and read it
+//! by reference — a list of `&Row` across however many windows the scan
+//! had — so no shared window is ever deep-copied; every kernel here is
+//! generic over [`RowRef`] (`&[Row]` or `&[&Row]`) for that reason.
 //!
 //! [`Lane`] / [`ColumnBatch`] are the columnar decomposition used by the
 //! vectorized kernels (`exec::vector`) *and* by the lane-aware blocking
@@ -44,17 +46,20 @@ use std::sync::Arc;
 /// are zero-copy windows over a table's `Arc`-shared storage; `Owned`
 /// batches carry rows built by an upstream operator.
 pub(super) enum Batch {
-    /// Rows `lo..hi` of shared table storage. When the window is the
-    /// row-form image of a sealed column segment, `seg` carries it so the
+    /// Rows `lo..hi` of shared table storage. When the window lies inside
+    /// the row-form image of a sealed column segment, `seg` carries the
+    /// segment and the segment row that images `rows[lo]`, so the
     /// vectorized pipeline can slice typed lanes straight out of columnar
-    /// storage instead of shredding (`rows[lo..lo + seg.len()]` holds
-    /// exactly the segment's rows; `take_prefix` only ever shrinks `hi`,
-    /// so the live window is always segment rows `0..(hi - lo)`).
+    /// storage instead of shredding: row `lo + k` is segment row
+    /// `offset + k`. A table emits one such window per maximal run of
+    /// live rows, so the offset is non-zero wherever a delete split a
+    /// segment; `take_prefix` only ever shrinks `hi`, which leaves it
+    /// valid.
     Shared {
         rows: Arc<Vec<Row>>,
         lo: usize,
         hi: usize,
-        seg: Option<Arc<Segment>>,
+        seg: Option<(Arc<Segment>, usize)>,
     },
     Owned(Vec<Row>),
 }
@@ -71,16 +76,22 @@ impl Batch {
         }
     }
 
-    /// A zero-copy window `lo..hi` of shared storage, optionally backed
-    /// by the sealed segment whose rows the window images.
-    pub(super) fn shared_window(
+    /// A zero-copy window `lo..hi` of shared storage imaged by rows
+    /// `seg_off ..` of the sealed segment `seg`.
+    pub(super) fn segment_window(
         rows: Arc<Vec<Row>>,
         lo: usize,
         hi: usize,
-        seg: Option<Arc<Segment>>,
+        seg: Arc<Segment>,
+        seg_off: usize,
     ) -> Batch {
-        debug_assert!(seg.as_ref().is_none_or(|s| s.len() == hi - lo));
-        Batch::Shared { rows, lo, hi, seg }
+        debug_assert!(seg_off + (hi - lo) <= seg.len());
+        Batch::Shared {
+            rows,
+            lo,
+            hi,
+            seg: Some((seg, seg_off)),
+        }
     }
 
     pub(super) fn len(&self) -> usize {
@@ -97,19 +108,16 @@ impl Batch {
         }
     }
 
-    /// The sealed segment backing this batch, if any. The live window
-    /// covers segment rows `0..self.len()`.
-    pub(super) fn segment(&self) -> Option<&Arc<Segment>> {
+    /// The sealed segment backing this batch, if any, and the segment row
+    /// of the batch's first row.
+    pub(super) fn segment(&self) -> Option<(&Segment, usize)> {
         match self {
-            Batch::Shared { seg, .. } => seg.as_ref(),
-            Batch::Owned(_) => None,
+            Batch::Shared {
+                seg: Some((seg, off)),
+                ..
+            } => Some((seg, *off)),
+            _ => None,
         }
-    }
-
-    /// Does this batch cover its shared storage end to end? Whole-table
-    /// windows are what the morsel-parallel kernels partition.
-    pub(super) fn is_full_shared(&self) -> bool {
-        matches!(self, Batch::Shared { rows, lo: 0, hi, .. } if *hi == rows.len())
     }
 
     /// The first `n` rows (for `Limit`); shared windows just shrink.
@@ -142,67 +150,64 @@ impl Batch {
     }
 }
 
-/// A blocking operator's fully-gathered input: still zero-copy when the
-/// whole input was one shared window (a bare scan). Kernels that only read
-/// borrow the slice; kernels that need ownership (sort) unwrap the `Arc`,
-/// cloning only when the storage is shared.
-pub(super) enum Gathered {
-    Shared(Arc<Vec<Row>>),
-    Owned(Vec<Row>),
+/// Anything a kernel can read a row through: `Row` itself (a contiguous
+/// slice of rows) or `&Row` (a [`Gathered`] list of references into
+/// several windows).
+pub(super) trait RowRef: AsRef<[Value]> + Sync {}
+
+impl<T: AsRef<[Value]> + Sync> RowRef for T {}
+
+/// A blocking operator's fully-gathered input: the batches as they
+/// arrived. Kernels read it through [`Gathered::rows`] — one `&Row` per
+/// input row, whichever window or owned batch holds it — so gathering
+/// costs a pointer per row and never a row copy; the one kernel that must
+/// hand rows on (sort) takes them out in output order with
+/// [`Gathered::into_rows_ordered`].
+pub(super) struct Gathered {
+    batches: Vec<Batch>,
 }
 
 impl Gathered {
-    /// Collapse buffered batches into one input. A run of contiguous
-    /// shared windows that together cover their storage end to end — one
-    /// full-table window, or a segmented scan's per-segment windows —
-    /// stays zero-copy.
     pub(super) fn from_batches(batches: Vec<Batch>) -> Gathered {
-        if let Some(rows) = Self::coalesce_full(&batches) {
-            return Gathered::Shared(rows);
-        }
-        let mut rows = Vec::with_capacity(batches.iter().map(Batch::len).sum());
-        for b in batches {
-            rows.extend(b.into_rows());
-        }
-        Gathered::Owned(rows)
+        Gathered { batches }
     }
 
-    /// `Some(storage)` when `batches` are consecutive windows of one
-    /// shared storage covering all of it, in order.
-    fn coalesce_full(batches: &[Batch]) -> Option<Arc<Vec<Row>>> {
-        let Some(Batch::Shared { rows, .. }) = batches.first() else {
-            return None;
-        };
-        let mut expect = 0;
-        for b in batches {
-            let Batch::Shared {
-                rows: r, lo, hi, ..
-            } = b
-            else {
-                return None;
-            };
-            if !Arc::ptr_eq(r, rows) || *lo != expect {
-                return None;
+    /// Every input row, in input order, by reference.
+    pub(super) fn rows(&self) -> Vec<&Row> {
+        let mut refs = Vec::with_capacity(self.batches.iter().map(Batch::len).sum());
+        for b in &self.batches {
+            refs.extend(b.as_slice());
+        }
+        refs
+    }
+
+    /// The input rows rearranged by `perm` (a permutation of input
+    /// positions): owned rows move, rows of shared windows are cloned —
+    /// once, straight into their output slot.
+    pub(super) fn into_rows_ordered(mut self, perm: &[u32]) -> Vec<Row> {
+        enum Src<'a> {
+            Owned(Option<Row>),
+            Shared(&'a Row),
+        }
+        let mut src: Vec<Src<'_>> = Vec::with_capacity(perm.len());
+        for b in self.batches.iter_mut() {
+            if let Batch::Owned(rows) = b {
+                src.extend(
+                    std::mem::take(rows)
+                        .into_iter()
+                        .map(|r| Src::Owned(Some(r))),
+                );
+            } else {
+                let b: &Batch = b;
+                src.extend(b.as_slice().iter().map(Src::Shared));
             }
-            expect = *hi;
         }
-        (expect == rows.len()).then(|| Arc::clone(rows))
-    }
-
-    pub(super) fn as_slice(&self) -> &[Row] {
-        match self {
-            Gathered::Shared(rows) => rows,
-            Gathered::Owned(rows) => rows,
-        }
-    }
-
-    pub(super) fn into_rows(self) -> Vec<Row> {
-        match self {
-            Gathered::Shared(rows) => {
-                Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone())
-            }
-            Gathered::Owned(rows) => rows,
-        }
+        perm.iter()
+            .map(|&i| match &mut src[i as usize] {
+                Src::Owned(row) => row.take().expect("permutation visits each row once"),
+                Src::Shared(row) => row.clone(),
+            })
+            .collect()
     }
 }
 
@@ -258,7 +263,7 @@ macro_rules! build_lane {
         let mut vals = Vec::with_capacity($rows.len());
         let mut nulls = Vec::with_capacity($rows.len());
         for row in $rows {
-            match &row[$col] {
+            match &row.as_ref()[$col] {
                 Value::Null => {
                     vals.push($default);
                     nulls.push(true);
@@ -280,7 +285,7 @@ macro_rules! build_lane {
 /// Shred one column into a typed lane, guided by the declared type; any
 /// value outside the declared type demotes the column to the row fallback
 /// lane (this is how FLOAT columns holding widened INTs stay lossless).
-pub(super) fn build_lane(rows: &[Row], col: usize, decl: DataType) -> Lane<'_> {
+pub(super) fn build_lane<R: RowRef>(rows: &[R], col: usize, decl: DataType) -> Lane<'_> {
     match decl {
         DataType::Int => build_lane!(rows, col, Int, Value::Int(i) => *i, 0),
         DataType::Float => build_lane!(rows, col, Float, Value::Float(f) => *f, 0.0),
@@ -450,7 +455,11 @@ pub(super) fn value_hash(h: u64, v: &Value) -> u64 {
 /// (grouping treats NULL as an ordinary key value), and `has_null[i]`
 /// flags rows whose key contains a NULL so joins can skip them (SQL: NULL
 /// never matches).
-pub(super) fn key_hashes(rows: &[Row], schema: &Schema, idx: &[usize]) -> (Vec<u64>, Vec<bool>) {
+pub(super) fn key_hashes<R: RowRef>(
+    rows: &[R],
+    schema: &Schema,
+    idx: &[usize],
+) -> (Vec<u64>, Vec<bool>) {
     let n = rows.len();
     let mut hashes = vec![HASH_SEED; n];
     let mut has_null = vec![false; n];
@@ -510,7 +519,7 @@ pub(super) fn key_hashes(rows: &[Row], schema: &Schema, idx: &[usize]) -> (Vec<u
             // own lanes, so they can only mean the row fallback here.
             Lane::Rows | Lane::Dict { .. } | Lane::Vals(_) => {
                 for (i, row) in rows.iter().enumerate() {
-                    let v = &row[c];
+                    let v = &row.as_ref()[c];
                     has_null[i] |= v.is_null();
                     hashes[i] = value_hash(hashes[i], v);
                 }
@@ -537,13 +546,13 @@ pub(super) fn keys_eq(a: &[Value], a_idx: &[usize], b: &[Value], b_idx: &[usize]
 /// against typed lanes (NULLs first; Int lanes compare exactly; Float
 /// lanes by `f64::total_cmp`). Non-conforming columns fall back to the
 /// row-major compare.
-pub(super) struct SortKeys<'a> {
-    rows: &'a [Row],
+pub(super) struct SortKeys<'a, R> {
+    rows: &'a [R],
     keys: Vec<(usize, Lane<'a>)>,
 }
 
-impl<'a> SortKeys<'a> {
-    pub(super) fn build(rows: &'a [Row], schema: &Schema, idxs: &[usize]) -> SortKeys<'a> {
+impl<'a, R: RowRef> SortKeys<'a, R> {
+    pub(super) fn build(rows: &'a [R], schema: &Schema, idxs: &[usize]) -> SortKeys<'a, R> {
         let keys = idxs
             .iter()
             .map(|&c| (c, build_lane(rows, c, schema.columns()[c].data_type)))
@@ -572,7 +581,7 @@ impl<'a> SortKeys<'a> {
                     cmp_masked(nulls[a], nulls[b], || vals[a].cmp(&vals[b]))
                 }
                 Lane::Rows | Lane::Dict { .. } | Lane::Vals(_) => {
-                    self.rows[a][*c].total_cmp(&self.rows[b][*c])
+                    self.rows[a].as_ref()[*c].total_cmp(&self.rows[b].as_ref()[*c])
                 }
             };
             if o != Ordering::Equal {
@@ -702,17 +711,40 @@ mod tests {
         let arc = Arc::new(rows.clone());
         let b = Batch::shared(Arc::clone(&arc)).take_prefix(3);
         assert_eq!(b.len(), 3);
-        assert!(!b.is_full_shared());
         assert_eq!(b.into_rows(), rows[..3].to_vec());
-        let g = Gathered::from_batches(vec![Batch::shared(Arc::clone(&arc))]);
-        assert!(matches!(g, Gathered::Shared(_)));
+        // A gathered input reads shared windows in place: the references
+        // point into the shared storage itself, across batch kinds.
         let g = Gathered::from_batches(vec![
             Batch::Owned(rows[..2].to_vec()),
-            Batch::shared(arc).take_prefix(1),
+            Batch::shared(Arc::clone(&arc)).take_prefix(1),
+            Batch::shared(Arc::clone(&arc)),
         ]);
-        assert_eq!(
-            g.into_rows(),
-            vec![rows[0].clone(), rows[1].clone(), rows[0].clone()]
-        );
+        let refs = g.rows();
+        assert_eq!(refs.len(), 8);
+        assert!(std::ptr::eq(refs[2], &arc[0]));
+        assert!(std::ptr::eq(refs[7], &arc[4]));
+        // Taking the rows out in a permuted order moves the owned ones
+        // and clones the shared ones into place.
+        let perm: Vec<u32> = (0..8).rev().collect();
+        let mut want: Vec<Row> = refs.into_iter().cloned().collect();
+        want.reverse();
+        assert_eq!(g.into_rows_ordered(&perm), want);
+    }
+
+    #[test]
+    fn segment_windows_slice_lanes_at_their_offset() {
+        let schema = Schema::new("t", vec![Column::new("i", DataType::Int)]).unwrap();
+        let rows: Vec<Row> = (0..10).map(|i| vec![Value::Int(i)]).collect();
+        let seg = Arc::new(Segment::build(&schema, &rows));
+        // The live run 4..9 of a sealed chunk: lanes come from segment
+        // rows 4.., and a Limit-style prefix keeps the offset.
+        let b = Batch::segment_window(Arc::new(rows), 4, 9, seg, 4).take_prefix(3);
+        let (seg, off) = b.segment().unwrap();
+        let lanes = segment_lanes(seg, off, b.len());
+        let Some(Lane::Int { vals, .. }) = &lanes[0] else {
+            panic!("INT column seals as an INT lane");
+        };
+        assert_eq!(&vals[..], &[4, 5, 6]);
+        assert_eq!(b.as_slice()[0], vec![Value::Int(4)]);
     }
 }

@@ -26,12 +26,17 @@
 //!   output is byte-identical to `sort_rows` at any morsel size or thread
 //!   count.
 //!
+//! Every kernel reads its blocking input through [`RowRef`] — a slice of
+//! rows or a [`Gathered`] list of row references — so an input that
+//! arrived as several shared windows (any table after its first install)
+//! is never copied to be aggregated, indexed or pivoted.
+//!
 //! Every kernel here is held to the executor's hard bar: rows, order, and
 //! first-error-in-row-order byte-identical to the materializing oracle —
 //! see `tests/exec_vectorized.rs` and the property suites.
 
 use super::batch::{
-    build_lane, key_hashes, keys_eq, Gathered, HashBuckets, Lane, SortKeys, HASH_SEED,
+    build_lane, key_hashes, keys_eq, Gathered, HashBuckets, Lane, RowRef, SortKeys, HASH_SEED,
 };
 use super::morsel::{morsel_bounds, n_morsels, run_tasks};
 use super::ExecConfig;
@@ -55,7 +60,7 @@ pub(super) struct HashIndex {
     buckets: HashBuckets<Vec<u32>>,
 }
 
-pub(super) fn build_hash_index(rows: &[Row], schema: &Schema, idx: &[usize]) -> HashIndex {
+pub(super) fn build_hash_index<R: RowRef>(rows: &[R], schema: &Schema, idx: &[usize]) -> HashIndex {
     let (hashes, has_null) = key_hashes(rows, schema, idx);
     let mut buckets: HashBuckets<Vec<u32>> = HashBuckets::default();
     for i in 0..rows.len() {
@@ -69,8 +74,8 @@ pub(super) fn build_hash_index(rows: &[Row], schema: &Schema, idx: &[usize]) -> 
 /// Morsel-parallel lane-hash index build: morsel-local buckets (with
 /// global row positions) merged in morsel order, so every postings list
 /// stays sorted by build-row position exactly like a serial build.
-pub(super) fn par_build_hash_index(
-    rows: &[Row],
+pub(super) fn par_build_hash_index<R: RowRef>(
+    rows: &[R],
     schema: &Schema,
     idx: &[usize],
     cfg: ExecConfig,
@@ -104,15 +109,14 @@ pub(super) fn par_build_hash_index(
 /// [`keys_eq`] in postings order, so output rows, order, and left-join
 /// NULL padding match the interpreter's join byte for byte.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn probe_hash(
+pub(super) fn probe_hash<R: RowRef>(
     lrows: &[Row],
     lschema: &Schema,
     index: &HashIndex,
-    right: &[Row],
+    right: &[R],
     l_idx: &[usize],
     r_idx: &[usize],
     kind: JoinKind,
-    l_arity: usize,
     r_arity: usize,
 ) -> Vec<Row> {
     let (hashes, has_null) = key_hashes(lrows, lschema, l_idx);
@@ -122,10 +126,10 @@ pub(super) fn probe_hash(
         if !has_null[i] {
             if let Some(cands) = index.buckets.get(&hashes[i]) {
                 for &ri in cands {
-                    let rrow = &right[ri as usize];
+                    let rrow = right[ri as usize].as_ref();
                     if keys_eq(lrow, l_idx, rrow, r_idx) {
                         matched = true;
-                        let mut row = Vec::with_capacity(l_arity + r_arity);
+                        let mut row = Vec::with_capacity(lrow.len() + r_arity);
                         row.extend(lrow.iter().cloned());
                         row.extend(rrow.iter().cloned());
                         out.push(row);
@@ -134,47 +138,11 @@ pub(super) fn probe_hash(
             }
         }
         if !matched && kind == JoinKind::Left {
-            let mut row = Vec::with_capacity(l_arity + r_arity);
+            let mut row = Vec::with_capacity(lrow.len() + r_arity);
             row.extend(lrow.iter().cloned());
             row.extend(std::iter::repeat_n(Value::Null, r_arity));
             out.push(row);
         }
-    }
-    out
-}
-
-/// Morsel-parallel lane-hash probe: per-morsel [`probe_hash`] outputs
-/// concatenated in morsel order (the serial row order).
-#[allow(clippy::too_many_arguments)]
-pub(super) fn par_probe_hash(
-    lrows: &[Row],
-    lschema: &Schema,
-    index: &HashIndex,
-    right: &[Row],
-    l_idx: &[usize],
-    r_idx: &[usize],
-    kind: JoinKind,
-    l_arity: usize,
-    r_arity: usize,
-    cfg: ExecConfig,
-) -> Vec<Row> {
-    let parts = run_tasks(n_morsels(lrows.len(), cfg.morsel_size), cfg.threads, |m| {
-        let (lo, hi) = morsel_bounds(m, lrows.len(), cfg.morsel_size);
-        probe_hash(
-            &lrows[lo..hi],
-            lschema,
-            index,
-            right,
-            l_idx,
-            r_idx,
-            kind,
-            l_arity,
-            r_arity,
-        )
-    });
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        out.extend(part);
     }
     out
 }
@@ -227,15 +195,15 @@ struct LaneGroup {
 /// kernel behind `algebra::aggregate_rows`: groups in first-seen order, a
 /// bucket map from key hash to group slots, and per-group accumulators.
 /// Partial states over disjoint morsel ranges merge in morsel order.
-pub(super) struct LaneAggState<'a> {
-    rows: &'a [Row],
+pub(super) struct LaneAggState<'a, R> {
+    rows: &'a [R],
     buckets: HashBuckets<Vec<u32>>,
     groups: Vec<LaneGroup>,
     n_aggs: usize,
 }
 
-impl<'a> LaneAggState<'a> {
-    fn new(rows: &'a [Row], global: bool, n_aggs: usize) -> LaneAggState<'a> {
+impl<'a, R: RowRef> LaneAggState<'a, R> {
+    fn new(rows: &'a [R], global: bool, n_aggs: usize) -> LaneAggState<'a, R> {
         let mut st = LaneAggState {
             rows,
             buckets: HashBuckets::default(),
@@ -264,9 +232,9 @@ impl<'a> LaneAggState<'a> {
             .copied()
             .find(|&g| {
                 keys_eq(
-                    &self.rows[rep],
+                    self.rows[rep].as_ref(),
                     g_idx,
-                    &self.rows[self.groups[g as usize].rep as usize],
+                    self.rows[self.groups[g as usize].rep as usize].as_ref(),
                     g_idx,
                 )
             })
@@ -318,8 +286,8 @@ impl<'a> LaneAggState<'a> {
             let accs = &mut self.groups[slot].accs;
             for (src, acc) in srcs.iter().zip(accs.iter_mut()) {
                 match src {
-                    AggSrc::CountAll => acc.update(None, &rows[i]),
-                    AggSrc::Col(c) => acc.update(Some(*c), &rows[i]),
+                    AggSrc::CountAll => acc.update(None, rows[i].as_ref()),
+                    AggSrc::Col(c) => acc.update(Some(*c), rows[i].as_ref()),
                     AggSrc::Int(vals, nulls) => {
                         if nulls[off] {
                             acc.update_null();
@@ -343,7 +311,7 @@ impl<'a> LaneAggState<'a> {
     /// other state's groups in its first-seen order: its new groups append
     /// after `self`'s, and because morsels are contiguous row ranges,
     /// group output order stays first-seen across the whole input.
-    fn merge(&mut self, other: LaneAggState<'a>, g_idx: &[usize]) {
+    fn merge(&mut self, other: LaneAggState<'a, R>, g_idx: &[usize]) {
         for g in other.groups {
             match self.find_group(g.hash, g.rep as usize, g_idx) {
                 Some(slot) => {
@@ -368,7 +336,7 @@ impl<'a> LaneAggState<'a> {
             .map(|g| {
                 let mut row: Row = g_idx
                     .iter()
-                    .map(|&c| rows[g.rep as usize][c].clone())
+                    .map(|&c| rows[g.rep as usize].as_ref()[c].clone())
                     .collect();
                 for (a, acc) in aggregates.iter().zip(g.accs) {
                     row.push(acc.finish(&a.func));
@@ -383,8 +351,8 @@ impl<'a> LaneAggState<'a> {
 /// `aggregate_rows` (group order, key representation, accumulator
 /// semantics — including the order-sensitive FLOAT running sum, which this
 /// serial kernel feeds in row order exactly like the row path).
-pub(super) fn lane_aggregate(
-    rows: &[Row],
+pub(super) fn lane_aggregate<R: RowRef>(
+    rows: &[R],
     schema: &Schema,
     g_idx: &[usize],
     agg_idx: &[Option<usize>],
@@ -398,8 +366,8 @@ pub(super) fn lane_aggregate(
 /// Morsel-parallel lane-aware aggregation: per-morsel partial states
 /// merged in morsel order. Only called when every SUM/AVG input is
 /// non-FLOAT (`f64` addition is not associative).
-pub(super) fn par_lane_aggregate(
-    rows: &[Row],
+pub(super) fn par_lane_aggregate<R: RowRef>(
+    rows: &[R],
     schema: &Schema,
     g_idx: &[usize],
     agg_idx: &[Option<usize>],
@@ -436,8 +404,8 @@ pub(super) fn par_lane_aggregate(
 /// not to the fallback). Slot creation, silent skipping of unknown
 /// attributes, NULL-value skipping, and `cast_text` error order all mirror
 /// the row kernel statement for statement.
-pub(super) fn pivot_lanes(
-    rows: &[Row],
+pub(super) fn pivot_lanes<R: RowRef>(
+    rows: &[R],
     schema: &Schema,
     key_idx: &[usize],
     attr_idx: usize,
@@ -463,6 +431,7 @@ pub(super) fn pivot_lanes(
     // would apply, so slot assignment is unchanged.
     let mut last: Option<(u64, usize)> = None;
     for (i, row) in rows.iter().enumerate() {
+        let row = row.as_ref();
         let cached =
             last.filter(|&(h, s)| h == hashes[i] && keys_eq(row, key_idx, &out[s], &out_key_idx));
         let slot = match cached {
@@ -513,20 +482,22 @@ pub(super) fn pivot_lanes(
 // ---------------------------------------------------------------------------
 
 /// Sort a gathered input: stable-sort an index permutation against
-/// [`SortKeys`] and apply it with O(n) row moves. The parallel path
-/// stable-sorts per-morsel index runs and merges adjacent runs pairwise
-/// with left-wins-ties — equivalent to one full stable sort, so the output
-/// is independent of morsel size and thread count and byte-identical to
-/// the serial kernel (and to the interpreter's `sort_rows`).
+/// [`SortKeys`] read off the input by reference, then take the rows out in
+/// that order — owned rows move, rows of shared windows are cloned once,
+/// into their output slot. The parallel path stable-sorts per-morsel index
+/// runs and merges adjacent runs pairwise with left-wins-ties — equivalent
+/// to one full stable sort, so the output is independent of morsel size
+/// and thread count and byte-identical to the serial kernel (and to the
+/// interpreter's `sort_rows`).
 pub(super) fn sort_gathered(
     g: Gathered,
     schema: &Schema,
     idxs: &[usize],
     cfg: ExecConfig,
 ) -> Vec<Row> {
-    let n = g.as_slice().len();
-    let rows = g.into_rows();
     let perm = {
+        let rows = g.rows();
+        let n = rows.len();
         let keys = SortKeys::build(&rows, schema, idxs);
         if cfg.parallel_for(n) {
             par_sort_indices(n, cfg, |a, b| keys.cmp(a, b))
@@ -537,19 +508,7 @@ pub(super) fn sort_gathered(
             perm
         }
     };
-    apply_perm(rows, &perm)
-}
-
-/// Reorder `rows` by the permutation with O(n) moves (no row clones).
-fn apply_perm(rows: Vec<Row>, perm: &[u32]) -> Vec<Row> {
-    let mut src: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
-    perm.iter()
-        .map(|&i| {
-            src[i as usize]
-                .take()
-                .expect("permutation visits each row once")
-        })
-        .collect()
+    g.into_rows_ordered(&perm)
 }
 
 /// Parallel merge-path index sort: stable-sort each morsel's index run,
@@ -605,6 +564,7 @@ fn merge_runs<F: Fn(usize, usize) -> Ordering>(a: &[u32], b: &[u32], cmp: &F) ->
 
 #[cfg(test)]
 mod tests {
+    use super::super::batch::Batch;
     use super::*;
     use crate::algebra::{aggregate_rows, sort_rows, AggFunc, Plan};
     use crate::database::Database;
@@ -663,7 +623,12 @@ mod tests {
                 .interpret(&Database::new("d"))
                 .unwrap()
                 .into_rows();
-            let got = probe_hash(&rows, &schema, &hash_index, &rows, &[0], &[0], kind, 2, 2);
+            let got = probe_hash(&rows, &schema, &hash_index, &rows, &[0], &[0], kind, 2);
+            assert_eq!(got, want, "{kind:?}");
+            // The build side read by reference joins identically.
+            let refs: Vec<&Row> = rows.iter().collect();
+            let by_ref = build_hash_index(&refs, &schema, &[0]);
+            let got = probe_hash(&rows, &schema, &by_ref, &refs, &[0], &[0], kind, 2);
             assert_eq!(got, want, "{kind:?}");
         }
     }
@@ -721,7 +686,22 @@ mod tests {
                 morsel_size: morsel,
                 ..ExecConfig::serial()
             };
-            let got = sort_gathered(Gathered::Owned(rows.clone()), &schema, &[0], cfg);
+            let owned = Gathered::from_batches(vec![Batch::Owned(rows.clone())]);
+            assert_eq!(
+                sort_gathered(owned, &schema, &[0], cfg),
+                want,
+                "morsel {morsel}"
+            );
+            // The same input as two shared windows and an owned batch
+            // between them: read by reference, identical output.
+            let arc = std::sync::Arc::new(rows.clone());
+            let split = Gathered::from_batches(vec![
+                Batch::shared(std::sync::Arc::clone(&arc)).take_prefix(40),
+                Batch::Owned(rows[40..90].to_vec()),
+                Batch::Owned(Vec::new()),
+                Batch::Owned(rows[90..].to_vec()),
+            ]);
+            let got = sort_gathered(split, &schema, &[0], cfg);
             assert_eq!(got, want, "morsel {morsel}");
         }
     }

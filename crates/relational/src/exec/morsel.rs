@@ -3,19 +3,23 @@
 //!
 //! # Morsels
 //!
-//! A *morsel* is a fixed-size contiguous range of input rows
-//! ([`MORSEL_SIZE`] by default). Morsel boundaries depend only on the
-//! input length and the configured morsel size — **never** on the thread
-//! count or on scheduling order — so every run over the same input
-//! produces the same morsels. Each kernel here processes morsels
-//! independently and merges the per-morsel partial results **strictly in
-//! morsel-index order**, which is what makes parallel output byte-identical
-//! to serial output:
+//! A *morsel* is a contiguous range of at most [`MORSEL_SIZE`] input rows
+//! (by default). Morsel boundaries depend only on the input's layout —
+//! its length, or for a scan the lengths of the windows it arrived as —
+//! and the configured morsel size, **never** on the thread count or on
+//! scheduling order, so every run over the same input produces the same
+//! morsels. Each kernel here processes morsels independently and merges
+//! the per-morsel partial results **strictly in morsel-index order**,
+//! which is what makes parallel output byte-identical to serial output:
 //!
-//! * `par_pipeline` concatenates per-morsel output rows in morsel order —
-//!   exactly the serial row order, because morsels are contiguous ranges.
-//!   (The lane kernels of `exec::blocking` — join build/probe,
-//!   aggregation, sort — apply the same rule through `run_tasks`.)
+//! * `run_windows` cuts morsels over a *list* of windows — a scan's
+//!   zero-copy parts, which deletes split into as many pieces as they
+//!   like — never across a window boundary, and returns per-morsel output
+//!   rows in window order: exactly the serial row order, because morsels
+//!   are contiguous ranges of consecutive windows. The fused pipeline and
+//!   the join probe run on it. (The lane kernels of `exec::blocking` —
+//!   join build, aggregation, sort — apply the same rule through
+//!   `run_tasks` over one gathered input.)
 //! * `par_pivot` merges per-morsel wide rows entity-by-entity in morsel
 //!   order: first-seen entity slots match the serial kernel, and later
 //!   non-null cells overwrite earlier ones just as later rows overwrite in
@@ -39,8 +43,8 @@
 //! observable in the output. The mutexes are uncontended in the common
 //! case — a steal happens once per range imbalance, not once per morsel.
 
-use super::vector::{self, StageProg};
-use super::{ExecConfig, Stage};
+use super::batch::{Batch, RowRef};
+use super::{ExecConfig, BATCH_SIZE};
 use crate::error::RelResult;
 use crate::schema::Schema;
 use crate::table::Row;
@@ -179,33 +183,64 @@ where
         .collect()
 }
 
-/// Concatenate per-morsel row results in morsel order; the lowest-index
-/// morsel's error wins, which is the globally first failing row.
-fn merge_row_results(parts: Vec<RelResult<Vec<Row>>>) -> RelResult<Vec<Row>> {
-    let mut out = Vec::new();
-    for part in parts {
-        out.extend(part?);
+/// Cut windows of the given lengths into `(window, lo, hi)` slices of at
+/// most `size` rows each, in window order; no slice spans two windows and
+/// an empty window yields none.
+fn window_slices(lens: &[usize], size: usize) -> Vec<(usize, usize, usize)> {
+    let mut slices = Vec::new();
+    for (w, &len) in lens.iter().enumerate() {
+        for m in 0..n_morsels(len, size) {
+            let (lo, hi) = morsel_bounds(m, len, size);
+            slices.push((w, lo, hi));
+        }
     }
-    Ok(out)
+    slices
 }
 
-/// Run a fused Select/Project stage chain over shared scan storage,
-/// morsel-parallel: each morsel runs as one batch through the compiled
-/// columnar `programs`. Output row order and any error are identical to a
-/// serial pass: `vector::run_batch` reports the first failing row *within*
-/// its morsel, and the morsel-order merge picks the lowest-index failing
-/// morsel.
-pub(super) fn par_pipeline(
-    rows: &[Row],
-    stages: &[Stage<'_>],
-    programs: &[StageProg],
+/// Run `f(rows)` over every slice of a list of windows — the batches a
+/// scan (or any child) produced — and return one owned batch per
+/// non-empty slice result, in window order. `f` also receives the window
+/// the slice was cut from and the slice's offset in it, for kernels that
+/// read the window's segment. Morsel-parallel — slices of at most
+/// [`ExecConfig::morsel_size`] rows on the work-stealing scheduler — when
+/// the windows *together* clear the parallel threshold; otherwise
+/// batch-sized slices inline, stopping at the first error. Either way the
+/// error reported is the one of the lowest failing slice, and `f` reports
+/// the first failing row within a slice, so it is the error of the
+/// globally first failing row — what a single serial pass (and the
+/// materializing oracle) reports.
+pub(super) fn run_windows(
+    windows: &[Batch],
     cfg: ExecConfig,
-) -> RelResult<Vec<Row>> {
-    let parts = run_tasks(n_morsels(rows.len(), cfg.morsel_size), cfg.threads, |m| {
-        let (lo, hi) = morsel_bounds(m, rows.len(), cfg.morsel_size);
-        vector::run_batch(stages, programs, &rows[lo..hi])
-    });
-    merge_row_results(parts)
+    f: impl Fn(&Batch, usize, &[Row]) -> RelResult<Vec<Row>> + Sync,
+) -> RelResult<Vec<Batch>> {
+    let lens: Vec<usize> = windows.iter().map(Batch::len).collect();
+    let parallel = cfg.parallel_for(lens.iter().sum());
+    let slices = window_slices(
+        &lens,
+        if parallel {
+            cfg.morsel_size
+        } else {
+            BATCH_SIZE
+        },
+    );
+    let run = |t: usize| {
+        let (w, lo, hi) = slices[t];
+        f(&windows[w], lo, &windows[w].as_slice()[lo..hi])
+    };
+    let parts: RelResult<Vec<Vec<Row>>> = if parallel {
+        run_tasks(slices.len(), cfg.threads, run)
+            .into_iter()
+            .collect()
+    } else {
+        (0..slices.len()).map(run).collect()
+    };
+    // Operators never emit empty batches.
+    Ok(parts?
+        .into_iter()
+        .filter(|rows| !rows.is_empty())
+        .map(Batch::Owned)
+        .collect())
 }
 
 /// Pivot EAV rows morsel-parallel: each morsel pivots independently
@@ -214,11 +249,11 @@ pub(super) fn par_pipeline(
 /// while merging reproduces the serial rule that the last written value
 /// wins. `klen` is the number of leading entity-key columns in each wide
 /// row.
-pub(super) fn par_pivot(
-    rows: &[Row],
+pub(super) fn par_pivot<R: RowRef>(
+    rows: &[R],
     klen: usize,
     cfg: ExecConfig,
-    kernel: impl Fn(&[Row]) -> RelResult<Vec<Row>> + Sync,
+    kernel: impl Fn(&[R]) -> RelResult<Vec<Row>> + Sync,
 ) -> RelResult<Vec<Row>> {
     let parts = run_tasks(n_morsels(rows.len(), cfg.morsel_size), cfg.threads, |m| {
         let (lo, hi) = morsel_bounds(m, rows.len(), cfg.morsel_size);
@@ -317,5 +352,86 @@ mod tests {
             scheduler_runs() == before
         });
         assert!(quiet, "inline runs bumped the scheduler counter");
+    }
+
+    #[test]
+    fn window_slices_never_span_windows() {
+        let lens = [0, 1, BATCH_SIZE + 1, 0, 1];
+        for size in [1, 7] {
+            let slices = window_slices(&lens, size);
+            // Per window: contiguous cover of exactly its rows, in order.
+            for (w, &len) in lens.iter().enumerate() {
+                let mut next = 0;
+                for &(_, lo, hi) in slices.iter().filter(|s| s.0 == w) {
+                    assert_eq!(lo, next, "size {size}, window {w}");
+                    assert!(hi > lo && hi - lo <= size, "size {size}, window {w}");
+                    next = hi;
+                }
+                assert_eq!(next, len, "size {size}, window {w}");
+            }
+            // Across windows: window order.
+            assert!(slices.windows(2).all(|p| p[0].0 <= p[1].0));
+            assert_eq!(
+                slices.len(),
+                lens.iter().map(|&l| n_morsels(l, size)).sum::<usize>()
+            );
+        }
+    }
+
+    #[test]
+    fn run_windows_keeps_window_order_and_first_error() {
+        use crate::error::RelError;
+        // Windows of 0, 1 and BATCH_SIZE + 1 rows, each row tagged
+        // (window, position); one shared, the rest owned.
+        let tagged = |w: i64, len: usize| -> Vec<Row> {
+            (0..len as i64)
+                .map(|i| vec![Value::Int(w), Value::Int(i)])
+                .collect()
+        };
+        let windows = [
+            Batch::Owned(tagged(0, 0)),
+            Batch::shared(std::sync::Arc::new(tagged(1, 1))),
+            Batch::Owned(tagged(2, BATCH_SIZE + 1)),
+        ];
+        let want: Vec<Row> = windows.iter().flat_map(Batch::as_slice).cloned().collect();
+        let serial = ExecConfig::serial();
+        for size in [1, 7] {
+            let parallel = ExecConfig {
+                threads: 3,
+                parallel_threshold: 1,
+                morsel_size: size,
+                ..ExecConfig::serial()
+            };
+            for cfg in [serial, parallel] {
+                let limit = if cfg.threads > 1 { size } else { BATCH_SIZE };
+                let out = run_windows(&windows, cfg, |w, lo, rows| {
+                    assert!(!rows.is_empty() && rows.len() <= limit);
+                    assert_eq!(rows, &w.as_slice()[lo..lo + rows.len()]);
+                    Ok(rows.to_vec())
+                })
+                .unwrap();
+                let flat: Vec<Row> = out.into_iter().flat_map(Batch::into_rows).collect();
+                assert_eq!(flat, want, "size {size}, {} threads", cfg.threads);
+                // Every slice of windows 1 and 2 fails: the error of
+                // window 1 (the earlier rows) must be the one reported.
+                let err = run_windows(&windows, cfg, |_, _, rows| {
+                    Err(RelError::Eval(format!("row {:?}", rows[0])))
+                })
+                .err()
+                .expect("every slice fails");
+                assert_eq!(err, RelError::Eval(format!("row {:?}", want[0])));
+                // And within a window, the lowest failing slice wins.
+                let err = run_windows(&windows, cfg, |_, lo, rows| {
+                    if lo + rows.len() > 500 {
+                        Err(RelError::Eval(format!("row {}", lo.max(500))))
+                    } else {
+                        Ok(Vec::new())
+                    }
+                })
+                .err()
+                .expect("every slice fails");
+                assert_eq!(err, RelError::Eval("row 500".into()));
+            }
+        }
     }
 }

@@ -14,13 +14,17 @@
 //! pull-based executor had — and for a union it means children concatenate
 //! in declaration order.
 //!
-//! Parallelism selection happens **per operator, per batch**: each
-//! operator holds the session [`ExecConfig`] and dispatches to its
-//! lane-aware kernel (`exec::vector`, `exec::blocking`) or that kernel's
-//! morsel-parallel variant (when the batch is a full shared-storage window
-//! that [`ExecConfig::parallel_for`](super::ExecConfig) accepts). Both
-//! dispatch targets are byte-identical — rows, order, and
-//! first-error-in-row-order — so the choice is invisible in the output.
+//! Parallelism selection happens **per operator**: each operator holds
+//! the session [`ExecConfig`] and dispatches to its lane-aware kernel
+//! (`exec::vector`, `exec::blocking`) or that kernel's morsel-parallel
+//! variant. The streaming operators that do real per-row work — the fused
+//! pipeline and the join probe — buffer the shared windows a scan hands
+//! them and cut morsels over the *window list*
+//! ([`morsel::run_windows`]): parallel when the windows together clear
+//! [`ExecConfig::parallel_threshold`](super::ExecConfig), however many
+//! pieces deletes have split the scan into. Both dispatch targets are
+//! byte-identical — rows, order, and first-error-in-row-order — so the
+//! choice is invisible in the output.
 //!
 //! # Error ordering
 //!
@@ -36,10 +40,10 @@
 //! single-fault plans only, as before.
 
 use super::batch::{key_hashes, keys_eq, segment_lanes, Batch, Gathered, HashBuckets};
-use super::blocking::{self, HashIndex};
+use super::blocking;
 use super::morsel;
 use super::vector::{self, StageProg};
-use super::{apply_stages, segment_pruned, ExecConfig, SimplePred, Stage, BATCH_SIZE};
+use super::{apply_stages, segment_pruned, ExecConfig, SimplePred, Stage};
 use crate::algebra::{unpivot_rows, Aggregate, JoinKind};
 use crate::error::RelResult;
 use crate::schema::Schema;
@@ -78,13 +82,12 @@ pub(super) enum OpTree<'p> {
     /// A table's `Arc`-shared row storage, emitted as one zero-copy batch.
     Leaf(Arc<Vec<Row>>),
     /// A segment-backed scan (DESIGN.md §14): the table's physical scan
-    /// parts in row order. Emits one zero-copy batch per part — sealed
-    /// parts carry their [`Segment`](crate::segment::Segment) so the
-    /// pipeline above slices lanes
-    /// instead of shredding, row-form tail parts are plain windows.
-    /// `prune` holds the pushed-down simple filter conjuncts
-    /// (stage-ordered) that zone maps test to skip sealed parts before a
-    /// batch is formed.
+    /// parts in row order — one per maximal run of live rows. Emits one
+    /// zero-copy batch per part, each carrying its chunk's
+    /// [`Segment`](crate::segment::Segment) and its offset into it, so
+    /// the pipeline above slices lanes instead of shredding. `prune`
+    /// holds the pushed-down simple filter conjuncts (stage-ordered) that
+    /// zone maps test to skip a part before a batch is formed.
     SegmentLeaf {
         parts: Vec<ScanPart>,
         prune: Vec<Vec<SimplePred>>,
@@ -101,23 +104,11 @@ pub(super) enum OpTree<'p> {
 pub(super) fn drive(tree: OpTree<'_>) -> RelResult<Vec<Batch>> {
     match tree {
         OpTree::Leaf(rows) => Ok(vec![Batch::shared(rows)]),
-        OpTree::SegmentLeaf { parts, prune } => {
-            let mut out = Vec::new();
-            for part in parts {
-                if part.lo == part.hi {
-                    continue;
-                }
-                match part.seg {
-                    Some(seg) => {
-                        if !segment_pruned(&seg, &prune) {
-                            out.push(Batch::shared_window(part.rows, part.lo, part.hi, Some(seg)));
-                        }
-                    }
-                    None => out.push(Batch::shared_window(part.rows, part.lo, part.hi, None)),
-                }
-            }
-            Ok(out)
-        }
+        OpTree::SegmentLeaf { parts, prune } => Ok(parts
+            .into_iter()
+            .filter(|part| !segment_pruned(&part.seg, &prune))
+            .map(|p| Batch::segment_window(p.rows, p.lo, p.hi, p.seg, p.seg_off))
+            .collect()),
         OpTree::Node { mut op, children } => {
             op.open()?;
             for (i, child) in children.into_iter().enumerate() {
@@ -142,9 +133,10 @@ fn push_rows(out: &mut Vec<Batch>, rows: Vec<Row>) {
 // Fused Select/Project pipeline
 // ---------------------------------------------------------------------------
 
-/// Fused Select/Project chain: one columnar pass per batch, no
-/// intermediate tables. A full shared-storage window large enough for the
-/// parallel path runs the whole chain morsel-parallel instead.
+/// Fused Select/Project chain: one columnar pass per slice of input, no
+/// intermediate tables. Shared windows are buffered and run together —
+/// one slice of at most a morsel per task, morsel-parallel when the
+/// windows together are large enough ([`morsel::run_windows`]).
 pub(super) struct PipelineOp<'p> {
     stages: Vec<Stage<'p>>,
     /// Columnar stage programs, compiled once in [`open`]. Owned batches
@@ -154,6 +146,8 @@ pub(super) struct PipelineOp<'p> {
     /// [`open`]: PhysicalOperator::open
     programs: Vec<StageProg>,
     cfg: ExecConfig,
+    /// Consecutive shared windows not yet run (a scan's parts).
+    windows: Vec<Batch>,
     out: Vec<Batch>,
 }
 
@@ -163,8 +157,28 @@ impl<'p> PipelineOp<'p> {
             stages,
             programs: Vec::new(),
             cfg,
+            windows: Vec::new(),
             out: Vec::new(),
         }
+    }
+
+    /// Run the buffered windows through the stage programs, one output
+    /// batch per slice in window order. A slice of a segment-backed
+    /// window seeds its lanes straight from columnar storage at the
+    /// slice's segment offset — the zero-shred path, serial or parallel.
+    fn flush(&mut self) -> RelResult<()> {
+        let windows = mem::take(&mut self.windows);
+        let out = morsel::run_windows(&windows, self.cfg, |window, lo, rows| {
+            match window.segment() {
+                Some((seg, off)) => {
+                    let seed = segment_lanes(seg, off + lo, rows.len());
+                    vector::run_batch_seeded(&self.stages, &self.programs, rows, seed)
+                }
+                None => vector::run_batch(&self.stages, &self.programs, rows),
+            }
+        })?;
+        self.out.extend(out);
+        Ok(())
     }
 }
 
@@ -179,38 +193,11 @@ impl PhysicalOperator for PipelineOp<'_> {
             self.out.push(batch);
             return Ok(());
         }
-        // Whole-table windows and per-segment windows both partition
-        // deterministically (morsel bounds are relative to the window, so
-        // output and error order match the serial run batch for batch).
-        if (batch.is_full_shared() || batch.segment().is_some())
-            && self.cfg.parallel_for(batch.len())
-        {
-            let rows =
-                morsel::par_pipeline(batch.as_slice(), &self.stages, &self.programs, self.cfg)?;
-            push_rows(&mut self.out, rows);
-            return Ok(());
-        }
         match batch {
-            b @ Batch::Shared { .. } => {
-                // Serial shared window: process in BATCH_SIZE chunks so the
-                // pipeline's working set stays cache-sized. Segment-backed
-                // windows seed each chunk's lanes straight from columnar
-                // storage — the zero-shred path (the live window always
-                // starts at segment row 0, so the chunk offset is the
-                // segment offset).
-                let seg = b.segment().cloned();
-                for (k, chunk) in b.as_slice().chunks(BATCH_SIZE).enumerate() {
-                    let rows = match &seg {
-                        Some(seg) => {
-                            let seed = segment_lanes(seg, k * BATCH_SIZE, chunk.len());
-                            vector::run_batch_seeded(&self.stages, &self.programs, chunk, seed)?
-                        }
-                        None => vector::run_batch(&self.stages, &self.programs, chunk)?,
-                    };
-                    push_rows(&mut self.out, rows);
-                }
-            }
+            b @ Batch::Shared { .. } => self.windows.push(b),
             Batch::Owned(batch_rows) => {
+                // Output order is input order: what is buffered goes first.
+                self.flush()?;
                 let mut rows = Vec::with_capacity(batch_rows.len());
                 for row in batch_rows {
                     if let Some(r) = apply_stages(&self.stages, row)? {
@@ -224,6 +211,7 @@ impl PhysicalOperator for PipelineOp<'_> {
     }
 
     fn finish(&mut self) -> RelResult<Vec<Batch>> {
+        self.flush()?;
         Ok(mem::take(&mut self.out))
     }
 }
@@ -232,29 +220,23 @@ impl PhysicalOperator for PipelineOp<'_> {
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// The gathered build side plus its lane-hashed key index (`u64` key hash
-/// → positions, candidates verified with [`keys_eq`] at probe time).
-struct BuildSide {
-    rows: Gathered,
-    index: HashIndex,
-}
-
 /// Hash join. Input 0 is the **build** side (the plan's right child — the
-/// driver exhausts it before the probe child starts); input 1 probes. The
-/// index is built once, when the first probe batch arrives; both phases
-/// parallelize over full shared-storage windows.
+/// driver exhausts it before the probe child starts); input 1 probes. Both
+/// sides are buffered and the join runs in [`finish`]: the build side is
+/// indexed by reference (`u64` key hash → positions, candidates verified
+/// with [`keys_eq`] at probe time), and the probe batches are cut into
+/// morsels over the whole batch list ([`morsel::run_windows`]).
+///
+/// [`finish`]: PhysicalOperator::finish
 pub(super) struct JoinOp {
     lschema: Schema,
     rschema: Schema,
     l_idx: Vec<usize>,
     r_idx: Vec<usize>,
     kind: JoinKind,
-    l_arity: usize,
-    r_arity: usize,
     cfg: ExecConfig,
     build_buf: Vec<Batch>,
-    build: Option<BuildSide>,
-    out: Vec<Batch>,
+    probe_buf: Vec<Batch>,
 }
 
 impl JoinOp {
@@ -267,8 +249,6 @@ impl JoinOp {
         cfg: ExecConfig,
     ) -> JoinOp {
         JoinOp {
-            l_arity: lschema.arity(),
-            r_arity: rschema.arity(),
             lschema,
             rschema,
             l_idx,
@@ -276,24 +256,8 @@ impl JoinOp {
             kind,
             cfg,
             build_buf: Vec::new(),
-            build: None,
-            out: Vec::new(),
+            probe_buf: Vec::new(),
         }
-    }
-
-    fn ensure_build(&mut self) {
-        if self.build.is_some() {
-            return;
-        }
-        let rows = Gathered::from_batches(mem::take(&mut self.build_buf));
-        let slice = rows.as_slice();
-        let par = self.cfg.parallel_for(slice.len());
-        let index = if par {
-            blocking::par_build_hash_index(slice, &self.rschema, &self.r_idx, self.cfg)
-        } else {
-            blocking::build_hash_index(slice, &self.rschema, &self.r_idx)
-        };
-        self.build = Some(BuildSide { rows, index });
     }
 }
 
@@ -301,45 +265,33 @@ impl PhysicalOperator for JoinOp {
     fn push_batch(&mut self, input: usize, batch: Batch) -> RelResult<()> {
         if input == 0 {
             self.build_buf.push(batch);
-            return Ok(());
-        }
-        self.ensure_build();
-        let build = self.build.as_ref().expect("build side indexed above");
-        let lrows = batch.as_slice();
-        let right = build.rows.as_slice();
-        let par = batch.is_full_shared() && self.cfg.parallel_for(batch.len());
-        let rows = if par {
-            blocking::par_probe_hash(
-                lrows,
-                &self.lschema,
-                &build.index,
-                right,
-                &self.l_idx,
-                &self.r_idx,
-                self.kind,
-                self.l_arity,
-                self.r_arity,
-                self.cfg,
-            )
         } else {
-            blocking::probe_hash(
-                lrows,
-                &self.lschema,
-                &build.index,
-                right,
-                &self.l_idx,
-                &self.r_idx,
-                self.kind,
-                self.l_arity,
-                self.r_arity,
-            )
-        };
-        push_rows(&mut self.out, rows);
+            self.probe_buf.push(batch);
+        }
         Ok(())
     }
 
     fn finish(&mut self) -> RelResult<Vec<Batch>> {
-        Ok(mem::take(&mut self.out))
+        let build = Gathered::from_batches(mem::take(&mut self.build_buf));
+        let right = build.rows();
+        let index = if self.cfg.parallel_for(right.len()) {
+            blocking::par_build_hash_index(&right, &self.rschema, &self.r_idx, self.cfg)
+        } else {
+            blocking::build_hash_index(&right, &self.rschema, &self.r_idx)
+        };
+        let probes = mem::take(&mut self.probe_buf);
+        morsel::run_windows(&probes, self.cfg, |_, _, lrows| {
+            Ok(blocking::probe_hash(
+                lrows,
+                &self.lschema,
+                &index,
+                &right,
+                &self.l_idx,
+                &self.r_idx,
+                self.kind,
+                self.rschema.arity(),
+            ))
+        })
     }
 }
 
@@ -545,11 +497,11 @@ impl PhysicalOperator for AggregateOp<'_> {
 
     fn finish(&mut self) -> RelResult<Vec<Batch>> {
         let g = Gathered::from_batches(mem::take(&mut self.buf));
-        let rows = g.as_slice();
+        let rows = g.rows();
         let par = self.associative && self.cfg.parallel_for(rows.len());
         let out = if par {
             blocking::par_lane_aggregate(
-                rows,
+                &rows,
                 &self.in_schema,
                 &self.g_idx,
                 &self.agg_idx,
@@ -558,7 +510,7 @@ impl PhysicalOperator for AggregateOp<'_> {
             )
         } else {
             blocking::lane_aggregate(
-                rows,
+                &rows,
                 &self.in_schema,
                 &self.g_idx,
                 &self.agg_idx,
@@ -619,8 +571,8 @@ impl PhysicalOperator for PivotOp<'_> {
 
     fn finish(&mut self) -> RelResult<Vec<Batch>> {
         let g = Gathered::from_batches(mem::take(&mut self.buf));
-        let rows = g.as_slice();
-        let kernel = |slice: &[Row]| {
+        let rows = g.rows();
+        let kernel = |slice: &[&Row]| {
             blocking::pivot_lanes(
                 slice,
                 &self.in_schema,
@@ -631,9 +583,9 @@ impl PhysicalOperator for PivotOp<'_> {
             )
         };
         let out = if self.cfg.parallel_for(rows.len()) {
-            morsel::par_pivot(rows, self.key_idx.len(), self.cfg, kernel)?
+            morsel::par_pivot(&rows, self.key_idx.len(), self.cfg, kernel)?
         } else {
-            kernel(rows)?
+            kernel(&rows)?
         };
         let mut batches = Vec::new();
         push_rows(&mut batches, out);
@@ -729,7 +681,9 @@ mod tests {
         let rows = Arc::new(int_rows(4));
         let batches = drive(OpTree::Leaf(Arc::clone(&rows))).unwrap();
         assert_eq!(batches.len(), 1);
-        assert!(batches[0].is_full_shared());
+        assert!(
+            matches!(&batches[0], Batch::Shared { rows: r, lo: 0, hi: 4, seg: None } if Arc::ptr_eq(r, &rows))
+        );
         assert_eq!(batches[0].as_slice(), rows.as_slice());
     }
 

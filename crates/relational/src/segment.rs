@@ -3,11 +3,11 @@
 //! A [`Segment`] is a sealed, immutable window of a table's rows stored
 //! column-major: one typed vector per column plus a parallel validity
 //! (null) mask, a per-column [`ZoneMap`] (min/max/null statistics), and —
-//! for text columns of modest cardinality — dictionary encoding. A
-//! [`SegmentList`] is the sealed prefix of a table: a run of segments
-//! covering rows `0..covered`, with any rows past `covered` living in the
-//! table's row-form delta store until the next compaction
-//! ([`crate::table::Table::compact_segments`]).
+//! for text columns of modest cardinality — dictionary encoding. A table
+//! seals each of its storage chunks at most once, over the chunk's
+//! *physical* rows, and never re-seals on a delete (DESIGN.md §18); a
+//! [`SegmentList`] is the sealed view of one table version: every
+//! chunk's segment, in row order.
 //!
 //! Segments are what make typed column lanes the *resting* format: the
 //! vectorized executor slices its [`exec`](crate::exec) lanes directly out
@@ -26,12 +26,21 @@
 //!
 //! ## Zone-map contract
 //!
-//! `min`/`max` are the extrema of the column's non-null values under
+//! A segment describes the rows it was sealed over. The rows a scan
+//! *emits* from it are a subset — rows deleted since stay in the segment
+//! — so every zone-map field is a bound over a **superset** of the live
+//! rows: `min`/`max` are the extrema of the sealed non-null values under
 //! [`Value::total_cmp`] (so NaN sorts above all numbers and `-0.0` below
-//! `0.0`), `Value::Null` when the segment window has no non-null values.
-//! `has_nan` records whether any float value is NaN; scan pruning uses it
-//! to refuse ordering-predicate skips that could suppress the row
-//! kernels' "cannot compare" errors.
+//! `0.0`; `Value::Null` when there are none) and therefore bracket the
+//! live ones; `null_count` counts sealed NULL rows, at least the live
+//! ones; `has_nan` is set if any sealed float is NaN. Scan pruning is
+//! sound for any subset (the per-arm argument sits on `SimplePred` in
+//! [`crate::exec`]): a range that excludes a literal for more rows
+//! excludes it for fewer, "no sealed row is NULL" and "every sealed row
+//! is NULL" both survive deleting rows, and a deleted NaN or NULL can
+//! only make a prune *refuse* — `has_nan` blocks ordering skips that
+//! could suppress the row kernels' "cannot compare" error, and a refused
+//! skip merely scans rows that then produce nothing.
 
 use crate::schema::Schema;
 use crate::stats::DistinctSketch;
@@ -103,11 +112,12 @@ pub struct ZoneMap {
     pub min: Value,
     /// Greatest non-null value under [`Value::total_cmp`]; `Null` if none.
     pub max: Value,
-    /// Number of null rows in the segment window.
+    /// Number of null rows the segment was sealed over (an upper bound
+    /// on the live ones).
     pub null_count: usize,
-    /// Whether any float value in the window is NaN. Ordering predicates
-    /// error on NaN in the row kernels, so pruning must not skip segments
-    /// that would have raised that error.
+    /// Whether any sealed float value is NaN. Ordering predicates error
+    /// on NaN in the row kernels, so pruning must not skip segments that
+    /// could have raised that error.
     pub has_nan: bool,
 }
 
@@ -312,24 +322,24 @@ impl Segment {
     }
 }
 
-/// One contiguous piece of a table scan: rows `lo..hi` of one shared
-/// storage vector, optionally carrying the sealed [`Segment`] whose rows
-/// the window images exactly (`hi - lo == seg.len()`). A persistent table
-/// is a sequence of such parts — sealed spans first, row-form tail chunks
-/// last — and the executor's segment-mode scan emits one zero-copy batch
-/// per part.
+/// One contiguous piece of a table scan: live rows `lo..hi` of one shared
+/// storage vector, carrying the sealed [`Segment`] of their chunk and the
+/// segment row `seg_off` that images `rows[lo]` (row `lo + k` is segment
+/// row `seg_off + k`). A persistent table scans as a sequence of such
+/// parts — one per maximal run of live rows in each chunk — and the
+/// executor's segment-mode scan emits one zero-copy batch per part.
 #[derive(Debug, Clone)]
 pub(crate) struct ScanPart {
     pub(crate) rows: Arc<Vec<Row>>,
     pub(crate) lo: usize,
     pub(crate) hi: usize,
-    pub(crate) seg: Option<Arc<Segment>>,
+    pub(crate) seg: Arc<Segment>,
+    pub(crate) seg_off: usize,
 }
 
-/// The sealed prefix of a table: segments covering rows `0..covered`, in
-/// row order. Rows at and past `covered` are the table's row-form delta
-/// store, scanned row-major until compaction folds them into new
-/// segments.
+/// The sealed view of one table version: the segment of every storage
+/// chunk, in row order. Together they describe a superset of the table's
+/// `covered` live rows (see the zone-map contract in the module docs).
 #[derive(Debug, Clone)]
 pub struct SegmentList {
     segments: Vec<Arc<Segment>>,
@@ -337,34 +347,8 @@ pub struct SegmentList {
 }
 
 impl SegmentList {
-    /// Seal all of `rows` into segments of [`SEGMENT_ROWS`].
-    pub fn build(schema: &Schema, rows: &[Row]) -> SegmentList {
-        SegmentList::sealed_over(schema, rows, Vec::new(), 0)
-    }
-
-    /// A new list reusing this list's sealed segments and sealing
-    /// `rows[covered..]` (the delta tail) into fresh ones.
-    pub fn extended(&self, schema: &Schema, rows: &[Row]) -> SegmentList {
-        SegmentList::sealed_over(schema, rows, self.segments.clone(), self.covered)
-    }
-
-    fn sealed_over(
-        schema: &Schema,
-        rows: &[Row],
-        mut segments: Vec<Arc<Segment>>,
-        from: usize,
-    ) -> SegmentList {
-        for chunk in rows[from..].chunks(SEGMENT_ROWS) {
-            segments.push(Arc::new(Segment::build(schema, chunk)));
-        }
-        SegmentList {
-            segments,
-            covered: rows.len(),
-        }
-    }
-
-    /// Assemble a list from already-sealed segments (the table's
-    /// per-chunk seal caches) covering the first `covered` live rows.
+    /// Assemble a list from the table's per-chunk seals, which describe
+    /// (at least) its `covered` live rows.
     pub(crate) fn from_parts(segments: Vec<Arc<Segment>>, covered: usize) -> SegmentList {
         SegmentList { segments, covered }
     }
@@ -374,7 +358,8 @@ impl SegmentList {
         &self.segments
     }
 
-    /// Number of leading table rows covered by sealed segments.
+    /// Number of live table rows the segments cover — all of them: a
+    /// sealed view has no row-form remainder.
     pub fn covered(&self) -> usize {
         self.covered
     }

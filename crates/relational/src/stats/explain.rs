@@ -4,7 +4,10 @@
 //! operator, the estimator's row/cost figures from [`cost_plan`], and —
 //! in analyze mode — the *actual* row count obtained by materializing
 //! the node's subtree with the oracle evaluator, so estimate drift is
-//! visible next to the estimate it drifted from.
+//! visible next to the estimate it drifted from. Scan leaves additionally
+//! print the table's physical [`TableLayout`](crate::table::TableLayout):
+//! how many chunks and zero-copy windows the scan walks and how much of
+//! the table is sealed.
 
 use super::cost::cost_plan;
 use super::StatsCatalog;
@@ -15,8 +18,9 @@ use crate::error::RelResult;
 /// Render `plan` as an indented operator tree with estimated rows and
 /// cumulative cost per node. With `analyze`, every node's subtree is
 /// additionally evaluated via [`Plan::eval_materialized`] and its actual
-/// row count printed; a failing plan fails the explain with the same
-/// error the query itself would raise.
+/// row count printed (scan leaves also print the scanned table's
+/// layout); a failing plan fails the explain with the same error the
+/// query itself would raise.
 pub fn explain_plan(
     plan: &Plan,
     db: &Database,
@@ -48,6 +52,9 @@ fn render(
     if analyze {
         let actual = plan.eval_materialized(db)?.len();
         line.push_str(&format!("  [actual rows={actual}]"));
+        if let Plan::Scan(name) = plan {
+            line.push_str(&format!("  [layout: {}]", db.table(name)?.layout()));
+        }
     }
     out.push_str(&line);
     out.push('\n');
@@ -128,5 +135,37 @@ fn fmt_num(x: f64) -> String {
         format!("{x:.1}")
     } else {
         format!("{x:.2e}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::Expr;
+    use crate::schema::{Column, Schema};
+    use crate::table::Table;
+    use crate::value::{DataType, Value};
+
+    #[test]
+    fn analyze_reports_each_scan_leafs_layout() {
+        let schema = Schema::new("t", vec![Column::new("x", DataType::Int)]).unwrap();
+        let mut t = Table::from_rows(schema, (0..10).map(|i| vec![Value::Int(i)])).unwrap();
+        t.segments();
+        t.delete_where(|r| r[0] == Value::Int(4)).unwrap();
+        let mut db = Database::new("d");
+        db.create_table(t).unwrap();
+        let plan = Plan::scan("t").select(Expr::col("x").ge(Expr::lit(5i64)));
+        let catalog = StatsCatalog::collect(&db);
+        let plain = explain_plan(&plan, &db, &catalog, false).unwrap();
+        assert!(!plain.contains("layout"), "{plain}");
+        let analyzed = explain_plan(&plan, &db, &catalog, true).unwrap();
+        let scan = analyzed.lines().find(|l| l.contains("Scan t")).unwrap();
+        assert!(
+            scan.contains("[actual rows=9]")
+                && scan.contains(
+                    "[layout: chunks=1 scan_parts=2 sealed_spans=1 dead_under_seals=1 small_tail=1]"
+                ),
+            "{analyzed}"
+        );
     }
 }

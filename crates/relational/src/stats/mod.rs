@@ -138,35 +138,35 @@ pub struct TableStats {
 impl TableStats {
     /// Collect statistics for a table.
     ///
-    /// The sealed columnar prefix contributes its per-segment zone maps
-    /// and NDV sketches (built at sealing time — no rescan); only the
-    /// row-form delta tail past [`covered`](crate::segment::SegmentList::covered)
-    /// is scanned row-wise. As a side effect the table's segments are
-    /// sealed if they were not yet — stats collection warms the same
-    /// resting format scans read from.
+    /// Every chunk's sealed segment contributes its zone maps and NDV
+    /// sketches (built at sealing time — no rescan). A segment describes
+    /// all the rows it was sealed over, rows deleted since included, so
+    /// collection follows the same contract as [`TableStats::patch`]: the
+    /// nulls of those dead rows are retracted, which keeps `rows` and
+    /// every `null_count` exact, while min/max/NDV stay widen-only
+    /// (a deleted extreme is still a valid bound). As a side effect the
+    /// table's chunks are sealed if they were not yet — stats collection
+    /// warms the same resting format scans read from.
     pub fn from_table(t: &Table) -> TableStats {
-        let schema = t.schema();
-        let mut columns: Vec<(String, ColumnStats)> = schema
-            .columns()
-            .iter()
-            .map(|c| (c.name.clone(), ColumnStats::default()))
-            .collect();
-        let list = t.segments();
-        for seg in list.segments() {
-            for (i, (_, cs)) in columns.iter_mut().enumerate() {
+        let mut stats = TableStats {
+            rows: t.len(),
+            columns: t
+                .schema()
+                .columns()
+                .iter()
+                .map(|c| (c.name.clone(), ColumnStats::default()))
+                .collect(),
+        };
+        for seg in t.segments().segments() {
+            for (i, (_, cs)) in stats.columns.iter_mut().enumerate() {
                 let col = seg.column(i);
                 cs.absorb_segment(col.zone(), col.ndv_sketch());
             }
         }
-        for row in t.tail_rows() {
-            for (i, (_, cs)) in columns.iter_mut().enumerate() {
-                cs.observe(&row[i]);
-            }
+        for row in t.dead_sealed_rows() {
+            stats.retract_nulls(row);
         }
-        TableStats {
-            rows: t.len(),
-            columns,
-        }
+        stats
     }
 
     /// Total row count (exact under patches).

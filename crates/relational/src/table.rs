@@ -2,13 +2,37 @@
 //! storage with primary-key enforcement (DESIGN.md §18).
 //!
 //! A [`Table`] is a *persistent value*: its resting format is a sequence
-//! of immutable `Arc`'d row chunks (each lazily sealable into the
-//! columnar segments of §14) plus a copy-on-write primary-key index made
+//! of immutable row chunks — each a window of at most [`SEGMENT_ROWS`]
+//! rows over an `Arc`'d backing vector, sealed at most once into the
+//! columnar segment of §14 — plus a copy-on-write primary-key index made
 //! of a shared base map and a small patch overlay. Cloning a table is
 //! O(#chunks), and [`Table::apply_delta`] builds the next generation of a
 //! *shared* table while allocating only O(delta): untouched chunks, their
-//! sealed segments, and the pk base map are shared by pointer with every
+//! sealed segments (deletes included — a delete sets a mask bit and leaves
+//! the seal alone), and the pk base map are shared by pointer with every
 //! older generation still alive.
+//!
+//! # Layout invariants
+//!
+//! Every path that opens a chunk or deletes from one ([`Table::insert`],
+//! [`Table::delete_where`], [`Table::apply_delta`]) re-establishes, at a
+//! cost of O([`SEGMENT_ROWS`]) rows per touched chunk:
+//!
+//! * no chunk is dead (zero live rows) and none holds more than
+//!   [`SEGMENT_ROWS`] physical rows;
+//! * the live rows of a chunk form at most [`MAX_LIVE_RUNS`] maximal runs
+//!   — a chunk fragmented past that is rewritten without its dead rows;
+//! * of two adjacent *small* chunks (fewer than [`SMALL_CHUNK_ROWS`] live
+//!   rows) the earlier holds more than twice the live rows of the later,
+//!   so small chunks merge geometrically: a row is copied O(log) times on
+//!   its way into a chunk that is no longer small, and a maximal run of
+//!   small chunks is at most [`MAX_SMALL_RUN`] long.
+//!
+//! Together: `chunks ≤ (MAX_SMALL_RUN + 1) · (⌈live / SMALL_CHUNK_ROWS⌉ + 1)`
+//! and `scan parts ≤ MAX_LIVE_RUNS · chunks` at every generation, whatever
+//! the history of inserts and deletes — [`TableLayout::within_bounds`]
+//! states it, and [`Table::row_at`] / [`Table::key_position`] walk a chunk
+//! list of that bounded length.
 
 use crate::delta::TableDelta;
 use crate::error::{RelError, RelResult};
@@ -16,6 +40,7 @@ use crate::schema::Schema;
 use crate::segment::{ScanPart, Segment, SegmentList, SEGMENT_ROWS};
 use crate::value::Value;
 use serde::{json_get, DeError, Deserialize, Json, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -23,52 +48,87 @@ use std::sync::{Arc, OnceLock};
 /// A row is a boxed slice of values; arity always matches the table schema.
 pub type Row = Vec<Value>;
 
-/// Physical address of a row: chunk ordinal plus physical offset within
-/// the chunk's backing vector. Stable under deletes (which only set mask
-/// bits) — only compaction moves rows, and it patches the index as it
-/// does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Loc {
-    chunk: u32,
-    off: u32,
-}
+/// A chunk with fewer live rows than this is *small*: adjacent small
+/// chunks merge geometrically (see the module docs). An eighth of a
+/// segment, so a chunk that has outgrown merging still amortizes its
+/// dictionaries, zone maps and NDV sketches over thousands of rows.
+pub const SMALL_CHUNK_ROWS: usize = SEGMENT_ROWS / 8;
 
-/// One immutable storage chunk: an `Arc`'d row vector, an optional
-/// dead-row bitmap, and a lazily built seal of columnar spans. The
-/// backing vector only ever grows in place while this table holds the
-/// *sole* reference to it; the moment it is shared (a table clone, a
-/// seal, a flat view) it is frozen and further inserts open a new chunk.
+/// A chunk whose live rows have split into more runs than this is
+/// rewritten without its dead rows, so a scan never emits more than this
+/// many windows per chunk.
+pub const MAX_LIVE_RUNS: usize = 256;
+
+/// Longest possible run of adjacent small chunks: their live counts more
+/// than halve from one to the next, starting below [`SMALL_CHUNK_ROWS`].
+pub const MAX_SMALL_RUN: usize = SMALL_CHUNK_ROWS.ilog2() as usize;
+
+/// Address of a row in the table's virtual address space. Every chunk
+/// owns the range `base .. base + len`; ranges ascend with chunk order
+/// and are never renumbered, so an address survives every structural
+/// edit of *other* chunks (removal, merge, rewrite) — only rows that are
+/// physically copied get new addresses, and the copy patches the index.
+type Addr = u64;
+
+/// One immutable storage chunk: a window `lo..hi` of an `Arc`'d row
+/// vector, an optional dead-row bitmap, and a lazily built columnar seal.
+/// The backing vector only ever grows in place while this table holds
+/// the *sole* reference to it and the chunk is unsealed; the moment it is
+/// shared (a table clone, a scan in flight, a flat view) or sealed it is
+/// frozen and further inserts open a new chunk.
 #[derive(Debug, Clone)]
 struct Chunk {
     rows: Arc<Vec<Row>>,
-    /// Physical rows in this chunk: `rows[..len]` (always `rows.len()`).
-    len: usize,
-    /// Visible rows: `len` minus dead bits in `mask`.
+    /// Physical rows of this chunk: `rows[lo..hi]`, at most
+    /// [`SEGMENT_ROWS`] of them. Offsets below are relative to `lo`.
+    lo: usize,
+    hi: usize,
+    /// Address of `rows[lo]`.
+    base: Addr,
+    /// Visible rows: `hi - lo` minus dead bits in `mask`.
     live: usize,
     /// Dead-row bitmap (bit set = deleted), present only once a delete
-    /// has touched the chunk. Padding bits past `len` are pre-set so
+    /// has touched the chunk. Padding bits past the window are pre-set so
     /// word-wise popcounts over live bits need no boundary handling.
     mask: Option<Arc<Box<[u64]>>>,
-    /// Sealed columnar spans over this chunk's live rows; built lazily
-    /// and shared across every table generation that leaves the chunk
-    /// untouched.
-    seal: Arc<OnceLock<Vec<ScanPart>>>,
+    /// The sealed columnar image of **all** physical rows `lo..hi`, built
+    /// lazily, at most once, and never reset: deletes only set mask bits,
+    /// so the segment describes a superset of the live rows (the §14
+    /// zone-map contract) and is shared with every generation that keeps
+    /// the chunk, whether or not it deleted from it.
+    seal: Arc<OnceLock<Arc<Segment>>>,
 }
 
 impl Chunk {
-    fn of_rows(rows: Vec<Row>) -> Chunk {
-        Chunk::of_backing(Arc::new(rows))
-    }
-
-    fn of_backing(rows: Arc<Vec<Row>>) -> Chunk {
-        let len = rows.len();
+    fn window(rows: Arc<Vec<Row>>, lo: usize, hi: usize, base: Addr) -> Chunk {
+        debug_assert!(hi - lo <= SEGMENT_ROWS);
         Chunk {
             rows,
-            len,
-            live: len,
+            lo,
+            hi,
+            base,
+            live: hi - lo,
             mask: None,
             seal: Arc::new(OnceLock::new()),
         }
+    }
+
+    /// `backing` cut into consecutive chunks of at most [`SEGMENT_ROWS`]
+    /// rows, addressed from `base`.
+    fn windows(backing: Arc<Vec<Row>>, base: Addr) -> impl Iterator<Item = Chunk> {
+        (0..backing.len()).step_by(SEGMENT_ROWS).map(move |lo| {
+            let hi = usize::min(lo + SEGMENT_ROWS, backing.len());
+            Chunk::window(Arc::clone(&backing), lo, hi, base + lo as Addr)
+        })
+    }
+
+    /// Physical rows in this chunk.
+    fn len(&self) -> usize {
+        self.hi - self.lo
+    }
+
+    fn row(&self, off: usize) -> &Row {
+        &self.rows[self.lo + off]
     }
 
     fn is_dead(&self, off: usize) -> bool {
@@ -78,7 +138,7 @@ impl Chunk {
     }
 
     fn mark_dead(&mut self, off: usize) {
-        let len = self.len;
+        let len = self.len();
         let mask = self.mask.get_or_insert_with(|| {
             let words = len.div_ceil(64);
             let mut m = vec![0u64; words].into_boxed_slice();
@@ -88,9 +148,10 @@ impl Chunk {
             Arc::new(m)
         });
         Arc::make_mut(mask)[off / 64] |= 1 << (off % 64);
+        self.live -= 1;
     }
 
-    /// Physical offset of the `k`-th (0-based) live row.
+    /// Offset of the `k`-th (0-based) live row.
     fn select_live(&self, mut k: usize) -> usize {
         debug_assert!(k < self.live);
         let Some(mask) = &self.mask else {
@@ -114,7 +175,7 @@ impl Chunk {
         unreachable!("select past live rows")
     }
 
-    /// Number of live rows at physical offsets below `off`.
+    /// Number of live rows at offsets below `off`.
     fn rank_live(&self, off: usize) -> usize {
         let Some(mask) = &self.mask else {
             return off;
@@ -129,51 +190,70 @@ impl Chunk {
         n
     }
 
+    /// Number of maximal runs of live rows: a run starts at every live
+    /// bit whose predecessor is dead (or absent).
+    fn run_count(&self) -> usize {
+        let Some(mask) = &self.mask else {
+            return usize::from(self.live > 0);
+        };
+        let mut runs = 0;
+        let mut prev_live = 0u64;
+        for &word in mask.iter() {
+            let live = !word;
+            runs += (live & !(live << 1 | prev_live)).count_ones() as usize;
+            prev_live = live >> 63;
+        }
+        runs
+    }
+
+    /// The maximal runs of live rows, as ascending `(from, to)` offset
+    /// ranges. O(mask words + runs).
+    fn live_runs(&self) -> Vec<(usize, usize)> {
+        let len = self.len();
+        let Some(mask) = &self.mask else {
+            return if len == 0 { Vec::new() } else { vec![(0, len)] };
+        };
+        // First offset at or after `from` whose dead bit equals `dead`;
+        // `len` when there is none (padding bits are set, so a search for
+        // a dead bit only runs off the end of a 64-aligned window).
+        let next = |from: usize, dead: bool| -> usize {
+            let mut w = from / 64;
+            let mut skip = from % 64;
+            while w < mask.len() {
+                let word = if dead { mask[w] } else { !mask[w] };
+                let word = word & (!0u64 << skip);
+                if word != 0 {
+                    return w * 64 + word.trailing_zeros() as usize;
+                }
+                w += 1;
+                skip = 0;
+            }
+            len
+        };
+        let mut runs = Vec::new();
+        let mut from = next(0, false);
+        while from < len {
+            let to = next(from, true);
+            runs.push((from, to));
+            from = next(to, false);
+        }
+        runs
+    }
+
     fn iter_live(&self) -> impl Iterator<Item = &Row> + '_ {
-        self.rows[..self.len]
+        self.rows[self.lo..self.hi]
             .iter()
             .enumerate()
             .filter(|(off, _)| !self.is_dead(*off))
             .map(|(_, r)| r)
     }
 
-    /// Sealed columnar spans over this chunk's live rows, built on first
-    /// use. Unmasked chunks seal in place (spans window the chunk's own
-    /// backing); masked chunks seal a compacted survivor vector.
-    fn seal_spans(&self, schema: &Schema) -> &[ScanPart] {
-        self.seal.get_or_init(|| match &self.mask {
-            None => seal_over(schema, Arc::clone(&self.rows)),
-            Some(_) => seal_over(schema, Arc::new(self.iter_live().cloned().collect())),
-        })
+    /// This chunk's sealed columnar segment over all its physical rows,
+    /// built on first use.
+    fn segment(&self, schema: &Schema) -> &Arc<Segment> {
+        self.seal
+            .get_or_init(|| Arc::new(Segment::build(schema, &self.rows[self.lo..self.hi])))
     }
-}
-
-/// Seal a full row vector into spans of at most [`SEGMENT_ROWS`].
-fn seal_over(schema: &Schema, rows: Arc<Vec<Row>>) -> Vec<ScanPart> {
-    let mut parts = Vec::new();
-    let mut lo = 0;
-    while lo < rows.len() {
-        let hi = (lo + SEGMENT_ROWS).min(rows.len());
-        let seg = Arc::new(Segment::build(schema, &rows[lo..hi]));
-        parts.push(ScanPart {
-            rows: Arc::clone(&rows),
-            lo,
-            hi,
-            seg: Some(seg),
-        });
-        lo = hi;
-    }
-    parts
-}
-
-/// A consistent sealed view of a table: the public [`SegmentList`], the
-/// scan parts backing it, and how many leading chunks it covers (chunks
-/// appended later are the row-form delta store).
-#[derive(Debug)]
-struct SegView {
-    list: SegmentList,
-    parts: Vec<ScanPart>,
-    chunks: usize,
 }
 
 /// Overlay fold point: the persistent pk overlay is kept within O(√n) of
@@ -183,20 +263,32 @@ fn overlay_fold_threshold(base: usize) -> usize {
     4096.max(16 * (base as f64).sqrt() as usize)
 }
 
+/// Forget a cached derived view. The cell is cleared in place when this
+/// table is its only holder; a cell shared with a clone is left to the
+/// clone (which it still describes) and replaced.
+fn reset_cache<T>(cell: &mut Arc<OnceLock<T>>) {
+    match Arc::get_mut(cell) {
+        Some(c) => {
+            c.take();
+        }
+        None => *cell = Arc::new(OnceLock::new()),
+    }
+}
+
 /// Primary-key patch target used while building a new generation in
 /// [`Table::apply_delta`]: either a fresh uniquely-owned base (overlay
 /// folded in) or a copy of the small overlay layered over the shared
 /// base.
 enum PkPatch<'a> {
-    Folded(HashMap<Vec<Value>, Loc>),
+    Folded(HashMap<Vec<Value>, Addr>),
     Overlaid {
-        base: &'a HashMap<Vec<Value>, Loc>,
-        overlay: HashMap<Vec<Value>, Option<Loc>>,
+        base: &'a HashMap<Vec<Value>, Addr>,
+        overlay: HashMap<Vec<Value>, Option<Addr>>,
     },
 }
 
 impl PkPatch<'_> {
-    fn lookup(&self, key: &[Value]) -> Option<Loc> {
+    fn lookup(&self, key: &[Value]) -> Option<Addr> {
         match self {
             PkPatch::Folded(base) => base.get(key).copied(),
             PkPatch::Overlaid { base, overlay } => match overlay.get(key) {
@@ -206,13 +298,13 @@ impl PkPatch<'_> {
         }
     }
 
-    fn put(&mut self, key: Vec<Value>, loc: Loc) {
+    fn put(&mut self, key: Vec<Value>, addr: Addr) {
         match self {
             PkPatch::Folded(base) => {
-                base.insert(key, loc);
+                base.insert(key, addr);
             }
             PkPatch::Overlaid { overlay, .. } => {
-                overlay.insert(key, Some(loc));
+                overlay.insert(key, Some(addr));
             }
         }
     }
@@ -229,6 +321,51 @@ impl PkPatch<'_> {
     }
 }
 
+/// The physical shape of a table at one generation, for tests, benches
+/// and `guava explain --analyze`: what a scan will walk and how much of
+/// it is already columnar. Reading it seals nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableLayout {
+    /// Live rows.
+    pub rows: usize,
+    /// Storage chunks (each at most [`SEGMENT_ROWS`] physical rows).
+    pub chunks: usize,
+    /// Zero-copy windows a segment-mode scan emits: one per maximal run
+    /// of live rows in each chunk.
+    pub scan_parts: usize,
+    /// Chunks whose columnar segment has been built.
+    pub sealed_spans: usize,
+    /// Deleted rows that sealed segments still describe (their zone maps
+    /// are bounds over a superset of the live rows).
+    pub dead_rows_under_seals: usize,
+    /// Trailing chunks with fewer than [`SMALL_CHUNK_ROWS`] live rows.
+    pub small_tail_chunks: usize,
+}
+
+impl TableLayout {
+    /// The bound the maintenance rules guarantee at every generation (see
+    /// the module docs of [`crate::table`]).
+    pub fn within_bounds(&self) -> bool {
+        self.chunks <= (MAX_SMALL_RUN + 1) * (self.rows.div_ceil(SMALL_CHUNK_ROWS) + 1)
+            && self.scan_parts <= MAX_LIVE_RUNS * self.chunks
+            && self.small_tail_chunks <= MAX_SMALL_RUN
+    }
+}
+
+impl fmt::Display for TableLayout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "chunks={} scan_parts={} sealed_spans={} dead_under_seals={} small_tail={}",
+            self.chunks,
+            self.scan_parts,
+            self.sealed_spans,
+            self.dead_rows_under_seals,
+            self.small_tail_chunks
+        )
+    }
+}
+
 /// An in-memory table. Rows are stored in insertion order across
 /// immutable chunks; a hash index over the primary key (if declared)
 /// enforces uniqueness and gives O(1) lookup.
@@ -236,27 +373,28 @@ impl PkPatch<'_> {
 /// Everything heavy is `Arc`-shared: cloning a table is O(#chunks), and
 /// [`Table::apply_delta`] produces the next generation while sharing all
 /// untouched storage with this one. The flat row view ([`Table::rows`] /
-/// [`Table::shared_rows`]) is a cached compatibility projection — O(1)
-/// for single-chunk tables, materialized once per version otherwise.
+/// [`Table::shared_rows`]) is a cached compatibility projection — O(#chunks)
+/// while the chunks still window one backing vector end to end (any table
+/// as built or loaded), materialized once per table version otherwise.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     chunks: Vec<Chunk>,
     /// Total visible rows across all chunks.
     live: usize,
-    /// PK tuple → row location, shared across generations.
-    pk_base: Arc<HashMap<Vec<Value>, Loc>>,
+    /// PK tuple → row address, shared across generations.
+    pk_base: Arc<HashMap<Vec<Value>, Addr>>,
     /// Per-generation patches over `pk_base`: `Some` overrides the
-    /// location, `None` tombstones a deleted key. Folded into a fresh
+    /// address, `None` tombstones a deleted key. Folded into a fresh
     /// base when it outgrows [`overlay_fold_threshold`].
-    pk_overlay: Arc<HashMap<Vec<Value>, Option<Loc>>>,
-    /// Sealed columnar view (DESIGN.md §14), built lazily on the first
-    /// segment-mode scan and shared O(1) with clones and pure-append
-    /// generations. Inserts keep the view — appended rows are the
-    /// row-form delta store past [`SegmentList::covered`] — while
-    /// in-place mutations drop it. Derived state: excluded from serde
-    /// and equality.
-    seg_view: Arc<OnceLock<SegView>>,
+    pk_overlay: Arc<HashMap<Vec<Value>, Option<Addr>>>,
+    /// The sealed columnar view (DESIGN.md §14) of *this* table version:
+    /// every chunk's segment, in row order. Assembled lazily — sealing
+    /// whatever chunks no earlier generation sealed — and shared O(1)
+    /// with clones; any mutation forgets it (the per-chunk seals it was
+    /// assembled from survive). Derived state: excluded from serde and
+    /// equality.
+    seg_view: Arc<OnceLock<SegmentList>>,
     /// Cached flat projection of the visible rows, for callers that
     /// still consume a table as one contiguous `Arc<Vec<Row>>`.
     flat: Arc<OnceLock<Arc<Vec<Row>>>>,
@@ -265,46 +403,41 @@ pub struct Table {
 impl Table {
     /// An empty table with the given schema.
     pub fn new(schema: Schema) -> Table {
-        Table {
-            schema,
-            chunks: Vec::new(),
-            live: 0,
-            pk_base: Arc::new(HashMap::new()),
-            pk_overlay: Arc::new(HashMap::new()),
-            seg_view: Arc::new(OnceLock::new()),
-            flat: Arc::new(OnceLock::new()),
-        }
+        Table::assemble(schema, Vec::new())
     }
 
-    /// Build a table from pre-validated rows, checking each.
+    /// Build a table from rows, checking each against the schema and the
+    /// primary key in row order (the first offending row's error wins).
     pub fn from_rows(schema: Schema, rows: impl IntoIterator<Item = Row>) -> RelResult<Table> {
-        let mut t = Table::new(schema);
-        for r in rows {
-            t.insert(r)?;
+        let rows = rows.into_iter();
+        let mut checked: Vec<Row> = Vec::with_capacity(rows.size_hint().0);
+        let probe = Table::new(schema);
+        let mut base = HashMap::new();
+        for row in rows {
+            probe.schema.check_row(&row)?;
+            probe.claim_key(&mut base, &row, checked.len() as Addr)?;
+            checked.push(row);
         }
+        let mut t = Table::assemble(probe.schema, checked);
+        t.pk_base = Arc::new(base);
         Ok(t)
     }
 
-    /// Assemble a single-chunk table around `rows` with an *empty* pk
-    /// index; callers reindex (or know the schema is keyless).
+    /// Assemble a table around `rows` — chunks are consecutive windows of
+    /// the one backing vector, so a row's address is its position — with
+    /// an *empty* pk index; callers reindex (or know the schema is
+    /// keyless).
     fn assemble(schema: Schema, rows: Vec<Row>) -> Table {
         let live = rows.len();
         let backing = Arc::new(rows);
-        let flat = OnceLock::new();
-        let _ = flat.set(Arc::clone(&backing));
-        let chunks = if live == 0 {
-            Vec::new()
-        } else {
-            vec![Chunk::of_backing(backing)]
-        };
         Table {
             schema,
-            chunks,
+            chunks: Chunk::windows(Arc::clone(&backing), 0).collect(),
             live,
             pk_base: Arc::new(HashMap::new()),
             pk_overlay: Arc::new(HashMap::new()),
             seg_view: Arc::new(OnceLock::new()),
-            flat: Arc::new(flat),
+            flat: Arc::new(OnceLock::from(backing)),
         }
     }
 
@@ -323,27 +456,38 @@ impl Table {
     }
 
     /// The visible rows as one contiguous slice (the flat compatibility
-    /// view). O(1) for single-chunk tables — the slice *is* the chunk's
-    /// backing — and materialized once per table version otherwise.
+    /// view). No row is copied while the chunks still window one backing
+    /// vector end to end — the slice *is* that backing — and the view is
+    /// materialized once per table version otherwise.
     pub fn rows(&self) -> &[Row] {
         self.flat_rows()
     }
 
     fn flat_rows(&self) -> &Arc<Vec<Row>> {
-        self.flat.get_or_init(|| {
-            if let [c] = &self.chunks[..] {
-                if c.mask.is_none() {
-                    return Arc::clone(&c.rows);
-                }
-            }
-            Arc::new(self.iter_rows().cloned().collect())
+        self.flat.get_or_init(|| match self.whole_backing() {
+            Some(backing) => Arc::clone(backing),
+            None => Arc::new(self.iter_rows().cloned().collect()),
         })
     }
 
+    /// The one backing vector this table's chunks window end to end, in
+    /// order and with nothing deleted — if that is still its shape.
+    fn whole_backing(&self) -> Option<&Arc<Vec<Row>>> {
+        let backing = &self.chunks.first()?.rows;
+        let mut expect = 0;
+        for c in &self.chunks {
+            if !Arc::ptr_eq(&c.rows, backing) || c.lo != expect || c.mask.is_some() {
+                return None;
+            }
+            expect = c.hi;
+        }
+        (expect == backing.len()).then_some(backing)
+    }
+
     /// The `Arc`-shared flat row storage. Cloning the returned handle is
-    /// O(1) and shares storage with this table — for a single-chunk table
-    /// the handle *is* the chunk's backing, so no row is ever copied and
-    /// the executor scans through it in place.
+    /// O(1) and shares storage with this table — for a table whose chunks
+    /// window one backing vector the handle *is* that backing, so no row
+    /// is ever copied and the executor scans through it in place.
     pub fn shared_rows(&self) -> Arc<Vec<Row>> {
         Arc::clone(self.flat_rows())
     }
@@ -354,11 +498,12 @@ impl Table {
     }
 
     /// The visible row at position `pos`, or `None` past the end.
-    /// O(#chunks + mask words), never O(rows).
+    /// O(#chunks + mask words) with #chunks bounded as in the module
+    /// docs, never O(rows).
     pub fn row_at(&self, mut pos: usize) -> Option<&Row> {
         for c in &self.chunks {
             if pos < c.live {
-                return Some(&c.rows[c.select_live(pos)]);
+                return Some(c.row(c.select_live(pos)));
             }
             pos -= c.live;
         }
@@ -375,7 +520,7 @@ impl Table {
                 continue;
             }
             if c.mask.is_none() {
-                out.extend_from_slice(&c.rows[from..c.len]);
+                out.extend_from_slice(&c.rows[c.lo + from..c.hi]);
             } else {
                 out.extend(c.iter_live().skip(from).cloned());
             }
@@ -384,26 +529,30 @@ impl Table {
         out
     }
 
-    /// Visible rows past the sealed prefix (the row-form delta store),
-    /// in row order, without forcing the flat view.
-    pub fn tail_rows(&self) -> impl Iterator<Item = &Row> + '_ {
-        let sealed = self.seg_view.get().map_or(0, |v| v.chunks);
-        self.chunks[sealed.min(self.chunks.len())..]
+    /// Deleted rows that a sealed segment still describes, in row order
+    /// (the statistics collector retracts their nulls — DESIGN.md §17).
+    pub(crate) fn dead_sealed_rows(&self) -> impl Iterator<Item = &Row> + '_ {
+        self.chunks
             .iter()
-            .flat_map(|c| c.iter_live())
+            .filter(|c| c.mask.is_some() && c.seal.get().is_some())
+            .flat_map(|c| {
+                (0..c.len())
+                    .filter(|&off| c.is_dead(off))
+                    .map(|off| c.row(off))
+            })
     }
 
     /// Whether two tables share identical physical storage: every chunk
-    /// backed by the same `Arc`'d rows with the same length and dead
-    /// mask. Implies equal row content; used as a cheap change prefilter
-    /// where `shared_rows` pointer equality served before the storage
-    /// became chunked.
+    /// the same window of the same `Arc`'d rows with the same dead mask.
+    /// Implies equal row content; used as a cheap change prefilter where
+    /// `shared_rows` pointer equality served before the storage became
+    /// chunked.
     pub fn same_storage(&self, other: &Table) -> bool {
         self.live == other.live
             && self.chunks.len() == other.chunks.len()
             && self.chunks.iter().zip(&other.chunks).all(|(a, b)| {
                 Arc::ptr_eq(&a.rows, &b.rows)
-                    && a.len == b.len
+                    && (a.lo, a.hi) == (b.lo, b.hi)
                     && match (&a.mask, &b.mask) {
                         (None, None) => true,
                         (Some(x), Some(y)) => Arc::ptr_eq(x, y),
@@ -442,24 +591,55 @@ impl Table {
         }
     }
 
-    fn lookup_loc(&self, key: &[Value]) -> Option<Loc> {
+    /// Index `row` at `addr` in a pk map under construction; a key
+    /// already claimed is the duplicate-key error. No-op for keyless
+    /// schemas.
+    fn claim_key(
+        &self,
+        index: &mut HashMap<Vec<Value>, Addr>,
+        row: &[Value],
+        addr: Addr,
+    ) -> RelResult<()> {
+        if let Some(key) = self.key_of(row) {
+            match index.entry(key) {
+                Entry::Occupied(e) => return Err(self.dup_err(e.key())),
+                Entry::Vacant(e) => e.insert(addr),
+            };
+        }
+        Ok(())
+    }
+
+    fn lookup_addr(&self, key: &[Value]) -> Option<Addr> {
         match self.pk_overlay.get(key) {
             Some(patch) => *patch,
             None => self.pk_base.get(key).copied(),
         }
     }
 
-    /// Record `key → loc`, patching the shared index copy-on-write: the
+    /// Resolve an address to `(chunk ordinal, offset in chunk)`: chunk
+    /// address ranges ascend, so this is a binary search over the chunk
+    /// list.
+    fn locate(&self, addr: Addr) -> (usize, usize) {
+        let ci = self.chunks.partition_point(|c| c.base <= addr) - 1;
+        (ci, (addr - self.chunks[ci].base) as usize)
+    }
+
+    /// First address past the last chunk: where the next chunk opens.
+    fn end_addr(&self) -> Addr {
+        self.chunks.last().map_or(0, |c| c.base + c.len() as Addr)
+    }
+
+    /// Record `key → addr`, patching the shared index copy-on-write: the
     /// base map is touched only while uniquely owned, otherwise the small
     /// overlay absorbs the edit.
-    fn pk_put(&mut self, key: Vec<Value>, loc: Loc) {
+    fn pk_put(&mut self, key: Vec<Value>, addr: Addr) {
         if self.pk_overlay.is_empty() {
             if let Some(base) = Arc::get_mut(&mut self.pk_base) {
-                base.insert(key, loc);
+                base.insert(key, addr);
                 return;
             }
         }
-        Arc::make_mut(&mut self.pk_overlay).insert(key, Some(loc));
+        Arc::make_mut(&mut self.pk_overlay).insert(key, Some(addr));
     }
 
     /// Remove `key`, tombstoning it in the overlay when the base map is
@@ -479,66 +659,61 @@ impl Table {
         self.schema.check_row(&row)?;
         let key = self.key_of(&row);
         if let Some(key) = &key {
-            if self.lookup_loc(key).is_some() {
+            if self.lookup_addr(key).is_some() {
                 return Err(self.dup_err(key));
             }
         }
         // Drop the flat view before growing: it holds a clone of the
         // last chunk's backing and would otherwise force a new chunk.
-        self.flat = Arc::new(OnceLock::new());
-        let loc = self.push_row(row);
+        reset_cache(&mut self.flat);
+        reset_cache(&mut self.seg_view);
+        let addr = self.push_row(row);
         if let Some(key) = key {
-            self.pk_put(key, loc);
+            self.pk_put(key, addr);
         }
         self.live += 1;
+        self.settle_at(self.chunks.len() - 1);
         Ok(())
     }
 
     /// Append one row: grow the last chunk in place when its backing is
-    /// uniquely owned, unmasked, and unsealed; open a new chunk
-    /// otherwise. Sealing or sharing therefore freezes a chunk for good.
-    fn push_row(&mut self, row: Row) -> Loc {
-        if let Some(ci) = self.chunks.len().checked_sub(1) {
-            let c = &mut self.chunks[ci];
-            if c.mask.is_none() {
+    /// uniquely owned and the chunk is unmasked, unsealed and not yet a
+    /// full segment; open a new chunk otherwise. Sealing or sharing
+    /// therefore freezes a chunk for good.
+    fn push_row(&mut self, row: Row) -> Addr {
+        if let Some(c) = self.chunks.last_mut() {
+            if c.mask.is_none() && c.seal.get().is_none() && c.len() < SEGMENT_ROWS {
                 if let Some(backing) = Arc::get_mut(&mut c.rows) {
-                    let off = backing.len();
-                    backing.push(row);
-                    c.len += 1;
-                    c.live += 1;
-                    return Loc {
-                        chunk: ci as u32,
-                        off: off as u32,
-                    };
+                    if c.hi == backing.len() {
+                        backing.push(row);
+                        c.hi += 1;
+                        c.live += 1;
+                        return c.base + (c.len() - 1) as Addr;
+                    }
                 }
             }
         }
-        let ci = self.chunks.len();
-        self.chunks.push(Chunk::of_rows(vec![row]));
-        Loc {
-            chunk: ci as u32,
-            off: 0,
-        }
+        let base = self.end_addr();
+        self.chunks
+            .push(Chunk::window(Arc::new(vec![row]), 0, 1, base));
+        base
     }
 
     /// Look a row up by primary key. `None` if the table has no key or no
     /// matching row.
     pub fn get_by_key(&self, key: &[Value]) -> Option<&Row> {
-        let loc = self.lookup_loc(key)?;
-        Some(&self.chunks[loc.chunk as usize].rows[loc.off as usize])
+        let (ci, off) = self.locate(self.lookup_addr(key)?);
+        Some(self.chunks[ci].row(off))
     }
 
     /// Look a row up by primary key, returning its *visible position*
-    /// alongside the row — O(#chunks + mask words).
+    /// alongside the row — O(#chunks + mask words), #chunks bounded as in
+    /// the module docs.
     pub fn key_position(&self, key: &[Value]) -> Option<(usize, &Row)> {
-        let loc = self.lookup_loc(key)?;
-        let (ci, off) = (loc.chunk as usize, loc.off as usize);
-        let mut pos = 0;
-        for c in &self.chunks[..ci] {
-            pos += c.live;
-        }
-        pos += self.chunks[ci].rank_live(off);
-        Some((pos, &self.chunks[ci].rows[off]))
+        let (ci, off) = self.locate(self.lookup_addr(key)?);
+        let before: usize = self.chunks[..ci].iter().map(|c| c.live).sum();
+        let c = &self.chunks[ci];
+        Some((before + c.rank_live(off), c.row(off)))
     }
 
     /// Update every row matching `pred` by applying `f`; returns the number
@@ -549,9 +724,6 @@ impl Table {
         P: Fn(&[Value]) -> bool,
         F: FnMut(&mut Row),
     {
-        // In-place edits invalidate the sealed prefix; drop the cache up
-        // front so an error part-way through never leaves it stale.
-        self.seg_view = Arc::new(OnceLock::new());
         let mut n = 0;
         let mut rows: Vec<Row> = Vec::with_capacity(self.live);
         for row in self.iter_rows() {
@@ -573,14 +745,15 @@ impl Table {
     /// Delete every row matching `pred`; returns the number removed.
     ///
     /// Deletes only set dead bits in the touched chunks' masks and patch
-    /// the persistent pk overlay — no row is moved and the index is
-    /// *not* rebuilt, so a delete-heavy revision batch costs O(scan +
-    /// deleted), not O(rows) of re-hashing.
+    /// the persistent pk overlay — the index is *not* rebuilt and sealed
+    /// segments stay as they are, so a delete-heavy revision batch costs
+    /// O(scan + deleted) plus the bounded layout upkeep of the module
+    /// docs, not O(rows) of re-hashing or re-sealing.
     pub fn delete_where<P: Fn(&[Value]) -> bool>(&mut self, pred: P) -> RelResult<usize> {
         let mut doomed: Vec<(usize, usize)> = Vec::new();
         for (ci, c) in self.chunks.iter().enumerate() {
-            for off in 0..c.len {
-                if !c.is_dead(off) && pred(&c.rows[off]) {
+            for off in 0..c.len() {
+                if !c.is_dead(off) && pred(c.row(off)) {
                     doomed.push((ci, off));
                 }
             }
@@ -588,45 +761,31 @@ impl Table {
         if doomed.is_empty() {
             return Ok(0);
         }
-        self.flat = Arc::new(OnceLock::new());
-        self.seg_view = Arc::new(OnceLock::new());
-        let mut last_reset = usize::MAX;
-        for (ci, off) in &doomed {
-            let key = self.key_of(&self.chunks[*ci].rows[*off]);
-            let c = &mut self.chunks[*ci];
-            c.mark_dead(*off);
-            c.live -= 1;
-            if *ci != last_reset {
-                c.seal = Arc::new(OnceLock::new());
-                last_reset = *ci;
-            }
-            self.live -= 1;
-            if let Some(key) = key {
+        reset_cache(&mut self.flat);
+        reset_cache(&mut self.seg_view);
+        let mut touched: Vec<usize> = Vec::new();
+        for &(ci, off) in &doomed {
+            if let Some(key) = self.key_of(self.chunks[ci].row(off)) {
                 self.pk_del(key);
             }
+            self.chunks[ci].mark_dead(off);
+            if touched.last() != Some(&ci) {
+                touched.push(ci);
+            }
         }
+        self.live -= doomed.len();
+        self.settle(&touched);
         Ok(doomed.len())
     }
 
     /// Rebuild the PK index from the visible rows (e.g. after
     /// deserialization — serde skips the index).
     pub fn reindex(&mut self) -> RelResult<()> {
-        let pk = self.schema.primary_key();
         let mut base = HashMap::new();
-        if !pk.is_empty() {
-            for (ci, c) in self.chunks.iter().enumerate() {
-                for off in 0..c.len {
-                    if c.is_dead(off) {
-                        continue;
-                    }
-                    let key: Vec<Value> = pk.iter().map(|&i| c.rows[off][i].clone()).collect();
-                    let loc = Loc {
-                        chunk: ci as u32,
-                        off: off as u32,
-                    };
-                    if base.insert(key.clone(), loc).is_some() {
-                        return Err(self.dup_err(&key));
-                    }
+        if !self.schema.primary_key().is_empty() {
+            for c in &self.chunks {
+                for off in (0..c.len()).filter(|&off| !c.is_dead(off)) {
+                    self.claim_key(&mut base, c.row(off), c.base + off as Addr)?;
                 }
             }
         }
@@ -638,9 +797,12 @@ impl Table {
     /// Apply a captured [`TableDelta`] to this (possibly shared) table,
     /// building the next generation as a new value. All chunks, sealed
     /// segments, and pk-index state untouched by the delta are shared by
-    /// pointer with `self`; the work and the fresh allocations are
-    /// O(delta) — deletes set copy-on-write mask bits and tombstone the
-    /// pk overlay, inserts form one new tail chunk.
+    /// pointer with `self` — and so is the sealed segment of a chunk the
+    /// delta *deleted from*: deletes set copy-on-write mask bits and
+    /// tombstone the pk overlay, inserts form one new tail chunk per
+    /// [`SEGMENT_ROWS`] rows, and the layout upkeep of the module docs
+    /// copies O([`SEGMENT_ROWS`]) rows per touched chunk at worst,
+    /// O(delta · log) amortized.
     ///
     /// Inserted rows are validated exactly as [`Table::from_rows`] over
     /// the merged row set would: schema check first, then uniqueness
@@ -657,15 +819,14 @@ impl Table {
             return Ok(self.clone());
         }
         let mut chunks = self.chunks.clone();
-        let mut live = self.live;
         let mut pk = if self.pk_overlay.len() + delta.rows_changed()
             > overlay_fold_threshold(self.pk_base.len())
         {
             let mut base = (*self.pk_base).clone();
             for (k, patch) in self.pk_overlay.iter() {
                 match patch {
-                    Some(loc) => {
-                        base.insert(k.clone(), *loc);
+                    Some(addr) => {
+                        base.insert(k.clone(), *addr);
                     }
                     None => {
                         base.remove(k);
@@ -683,6 +844,7 @@ impl Table {
         // Map the ascending pre-state ordinals to physical locations in
         // one forward walk over the chunk list (positions are relative
         // to self's masks, which the new masks only extend).
+        let mut touched: Vec<usize> = Vec::new();
         let mut ci = 0;
         let mut start = 0;
         let mut prev_pos = None;
@@ -699,19 +861,18 @@ impl Table {
                 )));
             }
             let off = self.chunks[ci].select_live(*pos - start);
-            debug_assert_eq!(&self.chunks[ci].rows[off], row, "delta row mismatch");
-            let c = &mut chunks[ci];
-            c.mark_dead(off);
-            c.live -= 1;
-            c.seal = Arc::new(OnceLock::new());
-            live -= 1;
+            debug_assert_eq!(self.chunks[ci].row(off), row, "delta row mismatch");
+            chunks[ci].mark_dead(off);
+            if touched.last() != Some(&ci) {
+                touched.push(ci);
+            }
             if let Some(key) = self.key_of(row) {
                 pk.del(key);
             }
         }
 
         if !delta.inserted.is_empty() {
-            let new_ci = chunks.len();
+            let base = self.end_addr();
             let mut added: Vec<Row> = Vec::with_capacity(delta.inserted.len());
             for row in &delta.inserted {
                 self.schema.check_row(row)?;
@@ -719,29 +880,14 @@ impl Table {
                     if pk.lookup(&key).is_some() {
                         return Err(self.dup_err(&key));
                     }
-                    pk.put(
-                        key,
-                        Loc {
-                            chunk: new_ci as u32,
-                            off: added.len() as u32,
-                        },
-                    );
+                    pk.put(key, base + added.len() as Addr);
                 }
                 added.push(row.clone());
             }
-            live += added.len();
-            chunks.push(Chunk::of_rows(added));
+            chunks.extend(Chunk::windows(Arc::new(added), base));
+            touched.push(chunks.len() - 1);
         }
 
-        let pure_append = delta.deleted.is_empty();
-        // A pure append leaves the sealed prefix exact, so the whole
-        // view is shared; any delete invalidates it (untouched chunks
-        // still reuse their per-chunk seals on the next build).
-        let seg_view = if pure_append && self.seg_view.get().is_some() {
-            Arc::clone(&self.seg_view)
-        } else {
-            Arc::new(OnceLock::new())
-        };
         let (pk_base, pk_overlay) = match pk {
             PkPatch::Folded(base) => (Arc::new(base), Arc::new(HashMap::new())),
             PkPatch::Overlaid { overlay, .. } => (Arc::clone(&self.pk_base), Arc::new(overlay)),
@@ -749,141 +895,156 @@ impl Table {
         let mut t = Table {
             schema: self.schema.clone(),
             chunks,
-            live,
+            live: self.live - delta.deleted.len() + delta.inserted.len(),
             pk_base,
             pk_overlay,
-            seg_view,
+            seg_view: Arc::new(OnceLock::new()),
             flat: Arc::new(OnceLock::new()),
         };
-        // Steady-state appends fold the row-form tail into fresh sealed
-        // segments once it crosses the compaction threshold, as the
-        // clone-based refresh paths used to do after adopting a prefix.
-        if pure_append && t.seg_view.get().is_some() && t.unsealed_rows() >= SEGMENT_ROWS / 8 {
-            t.compact_segments();
-        }
+        t.settle(&touched);
         Ok(t)
     }
 
-    /// The sealed columnar prefix of this table, building it on first use
-    /// (sealing every current chunk into [`crate::segment::Segment`]s).
-    /// The view is cached; rows inserted afterwards form the row-form
-    /// delta store past [`SegmentList::covered`] until
-    /// [`Table::compact_segments`] folds them in.
-    pub fn segments(&self) -> &SegmentList {
-        &self.view().list
+    /// Re-establish the layout invariants (module docs) around the chunks
+    /// at the ascending ordinals `touched`, which lost rows or were just
+    /// appended. Highest first, so an ordinal still names its chunk when
+    /// its turn comes (upkeep only ever removes chunks at or above the
+    /// one it is looking at, or folds a lower chunk into its neighbour
+    /// in place).
+    fn settle(&mut self, touched: &[usize]) {
+        for &k in touched.iter().rev() {
+            if k < self.chunks.len() {
+                self.settle_at(k);
+            }
+        }
     }
 
-    fn view(&self) -> &SegView {
+    /// Upkeep at chunk `k`: drop it if dead, rewrite it if fragmented,
+    /// then merge small neighbours — forwards, then backwards — until no
+    /// adjacent pair around it violates the geometric rule. Every step
+    /// copies fewer than [`SEGMENT_ROWS`] rows and removes a chunk, and
+    /// at most [`MAX_SMALL_RUN`] steps can chain.
+    fn settle_at(&mut self, mut k: usize) {
+        if self.chunks[k].live == 0 {
+            self.chunks.remove(k);
+            if k == 0 {
+                return;
+            }
+            // Its neighbours are adjacent now.
+            k -= 1;
+        } else if self.chunks[k].run_count() > MAX_LIVE_RUNS {
+            self.compact(k, 1);
+        }
+        loop {
+            if self.mergeable(k) {
+                self.compact(k, 2);
+            } else if k > 0 && self.mergeable(k - 1) {
+                k -= 1;
+                self.compact(k, 2);
+            } else {
+                return;
+            }
+        }
+    }
+
+    /// Do chunks `k` and `k + 1` break the geometric rule — both small,
+    /// the earlier at most twice the later?
+    fn mergeable(&self, k: usize) -> bool {
+        matches!(
+            self.chunks.get(k..k + 2),
+            Some([a, b])
+                if a.live < SMALL_CHUNK_ROWS && b.live < SMALL_CHUNK_ROWS && a.live <= 2 * b.live
+        )
+    }
+
+    /// Replace chunks `k .. k + n` by one fresh chunk holding their live
+    /// rows (at most [`SEGMENT_ROWS`] of them), re-addressed from the
+    /// first chunk's base — its range only shrinks, so it stays below the
+    /// next chunk's — with the moved rows' pk entries patched. Row order
+    /// is unchanged, so a cached flat view stays valid.
+    fn compact(&mut self, k: usize, n: usize) {
+        let base = self.chunks[k].base;
+        let rows: Vec<Row> = self.chunks[k..k + n]
+            .iter()
+            .flat_map(Chunk::iter_live)
+            .cloned()
+            .collect();
+        debug_assert!(rows.len() <= SEGMENT_ROWS);
+        if !self.schema.primary_key().is_empty() {
+            for (off, row) in rows.iter().enumerate() {
+                let key = self.key_of(row).expect("pk is non-empty");
+                self.pk_put(key, base + off as Addr);
+            }
+        }
+        let hi = rows.len();
+        let merged = Chunk::window(Arc::new(rows), 0, hi, base);
+        self.chunks.splice(k..k + n, [merged]);
+    }
+
+    /// The sealed columnar view of this table: every chunk's
+    /// [`crate::segment::Segment`] in row order, sealing on first use
+    /// whichever chunks no earlier generation sealed. A segment images
+    /// *all* physical rows of its chunk, deleted ones included (see
+    /// [`TableLayout::dead_rows_under_seals`]), so its statistics bound a
+    /// superset of the rows a scan emits.
+    pub fn segments(&self) -> &SegmentList {
         self.seg_view.get_or_init(|| {
-            let mut parts: Vec<ScanPart> = Vec::new();
-            for c in &self.chunks {
-                parts.extend_from_slice(c.seal_spans(&self.schema));
-            }
-            let segs = parts
+            let segs = self
+                .chunks
                 .iter()
-                .map(|p| Arc::clone(p.seg.as_ref().expect("sealed spans carry segments")))
+                .map(|c| Arc::clone(c.segment(&self.schema)))
                 .collect();
-            SegView {
-                list: SegmentList::from_parts(segs, self.live),
-                parts,
-                chunks: self.chunks.len(),
-            }
+            SegmentList::from_parts(segs, self.live)
         })
     }
 
-    /// The physical scan layout: sealed columnar spans first, then one
-    /// row-form window per unsealed tail chunk. Forces the sealed view
-    /// (segment-mode scans warm the resting format).
+    /// The physical scan layout: one zero-copy window per maximal run of
+    /// live rows, each carrying its chunk's segment and the window's
+    /// offset into it. Seals whatever is not sealed yet (segment-mode
+    /// scans warm the resting format).
     pub(crate) fn scan_parts(&self) -> Vec<ScanPart> {
-        let view = self.view();
-        let mut parts = view.parts.clone();
-        for c in &self.chunks[view.chunks..] {
-            debug_assert!(
-                c.mask.is_none(),
-                "tail chunks past a live view are unmasked"
-            );
-            parts.push(ScanPart {
-                rows: Arc::clone(&c.rows),
-                lo: 0,
-                hi: c.len,
-                seg: None,
-            });
+        let mut parts = Vec::with_capacity(self.chunks.len());
+        for c in &self.chunks {
+            let seg = c.segment(&self.schema);
+            for (from, to) in c.live_runs() {
+                parts.push(ScanPart {
+                    rows: Arc::clone(&c.rows),
+                    lo: c.lo + from,
+                    hi: c.lo + to,
+                    seg: Arc::clone(seg),
+                    seg_off: from,
+                });
+            }
         }
         parts
     }
 
-    /// Rows currently in the row-form delta store (inserted since the
-    /// sealed prefix was built; the whole table if it was never built).
+    /// Live rows in chunks no scan (of this or an earlier generation) has
+    /// sealed yet.
     pub fn unsealed_rows(&self) -> usize {
-        self.live - self.seg_view.get().map_or(0, |v| v.list.covered())
-    }
-
-    /// Fold the row-form delta store into fresh sealed segments when it
-    /// has grown past a compaction threshold (an eighth of
-    /// [`SEGMENT_ROWS`]), or seal the whole table if no prefix exists
-    /// yet. Returns whether new segments were sealed. Pure-append
-    /// [`Table::apply_delta`] generations trigger this automatically, so
-    /// steady-state scans stay columnar.
-    pub fn compact_segments(&mut self) -> bool {
-        let (covered, sealed_chunks) = match self.seg_view.get() {
-            None => {
-                self.view();
-                return true;
-            }
-            Some(v) => (v.list.covered(), v.chunks),
-        };
-        if self.live - covered < SEGMENT_ROWS / 8 {
-            return false;
-        }
-        self.merge_tail(sealed_chunks);
-        true
-    }
-
-    /// Merge the unsealed tail chunks `chunks[from..]` into one fresh
-    /// sealed chunk (patching the moved rows' pk locations) and extend
-    /// the sealed view over it. O(tail), never O(table).
-    fn merge_tail(&mut self, from: usize) {
-        let tail = self.chunks.split_off(from);
-        let mut rows: Vec<Row> = Vec::with_capacity(tail.iter().map(|c| c.len).sum());
-        for c in &tail {
-            debug_assert!(
-                c.mask.is_none(),
-                "tail chunks past a live view are unmasked"
-            );
-            rows.extend_from_slice(&c.rows[..c.len]);
-        }
-        drop(tail);
-        let merged = Chunk::of_rows(rows);
-        let ci = self.chunks.len() as u32;
-        if !self.schema.primary_key().is_empty() {
-            for off in 0..merged.len {
-                let key = self.key_of(&merged.rows[off]).expect("pk is non-empty");
-                self.pk_put(
-                    key,
-                    Loc {
-                        chunk: ci,
-                        off: off as u32,
-                    },
-                );
-            }
-        }
-        self.chunks.push(merged);
-        let mut parts: Vec<ScanPart> = Vec::new();
-        for c in &self.chunks {
-            parts.extend_from_slice(c.seal_spans(&self.schema));
-        }
-        let segs = parts
+        self.chunks
             .iter()
-            .map(|p| Arc::clone(p.seg.as_ref().expect("sealed spans carry segments")))
-            .collect();
-        let cell = OnceLock::new();
-        let _ = cell.set(SegView {
-            list: SegmentList::from_parts(segs, self.live),
-            parts,
+            .filter(|c| c.seal.get().is_none())
+            .map(|c| c.live)
+            .sum()
+    }
+
+    /// The physical shape of this table version (see [`TableLayout`]).
+    pub fn layout(&self) -> TableLayout {
+        let sealed = || self.chunks.iter().filter(|c| c.seal.get().is_some());
+        TableLayout {
+            rows: self.live,
             chunks: self.chunks.len(),
-        });
-        self.seg_view = Arc::new(cell);
-        // Row order is unchanged by the merge, so the flat view stays valid.
+            scan_parts: self.chunks.iter().map(Chunk::run_count).sum(),
+            sealed_spans: sealed().count(),
+            dead_rows_under_seals: sealed().map(|c| c.len() - c.live).sum(),
+            small_tail_chunks: self
+                .chunks
+                .iter()
+                .rev()
+                .take_while(|c| c.live < SMALL_CHUNK_ROWS)
+                .count(),
+        }
     }
 
     /// Value of a named column in a given row.
@@ -902,27 +1063,20 @@ impl Table {
     /// Consume the table into its rows (used by plan evaluation).
     ///
     /// Row storage is `Arc`-shared (see [`Table::shared_rows`]): when
-    /// this table is a single chunk holding the only reference — no live
-    /// shared handle and no clone of the table — the storage is unwrapped
-    /// in O(1) and no row is copied. Otherwise the shared storage stays
-    /// intact for the other holders and the rows are cloned out here,
-    /// which is the only point the sharing ever costs a copy.
+    /// this table's chunks window one backing vector end to end and it
+    /// holds the only references — no live shared handle and no clone of
+    /// the table — the storage is unwrapped in O(#chunks) and no row is
+    /// copied. Otherwise the shared storage stays intact for the other
+    /// holders and the rows are cloned out here, which is the only point
+    /// the sharing ever costs a copy.
     pub fn into_rows(self) -> Vec<Row> {
-        let Table {
-            mut chunks,
-            flat,
-            seg_view,
-            ..
-        } = self;
-        if chunks.len() == 1 && chunks[0].mask.is_none() {
-            // Release every cache handle that may alias the backing.
-            drop(flat);
-            drop(seg_view);
-            let Chunk { rows, seal, .. } = chunks.pop().expect("one chunk");
-            drop(seal);
-            return Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
+        if let Some(backing) = self.whole_backing().cloned() {
+            // Release every other handle of ours on the backing: the
+            // chunk windows and the cached flat view.
+            drop((self.chunks, self.flat));
+            return Arc::try_unwrap(backing).unwrap_or_else(|shared| (*shared).clone());
         }
-        chunks.iter().flat_map(|c| c.iter_live()).cloned().collect()
+        self.iter_rows().cloned().collect()
     }
 
     /// Render the table as an ASCII grid — the shape analysts see when a
@@ -1229,5 +1383,168 @@ mod tests {
                 vec![Value::Int(5)],
             ]
         );
+    }
+
+    /// A plain-vector model of a keyed table under the same deltas.
+    fn apply_to_model(model: &mut Vec<Row>, delta: &TableDelta) {
+        for (pos, row) in delta.deleted.iter().rev() {
+            assert_eq!(&model.remove(*pos), row);
+        }
+        model.extend(delta.inserted.iter().cloned());
+    }
+
+    fn assert_matches_model(t: &Table, model: &[Row]) {
+        assert_eq!(t.len(), model.len());
+        assert!(t.iter_rows().eq(model.iter()), "row content diverged");
+        for (pos, row) in model.iter().enumerate().step_by(model.len() / 97 + 1) {
+            assert_eq!(t.row_at(pos), Some(row));
+            assert_eq!(t.key_position(&row[..1]), Some((pos, row)));
+            assert_eq!(t.get_by_key(&row[..1]), Some(row));
+        }
+        assert_eq!(t.row_at(model.len()), None);
+    }
+
+    #[test]
+    fn single_row_installs_merge_geometrically() {
+        // One chunk per install is the shape `DeltaCatalog::insert` and
+        // `audit_revise` produce; the chunk list must stay logarithmic.
+        let mut t = keyed(0);
+        let mut older = Vec::new();
+        for i in 0..1000 {
+            let delta = TableDelta {
+                pre_len: t.len(),
+                deleted: vec![],
+                inserted: vec![vec![Value::Int(i)]],
+            };
+            let next = t.apply_delta(&delta).unwrap();
+            older.push(std::mem::replace(&mut t, next));
+            let layout = t.layout();
+            assert!(layout.within_bounds(), "install {i}: {layout:?}");
+            assert!(layout.chunks <= MAX_SMALL_RUN, "install {i}: {layout:?}");
+            assert_eq!(layout.scan_parts, layout.chunks);
+        }
+        let model: Vec<Row> = (0..1000).map(|i| vec![Value::Int(i)]).collect();
+        assert_matches_model(&t, &model);
+        // Every older generation still reads its own rows.
+        assert_matches_model(&older[500], &model[..500]);
+    }
+
+    #[test]
+    fn mixed_installs_stay_within_the_layout_bounds() {
+        // The engine fixture's shape: a base chunk past the small
+        // threshold, then installs of 8 inserts, 2 amendments (delete +
+        // re-insert) of scattered rows, and a retirement of the oldest.
+        let base = SMALL_CHUNK_ROWS as i64 * 2;
+        let mut t = keyed(base);
+        let mut model: Vec<Row> = t.iter_rows().cloned().collect();
+        let mut next_id = base;
+        let mut rng = 0x5EED_u64;
+        for install in 0..1000 {
+            let mut positions = vec![0usize];
+            while positions.len() < 3 {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let p = (rng >> 33) as usize % model.len();
+                if !positions.contains(&p) {
+                    positions.push(p);
+                }
+            }
+            positions.sort_unstable();
+            let delta = TableDelta {
+                pre_len: model.len(),
+                deleted: positions.iter().map(|&p| (p, model[p].clone())).collect(),
+                inserted: (0..10).map(|k| vec![Value::Int(next_id + k)]).collect(),
+            };
+            next_id += 10;
+            t = t.apply_delta(&delta).unwrap();
+            apply_to_model(&mut model, &delta);
+            let layout = t.layout();
+            assert!(layout.within_bounds(), "install {install}: {layout:?}");
+            if install % 100 == 99 {
+                assert_matches_model(&t, &model);
+            }
+        }
+        // 2 000 scattered deletes hit the two base chunks (far more than
+        // the run cap admits): neither ever ran past it.
+        assert!(t.chunks.iter().all(|c| c.run_count() <= MAX_LIVE_RUNS));
+        assert_matches_model(&t, &model);
+    }
+
+    #[test]
+    fn dead_and_fragmented_chunks_are_repaired_in_place() {
+        let n = 2 * SEGMENT_ROWS as i64 + 10;
+        let odd_head = |i: &i64| *i < 2000 && i % 2 == 1;
+        let mut t = keyed(n);
+        assert_eq!(t.layout().chunks, 3);
+        let tail_addr = t.lookup_addr(&[Value::Int(n - 1)]).unwrap();
+        // Fragment the first chunk past the run cap: it is rewritten
+        // (one run again), the other chunks keep their storage.
+        let before = t.clone();
+        t.delete_where(|r| matches!(r[0], Value::Int(i) if odd_head(&i)))
+            .unwrap();
+        assert_eq!(t.chunks[0].run_count(), 1);
+        assert!(t.chunks[0].mask.is_none());
+        assert!(Arc::ptr_eq(&t.chunks[1].rows, &before.chunks[1].rows));
+        // Kill the whole middle chunk: it is dropped, and rows behind it
+        // keep their addresses — no index entry of theirs was touched.
+        let (lo, hi) = (SEGMENT_ROWS as i64, 2 * SEGMENT_ROWS as i64);
+        t.delete_where(|r| matches!(r[0], Value::Int(i) if (lo..hi).contains(&i)))
+            .unwrap();
+        assert_eq!(t.lookup_addr(&[Value::Int(n - 1)]), Some(tail_addr));
+        let model: Vec<Row> = (0..n)
+            .filter(|i| !odd_head(i) && !(lo..hi).contains(i))
+            .map(|i| vec![Value::Int(i)])
+            .collect();
+        assert_matches_model(&t, &model);
+        // The 10-row tail is small and now borders nothing small: 2 chunks.
+        let layout = t.layout();
+        assert_eq!((layout.chunks, layout.scan_parts), (2, 2), "{layout:?}");
+        assert!(layout.within_bounds());
+        // Deleting everything leaves no chunk behind, and the table still
+        // takes inserts.
+        t.delete_where(|_| true).unwrap();
+        assert_eq!(t.layout().chunks, 0);
+        t.insert(vec![Value::Int(7)]).unwrap();
+        assert_matches_model(&t, &[vec![Value::Int(7)]]);
+        // The clone taken before any of it is untouched.
+        assert_eq!(before.len(), n as usize);
+        assert_eq!(before.row_at(1), Some(&vec![Value::Int(1)]));
+    }
+
+    #[test]
+    fn live_runs_agree_with_the_mask_bit_by_bit() {
+        // Window lengths around the word boundary, with dead bits at the
+        // edges, so padding and carry handling are both exercised.
+        for len in [1usize, 63, 64, 65, 130] {
+            for dead in [
+                vec![],
+                vec![0],
+                vec![len - 1],
+                vec![0, len - 1],
+                (0..len).collect(),
+            ] {
+                let rows: Vec<Row> = (0..len as i64).map(|i| vec![Value::Int(i)]).collect();
+                let mut c = Chunk::window(Arc::new(rows), 0, len, 0);
+                for &off in &dead {
+                    if !c.is_dead(off) {
+                        c.mark_dead(off);
+                    }
+                }
+                let mut want = Vec::new();
+                let mut off = 0;
+                while off < len {
+                    if c.is_dead(off) {
+                        off += 1;
+                        continue;
+                    }
+                    let from = off;
+                    while off < len && !c.is_dead(off) {
+                        off += 1;
+                    }
+                    want.push((from, off));
+                }
+                assert_eq!(c.live_runs(), want, "len {len}, dead {dead:?}");
+                assert_eq!(c.run_count(), want.len(), "len {len}, dead {dead:?}");
+            }
+        }
     }
 }

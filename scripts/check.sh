@@ -20,6 +20,15 @@ if grep -rnE 'ExecMode|GUAVA_EXEC_MODE|GUAVA_EXEC_ADAPTIVE|ADAPT_WARMUP' \
   exit 1
 fi
 
+# Sealed segments survive deletes and blocking operators read their input
+# by reference (DESIGN.md §14/§18): the survivor-copy re-seal and the
+# row-shredding parallel pipeline were *replaced*, not kept beside the new
+# paths, and none of it needed `unsafe`. Fail if any of that comes back.
+if grep -rnE '\bunsafe\b|seal_over|par_pipeline' crates/relational; then
+  echo "check.sh: crates/relational regained unsafe code or a replaced storage path (matches above)" >&2
+  exit 1
+fi
+
 # The benchmark snapshot must carry the expression-kernel axis (DESIGN.md
 # §11), the blocking-operator axis (DESIGN.md §13), the resting-storage
 # axis (DESIGN.md §14), and the optimizer axis (DESIGN.md §17); a
@@ -57,6 +66,28 @@ elif join[0]["speedup"] < 1.3:
         file=sys.stderr,
     )
     failed = True
+# The default resting format must win where the spine says reads happen:
+# on the first evaluation after an install (DESIGN.md §18). Five dashboard
+# shapes over a 30 000-row table after 200 mixed installs, segment vs row
+# storage; below 1.0x, installs are taxing reads again (a re-seal per
+# delete, a deep copy per blocking input, or unbounded scan parts).
+after = [b for b in report["storage"] if b["name"].startswith("after_installs/")]
+if len(after) < 5:
+    print(
+        "check.sh: BENCH_executor.json storage axis lacks the five "
+        "'after_installs/*' entries — regenerate with\n"
+        "  cargo run --release -p guava-bench --bin tables -- --bench-executor",
+        file=sys.stderr,
+    )
+    failed = True
+for b in after:
+    if b["speedup"] < 1.0:
+        print(
+            f"check.sh: storage '{b['name']}' speedup {b['speedup']:.2f}x < 1.0x "
+            "— segment storage loses to row storage after installs (DESIGN.md §18)",
+            file=sys.stderr,
+        )
+        failed = True
 if failed:
     sys.exit(1)
 EOF

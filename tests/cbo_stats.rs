@@ -331,12 +331,9 @@ fn patched_catalog_agrees_with_recollection() {
     }
 }
 
-/// The warehouse engine's generational refresh must keep the snapshot's
-/// statistics catalog warm by patching: after inserts, updates, and
-/// deletes, the patched stats agree with the installed tables exactly on
-/// counts — for the naïve form *and* the materialized study table.
-#[test]
-fn engine_refresh_patches_snapshot_stats() {
+/// An engine over a two-control CORI form (surgery-only study, one
+/// `packs` domain), loaded with `reports`.
+fn packs_engine(reports: Vec<Row>) -> Engine {
     use guava::prelude::Target;
 
     let tool = ReportingTool::new(
@@ -388,34 +385,14 @@ fn engine_refresh_patches_snapshot_stats() {
         },
         &["PacksPerDay <- PacksPerDay IS ANSWERED"],
     );
-    let naive = Table::from_rows(
-        tool.forms[0].naive_schema(),
-        (0..20i64)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 4), Value::Bool(i % 2 == 0)])
-            .collect::<Vec<Row>>(),
-    )
-    .unwrap();
-    let engine = Engine::build("cori", naive, &ec, &[&c_packs], EngineConfig::default()).unwrap();
+    let naive = Table::from_rows(tool.forms[0].naive_schema(), reports).unwrap();
+    Engine::build("cori", naive, &ec, &[&c_packs], EngineConfig::default()).unwrap()
+}
 
-    engine
-        .update(|cat| cat.insert("cori", "Procedure", vec![77.into(), 9.into(), true.into()]))
-        .unwrap();
-    engine
-        .update(|cat| {
-            cat.update_where(
-                "cori",
-                "Procedure",
-                |r| r[0] == Value::Int(2),
-                |r| r[2] = false.into(),
-            )
-        })
-        .unwrap();
-    engine
-        .update(|cat| cat.delete_where("cori", "Procedure", |r| r[0] == Value::Int(4)))
-        .unwrap();
-
-    let snap = engine.snapshot();
-    assert!(snap.generation() >= 3);
+/// The carried-forward catalog of `snap` must agree with a fresh
+/// collection over its tables: exactly on row and null counts, and with
+/// bounds no narrower than the collected ones.
+fn assert_patched_stats_match_collection(snap: &guava::warehouse::service::Snapshot) {
     let fresh = StatsCatalog::collect(snap.database());
     for name in snap.database().table_names() {
         let patched = snap.stats().table(name).unwrap_or_else(|| {
@@ -437,10 +414,104 @@ fn engine_refresh_patches_snapshot_stats() {
             );
         }
     }
+}
+
+/// The warehouse engine's generational refresh must keep the snapshot's
+/// statistics catalog warm by patching: after inserts, updates, and
+/// deletes, the patched stats agree with the installed tables exactly on
+/// counts — for the naïve form *and* the materialized study table.
+#[test]
+fn engine_refresh_patches_snapshot_stats() {
+    let engine = packs_engine(
+        (0..20i64)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 4), Value::Bool(i % 2 == 0)])
+            .collect(),
+    );
+
+    engine
+        .update(|cat| cat.insert("cori", "Procedure", vec![77.into(), 9.into(), true.into()]))
+        .unwrap();
+    engine
+        .update(|cat| {
+            cat.update_where(
+                "cori",
+                "Procedure",
+                |r| r[0] == Value::Int(2),
+                |r| r[2] = false.into(),
+            )
+        })
+        .unwrap();
+    engine
+        .update(|cat| cat.delete_where("cori", "Procedure", |r| r[0] == Value::Int(4)))
+        .unwrap();
+
+    let snap = engine.snapshot();
+    assert!(snap.generation() >= 3);
+    assert_patched_stats_match_collection(&snap);
     // The inserted instance_id (77) must have widened the patched max.
     let naive_stats = snap.stats().table("Procedure").unwrap();
     assert_eq!(
         naive_stats.column("instance_id").unwrap().max,
         Value::Int(77)
     );
+}
+
+/// Sealed segments go on describing rows deleted after the seal, so a
+/// fresh collection must retract their nulls to stay exact — the same
+/// contract the carried-forward patches follow. Thirty mixed installs
+/// through an `Engine` whose tables are queried (hence sealed) between
+/// installs, deleting NULL-bearing rows from under the seals.
+#[test]
+fn collected_stats_stay_exact_over_sealed_spans_with_dead_rows() {
+    use guava_relational::table::SMALL_CHUNK_ROWS;
+    let base = SMALL_CHUNK_ROWS as i64 + 200;
+    let packs = |i: i64| {
+        if i % 5 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i % 4)
+        }
+    };
+    let engine = packs_engine(
+        (0..base)
+            .map(|i| vec![Value::Int(i), packs(i), Value::Bool(i % 3 != 0)])
+            .collect(),
+    );
+    let session = engine.session();
+    for g in 0..30i64 {
+        // Seal whatever the last install left unsealed.
+        for table in ["Procedure", "cori__Surgery_Only"] {
+            session
+                .query(&Plan::scan(table).select(Expr::col("instance_id").ge(Expr::lit(0i64))))
+                .unwrap();
+        }
+        engine
+            .update(|cat| {
+                for k in 0..4 {
+                    let id = base + 4 * g + k;
+                    cat.insert("cori", "Procedure", vec![id.into(), packs(id), true.into()])?;
+                }
+                // Amend a NULL-packs report, retire another: both rows
+                // stay in the sealed segment they were deleted from.
+                cat.update_where(
+                    "cori",
+                    "Procedure",
+                    |r| r[0] == Value::Int(1000 + 10 * g),
+                    |r| r[1] = Value::Int(7),
+                )?;
+                cat.delete_where("cori", "Procedure", |r| r[0] == Value::Int(5 * g))
+            })
+            .unwrap();
+        let snap = engine.snapshot();
+        assert_patched_stats_match_collection(&snap);
+        let layout = snap.database().table("Procedure").unwrap().layout();
+        assert!(layout.within_bounds(), "{layout:?}");
+    }
+    let layout = engine
+        .snapshot()
+        .database()
+        .table("Procedure")
+        .unwrap()
+        .layout();
+    assert!(layout.dead_rows_under_seals >= 60, "{layout:?}");
 }

@@ -81,6 +81,15 @@ fn classifiers() -> (BoundClassifier, BoundClassifier, BoundClassifier) {
 }
 
 fn build_engine() -> Engine {
+    build_engine_over(vec![
+        vec![1.into(), 0.into(), true.into()],
+        vec![2.into(), 1.into(), true.into()],
+        vec![3.into(), 5.into(), false.into()],
+        vec![4.into(), 9.into(), true.into()],
+    ])
+}
+
+fn build_engine_over(reports: Vec<Row>) -> Engine {
     let (ec, c_class, c_packs) = classifiers();
     let form = FormDef::new(
         "Procedure",
@@ -90,16 +99,7 @@ fn build_engine() -> Engine {
             Control::check_box("SurgeryPerformed", "Surgery?"),
         ],
     );
-    let naive = Table::from_rows(
-        form.naive_schema(),
-        vec![
-            vec![1.into(), 0.into(), true.into()],
-            vec![2.into(), 1.into(), true.into()],
-            vec![3.into(), 5.into(), false.into()],
-            vec![4.into(), 9.into(), true.into()],
-        ],
-    )
-    .unwrap();
+    let naive = Table::from_rows(form.naive_schema(), reports).unwrap();
     Engine::build(
         "cori",
         naive,
@@ -171,47 +171,70 @@ fn unchanged_table_is_pointer_identical_across_generations() {
     assert_eq!(engine.generation(), 3);
 }
 
-/// Pure-append refreshes share the sealed columnar prefix: the segment
-/// `Arc`s of generation `g`'s naïve form reappear — pointer-identical —
-/// in generations `g+1 .. g+3`, which only extend the delta tail.
+/// Sealed segments survive installs — *delete-bearing* ones included. A
+/// chunk is sealed once over its physical rows and a delete only sets a
+/// mask bit, so the segment `Arc`s of generation `g`'s tables reappear
+/// pointer-identical in generations `g+1 ..`, whether an install
+/// appended, amended or retired rows of the very chunk they describe.
+/// (The base must be past `SMALL_CHUNK_ROWS`: smaller chunks are still
+/// being merged, which is what rebuilding a seal is for.)
 #[test]
 fn sealed_segments_are_shared_across_generations() {
-    let engine = build_engine();
+    use guava_relational::table::SMALL_CHUNK_ROWS;
+    let base = SMALL_CHUNK_ROWS as i64 + 500;
+    let engine = build_engine_over(
+        (1..=base)
+            .map(|i| vec![i.into(), (i % 4).into(), (i % 3 != 0).into()])
+            .collect(),
+    );
     let g0 = engine.snapshot();
-    // Seal generation 0's naïve form (queries would do this anyway).
-    let sealed = g0.database().table("Procedure").unwrap().segments();
-    let base_segs: Vec<_> = sealed.segments().to_vec();
-    assert!(!base_segs.is_empty());
+    // Seal generation 0 (queries would do this anyway).
+    let sealed = |snap: &guava::warehouse::service::Snapshot, table: &str| {
+        snap.database()
+            .table(table)
+            .unwrap()
+            .segments()
+            .segments()
+            .to_vec()
+    };
+    let base_naive = sealed(&g0, "Procedure");
+    let base_study = sealed(&g0, STUDY);
+    assert_eq!((base_naive.len(), base_study.len()), (1, 1));
 
-    for i in 0..3i64 {
+    for i in 0..6i64 {
         engine
             .update(|cat| {
                 cat.insert(
                     "cori",
                     "Procedure",
-                    vec![(20 + i).into(), 2.into(), true.into()],
-                )
+                    vec![(base + 1 + i).into(), 2.into(), true.into()],
+                )?;
+                // Amend one report in the middle of the sealed chunk and
+                // retire the oldest one: both delete from it.
+                cat.update_where(
+                    "cori",
+                    "Procedure",
+                    |r| r[0] == Value::Int(2000 + 7 * i),
+                    |r| r[1] = Value::Int(9),
+                )?;
+                cat.delete_where("cori", "Procedure", |r| r[0] == Value::Int(1 + i))
             })
             .unwrap();
         let next = engine.snapshot();
-        let list = next.database().table("Procedure").unwrap().segments();
-        assert!(
-            list.segments().len() >= base_segs.len(),
-            "generation {}: sealed prefix shrank",
-            next.generation()
-        );
-        for (a, b) in base_segs.iter().zip(list.segments()) {
+        for (table, base_segs) in [("Procedure", &base_naive), (STUDY, &base_study)] {
+            let t = next.database().table(table).unwrap();
             assert!(
-                Arc::ptr_eq(a, b),
-                "generation {}: sealed segment was rebuilt, not shared",
+                Arc::ptr_eq(&base_segs[0], &t.segments().segments()[0]),
+                "generation {}: {table}'s sealed segment was rebuilt, not shared",
                 next.generation()
             );
+            let layout = t.layout();
+            assert!(layout.within_bounds(), "{table}: {layout:?}");
+            // The segment now describes more rows than are live.
+            assert!(layout.dead_rows_under_seals > 0, "{table}: {layout:?}");
+            assert_eq!(t.segments().covered(), t.len());
+            assert_eq!(t.unsealed_rows(), 0);
         }
-        // The rows past the sealed prefix are exactly the appended tail.
-        assert_eq!(
-            next.database().table("Procedure").unwrap().unsealed_rows(),
-            next.database().table("Procedure").unwrap().len() - sealed.covered(),
-        );
     }
 }
 
@@ -241,4 +264,84 @@ fn pinned_reads_survive_shared_structure_installs() {
     }
     assert_eq!(pinned.generation(), 0);
     assert_eq!(engine.generation(), 3);
+}
+
+/// One chunk per `DeltaCatalog::insert` used to be literal: 1 000 inserts
+/// left 1 000 one-row chunks (and `audit_revise`, which tombstones row by
+/// row, a 2 309-part scan at 30 000 reports). Every chunk-opening path
+/// now merges small chunks geometrically, so both stay logarithmic —
+/// which is also what bounds the chunk walk in `row_at` / `key_position`.
+#[test]
+fn single_row_catalog_inserts_and_audit_revisions_stay_within_the_layout_bounds() {
+    use guava::clinical::{audit_revise, cori, generate, GeneratorConfig};
+    use guava_relational::table::MAX_SMALL_RUN;
+
+    // 1 000 single-row inserts into an empty keyed table.
+    let schema = Schema::new("t", vec![Column::required("id", DataType::Int)])
+        .unwrap()
+        .with_primary_key(&["id"])
+        .unwrap();
+    let mut db = Database::new("d");
+    db.create_table(Table::new(schema)).unwrap();
+    let mut cat = Catalog::new();
+    cat.insert(db);
+    let mut dc = DeltaCatalog::new(cat);
+    for i in 0..1000i64 {
+        dc.insert("d", "t", vec![i.into()]).unwrap();
+        let layout = dc
+            .catalog()
+            .database("d")
+            .unwrap()
+            .table("t")
+            .unwrap()
+            .layout();
+        assert!(layout.within_bounds(), "insert {i}: {layout:?}");
+        assert!(layout.scan_parts <= MAX_SMALL_RUN, "insert {i}: {layout:?}");
+    }
+    let t = dc.catalog().database("d").unwrap().table("t").unwrap();
+    for i in [0i64, 499, 999] {
+        assert_eq!(t.row_at(i as usize), Some(&vec![Value::Int(i)]));
+        assert_eq!(t.key_position(&[Value::Int(i)]).unwrap().0, i as usize);
+    }
+
+    // `audit_revise` over every live report of a 1 000-report CORI load:
+    // 1 000 single-row tombstone inserts, then one 1 000-row amendment.
+    let profiles = generate(&GeneratorConfig::default().with_size(1000));
+    let mut db = cori::physical_database(&profiles).unwrap();
+    db.name = "cori".to_owned();
+    let before = db.table(cori::PHYSICAL_TABLE).unwrap().len();
+    let note_idx = db
+        .table(cori::PHYSICAL_TABLE)
+        .unwrap()
+        .schema()
+        .index_of("other_complication")
+        .unwrap();
+    let mut cat = Catalog::new();
+    cat.insert(db);
+    let mut dc = DeltaCatalog::new(cat);
+    let revised = audit_revise(
+        &mut dc,
+        "cori",
+        cori::PHYSICAL_TABLE,
+        cori::AUDIT_FLAG,
+        |_| true,
+        |r| r[note_idx] = Value::text("amended"),
+    )
+    .unwrap();
+    assert_eq!(revised, 1000);
+    let t = dc
+        .catalog()
+        .database("cori")
+        .unwrap()
+        .table(cori::PHYSICAL_TABLE)
+        .unwrap();
+    assert_eq!(t.len(), before + 1000);
+    let layout = t.layout();
+    assert!(layout.within_bounds(), "{layout:?}");
+    assert!(layout.chunks <= MAX_SMALL_RUN, "{layout:?}");
+    assert_eq!(t.rows().len(), t.len());
+    assert_eq!(
+        t.row_at(t.len() - 1).unwrap()[note_idx],
+        Value::text("amended")
+    );
 }

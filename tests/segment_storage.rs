@@ -265,8 +265,9 @@ fn inserts_scan_through_the_delta_tail_and_compact() {
         .collect();
     let mut t = Table::from_rows(schema(), rows).unwrap();
     assert_eq!(t.segments().covered(), 1000);
-    // Appends land in the row-form delta store past the sealed prefix.
-    for i in 1000..1500 {
+    // A sealed chunk is frozen: appends open a new chunk behind it, which
+    // grows in place and stays row-form until a scan seals it.
+    for i in 1000..1400 {
         t.insert(vec![
             Value::Int(i),
             Value::Float(i as f64),
@@ -275,22 +276,28 @@ fn inserts_scan_through_the_delta_tail_and_compact() {
         ])
         .unwrap();
     }
-    assert_eq!(t.unsealed_rows(), 500);
-    assert!(!t.compact_segments(), "below the compaction threshold");
+    assert_eq!(t.unsealed_rows(), 400);
+    assert_eq!(t.layout().chunks, 2);
     let mut db = Database::new("d");
     db.create_table(t).unwrap();
     let plan = Plan::scan("t").select(Expr::col("id").ge(Expr::lit(990i64)));
     assert_storage_agrees(&plan, &db);
-    assert_eq!(plan.eval(&db).unwrap().len(), 510);
-    // Past the threshold the tail seals into fresh segments.
+    assert_eq!(plan.eval(&db).unwrap().len(), 410);
+    // The segment-mode scan sealed the tail chunk too...
     let t = db.table_mut("t").unwrap();
-    for i in 1500..(1000 + SEGMENT_ROWS as i64 / 8) {
+    assert_eq!(t.unsealed_rows(), 0);
+    assert_eq!(t.layout().sealed_spans, 2);
+    // ...and further appends keep merging small chunks geometrically, so
+    // the chunk list stays short however the inserts and scans interleave.
+    for i in 1400..(1000 + SEGMENT_ROWS as i64 / 8) {
         t.insert(vec![Value::Int(i), Value::Null, Value::Null, Value::Null])
             .unwrap();
     }
-    assert!(t.compact_segments());
-    assert_eq!(t.unsealed_rows(), 0);
+    let layout = t.layout();
+    assert!(layout.within_bounds(), "{layout:?}");
+    assert!(layout.chunks <= 2, "{layout:?}");
     assert_eq!(t.segments().covered(), t.len());
+    assert_eq!(t.unsealed_rows(), 0);
     let plan = Plan::scan("t").select(Expr::col("id").ge(Expr::lit(990i64)));
     assert_storage_agrees(&plan, &db);
 }
@@ -476,6 +483,366 @@ proptest! {
             if let [a, b] = &outputs[..] {
                 prop_assert_eq!(a, b, "row vs segment refresh disagree at round {}", round);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Property: sealed storage under deletes
+// ---------------------------------------------------------------------------
+
+/// Deleting rows never re-seals: a segment goes on describing its dead
+/// rows, so every zone-map field bounds a superset of what a scan emits.
+/// The arms of the pruning rules must stay sound — and byte-identical to
+/// row storage and the oracle — when exactly the row that set a bound is
+/// the one deleted.
+#[test]
+fn zone_maps_over_deleted_rows_never_misprune() {
+    let rows = vec![
+        vec![
+            Value::Int(0),
+            Value::Float(1.0),
+            Value::text("a"),
+            Value::Null,
+        ],
+        vec![
+            Value::Int(1),
+            Value::Float(f64::NAN),
+            Value::Null,
+            Value::Null,
+        ],
+        vec![
+            Value::Int(2),
+            Value::Float(100.0),
+            Value::text("z"),
+            Value::Null,
+        ],
+        vec![Value::Int(3), Value::Null, Value::text("m"), Value::Null],
+        vec![
+            Value::Int(4),
+            Value::Float(50.0),
+            Value::text("m"),
+            Value::Null,
+        ],
+    ];
+    let mut t = Table::from_rows(schema(), rows).unwrap();
+    let sealed = std::sync::Arc::clone(&t.segments().segments()[0]);
+    let plans = |k: f64| {
+        vec![
+            Plan::scan("t").select(Expr::col("x").gt(Expr::lit(k))),
+            Plan::scan("t").select(Expr::col("x").le(Expr::lit(k))),
+            Plan::scan("t").select(Expr::col("x").eq(Expr::lit(k))),
+            Plan::scan("t").select(Expr::col("x").ne(Expr::lit(k))),
+            Plan::scan("t").select(Expr::col("x").is_null()),
+            Plan::scan("t").select(Expr::col("x").is_not_null()),
+            Plan::scan("t").select(Expr::col("s").is_null()),
+            Plan::scan("t").select(Expr::col("s").ge(Expr::lit("n"))),
+        ]
+    };
+    // Delete, one at a time: the only NaN, the max, the only NULLs, the
+    // min, and finally everything. After each, the segment is the same
+    // object and every lane agrees with the oracle — errors included
+    // (the ordering predicates fail while the NaN is live, and must stop
+    // failing the moment it is deleted although `has_nan` stays set).
+    for doomed in [1i64, 2, 3, 0, 4] {
+        t.delete_where(|r| r[0] == Value::Int(doomed)).unwrap();
+        if !t.is_empty() {
+            assert!(std::sync::Arc::ptr_eq(&sealed, &t.segments().segments()[0]));
+        }
+        let mut db = Database::new("d");
+        db.create_table(t.clone()).unwrap();
+        for plan in [0.5, 50.0, 100.0, 1e9].into_iter().flat_map(plans) {
+            assert_storage_agrees(&plan, &db);
+            let oracle = plan.eval_materialized(&db);
+            let seg = Executor::new().threads(1).execute(&plan, &db);
+            assert_eq!(seg, oracle, "{plan:?} after deleting {doomed}");
+            assert!(oracle.is_ok(), "no NaN is live: {plan:?}");
+        }
+    }
+    assert_eq!(t.layout().chunks, 0);
+}
+
+/// Spans past the run cap are rewritten and dead spans dropped, on real
+/// multi-segment tables; scans stay identical to row storage throughout.
+#[test]
+fn fragmented_and_dead_spans_stay_bounded_and_identical() {
+    use guava_relational::table::MAX_LIVE_RUNS;
+    let n = 2 * SEGMENT_ROWS as i64 + 100;
+    let rows: Vec<Row> = (0..n)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Float((i % 1000) as f64),
+                Value::text(format!("g{}", i % 7)),
+                Value::Bool(i % 2 == 0),
+            ]
+        })
+        .collect();
+    let mut t = Table::from_rows(schema(), rows).unwrap();
+    t.segments();
+    let plans = [
+        Plan::scan("t").select(Expr::col("id").ge(Expr::lit(SEGMENT_ROWS as i64 - 50))),
+        Plan::scan("t").select(Expr::col("s").eq(Expr::lit("g3"))),
+        Plan::scan("t").aggregate(
+            &["s"],
+            vec![Aggregate {
+                func: AggFunc::CountAll,
+                alias: "n".into(),
+            }],
+        ),
+        Plan::scan("t").project_cols(&["id"]).join(
+            Plan::scan("t")
+                .select(Expr::col("x").lt(Expr::lit(3.0)))
+                .project(vec![("rid".to_owned(), Expr::col("id"))]),
+            vec![("id", "rid")],
+            JoinKind::Inner,
+        ),
+    ];
+    let check = |t: &Table| {
+        let layout = t.layout();
+        assert!(layout.within_bounds(), "{layout:?}");
+        let mut db = Database::new("d");
+        db.create_table(t.clone()).unwrap();
+        for plan in &plans {
+            assert_storage_agrees(plan, &db);
+        }
+    };
+    // 200 scattered deletes split the first span into 201 runs: under the
+    // cap, so the span is scanned as 201 windows of its original segment.
+    let first = std::sync::Arc::clone(&t.segments().segments()[0]);
+    t.delete_where(|r| matches!(r[0], Value::Int(i) if i < 20_000 && i % 100 == 50))
+        .unwrap();
+    assert_eq!(t.layout().scan_parts, 201 + 2);
+    assert!(std::sync::Arc::ptr_eq(&first, &t.segments().segments()[0]));
+    check(&t);
+    // Past the cap the span is rewritten — one window again.
+    t.delete_where(|r| matches!(r[0], Value::Int(i) if i < 20_000 && i % 50 == 25))
+        .unwrap();
+    assert!(t.layout().scan_parts <= 3 && 201 + 400 > MAX_LIVE_RUNS);
+    check(&t);
+    // A whole span dies: it leaves the chunk list.
+    let (lo, hi) = (SEGMENT_ROWS as i64, 2 * SEGMENT_ROWS as i64);
+    t.delete_where(|r| matches!(r[0], Value::Int(i) if (lo..hi).contains(&i)))
+        .unwrap();
+    assert_eq!(t.layout().chunks, 2);
+    check(&t);
+}
+
+/// A generated report: `(x in halves, x is NaN, s, b)`.
+type NewRow = (Option<i64>, bool, Option<String>, Option<bool>);
+
+/// One generation's worth of change.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Append rows.
+    Insert(Vec<NewRow>),
+    /// Delete the live rows at these positions (mod the live count).
+    DeleteAt(Vec<usize>),
+    /// Amend the row at this position (delete + re-insert at the end).
+    AmendAt(usize),
+    /// Delete every row holding the least / greatest non-NaN `x`.
+    DeleteMinX,
+    DeleteMaxX,
+    /// Delete every NaN / every NULL `x`.
+    DeleteNanX,
+    DeleteNullX,
+    /// Delete the oldest third of the table — whole leading spans die.
+    DeletePrefix,
+    DeleteAll,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let new_rows = proptest::collection::vec(
+        (
+            proptest::option::of(-8i64..100),
+            (0u8..10).prop_map(|n| n == 0),
+            proptest::option::of("[a-c]{1,2}"),
+            proptest::option::of(any::<bool>()),
+        ),
+        1..12,
+    );
+    prop_oneof![
+        8 => new_rows.prop_map(Step::Insert),
+        5 => proptest::collection::vec(0usize..1000, 1..6).prop_map(Step::DeleteAt),
+        4 => (0usize..1000).prop_map(Step::AmendAt),
+        1 => Just(Step::DeleteMinX),
+        1 => Just(Step::DeleteMaxX),
+        1 => Just(Step::DeleteNanX),
+        1 => Just(Step::DeleteNullX),
+        1 => Just(Step::DeletePrefix),
+        1 => Just(Step::DeleteAll),
+    ]
+}
+
+/// Apply `step` through the capturing catalog (every mutation is one
+/// `Table::apply_delta`) and to the plain-vector `model` alike.
+fn apply_step(dc: &mut DeltaCatalog, model: &mut Vec<Row>, next_id: &mut i64, step: &Step) {
+    let finite_x = |r: &Row| match r[1] {
+        Value::Float(f) if !f.is_nan() => Some(f),
+        _ => None,
+    };
+    let ids_at = |model: &Vec<Row>, at: &[usize]| -> Vec<Value> {
+        if model.is_empty() {
+            return Vec::new();
+        }
+        at.iter()
+            .map(|p| model[p % model.len()][0].clone())
+            .collect()
+    };
+    let delete = |dc: &mut DeltaCatalog, model: &mut Vec<Row>, doomed: &dyn Fn(&Row) -> bool| {
+        dc.delete_where("d", "t", doomed).unwrap();
+        model.retain(|r| !doomed(r));
+    };
+    match step {
+        Step::Insert(rows) => {
+            for (x, nan, s, b) in rows {
+                let x = match (nan, x) {
+                    (true, _) => Value::Float(f64::NAN),
+                    (false, Some(v)) => Value::Float(*v as f64 / 2.0),
+                    (false, None) => Value::Null,
+                };
+                let row = vec![
+                    Value::Int(*next_id),
+                    x,
+                    s.clone().map(Value::text).unwrap_or(Value::Null),
+                    b.map(Value::Bool).unwrap_or(Value::Null),
+                ];
+                *next_id += 1;
+                dc.insert("d", "t", row.clone()).unwrap();
+                model.push(row);
+            }
+        }
+        Step::DeleteAt(at) => {
+            let ids = ids_at(model, at);
+            delete(dc, model, &|r| ids.contains(&r[0]));
+        }
+        Step::AmendAt(at) => {
+            let ids = ids_at(model, &[*at]);
+            let amend = |r: &mut Row| r[3] = Value::Bool(true);
+            dc.update_where("d", "t", |r| ids.contains(&r[0]), amend)
+                .unwrap();
+            let (mut moved, kept): (Vec<Row>, Vec<Row>) =
+                model.drain(..).partition(|r| ids.contains(&r[0]));
+            moved.iter_mut().for_each(amend);
+            *model = kept;
+            model.extend(moved);
+        }
+        Step::DeleteMinX | Step::DeleteMaxX => {
+            let xs = model.iter().filter_map(finite_x);
+            let bound = if matches!(step, Step::DeleteMinX) {
+                xs.fold(f64::INFINITY, f64::min)
+            } else {
+                xs.fold(f64::NEG_INFINITY, f64::max)
+            };
+            delete(dc, model, &|r| finite_x(r) == Some(bound));
+        }
+        Step::DeleteNanX => delete(
+            dc,
+            model,
+            &|r| matches!(r[1], Value::Float(f) if f.is_nan()),
+        ),
+        Step::DeleteNullX => delete(dc, model, &|r| r[1].is_null()),
+        Step::DeletePrefix => {
+            let ids: Vec<Value> = model[..model.len() / 3]
+                .iter()
+                .map(|r| r[0].clone())
+                .collect();
+            delete(dc, model, &|r| ids.contains(&r[0]));
+        }
+        Step::DeleteAll => delete(dc, model, &|_| true),
+    }
+}
+
+/// Every lane on `db` ≡ the oracle over a table rebuilt from `model`:
+/// equal tables on success, failure on all sides otherwise, and the four
+/// lanes byte-identical to each other, errors included.
+fn check_generation(
+    db: &Database,
+    model: &[Row],
+    plans: &[Plan],
+    single_fault: &[Plan],
+) -> Result<(), TestCaseError> {
+    let layout = db.table("t").unwrap().layout();
+    prop_assert!(layout.within_bounds(), "{:?}", layout);
+    let rebuilt = db_of(model.to_vec());
+    for plan in plans.iter().chain(single_fault) {
+        let oracle = plan.eval_materialized(&rebuilt);
+        let results: Vec<_> = common::lanes()
+            .into_iter()
+            .map(|(name, exec)| (name, exec.execute(plan, db)))
+            .collect();
+        for (name, got) in &results {
+            match (got, &oracle) {
+                (Ok(g), Ok(o)) => prop_assert_eq!(g, o, "{} != oracle for {:?}", name, plan),
+                (Err(_), Err(_)) => {}
+                (g, o) => prop_assert!(false, "{}: {:?} vs oracle {:?} for {:?}", name, g, o, plan),
+            }
+            prop_assert_eq!(
+                got,
+                &results[0].1,
+                "{} != {} for {:?}",
+                name,
+                results[0].0,
+                plan
+            );
+        }
+        if single_fault.contains(plan) {
+            prop_assert_eq!(&results[0].1, &oracle, "single-fault parity for {:?}", plan);
+        }
+        prop_assert_eq!(
+            plan.eval_materialized(db),
+            oracle,
+            "oracle over persistent storage"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, .. ProptestConfig::default() })]
+
+    /// Fifty-plus generations of mixed deltas — including the deletes that
+    /// take out exactly the row a zone map was built from — over one
+    /// persistent table: every generation, the newest and pinned older
+    /// ones, answers random plans byte-identically on all four lanes and
+    /// the oracle, single-fault error parity included, and never leaves
+    /// the layout bounds.
+    #[test]
+    fn storage_under_deletes_matches_the_oracle_at_every_generation(
+        rows in arb_rows(40),
+        plan in arb_plan(),
+        k in -2i64..60,
+        steps in proptest::collection::vec(arb_step(), 50..60),
+    ) {
+        let mut model = rows.clone();
+        let mut next_id = rows.len() as i64;
+        let mut cat = Catalog::new();
+        cat.insert(db_of(rows));
+        let mut dc = DeltaCatalog::new(cat);
+        // `x ⟨op⟩ k` errors exactly while a NaN is live: one fault, so
+        // every evaluator must report the very same error.
+        let single_fault = [
+            Plan::scan("t").select(Expr::col("x").ge(Expr::lit(k as f64 / 2.0))),
+            Plan::scan("t").select(Expr::col("x").lt(Expr::lit(k as f64 / 2.0))).project_cols(&["id"]),
+        ];
+        let plans = [
+            plan,
+            Plan::scan("t").select(Expr::col("x").eq(Expr::lit(k as f64 / 2.0))),
+            Plan::scan("t").select(Expr::col("x").is_null()),
+            Plan::scan("t").select(Expr::col("id").ge(Expr::lit(k))).project_cols(&["id", "s"]),
+        ];
+        let mut pinned: Vec<(Database, Vec<Row>)> = Vec::new();
+        for (g, step) in steps.iter().enumerate() {
+            apply_step(&mut dc, &mut model, &mut next_id, step);
+            let db = dc.catalog().database("d").unwrap();
+            // Scanning seals; the next generation deletes under that seal.
+            check_generation(db, &model, &plans, &single_fault)?;
+            if g % 16 == 3 {
+                pinned.push((db.clone(), model.clone()));
+            }
+        }
+        for (db, model) in &pinned {
+            check_generation(db, model, &plans, &single_fault)?;
         }
     }
 }
