@@ -521,33 +521,6 @@ struct ParallelBenchEntry {
     speedup_vs_materialized: f64,
 }
 
-/// One cell of the storage axis: the same plan evaluated serially
-/// against row-resting storage (every scan shreds rows
-/// into column lanes per batch; no zone maps, so pruning is off) and
-/// segment-resting storage (scans emit pre-built lanes straight from
-/// sealed segments, and fused filter predicates skip segments whose zone
-/// maps prove them empty). The ratio is the GUAVA_STORAGE axis. The
-/// `after_installs/*` cells time the *first* evaluation on a fresh
-/// generation instead (see `bench_after_installs`).
-#[derive(serde::Serialize)]
-struct StorageBenchEntry {
-    group: &'static str,
-    name: String,
-    input_rows: usize,
-    output_rows: usize,
-    /// Evaluation over row-resting storage: per-scan shred
-    /// cost paid every evaluation, zone-map pruning unavailable.
-    row_storage_ms: f64,
-    /// Evaluation over sealed column segments: zero-shred
-    /// scans with zone-map pruning on.
-    segment_storage_ms: f64,
-    speedup: f64,
-    /// Copied from the report header so each storage cell is
-    /// self-describing when quoted in isolation.
-    host_threads: usize,
-    scaling_valid: bool,
-}
-
 /// One cell of the optimizer axis: the same logical query under the
 /// syntactic physical plan (left-deep join order as written) and under
 /// the plan the statistics-driven layer picks (cost-based join
@@ -592,12 +565,12 @@ struct BenchReport {
     /// Select/Project plans (kernel-friendly funnel, arithmetic
     /// projection, CASE row fallback).
     vectorized: Vec<BenchEntry>,
-    /// The resting-storage axis (GUAVA_STORAGE equivalent): identical
-    /// plans under serial evaluation with the warehouse tables
-    /// resting as rows (shred per scan, no pruning) vs as sealed column
-    /// segments (zero-shred scans, zone-map segment skipping,
-    /// dictionary-coded low-cardinality strings).
-    storage: Vec<StorageBenchEntry>,
+    /// The resting-storage axis: the same entry shape again, over plans
+    /// whose cost is the scan itself — zero-shred segment windows,
+    /// zone-map segment skipping, dictionary-coded low-cardinality
+    /// strings — warm, and (`after_installs/*`) on the first evaluation
+    /// of a fresh generation of a table that keeps being written.
+    storage: Vec<BenchEntry>,
     /// The blocking-operator axis: the same entry shape as `vectorized`,
     /// but over plans dominated by a single blocking operator (hash-join
     /// probe, grouped aggregation, pivot, sort), so the ratios isolate the
@@ -633,9 +606,20 @@ fn measure(
     streaming: impl FnMut() -> usize,
     materialized: impl FnMut() -> usize,
 ) -> BenchEntry {
-    let name = name.into();
-    let (mat_secs, mat_rows) = median_secs(materialized);
-    let (str_secs, str_rows) = median_secs(streaming);
+    let materialized = median_secs(materialized);
+    let streaming = median_secs(streaming);
+    bench_entry(group, name.into(), input_rows, streaming, materialized)
+}
+
+/// One executor-vs-oracle cell from its two `(median seconds, output
+/// rows)` measurements, printed as it is recorded.
+fn bench_entry(
+    group: &'static str,
+    name: String,
+    input_rows: usize,
+    (str_secs, str_rows): (f64, usize),
+    (mat_secs, mat_rows): (f64, usize),
+) -> BenchEntry {
     assert_eq!(mat_rows, str_rows, "{group}/{name}: evaluators disagree");
     let entry = BenchEntry {
         group,
@@ -1277,26 +1261,18 @@ fn bench_blocking_section(entries: &mut Vec<BenchEntry>, rows: usize) {
     measure_serial_vs_oracle(entries, "blocking", rows, &db, plans);
 }
 
-/// The resting-storage axis: evaluation at one thread with
-/// the scanned tables resting as rows vs as sealed column segments.
-/// `full_scan` isolates the shred cost — its predicates keep every
-/// segment alive, so zone maps contribute nothing and the gap is the
-/// per-scan row→lane shred the segment path no longer pays. `zone_prune`
-/// puts a selective range on the monotone primary key, so the fused
-/// filter's zone-map check discards ~99% of sealed segments before a
-/// single lane is read; row storage has no zone maps and is the
-/// pruning-off baseline. `dict_filter` compares a low-cardinality string
-/// column where the dictionary lane turns per-row string equality into
-/// code-table lookups. Both modes must produce the same row count
+/// The resting-storage axis: the one-thread executor against the oracle
+/// interpreter over plans whose cost is the scan. `full_scan`'s
+/// predicates keep every segment alive, so zone maps contribute nothing
+/// and the cell reads the zero-shred scan itself. `zone_prune` puts a
+/// selective range on the monotone primary key, so the fused filter's
+/// zone-map check discards ~99% of sealed segments before a single lane
+/// is read; the oracle reads the flat row view, knows nothing of zone
+/// maps and visits every row. `dict_filter` compares a low-cardinality
+/// string column where the dictionary lane turns per-row string equality
+/// into code-table lookups. Both sides must produce the same row count
 /// (asserted; byte-level equality is covered by the property suites).
-fn bench_storage_section(
-    entries: &mut Vec<StorageBenchEntry>,
-    rows: usize,
-    host_threads: usize,
-    scaling_valid: bool,
-) {
-    use guava::relational::exec::{Executor, StorageMode};
-
+fn bench_storage_section(entries: &mut Vec<BenchEntry>, rows: usize) {
     let mut db = bench_naive_db(rows);
     // Low-cardinality site labels: few enough distinct strings that the
     // sealed segments dictionary-encode the column.
@@ -1336,51 +1312,11 @@ fn bench_storage_section(
         ("zone_prune", zone_prune),
         ("dict_filter", dict_filter),
     ];
-    let row_exec = Executor::new().threads(1).storage(StorageMode::Row);
-    let seg_exec = Executor::new().threads(1).storage(StorageMode::Segment);
-    for (name, plan) in plans {
-        // The warm-up evaluation inside `median_secs` also pays the
-        // one-time lazy segment build, keeping it out of the samples —
-        // matching resting storage, where tables are sealed on load.
-        let row = median_secs(|| row_exec.execute(&plan, &db).unwrap().len());
-        let seg = median_secs(|| seg_exec.execute(&plan, &db).unwrap().len());
-        entries.push(storage_entry(
-            name.to_string(),
-            rows,
-            row,
-            seg,
-            host_threads,
-            scaling_valid,
-        ));
-    }
-    bench_after_installs(entries, host_threads, scaling_valid);
-}
-
-fn storage_entry(
-    name: String,
-    input_rows: usize,
-    (row_secs, row_rows): (f64, usize),
-    (seg_secs, seg_rows): (f64, usize),
-    host_threads: usize,
-    scaling_valid: bool,
-) -> StorageBenchEntry {
-    assert_eq!(row_rows, seg_rows, "storage/{name}: storage modes disagree");
-    let entry = StorageBenchEntry {
-        group: "storage",
-        name,
-        input_rows,
-        output_rows: seg_rows,
-        row_storage_ms: row_secs * 1e3,
-        segment_storage_ms: seg_secs * 1e3,
-        speedup: row_secs / seg_secs,
-        host_threads,
-        scaling_valid,
-    };
-    println!(
-        "  {:<16} {:<21} {:>10.3} {:>10.3} {:>7.2}x",
-        entry.group, entry.name, entry.row_storage_ms, entry.segment_storage_ms, entry.speedup,
-    );
-    entry
+    // The warm-up evaluation inside `median_secs` also pays the one-time
+    // lazy segment build, keeping it out of the samples — matching a
+    // resting table, which is sealed by its first scan.
+    measure_serial_vs_oracle(entries, "storage", rows, &db, plans);
+    bench_after_installs(entries);
 }
 
 /// The `after_installs/*` cells of the storage axis: what an analyst's
@@ -1390,18 +1326,15 @@ fn storage_entry(
 /// reports, 2 amendments of scattered reports, 1 retirement of the
 /// oldest; scanned, hence sealed, after each, as readers of a live
 /// engine do). Every sample then installs one more generation (untimed)
-/// and times the **first** evaluation of the plan on it: row storage
-/// materializes its flat view per generation, segment storage seals the
-/// 11 new rows and scans one zero-copy window per live run of the chunks
-/// it already sealed. The five plans are the dashboard's shapes:
+/// and times the **first** evaluation of the plan on it: the executor
+/// seals the 11 new rows and scans one zero-copy window per live run of
+/// the chunks it already sealed, the oracle materializes the
+/// generation's flat row view and interprets over it. Below 1.0× the
+/// resting format taxes a fresh generation's first read by more than the
+/// whole interpreter costs. The five plans are the dashboard's shapes:
 /// unselective two-conjunct filter, key range the zone maps prune,
 /// dictionary-string equality, group-by count, and a self-join.
-fn bench_after_installs(
-    entries: &mut Vec<StorageBenchEntry>,
-    host_threads: usize,
-    scaling_valid: bool,
-) {
-    use guava::relational::exec::{Executor, StorageMode};
+fn bench_after_installs(entries: &mut Vec<BenchEntry>) {
     const ROWS: i64 = 30_000;
     const INSTALLS: i64 = 200;
 
@@ -1509,7 +1442,8 @@ fn bench_after_installs(
                 ),
         ),
     ];
-    let first_eval = |exec: Executor, plan: &Plan| {
+    let exec = guava::relational::exec::Executor::new().threads(1);
+    let first_eval = |eval: &dyn Fn(&Database) -> Table| {
         let mut generation = table.clone();
         let mut g = INSTALLS;
         median_secs_prepared(
@@ -1520,22 +1454,18 @@ fn bench_after_installs(
                 db.create_table(generation.clone()).unwrap();
                 db
             },
-            |db| (exec.execute(plan, &db).unwrap().len(), db),
+            |db| (eval(&db).len(), db),
         )
     };
     for (name, plan) in plans {
-        let row = first_eval(Executor::new().threads(1).storage(StorageMode::Row), &plan);
-        let seg = first_eval(
-            Executor::new().threads(1).storage(StorageMode::Segment),
-            &plan,
-        );
-        entries.push(storage_entry(
+        let oracle = first_eval(&|db| plan.eval_materialized(db).unwrap());
+        let executor = first_eval(&|db| exec.execute(&plan, db).unwrap());
+        entries.push(bench_entry(
+            "storage",
             format!("after_installs/{name}"),
             table.len(),
-            row,
-            seg,
-            host_threads,
-            scaling_valid,
+            executor,
+            oracle,
         ));
     }
 }
@@ -1661,12 +1591,8 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let scaling_valid = host_threads > 1;
     const STORAGE_ROWS: usize = 200_000;
-    println!(
-        "\n  {:<16} {:<21} {:>10} {:>10} {:>8}",
-        "group", "bench", "row (ms)", "seg (ms)", "vs row"
-    );
     let mut storage = Vec::new();
-    bench_storage_section(&mut storage, STORAGE_ROWS, host_threads, scaling_valid);
+    bench_storage_section(&mut storage, STORAGE_ROWS);
     const OPTIMIZER_ROWS: usize = 100_000;
     println!(
         "\n  {:<16} {:<21} {:>10} {:>10} {:>8}",
@@ -1694,11 +1620,12 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
                       section applies the same comparison to plans dominated by one \
                       blocking operator (hash-join probe, grouped aggregation, \
                       pivot, sort), isolating the lane-aware kernels from pipeline \
-                      fusion. The `storage` section is the resting-storage axis \
-                      (GUAVA_STORAGE equivalent): serial evaluation over \
-                      row-resting tables (per-scan shredding, no zone maps) vs \
-                      sealed column segments (zero-shred scans, zone-map segment \
-                      pruning, dictionary-coded strings). The `optimizer` section \
+                      fusion. The `storage` section is the resting-storage axis: \
+                      the same comparison over scan-bound plans (zero-shred \
+                      segment windows, zone-map segment pruning, \
+                      dictionary-coded strings), warm and — `after_installs/*` \
+                      — on the first evaluation of a fresh generation after \
+                      200 mixed installs. The `optimizer` section \
                       is the statistics axis (DESIGN.md \u{a7}17): the syntactic \
                       physical plan vs the cost-based join re-association \
                       (join_order); both sides are asserted byte-identical \

@@ -253,8 +253,8 @@ impl Plan {
     /// [`Executor::with_config`](crate::exec::Executor::with_config)
     /// followed by `execute`.
     ///
-    /// The configuration only chooses the physical path — resting
-    /// storage, serial or morsel-parallel — and the result (table bytes
+    /// The configuration only chooses the physical path — serial or
+    /// morsel-parallel — and the result (table bytes
     /// and error status alike) is identical for every configuration. Use
     /// this where determinism must not depend on the process environment:
     /// tests pin paths explicitly, and ETL runs thread one configuration

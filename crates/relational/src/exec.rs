@@ -12,9 +12,16 @@
 //! bottom-up, exhausting each child in order before finishing the parent.
 //!
 //! * **Scans are zero-copy.** A scan compiles to a leaf holding the
-//!   table's `Arc`-shared row storage (see [`Table::shared_rows`]); it
-//!   enters the tree as a single shared-window batch, and rows are cloned
-//!   only when they survive to an owned output batch.
+//!   table's sealed chunks ([`crate::segment`]): it enters the tree as one
+//!   shared window per maximal run of live rows, lanes are sliced straight
+//!   from the chunk's segment at the window's offset (zero shredding,
+//!   serial or parallel), pushed-down filter conjuncts consult zone maps
+//!   before a batch is formed, and rows are cloned only when they survive
+//!   to an owned output batch. Chunks are sealed once — on the first scan
+//!   that meets them — and stay sealed across installs, deletes included
+//!   (DESIGN.md §18). There is no other resting format to scan; an inline
+//!   `Plan::Values` relation does not rest at all and enters as one owned
+//!   batch of its validated rows, like the output of a child operator.
 //! * **Select / Project / Rename chains fuse** into a single pipeline
 //!   operator: a row flows through every predicate and projection before
 //!   the next row is touched, with no intermediate tables. Rename is free
@@ -79,7 +86,7 @@
 //! accumulator lanes for aggregation; lane-driven slot filling for pivot;
 //! columnar sort keys with a parallel merge-path kernel for sort).
 //! Expressions outside the kernel catalog (`CASE`, `COALESCE`, unknown
-//! columns) and non-conforming storage fall back to row-at-a-time
+//! columns) and non-conforming columns fall back to row-at-a-time
 //! evaluation with byte-identical results and error parity (see
 //! `exec::vector` and DESIGN.md §11–13). The operator-at-a-time reference
 //! interpreter stays available as [`Plan::eval_materialized`] — not a
@@ -122,50 +129,19 @@ pub const BATCH_SIZE: usize = 1024;
 /// needs a fixed configuration should call [`execute_with`] (or
 /// `Plan::eval_with`) instead of mutating the process environment.
 ///
-/// [`ExecConfig::from_env`] is the one place this variable (and
-/// [`STORAGE_ENV`]) is read.
+/// [`ExecConfig::from_env`] is the one place this variable — the
+/// executor's only one — is read.
 pub const THREADS_ENV: &str = "GUAVA_EXEC_THREADS";
-
-/// Environment variable overriding the executor's [`StorageMode`].
-///
-/// Accepts `row` or `segment` (case-insensitive); unset or empty keeps
-/// the default ([`StorageMode::Segment`]), and any other value is a hard
-/// [`RelError::Plan`] error. Read only by [`ExecConfig::from_env`],
-/// alongside [`THREADS_ENV`].
-pub const STORAGE_ENV: &str = "GUAVA_STORAGE";
 
 /// Default minimum input cardinality for an operator to go parallel.
 /// Below this, spawning threads costs more than the scan saves.
 pub const PARALLEL_THRESHOLD: usize = 4096;
 
-/// Which resting format scans read from. Both produce byte-identical
-/// tables and errors; they differ only in how scan batches are formed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageMode {
-    /// Scans emit the table's flat row view ([`Table::shared_rows`]) as
-    /// one zero-copy window; lanes are shredded per batch and nothing is
-    /// pruned. The flat view is the table's backing itself while nothing
-    /// was deleted or installed, and an O(rows) copy made once per table
-    /// version after that — the cost this mode pays per generation where
-    /// [`StorageMode::Segment`] pays none.
-    Row,
-    /// Scans read the table's sealed chunks ([`crate::segment`]): one
-    /// zero-copy window per maximal run of live rows, lanes sliced
-    /// straight from the chunk's segment at the window's offset (zero
-    /// shredding, serial or parallel), and zone-map pruning of pushed-down
-    /// filter conjuncts. Chunks are sealed once — on the first scan that
-    /// meets them — and stay sealed across installs, deletes included
-    /// (DESIGN.md §18).
-    #[default]
-    Segment,
-}
-
 /// Tuning knobs for the executor's morsel-parallel path.
 ///
 /// The configuration never changes *what* a plan evaluates to — every
-/// thread count and [`StorageMode`] produces byte-identical tables and
-/// errors (see [`morsel`] and `exec::vector`) — only how scan batches are
-/// formed and how much hardware the kernels use.
+/// thread count produces byte-identical tables and errors (see
+/// [`morsel`]) — only how much hardware the kernels use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads for parallel operators. `1` forces the serial path.
@@ -176,21 +152,16 @@ pub struct ExecConfig {
     /// count) are what make parallel output deterministic; change this
     /// only to exercise merge logic in tests.
     pub morsel_size: usize,
-    /// Resting format scans read from: sealed column segments (default)
-    /// or the row store.
-    pub storage: StorageMode,
 }
 
 impl Default for ExecConfig {
     /// Threads from [`std::thread::available_parallelism`], the default
-    /// cardinality threshold, the default morsel size, and segment
-    /// storage.
+    /// cardinality threshold, and the default morsel size.
     fn default() -> ExecConfig {
         ExecConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             parallel_threshold: PARALLEL_THRESHOLD,
             morsel_size: morsel::MORSEL_SIZE,
-            storage: StorageMode::default(),
         }
     }
 }
@@ -214,51 +185,33 @@ impl ExecConfig {
 
     /// Read the configuration from the environment. This is the single
     /// entry point for executor env handling: [`THREADS_ENV`] sets the
-    /// worker count and [`STORAGE_ENV`] sets the [`StorageMode`]. Unset or
-    /// empty variables keep the defaults (as does `GUAVA_EXEC_THREADS=0`,
-    /// the documented "auto" spelling), but any other unparsable value is
-    /// a hard error — a typo in an env override must not silently fall
-    /// back to a different execution strategy. Both variables are
-    /// re-evaluated on every call (and thus on every [`execute`] /
-    /// `Plan::eval`), so tests can flip them at run time.
+    /// worker count. Unset or empty keeps the default (as does
+    /// `GUAVA_EXEC_THREADS=0`, the documented "auto" spelling), but any
+    /// other unparsable value is a hard error — a typo in an env override
+    /// must not silently fall back to a different execution strategy. The
+    /// variable is re-evaluated on every call (and thus on every
+    /// [`execute`] / `Plan::eval`), so tests can flip it at run time.
     pub fn from_env() -> RelResult<ExecConfig> {
-        Self::from_env_values(
-            std::env::var(THREADS_ENV).ok().as_deref(),
-            std::env::var(STORAGE_ENV).ok().as_deref(),
-        )
+        Self::from_env_values(std::env::var(THREADS_ENV).ok().as_deref())
     }
 
-    /// Pure core of [`Self::from_env`]: parse explicit override strings
-    /// with exactly the env semantics ([`THREADS_ENV`], then
-    /// [`STORAGE_ENV`] — unset/empty keeps the default, anything
-    /// unparsable is a hard error). Public so
+    /// Pure core of [`Self::from_env`]: parse an explicit override string
+    /// with exactly the env semantics of [`THREADS_ENV`] — unset/empty
+    /// keeps the default, anything unparsable is a hard error. Public so
     /// higher layers (e.g. `guava_warehouse::service::EngineConfig`) can
     /// layer explicit builder fields over the same defaults without
     /// re-implementing — or silently diverging from — the env grammar.
-    pub fn from_env_values(threads: Option<&str>, storage: Option<&str>) -> RelResult<ExecConfig> {
-        let mut cfg = match threads.map(str::trim).filter(|s| !s.is_empty()) {
-            None => ExecConfig::default(),
+    pub fn from_env_values(threads: Option<&str>) -> RelResult<ExecConfig> {
+        match threads.map(str::trim).filter(|s| !s.is_empty()) {
+            None => Ok(ExecConfig::default()),
             Some(s) => match s.parse::<usize>() {
-                Ok(0) => ExecConfig::default(), // documented "auto" spelling
-                Ok(n) => ExecConfig::with_threads(n),
-                Err(_) => {
-                    return Err(RelError::Plan(format!(
-                        "invalid {THREADS_ENV} value `{s}`: expected a thread count (0 = auto)"
-                    )))
-                }
+                Ok(0) => Ok(ExecConfig::default()), // documented "auto" spelling
+                Ok(n) => Ok(ExecConfig::with_threads(n)),
+                Err(_) => Err(RelError::Plan(format!(
+                    "invalid {THREADS_ENV} value `{s}`: expected a thread count (0 = auto)"
+                ))),
             },
-        };
-        cfg.storage = match storage.map(|s| s.trim().to_ascii_lowercase()).as_deref() {
-            None | Some("") => StorageMode::default(),
-            Some("row") => StorageMode::Row,
-            Some("segment") => StorageMode::Segment,
-            Some(other) => {
-                return Err(RelError::Plan(format!(
-                    "invalid {STORAGE_ENV} value `{other}`: expected row or segment"
-                )))
-            }
-        };
-        Ok(cfg)
+        }
     }
 
     /// Should an operator over `rows` input rows take the parallel path?
@@ -273,7 +226,7 @@ impl ExecConfig {
 /// directly to pin a configuration once and reuse it:
 ///
 /// ```
-/// use guava_relational::exec::{Executor, StorageMode};
+/// use guava_relational::exec::Executor;
 /// # use guava_relational::database::Database;
 /// # use guava_relational::algebra::Plan;
 /// # use guava_relational::schema::{Column, Schema};
@@ -282,10 +235,7 @@ impl ExecConfig {
 /// # let schema = Schema::new("t", vec![Column::new("x", DataType::Int)]).unwrap();
 /// # let mut db = Database::new("d");
 /// # db.create_table(Table::from_rows(schema, vec![]).unwrap()).unwrap();
-/// let exec = Executor::new()
-///     .threads(2)
-///     .morsel_size(512)
-///     .storage(StorageMode::Segment);
+/// let exec = Executor::new().threads(2).morsel_size(512);
 /// let table = exec.execute(&Plan::scan("t"), &db).unwrap();
 /// # assert_eq!(table.len(), 0);
 /// ```
@@ -336,12 +286,6 @@ impl Executor {
         self
     }
 
-    /// Set the resting format scans read from.
-    pub fn storage(mut self, storage: StorageMode) -> Executor {
-        self.cfg.storage = storage;
-        self
-    }
-
     /// The underlying configuration.
     pub fn config(&self) -> &ExecConfig {
         &self.cfg
@@ -362,12 +306,11 @@ pub fn execute(plan: &Plan, db: &Database) -> RelResult<Table> {
 
 /// Evaluate `plan` against `db` with an explicit [`ExecConfig`]. Results
 /// are identical for every configuration; tests use this to pin the
-/// serial or parallel path (or a specific [`StorageMode`]) without
-/// touching the process environment.
+/// serial or parallel path without touching the process environment.
 pub fn execute_with(plan: &Plan, db: &Database, cfg: &ExecConfig) -> RelResult<Table> {
     // A bare scan (or inline relation) at the root returns the stored table
     // itself — primary key included — exactly like the materializing
-    // interpreter. With Arc-shared storage the clone is O(1).
+    // interpreter. A table clone shares every chunk, so it is O(#chunks).
     match plan {
         Plan::Scan(name) => return db.table(name).cloned(),
         Plan::Values { schema, rows } => return Table::from_rows(schema.clone(), rows.clone()),
@@ -412,9 +355,9 @@ impl<'p> Exec<'p> {
         match self {
             Exec::Pipe { source, stages } if stages.is_empty() => source,
             Exec::Pipe { mut source, stages } => {
-                // Push decomposable leading filters down to the segment
-                // scan as zone-map prune groups (see `prune_groups`).
-                if let ops::OpTree::SegmentLeaf { prune, .. } = &mut source {
+                // Push decomposable leading filters down to the scan as
+                // zone-map prune groups (see `prune_groups`).
+                if let ops::OpTree::Leaf { prune, .. } = &mut source {
                     *prune = prune_groups(&stages);
                 }
                 ops::OpTree::Node {
@@ -434,21 +377,13 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: ExecConfig) -> RelResult<(Sch
     Ok(match plan {
         Plan::Scan(name) => {
             let t = db.table(name)?;
-            // Under segment storage the scan reads the table's sealed
-            // chunks, one window per run of live rows; under row storage
-            // it stays the historical single shared window.
-            let source = if cfg.storage == StorageMode::Segment {
-                ops::OpTree::SegmentLeaf {
-                    parts: t.scan_parts(),
-                    prune: Vec::new(),
-                }
-            } else {
-                ops::OpTree::Leaf(t.shared_rows())
-            };
             (
                 t.schema().clone(),
                 Exec::Pipe {
-                    source,
+                    source: ops::OpTree::Leaf {
+                        parts: t.scan_parts(),
+                        prune: Vec::new(),
+                    },
                     stages: Vec::new(),
                 },
             )
@@ -456,11 +391,14 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: ExecConfig) -> RelResult<(Sch
         Plan::Values { schema, rows } => {
             // Inline relations validate eagerly — duplicate-key checks
             // included — mirroring `Table::from_rows` in the interpreter.
+            // They are evaluated once (literals, and the delta batches of
+            // `crate::delta`), so sealing them would cost more than every
+            // lane it could save: the rows go in owned and are moved.
             let t = Table::from_rows(schema.clone(), rows.clone())?;
             (
                 t.schema().clone(),
                 Exec::Pipe {
-                    source: ops::OpTree::Leaf(t.shared_rows()),
+                    source: ops::OpTree::Rows(t.into_rows()),
                     stages: Vec::new(),
                 },
             )
@@ -706,7 +644,7 @@ fn apply_stages(stages: &[Stage], mut row: Row) -> RelResult<Option<Row>> {
 }
 
 /// One pushed-down filter conjunct in `column ⟨op⟩ literal` form,
-/// extracted from a fused [`Stage::Filter`] so a segment scan can consult
+/// extracted from a fused [`Stage::Filter`] so a scan can consult
 /// zone maps before forming a batch (see [`segment_pruned`]).
 #[derive(Debug, Clone)]
 pub(crate) struct SimplePred {
@@ -965,7 +903,6 @@ mod tests {
     use crate::algebra::{AggFunc, Aggregate, JoinKind};
     use crate::schema::Column;
     use crate::value::DataType;
-    use std::sync::Arc;
 
     fn wide_db(n: i64) -> Database {
         let schema = Schema::new(
@@ -1008,11 +945,8 @@ mod tests {
     fn root_scan_shares_storage() {
         let db = wide_db(100);
         let t = Plan::scan("t").eval(&db).unwrap();
-        // Same Arc: root scans are O(1), not copies.
-        assert!(Arc::ptr_eq(
-            &t.shared_rows(),
-            &db.table("t").unwrap().shared_rows()
-        ));
+        // Same chunks: root scans share the stored table, not copy it.
+        assert!(t.same_storage(db.table("t").unwrap()));
         assert_eq!(t.schema().primary_key(), &[0]);
     }
 
@@ -1196,14 +1130,14 @@ mod tests {
 
     #[test]
     fn env_config_parses_threads() {
-        let cfg = ExecConfig::from_env_values(Some("3"), None).unwrap();
+        let cfg = ExecConfig::from_env_values(Some("3")).unwrap();
         assert_eq!(cfg.threads, 3);
         // Unset and empty keep the defaults, as does the documented
         // `0 = auto` thread spelling.
         let dflt = ExecConfig::default();
         for auto in [None, Some(""), Some("0"), Some(" 0 ")] {
             assert_eq!(
-                ExecConfig::from_env_values(auto, None).unwrap().threads,
+                ExecConfig::from_env_values(auto).unwrap().threads,
                 dflt.threads
             );
         }
@@ -1212,36 +1146,9 @@ mod tests {
     #[test]
     fn env_config_rejects_bad_threads() {
         for bad in ["fast", "-2", "1.5", "3x"] {
-            let err = ExecConfig::from_env_values(Some(bad), None).unwrap_err();
+            let err = ExecConfig::from_env_values(Some(bad)).unwrap_err();
             assert!(
                 matches!(err, RelError::Plan(ref m) if m.contains(THREADS_ENV)),
-                "unexpected error for {bad:?}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn env_config_parses_storage() {
-        let cfg = ExecConfig::from_env_values(None, Some("row")).unwrap();
-        assert_eq!(cfg.storage, StorageMode::Row);
-        // Storage matching trims whitespace and ignores case.
-        let cfg = ExecConfig::from_env_values(None, Some("  Segment ")).unwrap();
-        assert_eq!(cfg.storage, StorageMode::Segment);
-        // Unset and empty keep the segment default.
-        for dflt in [None, Some("")] {
-            assert_eq!(
-                ExecConfig::from_env_values(None, dflt).unwrap().storage,
-                StorageMode::Segment
-            );
-        }
-    }
-
-    #[test]
-    fn env_config_rejects_bad_storage() {
-        for bad in ["rows", "columnar", "segment!"] {
-            let err = ExecConfig::from_env_values(None, Some(bad)).unwrap_err();
-            assert!(
-                matches!(err, RelError::Plan(ref m) if m.contains(STORAGE_ENV)),
                 "unexpected error for {bad:?}: {err:?}"
             );
         }
@@ -1252,19 +1159,17 @@ mod tests {
         let exec = Executor::new()
             .threads(0)
             .morsel_size(0)
-            .parallel_threshold(17)
-            .storage(StorageMode::Row);
+            .parallel_threshold(17);
         assert_eq!(exec.config().threads, 1);
         assert_eq!(exec.config().morsel_size, 1);
         assert_eq!(exec.config().parallel_threshold, 17);
-        assert_eq!(exec.config().storage, StorageMode::Row);
         // Builder methods copy the handle: specializing one executor
         // leaves the original untouched.
         let base = Executor::new().threads(4);
-        let row = base.storage(StorageMode::Row);
-        assert_eq!(base.config().storage, StorageMode::Segment);
-        assert_eq!(row.config().storage, StorageMode::Row);
-        assert_eq!(row.config().threads, 4);
+        let small = base.morsel_size(64);
+        assert_eq!(base.config().morsel_size, morsel::MORSEL_SIZE);
+        assert_eq!(small.config().morsel_size, 64);
+        assert_eq!(small.config().threads, 4);
         assert_eq!(
             Executor::with_config(ExecConfig::serial()).config(),
             &ExecConfig::serial()
@@ -1272,8 +1177,8 @@ mod tests {
     }
 
     #[test]
-    fn exec_config_has_exactly_four_knobs() {
-        // Exhaustive on purpose: a fifth field fails to compile here. Each
+    fn exec_config_has_exactly_three_knobs() {
+        // Exhaustive on purpose: a fourth field fails to compile here. Each
         // independently settable value doubles the configurations the
         // property suites and the benchmark must cover (simplicity guide,
         // *Options*): add one only when two callers that already exist
@@ -1283,12 +1188,10 @@ mod tests {
             threads,
             parallel_threshold,
             morsel_size,
-            storage,
         } = ExecConfig::default();
         assert!(threads >= 1);
         assert_eq!(parallel_threshold, PARALLEL_THRESHOLD);
         assert_eq!(morsel_size, morsel::MORSEL_SIZE);
-        assert_eq!(storage, StorageMode::Segment);
     }
 
     #[test]
@@ -1302,16 +1205,13 @@ mod tests {
             ])
             .select(Expr::col("x2").lt(Expr::lit(12i64)));
         let oracle = plan.eval_materialized(&db).unwrap();
-        for storage in [StorageMode::Segment, StorageMode::Row] {
-            for threads in [1, 3] {
-                let exec = Executor::new()
-                    .threads(threads)
-                    .parallel_threshold(1)
-                    .morsel_size(64)
-                    .storage(storage);
-                let got = exec.execute(&plan, &db).unwrap();
-                assert_eq!(got, oracle, "{storage:?} with {threads} threads");
-            }
+        for threads in [1, 3] {
+            let exec = Executor::new()
+                .threads(threads)
+                .parallel_threshold(1)
+                .morsel_size(64);
+            let got = exec.execute(&plan, &db).unwrap();
+            assert_eq!(got, oracle, "{threads} threads");
         }
     }
 }

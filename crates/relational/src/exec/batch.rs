@@ -3,7 +3,7 @@
 //!
 //! [`Batch`] is the single unit of data flowing between
 //! [`PhysicalOperator`](super::ops::PhysicalOperator)s: a contiguous chunk
-//! of rows that is either a zero-copy window over a table's `Arc`-shared
+//! of rows that is either a zero-copy window over a table's sealed
 //! storage or an owned vector produced by an upstream operator. Blocking
 //! operators collect their batches into a [`Gathered`] input and read it
 //! by reference — a list of `&Row` across however many windows the scan
@@ -43,39 +43,27 @@ use std::sync::Arc;
 
 /// One unit of data flowing between physical operators: a chunk of rows,
 /// all matching the producing operator's output schema. `Shared` batches
-/// are zero-copy windows over a table's `Arc`-shared storage; `Owned`
-/// batches carry rows built by an upstream operator.
+/// are zero-copy windows over a table's sealed storage; `Owned` batches
+/// carry rows built by an upstream operator.
 pub(super) enum Batch {
-    /// Rows `lo..hi` of shared table storage. When the window lies inside
-    /// the row-form image of a sealed column segment, `seg` carries the
-    /// segment and the segment row that images `rows[lo]`, so the
-    /// vectorized pipeline can slice typed lanes straight out of columnar
-    /// storage instead of shredding: row `lo + k` is segment row
-    /// `offset + k`. A table emits one such window per maximal run of
-    /// live rows, so the offset is non-zero wherever a delete split a
-    /// segment; `take_prefix` only ever shrinks `hi`, which leaves it
-    /// valid.
+    /// Rows `lo..hi` of shared table storage: a window inside the row-form
+    /// image of a sealed column segment. `seg` carries the segment and the
+    /// segment row that images `rows[lo]`, so the vectorized pipeline
+    /// slices typed lanes straight out of columnar storage instead of
+    /// shredding: row `lo + k` is segment row `offset + k`. A table emits
+    /// one such window per maximal run of live rows, so the offset is
+    /// non-zero wherever a delete split a segment; `take_prefix` only ever
+    /// shrinks `hi`, which leaves it valid.
     Shared {
         rows: Arc<Vec<Row>>,
         lo: usize,
         hi: usize,
-        seg: Option<(Arc<Segment>, usize)>,
+        seg: (Arc<Segment>, usize),
     },
     Owned(Vec<Row>),
 }
 
 impl Batch {
-    /// A zero-copy batch over a table's entire shared storage.
-    pub(super) fn shared(rows: Arc<Vec<Row>>) -> Batch {
-        let hi = rows.len();
-        Batch::Shared {
-            rows,
-            lo: 0,
-            hi,
-            seg: None,
-        }
-    }
-
     /// A zero-copy window `lo..hi` of shared storage imaged by rows
     /// `seg_off ..` of the sealed segment `seg`.
     pub(super) fn segment_window(
@@ -90,7 +78,7 @@ impl Batch {
             rows,
             lo,
             hi,
-            seg: Some((seg, seg_off)),
+            seg: (seg, seg_off),
         }
     }
 
@@ -108,15 +96,14 @@ impl Batch {
         }
     }
 
-    /// The sealed segment backing this batch, if any, and the segment row
-    /// of the batch's first row.
+    /// The sealed segment backing a shared window and the segment row of
+    /// the window's first row; `None` for an owned batch.
     pub(super) fn segment(&self) -> Option<(&Segment, usize)> {
         match self {
             Batch::Shared {
-                seg: Some((seg, off)),
-                ..
+                seg: (seg, off), ..
             } => Some((seg, *off)),
-            _ => None,
+            Batch::Owned(_) => None,
         }
     }
 
@@ -610,9 +597,17 @@ fn cmp_masked(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::schema::Column;
+
+    /// `rows` as a scan hands them over: one shared window over the whole
+    /// vector, imaged by a segment sealed from it.
+    pub(in crate::exec) fn whole_window(schema: &Schema, rows: Vec<Row>) -> Batch {
+        let seg = Arc::new(Segment::build(schema, &rows));
+        let hi = rows.len();
+        Batch::segment_window(Arc::new(rows), 0, hi, seg, 0)
+    }
 
     fn mixed_schema() -> Schema {
         Schema::new(
@@ -707,22 +702,24 @@ mod tests {
 
     #[test]
     fn batch_prefix_and_ownership() {
+        let schema = Schema::new("t", vec![Column::new("i", DataType::Int)]).unwrap();
         let rows: Vec<Row> = (0..5).map(|i| vec![Value::Int(i)]).collect();
-        let arc = Arc::new(rows.clone());
-        let b = Batch::shared(Arc::clone(&arc)).take_prefix(3);
+        let b = whole_window(&schema, rows.clone()).take_prefix(3);
         assert_eq!(b.len(), 3);
         assert_eq!(b.into_rows(), rows[..3].to_vec());
         // A gathered input reads shared windows in place: the references
         // point into the shared storage itself, across batch kinds.
+        let whole = whole_window(&schema, rows.clone());
+        let (first, last): (*const Row, *const Row) = (&whole.as_slice()[0], &whole.as_slice()[4]);
         let g = Gathered::from_batches(vec![
             Batch::Owned(rows[..2].to_vec()),
-            Batch::shared(Arc::clone(&arc)).take_prefix(1),
-            Batch::shared(Arc::clone(&arc)),
+            whole_window(&schema, rows.clone()).take_prefix(1),
+            whole,
         ]);
         let refs = g.rows();
         assert_eq!(refs.len(), 8);
-        assert!(std::ptr::eq(refs[2], &arc[0]));
-        assert!(std::ptr::eq(refs[7], &arc[4]));
+        assert!(std::ptr::eq(refs[3], first));
+        assert!(std::ptr::eq(refs[7], last));
         // Taking the rows out in a permuted order moves the owned ones
         // and clones the shared ones into place.
         let perm: Vec<u32> = (0..8).rev().collect();

@@ -564,7 +564,7 @@ fn merge_runs<F: Fn(usize, usize) -> Ordering>(a: &[u32], b: &[u32], cmp: &F) ->
 
 #[cfg(test)]
 mod tests {
-    use super::super::batch::Batch;
+    use super::super::batch::{tests::whole_window, Batch};
     use super::*;
     use crate::algebra::{aggregate_rows, sort_rows, AggFunc, Plan};
     use crate::database::Database;
@@ -666,7 +666,6 @@ mod tests {
                     threads: 3,
                     parallel_threshold: 1,
                     morsel_size: 7,
-                    ..ExecConfig::serial()
                 },
             );
             assert_eq!(par, want, "parallel, group by {g_idx:?}");
@@ -684,7 +683,6 @@ mod tests {
                 threads: 4,
                 parallel_threshold: 1,
                 morsel_size: morsel,
-                ..ExecConfig::serial()
             };
             let owned = Gathered::from_batches(vec![Batch::Owned(rows.clone())]);
             assert_eq!(
@@ -694,9 +692,8 @@ mod tests {
             );
             // The same input as two shared windows and an owned batch
             // between them: read by reference, identical output.
-            let arc = std::sync::Arc::new(rows.clone());
             let split = Gathered::from_batches(vec![
-                Batch::shared(std::sync::Arc::clone(&arc)).take_prefix(40),
+                whole_window(&schema, rows.clone()).take_prefix(40),
                 Batch::Owned(rows[40..90].to_vec()),
                 Batch::Owned(Vec::new()),
                 Batch::Owned(rows[90..].to_vec()),

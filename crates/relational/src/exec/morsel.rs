@@ -380,9 +380,20 @@ mod tests {
 
     #[test]
     fn run_windows_keeps_window_order_and_first_error() {
+        use super::super::batch::tests::whole_window;
         use crate::error::RelError;
+        use crate::schema::Column;
+        use crate::value::DataType;
         // Windows of 0, 1 and BATCH_SIZE + 1 rows, each row tagged
         // (window, position); one shared, the rest owned.
+        let schema = Schema::new(
+            "w",
+            vec![
+                Column::new("window", DataType::Int),
+                Column::new("pos", DataType::Int),
+            ],
+        )
+        .unwrap();
         let tagged = |w: i64, len: usize| -> Vec<Row> {
             (0..len as i64)
                 .map(|i| vec![Value::Int(w), Value::Int(i)])
@@ -390,7 +401,7 @@ mod tests {
         };
         let windows = [
             Batch::Owned(tagged(0, 0)),
-            Batch::shared(std::sync::Arc::new(tagged(1, 1))),
+            whole_window(&schema, tagged(1, 1)),
             Batch::Owned(tagged(2, BATCH_SIZE + 1)),
         ];
         let want: Vec<Row> = windows.iter().flat_map(Batch::as_slice).cloned().collect();
@@ -400,7 +411,6 @@ mod tests {
                 threads: 3,
                 parallel_threshold: 1,
                 morsel_size: size,
-                ..ExecConfig::serial()
             };
             for cfg in [serial, parallel] {
                 let limit = if cfg.threads > 1 { size } else { BATCH_SIZE };

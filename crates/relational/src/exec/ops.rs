@@ -51,7 +51,6 @@ use crate::segment::ScanPart;
 use crate::table::Row;
 use crate::value::DataType;
 use std::mem;
-use std::sync::Arc;
 
 /// A push-based physical operator. The driver calls [`open`], pushes every
 /// input batch via [`push_batch`] (tagged with the producing child's
@@ -77,21 +76,24 @@ pub(super) trait PhysicalOperator {
 }
 
 /// A compiled physical plan: leaves are zero-copy handles on table
-/// storage, nodes are operators over their children's output.
+/// storage (or the owned rows of an inline relation), nodes are operators
+/// over their children's output.
 pub(super) enum OpTree<'p> {
-    /// A table's `Arc`-shared row storage, emitted as one zero-copy batch.
-    Leaf(Arc<Vec<Row>>),
-    /// A segment-backed scan (DESIGN.md §14): the table's physical scan
-    /// parts in row order — one per maximal run of live rows. Emits one
-    /// zero-copy batch per part, each carrying its chunk's
-    /// [`Segment`](crate::segment::Segment) and its offset into it, so
-    /// the pipeline above slices lanes instead of shredding. `prune`
-    /// holds the pushed-down simple filter conjuncts (stage-ordered) that
-    /// zone maps test to skip a part before a batch is formed.
-    SegmentLeaf {
+    /// A table scan (DESIGN.md §14): the table's physical scan parts in
+    /// row order — one per maximal run of live rows, none for an empty
+    /// table. Emits one zero-copy batch per part, each carrying its
+    /// chunk's [`Segment`](crate::segment::Segment) and its offset into
+    /// it, so the pipeline above slices lanes instead of shredding.
+    /// `prune` holds the pushed-down simple filter conjuncts
+    /// (stage-ordered) that zone maps test to skip a part before a batch
+    /// is formed.
+    Leaf {
         parts: Vec<ScanPart>,
         prune: Vec<Vec<SimplePred>>,
     },
+    /// An inline relation (`Plan::Values`): its rows, already validated,
+    /// emitted as one owned batch — none when it is empty.
+    Rows(Vec<Row>),
     Node {
         op: Box<dyn PhysicalOperator + 'p>,
         children: Vec<OpTree<'p>>,
@@ -103,12 +105,16 @@ pub(super) enum OpTree<'p> {
 /// entire control flow of the executor — operators never pull.
 pub(super) fn drive(tree: OpTree<'_>) -> RelResult<Vec<Batch>> {
     match tree {
-        OpTree::Leaf(rows) => Ok(vec![Batch::shared(rows)]),
-        OpTree::SegmentLeaf { parts, prune } => Ok(parts
+        OpTree::Leaf { parts, prune } => Ok(parts
             .into_iter()
             .filter(|part| !segment_pruned(&part.seg, &prune))
             .map(|p| Batch::segment_window(p.rows, p.lo, p.hi, p.seg, p.seg_off))
             .collect()),
+        OpTree::Rows(rows) => {
+            let mut out = Vec::new();
+            push_rows(&mut out, rows);
+            Ok(out)
+        }
         OpTree::Node { mut op, children } => {
             op.open()?;
             for (i, child) in children.into_iter().enumerate() {
@@ -163,19 +169,15 @@ impl<'p> PipelineOp<'p> {
     }
 
     /// Run the buffered windows through the stage programs, one output
-    /// batch per slice in window order. A slice of a segment-backed
-    /// window seeds its lanes straight from columnar storage at the
-    /// slice's segment offset — the zero-shred path, serial or parallel.
+    /// batch per slice in window order. Every slice seeds its lanes
+    /// straight from its window's segment at the slice's offset — the
+    /// zero-shred path, serial or parallel.
     fn flush(&mut self) -> RelResult<()> {
         let windows = mem::take(&mut self.windows);
         let out = morsel::run_windows(&windows, self.cfg, |window, lo, rows| {
-            match window.segment() {
-                Some((seg, off)) => {
-                    let seed = segment_lanes(seg, off + lo, rows.len());
-                    vector::run_batch_seeded(&self.stages, &self.programs, rows, seed)
-                }
-                None => vector::run_batch(&self.stages, &self.programs, rows),
-            }
+            let (seg, off) = window.segment().expect("only shared windows are buffered");
+            let seed = segment_lanes(seg, off + lo, rows.len());
+            vector::run_batch_seeded(&self.stages, &self.programs, rows, seed)
         })?;
         self.out.extend(out);
         Ok(())
@@ -670,6 +672,8 @@ impl PhysicalOperator for LimitOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Column;
+    use crate::table::Table;
     use crate::value::Value;
 
     fn int_rows(n: i64) -> Vec<Row> {
@@ -678,13 +682,27 @@ mod tests {
 
     #[test]
     fn drive_emits_leaves_zero_copy() {
-        let rows = Arc::new(int_rows(4));
-        let batches = drive(OpTree::Leaf(Arc::clone(&rows))).unwrap();
+        let schema = Schema::new("t", vec![Column::new("i", DataType::Int)]).unwrap();
+        let leaf = |t: &Table| OpTree::Leaf {
+            parts: t.scan_parts(),
+            prune: Vec::new(),
+        };
+        let t = Table::from_rows(schema.clone(), int_rows(4)).unwrap();
+        let batches = drive(leaf(&t)).unwrap();
         assert_eq!(batches.len(), 1);
-        assert!(
-            matches!(&batches[0], Batch::Shared { rows: r, lo: 0, hi: 4, seg: None } if Arc::ptr_eq(r, &rows))
-        );
-        assert_eq!(batches[0].as_slice(), rows.as_slice());
+        assert!(matches!(
+            &batches[0],
+            Batch::Shared {
+                lo: 0,
+                hi: 4,
+                seg: (_, 0),
+                ..
+            }
+        ));
+        // The window is the table's own backing, not a copy of it.
+        assert!(std::ptr::eq(batches[0].as_slice(), t.rows()));
+        // An empty table has no live run, hence no window at all.
+        assert!(drive(leaf(&Table::new(schema))).unwrap().is_empty());
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! pipeline operator: instead of calling
 //! `Expr::eval` once per row — one enum dispatch, one `schema.index_of`
 //! name lookup, and one boxed `Value` allocation per column reference per
-//! row — the fused pipeline hands a whole batch (one scan batch or one
-//! morsel, [`super::BATCH_SIZE`] rows) to [`run_batch`], which:
+//! row — the fused pipeline hands a whole slice of a scan window (at most
+//! [`super::BATCH_SIZE`] rows, or one morsel) to [`run_batch_seeded`],
+//! which:
 //!
-//! 1. **Builds lanes** ([`ColumnBatch`]): for each column a stage actually
-//!    references, the `Value`s are shredded once into a typed array
+//! 1. **Builds lanes** ([`ColumnBatch`]): the first epoch's lanes arrive
+//!    pre-built, sliced from the window's sealed segment; for each column
+//!    a later epoch references that its `Map` did not compute, the
+//!    `Value`s are shredded once into a typed array
 //!    (`Vec<i64>`, `Vec<f64>`, `Vec<bool>`, borrowed `&str`s, date days)
 //!    plus a null mask. Columns whose stored values do not all match the
 //!    declared type — notably FLOAT columns holding widened INT values,
@@ -40,8 +43,8 @@
 //! so later stages skip them (the row path never reaches a later stage for
 //! a row that already failed), and finally reports the lowest-row error —
 //! the same first-error-in-row-order rule the morsel merge uses (DESIGN.md
-//! §10), which is what keeps `run_batch` a drop-in replacement inside
-//! morsel workers.
+//! §10), which is what lets serial slices and morsel workers share the
+//! one driver.
 //!
 //! Kernels never evaluate deselected rows in ways that can fail: loops
 //! either skip unselected rows outright or compute only infallible
@@ -875,24 +878,15 @@ fn ord_apply_loop(
 // Batch driver
 // ---------------------------------------------------------------------------
 
-/// Run the compiled stage chain over one batch of shared-scan rows,
+/// Run the compiled stage chain over one slice of shared-scan rows,
 /// returning the surviving output rows or the first failing row's error
 /// (in row order — see module docs). This is the vectorized replacement
-/// for the per-row `apply_stages` walk; serial batches and parallel
+/// for the per-row `apply_stages` walk; serial slices and parallel
 /// morsels both call it, so the morsel merge rules apply unchanged.
-pub(super) fn run_batch(
-    stages: &[Stage<'_>],
-    progs: &[StageProg],
-    rows: &[Row],
-) -> RelResult<Vec<Row>> {
-    run_batch_seeded(stages, progs, rows, Vec::new())
-}
-
-/// [`run_batch`] with pre-built lanes for the first epoch's columns —
-/// the zero-shred entry for segment-backed scans, which pass lanes
-/// sliced straight out of columnar storage (`batch::segment_lanes`) so
-/// the epoch never shreds a row. Seeded lanes must describe exactly
-/// `rows` (same window, same order).
+/// `seed` holds pre-built lanes for the first epoch's columns, sliced
+/// straight out of the window's segment (`batch::segment_lanes`) so the
+/// epoch never shreds a row; they must describe exactly `rows` (same
+/// window, same order).
 pub(super) fn run_batch_seeded<'a>(
     stages: &[Stage<'_>],
     progs: &[StageProg],

@@ -67,7 +67,7 @@ pub mod prelude {
         TableDelta,
     };
     pub use crate::error::{RelError, RelResult};
-    pub use crate::exec::{ExecConfig, Executor, StorageMode};
+    pub use crate::exec::{ExecConfig, Executor};
     pub use crate::expr::{BinOp, Expr};
     pub use crate::optimize::optimize;
     pub use crate::schema::{Column, Schema};

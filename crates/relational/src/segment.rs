@@ -327,7 +327,7 @@ impl Segment {
 /// segment row `seg_off` that images `rows[lo]` (row `lo + k` is segment
 /// row `seg_off + k`). A persistent table scans as a sequence of such
 /// parts — one per maximal run of live rows in each chunk — and the
-/// executor's segment-mode scan emits one zero-copy batch per part.
+/// executor's scan emits one zero-copy batch per part.
 #[derive(Debug, Clone)]
 pub(crate) struct ScanPart {
     pub(crate) rows: Arc<Vec<Row>>,

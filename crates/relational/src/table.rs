@@ -330,7 +330,7 @@ pub struct TableLayout {
     pub rows: usize,
     /// Storage chunks (each at most [`SEGMENT_ROWS`] physical rows).
     pub chunks: usize,
-    /// Zero-copy windows a segment-mode scan emits: one per maximal run
+    /// Zero-copy windows a scan emits: one per maximal run
     /// of live rows in each chunk.
     pub scan_parts: usize,
     /// Chunks whose columnar segment has been built.
@@ -372,8 +372,8 @@ impl fmt::Display for TableLayout {
 ///
 /// Everything heavy is `Arc`-shared: cloning a table is O(#chunks), and
 /// [`Table::apply_delta`] produces the next generation while sharing all
-/// untouched storage with this one. The flat row view ([`Table::rows`] /
-/// [`Table::shared_rows`]) is a cached compatibility projection — O(#chunks)
+/// untouched storage with this one. The flat row view ([`Table::rows`])
+/// is a cached compatibility projection — O(#chunks)
 /// while the chunks still window one backing vector end to end (any table
 /// as built or loaded), materialized once per table version otherwise.
 #[derive(Debug, Clone)]
@@ -460,10 +460,6 @@ impl Table {
     /// vector end to end — the slice *is* that backing — and the view is
     /// materialized once per table version otherwise.
     pub fn rows(&self) -> &[Row] {
-        self.flat_rows()
-    }
-
-    fn flat_rows(&self) -> &Arc<Vec<Row>> {
         self.flat.get_or_init(|| match self.whole_backing() {
             Some(backing) => Arc::clone(backing),
             None => Arc::new(self.iter_rows().cloned().collect()),
@@ -482,14 +478,6 @@ impl Table {
             expect = c.hi;
         }
         (expect == backing.len()).then_some(backing)
-    }
-
-    /// The `Arc`-shared flat row storage. Cloning the returned handle is
-    /// O(1) and shares storage with this table — for a table whose chunks
-    /// window one backing vector the handle *is* that backing, so no row
-    /// is ever copied and the executor scans through it in place.
-    pub fn shared_rows(&self) -> Arc<Vec<Row>> {
-        Arc::clone(self.flat_rows())
     }
 
     /// Iterate the visible rows in order without forcing the flat view.
@@ -544,9 +532,7 @@ impl Table {
 
     /// Whether two tables share identical physical storage: every chunk
     /// the same window of the same `Arc`'d rows with the same dead mask.
-    /// Implies equal row content; used as a cheap change prefilter where
-    /// `shared_rows` pointer equality served before the storage became
-    /// chunked.
+    /// Implies equal row content; used as a cheap change prefilter.
     pub fn same_storage(&self, other: &Table) -> bool {
         self.live == other.live
             && self.chunks.len() == other.chunks.len()
@@ -1000,8 +986,8 @@ impl Table {
 
     /// The physical scan layout: one zero-copy window per maximal run of
     /// live rows, each carrying its chunk's segment and the window's
-    /// offset into it. Seals whatever is not sealed yet (segment-mode
-    /// scans warm the resting format).
+    /// offset into it. Seals whatever is not sealed yet (scans warm the
+    /// resting format).
     pub(crate) fn scan_parts(&self) -> Vec<ScanPart> {
         let mut parts = Vec::with_capacity(self.chunks.len());
         for c in &self.chunks {
@@ -1047,25 +1033,12 @@ impl Table {
         }
     }
 
-    /// Value of a named column in a given row.
-    pub fn value(&self, row: usize, column: &str) -> RelResult<&Value> {
-        let idx = self
-            .schema
-            .index_of(column)
-            .ok_or_else(|| RelError::UnknownColumn {
-                table: self.schema.name.clone(),
-                column: column.to_owned(),
-            })?;
-        let r = self.row_at(row).expect("row index within table");
-        Ok(&r[idx])
-    }
-
     /// Consume the table into its rows (used by plan evaluation).
     ///
-    /// Row storage is `Arc`-shared (see [`Table::shared_rows`]): when
-    /// this table's chunks window one backing vector end to end and it
-    /// holds the only references — no live shared handle and no clone of
-    /// the table — the storage is unwrapped in O(#chunks) and no row is
+    /// Row storage is `Arc`-shared: when this table's chunks window one
+    /// backing vector end to end and it holds the only references — no
+    /// scan window in flight and no clone of the table — the storage is
+    /// unwrapped in O(#chunks) and no row is
     /// copied. Otherwise the shared storage stays intact for the other
     /// holders and the rows are cloned out here, which is the only point
     /// the sharing ever costs a copy.
@@ -1150,14 +1123,18 @@ impl fmt::Display for Table {
     }
 }
 
-/// Wire format: `{"schema": ..., "rows": [...]}` — the flat row list, as
-/// when rows were stored contiguously. Index and caches are derived
-/// state and are skipped.
+/// Wire format: `{"schema": ..., "rows": [...]}` — the visible rows in
+/// order, as when rows were stored contiguously, walked chunk by chunk
+/// without forcing the flat view. Index and caches are derived state and
+/// are skipped.
 impl Serialize for Table {
     fn to_json(&self) -> Json {
         Json::Object(vec![
             ("schema".to_owned(), self.schema.to_json()),
-            ("rows".to_owned(), self.flat_rows().to_json()),
+            (
+                "rows".to_owned(),
+                Json::Array(self.iter_rows().map(Serialize::to_json).collect()),
+            ),
         ])
     }
 }
@@ -1281,6 +1258,28 @@ mod tests {
         );
         back.reindex().unwrap();
         assert!(back.get_by_key(&[Value::Int(1)]).is_some());
+
+        // A table that took an install with deletes is multi-chunk and
+        // masked: serializing walks the chunks (no flat copy is made or
+        // cached), and the round trip is the visible rows, re-keyable.
+        let base = keyed(3 * SEGMENT_ROWS as i64);
+        let delta = TableDelta {
+            pre_len: base.len(),
+            deleted: [0, 5, SEGMENT_ROWS + 1]
+                .into_iter()
+                .map(|p| (p, base.row_at(p).unwrap().clone()))
+                .collect(),
+            inserted: vec![vec![Value::Int(-1)], vec![Value::Int(-2)]],
+        };
+        let t = base.apply_delta(&delta).unwrap();
+        assert!(t.chunks.len() > 1 && t.chunks.iter().any(|c| c.mask.is_some()));
+        let json = serde_json::to_string(&t).unwrap();
+        assert!(t.flat.get().is_none(), "serializing forced the flat view");
+        let mut back: Table = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, t);
+        back.reindex().unwrap();
+        assert!(back.get_by_key(&[Value::Int(-2)]).is_some());
+        assert!(back.get_by_key(&[Value::Int(5)]).is_none());
     }
 
     fn keyed(n: i64) -> Table {

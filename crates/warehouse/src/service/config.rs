@@ -1,7 +1,7 @@
 //! Engine configuration: explicit builder fields over env defaults.
 //!
-//! The env-only config path (`GUAVA_EXEC_THREADS` / `GUAVA_STORAGE`) made
-//! the executor's knobs invisible in the API: the only way to pin a
+//! The env-only config path (`GUAVA_EXEC_THREADS`) made the executor's
+//! knobs invisible in the API: the only way to pin a
 //! configuration was to mutate the process environment. [`EngineConfig`]
 //! inverts that: every knob is an explicit builder field. The environment
 //! is honored only when asked for — [`EngineConfig::from_env`] starts from
@@ -15,10 +15,10 @@
 
 use crate::materialize::MaterializationPolicy;
 use crate::service::error::ServiceResult;
-use guava_relational::exec::{ExecConfig, Executor, StorageMode};
+use guava_relational::exec::{ExecConfig, Executor};
 
 /// Configuration for [`Engine::build`](crate::service::Engine::build):
-/// the executor knobs (threads, storage, morsel tuning) plus the
+/// the executor knobs (threads, morsel tuning) plus the
 /// warehouse materialization policy.
 ///
 /// Construct with [`EngineConfig::from_env`] (env vars as defaults, hard
@@ -28,12 +28,8 @@ use guava_relational::exec::{ExecConfig, Executor, StorageMode};
 ///
 /// ```
 /// use guava_warehouse::service::EngineConfig;
-/// use guava_relational::exec::StorageMode;
 ///
-/// let cfg = EngineConfig::from_env()
-///     .unwrap()
-///     .threads(2)
-///     .storage(StorageMode::Row);
+/// let cfg = EngineConfig::from_env().unwrap().threads(2).morsel_size(512);
 /// assert_eq!(cfg.exec().threads, 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -55,10 +51,9 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Environment-as-defaults constructor: reads `GUAVA_EXEC_THREADS`
-    /// and `GUAVA_STORAGE` exactly as
-    /// [`ExecConfig::from_env`] does — unset/empty keeps the default,
-    /// anything unparsable is a hard error. Builder methods then override
-    /// individual fields without touching the environment again.
+    /// exactly as [`ExecConfig::from_env`] does — unset/empty keeps the
+    /// default, anything unparsable is a hard error. Builder methods then
+    /// override individual fields without touching the environment again.
     pub fn from_env() -> ServiceResult<EngineConfig> {
         Ok(EngineConfig {
             exec: ExecConfig::from_env()?,
@@ -67,15 +62,12 @@ impl EngineConfig {
     }
 
     /// Pure core of [`Self::from_env`] for tests and embedders that carry
-    /// override strings explicitly: same grammar, same hard errors, no
+    /// the override string explicitly: same grammar, same hard errors, no
     /// process-environment reads (delegates to
     /// [`ExecConfig::from_env_values`]).
-    pub fn from_env_values(
-        threads: Option<&str>,
-        storage: Option<&str>,
-    ) -> ServiceResult<EngineConfig> {
+    pub fn from_env_values(threads: Option<&str>) -> ServiceResult<EngineConfig> {
         Ok(EngineConfig {
-            exec: ExecConfig::from_env_values(threads, storage)?,
+            exec: ExecConfig::from_env_values(threads)?,
             policy: MaterializationPolicy::Full,
         })
     }
@@ -104,12 +96,6 @@ impl EngineConfig {
     /// Minimum input rows before an operator considers going parallel.
     pub fn parallel_threshold(mut self, rows: usize) -> EngineConfig {
         self.exec.parallel_threshold = rows;
-        self
-    }
-
-    /// Resting storage format scans read from.
-    pub fn storage(mut self, storage: StorageMode) -> EngineConfig {
-        self.exec.storage = storage;
         self
     }
 
@@ -142,23 +128,24 @@ mod tests {
 
     #[test]
     fn env_defaults_then_builder_overrides() {
-        let cfg = EngineConfig::from_env_values(Some("3"), Some("row"))
-            .unwrap()
-            .threads(5);
+        let env = EngineConfig::from_env_values(Some("3")).unwrap();
+        assert_eq!(env.exec().threads, 3);
+        let cfg = env.clone().morsel_size(64).threads(5);
         assert_eq!(cfg.exec().threads, 5);
         // Untouched fields keep the env layer.
-        assert_eq!(cfg.exec().storage, StorageMode::Row);
+        assert_eq!(cfg.exec().parallel_threshold, env.exec().parallel_threshold);
     }
 
     #[test]
     fn env_hard_errors_preserved() {
         // The builder path must not soften the env grammar: unparsable
         // values stay hard errors, exactly as ExecConfig::from_env.
-        assert!(EngineConfig::from_env_values(Some("two"), None).is_err());
-        assert!(EngineConfig::from_env_values(None, Some("tape")).is_err());
+        assert!(EngineConfig::from_env_values(Some("two")).is_err());
         // Unset / empty / "0" keep defaults.
-        let auto = EngineConfig::from_env_values(Some("0"), Some("")).unwrap();
-        assert_eq!(auto.exec(), &ExecConfig::default());
+        for auto in [None, Some(""), Some("0")] {
+            let auto = EngineConfig::from_env_values(auto).unwrap();
+            assert_eq!(auto.exec(), &ExecConfig::default());
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: every public item documented, no broken intra-doc links.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-# The lane matrix is down to {serial, morsel} x {row, segment}: the
-# execution-mode enum, adaptive execution and their env variables were
-# deleted because no workload of BENCHMARK.json told them apart from the
-# default (ROADMAP, lane-matrix item). Fail if any of them comes back.
-if grep -rnE 'ExecMode|GUAVA_EXEC_MODE|GUAVA_EXEC_ADAPTIVE|ADAPT_WARMUP' \
+# The lane matrix is down to {serial, morsel}: the execution-mode enum,
+# adaptive execution, the row-resting scan path and their env variables
+# were deleted because no workload of BENCHMARK.json told them apart from
+# the default — or, for row storage, because the default beat it (ROADMAP,
+# lane-matrix item). Fail if any of them comes back.
+if grep -rnE 'ExecMode|GUAVA_EXEC_MODE|GUAVA_EXEC_ADAPTIVE|ADAPT_WARMUP|StorageMode|GUAVA_STORAGE|STORAGE_ENV|shared_rows|\.storage\(' \
     --exclude=check.sh \
     crates tests examples scripts README.md DESIGN.md EXPERIMENTS.md; then
   echo "check.sh: a deleted executor lane or knob reappeared (matches above)" >&2
@@ -66,11 +67,13 @@ elif join[0]["speedup"] < 1.3:
         file=sys.stderr,
     )
     failed = True
-# The default resting format must win where the spine says reads happen:
+# The resting format must not tax reads where the spine says they happen:
 # on the first evaluation after an install (DESIGN.md §18). Five dashboard
-# shapes over a 30 000-row table after 200 mixed installs, segment vs row
-# storage; below 1.0x, installs are taxing reads again (a re-seal per
-# delete, a deep copy per blocking input, or unbounded scan parts).
+# shapes over a 30 000-row table after 200 mixed installs, executor vs the
+# interpreter over the flat row view; below 1.0x, installs cost the reader
+# more than the executor's whole lead (a re-seal per delete, a deep copy
+# per blocking input, or unbounded scan parts — DESIGN.md §14 says how
+# much of each this gate can and cannot see).
 after = [b for b in report["storage"] if b["name"].startswith("after_installs/")]
 if len(after) < 5:
     print(
@@ -84,7 +87,7 @@ for b in after:
     if b["speedup"] < 1.0:
         print(
             f"check.sh: storage '{b['name']}' speedup {b['speedup']:.2f}x < 1.0x "
-            "— segment storage loses to row storage after installs (DESIGN.md §18)",
+            "— segment storage loses to the interpreter after installs (DESIGN.md §18)",
             file=sys.stderr,
         )
         failed = True
@@ -196,8 +199,8 @@ EOF
 
 # Property tests run with a pinned RNG stream so failures reproduce across
 # machines; bump the seed deliberately to explore a new stream. This
-# includes the executor-vs-oracle equivalence suites, which pin every lane
-# of tests/common/mod.rs ({serial, parallel} x {segment, row}) in-process.
+# includes the executor-vs-oracle equivalence suites, which pin both lanes
+# of tests/common/mod.rs ({serial, parallel}) in-process.
 PROPTEST_RNG_SEED=0 cargo test -q --workspace
 
 # benchmark/ is its own workspace, so the commands above never compile it.

@@ -351,8 +351,8 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
 
-    /// Every physical lane of the batch executor — serial and
-    /// morsel-parallel, over segment and row storage — and the materializing
+    /// Both physical lanes of the batch executor — serial and
+    /// morsel-parallel — and the materializing
     /// interpreter are observationally identical: same table (schema,
     /// rows, order) on success, and failure on all sides for broken plans.
     #[test]

@@ -1,6 +1,6 @@
 //! Satellite suite for the statistics catalog and the cost-based
 //! optimizer (DESIGN.md §17): whatever plan the CBO picks must be
-//! **observationally invisible** — byte-identical tables in all four
+//! **observationally invisible** — byte-identical tables in both
 //! executor lanes and under the materializing oracle, and exact error
 //! parity on single-fault plans — while the statistics that drove the
 //! choice stay sound under incremental patches.

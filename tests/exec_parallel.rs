@@ -70,7 +70,6 @@ fn cfg(threads: usize) -> ExecConfig {
         threads,
         parallel_threshold: 1,
         morsel_size: 1024,
-        ..ExecConfig::default()
     }
 }
 
@@ -151,7 +150,6 @@ fn determinism_across_morsel_sizes() {
                     threads: 4,
                     parallel_threshold: 1,
                     morsel_size,
-                    ..ExecConfig::default()
                 },
             )
             .unwrap();
@@ -214,7 +212,6 @@ fn row_level_errors_identical_beyond_first_morsel() {
                 threads: 4,
                 parallel_threshold: 1,
                 morsel_size: 3,
-                ..ExecConfig::default()
             },
         )
         .unwrap_err();

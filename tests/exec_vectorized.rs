@@ -1,8 +1,7 @@
 //! Differential tests for the executor's columnar kernels: every plan
 //! here must produce byte-identical tables *and errors* under the
 //! materializing oracle and under the executor, serial and
-//! morsel-parallel, over segment and row storage alike (DESIGN.md
-//! §10–§11).
+//! morsel-parallel (DESIGN.md §10–§11).
 //!
 //! The cases target the spots where the columnar lowering could plausibly
 //! diverge from row-at-a-time semantics: null masks, rows that error
@@ -389,6 +388,86 @@ fn empty_input_skips_row_errors() {
 }
 
 #[test]
+fn inline_relations_scan_like_stored_tables() {
+    // `Plan::Values` is validated and handed over as one owned batch,
+    // so an empty relation contributes no batch at all — like an empty
+    // stored table, which has no live run to scan: no operator may
+    // depend on seeing one.
+    let db = mixed_db();
+    let schema = Schema::new(
+        "v",
+        vec![
+            Column::required("k", DataType::Int),
+            Column::new("w", DataType::Text),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["k"])
+    .unwrap();
+    let values = |rows: Vec<Row>| Plan::Values {
+        schema: schema.clone(),
+        rows,
+    };
+    let empty = values(vec![]);
+    let some = values(
+        (0..20i64)
+            .map(|i| vec![Value::Int(i), Value::text(format!("w{}", i % 3))])
+            .collect(),
+    );
+    let count = |p: Plan, by: &[&str]| {
+        p.aggregate(
+            by,
+            vec![Aggregate {
+                func: AggFunc::CountAll,
+                alias: "n".into(),
+            }],
+        )
+    };
+    let over_empty = [
+        // A predicate that would fail on any row never sees one.
+        empty.clone().select(Expr::col("ghost").is_null()),
+        Plan::scan("m").join(empty.clone(), vec![("id", "k")], JoinKind::Inner),
+        Plan::scan("m").join(empty.clone(), vec![("id", "k")], JoinKind::Left),
+        empty
+            .clone()
+            .join(Plan::scan("m"), vec![("k", "id")], JoinKind::Left),
+        Plan::union(vec![empty.clone(), some.clone(), empty.clone()]),
+        count(empty.clone(), &["w"]),
+        count(empty.clone(), &[]),
+    ];
+    for plan in &over_empty {
+        assert_all_modes(plan, &db).unwrap();
+    }
+    // A non-empty relation under a fused pipeline and as a join's build
+    // side (several test morsels long).
+    let fused = some
+        .clone()
+        .select(Expr::col("k").ge(Expr::lit(3i64)))
+        .project_cols(&["w", "k"]);
+    assert_eq!(assert_all_modes(&fused, &db).unwrap().len(), 17);
+    let joined = Plan::scan("m").join(some, vec![("id", "k")], JoinKind::Inner);
+    assert_eq!(assert_all_modes(&joined, &db).unwrap().len(), 20);
+    // Validation happens before the scan, exactly as in the interpreter:
+    // a NOT NULL violation and a duplicate key fail identically in every
+    // lane, whatever sits on top.
+    let not_null = values(vec![
+        vec![Value::Int(1), Value::Null],
+        vec![Value::Null, Value::text("x")],
+    ])
+    .select(Expr::col("k").ge(Expr::lit(0i64)));
+    assert!(assert_all_modes(&not_null, &db).is_err());
+    let dup = values(vec![
+        vec![Value::Int(1), Value::Null],
+        vec![Value::Int(1), Value::text("x")],
+    ])
+    .project_cols(&["w"]);
+    assert!(matches!(
+        assert_all_modes(&dup, &db),
+        Err(RelError::DuplicateKey { .. })
+    ));
+}
+
+#[test]
 fn join_keys_with_nan_and_negative_zero() {
     // The lane-hash join must agree with the row path on total-order key
     // equality: NaN joins NaN, -0.0 does NOT join 0.0 (total_cmp orders
@@ -539,20 +618,17 @@ fn merge_path_sort_parity_across_morsel_sizes() {
     let db = mixed_db();
     // Duplicate sort keys (a repeats mod 11, s mod 6) make stability
     // observable: any unstable merge reorders the `id` column. Sweep
-    // morsel sizes so runs split at every awkward boundary, over both
-    // storages, and compare against the serial oracle byte for byte.
+    // morsel sizes so runs split at every awkward boundary, and compare
+    // against the serial oracle byte for byte.
     let plan = Plan::scan("m").sort_by(&["a", "s"]);
     let oracle = plan.eval_materialized(&db).unwrap();
     for morsel in [1usize, 3, 7, 16, 64] {
-        for storage in [StorageMode::Segment, StorageMode::Row] {
-            let exec = Executor::new()
-                .threads(4)
-                .parallel_threshold(1)
-                .morsel_size(morsel)
-                .storage(storage);
-            let got = exec.execute(&plan, &db).unwrap();
-            assert_eq!(got, oracle, "morsel {morsel}, {storage:?}");
-        }
+        let exec = Executor::new()
+            .threads(4)
+            .parallel_threshold(1)
+            .morsel_size(morsel);
+        let got = exec.execute(&plan, &db).unwrap();
+        assert_eq!(got, oracle, "morsel {morsel}");
     }
 }
 

@@ -1,9 +1,9 @@
 //! Satellite property suite: `optimize()` rewrites are observationally
 //! invisible. For random plans — biased toward the Select/Project/Rename
 //! towers the pattern-decode rewriter emits, the optimizer's home turf —
-//! the optimized plan must produce byte-identical tables in all four
-//! executor lanes (serial/parallel × segment/row storage) and under the
-//! materializing oracle, and must fail whenever the original fails.
+//! the optimized plan must produce byte-identical tables in both
+//! executor lanes (serial and parallel) and under the materializing
+//! oracle, and must fail whenever the original fails.
 //!
 //! Multi-fault plans may legitimately *report* a different one of their
 //! faults after a rewrite (distributing a faulty selection into a union

@@ -8,7 +8,7 @@
 //! rebuild**: same rows, same order (after the documented canonical
 //! merge — retained rows first, updated/inserted rows at the end), and
 //! the same first error, under randomized plans and randomized update
-//! sequences, across all four executor lanes. A refresh that errors must poison itself and recover by
+//! sequences, across both executor lanes. A refresh that errors must poison itself and recover by
 //! re-initializing on the next round — also byte-identically. The
 //! grouped-aggregate suite additionally pins the §15 first-occurrence
 //! lineage: group order under random insert/delete/revise interleavings

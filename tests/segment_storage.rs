@@ -1,17 +1,19 @@
 //! Columnar resting storage (DESIGN.md §14): segment construction edge
 //! cases — NaN / `-0.0` / huge-integer zone maps, null-only columns,
-//! empty tables, dictionary overflow — plus the storage-mode equivalence
-//! bar: scans over sealed segments must stay **byte-identical** to
-//! row-store scans (same rows, same order, same first error) in the
-//! serial and the parallel executor, and `DeltaPlan` refreshes must agree between the
-//! two storage modes round after round.
+//! empty tables, dictionary overflow — plus the equivalence bar: scans
+//! over sealed segments, in the serial and the parallel executor, must
+//! stay **byte-identical** to the materializing interpreter (same rows,
+//! same order, same first error) — the oracle reads the flat row view
+//! and knows nothing of segments or zone maps — and `DeltaPlan`
+//! refreshes must agree with a from-scratch evaluation round after
+//! round.
 
 use guava::prelude::*;
 use guava_relational::segment::{DICT_MAX, SEGMENT_ROWS};
 use proptest::prelude::*;
 
 mod common;
-use common::lanes_on as lanes;
+use common::lanes;
 
 /// One table, four columns: a monotone INT key (zone maps prune on it), a
 /// FLOAT lane, a low-cardinality TEXT lane (dictionary-encodes), and a
@@ -38,19 +40,16 @@ fn db_of(rows: Vec<Row>) -> Database {
     db
 }
 
-/// Assert row and segment storage agree on `plan` in every lane: equal
-/// tables on success, equal errors on failure.
+/// Assert segment scans agree with the oracle on `plan` in every lane:
+/// equal tables on success, equal errors on failure (the plans passed
+/// here have at most one fault).
 fn assert_storage_agrees(plan: &Plan, db: &Database) {
-    for ((name, row_exec), (_, seg_exec)) in lanes(StorageMode::Row)
-        .into_iter()
-        .zip(lanes(StorageMode::Segment))
-    {
-        let row = row_exec.execute(plan, db);
-        let seg = seg_exec.execute(plan, db);
-        match (row, seg) {
-            (Ok(r), Ok(s)) => assert_eq!(r, s, "{name}: row != segment for {plan:?}"),
-            (Err(r), Err(s)) => assert_eq!(r, s, "{name}: errors differ for {plan:?}"),
-            (r, s) => panic!("{name}: storages disagree for {plan:?}: {r:?} vs {s:?}"),
+    let oracle = plan.eval_materialized(db);
+    for (name, exec) in lanes() {
+        match (exec.execute(plan, db), &oracle) {
+            (Ok(s), Ok(o)) => assert_eq!(&s, o, "{name}: segment != oracle for {plan:?}"),
+            (Err(s), Err(o)) => assert_eq!(&s, o, "{name}: errors differ for {plan:?}"),
+            (s, o) => panic!("{name}: disagrees with oracle for {plan:?}: {s:?} vs {o:?}"),
         }
     }
 }
@@ -283,7 +282,7 @@ fn inserts_scan_through_the_delta_tail_and_compact() {
     let plan = Plan::scan("t").select(Expr::col("id").ge(Expr::lit(990i64)));
     assert_storage_agrees(&plan, &db);
     assert_eq!(plan.eval(&db).unwrap().len(), 410);
-    // The segment-mode scan sealed the tail chunk too...
+    // The scan sealed the tail chunk too...
     let t = db.table_mut("t").unwrap();
     assert_eq!(t.unsealed_rows(), 0);
     assert_eq!(t.layout().sealed_spans, 2);
@@ -400,32 +399,37 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
-    /// Segment-backed scans are byte-identical to row-store scans in
-    /// both lanes: same table (schema, rows, order) on success, same
-    /// error on failure.
+    /// Segment-backed scans are byte-identical to the oracle's scans of
+    /// the flat row view in both lanes: same table (schema, rows, order)
+    /// on success, failure on both sides otherwise — and the two lanes
+    /// byte-identical to each other, including which error a multi-fault
+    /// plan reports.
     #[test]
     fn segment_scans_match_row_scans(rows in arb_rows(40), plan in arb_plan()) {
         let d = db_of(rows);
-        for ((name, row_exec), (_, seg_exec)) in
-            lanes(StorageMode::Row).into_iter().zip(lanes(StorageMode::Segment))
-        {
-            let row = row_exec.execute(&plan, &d);
-            let seg = seg_exec.execute(&plan, &d);
-            match (row, seg) {
-                (Ok(r), Ok(s)) => prop_assert_eq!(r, s, "{}: row != segment", name),
-                (Err(r), Err(s)) => prop_assert_eq!(r, s, "{}: errors differ", name),
-                (r, s) => {
+        let oracle = plan.eval_materialized(&d);
+        let results: Vec<_> = lanes()
+            .into_iter()
+            .map(|(name, exec)| (name, exec.execute(&plan, &d)))
+            .collect();
+        for (name, seg) in &results {
+            match (seg, &oracle) {
+                (Ok(s), Ok(o)) => prop_assert_eq!(s, o, "{}: segment != oracle", name),
+                (Err(_), Err(_)) => {}
+                (s, o) => {
                     return Err(TestCaseError::fail(format!(
-                        "{name}: storages disagree for {plan:?}: {r:?} vs {s:?}"
+                        "{name}: disagrees with oracle for {plan:?}: {s:?} vs {o:?}"
                     )));
                 }
             }
+            prop_assert_eq!(seg, &results[0].1, "{} != {}", name, results[0].0);
         }
     }
 
-    /// `DeltaPlan` incremental refresh agrees between the two storage
-    /// modes after every round of captured inserts — the catalog path
-    /// exercises segment adoption and compaction in `DeltaCatalog`.
+    /// `DeltaPlan` incremental refresh agrees with a from-scratch
+    /// evaluation after every round of captured inserts, in both lanes —
+    /// the catalog path grows the tail chunk under seals earlier rounds'
+    /// scans set.
     #[test]
     fn delta_plan_refresh_agrees_across_storage_modes(
         rows in arb_rows(20),
@@ -435,27 +439,19 @@ proptest! {
             1..12,
         ),
     ) {
-        let mut execs: Vec<(Executor, Option<DeltaPlan>)> = [StorageMode::Row, StorageMode::Segment]
-            .into_iter()
-            .map(|st| (Executor::new().threads(1).storage(st), None))
-            .collect();
         let base = rows.len() as i64;
-        let mut catalogs: Vec<DeltaCatalog> = (0..2)
-            .map(|_| {
-                let mut cat = Catalog::new();
-                cat.insert({
-                    let mut db = Database::new("d");
-                    db.create_table(Table::from_rows(schema(), rows.clone()).unwrap()).unwrap();
-                    db
-                });
-                DeltaCatalog::new(cat)
-            })
-            .collect();
-        for (exec, slot) in &mut execs {
-            // Faulty plans must fail identically under both storages.
-            *slot = DeltaPlan::init(&plan, catalogs[0].catalog().database("d").unwrap(), exec).ok();
+        let mut cat = Catalog::new();
+        cat.insert(db_of(rows));
+        let mut dc = DeltaCatalog::new(cat);
+        // Faulty plans must fail to initialize exactly when a from-scratch
+        // evaluation fails.
+        let mut dplans = Vec::new();
+        for (name, exec) in lanes() {
+            let db = dc.catalog().database("d").unwrap();
+            let init = DeltaPlan::init(&plan, db, &exec);
+            prop_assert_eq!(init.is_ok(), exec.execute(&plan, db).is_ok(), "{}: init", name);
+            dplans.extend(init.ok().map(|dplan| (name, exec, dplan)));
         }
-        prop_assert_eq!(execs[0].1.is_some(), execs[1].1.is_some(), "init disagreement");
         for (round, (x, s)) in extra.into_iter().enumerate() {
             let row = vec![
                 Value::Int(base + round as i64),
@@ -463,25 +459,20 @@ proptest! {
                 s.map(Value::text).unwrap_or(Value::Null),
                 Value::Null,
             ];
-            let mut outputs = Vec::new();
-            for ((exec, slot), dc) in execs.iter_mut().zip(&mut catalogs) {
-                dc.insert("d", "t", row.clone()).unwrap();
-                let deltas = dc.take_deltas();
-                let mut changes = TableChanges::new();
-                if let Some(d) = deltas.get("d", "t") {
-                    changes.set("t", d.to_change());
-                }
-                let db = dc.catalog().database("d").unwrap();
-                if let Some(dplan) = slot {
-                    let refreshed = dplan.refresh(db, &changes, exec);
-                    outputs.push(refreshed.err().map(|e| e.to_string()).map_or_else(
-                        || Ok(dplan.output().unwrap()),
-                        Err,
-                    ));
-                }
+            dc.insert("d", "t", row).unwrap();
+            let deltas = dc.take_deltas();
+            let mut changes = TableChanges::new();
+            if let Some(d) = deltas.get("d", "t") {
+                changes.set("t", d.to_change());
             }
-            if let [a, b] = &outputs[..] {
-                prop_assert_eq!(a, b, "row vs segment refresh disagree at round {}", round);
+            let db = dc.catalog().database("d").unwrap();
+            for (name, exec, dplan) in &mut dplans {
+                let refreshed = dplan
+                    .refresh(db, &changes, exec)
+                    .map_err(|e| e.to_string())
+                    .map(|_| dplan.output().unwrap());
+                let scratch = exec.execute(&plan, db).map_err(|e| e.to_string());
+                prop_assert_eq!(refreshed, scratch, "{}: refresh vs eval at round {}", name, round);
             }
         }
     }
@@ -494,7 +485,7 @@ proptest! {
 /// Deleting rows never re-seals: a segment goes on describing its dead
 /// rows, so every zone-map field bounds a superset of what a scan emits.
 /// The arms of the pruning rules must stay sound — and byte-identical to
-/// row storage and the oracle — when exactly the row that set a bound is
+/// the oracle — when exactly the row that set a bound is
 /// the one deleted.
 #[test]
 fn zone_maps_over_deleted_rows_never_misprune() {
@@ -563,7 +554,7 @@ fn zone_maps_over_deleted_rows_never_misprune() {
 }
 
 /// Spans past the run cap are rewritten and dead spans dropped, on real
-/// multi-segment tables; scans stay identical to row storage throughout.
+/// multi-segment tables; scans stay identical to the oracle throughout.
 #[test]
 fn fragmented_and_dead_spans_stay_bounded_and_identical() {
     use guava_relational::table::MAX_LIVE_RUNS;
@@ -754,7 +745,7 @@ fn apply_step(dc: &mut DeltaCatalog, model: &mut Vec<Row>, next_id: &mut i64, st
 }
 
 /// Every lane on `db` ≡ the oracle over a table rebuilt from `model`:
-/// equal tables on success, failure on all sides otherwise, and the four
+/// equal tables on success, failure on all sides otherwise, and the two
 /// lanes byte-identical to each other, errors included.
 fn check_generation(
     db: &Database,
@@ -767,7 +758,7 @@ fn check_generation(
     let rebuilt = db_of(model.to_vec());
     for plan in plans.iter().chain(single_fault) {
         let oracle = plan.eval_materialized(&rebuilt);
-        let results: Vec<_> = common::lanes()
+        let results: Vec<_> = lanes()
             .into_iter()
             .map(|(name, exec)| (name, exec.execute(plan, db)))
             .collect();
@@ -804,7 +795,7 @@ proptest! {
     /// Fifty-plus generations of mixed deltas — including the deletes that
     /// take out exactly the row a zone map was built from — over one
     /// persistent table: every generation, the newest and pinned older
-    /// ones, answers random plans byte-identically on all four lanes and
+    /// ones, answers random plans byte-identically on both lanes and
     /// the oracle, single-fault error parity included, and never leaves
     /// the layout bounds.
     #[test]
