@@ -521,26 +521,6 @@ struct ParallelBenchEntry {
     speedup_vs_materialized: f64,
 }
 
-/// One cell of the optimizer axis: the same logical query under the
-/// syntactic physical plan (left-deep join order as written) and under
-/// the plan the statistics-driven layer picks (cost-based join
-/// re-association via `optimize_with_stats`). Both sides are asserted
-/// byte-identical before timing — the optimizer only ever chooses
-/// *between* equivalent plans (DESIGN.md §17).
-#[derive(serde::Serialize)]
-struct OptimizerBenchEntry {
-    group: &'static str,
-    name: String,
-    input_rows: usize,
-    output_rows: usize,
-    /// The plan as written: rule-optimized but with the syntactic
-    /// left-deep join order.
-    syntactic_ms: f64,
-    /// The cost-based run.
-    optimized_ms: f64,
-    speedup: f64,
-}
-
 #[derive(serde::Serialize)]
 struct BenchReport {
     description: &'static str,
@@ -558,7 +538,6 @@ struct BenchReport {
     /// `parallel` section's speedups then measure scheduling overhead,
     /// not scaling, and must not be quoted as such.
     scaling_valid: bool,
-    optimizer_rows: usize,
     benches: Vec<BenchEntry>,
     parallel: Vec<ParallelBenchEntry>,
     /// The expression-kernel axis: serial executor vs oracle over fused
@@ -577,10 +556,6 @@ struct BenchReport {
     /// lane-aware kernels from the pipeline fusion the `vectorized`
     /// section measures.
     blocking: Vec<BenchEntry>,
-    /// The optimizer axis (DESIGN.md §17): the syntactic physical plan vs
-    /// the statistics-driven choice — cost-based join re-association on
-    /// a skewed multi-join study.
-    optimizer: Vec<OptimizerBenchEntry>,
 }
 
 const BENCH_SAMPLES: usize = 9;
@@ -1470,96 +1445,6 @@ fn bench_after_installs(entries: &mut Vec<BenchEntry>) {
     }
 }
 
-/// The optimizer axis. `join_order` is the skewed multi-join study: a
-/// wide fact table joined through a same-sized bridge down to a tiny
-/// dimension. Written left-deep, the first join builds a `rows`-entry
-/// hash table and materializes a `rows`-wide intermediate; the cost
-/// model re-associates so the tiny dimension collapses the bridge first
-/// and the wide tables are only ever probed. The cell asserts
-/// byte-identical output before timing.
-fn bench_optimizer_section(entries: &mut Vec<OptimizerBenchEntry>, rows: usize) {
-    use guava::relational::exec::Executor;
-    use guava::relational::stats::{optimize_with_stats, StatsCatalog};
-
-    let int = || DataType::Int;
-    let mk = |name: &str, cols: Vec<(&str, DataType)>, rows: Vec<Row>| {
-        Table::from_rows(
-            Schema::new(
-                name,
-                cols.into_iter().map(|(n, t)| Column::new(n, t)).collect(),
-            )
-            .unwrap(),
-            rows,
-        )
-        .unwrap()
-    };
-    let mut db = Database::new("opt");
-    // Fact: `rows` entries, unique key, a couple of payload columns.
-    db.create_table(mk(
-        "fact",
-        vec![("f_id", int()), ("f_x", int()), ("f_y", int())],
-        (0..rows as i64)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 97), Value::Int(i % 11)])
-            .collect(),
-    ))
-    .unwrap();
-    // Bridge: same cardinality, keys into the fact.
-    db.create_table(mk(
-        "bridge",
-        vec![("b_id", int()), ("b_f", int())],
-        (0..rows as i64)
-            .map(|i| vec![Value::Int(i), Value::Int((i * 7) % rows as i64)])
-            .collect(),
-    ))
-    .unwrap();
-    // Dimension: three orders of magnitude smaller.
-    let dim_rows = (rows / 1000).max(8);
-    db.create_table(mk(
-        "dim",
-        vec![("d_id", int()), ("d_b", int())],
-        (0..dim_rows as i64)
-            .map(|i| vec![Value::Int(i), Value::Int(i * 31)])
-            .collect(),
-    ))
-    .unwrap();
-
-    let exec = Executor::new().threads(1);
-    let catalog = StatsCatalog::collect(&db);
-
-    // join_order: syntactic left-deep vs the CBO's re-association.
-    let join_plan = Plan::scan("fact")
-        .join(Plan::scan("bridge"), vec![("f_id", "b_f")], JoinKind::Inner)
-        .join(Plan::scan("dim"), vec![("b_id", "d_b")], JoinKind::Inner);
-    let syntactic = optimize(&join_plan);
-    let chosen = optimize_with_stats(&join_plan, &db, &catalog);
-    assert_ne!(
-        chosen, syntactic,
-        "optimizer/join_order: CBO left the chain left-deep"
-    );
-    assert_eq!(
-        exec.execute(&syntactic, &db).unwrap(),
-        exec.execute(&chosen, &db).unwrap(),
-        "optimizer/join_order: plans disagree"
-    );
-    let (syn_secs, syn_rows) = median_secs(|| exec.execute(&syntactic, &db).unwrap().len());
-    let (cbo_secs, cbo_rows) = median_secs(|| exec.execute(&chosen, &db).unwrap().len());
-    assert_eq!(syn_rows, cbo_rows);
-    let entry = OptimizerBenchEntry {
-        group: "optimizer",
-        name: "join_order".to_string(),
-        input_rows: rows,
-        output_rows: cbo_rows,
-        syntactic_ms: syn_secs * 1e3,
-        optimized_ms: cbo_secs * 1e3,
-        speedup: syn_secs / cbo_secs,
-    };
-    println!(
-        "  {:<16} {:<21} {:>10.3} {:>10.3} {:>7.2}x",
-        entry.group, entry.name, entry.syntactic_ms, entry.optimized_ms, entry.speedup,
-    );
-    entries.push(entry);
-}
-
 fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
     heading("Executor benchmark — streaming `eval` vs materializing `eval_materialized`");
     const DECODE_ROWS: usize = 4_000;
@@ -1593,13 +1478,6 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
     const STORAGE_ROWS: usize = 200_000;
     let mut storage = Vec::new();
     bench_storage_section(&mut storage, STORAGE_ROWS);
-    const OPTIMIZER_ROWS: usize = 100_000;
-    println!(
-        "\n  {:<16} {:<21} {:>10} {:>10} {:>8}",
-        "group", "bench", "syn (ms)", "opt (ms)", "vs syn"
-    );
-    let mut optimizer = Vec::new();
-    bench_optimizer_section(&mut optimizer, OPTIMIZER_ROWS);
     if !scaling_valid {
         println!(
             "\n  WARNING: host exposes a single hardware thread; the parallel \
@@ -1625,17 +1503,12 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
                       segment windows, zone-map segment pruning, \
                       dictionary-coded strings), warm and — `after_installs/*` \
                       — on the first evaluation of a fresh generation after \
-                      200 mixed installs. The `optimizer` section \
-                      is the statistics axis (DESIGN.md \u{a7}17): the syntactic \
-                      physical plan vs the cost-based join re-association \
-                      (join_order); both sides are asserted byte-identical \
-                      before timing.",
+                      200 mixed installs.",
         decode_rows: DECODE_ROWS,
         join_rows: JOIN_ROWS,
         parallel_rows: PARALLEL_ROWS,
         blocking_rows: BLOCKING_ROWS,
         storage_rows: STORAGE_ROWS,
-        optimizer_rows: OPTIMIZER_ROWS,
         fixture_size,
         samples_per_measurement: BENCH_SAMPLES,
         host_threads,
@@ -1645,7 +1518,6 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
         vectorized,
         blocking,
         storage,
-        optimizer,
     };
     let json = serde_json::to_string_pretty(&report).unwrap();
     std::fs::write(out_path, json + "\n").unwrap();

@@ -19,9 +19,9 @@ use guava::clinical::{classifiers, contributors};
 use guava::prelude::Target;
 use guava::relational::algebra::{AggFunc, Aggregate, JoinKind, Plan};
 use guava::relational::delta::Change;
+use guava::relational::explain::explain_plan;
 use guava::relational::expr::Expr;
 use guava::relational::prelude::{DataType, Table, Value};
-use guava::relational::stats::explain_plan;
 use guava::warehouse::service::{Engine, EngineConfig, Session, Subscription};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -113,7 +113,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "explain",
         args: "<query> [--analyze]",
-        about: "cost-based plan for a serve query, with estimates",
+        about: "operator tree of a serve query (--analyze: actual rows, scan layouts)",
         min_args: 1,
         max_args: 2,
         run: |a| cmd_explain(&a[0], a.get(1).map(String::as_str)),
@@ -480,9 +480,7 @@ fn serve_queries() -> Vec<(&'static str, Plan)> {
         ("study", Plan::scan("clinic__All")),
         (
             // Inner join of the naïve form against the materialized study
-            // table — the query that exercises the cost-based join layer
-            // (`explain study_packs` shows build-side choice and
-            // estimated rows from the snapshot's statistics catalog).
+            // table (`explain study_packs` shows the join's build side).
             "study_packs",
             Plan::scan("Procedure")
                 .join(
@@ -495,13 +493,11 @@ fn serve_queries() -> Vec<(&'static str, Plan)> {
     ]
 }
 
-/// `explain <query> [--analyze]`: print the plan the cost-based
-/// optimizer picks for one of the `serve` menu queries, against the demo
-/// engine's statistics catalog. Each node shows estimated rows and
-/// cumulative cost; `--analyze` additionally evaluates every subtree and
-/// appends its actual row count, and each scan leaf's physical table
-/// layout (chunks, scan parts, sealed spans, dead rows under seals, small
-/// tail chunks).
+/// `explain <query> [--analyze]`: print the rule-optimized operator
+/// tree of one of the `serve` menu queries against the demo engine.
+/// `--analyze` additionally evaluates every subtree and appends its
+/// actual row count, and each scan leaf's physical table layout (chunks,
+/// scan parts, sealed spans, dead rows under seals, small tail chunks).
 fn cmd_explain(query: &str, flag: Option<&str>) -> CmdResult {
     let analyze = match flag {
         None => false,
@@ -516,10 +512,7 @@ fn cmd_explain(query: &str, flag: Option<&str>) -> CmdResult {
     };
     let snap = engine.snapshot();
     let chosen = snap.optimize(plan);
-    print!(
-        "{}",
-        explain_plan(&chosen, snap.database(), snap.stats(), analyze)?
-    );
+    print!("{}", explain_plan(&chosen, snap.database(), analyze)?);
     Ok(())
 }
 
@@ -815,6 +808,57 @@ mod tests {
         assert_eq!(names.len(), COMMANDS.len());
         assert!(find_command("serve").is_some());
         assert!(find_command("bogus").is_none());
+    }
+
+    #[test]
+    fn explain_study_packs_prints_the_rule_optimized_tree() {
+        let engine = serve_engine(12).unwrap();
+        let snap = engine.snapshot();
+        let db = snap.database();
+        let queries = serve_queries();
+        let (_, plan) = queries.iter().find(|(n, _)| *n == "study_packs").unwrap();
+        let chosen = snap.optimize(plan);
+        assert_eq!(chosen, guava::relational::optimize::optimize(plan));
+
+        // The optimized tree, pre-order: Select over the join of two scans.
+        let Plan::Select { input: join, .. } = &chosen else {
+            panic!("{chosen:?}")
+        };
+        let Plan::Join { left, right, .. } = &**join else {
+            panic!("{chosen:?}")
+        };
+        let nodes = [&chosen, &**join, &**left, &**right];
+        let heads = [
+            "Select (PacksPerDay >= 2)",
+            "  HashJoin on instance_id = instance_id  [build: right]",
+            "    Scan Procedure",
+            "    Scan clinic__All",
+        ];
+
+        let plain = explain_plan(&chosen, db, false).unwrap();
+        assert_eq!(
+            plain.lines().collect::<Vec<_>>(),
+            heads,
+            "no estimate fields"
+        );
+
+        let analyzed = explain_plan(&chosen, db, true).unwrap();
+        assert_eq!(analyzed.lines().count(), nodes.len(), "{analyzed}");
+        for ((line, head), node) in analyzed.lines().zip(heads).zip(nodes) {
+            let rows = node.eval_materialized(db).unwrap().len();
+            let want = format!("{head}  [actual rows={rows}]");
+            assert!(line.starts_with(&want), "{line}");
+            assert_eq!(line.contains("[layout: "), matches!(node, Plan::Scan(_)));
+        }
+
+        // A failing plan fails the analyze with the query's own error;
+        // plain explain never evaluates, so it still prints.
+        let bad = chosen.select(Expr::col("NoSuchColumn").eq(Expr::lit(1i64)));
+        assert_eq!(
+            explain_plan(&bad, db, true).unwrap_err(),
+            bad.eval_materialized(db).unwrap_err()
+        );
+        assert!(explain_plan(&bad, db, false).is_ok());
     }
 
     #[test]

@@ -410,15 +410,6 @@ impl DeltaSet {
     pub fn total_rows_changed(&self) -> usize {
         self.map.values().map(TableDelta::rows_changed).sum()
     }
-
-    /// Patch a statistics catalog with every table's delta, in `O(rows
-    /// changed)` — the incremental-refresh side of the stats lifecycle
-    /// (DESIGN.md §17): row counts and null fractions stay exact,
-    /// min/max/NDV widen from inserted rows. Tables absent from the
-    /// catalog are skipped.
-    pub fn patch_stats(&self, stats: &mut crate::stats::StatsCatalog) {
-        stats.patch_all(self);
-    }
 }
 
 /// Per-table change map for one [`DeltaPlan::refresh`] call, keyed by table
@@ -1327,7 +1318,7 @@ impl DNode {
                         len: t.len(),
                     },
                     t.schema().clone(),
-                    t.rows().to_vec(),
+                    t.rows_from(0),
                 ))
             }
             Plan::Values { schema, rows } => {
@@ -1649,7 +1640,7 @@ impl DNode {
                         // Claim missing, wholesale, or inconsistent with the
                         // table's actual size: fall back to the real rows.
                         *len = t.len();
-                        Ok(Change::Full(t.rows().to_vec()))
+                        Ok(Change::Full(t.rows_from(0)))
                     }
                 }
             }

@@ -1,54 +1,37 @@
-//! Plan explanation: render a plan tree with per-node cost estimates.
+//! Plan explanation: render a plan as an indented operator tree.
 //!
 //! Backs the `guava explain` CLI subcommand. Each node prints its
-//! operator, the estimator's row/cost figures from [`cost_plan`], and —
-//! in analyze mode — the *actual* row count obtained by materializing
-//! the node's subtree with the oracle evaluator, so estimate drift is
-//! visible next to the estimate it drifted from. Scan leaves additionally
-//! print the table's physical [`TableLayout`](crate::table::TableLayout):
-//! how many chunks and zero-copy windows the scan walks and how much of
-//! the table is sealed.
+//! operator and — in analyze mode — the *actual* row count obtained by
+//! materializing the node's subtree with the oracle evaluator. Scan
+//! leaves additionally print the table's physical
+//! [`TableLayout`](crate::table::TableLayout): how many chunks and
+//! zero-copy windows the scan walks and how much of the table is sealed.
+//! There are no estimates: plans are fixed by the definitions that build
+//! them, not chosen from statistics (DESIGN.md §17).
 
-use super::cost::cost_plan;
-use super::StatsCatalog;
 use crate::algebra::{JoinKind, Plan};
 use crate::database::Database;
 use crate::error::RelResult;
 
-/// Render `plan` as an indented operator tree with estimated rows and
-/// cumulative cost per node. With `analyze`, every node's subtree is
-/// additionally evaluated via [`Plan::eval_materialized`] and its actual
-/// row count printed (scan leaves also print the scanned table's
-/// layout); a failing plan fails the explain with the same error the
-/// query itself would raise.
-pub fn explain_plan(
-    plan: &Plan,
-    db: &Database,
-    catalog: &StatsCatalog,
-    analyze: bool,
-) -> RelResult<String> {
+/// Render `plan` as an indented operator tree. With `analyze`, every
+/// node's subtree is additionally evaluated via
+/// [`Plan::eval_materialized`] and its actual row count printed (scan
+/// leaves also print the scanned table's layout); a failing plan fails
+/// the explain with the same error the query itself would raise.
+pub fn explain_plan(plan: &Plan, db: &Database, analyze: bool) -> RelResult<String> {
     let mut out = String::new();
-    render(plan, db, catalog, analyze, 0, &mut out)?;
+    render(plan, db, analyze, 0, &mut out)?;
     Ok(out)
 }
 
 fn render(
     plan: &Plan,
     db: &Database,
-    catalog: &StatsCatalog,
     analyze: bool,
     depth: usize,
     out: &mut String,
 ) -> RelResult<()> {
-    let c = cost_plan(plan, catalog);
-    let mut line = format!(
-        "{:indent$}{}  (rows≈{}, cost≈{})",
-        "",
-        label(plan),
-        fmt_num(c.rows),
-        fmt_num(c.cost),
-        indent = depth * 2
-    );
+    let mut line = format!("{:indent$}{}", "", label(plan), indent = depth * 2);
     if analyze {
         let actual = plan.eval_materialized(db)?.len();
         line.push_str(&format!("  [actual rows={actual}]"));
@@ -59,7 +42,7 @@ fn render(
     out.push_str(&line);
     out.push('\n');
     for child in children(plan) {
-        render(child, db, catalog, analyze, depth + 1, out)?;
+        render(child, db, analyze, depth + 1, out)?;
     }
     Ok(())
 }
@@ -126,18 +109,6 @@ fn label(plan: &Plan) -> String {
     }
 }
 
-/// Compact numeric formatting for estimates: integers under a million
-/// print exactly, everything else in short scientific-ish form.
-fn fmt_num(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1.0e6 {
-        format!("{}", x as i64)
-    } else if x.abs() < 1.0e6 {
-        format!("{x:.1}")
-    } else {
-        format!("{x:.2e}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,10 +126,9 @@ mod tests {
         let mut db = Database::new("d");
         db.create_table(t).unwrap();
         let plan = Plan::scan("t").select(Expr::col("x").ge(Expr::lit(5i64)));
-        let catalog = StatsCatalog::collect(&db);
-        let plain = explain_plan(&plan, &db, &catalog, false).unwrap();
+        let plain = explain_plan(&plan, &db, false).unwrap();
         assert!(!plain.contains("layout"), "{plain}");
-        let analyzed = explain_plan(&plan, &db, &catalog, true).unwrap();
+        let analyzed = explain_plan(&plan, &db, true).unwrap();
         let scan = analyzed.lines().find(|l| l.contains("Scan t")).unwrap();
         assert!(
             scan.contains("[actual rows=9]")

@@ -49,12 +49,12 @@ pub mod database;
 pub mod delta;
 pub mod error;
 pub mod exec;
+pub mod explain;
 pub mod expr;
 pub mod optimize;
 pub mod rank;
 pub mod schema;
 pub mod segment;
-pub mod stats;
 pub mod table;
 pub mod value;
 
@@ -68,13 +68,10 @@ pub mod prelude {
     };
     pub use crate::error::{RelError, RelResult};
     pub use crate::exec::{ExecConfig, Executor};
+    pub use crate::explain::explain_plan;
     pub use crate::expr::{BinOp, Expr};
     pub use crate::optimize::optimize;
     pub use crate::schema::{Column, Schema};
-    pub use crate::stats::{
-        explain_plan, optimize_with_stats, ColumnStats, DistinctSketch, PlanCost, StatsCatalog,
-        TableStats,
-    };
     pub use crate::table::{Row, Table};
     pub use crate::value::{DataType, Value};
 }

@@ -68,10 +68,8 @@ fn rewrite(plan: &Plan) -> Plan {
     rewrite_node(node)
 }
 
-/// Rebuild `plan` with `f` applied to each direct child. Shared with the
-/// cost-based layer (`stats::cost`), which composes its own recursion on
-/// top of the rule rewrites here.
-pub(crate) fn map_children(plan: &Plan, f: &impl Fn(&Plan) -> Plan) -> Plan {
+/// Rebuild `plan` with `f` applied to each direct child.
+fn map_children(plan: &Plan, f: &impl Fn(&Plan) -> Plan) -> Plan {
     match plan {
         Plan::Scan(_) | Plan::Values { .. } => plan.clone(),
         Plan::Select { input, predicate } => Plan::Select {

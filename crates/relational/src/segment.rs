@@ -43,7 +43,6 @@
 //! skip merely scans rows that then produce nothing.
 
 use crate::schema::Schema;
-use crate::stats::DistinctSketch;
 use crate::table::Row;
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
@@ -129,21 +128,12 @@ pub struct SegmentColumn {
     /// `true` where the row is NULL (parallel to `data`).
     pub(crate) nulls: Vec<bool>,
     pub(crate) zone: ZoneMap,
-    /// Distinct-value sketch over the segment's non-null values, built in
-    /// the same sealing pass as the zone map and merged table-wide by the
-    /// statistics catalog ([`crate::stats::TableStats::from_table`]).
-    pub(crate) ndv: DistinctSketch,
 }
 
 impl SegmentColumn {
     /// The column's zone map.
     pub fn zone(&self) -> &ZoneMap {
         &self.zone
-    }
-
-    /// The column's distinct-value sketch (non-null values only).
-    pub fn ndv_sketch(&self) -> &DistinctSketch {
-        &self.ndv
     }
 
     /// The column's storage encoding (`"dict"`, `"mixed"`, ...).
@@ -159,7 +149,6 @@ impl SegmentColumn {
             null_count: 0,
             has_nan: false,
         };
-        let mut ndv = DistinctSketch::new();
         for row in rows {
             let v = &row[col];
             nulls.push(v.is_null());
@@ -167,7 +156,6 @@ impl SegmentColumn {
                 zone.null_count += 1;
                 continue;
             }
-            ndv.insert(v);
             if let Value::Float(f) = v {
                 zone.has_nan |= f.is_nan();
             }
@@ -180,12 +168,7 @@ impl SegmentColumn {
         }
         let data = Self::build_data(decl, rows, col)
             .unwrap_or_else(|| ColumnData::Mixed(rows.iter().map(|r| r[col].clone()).collect()));
-        SegmentColumn {
-            data,
-            nulls,
-            zone,
-            ndv,
-        }
+        SegmentColumn { data, nulls, zone }
     }
 
     /// Typed storage for the declared type, or `None` when some non-null

@@ -51,7 +51,7 @@ pub type Row = Vec<Value>;
 /// A chunk with fewer live rows than this is *small*: adjacent small
 /// chunks merge geometrically (see the module docs). An eighth of a
 /// segment, so a chunk that has outgrown merging still amortizes its
-/// dictionaries, zone maps and NDV sketches over thousands of rows.
+/// dictionaries and zone maps over thousands of rows.
 pub const SMALL_CHUNK_ROWS: usize = SEGMENT_ROWS / 8;
 
 /// A chunk whose live rows have split into more runs than this is
@@ -515,19 +515,6 @@ impl Table {
             from = 0;
         }
         out
-    }
-
-    /// Deleted rows that a sealed segment still describes, in row order
-    /// (the statistics collector retracts their nulls — DESIGN.md §17).
-    pub(crate) fn dead_sealed_rows(&self) -> impl Iterator<Item = &Row> + '_ {
-        self.chunks
-            .iter()
-            .filter(|c| c.mask.is_some() && c.seal.get().is_some())
-            .flat_map(|c| {
-                (0..c.len())
-                    .filter(|&off| c.is_dead(off))
-                    .map(|off| c.row(off))
-            })
     }
 
     /// Whether two tables share identical physical storage: every chunk
@@ -1280,6 +1267,43 @@ mod tests {
         back.reindex().unwrap();
         assert!(back.get_by_key(&[Value::Int(-2)]).is_some());
         assert!(back.get_by_key(&[Value::Int(5)]).is_none());
+    }
+
+    #[test]
+    fn resident_scan_copies_rows_without_forcing_the_flat_view() {
+        use crate::algebra::Plan;
+        use crate::database::Database;
+        use crate::delta::{Change, DeltaPlan, TableChanges};
+        use crate::exec::Executor;
+
+        // A subscription's scan leaf owns a copy of its table's rows; on a
+        // masked multi-chunk table that copy must come straight from the
+        // chunks, not through a flat view cached in the shared table.
+        let install = |t: &Table, drop: usize, add: &[i64]| {
+            let delta = TableDelta {
+                pre_len: t.len(),
+                deleted: vec![(drop, t.row_at(drop).unwrap().clone())],
+                inserted: add.iter().map(|&i| vec![Value::Int(i)]).collect(),
+            };
+            t.apply_delta(&delta).unwrap()
+        };
+        let masked = |t: &Table| t.chunks.len() > 1 && t.chunks.iter().any(|c| c.mask.is_some());
+        let mut db = Database::new("d");
+        db.put_table(install(&keyed(3 * SEGMENT_ROWS as i64), 5, &[-1]));
+        let exec = Executor::new();
+        let mut plan = DeltaPlan::init(&Plan::scan("revs"), &db, &exec).unwrap();
+        let t = db.table("revs").unwrap();
+        assert!(masked(t));
+        assert!(t.flat.get().is_none(), "init forced the flat view");
+
+        // No change claimed but the length moved: the wholesale fallback.
+        let next = install(t, SEGMENT_ROWS + 1, &[-2, -3]);
+        db.put_table(next);
+        let change = plan.refresh(&db, &TableChanges::new(), &exec).unwrap();
+        let t = db.table("revs").unwrap();
+        assert!(masked(t));
+        assert!(t.flat.get().is_none(), "refresh forced the flat view");
+        assert_eq!(change, Change::Full(t.iter_rows().cloned().collect()));
     }
 
     fn keyed(n: i64) -> Table {

@@ -123,7 +123,6 @@ use guava_relational::database::Database;
 use guava_relational::delta::{DeltaCatalog, DeltaPlan, TableChanges, TableDelta};
 use guava_relational::error::{RelError, RelResult};
 use guava_relational::exec::Executor;
-use guava_relational::stats::{optimize_with_stats, StatsCatalog};
 use guava_relational::table::Row;
 use guava_relational::value::Value;
 use guava_relational::Catalog;
@@ -144,34 +143,15 @@ pub struct Snapshot {
     generation: u64,
     store: StudyStore,
     db: Database,
-    /// Statistics for [`Self::database`], collected once at generation 0
-    /// and patched in `O(delta)` on every refresh (never rebuilt — the
-    /// generational install keeps them warm for the cost-based optimizer).
-    stats: Arc<StatsCatalog>,
 }
 
 impl Snapshot {
     fn new(generation: u64, store: StudyStore) -> Snapshot {
         let db = Self::database_for(&store);
-        let stats = Arc::new(StatsCatalog::collect(&db));
         Snapshot {
             generation,
             store,
             db,
-            stats,
-        }
-    }
-
-    /// A refreshed generation carrying forward a *patched* statistics
-    /// catalog (see [`Engine::refresh`] — the catalog is never re-collected
-    /// on the refresh path).
-    fn with_stats(generation: u64, store: StudyStore, stats: StatsCatalog) -> Snapshot {
-        let db = Self::database_for(&store);
-        Snapshot {
-            generation,
-            store,
-            db,
-            stats: Arc::new(stats),
         }
     }
 
@@ -212,19 +192,12 @@ impl Snapshot {
         &self.store.naive_form.schema().name
     }
 
-    /// Per-table statistics for this generation's database: collected at
-    /// generation 0, patched incrementally on every refresh. Feeds the
-    /// cost-based optimizer and `guava explain`.
-    pub fn stats(&self) -> &StatsCatalog {
-        &self.stats
-    }
-
-    /// Cost-based-optimize `plan` against this snapshot's statistics:
-    /// rule rewrites plus statistics-driven join re-association
-    /// ([`optimize_with_stats`]). The result evaluates byte-identically
-    /// to `plan` on this snapshot's database.
+    /// The rule-optimized form of `plan`
+    /// ([`guava_relational::optimize::optimize`]); it evaluates
+    /// byte-identically to `plan`. No statistics are consulted — every
+    /// plan the system builds is fixed by its definition (DESIGN.md §17).
     pub fn optimize(&self, plan: &Plan) -> Plan {
-        optimize_with_stats(plan, &self.db, &self.stats)
+        guava_relational::optimize::optimize(plan)
     }
 }
 
@@ -467,19 +440,11 @@ impl Engine {
             }
         }
 
-        // Build the next generation off to the side. The statistics
-        // catalog is carried forward by O(delta) patches — the naïve
-        // form's captured delta plus the materialized table's implied
-        // positional delta — never re-collected from the new tables.
+        // Build the next generation off to the side.
         let mut store = snap.store.clone();
         store.refresh(delta, &self.inner.entity, &self.inner.classifier_refs())?;
         let generation = snap.generation + 1;
-        let mut stats = (*snap.stats).clone();
-        stats.patch(snap.naive_table(), delta);
-        if let Some((name, mdelta)) = materialized_delta(&snap, &store, delta)? {
-            stats.patch(&name, &mdelta);
-        }
-        let next = Arc::new(Snapshot::with_stats(generation, store, stats));
+        let next = Arc::new(Snapshot::new(generation, store));
 
         // Positional changes of the base tables, for the resident plans.
         let changes = base_changes(&snap, &next, delta)?;
@@ -535,13 +500,10 @@ fn base_changes(old: &Snapshot, new: &Snapshot, delta: &TableDelta) -> ServiceRe
 
 /// The row-level [`TableDelta`] that [`StudyStore::refresh`]'s patch rule
 /// implies for the materialized study table: rows whose `instance_id` was
-/// deleted drop at their old ordinals (with their old content — which is
-/// what lets the statistics catalog retract null counts exactly), and the
-/// freshly classified rows append past the retained count (byte-stable
-/// retained outputs, §12). `None` when the policy keeps no materialized
-/// table. Shared by [`base_changes`] (positional changes for resident
-/// plans, via [`TableDelta::to_change`]) and the refresh path's
-/// statistics patching — one derivation, two consumers.
+/// deleted drop at their old ordinals, and the freshly classified rows
+/// append past the retained count (byte-stable retained outputs, §12).
+/// `None` when the policy keeps no materialized table. Derived once per
+/// install, by [`base_changes`].
 fn materialized_delta(
     old: &Snapshot,
     new_store: &StudyStore,

@@ -13,11 +13,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # adaptive execution, the row-resting scan path and their env variables
 # were deleted because no workload of BENCHMARK.json told them apart from
 # the default — or, for row storage, because the default beat it (ROADMAP,
-# lane-matrix item). Fail if any of them comes back.
-if grep -rnE 'ExecMode|GUAVA_EXEC_MODE|GUAVA_EXEC_ADAPTIVE|ADAPT_WARMUP|StorageMode|GUAVA_STORAGE|STORAGE_ENV|shared_rows|\.storage\(' \
+# lane-matrix item). The cost-based optimizer (statistics catalog, NDV
+# sketch, estimator, join DP) went the same way: its rewrite was the
+# identity on every plan the system builds (DESIGN.md §17). Fail if any
+# of them comes back.
+if grep -rnE 'ExecMode|GUAVA_EXEC_MODE|GUAVA_EXEC_ADAPTIVE|ADAPT_WARMUP|StorageMode|GUAVA_STORAGE|STORAGE_ENV|shared_rows|\.storage\(|StatsCatalog|optimize_with_stats|DistinctSketch|ndv_sketch|patch_stats|cost_plan' \
     --exclude=check.sh \
     crates tests examples scripts README.md DESIGN.md EXPERIMENTS.md; then
-  echo "check.sh: a deleted executor lane or knob reappeared (matches above)" >&2
+  echo "check.sh: a deleted executor lane, knob or optimizer layer reappeared (matches above)" >&2
   exit 1
 fi
 
@@ -31,10 +34,10 @@ if grep -rnE '\bunsafe\b|seal_over|par_pipeline' crates/relational; then
 fi
 
 # The benchmark snapshot must carry the expression-kernel axis (DESIGN.md
-# §11), the blocking-operator axis (DESIGN.md §13), the resting-storage
-# axis (DESIGN.md §14), and the optimizer axis (DESIGN.md §17); a
-# regeneration from a stale binary would silently drop them.
-for axis in vectorized blocking storage optimizer; do
+# §11), the blocking-operator axis (DESIGN.md §13) and the
+# resting-storage axis (DESIGN.md §14); a regeneration from a stale
+# binary would silently drop them.
+for axis in vectorized blocking storage; do
   if ! grep -q "\"$axis\"" BENCH_executor.json; then
     echo "check.sh: BENCH_executor.json lacks the '$axis' axis — regenerate with" >&2
     echo "  cargo run --release -p guava-bench --bin tables -- --bench-executor" >&2
@@ -42,31 +45,11 @@ for axis in vectorized blocking storage optimizer; do
   fi
 done
 
-# Regression canary for the §17 cost-based optimizer: the skewed
-# multi-join study must keep the >= 1.3x win over the syntactic physical
-# plan that justifies join re-association (the optimizer only chooses
-# between byte-identical plans, so anything less is pure mischoice).
 python3 - <<'EOF'
 import json, sys
 with open("BENCH_executor.json") as f:
     report = json.load(f)
 failed = False
-join = [b for b in report["optimizer"] if b["name"] == "join_order"]
-if not join:
-    print(
-        "check.sh: BENCH_executor.json optimizer axis lacks the 'join_order' "
-        "entry — regenerate with\n"
-        "  cargo run --release -p guava-bench --bin tables -- --bench-executor",
-        file=sys.stderr,
-    )
-    failed = True
-elif join[0]["speedup"] < 1.3:
-    print(
-        f"check.sh: optimizer 'join_order' speedup {join[0]['speedup']:.2f}x "
-        "< 1.3x — cost-based join re-association lost its win (DESIGN.md §17)",
-        file=sys.stderr,
-    )
-    failed = True
 # The resting format must not tax reads where the spine says they happen:
 # on the first evaluation after an install (DESIGN.md §18). Five dashboard
 # shapes over a 30 000-row table after 200 mixed installs, executor vs the
