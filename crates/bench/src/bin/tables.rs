@@ -540,12 +540,12 @@ struct BenchReport {
     scaling_valid: bool,
     benches: Vec<BenchEntry>,
     parallel: Vec<ParallelBenchEntry>,
-    /// The expression-kernel axis: serial executor vs oracle over fused
-    /// Select/Project plans (kernel-friendly funnel, arithmetic
-    /// projection, CASE row fallback).
+    /// The fused-pipeline axis: serial executor vs oracle over fused
+    /// Select/Project plans (a filter funnel across a projection, a
+    /// CASE-bearing projection).
     vectorized: Vec<BenchEntry>,
     /// The resting-storage axis: the same entry shape again, over plans
-    /// whose cost is the scan itself — zero-shred segment windows,
+    /// whose cost is the scan itself — lane masks over segment windows,
     /// zone-map segment skipping, dictionary-coded low-cardinality
     /// strings — warm, and (`after_installs/*`) on the first evaluation
     /// of a fresh generation of a table that keeps being written.
@@ -1084,35 +1084,22 @@ fn measure_serial_vs_oracle(
     }
 }
 
-/// The vectorized axis: the executor's columnar expression kernels at one
-/// thread against the oracle interpreter, over the kernel-friendly
-/// funnel, an arithmetic projection, and a CASE-bearing plan that
-/// exercises the row fallback lane. Both must produce the same row count
+/// The vectorized axis: the executor's fused pipeline (DESIGN.md §11) at
+/// one thread against the oracle interpreter, over a filter funnel and a
+/// CASE-bearing projection. Both must produce the same row count
 /// (asserted).
 fn bench_vectorized_section(entries: &mut Vec<BenchEntry>, rows: usize) {
     let db = bench_naive_db(rows);
     // The Study-1-shaped eligibility funnel again: a deep fused
-    // Select/Project stack where every expression lowers onto kernels.
+    // Select/Project stack. Its first filter runs as a lane mask; the two
+    // behind the projection walk rows.
     let funnel = Plan::scan("form")
         .select(Expr::col("count").ge(Expr::lit(25i64)))
         .project_cols(&["instance_id", "flag", "count"])
         .select(Expr::col("flag").eq(Expr::lit(true)))
         .select(Expr::col("count").lt(Expr::lit(90i64)));
-    // Arithmetic-heavy projection: every output column is a kernel.
-    let arith = Plan::scan("form")
-        .project(vec![
-            ("instance_id".to_owned(), Expr::col("instance_id")),
-            (
-                "scaled".to_owned(),
-                Expr::col("count")
-                    .mul(Expr::lit(3i64))
-                    .add(Expr::col("instance_id")),
-            ),
-            ("small".to_owned(), Expr::col("count").lt(Expr::lit(50i64))),
-        ])
-        .select(Expr::col("scaled").ge(Expr::lit(100i64)));
-    // CASE forces the row fallback lane for one expression while the
-    // rest stay vectorized — the mixed-lane cost the docs call out.
+    // What classifiers compile to: a lane-mask filter, then a CASE
+    // evaluated per surviving row next to a pre-resolved bare column.
     let fallback = Plan::scan("form")
         .select(Expr::col("count").is_not_null())
         .project(vec![
@@ -1128,11 +1115,7 @@ fn bench_vectorized_section(entries: &mut Vec<BenchEntry>, rows: usize) {
                 },
             ),
         ]);
-    let plans = vec![
-        ("scan_funnel", funnel),
-        ("arith_project", arith),
-        ("case_fallback", fallback),
-    ];
+    let plans = vec![("scan_funnel", funnel), ("case_fallback", fallback)];
     measure_serial_vs_oracle(entries, "vectorized", rows, &db, plans);
 }
 
@@ -1239,7 +1222,7 @@ fn bench_blocking_section(entries: &mut Vec<BenchEntry>, rows: usize) {
 /// The resting-storage axis: the one-thread executor against the oracle
 /// interpreter over plans whose cost is the scan. `full_scan`'s
 /// predicates keep every segment alive, so zone maps contribute nothing
-/// and the cell reads the zero-shred scan itself. `zone_prune` puts a
+/// and the cell reads the lane-mask scan itself. `zone_prune` puts a
 /// selective range on the monotone primary key, so the fused filter's
 /// zone-map check discards ~99% of sealed segments before a single lane
 /// is read; the oracle reads the flat row view, knows nothing of zone
@@ -1492,15 +1475,15 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
                       `parallel` section is the threads axis: the same plans run \
                       morsel-parallel (GUAVA_EXEC_THREADS equivalent) at 2/4/8 \
                       workers against serial-streaming and materializing baselines. \
-                      The `vectorized` section is the expression-kernel axis: \
-                      the serial executor's columnar batch kernels vs the \
+                      The `vectorized` section is the fused-pipeline axis: \
+                      the serial executor's lane masks and row walk vs the \
                       interpreter over fused Select/Project plans. The `blocking` \
                       section applies the same comparison to plans dominated by one \
                       blocking operator (hash-join probe, grouped aggregation, \
                       pivot, sort), isolating the lane-aware kernels from pipeline \
                       fusion. The `storage` section is the resting-storage axis: \
-                      the same comparison over scan-bound plans (zero-shred \
-                      segment windows, zone-map segment pruning, \
+                      the same comparison over scan-bound plans (lane masks \
+                      over segment windows, zone-map segment pruning, \
                       dictionary-coded strings), warm and — `after_installs/*` \
                       — on the first evaluation of a fresh generation after \
                       200 mixed installs.",

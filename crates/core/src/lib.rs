@@ -33,8 +33,8 @@
 //! * [`system`] — the [`system::GuavaSystem`] facade tying it together.
 //!
 //! Underneath all of it sits [`relational`], the embedded engine whose
-//! [`relational::exec::Executor`] sessions evaluate plans with columnar
-//! batch kernels and run them morsel-parallel above a cardinality
+//! [`relational::exec::Executor`] sessions evaluate plans over columnar
+//! resting storage and run them morsel-parallel above a cardinality
 //! threshold ([`relational::exec::ExecConfig`], `GUAVA_EXEC_THREADS`;
 //! DESIGN.md §10–§11) — study workflows inherit this transparently
 //! through `Workflow::run` / `Workflow::run_with`, or pin a shared

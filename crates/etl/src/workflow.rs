@@ -95,8 +95,8 @@ impl EtlWorkflow {
                 }
                 let target = catalog.database_mut(&comp.target_db)?;
                 // Seal the landed output into column segments now, while
-                // the rows are hot, so downstream scans start zero-shred
-                // instead of paying a lazy first-scan build.
+                // the rows are hot, so downstream scans start on sealed
+                // lanes instead of paying a lazy first-scan build.
                 table.segments();
                 target.put_table(table);
                 let rows_out = target.table(&comp.target_table)?.len();
@@ -160,8 +160,8 @@ impl EtlWorkflow {
                 }
                 let target = catalog.database_mut(&comp.target_db)?;
                 // Seal the landed output into column segments now, while
-                // the rows are hot, so downstream scans start zero-shred
-                // instead of paying a lazy first-scan build.
+                // the rows are hot, so downstream scans start on sealed
+                // lanes instead of paying a lazy first-scan build.
                 table.segments();
                 target.put_table(table);
                 let rows_out = target.table(&comp.target_table)?.len();

@@ -238,8 +238,8 @@ impl Plan {
     /// A thin wrapper over [`Executor::from_env`](crate::exec::Executor):
     /// execution routes through the batch executor ([`crate::exec`]),
     /// where scans read the source table's `Arc`-shared storage
-    /// without copying it and chains of Select/Project/Rename run fused
-    /// columnar passes over 1024-row batches. Only the blocking operators
+    /// without copying it and chains of Select/Project/Rename run fused,
+    /// one pass over 1024-row batches. Only the blocking operators
     /// (Pivot, AggregateBy, Sort) gather their full input. The original
     /// operator-at-a-time interpreter remains available as
     /// [`Plan::eval_materialized`] and serves as the oracle the executor is

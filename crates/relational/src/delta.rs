@@ -15,8 +15,8 @@
 //!    for a [`Plan`] and, given a [`Change`] per scanned table, produces
 //!    the output's change without recomputing unchanged rows.
 //!    Select/Project map delta rows element-wise through the session
-//!    executor (so delta batches run on the same vectorized kernels as
-//!    full runs), Rename passes changes through untouched, Union merges
+//!    executor (so delta batches run the same stage walk as full
+//!    runs), Rename passes changes through untouched, Union merges
 //!    child patches by offset, hash Join re-probes only delta left rows
 //!    against the retained build side, and Aggregate/Pivot maintain group
 //!    state with retraction where it is exact (COUNT, and SUM/AVG over

@@ -13,11 +13,12 @@
 //!
 //! * **Scans are zero-copy.** A scan compiles to a leaf holding the
 //!   table's sealed chunks ([`crate::segment`]): it enters the tree as one
-//!   shared window per maximal run of live rows, lanes are sliced straight
-//!   from the chunk's segment at the window's offset (zero shredding,
-//!   serial or parallel), pushed-down filter conjuncts consult zone maps
-//!   before a batch is formed, and rows are cloned only when they survive
-//!   to an owned output batch. Chunks are sealed once — on the first scan
+//!   shared window per maximal run of live rows, each carrying its chunk's
+//!   segment and its offset into it; the `column ⟨op⟩ literal` conjuncts
+//!   of the filters above consult zone maps before a batch is formed and
+//!   then run as lane masks straight over the segment's column storage
+//!   (serial or parallel), and rows are cloned only when they survive to
+//!   an owned output batch. Chunks are sealed once — on the first scan
 //!   that meets them — and stay sealed across installs, deletes included
 //!   (DESIGN.md §18). There is no other resting format to scan; an inline
 //!   `Plan::Values` relation does not rest at all and enters as one owned
@@ -36,11 +37,11 @@
 //!   each shared row once, into its output slot).
 //!
 //! Parallelism selection is **per operator**: each operator holds the
-//! session [`ExecConfig`] and dispatches its input to its columnar lane
-//! kernel (`exec::vector` for fused pipelines, `exec::blocking` for
-//! join/aggregate/pivot/sort) or that kernel's morsel-parallel variant
-//! (`exec::morsel`). There is exactly one operator tree shape and one
-//! kernel per operator.
+//! session [`ExecConfig`] and dispatches its input to its kernel
+//! (`exec::vector`'s window walk for fused pipelines, the lane kernels of
+//! `exec::blocking` for join/aggregate/pivot/sort) or that kernel's
+//! morsel-parallel variant (`exec::morsel`). There is exactly one
+//! operator tree shape and one kernel per operator.
 //!
 //! Compilation ("binding") resolves every schema and column position up
 //! front, so schema-level errors — unknown tables or columns, incompatible
@@ -74,21 +75,22 @@
 //! addition is not associative, and bit-for-bit agreement with the serial
 //! kernel matters more than parallel speedup there.
 //!
-//! # Columnar kernels and the `Executor` session API
+//! # Lanes and the `Executor` session API
 //!
 //! [`Executor`] is the single entry point tying the knobs together: a
-//! builder over [`ExecConfig`]. The executor shreds batches into
-//! typed per-column lanes with null masks (see `exec::batch`): fused
-//! Select/Project chains run the columnar expression kernels of
-//! `exec::vector` — threading computed output lanes into the next epoch —
-//! and the blocking operators run the lane kernels of `exec::blocking`
-//! (hashed key lanes for join build/probe, distinct, and grouping; typed
+//! builder over [`ExecConfig`]. Fused Select/Project chains evaluate the
+//! leading filters that decompose into `column ⟨op⟩ literal` conjuncts as
+//! lane masks over segment storage and walk the selected rows, in row
+//! order, through everything else (`exec::vector`; DESIGN.md §11 records
+//! why no wider expression-kernel catalog exists); the blocking operators
+//! shred the columns they read into typed lanes with null masks
+//! (`exec::batch`) and run the lane kernels of `exec::blocking` (hashed
+//! key lanes for join build/probe, distinct, and grouping; typed
 //! accumulator lanes for aggregation; lane-driven slot filling for pivot;
-//! columnar sort keys with a parallel merge-path kernel for sort).
-//! Expressions outside the kernel catalog (`CASE`, `COALESCE`, unknown
-//! columns) and non-conforming columns fall back to row-at-a-time
-//! evaluation with byte-identical results and error parity (see
-//! `exec::vector` and DESIGN.md §11–13). The operator-at-a-time reference
+//! columnar sort keys with a parallel merge-path kernel for sort), with
+//! non-conforming columns falling back to row values — byte-identical
+//! results and error parity throughout (DESIGN.md §11, §13). The
+//! operator-at-a-time reference
 //! interpreter stays available as [`Plan::eval_materialized`] — not a
 //! configuration of this executor but the oracle it is held to:
 //! `tests/algebra_properties.rs` checks every [`ExecConfig`] against it on
@@ -107,11 +109,11 @@ use crate::algebra::{
 };
 use crate::database::Database;
 use crate::error::{RelError, RelResult};
-use crate::expr::{BinOp, Expr};
+use crate::expr::Expr;
 use crate::schema::Schema;
-use crate::segment::{ColumnData, Segment};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
+use std::sync::Arc;
 
 /// Target number of rows per batch. Large enough to amortize per-batch
 /// dispatch, small enough that a pipeline's working set stays cache-sized.
@@ -348,20 +350,20 @@ impl<'p> Exec<'p> {
     }
 
     /// Seal this subtree into an operator tree. A pipeline with no stages
-    /// is its source; otherwise a `PipelineOp` node wraps it (the operator
-    /// itself decides per batch between the columnar programs, their
-    /// morsel-parallel variant, and the row path for owned batches).
+    /// is its source; otherwise a `PipelineOp` node wraps it.
     fn into_tree(self, cfg: ExecConfig) -> ops::OpTree<'p> {
         match self {
             Exec::Pipe { source, stages } if stages.is_empty() => source,
             Exec::Pipe { mut source, stages } => {
-                // Push decomposable leading filters down to the scan as
-                // zone-map prune groups (see `prune_groups`).
+                // The decomposable leading filters, extracted once: a scan
+                // leaf prunes whole segments with them, the pipeline masks
+                // the surviving windows with them (see `vector`).
+                let groups: Arc<[_]> = vector::prune_groups(&stages).into();
                 if let ops::OpTree::Leaf { prune, .. } = &mut source {
-                    *prune = prune_groups(&stages);
+                    *prune = Arc::clone(&groups);
                 }
                 ops::OpTree::Node {
-                    op: Box::new(ops::PipelineOp::new(stages, cfg)),
+                    op: Box::new(ops::PipelineOp::new(stages, groups, cfg)),
                     children: vec![source],
                 }
             }
@@ -382,7 +384,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: ExecConfig) -> RelResult<(Sch
                 Exec::Pipe {
                     source: ops::OpTree::Leaf {
                         parts: t.scan_parts(),
-                        prune: Vec::new(),
+                        prune: Arc::new([]),
                     },
                     stages: Vec::new(),
                 },
@@ -416,12 +418,20 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: ExecConfig) -> RelResult<(Sch
         Plan::Project { input, columns } => {
             let (in_schema, child) = compile(input, db, cfg)?;
             let out = project_output_schema(&in_schema, columns)?;
+            let cols = columns
+                .iter()
+                .map(|(_, e)| match e {
+                    Expr::Col(name) => in_schema.index_of(name),
+                    _ => None,
+                })
+                .collect();
             let (source, mut stages) = child.into_pipeline();
-            stages.push(Stage::Map {
+            stages.push(Stage::Map(MapStage {
                 exprs: columns,
+                cols,
                 in_schema,
                 out_schema: out.clone(),
-            });
+            }));
             (out, Exec::Pipe { source, stages })
         }
         Plan::Rename {
@@ -607,17 +617,40 @@ enum Stage<'p> {
     /// σ — drop rows failing the predicate (from `Plan::Select`).
     Filter { predicate: &'p Expr, schema: Schema },
     /// π — evaluate expressions into a fresh row (from `Plan::Project`).
-    /// Output rows are validated against `out_schema`, exactly as
-    /// `Table::from_rows` would in the interpreter.
-    Map {
-        exprs: &'p [(String, Expr)],
-        in_schema: Schema,
-        out_schema: Schema,
-    },
+    Map(MapStage<'p>),
 }
 
-/// Run one owned row through the fused stages — the row path for batches
-/// a child operator produced, which can be moved rather than cloned.
+/// A fused projection, bound to its input and output schemas.
+struct MapStage<'p> {
+    exprs: &'p [(String, Expr)],
+    /// Per output expression: the input position of a bare column
+    /// reference, resolved once at compile time; `None` for anything
+    /// [`Expr::eval`] has to compute.
+    cols: Vec<Option<usize>>,
+    in_schema: Schema,
+    out_schema: Schema,
+}
+
+impl MapStage<'_> {
+    /// Build the output row for `row` — the one projection implementation,
+    /// behind the owned and the borrowed walk alike. The result is
+    /// validated against `out_schema`, exactly as `Table::from_rows` would
+    /// in the interpreter.
+    fn map_row(&self, row: &[Value]) -> RelResult<Row> {
+        let mut out = Vec::with_capacity(self.exprs.len());
+        for ((_, e), col) in self.exprs.iter().zip(&self.cols) {
+            out.push(match col {
+                Some(c) => row[*c].clone(),
+                None => e.eval(&self.in_schema, row)?,
+            });
+        }
+        self.out_schema.check_row(&out)?;
+        Ok(out)
+    }
+}
+
+/// Run one owned row through the fused stages — the walk for batches a
+/// child operator produced, which can be moved rather than cloned.
 fn apply_stages(stages: &[Stage], mut row: Row) -> RelResult<Option<Row>> {
     for stage in stages {
         match stage {
@@ -626,275 +659,28 @@ fn apply_stages(stages: &[Stage], mut row: Row) -> RelResult<Option<Row>> {
                     return Ok(None);
                 }
             }
-            Stage::Map {
-                exprs,
-                in_schema,
-                out_schema,
-            } => {
-                let mut out = Vec::with_capacity(exprs.len());
-                for (_, e) in exprs.iter() {
-                    out.push(e.eval(in_schema, &row)?);
-                }
-                out_schema.check_row(&out)?;
-                row = out;
-            }
+            Stage::Map(map) => row = map.map_row(&row)?,
         }
     }
     Ok(Some(row))
 }
 
-/// One pushed-down filter conjunct in `column ⟨op⟩ literal` form,
-/// extracted from a fused [`Stage::Filter`] so a scan can consult
-/// zone maps before forming a batch (see [`segment_pruned`]).
-#[derive(Debug, Clone)]
-pub(crate) struct SimplePred {
-    col: usize,
-    op: PredOp,
-    lit: Value,
-}
-
-/// Comparison shape of a [`SimplePred`], normalized to `column ⟨op⟩ lit`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PredOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    IsNull,
-    IsNotNull,
-}
-
-impl PredOp {
-    fn from_bin(op: BinOp) -> Option<PredOp> {
-        match op {
-            BinOp::Eq => Some(PredOp::Eq),
-            BinOp::Ne => Some(PredOp::Ne),
-            BinOp::Lt => Some(PredOp::Lt),
-            BinOp::Le => Some(PredOp::Le),
-            BinOp::Gt => Some(PredOp::Gt),
-            BinOp::Ge => Some(PredOp::Ge),
-            _ => None,
-        }
-    }
-
-    /// Mirror the comparison for `lit ⟨op⟩ column` sources.
-    fn flip(self) -> PredOp {
-        match self {
-            PredOp::Lt => PredOp::Gt,
-            PredOp::Le => PredOp::Ge,
-            PredOp::Gt => PredOp::Lt,
-            PredOp::Ge => PredOp::Le,
-            other => other,
-        }
-    }
-}
-
-/// The comparison domain of a segment column or literal under
-/// [`Value::sql_cmp`]: ordering comparisons across different domains (or
-/// against NaN) are the exact cases where the row kernel raises "cannot
-/// compare", so pruning demands a domain match first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CmpDomain {
-    Numeric,
-    Text,
-    Bool,
-    Date,
-}
-
-impl SimplePred {
-    /// Could evaluating this predicate over the rows a scan emits from
-    /// this segment raise an error? Equality and null tests never error.
-    /// Ordering comparisons error exactly when both sides are non-null
-    /// and incomparable, so they are infallible when the literal is NULL,
-    /// when the column is all-NULL, or when both sides share a
-    /// [`CmpDomain`] with no NaN on either side. Pruning must never skip
-    /// a segment the real scan would have errored on — a prune group with
-    /// any fallible conjunct disqualifies the whole segment from skipping.
-    ///
-    /// The segment describes a **superset** of the emitted rows (rows
-    /// deleted since the seal stay in it — see the zone-map contract in
-    /// [`crate::segment`]). Each test above is universal over the sealed
-    /// rows — *every* row NULL, *no* value NaN, *all* values of one
-    /// storage domain — so it holds for any subset; a deleted NaN or a
-    /// deleted non-NULL row can only turn a `true` into a `false`, i.e.
-    /// make pruning refuse.
-    fn infallible_on(&self, seg: &Segment) -> bool {
-        match self.op {
-            PredOp::Eq | PredOp::Ne | PredOp::IsNull | PredOp::IsNotNull => true,
-            PredOp::Lt | PredOp::Le | PredOp::Gt | PredOp::Ge => {
-                if self.lit.is_null() {
-                    return true;
+/// Run one row of a shared scan window through the fused stages by
+/// reference: filters read the borrowed row, the first `Map` builds the
+/// output row and the rest is [`apply_stages`] over it — so a row is
+/// cloned only when it survives a chain that has no `Map` to rebuild it.
+fn apply_stages_ref(stages: &[Stage], row: &Row) -> RelResult<Option<Row>> {
+    for (i, stage) in stages.iter().enumerate() {
+        match stage {
+            Stage::Filter { predicate, schema } => {
+                if !predicate.matches(schema, row)? {
+                    return Ok(None);
                 }
-                let col = seg.column(self.col);
-                let zone = col.zone();
-                if zone.null_count == seg.len() {
-                    return true;
-                }
-                let col_dom = match col.data {
-                    // `Mixed` only arises from INTs widened into a
-                    // declared-FLOAT column (schema validation rejects
-                    // everything else), so it is numeric storage too.
-                    ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::Mixed(_) => {
-                        CmpDomain::Numeric
-                    }
-                    ColumnData::Str(_) | ColumnData::Dict { .. } => CmpDomain::Text,
-                    ColumnData::Bool(_) => CmpDomain::Bool,
-                    ColumnData::Date(_) => CmpDomain::Date,
-                };
-                let lit_dom = match &self.lit {
-                    Value::Int(_) | Value::Float(_) => CmpDomain::Numeric,
-                    Value::Text(_) => CmpDomain::Text,
-                    Value::Bool(_) => CmpDomain::Bool,
-                    Value::Date(_) => CmpDomain::Date,
-                    Value::Null => unreachable!("handled above"),
-                };
-                let lit_nan = matches!(self.lit, Value::Float(f) if f.is_nan());
-                col_dom == lit_dom && !zone.has_nan && !lit_nan
             }
+            Stage::Map(map) => return apply_stages(&stages[i + 1..], map.map_row(row)?),
         }
     }
-
-    /// Does the zone map prove no row of the segment satisfies this
-    /// predicate? Sound against the row kernels because the zone min/max
-    /// are [`Value::total_cmp`] extrema and every trigger below uses the
-    /// same [`Value::sql_cmp`] the kernels evaluate with: a strict
-    /// `lit < min` (resp. `> max`) rules out `sql_eq` matches, and by the
-    /// time ordering arms run, [`Self::infallible_on`] has excluded NaN
-    /// and cross-domain cases, where `sql_cmp` and the total order could
-    /// disagree. Lossy `i64`→`f64` literals stay sound: the kernels
-    /// compare through the same lossy `sql_cmp`, and `sql_eq`'s exact
-    /// Int–Int equality implies `f64` equality, which a strict `sql_cmp`
-    /// inequality excludes.
-    ///
-    /// Sound over a superset, arm by arm (the scan emits a subset of the
-    /// sealed rows): `IS NULL` skips when *no* sealed row is NULL and
-    /// `IS NOT NULL` when *every* sealed row is — both survive removing
-    /// rows; the all-NULL shortcut likewise; and the ordering and equality
-    /// arms compare the literal against `min`/`max`, which bracket the
-    /// sealed values and hence the live ones — a bound that rules the
-    /// literal out for more rows rules it out for fewer. Deleting the row
-    /// that *was* the minimum only leaves the bound looser than it could
-    /// be, so a prune may be missed, never wrongly taken.
-    fn proves_empty(&self, seg: &Segment) -> bool {
-        use std::cmp::Ordering::{Equal, Greater, Less};
-        let zone = seg.zone(self.col);
-        match self.op {
-            PredOp::IsNull => zone.null_count == 0,
-            PredOp::IsNotNull => zone.null_count == seg.len(),
-            // A NULL literal makes every comparison NULL: no row passes.
-            _ if self.lit.is_null() => true,
-            // An all-NULL column likewise.
-            _ if zone.null_count == seg.len() => true,
-            PredOp::Eq => {
-                self.lit.sql_cmp(&zone.min) == Some(Less)
-                    || self.lit.sql_cmp(&zone.max) == Some(Greater)
-            }
-            PredOp::Ne => false,
-            PredOp::Lt => matches!(zone.min.sql_cmp(&self.lit), Some(Equal | Greater)),
-            PredOp::Le => zone.min.sql_cmp(&self.lit) == Some(Greater),
-            PredOp::Gt => matches!(zone.max.sql_cmp(&self.lit), Some(Less | Equal)),
-            PredOp::Ge => zone.max.sql_cmp(&self.lit) == Some(Less),
-        }
-    }
-}
-
-/// Extract zone-map prune groups from the leading fused filters: one
-/// group per [`Stage::Filter`] whose predicate fully decomposes into
-/// simple `column ⟨op⟩ literal` conjuncts. Extraction stops at the first
-/// `Map` or non-decomposable filter — a later group may only skip rows
-/// that every earlier stage is known not to error on, and an opaque stage
-/// voids that guarantee.
-fn prune_groups(stages: &[Stage]) -> Vec<Vec<SimplePred>> {
-    let mut groups = Vec::new();
-    for stage in stages {
-        let Stage::Filter { predicate, schema } = stage else {
-            break;
-        };
-        let mut group = Vec::new();
-        if !decompose(predicate, schema, &mut group) {
-            break;
-        }
-        groups.push(group);
-    }
-    groups
-}
-
-/// Flatten `e` into simple conjuncts, returning `false` (partial pushes
-/// to `out` discarded by the caller) when any part is not of the
-/// `column ⟨op⟩ literal` / `column IS [NOT] NULL` shape.
-fn decompose(e: &Expr, schema: &Schema, out: &mut Vec<SimplePred>) -> bool {
-    let simple_col = |e: &Expr| match e {
-        Expr::Col(name) => resolve_column(schema, name).ok(),
-        _ => None,
-    };
-    match e {
-        Expr::Bin(BinOp::And, a, b) => decompose(a, schema, out) && decompose(b, schema, out),
-        Expr::Bin(op, a, b) => {
-            let Some(op) = PredOp::from_bin(*op) else {
-                return false;
-            };
-            let (col, op, lit) = match (&**a, &**b) {
-                (col_e, Expr::Lit(v)) => match simple_col(col_e) {
-                    Some(c) => (c, op, v),
-                    None => return false,
-                },
-                (Expr::Lit(v), col_e) => match simple_col(col_e) {
-                    Some(c) => (c, op.flip(), v),
-                    None => return false,
-                },
-                _ => return false,
-            };
-            out.push(SimplePred {
-                col,
-                op,
-                lit: lit.clone(),
-            });
-            true
-        }
-        Expr::IsNull(inner) => match simple_col(inner) {
-            Some(col) => {
-                out.push(SimplePred {
-                    col,
-                    op: PredOp::IsNull,
-                    lit: Value::Null,
-                });
-                true
-            }
-            None => false,
-        },
-        Expr::IsNotNull(inner) => match simple_col(inner) {
-            Some(col) => {
-                out.push(SimplePred {
-                    col,
-                    op: PredOp::IsNotNull,
-                    lit: Value::Null,
-                });
-                true
-            }
-            None => false,
-        },
-        _ => false,
-    }
-}
-
-/// Can the scan skip `seg` entirely? Groups are consulted in stage order:
-/// a group may prove the segment empty only if it — and every group
-/// before it — is infallible on the segment, because skipped rows also
-/// skip the errors later fused stages might have raised on them. Pruned
-/// segments therefore contribute neither rows nor errors, exactly like
-/// the unpruned run.
-pub(crate) fn segment_pruned(seg: &Segment, groups: &[Vec<SimplePred>]) -> bool {
-    for group in groups {
-        if group.iter().any(|p| !p.infallible_on(seg)) {
-            return false;
-        }
-        if group.iter().any(|p| p.proves_empty(seg)) {
-            return true;
-        }
-    }
-    false
+    Ok(Some(row.clone()))
 }
 
 #[cfg(test)]

@@ -10,13 +10,13 @@
 //! had — so no shared window is ever deep-copied; every kernel here is
 //! generic over [`RowRef`] (`&[Row]` or `&[&Row]`) for that reason.
 //!
-//! [`Lane`] / [`ColumnBatch`] are the columnar decomposition used by the
-//! vectorized kernels (`exec::vector`) *and* by the lane-aware blocking
-//! kernels (`exec::blocking`): each referenced column is shredded once
-//! into a typed array plus a null mask, with [`Lane::Rows`] as the
-//! fallback for columns whose stored values are not uniformly of the
-//! declared type (e.g. INT values widened into a FLOAT column, which must
-//! round-trip losslessly).
+//! [`Lane`] is the columnar decomposition used by the lane-aware blocking
+//! kernels (`exec::blocking`): each key or value column they read is
+//! shredded once into a typed array plus a null mask, with [`Lane::Rows`]
+//! as the fallback for columns whose stored values are not uniformly of
+//! the declared type (e.g. INT values widened into a FLOAT column, which
+//! must round-trip losslessly). (The fused pipeline shreds nothing: its
+//! lane masks read segment storage in place — `exec::vector`.)
 //!
 //! # Key hashing
 //!
@@ -31,10 +31,9 @@
 //! `total_cmp`), so collisions cost a comparison, never correctness.
 
 use crate::schema::Schema;
-use crate::segment::{ColumnData, Segment};
+use crate::segment::Segment;
 use crate::table::Row;
 use crate::value::{DataType, Value};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -48,9 +47,9 @@ use std::sync::Arc;
 pub(super) enum Batch {
     /// Rows `lo..hi` of shared table storage: a window inside the row-form
     /// image of a sealed column segment. `seg` carries the segment and the
-    /// segment row that images `rows[lo]`, so the vectorized pipeline
-    /// slices typed lanes straight out of columnar storage instead of
-    /// shredding: row `lo + k` is segment row `offset + k`. A table emits
+    /// segment row that images `rows[lo]`, so the fused pipeline evaluates
+    /// its lane masks straight over columnar storage: row `lo + k` is
+    /// segment row `offset + k`. A table emits
     /// one such window per maximal run of live rows, so the offset is
     /// non-zero wherever a delete split a segment; `take_prefix` only ever
     /// shrinks `hi`, which leaves it valid.
@@ -202,45 +201,32 @@ impl Gathered {
 // Column lanes
 // ---------------------------------------------------------------------------
 
-/// One column of a batch in typed form. Lanes are either shredded out of
-/// the row-major `Value`s (owned `Cow` storage) or borrowed zero-copy
-/// from a sealed [`Segment`]'s columnar storage (see [`segment_lanes`]).
-/// The typed variants carry a parallel null mask; [`Lane::Rows`] is the
-/// fallback lane for columns whose values are not uniformly of the lane
-/// type (e.g. INT values stored in a FLOAT column), read back row-major.
+/// One column of a blocking operator's input in typed form, shredded out
+/// of the row-major `Value`s by [`build_lane`]. The typed variants carry a
+/// parallel null mask; [`Lane::Rows`] is the fallback lane for columns
+/// whose values are not uniformly of the lane type (e.g. INT values stored
+/// in a FLOAT column), read back row-major.
 pub(super) enum Lane<'a> {
     Int {
-        vals: Cow<'a, [i64]>,
-        nulls: Cow<'a, [bool]>,
+        vals: Vec<i64>,
+        nulls: Vec<bool>,
     },
     Float {
-        vals: Cow<'a, [f64]>,
-        nulls: Cow<'a, [bool]>,
+        vals: Vec<f64>,
+        nulls: Vec<bool>,
     },
     Bool {
-        vals: Cow<'a, [bool]>,
-        nulls: Cow<'a, [bool]>,
+        vals: Vec<bool>,
+        nulls: Vec<bool>,
     },
     Str {
         vals: Vec<&'a str>,
-        nulls: Cow<'a, [bool]>,
+        nulls: Vec<bool>,
     },
     Date {
-        vals: Cow<'a, [i64]>,
-        nulls: Cow<'a, [bool]>,
+        vals: Vec<i64>,
+        nulls: Vec<bool>,
     },
-    /// Dictionary-encoded TEXT straight from segment storage: `codes[i]`
-    /// indexes `dict` (null rows masked by `nulls`). Never produced by
-    /// [`build_lane`] — only by [`segment_lanes`] — and consumed by the
-    /// vectorized kernels' dictionary-aware compare paths.
-    Dict {
-        codes: &'a [u32],
-        nulls: Cow<'a, [bool]>,
-        dict: &'a [String],
-    },
-    /// Mixed-type values borrowed from a segment's row-major fallback
-    /// storage. Like [`Lane::Dict`], only [`segment_lanes`] builds this.
-    Vals(&'a [Value]),
     /// Mixed/non-conforming storage: fetch `Value`s from the rows.
     Rows,
 }
@@ -262,10 +248,7 @@ macro_rules! build_lane {
                 _ => return Lane::Rows,
             }
         }
-        Lane::$variant {
-            vals: vals.into(),
-            nulls: nulls.into(),
-        }
+        Lane::$variant { vals, nulls }
     }};
 }
 
@@ -279,87 +262,6 @@ pub(super) fn build_lane<R: RowRef>(rows: &[R], col: usize, decl: DataType) -> L
         DataType::Bool => build_lane!(rows, col, Bool, Value::Bool(b) => *b, false),
         DataType::Text => build_lane!(rows, col, Str, Value::Text(s) => s.as_str(), ""),
         DataType::Date => build_lane!(rows, col, Date, Value::Date(d) => *d, 0),
-    }
-}
-
-/// Slice one lane per column out of a sealed segment's columnar storage
-/// for segment rows `off..off + len` — no shredding: typed storage is
-/// borrowed, dictionary codes stay encoded, and only plain-string
-/// columns pay an `&str` gather. The window's values are identical to
-/// what [`build_lane`] would shred from the matching rows, except that
-/// non-conforming columns surface as [`Lane::Vals`] (segment row-major
-/// storage) rather than [`Lane::Rows`], and text columns may surface as
-/// [`Lane::Dict`].
-pub(super) fn segment_lanes(seg: &Segment, off: usize, len: usize) -> Vec<Option<Lane<'_>>> {
-    (0..seg.arity())
-        .map(|c| {
-            let col = seg.column(c);
-            let nulls = Cow::Borrowed(&col.nulls[off..off + len]);
-            Some(match &col.data {
-                ColumnData::Int(v) => Lane::Int {
-                    vals: Cow::Borrowed(&v[off..off + len]),
-                    nulls,
-                },
-                ColumnData::Float(v) => Lane::Float {
-                    vals: Cow::Borrowed(&v[off..off + len]),
-                    nulls,
-                },
-                ColumnData::Bool(v) => Lane::Bool {
-                    vals: Cow::Borrowed(&v[off..off + len]),
-                    nulls,
-                },
-                ColumnData::Date(v) => Lane::Date {
-                    vals: Cow::Borrowed(&v[off..off + len]),
-                    nulls,
-                },
-                ColumnData::Str(v) => Lane::Str {
-                    vals: v[off..off + len].iter().map(String::as_str).collect(),
-                    nulls,
-                },
-                ColumnData::Dict { codes, dict } => Lane::Dict {
-                    codes: &codes[off..off + len],
-                    nulls,
-                    dict,
-                },
-                ColumnData::Mixed(v) => Lane::Vals(&v[off..off + len]),
-            })
-        })
-        .collect()
-}
-
-/// A batch with lanes built for every column the consuming kernels touch.
-pub(super) struct ColumnBatch<'a> {
-    pub(super) rows: &'a [Row],
-    /// Lane per input column; `None` for columns no kernel references.
-    pub(super) lanes: Vec<Option<Lane<'a>>>,
-}
-
-impl<'a> ColumnBatch<'a> {
-    /// Shred exactly the columns in `cols` (positions into `schema`),
-    /// starting from lanes carried over from the producing stage (see
-    /// `exec::vector`'s epoch threading; pass an empty seed to shred from
-    /// scratch): a seeded column skips the shredding pass entirely. Seeded
-    /// lanes describe the *values* (a projection that computed an INT lane
-    /// stays an INT lane even if the column is declared FLOAT), which
-    /// matches the row path because scalar semantics follow value types.
-    pub(super) fn build_seeded(
-        rows: &'a [Row],
-        schema: &Schema,
-        cols: &[usize],
-        seed: Vec<Option<Lane<'a>>>,
-    ) -> ColumnBatch<'a> {
-        let mut lanes = seed;
-        lanes.resize_with(schema.arity(), || None);
-        for &c in cols {
-            if lanes[c].is_none() {
-                lanes[c] = Some(build_lane(rows, c, schema.columns()[c].data_type));
-            }
-        }
-        ColumnBatch { rows, lanes }
-    }
-
-    pub(super) fn len(&self) -> usize {
-        self.rows.len()
     }
 }
 
@@ -502,9 +404,7 @@ pub(super) fn key_hashes<R: RowRef>(
                     };
                 }
             }
-            // Dict/Vals lanes are segment-only; key hashing shreds its
-            // own lanes, so they can only mean the row fallback here.
-            Lane::Rows | Lane::Dict { .. } | Lane::Vals(_) => {
+            Lane::Rows => {
                 for (i, row) in rows.iter().enumerate() {
                     let v = &row.as_ref()[c];
                     has_null[i] |= v.is_null();
@@ -567,9 +467,7 @@ impl<'a, R: RowRef> SortKeys<'a, R> {
                 Lane::Date { vals, nulls } => {
                     cmp_masked(nulls[a], nulls[b], || vals[a].cmp(&vals[b]))
                 }
-                Lane::Rows | Lane::Dict { .. } | Lane::Vals(_) => {
-                    self.rows[a].as_ref()[*c].total_cmp(&self.rows[b].as_ref()[*c])
-                }
+                Lane::Rows => self.rows[a].as_ref()[*c].total_cmp(&self.rows[b].as_ref()[*c]),
             };
             if o != Ordering::Equal {
                 return o;
@@ -726,22 +624,5 @@ pub(super) mod tests {
         let mut want: Vec<Row> = refs.into_iter().cloned().collect();
         want.reverse();
         assert_eq!(g.into_rows_ordered(&perm), want);
-    }
-
-    #[test]
-    fn segment_windows_slice_lanes_at_their_offset() {
-        let schema = Schema::new("t", vec![Column::new("i", DataType::Int)]).unwrap();
-        let rows: Vec<Row> = (0..10).map(|i| vec![Value::Int(i)]).collect();
-        let seg = Arc::new(Segment::build(&schema, &rows));
-        // The live run 4..9 of a sealed chunk: lanes come from segment
-        // rows 4.., and a Limit-style prefix keeps the offset.
-        let b = Batch::segment_window(Arc::new(rows), 4, 9, seg, 4).take_prefix(3);
-        let (seg, off) = b.segment().unwrap();
-        let lanes = segment_lanes(seg, off, b.len());
-        let Some(Lane::Int { vals, .. }) = &lanes[0] else {
-            panic!("INT column seals as an INT lane");
-        };
-        assert_eq!(&vals[..], &[4, 5, 6]);
-        assert_eq!(b.as_slice()[0], vec![Value::Int(4)]);
     }
 }

@@ -176,11 +176,11 @@ pub(super) fn par_key_hashes(
 /// vectorized fast path, feeding `AggAcc::update_int` / `update_float`),
 /// or the generic row fallback (`AggAcc::update`, so Bool/Text/Date and
 /// mixed-storage columns keep identical semantics by construction).
-enum AggSrc<'a> {
+enum AggSrc {
     CountAll,
     Col(usize),
-    Int(std::borrow::Cow<'a, [i64]>, std::borrow::Cow<'a, [bool]>),
-    Float(std::borrow::Cow<'a, [f64]>, std::borrow::Cow<'a, [bool]>),
+    Int(Vec<i64>, Vec<bool>),
+    Float(Vec<f64>, Vec<bool>),
 }
 
 struct LaneGroup {
@@ -264,7 +264,7 @@ impl<'a, R: RowRef> LaneAggState<'a, R> {
         let rows = self.rows;
         let slice = &rows[lo..hi];
         let (hashes, _) = key_hashes(slice, schema, g_idx);
-        let srcs: Vec<AggSrc<'_>> = agg_idx
+        let srcs: Vec<AggSrc> = agg_idx
             .iter()
             .map(|idx| match idx {
                 None => AggSrc::CountAll,

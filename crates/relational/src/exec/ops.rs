@@ -15,9 +15,8 @@
 //! in declaration order.
 //!
 //! Parallelism selection happens **per operator**: each operator holds
-//! the session [`ExecConfig`] and dispatches to its lane-aware kernel
-//! (`exec::vector`, `exec::blocking`) or that kernel's morsel-parallel
-//! variant. The streaming operators that do real per-row work — the fused
+//! the session [`ExecConfig`] and dispatches to its kernel (`exec::vector`,
+//! `exec::blocking`) or that kernel's morsel-parallel variant. The streaming operators that do real per-row work — the fused
 //! pipeline and the join probe — buffer the shared windows a scan hands
 //! them and cut morsels over the *window list*
 //! ([`morsel::run_windows`]): parallel when the windows together clear
@@ -39,11 +38,11 @@
 //! the property suites hold all lanes to exact error parity on
 //! single-fault plans only, as before.
 
-use super::batch::{key_hashes, keys_eq, segment_lanes, Batch, Gathered, HashBuckets};
+use super::batch::{key_hashes, keys_eq, Batch, Gathered, HashBuckets};
 use super::blocking;
 use super::morsel;
-use super::vector::{self, StageProg};
-use super::{apply_stages, segment_pruned, ExecConfig, SimplePred, Stage};
+use super::vector::{self, SimplePred};
+use super::{apply_stages, ExecConfig, Stage};
 use crate::algebra::{unpivot_rows, Aggregate, JoinKind};
 use crate::error::RelResult;
 use crate::schema::Schema;
@@ -51,23 +50,17 @@ use crate::segment::ScanPart;
 use crate::table::Row;
 use crate::value::DataType;
 use std::mem;
+use std::sync::Arc;
 
-/// A push-based physical operator. The driver calls [`open`], pushes every
-/// input batch via [`push_batch`] (tagged with the producing child's
-/// index), and collects the output from [`finish`]. Streaming operators
-/// accumulate transformed batches as input arrives; blocking operators
-/// buffer until `finish` runs their kernel.
+/// A push-based physical operator. The driver pushes every input batch
+/// via [`push_batch`] (tagged with the producing child's index) and
+/// collects the output from [`finish`]. Streaming operators accumulate
+/// transformed batches as input arrives; blocking operators buffer until
+/// `finish` runs their kernel.
 ///
-/// [`open`]: PhysicalOperator::open
 /// [`push_batch`]: PhysicalOperator::push_batch
 /// [`finish`]: PhysicalOperator::finish
 pub(super) trait PhysicalOperator {
-    /// One-time setup before any batch arrives (e.g. compiling columnar
-    /// stage programs).
-    fn open(&mut self) -> RelResult<()> {
-        Ok(())
-    }
-
     /// Consume one batch from child `input`.
     fn push_batch(&mut self, input: usize, batch: Batch) -> RelResult<()>;
 
@@ -83,13 +76,13 @@ pub(super) enum OpTree<'p> {
     /// row order — one per maximal run of live rows, none for an empty
     /// table. Emits one zero-copy batch per part, each carrying its
     /// chunk's [`Segment`](crate::segment::Segment) and its offset into
-    /// it, so the pipeline above slices lanes instead of shredding.
-    /// `prune` holds the pushed-down simple filter conjuncts
-    /// (stage-ordered) that zone maps test to skip a part before a batch
-    /// is formed.
+    /// it, so the pipeline above can evaluate lane masks over it. `prune`
+    /// holds the simple filter conjuncts of that pipeline (stage-ordered,
+    /// shared with its [`PipelineOp`]) that zone maps test to skip a part
+    /// before a batch is formed.
     Leaf {
         parts: Vec<ScanPart>,
-        prune: Vec<Vec<SimplePred>>,
+        prune: Arc<[Vec<SimplePred>]>,
     },
     /// An inline relation (`Plan::Values`): its rows, already validated,
     /// emitted as one owned batch — none when it is empty.
@@ -107,7 +100,7 @@ pub(super) fn drive(tree: OpTree<'_>) -> RelResult<Vec<Batch>> {
     match tree {
         OpTree::Leaf { parts, prune } => Ok(parts
             .into_iter()
-            .filter(|part| !segment_pruned(&part.seg, &prune))
+            .filter(|part| !vector::segment_pruned(&part.seg, &prune))
             .map(|p| Batch::segment_window(p.rows, p.lo, p.hi, p.seg, p.seg_off))
             .collect()),
         OpTree::Rows(rows) => {
@@ -116,7 +109,6 @@ pub(super) fn drive(tree: OpTree<'_>) -> RelResult<Vec<Batch>> {
             Ok(out)
         }
         OpTree::Node { mut op, children } => {
-            op.open()?;
             for (i, child) in children.into_iter().enumerate() {
                 for batch in drive(child)? {
                     op.push_batch(i, batch)?;
@@ -139,18 +131,18 @@ fn push_rows(out: &mut Vec<Batch>, rows: Vec<Row>) {
 // Fused Select/Project pipeline
 // ---------------------------------------------------------------------------
 
-/// Fused Select/Project chain: one columnar pass per slice of input, no
+/// Fused Select/Project chain: one pass per slice of input, no
 /// intermediate tables. Shared windows are buffered and run together —
 /// one slice of at most a morsel per task, morsel-parallel when the
-/// windows together are large enough ([`morsel::run_windows`]).
+/// windows together are large enough ([`morsel::run_windows`]) — lane
+/// masks first, then the row walk ([`vector::run_window`]). Owned batches
+/// (child-produced rows, which can be moved rather than cloned) walk
+/// [`apply_stages`] row by row.
 pub(super) struct PipelineOp<'p> {
     stages: Vec<Stage<'p>>,
-    /// Columnar stage programs, compiled once in [`open`]. Owned batches
-    /// (child-produced rows the row path can move rather than clone) stay
-    /// on `apply_stages` — the fallback rule of DESIGN.md §11.
-    ///
-    /// [`open`]: PhysicalOperator::open
-    programs: Vec<StageProg>,
+    /// [`vector::prune_groups`] of `stages`, computed once at compile time
+    /// and shared with the scan leaf below, if there is one.
+    groups: Arc<[Vec<SimplePred>]>,
     cfg: ExecConfig,
     /// Consecutive shared windows not yet run (a scan's parts).
     windows: Vec<Batch>,
@@ -158,26 +150,28 @@ pub(super) struct PipelineOp<'p> {
 }
 
 impl<'p> PipelineOp<'p> {
-    pub(super) fn new(stages: Vec<Stage<'p>>, cfg: ExecConfig) -> PipelineOp<'p> {
+    pub(super) fn new(
+        stages: Vec<Stage<'p>>,
+        groups: Arc<[Vec<SimplePred>]>,
+        cfg: ExecConfig,
+    ) -> PipelineOp<'p> {
         PipelineOp {
             stages,
-            programs: Vec::new(),
+            groups,
             cfg,
             windows: Vec::new(),
             out: Vec::new(),
         }
     }
 
-    /// Run the buffered windows through the stage programs, one output
-    /// batch per slice in window order. Every slice seeds its lanes
-    /// straight from its window's segment at the slice's offset — the
-    /// zero-shred path, serial or parallel.
+    /// Run the buffered windows through the stages, one output batch per
+    /// slice in window order. Every slice reads its lanes straight from
+    /// its window's segment at the slice's offset, serial or parallel.
     fn flush(&mut self) -> RelResult<()> {
         let windows = mem::take(&mut self.windows);
         let out = morsel::run_windows(&windows, self.cfg, |window, lo, rows| {
             let (seg, off) = window.segment().expect("only shared windows are buffered");
-            let seed = segment_lanes(seg, off + lo, rows.len());
-            vector::run_batch_seeded(&self.stages, &self.programs, rows, seed)
+            vector::run_window(&self.stages, &self.groups, seg, off + lo, rows)
         })?;
         self.out.extend(out);
         Ok(())
@@ -185,11 +179,6 @@ impl<'p> PipelineOp<'p> {
 }
 
 impl PhysicalOperator for PipelineOp<'_> {
-    fn open(&mut self) -> RelResult<()> {
-        self.programs = vector::compile_stages(&self.stages);
-        Ok(())
-    }
-
     fn push_batch(&mut self, _input: usize, batch: Batch) -> RelResult<()> {
         if self.stages.is_empty() {
             self.out.push(batch);
@@ -685,7 +674,7 @@ mod tests {
         let schema = Schema::new("t", vec![Column::new("i", DataType::Int)]).unwrap();
         let leaf = |t: &Table| OpTree::Leaf {
             parts: t.scan_parts(),
-            prune: Vec::new(),
+            prune: Arc::new([]),
         };
         let t = Table::from_rows(schema.clone(), int_rows(4)).unwrap();
         let batches = drive(leaf(&t)).unwrap();

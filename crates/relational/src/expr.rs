@@ -346,10 +346,8 @@ fn unify_types(a: Option<DataType>, b: Option<DataType>) -> Option<DataType> {
     }
 }
 
-/// Three-valued AND/OR over two already-evaluated operands. Shared with the
-/// vectorized kernels (`exec::vector`) so the column loops' fallback path is
-/// the row semantics by construction.
-pub(crate) fn eval_logic(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
+/// Three-valued AND/OR over two already-evaluated operands.
+fn eval_logic(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
     let (a, b) = (l.as_bool(), r.as_bool());
     if (!l.is_null() && a.is_none()) || (!r.is_null() && b.is_none()) {
         return Err(RelError::Eval(format!(
@@ -374,11 +372,8 @@ pub(crate) fn eval_logic(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
 
 /// Evaluate one binary operator over two already-evaluated operands. This
 /// single function defines the scalar semantics (null propagation, wrapping
-/// integer arithmetic, Int/Int division to Float, error messages); both
-/// [`Expr::eval`] and the vectorized kernels (`exec::vector`) route every
-/// non-specialized operand combination through it, which is what keeps the
-/// columnar path byte-identical to the row path.
-pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
+/// integer arithmetic, Int/Int division to Float, error messages).
+fn eval_bin(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
     use BinOp::*;
     match op {
         Add | Sub | Mul | Div => {

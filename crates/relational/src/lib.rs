@@ -14,8 +14,8 @@
 //!
 //! Plans evaluate through an [`exec::Executor`] session: a streaming,
 //! batch-at-a-time engine that fuses Select/Project/Rename towers,
-//! lowers fused expressions onto columnar batch kernels, and, above a
-//! cardinality threshold, runs scans morsel-parallel with a
+//! evaluates their leading `column ⟨op⟩ literal` filters as lane masks
+//! over columnar segment storage, and, above a cardinality threshold, runs scans morsel-parallel with a
 //! work-stealing scheduler ([`exec::ExecConfig`], `GUAVA_EXEC_THREADS`).
 //! Every configuration produces byte-identical output —
 //! DESIGN.md §9–§11 document the execution model, and the original

@@ -10,15 +10,17 @@
 //! chunk's segment, in row order.
 //!
 //! Segments are what make typed column lanes the *resting* format: the
-//! vectorized executor slices its [`exec`](crate::exec) lanes directly out
-//! of segment storage (zero per-batch shredding) and consults zone maps to
-//! skip whole segments before a batch is ever formed (DESIGN.md §14).
+//! executor ([`exec`](crate::exec)) consults zone maps to skip whole
+//! segments before a batch is ever formed and evaluates the same
+//! `column ⟨op⟩ literal` conjuncts as lane masks directly over segment
+//! storage, reading only the columns they name (DESIGN.md §11, §14).
 //!
 //! ## Storage contract
 //!
 //! Column storage is guided by the *declared* type, mirroring the
-//! executor's shredding rule: a column stores typed vectors only when
-//! every non-null value is exactly of the declared variant; otherwise it
+//! blocking operators' shredding rule (`build_lane`): a column stores
+//! typed vectors only when every non-null value is exactly of the
+//! declared variant; otherwise it
 //! falls back to [`ColumnData::Mixed`] row-major values (this is how FLOAT
 //! columns holding widened INTs stay lossless). Text columns
 //! dictionary-encode when the segment has at most [`DICT_MAX`] distinct
@@ -39,7 +41,7 @@
 //! excludes it for fewer, "no sealed row is NULL" and "every sealed row
 //! is NULL" both survive deleting rows, and a deleted NaN or NULL can
 //! only make a prune *refuse* — `has_nan` blocks ordering skips that
-//! could suppress the row kernels' "cannot compare" error, and a refused
+//! could suppress the row walk's "cannot compare" error, and a refused
 //! skip merely scans rows that then produce nothing.
 
 use crate::schema::Schema;
@@ -115,7 +117,7 @@ pub struct ZoneMap {
     /// on the live ones).
     pub null_count: usize,
     /// Whether any sealed float value is NaN. Ordering predicates error
-    /// on NaN in the row kernels, so pruning must not skip segments that
+    /// on NaN in the row walk, so pruning must not skip segments that
     /// could have raised that error.
     pub has_nan: bool,
 }

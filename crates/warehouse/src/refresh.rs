@@ -64,12 +64,18 @@ impl StudyStore {
     /// Nothing O(n) happens on the install path; the per-operator
     /// sub-linear machinery of §15 lives in
     /// [`DeltaPlan`](guava_relational::delta::DeltaPlan) upstream.
+    ///
+    /// Returns the row-level delta the patch applied to the materialized
+    /// study table — rows whose `instance_id` was deleted drop at their
+    /// old ordinals, the freshly classified rows append — so a caller
+    /// with resident plans over that table need not derive it again;
+    /// `None` when the policy keeps no table or nothing in it changed.
     pub fn refresh(
         &mut self,
         delta: &TableDelta,
         entity_classifier: &BoundClassifier,
         classifiers: &[&BoundClassifier],
-    ) -> RelResult<()> {
+    ) -> RelResult<Option<TableDelta>> {
         let naive_schema = self.naive_form.schema();
         if delta.pre_len != self.naive_form.len() {
             return Err(RelError::Plan(format!(
@@ -86,7 +92,7 @@ impl StudyStore {
             }
         }
         if delta.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
 
         // 1. Canonical merge of the naïve form, structurally sharing every
@@ -96,7 +102,7 @@ impl StudyStore {
         let new_naive = Arc::new(self.naive_form.apply_delta(delta)?);
 
         // 2. Patch the materialized table, if the policy keeps one.
-        let new_materialized = match (&self.policy, &self.materialized) {
+        let patched = match (&self.policy, &self.materialized) {
             (MaterializationPolicy::OnDemand, _) | (_, None) => None,
             (policy, Some(m)) => {
                 let subset: Vec<&BoundClassifier> = match policy {
@@ -141,27 +147,29 @@ impl StudyStore {
                     inserted: fresh.table.rows().to_vec(),
                 };
                 if mdelta.is_empty() {
-                    // Nothing materialized changed — the new store views
-                    // the previous generation's table, pointer-identical.
-                    Some(m.clone())
+                    // Nothing materialized changed — the store keeps
+                    // viewing the previous generation's table,
+                    // pointer-identical.
+                    None
                 } else {
                     // `apply_delta` runs the same duplicate-key check over
                     // the inserted rows against the retained index that a
                     // rebuild's final `from_rows` would hit first, so
                     // cross-partition duplicate keys error identically.
-                    let mut patched = m.clone();
-                    patched.table = Arc::new(m.table.apply_delta(&mdelta)?);
-                    Some(patched)
+                    Some((Arc::new(m.table.apply_delta(&mdelta)?), mdelta))
                 }
             }
         };
 
         // 3. Commit atomically — nothing above mutated `self`.
         self.naive_form = new_naive;
-        if let Some(m) = new_materialized {
-            self.materialized = Some(m);
+        let Some((table, mdelta)) = patched else {
+            return Ok(None);
+        };
+        if let Some(m) = &mut self.materialized {
+            m.table = table;
         }
-        Ok(())
+        Ok(Some(mdelta))
     }
 }
 
@@ -312,7 +320,8 @@ mod tests {
             let mut store =
                 StudyStore::build("cori", naive.clone(), &ec, &classifiers, policy.clone())
                     .unwrap();
-            store.refresh(&delta, &ec, &classifiers).unwrap();
+            let before = store.materialized.clone();
+            let mdelta = store.refresh(&delta, &ec, &classifiers).unwrap();
             let rebuilt = StudyStore::build(
                 "cori",
                 post_naive.clone(),
@@ -322,6 +331,17 @@ mod tests {
             )
             .unwrap();
             assert_eq!(store, rebuilt, "policy {policy:?}");
+            // The returned delta is the study table's own change — what
+            // the engine hands its resident plans — and there is one
+            // exactly when the policy keeps a table.
+            let patched = before
+                .zip(mdelta)
+                .map(|(m, d)| m.table.apply_delta(&d).unwrap());
+            assert_eq!(
+                patched.as_ref(),
+                store.materialized.as_ref().map(|m| &*m.table),
+                "policy {policy:?}"
+            );
             // Guard flips landed: 3 entered the study, 4 left it.
             let col = store
                 .classifier_column("C_class", &ec, &classifiers)

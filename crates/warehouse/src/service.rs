@@ -121,13 +121,10 @@ use guava_multiclass::classifier::BoundClassifier;
 use guava_relational::algebra::Plan;
 use guava_relational::database::Database;
 use guava_relational::delta::{DeltaCatalog, DeltaPlan, TableChanges, TableDelta};
-use guava_relational::error::{RelError, RelResult};
+use guava_relational::error::RelResult;
 use guava_relational::exec::Executor;
-use guava_relational::table::Row;
-use guava_relational::value::Value;
 use guava_relational::Catalog;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashSet;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -442,12 +439,18 @@ impl Engine {
 
         // Build the next generation off to the side.
         let mut store = snap.store.clone();
-        store.refresh(delta, &self.inner.entity, &self.inner.classifier_refs())?;
+        let mdelta = store.refresh(delta, &self.inner.entity, &self.inner.classifier_refs())?;
         let generation = snap.generation + 1;
-        let next = Arc::new(Snapshot::new(generation, store));
 
-        // Positional changes of the base tables, for the resident plans.
-        let changes = base_changes(&snap, &next, delta)?;
+        // Positional changes of the base tables, in pre-state coordinates,
+        // for the resident plans: the naïve form's is the delta itself,
+        // the materialized table's the patch the store just applied.
+        let mut changes = TableChanges::new();
+        changes.set(snap.naive_table(), delta.to_change());
+        if let (Some(mdelta), Some(m)) = (mdelta, &store.materialized) {
+            changes.set(m.table.schema().name.clone(), mdelta.to_change());
+        }
+        let next = Arc::new(Snapshot::new(generation, store));
 
         // Refresh every resident plan against the next generation's
         // database. A plan error does not abort the generation: the event
@@ -478,68 +481,4 @@ impl Engine {
         }
         Ok(generation)
     }
-}
-
-/// The positional [`Change`]s the refresh implies for each base table in
-/// the snapshot database, in pre-state coordinates (what
-/// [`DeltaPlan::refresh`] consumes).
-///
-/// The naïve form's change is the delta itself. The materialized table's
-/// change replays [`StudyStore::refresh`]'s patch rule positionally:
-/// rows whose `instance_id` was deleted drop at their old ordinals, the
-/// freshly classified rows append (`new` rows past the retained count —
-/// the store guarantees retained outputs are byte-stable, §12).
-fn base_changes(old: &Snapshot, new: &Snapshot, delta: &TableDelta) -> ServiceResult<TableChanges> {
-    let mut changes = TableChanges::new();
-    changes.set(old.naive_table(), delta.to_change());
-    if let Some((name, mdelta)) = materialized_delta(old, &new.store, delta)? {
-        changes.set(name, mdelta.to_change());
-    }
-    Ok(changes)
-}
-
-/// The row-level [`TableDelta`] that [`StudyStore::refresh`]'s patch rule
-/// implies for the materialized study table: rows whose `instance_id` was
-/// deleted drop at their old ordinals, and the freshly classified rows
-/// append past the retained count (byte-stable retained outputs, §12).
-/// `None` when the policy keeps no materialized table. Derived once per
-/// install, by [`base_changes`].
-fn materialized_delta(
-    old: &Snapshot,
-    new_store: &StudyStore,
-    delta: &TableDelta,
-) -> ServiceResult<Option<(String, TableDelta)>> {
-    let (Some(old_m), Some(new_m)) = (&old.store.materialized, &new_store.materialized) else {
-        return Ok(None);
-    };
-    let naive_schema = old.store.naive_form.schema();
-    let iid = naive_schema
-        .index_of("instance_id")
-        .ok_or_else(|| RelError::UnknownColumn {
-            table: naive_schema.name.clone(),
-            column: "instance_id".into(),
-        })?;
-    // Resolve each deleted instance id to its materialized row through
-    // the primary-key index — O(delta), never a scan of the old table.
-    let mut seen: HashSet<&Value> = HashSet::new();
-    let mut deleted: Vec<(usize, Row)> = Vec::new();
-    for (_, row) in &delta.deleted {
-        let iid_v = &row[iid];
-        if seen.insert(iid_v) {
-            if let Some((pos, mrow)) = old_m.table.key_position(std::slice::from_ref(iid_v)) {
-                deleted.push((pos, mrow.clone()));
-            }
-        }
-    }
-    deleted.sort_by_key(|&(p, _)| p);
-    let retained = old_m.table.len() - deleted.len();
-    let inserted: Vec<Row> = new_m.table.rows_from(retained);
-    Ok(Some((
-        new_m.table.schema().name.clone(),
-        TableDelta {
-            pre_len: old_m.table.len(),
-            deleted,
-            inserted,
-        },
-    )))
 }

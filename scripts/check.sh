@@ -24,6 +24,20 @@ if grep -rnE 'ExecMode|GUAVA_EXEC_MODE|GUAVA_EXEC_ADAPTIVE|ADAPT_WARMUP|StorageM
   exit 1
 fi
 
+# The expression-kernel catalog shrank to the traffic (DESIGN.md §11):
+# every workload of BENCHMARK.json drives only `column <op> literal`
+# conjuncts, bare-column and literal projections and CASE through the
+# fused pipeline, so those conjuncts run as lane masks over segment
+# storage and everything else is one row walk. The kernel compiler, its
+# lane programs and the row-indexed error accumulator they needed were
+# deleted; code only — the decision record may still name what went.
+if grep -rnE 'ExprProg|StageProg|carry_lane|passthrough_epoch|run_batch_seeded|segment_lanes|ColumnBatch|ErrAcc|generic_bin|eval_bin_vec' \
+    --exclude=check.sh \
+    crates tests examples scripts; then
+  echo "check.sh: a deleted expression-kernel mechanism reappeared (matches above)" >&2
+  exit 1
+fi
+
 # Sealed segments survive deletes and blocking operators read their input
 # by reference (DESIGN.md §14/§18): the survivor-copy re-seal and the
 # row-shredding parallel pipeline were *replaced*, not kept beside the new
@@ -33,7 +47,7 @@ if grep -rnE '\bunsafe\b|seal_over|par_pipeline' crates/relational; then
   exit 1
 fi
 
-# The benchmark snapshot must carry the expression-kernel axis (DESIGN.md
+# The benchmark snapshot must carry the fused-pipeline axis (DESIGN.md
 # §11), the blocking-operator axis (DESIGN.md §13) and the
 # resting-storage axis (DESIGN.md §14); a regeneration from a stale
 # binary would silently drop them.

@@ -255,11 +255,12 @@ fn arb_cmp() -> impl Strategy<Value = Expr> {
     })
 }
 
-/// Random predicates spanning the vectorized kernel catalog *and* its
-/// row-fallback lane: plain comparisons, arithmetic inside comparisons
-/// (including `/ 0` faults when `a` is 0), three-valued AND/OR, NULL
-/// tests, IN lists, and the lazily-evaluated CASE/COALESCE forms the
-/// kernel compiler must refuse and route through `Expr::eval`.
+/// Random predicates on both sides of the lane-mask boundary (DESIGN.md
+/// §11): plain comparisons and NULL tests, which decompose into
+/// `column ⟨op⟩ literal` conjuncts, and everything that must walk rows
+/// through `Expr::eval` — arithmetic inside comparisons (including `/ 0`
+/// faults when `a` is 0), three-valued AND/OR, IN lists, and the
+/// lazily-evaluated CASE/COALESCE forms.
 fn arb_pred() -> impl Strategy<Value = Expr> {
     prop_oneof![
         4 => arb_cmp(),
@@ -307,8 +308,8 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
                     p.project_cols(&refs)
                 }
             ),
-            // Computed projections: arithmetic output columns (vectorized
-            // kernels) next to a COALESCE (row-fallback lane) in one Map.
+            // Computed projections: an arithmetic output column next to a
+            // lazily-evaluated COALESCE in one Map.
             2 => (inner.clone(), arb_col(), 0i64..10).prop_map(|(p, c, k)| {
                 p.project(vec![
                     ("v".to_owned(), Expr::col(&c).add(Expr::lit(k))),
@@ -379,8 +380,9 @@ proptest! {
         }
         // The executor lanes must also be byte-identical to *each other* —
         // including which error a multi-fault plan reports: morsel merges
-        // keep row order, and the vectorized kernels accumulate errors in
-        // original row order (first-error-in-row-order, DESIGN.md §11).
+        // keep row order, and within a slice lane masks cannot raise while
+        // everything fallible walks rows in order (first-error-in-row-order,
+        // DESIGN.md §11).
         let (first, reference) = &lanes[0];
         for (which, result) in &lanes[1..] {
             prop_assert_eq!(
@@ -393,8 +395,8 @@ proptest! {
     /// Well-formed single-fault plans fail with the *same* error from
     /// every evaluator — the executor binds schemas children-first, in the
     /// interpreter's evaluation order; the parallel path reports the
-    /// lowest-morsel (i.e. first-row) error; and the vectorized kernels
-    /// report the lowest-row error recorded across a batch.
+    /// lowest-morsel (i.e. first-row) error; and within a slice the row
+    /// walk stops at the first failing row.
     #[test]
     fn single_fault_plans_fail_identically(rows in arb_rows(20), k in 0i64..50) {
         let d = db(rows);

@@ -1,13 +1,13 @@
-//! Differential tests for the executor's columnar kernels: every plan
-//! here must produce byte-identical tables *and errors* under the
-//! materializing oracle and under the executor, serial and
-//! morsel-parallel (DESIGN.md §10–§11).
+//! Differential tests for the executor's lane masks, row walk and lane
+//! kernels: every plan here must produce byte-identical tables *and
+//! errors* under the materializing oracle and under the executor, serial
+//! and morsel-parallel (DESIGN.md §10–§11, §13).
 //!
-//! The cases target the spots where the columnar lowering could plausibly
-//! diverge from row-at-a-time semantics: null masks, rows that error
-//! under a filter, error ordering across fused stages, NaN comparisons,
-//! lossless lane fallbacks, lazy expressions, and exact 64-bit integer
-//! equality beyond f64 precision.
+//! The cases target the spots where evaluation over columnar storage
+//! could plausibly diverge from row-at-a-time semantics: null masks, rows
+//! that error under a filter, error ordering across fused stages, NaN
+//! comparisons, non-conforming storage, lazy expressions, and exact
+//! 64-bit integer equality beyond f64 precision.
 
 use guava::relational::prelude::*;
 
@@ -131,11 +131,11 @@ fn null_masks_flow_through_kernels() {
 #[test]
 fn division_by_zero_parity() {
     let db = mixed_db();
-    // a == 0 on several rows: the kernel must report the same
-    // "division by zero" the row path reports, from the same row.
+    // a == 0 on several rows: the executor must report the same
+    // "division by zero" the interpreter reports, from the same row.
     let plan = Plan::scan("m").select(Expr::lit(100i64).div(Expr::col("a")).gt(Expr::lit(4i64)));
     assert!(assert_all_modes(&plan, &db).is_err());
-    // Same through a projection kernel.
+    // Same through a projection.
     let plan = Plan::scan("m").project(vec![("q".to_owned(), Expr::col("id").div(Expr::col("a")))]);
     assert!(assert_all_modes(&plan, &db).is_err());
     // Float zero divisor errors too (f == 0.25 at id 1).
@@ -173,10 +173,9 @@ fn type_errors_survive_the_filter() {
 fn first_failing_row_in_row_order_wins() {
     // Row 0 fails only in the *second* fused stage; row 1 fails in the
     // first. The streaming row path runs each row through the whole
-    // pipeline before the next row, so row 0's error wins — and the
-    // vectorized kernels, which evaluate stage-at-a-time over the batch,
-    // must translate their per-stage errors back into that row order
-    // (DESIGN.md §10). The materializing oracle is deliberately excluded
+    // pipeline before the next row, so row 0's error wins — neither
+    // filter decomposes, so both walk rows, in every lane (DESIGN.md
+    // §10–§11). The materializing oracle is deliberately excluded
     // here: it evaluates operator-at-a-time and reports row 1's stage-1
     // error for this crafted crossing pattern, a divergence that exists
     // only when two different rows fault in two different fused stages.
@@ -226,8 +225,9 @@ fn nan_comparison_parity() {
     let mut db = Database::new("d");
     db.create_table(Table::from_rows(schema, rows).unwrap())
         .unwrap();
-    // Ordering against NaN is an error in the scalar semantics; the
-    // vectorized loop must reproduce the exact message.
+    // Ordering against NaN is an error in the scalar semantics; a NaN
+    // in the sealed column keeps the comparison off the lanes, so the row
+    // walk reports the exact message.
     let err = assert_all_modes(
         &Plan::scan("t").select(Expr::col("f").lt(Expr::lit(5.0f64))),
         &db,
@@ -252,8 +252,8 @@ fn nan_comparison_parity() {
 #[test]
 fn int_values_in_float_column_fall_back_losslessly() {
     // FLOAT accepts INT, so a FLOAT-declared column may physically hold
-    // Value::Int — the builder must refuse the float lane (no silent
-    // widening) and fall back to row values.
+    // Value::Int — the segment stores such a column as `Mixed`, lane
+    // masks refuse it (no silent widening) and the rows are walked.
     let schema = Schema::new(
         "t",
         vec![
@@ -313,7 +313,7 @@ fn large_int_equality_is_exact() {
     .unwrap();
     assert_eq!(t.len(), 1, "integer equality must not round through f64");
     // Ordering deliberately goes through f64 in the scalar path; the
-    // kernels must agree with that (lossy or not), not "improve" on it.
+    // lane masks must agree with that (lossy or not), not "improve" on it.
     assert_all_modes(
         &Plan::scan("t").select(Expr::col("a").gt(Expr::lit(base))),
         &db,
@@ -324,9 +324,9 @@ fn large_int_equality_is_exact() {
 #[test]
 fn lazy_expressions_take_the_row_fallback() {
     let db = mixed_db();
-    // COALESCE and CASE compile to the row fallback lane; mixing them
-    // with kernel-eligible expressions in one projection exercises both
-    // lanes over the same selection vector.
+    // COALESCE and CASE evaluate their branches lazily; mixing them with
+    // bare columns and arithmetic in one projection exercises the
+    // pre-resolved and the `Expr::eval` side of `map_row` together.
     let plan = Plan::scan("m").project(vec![
         ("id".to_owned(), Expr::col("id")),
         (
@@ -362,7 +362,8 @@ fn lazy_expressions_take_the_row_fallback() {
 #[test]
 fn fallback_and_kernel_filters_interleave() {
     let db = mixed_db();
-    // kernel filter → fallback filter → kernel filter in one fused tower.
+    // lane-mask filter → row-walk filter → a decomposable filter behind
+    // it (walked too: the lane phase ended) in one fused tower.
     let plan = Plan::scan("m")
         .select(Expr::col("id").ge(Expr::lit(2i64)))
         .select(Expr::Coalesce(vec![Expr::col("b"), Expr::lit(true)]))
@@ -373,6 +374,77 @@ fn fallback_and_kernel_filters_interleave() {
         ])
         .select(Expr::col("an").le(Expr::lit(9i64)));
     assert_all_modes(&plan, &db).unwrap();
+}
+
+#[test]
+fn only_leading_filters_run_as_lane_masks() {
+    // lane-able filter → fallible Map → un-decomposable filter → a filter
+    // of lane-able *shape*. Only the first may run as a mask: the last one
+    // reads the Map's output, and a mask applied ahead of the Map would
+    // drop rows whose errors the row walk reports.
+    let schema = Schema::new(
+        "t",
+        vec![
+            Column::required("id", DataType::Int),
+            Column::new("x", DataType::Int),
+            Column::new("y", DataType::Int),
+            Column::new("tag", DataType::Text),
+        ],
+    )
+    .unwrap();
+    let plan = Plan::scan("t")
+        .select(Expr::col("id").ge(Expr::lit(1i64)))
+        .project(vec![
+            ("id".to_owned(), Expr::col("id")),
+            ("q".to_owned(), Expr::lit(100i64).div(Expr::col("x"))),
+            ("y".to_owned(), Expr::col("y")),
+            ("tag".to_owned(), Expr::col("tag")),
+        ])
+        .select(
+            Expr::Neg(Box::new(Expr::col("tag")))
+                .is_null()
+                .or(Expr::col("q").gt(Expr::lit(1000i64))),
+        )
+        .select(Expr::col("y").lt(Expr::lit(5i64)));
+    // 20 rows span several 7-row morsels. Row 0 would divide by zero but
+    // the leading mask drops it first; `div0` and `boom` name the rows
+    // that fail in the Map and in the un-decomposable filter, and both
+    // carry a `y` the trailing filter rejects.
+    let db_with = |div0: i64, boom: i64| {
+        let rows = (0..20i64).map(|i| {
+            let faulty = i == div0 || i == boom;
+            vec![
+                Value::Int(i),
+                Value::Int(if i == 0 || i == div0 { 0 } else { 1 + i % 3 }),
+                Value::Int(if faulty { 9 } else { i % 8 }),
+                if i == boom {
+                    Value::text("boom")
+                } else {
+                    Value::Null
+                },
+            ]
+        });
+        let mut db = Database::new("d");
+        db.create_table(Table::from_rows(schema.clone(), rows).unwrap())
+            .unwrap();
+        db
+    };
+    // No faults: rows and order agree with the oracle.
+    let clean = assert_all_modes(&plan, &db_with(-1, -1)).unwrap();
+    assert!(!clean.is_empty() && clean.len() < 19);
+    // The Map fails first in row order — the oracle's order too.
+    let err = assert_all_modes(&plan, &db_with(3, 12)).unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+    // The later stage fails on the earlier row: row order still wins in
+    // every lane (the operator-at-a-time oracle reports the Map's row —
+    // the documented cross-stage divergence, DESIGN.md §11).
+    for (name, exec) in lanes() {
+        let err = exec.execute(&plan, &db_with(12, 3)).unwrap_err();
+        assert!(
+            err.to_string().contains("unary - applied to"),
+            "{name}: expected row 3's filter error, got {err}"
+        );
+    }
 }
 
 #[test]

@@ -61,8 +61,9 @@ fn assert_storage_agrees(plan: &Plan, db: &Database) {
 #[test]
 fn nan_in_column_blocks_ordering_prunes_but_not_eq() {
     // A NaN row makes ordering comparisons a hard error in the row
-    // kernels; segment scans must refuse the zone-map skip and reproduce
-    // that exact error rather than silently pruning it away.
+    // walk; segment scans must refuse the zone-map skip (and the lane
+    // mask) and reproduce that exact error rather than silently pruning
+    // it away.
     let rows = vec![
         vec![Value::Int(0), Value::Float(1.0), Value::Null, Value::Null],
         vec![
@@ -225,11 +226,12 @@ fn dict_kernels_match_row_kernels_on_string_predicates() {
         Plan::scan("t").select(Expr::col("s").ne(Expr::lit("grp-3"))),
         Plan::scan("t").select(Expr::col("s").lt(Expr::lit("grp-2"))),
         Plan::scan("t").select(Expr::col("s").ge(Expr::lit("grp-2"))),
-        // Dict lane surviving a passthrough projection, then compared.
+        // The same comparison behind a projection: past the first Map
+        // the filter walks rows instead of reading dictionary codes.
         Plan::scan("t")
             .project_cols(&["s", "b"])
             .select(Expr::col("s").eq(Expr::lit("grp-1"))),
-        // Dict lane flowing into blocking operators.
+        // Dictionary-stored text flowing into blocking operators.
         Plan::scan("t")
             .project_cols(&["s"])
             .distinct()
