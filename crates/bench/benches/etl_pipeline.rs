@@ -1,14 +1,12 @@
 //! Figure 6 experiment: study compilation and end-to-end ETL execution.
 //!
 //! Measures (a) compile time — the artifact-to-workflow translation is
-//! data-independent and should be flat, (b) full pipeline execution across
-//! dataset sizes — expected to scale linearly in total rows, and (c)
-//! sequential versus crossbeam-parallel stage execution.
+//! data-independent and should be flat, and (b) full pipeline execution
+//! across dataset sizes — expected to scale linearly in total rows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use guava::clinical::prelude::*;
 use guava::etl::prelude::*;
-use guava::prelude::run_workflow_parallel;
 use guava_bench::Fixture;
 
 fn bench_compile(c: &mut Criterion) {
@@ -40,27 +38,6 @@ fn bench_pipeline_scale(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-fn bench_parallel_vs_sequential(c: &mut Criterion) {
-    let fixture = Fixture::new(600);
-    let study = study1_definition(&fixture.contributors);
-    let compiled = compile(&study, &study_schema(), &registry(), &fixture.bindings()).unwrap();
-    let mut group = c.benchmark_group("etl_execution_mode");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let mut catalog = fixture.catalog();
-            black_box(compiled.workflow.run(&mut catalog).unwrap().len())
-        })
-    });
-    group.bench_function("parallel_stages", |b| {
-        b.iter(|| {
-            let catalog = fixture.catalog();
-            black_box(run_workflow_parallel(&compiled, catalog).unwrap().len())
-        })
-    });
     group.finish();
 }
 
@@ -100,7 +77,6 @@ criterion_group!(
     benches,
     bench_compile,
     bench_pipeline_scale,
-    bench_parallel_vs_sequential,
     bench_direct_vs_etl
 );
 criterion_main!(benches);

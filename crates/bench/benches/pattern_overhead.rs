@@ -270,9 +270,10 @@ fn bench_optimized_decode(c: &mut Criterion) {
             continue;
         }
         let physical = stack.encode(&naive).unwrap();
+        let optimized = || optimize(&stack.decode_plan(&query).unwrap());
         assert_eq!(
             stack.query(&physical, &query).unwrap().rows(),
-            stack.query_optimized(&physical, &query).unwrap().rows(),
+            optimized().eval(&physical).unwrap().rows(),
         );
         group.bench_with_input(BenchmarkId::new("raw", name), &physical, |b, physical| {
             b.iter(|| black_box(stack.query(black_box(physical), &query).unwrap().len()))
@@ -281,14 +282,7 @@ fn bench_optimized_decode(c: &mut Criterion) {
             BenchmarkId::new("optimized", name),
             &physical,
             |b, physical| {
-                b.iter(|| {
-                    black_box(
-                        stack
-                            .query_optimized(black_box(physical), &query)
-                            .unwrap()
-                            .len(),
-                    )
-                })
+                b.iter(|| black_box(optimized().eval(black_box(physical)).unwrap().len()))
             },
         );
     }

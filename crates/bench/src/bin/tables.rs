@@ -978,8 +978,6 @@ fn bench_etl_section(entries: &mut Vec<BenchEntry>, fixture: &Fixture) {
 /// workloads at 1/2/4/8 workers. Every configuration produces the same
 /// table (asserted per measurement); only wall time may differ.
 fn bench_parallel_section(entries: &mut Vec<ParallelBenchEntry>, rows: usize) {
-    use guava::relational::exec::ExecConfig;
-
     let db = bench_naive_db(rows);
     // The largest scan-heavy plan in the suite: the Study-1-shaped
     // eligibility funnel (chained selections + projection), fused into a
@@ -1028,13 +1026,12 @@ fn bench_parallel_section(entries: &mut Vec<ParallelBenchEntry>, rows: usize) {
     ];
     for (name, plan) in plans {
         let (mat_secs, mat_rows) = median_secs(|| plan.eval_materialized(&db).unwrap().len());
-        let serial_cfg = ExecConfig::serial();
-        let (serial_secs, serial_rows) =
-            median_secs(|| plan.eval_with(&db, &serial_cfg).unwrap().len());
+        let serial = Executor::new().threads(1);
+        let (serial_secs, serial_rows) = median_secs(|| serial.execute(&plan, &db).unwrap().len());
         assert_eq!(mat_rows, serial_rows, "parallel/{name}: oracle disagrees");
         for threads in [2, 4, 8] {
-            let cfg = ExecConfig::with_threads(threads);
-            let (par_secs, par_rows) = median_secs(|| plan.eval_with(&db, &cfg).unwrap().len());
+            let exec = Executor::new().threads(threads);
+            let (par_secs, par_rows) = median_secs(|| exec.execute(&plan, &db).unwrap().len());
             assert_eq!(serial_rows, par_rows, "parallel/{name}: threads disagree");
             let entry = ParallelBenchEntry {
                 group: "parallel_scan",
@@ -1473,7 +1470,7 @@ fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
                       interpreter it replaced (Plan::eval_materialized). Median wall \
                       time per evaluation; rows/sec relative to input rows. The \
                       `parallel` section is the threads axis: the same plans run \
-                      morsel-parallel (GUAVA_EXEC_THREADS equivalent) at 2/4/8 \
+                      morsel-parallel (Executor::threads) at 2/4/8 \
                       workers against serial-streaming and materializing baselines. \
                       The `vectorized` section is the fused-pipeline axis: \
                       the serial executor's lane masks and row walk vs the \

@@ -15,7 +15,7 @@
 //!   streaming executor ([`Plan::eval`]) over each contributor's decode
 //!   stack, sweeps the morsel-parallel executor across a threads axis
 //!   (`1` serial baseline, then 2/4/8 via
-//!   [`ExecConfig::with_threads`]), and times the serial [`Executor`]'s
+//!   [`Executor::threads`]), and times the serial [`Executor`]'s
 //!   columnar expression and blocking kernels against the interpreter.
 //!   Results land in
 //!   `BENCH_executor.json`; EXPERIMENTS.md documents how to read and
@@ -28,7 +28,7 @@
 //!
 //! [`Plan::eval`]: guava::relational::algebra::Plan::eval
 //! [`Plan::eval_materialized`]: guava::relational::algebra::Plan::eval_materialized
-//! [`ExecConfig::with_threads`]: guava::relational::exec::ExecConfig::with_threads
+//! [`Executor::threads`]: guava::relational::exec::Executor::threads
 //! [`Executor`]: guava::relational::exec::Executor
 
 use guava::clinical::prelude::*;

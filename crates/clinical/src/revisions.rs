@@ -48,9 +48,10 @@ pub fn audit_revise(
             column: audit_flag.to_owned(),
         })?;
     let live = |r: &Row| r[flag_idx] == Value::Int(0);
+    // `iter_rows`, not `rows()`: earlier inserts have made this table
+    // multi-chunk, and the flat view would copy all of it per call.
     let matching: Vec<Row> = t
-        .rows()
-        .iter()
+        .iter_rows()
         .filter(|r| live(r) && select(r))
         .cloned()
         .collect();

@@ -444,7 +444,7 @@ fn serve_engine(rows: usize) -> Result<Engine, Box<dyn std::error::Error>> {
         naive,
         &entity,
         &[&smoking, &packs],
-        EngineConfig::from_env()?,
+        EngineConfig::default(),
     )?)
 }
 

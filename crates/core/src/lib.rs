@@ -35,10 +35,11 @@
 //! Underneath all of it sits [`relational`], the embedded engine whose
 //! [`relational::exec::Executor`] sessions evaluate plans over columnar
 //! resting storage and run them morsel-parallel above a cardinality
-//! threshold ([`relational::exec::ExecConfig`], `GUAVA_EXEC_THREADS`;
-//! DESIGN.md §10–§11) — study workflows inherit this transparently
-//! through `Workflow::run` / `Workflow::run_with`, or pin a shared
-//! executor with `Workflow::run_on`.
+//! threshold (DESIGN.md §10–§11) — study workflows inherit this
+//! transparently through `EtlWorkflow::run`, or share one executor with
+//! `EtlWorkflow::run_on`; the executor is the only place threads are
+//! spawned and [`relational::exec::Executor::threads`] the only way to
+//! say how many.
 //!
 //! ## Quickstart
 //!
@@ -82,7 +83,7 @@ pub mod system;
 /// One-stop imports for downstream users.
 pub mod prelude {
     pub use crate::artifacts::{ArtifactBundle, ArtifactError, BUNDLE_VERSION};
-    pub use crate::system::{run_workflow_parallel, GuavaSystem, StudyResult, SystemError};
+    pub use crate::system::{GuavaSystem, StudyResult, SystemError};
     pub use guava_etl::prelude::*;
     pub use guava_forms::prelude::*;
     pub use guava_gtree::prelude::*;

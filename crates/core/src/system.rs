@@ -14,9 +14,8 @@ use guava_multiclass::study::{ClassifierRegistry, Study, StudyRegistry};
 use guava_multiclass::study_schema::StudySchema;
 use guava_patterns::stack::PatternStack;
 use guava_relational::database::{Catalog, Database};
-use guava_relational::error::{RelError, RelResult};
+use guava_relational::error::RelError;
 use guava_relational::table::Table;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
 /// The result of running one study.
@@ -74,8 +73,8 @@ pub struct GuavaSystem {
     registry: ClassifierRegistry,
     studies: StudyRegistry,
     bindings: Vec<ContributorBinding>,
-    /// Physical databases, shared for concurrent study runs.
-    physical: RwLock<Catalog>,
+    /// The contributors' physical databases.
+    physical: Catalog,
 }
 
 impl GuavaSystem {
@@ -85,7 +84,7 @@ impl GuavaSystem {
             registry: ClassifierRegistry::new(),
             studies: StudyRegistry::new(),
             bindings: Vec::new(),
-            physical: RwLock::new(Catalog::new()),
+            physical: Catalog::new(),
         }
     }
 
@@ -102,7 +101,7 @@ impl GuavaSystem {
             return Err(SystemError::DuplicateContributor(name));
         }
         physical.name = name.clone();
-        self.physical.write().insert(physical);
+        self.physical.insert(physical);
         self.bindings.push(ContributorBinding::new(tree, stack));
         Ok(())
     }
@@ -152,7 +151,7 @@ impl GuavaSystem {
     /// decisions (Section 3).
     pub fn run_study(&mut self, study: &Study) -> Result<StudyResult, SystemError> {
         let compiled = self.compile_study(study)?;
-        let mut catalog = self.physical.read().clone();
+        let mut catalog = self.physical.clone();
         compiled
             .workflow
             .run(&mut catalog)
@@ -183,45 +182,6 @@ impl GuavaSystem {
     pub fn prior_studies(&self) -> Vec<&Study> {
         self.studies.sharing_schema(&self.study_schema.name)
     }
-
-    /// Run the per-contributor extract stage in parallel with scoped
-    /// threads (contributor databases are independent), then the remaining
-    /// stages sequentially. Returns the same tables as [`GuavaSystem::run_study`].
-    pub fn run_study_parallel(&mut self, study: &Study) -> Result<StudyResult, SystemError> {
-        let compiled = self.compile_study(study)?;
-        let catalog = self.physical.read().clone();
-        let mut catalog = run_workflow_parallel(&compiled, catalog)?;
-        let results = catalog
-            .database_mut(&compiled.output_db)
-            .map_err(SystemError::Rel)?;
-        let mut tables = BTreeMap::new();
-        for (entity, table) in &compiled.output_tables {
-            tables.insert(
-                entity.clone(),
-                results.table(table).map_err(SystemError::Rel)?.clone(),
-            );
-        }
-        let xquery = study_to_xquery(&compiled);
-        let datalog = study_to_datalog(&compiled);
-        let _ = self.studies.register(study.clone());
-        Ok(StudyResult {
-            tables,
-            compiled,
-            xquery,
-            datalog,
-        })
-    }
-}
-
-/// Execute a compiled workflow with per-stage parallelism. Since
-/// [`EtlWorkflow::run`] itself fans each stage's components out on scoped
-/// threads, this is now a thin wrapper that adapts the by-value catalog
-/// signature callers rely on.
-///
-/// [`EtlWorkflow::run`]: guava_etl::workflow::EtlWorkflow::run
-pub fn run_workflow_parallel(compiled: &CompiledStudy, mut catalog: Catalog) -> RelResult<Catalog> {
-    compiled.workflow.run(&mut catalog)?;
-    Ok(catalog)
 }
 
 #[cfg(test)]
@@ -262,20 +222,6 @@ mod tests {
         assert!(!result.datalog.rules.is_empty());
         // The study is archived for reuse.
         assert_eq!(sys.prior_studies().len(), 1);
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential() {
-        let (profiles, mut sys) = system(80);
-        let contributors = build_all(&profiles).unwrap();
-        let study = study2_definition(&contributors, ExSmokerMeaning::QuitWithinYear);
-        let seq = sys.run_study(&study).unwrap();
-        let par = sys.run_study_parallel(&study).unwrap();
-        let mut a = seq.tables["Procedure"].rows().to_vec();
-        let mut b = par.tables["Procedure"].rows().to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! the result into another — exactly Figure 6's "sequence of three ETL
 //! components, each executing a query over the previous one's results",
 //! with temporary databases in between.
+//!
+//! The components of a stage are evaluated one after another, each
+//! against the catalog as it stood before the stage; how a component's
+//! plan uses the machine is the [`Executor`]'s business, and nothing here
+//! spawns a thread.
 
 use guava_relational::algebra::Plan;
 use guava_relational::database::{Catalog, Database};
 use guava_relational::delta::{table_fingerprint, Change, DeltaPlan, DeltaSet, TableChanges};
 use guava_relational::error::{RelError, RelResult};
-use guava_relational::exec::{ExecConfig, Executor};
+use guava_relational::exec::Executor;
 use guava_relational::table::Table;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -58,52 +63,23 @@ impl EtlWorkflow {
     /// counts.
     ///
     /// Components within a stage are order-independent — they read only
-    /// earlier stages' outputs — so each stage evaluates its components
-    /// concurrently on scoped threads. Loads are then applied in
-    /// declaration order and the first failing component (in that order)
-    /// aborts the run, so the observable outcome is identical to sequential
-    /// execution regardless of thread completion order.
+    /// earlier stages' outputs — so each stage evaluates its components in
+    /// declaration order against the *pre-stage* catalog, stopping at the
+    /// first failure. Loads are then applied in declaration order, so a
+    /// failing component aborts the run with the loads declared before it
+    /// applied (DESIGN.md §10).
     pub fn run(&self, catalog: &mut Catalog) -> RelResult<Vec<ComponentRun>> {
-        self.run_on(catalog, &Executor::from_env()?)
-    }
-
-    /// [`run`](Self::run) with an explicit executor configuration —
-    /// equivalent to `run_on` with `Executor::with_config(*cfg)`, kept so
-    /// call sites holding a bare [`ExecConfig`] need no conversion.
-    pub fn run_with(
-        &self,
-        catalog: &mut Catalog,
-        cfg: &ExecConfig,
-    ) -> RelResult<Vec<ComponentRun>> {
-        self.run_on(catalog, &Executor::with_config(*cfg))
+        self.run_on(catalog, &Executor::new())
     }
 
     /// [`run`](Self::run) with an explicit [`Executor`] threaded through
-    /// every component's plan evaluation, instead of re-reading the
-    /// environment per component. Component-level concurrency (one thread
-    /// per component of a stage) composes with the executor's morsel
-    /// parallelism — pass an executor built with `.threads(1)` to keep a
-    /// many-component workflow at one thread per component.
+    /// every component's plan evaluation.
     pub fn run_on(&self, catalog: &mut Catalog, exec: &Executor) -> RelResult<Vec<ComponentRun>> {
         let mut runs = Vec::new();
         for stage in &self.stages {
-            let results = run_stage(stage, catalog, exec);
+            let results = eval_stage(stage, |comp| run_component(comp, catalog, exec));
             for (comp, result) in stage.components.iter().zip(results) {
-                let table = result?;
-                if catalog.database(&comp.target_db).is_err() {
-                    catalog.insert(Database::new(comp.target_db.clone()));
-                }
-                let target = catalog.database_mut(&comp.target_db)?;
-                // Seal the landed output into column segments now, while
-                // the rows are hot, so downstream scans start on sealed
-                // lanes instead of paying a lazy first-scan build.
-                table.segments();
-                target.put_table(table);
-                let rows_out = target.table(&comp.target_table)?.len();
-                runs.push(ComponentRun {
-                    component: comp.name.clone(),
-                    rows_out,
-                });
+                runs.push(load(catalog, comp, result?)?);
             }
         }
         Ok(runs)
@@ -140,35 +116,15 @@ impl EtlWorkflow {
         // against the pre-stage catalog, exactly like `run_on`.
         let mut produced: HashMap<(String, String), Change> = HashMap::new();
         for stage in &self.stages {
-            // Evaluate all of the stage against the pre-load catalog.
-            let mut results: Vec<RelResult<(Table, Change)>> = Vec::new();
-            for comp in &stage.components {
-                let r = run_component_incremental(comp, catalog, deltas, &produced, cache, exec);
-                let failed = r.is_err();
-                results.push(r);
-                if failed {
-                    break; // later components are never loaded anyway
-                }
-            }
+            let results = eval_stage(stage, |comp| {
+                run_component_incremental(comp, catalog, deltas, &produced, cache, exec)
+            });
             // Apply loads in declaration order; the first failing component
             // aborts with earlier loads applied, mirroring `run_on`.
             let mut stage_produced = Vec::new();
             for (comp, result) in stage.components.iter().zip(results) {
                 let (table, change) = result?;
-                if catalog.database(&comp.target_db).is_err() {
-                    catalog.insert(Database::new(comp.target_db.clone()));
-                }
-                let target = catalog.database_mut(&comp.target_db)?;
-                // Seal the landed output into column segments now, while
-                // the rows are hot, so downstream scans start on sealed
-                // lanes instead of paying a lazy first-scan build.
-                table.segments();
-                target.put_table(table);
-                let rows_out = target.table(&comp.target_table)?.len();
-                runs.push(ComponentRun {
-                    component: comp.name.clone(),
-                    rows_out,
-                });
+                runs.push(load(catalog, comp, table)?);
                 stage_produced.push(((comp.target_db.clone(), comp.target_table.clone()), change));
             }
             produced.extend(stage_produced);
@@ -197,43 +153,46 @@ impl EtlWorkflow {
     }
 }
 
-/// Evaluate every component of one stage against an immutable snapshot of
-/// the catalog. Multi-component stages fan out on crossbeam scoped threads;
-/// results come back in declaration order, with a panicking component
-/// surfaced as an error rather than tearing down the caller.
-fn run_stage(stage: &EtlStage, catalog: &Catalog, exec: &Executor) -> Vec<RelResult<Table>> {
-    if stage.components.len() <= 1 {
-        return stage
-            .components
-            .iter()
-            .map(|c| run_component(c, catalog, exec))
-            .collect();
+/// Evaluate the components of one stage with `eval`, in declaration order,
+/// against the pre-stage catalog (loading is the caller's next step).
+/// Stops at the first failure: later components are never loaded anyway.
+fn eval_stage<T>(
+    stage: &EtlStage,
+    mut eval: impl FnMut(&EtlComponent) -> RelResult<T>,
+) -> Vec<RelResult<T>> {
+    let mut results = Vec::with_capacity(stage.components.len());
+    for comp in &stage.components {
+        let r = eval(comp);
+        let failed = r.is_err();
+        results.push(r);
+        if failed {
+            break;
+        }
     }
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = stage
-            .components
-            .iter()
-            .map(|comp| scope.spawn(move |_| run_component(comp, catalog, exec)))
-            .collect();
-        handles
-            .into_iter()
-            .zip(&stage.components)
-            .map(|(h, comp)| {
-                h.join().unwrap_or_else(|_| {
-                    Err(RelError::Eval(format!(
-                        "ETL component `{}` panicked",
-                        comp.name
-                    )))
-                })
-            })
-            .collect()
+    results
+}
+
+/// Land one component's output as its target table (the target database
+/// is created on demand).
+fn load(catalog: &mut Catalog, comp: &EtlComponent, table: Table) -> RelResult<ComponentRun> {
+    if catalog.database(&comp.target_db).is_err() {
+        catalog.insert(Database::new(comp.target_db.clone()));
+    }
+    let target = catalog.database_mut(&comp.target_db)?;
+    // Seal the landed output into column segments now, while the rows are
+    // hot, so downstream scans start on sealed lanes instead of paying a
+    // lazy first-scan build.
+    table.segments();
+    target.put_table(table);
+    Ok(ComponentRun {
+        component: comp.name.clone(),
+        rows_out: target.table(&comp.target_table)?.len(),
     })
-    .expect("ETL stage scope panicked")
 }
 
 /// One component: evaluate its plan over the source database and rename the
 /// result to the target table. Pure with respect to the catalog — loading
-/// is the caller's job, which keeps this safe to run concurrently.
+/// is the caller's job, which is what lets a stage read the pre-stage state.
 fn run_component(comp: &EtlComponent, catalog: &Catalog, exec: &Executor) -> RelResult<Table> {
     let source = catalog.database(&comp.source_db).map_err(|_| {
         RelError::Plan(format!(
@@ -567,8 +526,7 @@ mod tests {
         );
     }
 
-    /// A source big enough that components doing different amounts of work
-    /// finish in an order unrelated to their declaration order.
+    /// The source of [`skewed_stage`].
     fn skewed_catalog(n: i64) -> Catalog {
         let mut db = Database::new("src");
         let s = Schema::new(
@@ -624,60 +582,61 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_stage_is_deterministic_regardless_of_completion_order() {
-        let wf = skewed_stage(None);
-        let mut reference: Option<(Vec<ComponentRun>, Vec<Table>)> = None;
-        for _ in 0..4 {
-            let mut cat = skewed_catalog(400);
-            let runs = wf.run(&mut cat).unwrap();
-            // Run order mirrors declaration order, not completion order.
-            let names: Vec<&str> = runs.iter().map(|r| r.component.as_str()).collect();
-            assert_eq!(
-                names,
-                vec!["heavy", "light_0", "light_1", "light_2", "light_3", "light_4", "light_5"]
-            );
-            let out = cat.database("out").unwrap();
-            let tables: Vec<Table> = out.tables().cloned().collect();
-            match &reference {
-                None => reference = Some((runs, tables)),
-                Some((r0, t0)) => {
-                    assert_eq!(&runs, r0, "row counts must not depend on scheduling");
-                    assert_eq!(&tables, t0, "loaded tables must not depend on scheduling");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_stage_matches_single_component_stages() {
-        // The same components run one-per-stage (fully sequential) must
-        // produce the same loaded tables as the one concurrent stage.
-        let concurrent = skewed_stage(None);
-        let sequential = EtlWorkflow {
-            name: "seq".into(),
-            stages: concurrent.stages[0]
-                .components
-                .iter()
-                .map(|c| EtlStage {
-                    name: c.name.clone(),
-                    components: vec![c.clone()],
-                })
-                .collect(),
+    fn stage_reads_pre_stage_catalog_and_loads_in_declaration_order() {
+        // One stage: `a` and `c` overwrite the table all three read, `b`
+        // copies it. Each must see the pre-stage `src.t` (x = 10, 20, 30),
+        // not a sibling's output, and `c`'s load must land after `a`'s.
+        let comp = |name: &str, plan: Plan, db: &str, table: &str| EtlComponent {
+            name: name.into(),
+            source_db: "src".into(),
+            plan,
+            target_db: db.into(),
+            target_table: table.into(),
         };
-        let mut cat_a = skewed_catalog(200);
-        let mut cat_b = skewed_catalog(200);
-        let runs_a = concurrent.run(&mut cat_a).unwrap();
-        let runs_b = sequential.run(&mut cat_b).unwrap();
-        assert_eq!(runs_a, runs_b);
-        let tables_a: Vec<Table> = cat_a.database("out").unwrap().tables().cloned().collect();
-        let tables_b: Vec<Table> = cat_b.database("out").unwrap().tables().cloned().collect();
-        assert_eq!(tables_a, tables_b);
+        let above_10 = Plan::scan("t").select(Expr::col("x").gt(Expr::lit(10i64)));
+        let below_20 = Plan::scan("t").select(Expr::col("x").lt(Expr::lit(20i64)));
+        let mut wf = EtlWorkflow {
+            name: "siblings".into(),
+            stages: vec![EtlStage {
+                name: "only".into(),
+                components: vec![
+                    comp("a", above_10, "src", "t"),
+                    comp("b", Plan::scan("t"), "out", "copy"),
+                    comp("c", below_20, "src", "t"),
+                ],
+            }],
+        };
+        let ids = |cat: &Catalog, db: &str, table: &str| -> Vec<Value> {
+            let t = cat.database(db).unwrap().table(table).unwrap();
+            t.iter_rows().map(|r| r[0].clone()).collect()
+        };
+        let mut cat = catalog();
+        let runs = wf.run(&mut cat).unwrap();
+        let counts: Vec<_> = runs.iter().map(|r| (&*r.component, r.rows_out)).collect();
+        assert_eq!(counts, vec![("a", 2), ("b", 3), ("c", 1)]);
+        assert_eq!(ids(&cat, "out", "copy"), vec![1.into(), 2.into(), 3.into()]);
+        assert_eq!(ids(&cat, "src", "t"), vec![Value::Int(1)]);
+
+        // Two failing components: the first in declaration order is the
+        // error, and exactly the loads declared before it are applied.
+        for fault in ["first_fault", "second_fault"] {
+            let bad = comp(fault, Plan::scan("t").project_cols(&[fault]), "out", fault);
+            wf.stages[0].components.push(bad);
+        }
+        let mut cat = catalog();
+        let err = wf.run(&mut cat).unwrap_err();
+        assert!(
+            matches!(err, RelError::UnknownColumn { ref column, .. } if column == "first_fault"),
+            "unexpected error: {err:?}"
+        );
+        assert_eq!(ids(&cat, "out", "copy").len(), 3);
+        assert_eq!(ids(&cat, "src", "t"), vec![Value::Int(1)]);
     }
 
     #[test]
     fn failing_component_surfaces_error_not_panic() {
-        // Fail the *last* component: every thread still joins, earlier
-        // components' loads still land, and the error names the plan fault.
+        // Fail the *last* component: earlier components' loads still land,
+        // and the error names the plan fault.
         let wf = skewed_stage(Some(6));
         let mut cat = skewed_catalog(100);
         let err = wf.run(&mut cat).unwrap_err();

@@ -79,19 +79,6 @@ impl PatternStack {
         self.decode_plan(naive_plan)?.eval(physical)
     }
 
-    /// Like [`PatternStack::query`], but runs the logical optimizer over
-    /// the decode plan first (predicate pushdown, projection fusion) —
-    /// decode rewrites mechanically stack operators that the optimizer
-    /// collapses. Results are identical; see the `pattern_overhead` bench
-    /// for the measured difference.
-    pub fn query_optimized(
-        &self,
-        physical: &Database,
-        naive_plan: &Plan,
-    ) -> RelResult<guava_relational::table::Table> {
-        guava_relational::optimize::optimize(&self.decode_plan(naive_plan)?).eval(physical)
-    }
-
     /// Sanity-check the stack against a tool's naïve schemas: schemas must
     /// transform cleanly and every naïve table must decode to its original
     /// schema shape on an empty database.

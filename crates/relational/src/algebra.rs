@@ -233,10 +233,11 @@ impl Plan {
         }
     }
 
-    /// Evaluate the plan against a database.
+    /// Evaluate the plan against a database with the default
+    /// [`Executor`](crate::exec::Executor) — hold one and call its
+    /// `execute` to evaluate many plans, or to set a thread count.
     ///
-    /// A thin wrapper over [`Executor::from_env`](crate::exec::Executor):
-    /// execution routes through the batch executor ([`crate::exec`]),
+    /// Execution routes through the batch executor ([`crate::exec`]),
     /// where scans read the source table's `Arc`-shared storage
     /// without copying it and chains of Select/Project/Rename run fused,
     /// one pass over 1024-row batches. Only the blocking operators
@@ -245,22 +246,7 @@ impl Plan {
     /// [`Plan::eval_materialized`] and serves as the oracle the executor is
     /// property-tested against.
     pub fn eval(&self, db: &Database) -> RelResult<Table> {
-        crate::exec::Executor::from_env()?.execute(self, db)
-    }
-
-    /// Evaluate with an explicit [`ExecConfig`](crate::exec::ExecConfig)
-    /// instead of the environment-derived default — equivalent to
-    /// [`Executor::with_config`](crate::exec::Executor::with_config)
-    /// followed by `execute`.
-    ///
-    /// The configuration only chooses the physical path — serial or
-    /// morsel-parallel — and the result (table bytes
-    /// and error status alike) is identical for every configuration. Use
-    /// this where determinism must not depend on the process environment:
-    /// tests pin paths explicitly, and ETL runs thread one configuration
-    /// through a whole workflow.
-    pub fn eval_with(&self, db: &Database, cfg: &crate::exec::ExecConfig) -> RelResult<Table> {
-        crate::exec::Executor::with_config(*cfg).execute(self, db)
+        crate::exec::Executor::new().execute(self, db)
     }
 
     /// Evaluate the plan by materializing a full [`Table`] at every

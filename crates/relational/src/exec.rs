@@ -36,8 +36,8 @@
 //!   shared row is copied to be grouped, indexed or pivoted (sort clones
 //!   each shared row once, into its output slot).
 //!
-//! Parallelism selection is **per operator**: each operator holds the
-//! session [`ExecConfig`] and dispatches its input to its kernel
+//! Parallelism selection is **per operator**: each operator holds a copy
+//! of the session's [`Executor`] and dispatches its input to its kernel
 //! (`exec::vector`'s window walk for fused pipelines, the lane kernels of
 //! `exec::blocking` for join/aggregate/pivot/sort) or that kernel's
 //! morsel-parallel variant (`exec::morsel`). There is exactly one
@@ -66,19 +66,24 @@
 //! parallel output **byte-identical** to serial output at any thread
 //! count; errors keep row order because the lowest-index failing morsel
 //! wins. The choice
-//! between the serial and parallel path is made per operator by
-//! [`ExecConfig`]: inputs below [`ExecConfig::parallel_threshold`] stay
-//! serial, and the [`GUAVA_EXEC_THREADS`](THREADS_ENV) environment
-//! variable (or an explicit config passed to [`execute_with`] /
-//! `Plan::eval_with`) overrides the thread count — `1` forces the serial
-//! path everywhere. SUM/AVG over FLOAT columns always run serially: `f64`
+//! between the serial and parallel path is made per operator from the
+//! [`Executor`] it was compiled under: inputs below its
+//! `parallel_threshold` stay serial, and so does everything when its
+//! thread count is 1. The thread count defaults to the host's
+//! [`available_parallelism`](std::thread::available_parallelism) — a
+//! value the code works out for itself, so there is no environment
+//! variable, and [`Executor::threads`] is the one way to say otherwise.
+//! This module is the only place a plan or a workflow spawns threads
+//! (DESIGN.md §10 records the paired runs that decided it). SUM/AVG over
+//! FLOAT columns always run serially: `f64`
 //! addition is not associative, and bit-for-bit agreement with the serial
 //! kernel matters more than parallel speedup there.
 //!
 //! # Lanes and the `Executor` session API
 //!
-//! [`Executor`] is the single entry point tying the knobs together: a
-//! builder over [`ExecConfig`]. Fused Select/Project chains evaluate the
+//! [`Executor`] is the single handle: the three knobs and the one
+//! `execute` every other evaluator (`Plan::eval`, `EtlWorkflow::run*`,
+//! `DeltaPlan`, `Engine`) goes through. Fused Select/Project chains evaluate the
 //! leading filters that decompose into `column ⟨op⟩ literal` conjuncts as
 //! lane masks over segment storage and walk the selected rows, in row
 //! order, through everything else (`exec::vector`; DESIGN.md §11 records
@@ -93,8 +98,8 @@
 //! operator-at-a-time reference
 //! interpreter stays available as [`Plan::eval_materialized`] — not a
 //! configuration of this executor but the oracle it is held to:
-//! `tests/algebra_properties.rs` checks every [`ExecConfig`] against it on
-//! random plans, tables and errors alike.
+//! `tests/algebra_properties.rs` checks both lanes against it on random
+//! plans, tables and errors alike.
 
 mod batch;
 mod blocking;
@@ -119,113 +124,14 @@ use std::sync::Arc;
 /// dispatch, small enough that a pipeline's working set stays cache-sized.
 pub const BATCH_SIZE: usize = 1024;
 
-/// Environment variable overriding the executor's thread count.
-///
-/// `GUAVA_EXEC_THREADS=1` forces the serial path everywhere; any larger
-/// value enables the morsel-parallel path with that many workers for
-/// inputs above the cardinality threshold. Unset, empty, or `0` fall back
-/// to the host's available parallelism; anything else that does not parse
-/// as a thread count is a hard [`RelError::Plan`] error — a typo here
-/// should not silently change how plans execute. The variable is re-read
-/// on every [`execute`] call, so tests can flip it at run time; code that
-/// needs a fixed configuration should call [`execute_with`] (or
-/// `Plan::eval_with`) instead of mutating the process environment.
-///
-/// [`ExecConfig::from_env`] is the one place this variable — the
-/// executor's only one — is read.
-pub const THREADS_ENV: &str = "GUAVA_EXEC_THREADS";
-
 /// Default minimum input cardinality for an operator to go parallel.
 /// Below this, spawning threads costs more than the scan saves.
 pub const PARALLEL_THRESHOLD: usize = 4096;
 
-/// Tuning knobs for the executor's morsel-parallel path.
-///
-/// The configuration never changes *what* a plan evaluates to — every
-/// thread count produces byte-identical tables and errors (see
-/// [`morsel`]) — only how much hardware the kernels use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Worker threads for parallel operators. `1` forces the serial path.
-    pub threads: usize,
-    /// Minimum input rows before an operator considers going parallel.
-    pub parallel_threshold: usize,
-    /// Rows per morsel. Fixed morsel boundaries (independent of thread
-    /// count) are what make parallel output deterministic; change this
-    /// only to exercise merge logic in tests.
-    pub morsel_size: usize,
-}
-
-impl Default for ExecConfig {
-    /// Threads from [`std::thread::available_parallelism`], the default
-    /// cardinality threshold, and the default morsel size.
-    fn default() -> ExecConfig {
-        ExecConfig {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            parallel_threshold: PARALLEL_THRESHOLD,
-            morsel_size: morsel::MORSEL_SIZE,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// A configuration that always takes the serial path.
-    pub fn serial() -> ExecConfig {
-        ExecConfig {
-            threads: 1,
-            ..ExecConfig::default()
-        }
-    }
-
-    /// Default configuration with an explicit worker count (min 1).
-    pub fn with_threads(threads: usize) -> ExecConfig {
-        ExecConfig {
-            threads: threads.max(1),
-            ..ExecConfig::default()
-        }
-    }
-
-    /// Read the configuration from the environment. This is the single
-    /// entry point for executor env handling: [`THREADS_ENV`] sets the
-    /// worker count. Unset or empty keeps the default (as does
-    /// `GUAVA_EXEC_THREADS=0`, the documented "auto" spelling), but any
-    /// other unparsable value is a hard error — a typo in an env override
-    /// must not silently fall back to a different execution strategy. The
-    /// variable is re-evaluated on every call (and thus on every
-    /// [`execute`] / `Plan::eval`), so tests can flip it at run time.
-    pub fn from_env() -> RelResult<ExecConfig> {
-        Self::from_env_values(std::env::var(THREADS_ENV).ok().as_deref())
-    }
-
-    /// Pure core of [`Self::from_env`]: parse an explicit override string
-    /// with exactly the env semantics of [`THREADS_ENV`] — unset/empty
-    /// keeps the default, anything unparsable is a hard error. Public so
-    /// higher layers (e.g. `guava_warehouse::service::EngineConfig`) can
-    /// layer explicit builder fields over the same defaults without
-    /// re-implementing — or silently diverging from — the env grammar.
-    pub fn from_env_values(threads: Option<&str>) -> RelResult<ExecConfig> {
-        match threads.map(str::trim).filter(|s| !s.is_empty()) {
-            None => Ok(ExecConfig::default()),
-            Some(s) => match s.parse::<usize>() {
-                Ok(0) => Ok(ExecConfig::default()), // documented "auto" spelling
-                Ok(n) => Ok(ExecConfig::with_threads(n)),
-                Err(_) => Err(RelError::Plan(format!(
-                    "invalid {THREADS_ENV} value `{s}`: expected a thread count (0 = auto)"
-                ))),
-            },
-        }
-    }
-
-    /// Should an operator over `rows` input rows take the parallel path?
-    fn parallel_for(&self, rows: usize) -> bool {
-        self.threads > 1 && rows > 0 && rows >= self.parallel_threshold
-    }
-}
-
-/// The executor session API: one configured handle that evaluates any
-/// number of plans. `Plan::eval`, `Plan::eval_with`, and the ETL workflow
-/// runners are all thin wrappers over an `Executor`; construct one
-/// directly to pin a configuration once and reuse it:
+/// The executor: one `Copy` handle that says how plans use the machine
+/// and evaluates any number of them. `Plan::eval`, the ETL workflow
+/// runners, `DeltaPlan` and the warehouse `Engine` all go through one;
+/// every operator and kernel receives it by value.
 ///
 /// ```
 /// use guava_relational::exec::Executor;
@@ -243,90 +149,84 @@ impl ExecConfig {
 /// ```
 ///
 /// The builder methods move `self`, so a shared executor is cheap to
-/// specialize: `base.threads(1)` copies the handle. Like
-/// [`ExecConfig`], the configuration never changes what a plan evaluates
-/// to — only which physical loops run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// specialize: `base.threads(1)` copies the handle. The configuration
+/// never changes *what* a plan evaluates to — every thread count produces
+/// byte-identical tables and errors (see [`morsel`]) — only how much
+/// hardware the kernels use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
-    cfg: ExecConfig,
+    /// Worker threads for parallel operators. `1` forces the serial path.
+    threads: usize,
+    /// Minimum input rows before an operator considers going parallel.
+    parallel_threshold: usize,
+    /// Rows per morsel. Fixed morsel boundaries (independent of thread
+    /// count) are what make parallel output deterministic; change this
+    /// only to exercise merge logic in tests.
+    morsel_size: usize,
+}
+
+impl Default for Executor {
+    /// Threads from [`std::thread::available_parallelism`], the default
+    /// cardinality threshold, and the default morsel size.
+    fn default() -> Executor {
+        Executor {
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            parallel_threshold: PARALLEL_THRESHOLD,
+            morsel_size: morsel::MORSEL_SIZE,
+        }
+    }
 }
 
 impl Executor {
-    /// An executor with the default configuration ([`ExecConfig::default`]).
+    /// An executor with the default configuration.
     pub fn new() -> Executor {
         Executor::default()
     }
 
-    /// An executor configured from the environment
-    /// ([`ExecConfig::from_env`]); fails on unparsable env overrides.
-    pub fn from_env() -> RelResult<Executor> {
-        Ok(Executor {
-            cfg: ExecConfig::from_env()?,
-        })
-    }
-
-    /// An executor over an existing configuration.
-    pub fn with_config(cfg: ExecConfig) -> Executor {
-        Executor { cfg }
-    }
-
     /// Set the worker thread count (min 1; `1` forces the serial path).
     pub fn threads(mut self, n: usize) -> Executor {
-        self.cfg.threads = n.max(1);
+        self.threads = n.max(1);
         self
     }
 
     /// Set the rows-per-morsel size (min 1).
     pub fn morsel_size(mut self, m: usize) -> Executor {
-        self.cfg.morsel_size = m.max(1);
+        self.morsel_size = m.max(1);
         self
     }
 
     /// Set the minimum input cardinality for operators to go parallel.
     pub fn parallel_threshold(mut self, rows: usize) -> Executor {
-        self.cfg.parallel_threshold = rows;
+        self.parallel_threshold = rows;
         self
     }
 
-    /// The underlying configuration.
-    pub fn config(&self) -> &ExecConfig {
-        &self.cfg
+    /// Should an operator over `rows` input rows take the parallel path?
+    fn parallel_for(&self, rows: usize) -> bool {
+        self.threads > 1 && rows > 0 && rows >= self.parallel_threshold
     }
 
-    /// Evaluate `plan` against `db` under this executor's configuration.
+    /// Evaluate `plan` against `db`. Results are identical for every
+    /// configuration.
     pub fn execute(&self, plan: &Plan, db: &Database) -> RelResult<Table> {
-        execute_with(plan, db, &self.cfg)
+        // A bare scan (or inline relation) at the root returns the stored table
+        // itself — primary key included — exactly like the materializing
+        // interpreter. A table clone shares every chunk, so it is O(#chunks).
+        match plan {
+            Plan::Scan(name) => return db.table(name).cloned(),
+            Plan::Values { schema, rows } => return Table::from_rows(schema.clone(), rows.clone()),
+            _ => {}
+        }
+        let (schema, exec) = compile(plan, db, *self)?;
+        let batches = ops::drive(exec.into_tree(*self))?;
+        let mut rows: Vec<Row> = Vec::with_capacity(batches.iter().map(batch::Batch::len).sum());
+        for b in batches {
+            rows.extend(b.into_rows());
+        }
+        // Every operator validated its own output wherever validation can fail
+        // at all, so assembling the result does not re-check rows.
+        Table::from_validated(schema, rows)
     }
-}
-
-/// Evaluate `plan` against `db` with the configuration from the
-/// environment ([`ExecConfig::from_env`]). This is what [`Plan::eval`]
-/// calls.
-pub fn execute(plan: &Plan, db: &Database) -> RelResult<Table> {
-    execute_with(plan, db, &ExecConfig::from_env()?)
-}
-
-/// Evaluate `plan` against `db` with an explicit [`ExecConfig`]. Results
-/// are identical for every configuration; tests use this to pin the
-/// serial or parallel path without touching the process environment.
-pub fn execute_with(plan: &Plan, db: &Database, cfg: &ExecConfig) -> RelResult<Table> {
-    // A bare scan (or inline relation) at the root returns the stored table
-    // itself — primary key included — exactly like the materializing
-    // interpreter. A table clone shares every chunk, so it is O(#chunks).
-    match plan {
-        Plan::Scan(name) => return db.table(name).cloned(),
-        Plan::Values { schema, rows } => return Table::from_rows(schema.clone(), rows.clone()),
-        _ => {}
-    }
-    let (schema, exec) = compile(plan, db, *cfg)?;
-    let batches = ops::drive(exec.into_tree(*cfg))?;
-    let mut rows: Vec<Row> = Vec::with_capacity(batches.iter().map(batch::Batch::len).sum());
-    for b in batches {
-        rows.extend(b.into_rows());
-    }
-    // Every operator validated its own output wherever validation can fail
-    // at all, so assembling the result does not re-check rows.
-    Table::from_validated(schema, rows)
 }
 
 /// A compiled subtree: either a fusable pipeline (so a parent
@@ -351,7 +251,7 @@ impl<'p> Exec<'p> {
 
     /// Seal this subtree into an operator tree. A pipeline with no stages
     /// is its source; otherwise a `PipelineOp` node wraps it.
-    fn into_tree(self, cfg: ExecConfig) -> ops::OpTree<'p> {
+    fn into_tree(self, cfg: Executor) -> ops::OpTree<'p> {
         match self {
             Exec::Pipe { source, stages } if stages.is_empty() => source,
             Exec::Pipe { mut source, stages } => {
@@ -375,7 +275,7 @@ impl<'p> Exec<'p> {
 /// Compile a plan into its output schema and physical operator tree.
 /// Binding recurses children-first, so schema errors surface in the same
 /// order the materializing interpreter reports them.
-fn compile<'p>(plan: &'p Plan, db: &Database, cfg: ExecConfig) -> RelResult<(Schema, Exec<'p>)> {
+fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schema, Exec<'p>)> {
     Ok(match plan {
         Plan::Scan(name) => {
             let t = db.table(name)?;
@@ -754,8 +654,9 @@ mod tests {
     fn pipeline_emits_bounded_batches() {
         let db = wide_db(2500);
         let plan = Plan::scan("t").select(Expr::lit(true));
-        let (_, exec) = compile(&plan, &db, ExecConfig::serial()).unwrap();
-        let batches = ops::drive(exec.into_tree(ExecConfig::serial())).unwrap();
+        let serial = Executor::new().threads(1);
+        let (_, exec) = compile(&plan, &db, serial).unwrap();
+        let batches = ops::drive(exec.into_tree(serial)).unwrap();
         let mut total = 0;
         for b in &batches {
             assert!(b.len() > 0 && b.len() <= BATCH_SIZE);
@@ -915,66 +816,36 @@ mod tests {
     }
 
     #[test]
-    fn env_config_parses_threads() {
-        let cfg = ExecConfig::from_env_values(Some("3")).unwrap();
-        assert_eq!(cfg.threads, 3);
-        // Unset and empty keep the defaults, as does the documented
-        // `0 = auto` thread spelling.
-        let dflt = ExecConfig::default();
-        for auto in [None, Some(""), Some("0"), Some(" 0 ")] {
-            assert_eq!(
-                ExecConfig::from_env_values(auto).unwrap().threads,
-                dflt.threads
-            );
-        }
-    }
-
-    #[test]
-    fn env_config_rejects_bad_threads() {
-        for bad in ["fast", "-2", "1.5", "3x"] {
-            let err = ExecConfig::from_env_values(Some(bad)).unwrap_err();
-            assert!(
-                matches!(err, RelError::Plan(ref m) if m.contains(THREADS_ENV)),
-                "unexpected error for {bad:?}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
     fn executor_builder_clamps_and_composes() {
         let exec = Executor::new()
             .threads(0)
             .morsel_size(0)
             .parallel_threshold(17);
-        assert_eq!(exec.config().threads, 1);
-        assert_eq!(exec.config().morsel_size, 1);
-        assert_eq!(exec.config().parallel_threshold, 17);
+        assert_eq!(exec.threads, 1);
+        assert_eq!(exec.morsel_size, 1);
+        assert_eq!(exec.parallel_threshold, 17);
         // Builder methods copy the handle: specializing one executor
         // leaves the original untouched.
         let base = Executor::new().threads(4);
         let small = base.morsel_size(64);
-        assert_eq!(base.config().morsel_size, morsel::MORSEL_SIZE);
-        assert_eq!(small.config().morsel_size, 64);
-        assert_eq!(small.config().threads, 4);
-        assert_eq!(
-            Executor::with_config(ExecConfig::serial()).config(),
-            &ExecConfig::serial()
-        );
+        assert_eq!(base.morsel_size, morsel::MORSEL_SIZE);
+        assert_eq!(small.morsel_size, 64);
+        assert_eq!(small.threads, 4);
     }
 
     #[test]
-    fn exec_config_has_exactly_three_knobs() {
+    fn executor_has_exactly_three_knobs() {
         // Exhaustive on purpose: a fourth field fails to compile here. Each
         // independently settable value doubles the configurations the
         // property suites and the benchmark must cover (simplicity guide,
         // *Options*): add one only when two callers that already exist
         // need different values; otherwise use a constant or work the
         // value out from the input.
-        let ExecConfig {
+        let Executor {
             threads,
             parallel_threshold,
             morsel_size,
-        } = ExecConfig::default();
+        } = Executor::new();
         assert!(threads >= 1);
         assert_eq!(parallel_threshold, PARALLEL_THRESHOLD);
         assert_eq!(morsel_size, morsel::MORSEL_SIZE);

@@ -39,7 +39,7 @@ use super::batch::{
     build_lane, key_hashes, keys_eq, Gathered, HashBuckets, Lane, RowRef, SortKeys, HASH_SEED,
 };
 use super::morsel::{morsel_bounds, n_morsels, run_tasks};
-use super::ExecConfig;
+use super::Executor;
 use crate::algebra::{cast_text, pivot_rows, AggAcc, Aggregate, JoinKind};
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
@@ -78,7 +78,7 @@ pub(super) fn par_build_hash_index<R: RowRef>(
     rows: &[R],
     schema: &Schema,
     idx: &[usize],
-    cfg: ExecConfig,
+    cfg: Executor,
 ) -> HashIndex {
     let parts = run_tasks(n_morsels(rows.len(), cfg.morsel_size), cfg.threads, |m| {
         let (lo, hi) = morsel_bounds(m, rows.len(), cfg.morsel_size);
@@ -153,7 +153,7 @@ pub(super) fn par_key_hashes(
     rows: &[Row],
     schema: &Schema,
     idx: &[usize],
-    cfg: ExecConfig,
+    cfg: Executor,
 ) -> (Vec<u64>, Vec<bool>) {
     let parts = run_tasks(n_morsels(rows.len(), cfg.morsel_size), cfg.threads, |m| {
         let (lo, hi) = morsel_bounds(m, rows.len(), cfg.morsel_size);
@@ -372,7 +372,7 @@ pub(super) fn par_lane_aggregate<R: RowRef>(
     g_idx: &[usize],
     agg_idx: &[Option<usize>],
     aggregates: &[Aggregate],
-    cfg: ExecConfig,
+    cfg: Executor,
 ) -> Vec<Row> {
     let global = g_idx.is_empty();
     let n_aggs = aggregates.len();
@@ -493,7 +493,7 @@ pub(super) fn sort_gathered(
     g: Gathered,
     schema: &Schema,
     idxs: &[usize],
-    cfg: ExecConfig,
+    cfg: Executor,
 ) -> Vec<Row> {
     let perm = {
         let rows = g.rows();
@@ -518,7 +518,7 @@ pub(super) fn sort_gathered(
 /// stable-sort order.
 fn par_sort_indices(
     n: usize,
-    cfg: ExecConfig,
+    cfg: Executor,
     cmp: impl Fn(usize, usize) -> Ordering + Sync,
 ) -> Vec<u32> {
     let mut runs: Vec<Vec<u32>> = run_tasks(n_morsels(n, cfg.morsel_size), cfg.threads, |m| {
@@ -662,7 +662,7 @@ mod tests {
                 &g_idx,
                 &agg_idx,
                 &aggregates,
-                ExecConfig {
+                Executor {
                     threads: 3,
                     parallel_threshold: 1,
                     morsel_size: 7,
@@ -679,7 +679,7 @@ mod tests {
         let mut want = rows.clone();
         sort_rows(&mut want, &[0]);
         for morsel in [1, 7, 64, 1024] {
-            let cfg = ExecConfig {
+            let cfg = Executor {
                 threads: 4,
                 parallel_threshold: 1,
                 morsel_size: morsel,

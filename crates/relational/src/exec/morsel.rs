@@ -44,7 +44,7 @@
 //! case — a steal happens once per range imbalance, not once per morsel.
 
 use super::batch::{Batch, RowRef};
-use super::{ExecConfig, BATCH_SIZE};
+use super::{Executor, BATCH_SIZE};
 use crate::error::RelResult;
 use crate::schema::Schema;
 use crate::table::Row;
@@ -67,7 +67,7 @@ static SCHEDULER_RUNS: AtomicU64 = AtomicU64::new(0);
 ///
 /// Purely diagnostic: tests and benchmarks read it before and after an
 /// evaluation to observe whether the parallel path actually ran (e.g. that
-/// `GUAVA_EXEC_THREADS=1` or a sub-threshold input stayed serial). Monotone
+/// a one-thread executor or a sub-threshold input stayed serial). Monotone
 /// and racy-by-design; compare deltas, not absolute values, and serialize
 /// tests that assert on it.
 pub fn scheduler_runs() -> u64 {
@@ -202,7 +202,7 @@ fn window_slices(lens: &[usize], size: usize) -> Vec<(usize, usize, usize)> {
 /// non-empty slice result, in window order. `f` also receives the window
 /// the slice was cut from and the slice's offset in it, for kernels that
 /// read the window's segment. Morsel-parallel — slices of at most
-/// [`ExecConfig::morsel_size`] rows on the work-stealing scheduler — when
+/// [`Executor::morsel_size`] rows on the work-stealing scheduler — when
 /// the windows *together* clear the parallel threshold; otherwise
 /// batch-sized slices inline, stopping at the first error. Either way the
 /// error reported is the one of the lowest failing slice, and `f` reports
@@ -211,7 +211,7 @@ fn window_slices(lens: &[usize], size: usize) -> Vec<(usize, usize, usize)> {
 /// materializing oracle) reports.
 pub(super) fn run_windows(
     windows: &[Batch],
-    cfg: ExecConfig,
+    cfg: Executor,
     f: impl Fn(&Batch, usize, &[Row]) -> RelResult<Vec<Row>> + Sync,
 ) -> RelResult<Vec<Batch>> {
     let lens: Vec<usize> = windows.iter().map(Batch::len).collect();
@@ -252,7 +252,7 @@ pub(super) fn run_windows(
 pub(super) fn par_pivot<R: RowRef>(
     rows: &[R],
     klen: usize,
-    cfg: ExecConfig,
+    cfg: Executor,
     kernel: impl Fn(&[R]) -> RelResult<Vec<Row>> + Sync,
 ) -> RelResult<Vec<Row>> {
     let parts = run_tasks(n_morsels(rows.len(), cfg.morsel_size), cfg.threads, |m| {
@@ -286,7 +286,7 @@ pub(super) fn par_pivot<R: RowRef>(
 /// re-checks). Each morsel checks its rows in order and the lowest-index
 /// failing morsel's error wins, so the reported violation is the one the
 /// globally first offending row raises — same as a serial check.
-pub(super) fn par_check_rows(rows: &[Row], schema: &Schema, cfg: ExecConfig) -> RelResult<()> {
+pub(super) fn par_check_rows(rows: &[Row], schema: &Schema, cfg: Executor) -> RelResult<()> {
     let parts = run_tasks(n_morsels(rows.len(), cfg.morsel_size), cfg.threads, |m| {
         let (lo, hi) = morsel_bounds(m, rows.len(), cfg.morsel_size);
         rows[lo..hi].iter().try_for_each(|r| schema.check_row(r))
@@ -405,9 +405,9 @@ mod tests {
             Batch::Owned(tagged(2, BATCH_SIZE + 1)),
         ];
         let want: Vec<Row> = windows.iter().flat_map(Batch::as_slice).cloned().collect();
-        let serial = ExecConfig::serial();
+        let serial = Executor::new().threads(1);
         for size in [1, 7] {
-            let parallel = ExecConfig {
+            let parallel = Executor {
                 threads: 3,
                 parallel_threshold: 1,
                 morsel_size: size,

@@ -14,13 +14,13 @@
 //! pull-based executor had — and for a union it means children concatenate
 //! in declaration order.
 //!
-//! Parallelism selection happens **per operator**: each operator holds
-//! the session [`ExecConfig`] and dispatches to its kernel (`exec::vector`,
+//! Parallelism selection happens **per operator**: each operator holds a
+//! copy of the session's [`Executor`] and dispatches to its kernel (`exec::vector`,
 //! `exec::blocking`) or that kernel's morsel-parallel variant. The streaming operators that do real per-row work — the fused
 //! pipeline and the join probe — buffer the shared windows a scan hands
 //! them and cut morsels over the *window list*
 //! ([`morsel::run_windows`]): parallel when the windows together clear
-//! [`ExecConfig::parallel_threshold`](super::ExecConfig), however many
+//! [`Executor::parallel_threshold`], however many
 //! pieces deletes have split the scan into. Both dispatch targets are
 //! byte-identical — rows, order, and first-error-in-row-order — so the
 //! choice is invisible in the output.
@@ -42,7 +42,7 @@ use super::batch::{key_hashes, keys_eq, Batch, Gathered, HashBuckets};
 use super::blocking;
 use super::morsel;
 use super::vector::{self, SimplePred};
-use super::{apply_stages, ExecConfig, Stage};
+use super::{apply_stages, Executor, Stage};
 use crate::algebra::{unpivot_rows, Aggregate, JoinKind};
 use crate::error::RelResult;
 use crate::schema::Schema;
@@ -143,7 +143,7 @@ pub(super) struct PipelineOp<'p> {
     /// [`vector::prune_groups`] of `stages`, computed once at compile time
     /// and shared with the scan leaf below, if there is one.
     groups: Arc<[Vec<SimplePred>]>,
-    cfg: ExecConfig,
+    cfg: Executor,
     /// Consecutive shared windows not yet run (a scan's parts).
     windows: Vec<Batch>,
     out: Vec<Batch>,
@@ -153,7 +153,7 @@ impl<'p> PipelineOp<'p> {
     pub(super) fn new(
         stages: Vec<Stage<'p>>,
         groups: Arc<[Vec<SimplePred>]>,
-        cfg: ExecConfig,
+        cfg: Executor,
     ) -> PipelineOp<'p> {
         PipelineOp {
             stages,
@@ -225,7 +225,7 @@ pub(super) struct JoinOp {
     l_idx: Vec<usize>,
     r_idx: Vec<usize>,
     kind: JoinKind,
-    cfg: ExecConfig,
+    cfg: Executor,
     build_buf: Vec<Batch>,
     probe_buf: Vec<Batch>,
 }
@@ -237,7 +237,7 @@ impl JoinOp {
         l_idx: Vec<usize>,
         r_idx: Vec<usize>,
         kind: JoinKind,
-        cfg: ExecConfig,
+        cfg: Executor,
     ) -> JoinOp {
         JoinOp {
             lschema,
@@ -298,12 +298,12 @@ impl PhysicalOperator for JoinOp {
 pub(super) struct UnionOp {
     schema: Schema,
     check_rows: bool,
-    cfg: ExecConfig,
+    cfg: Executor,
     out: Vec<Batch>,
 }
 
 impl UnionOp {
-    pub(super) fn new(schema: Schema, check_rows: bool, cfg: ExecConfig) -> UnionOp {
+    pub(super) fn new(schema: Schema, check_rows: bool, cfg: Executor) -> UnionOp {
         UnionOp {
             schema,
             check_rows,
@@ -347,13 +347,13 @@ pub(super) struct DistinctOp {
     schema: Schema,
     /// All column positions — distinct keys on the whole row.
     cols: Vec<usize>,
-    cfg: ExecConfig,
+    cfg: Executor,
     buckets: HashBuckets<Vec<u32>>,
     kept: Vec<Row>,
 }
 
 impl DistinctOp {
-    pub(super) fn new(schema: Schema, cfg: ExecConfig) -> DistinctOp {
+    pub(super) fn new(schema: Schema, cfg: Executor) -> DistinctOp {
         DistinctOp {
             cols: (0..schema.arity()).collect(),
             schema,
@@ -452,7 +452,7 @@ pub(super) struct AggregateOp<'p> {
     agg_idx: Vec<Option<usize>>,
     aggregates: &'p [Aggregate],
     associative: bool,
-    cfg: ExecConfig,
+    cfg: Executor,
     buf: Vec<Batch>,
 }
 
@@ -465,7 +465,7 @@ impl<'p> AggregateOp<'p> {
         agg_idx: Vec<Option<usize>>,
         aggregates: &'p [Aggregate],
         associative: bool,
-        cfg: ExecConfig,
+        cfg: Executor,
     ) -> AggregateOp<'p> {
         AggregateOp {
             in_schema,
@@ -529,7 +529,7 @@ pub(super) struct PivotOp<'p> {
     attr_idx: usize,
     val_idx: usize,
     attrs: &'p [(String, DataType)],
-    cfg: ExecConfig,
+    cfg: Executor,
     buf: Vec<Batch>,
 }
 
@@ -540,7 +540,7 @@ impl<'p> PivotOp<'p> {
         attr_idx: usize,
         val_idx: usize,
         attrs: &'p [(String, DataType)],
-        cfg: ExecConfig,
+        cfg: Executor,
     ) -> PivotOp<'p> {
         PivotOp {
             in_schema,
@@ -590,12 +590,12 @@ impl PhysicalOperator for PivotOp<'_> {
 pub(super) struct SortOp {
     schema: Schema,
     idxs: Vec<usize>,
-    cfg: ExecConfig,
+    cfg: Executor,
     buf: Vec<Batch>,
 }
 
 impl SortOp {
-    pub(super) fn new(schema: Schema, idxs: Vec<usize>, cfg: ExecConfig) -> SortOp {
+    pub(super) fn new(schema: Schema, idxs: Vec<usize>, cfg: Executor) -> SortOp {
         SortOp {
             schema,
             idxs,

@@ -16,7 +16,8 @@
 //! batch-at-a-time engine that fuses Select/Project/Rename towers,
 //! evaluates their leading `column ⟨op⟩ literal` filters as lane masks
 //! over columnar segment storage, and, above a cardinality threshold, runs scans morsel-parallel with a
-//! work-stealing scheduler ([`exec::ExecConfig`], `GUAVA_EXEC_THREADS`).
+//! work-stealing scheduler ([`exec::morsel`]; [`exec::Executor::threads`]
+//! is the one way to set the thread count, and no environment is read).
 //! Every configuration produces byte-identical output —
 //! DESIGN.md §9–§11 document the execution model, and the original
 //! tree-walking interpreter survives as
@@ -67,7 +68,7 @@ pub mod prelude {
         TableDelta,
     };
     pub use crate::error::{RelError, RelResult};
-    pub use crate::exec::{ExecConfig, Executor};
+    pub use crate::exec::Executor;
     pub use crate::explain::explain_plan;
     pub use crate::expr::{BinOp, Expr};
     pub use crate::optimize::optimize;

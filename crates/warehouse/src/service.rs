@@ -98,10 +98,9 @@
 //! assert_eq!(sub.rows(), fresh.rows());
 //! ```
 //!
-//! The pre-service entry points (`Plan::eval_with`, `Workflow::run_with`,
+//! The pre-service entry points (`Executor::execute`, `EtlWorkflow::run_on`,
 //! direct [`StudyStore::refresh`]) remain supported — they are the same
-//! executor and store machinery the engine drives, so existing code and
-//! tests compile unchanged.
+//! executor and store machinery the engine drives.
 //!
 //! [`Change`]: guava_relational::delta::Change
 //! [`DeltaPlan`]: guava_relational::delta::DeltaPlan

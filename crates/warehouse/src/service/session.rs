@@ -92,8 +92,8 @@ impl Session {
     }
 
     /// Execute a plan against this session's snapshot, with the engine's
-    /// executor. Byte-identical to `plan.eval_with` over the snapshot
-    /// database — the service API drives the same execution machinery.
+    /// executor. Byte-identical to that executor's `execute` over the
+    /// snapshot database — the service API drives the same machinery.
     pub fn query(&self, plan: &Plan) -> ServiceResult<Table> {
         let snap = self.snapshot();
         Ok(self.engine.executor().execute(plan, snap.database())?)

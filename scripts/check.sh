@@ -38,6 +38,20 @@ if grep -rnE 'ExprProg|StageProg|carry_lane|passthrough_epoch|run_batch_seeded|s
   exit 1
 fi
 
+# One parallel mechanism, one configuration handle, no environment
+# (DESIGN.md §10): a workflow stage evaluates its components in order and
+# only the executor's morsels spawn threads; `Executor` carries the three
+# knobs itself and `Executor::threads` is the one way to set a thread
+# count; nothing under crates/ reads an environment variable. Code only —
+# the decision record may still name what went.
+if grep -rnE 'GUAVA_EXEC_THREADS|THREADS_ENV|ExecConfig|eval_with|execute_with|run_with\b|from_env|run_study_parallel|run_workflow_parallel|query_optimized|crossbeam' \
+    --exclude=check.sh \
+    crates tests examples scripts Cargo.toml \
+    || grep -rn 'env::var' crates; then
+  echo "check.sh: a deleted configuration path, wrapper entry point or second parallel mechanism reappeared (matches above)" >&2
+  exit 1
+fi
+
 # Sealed segments survive deletes and blocking operators read their input
 # by reference (DESIGN.md §14/§18): the survivor-copy re-seal and the
 # row-shredding parallel pipeline were *replaced*, not kept beside the new
@@ -199,6 +213,12 @@ EOF
 # includes the executor-vs-oracle equivalence suites, which pin both lanes
 # of tests/common/mod.rs ({serial, parallel}) in-process.
 PROPTEST_RNG_SEED=0 cargo test -q --workspace
+
+# The committed reproduction output is what the binary prints: every
+# figure, table, study and hypothesis at 1000 procedures per contributor,
+# byte for byte (EXPERIMENTS.md quotes it). Regenerate with
+#   cargo run --release -q -p guava-bench --bin tables -- --size 1000 > tables_output.txt
+cargo run --release -q -p guava-bench --bin tables -- --size 1000 | diff - tables_output.txt
 
 # benchmark/ is its own workspace, so the commands above never compile it.
 # Its smoke tests (1/20 sizes, all four workloads of BENCHMARK.json with

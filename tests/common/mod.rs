@@ -1,6 +1,6 @@
 //! The lane matrix every parity suite runs: the serial and the
 //! morsel-parallel executor — the whole configuration space of
-//! `ExecConfig` — plus the materializing interpreter
+//! `Executor` — plus the materializing interpreter
 //! (`Plan::eval_materialized`) as the oracle both are held to.
 
 // Each suite compiles this module on its own and uses a subset of it.

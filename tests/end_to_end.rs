@@ -108,16 +108,29 @@ fn csv_export_roundtrips_study_results() {
 
 #[test]
 fn parallel_and_sequential_execution_agree() {
+    // The facade runs the compiled workflow on the default executor; the
+    // same workflow on one thread and on four lands the same study table.
     let profiles = generate(&GeneratorConfig::default().with_size(120));
     let (contributors, mut sys) = build_system(&profiles);
     let study = study1_definition(&contributors);
-    let seq = sys.run_study(&study).unwrap();
-    let par = sys.run_study_parallel(&study).unwrap();
-    let mut a = seq.tables["Procedure"].rows().to_vec();
-    let mut b = par.tables["Procedure"].rows().to_vec();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
+    let facade = sys.run_study(&study).unwrap();
+    let compiled = sys.compile_study(&study).unwrap();
+    for threads in [1, 4] {
+        let mut catalog = Catalog::new();
+        for c in &contributors {
+            catalog.insert(c.physical.clone());
+        }
+        let exec = Executor::new().threads(threads).parallel_threshold(1);
+        compiled.workflow.run_on(&mut catalog, &exec).unwrap();
+        let landed = catalog.database(&compiled.output_db).unwrap();
+        for (entity, table) in &compiled.output_tables {
+            assert_eq!(
+                landed.table(table).unwrap(),
+                &facade.tables[entity],
+                "{entity}, {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]

@@ -740,7 +740,7 @@ fn etl_workflows_run_under_a_shared_executor() {
     };
     let mut expected_catalog = catalog.clone();
     let base = wf
-        .run_with(&mut expected_catalog, &ExecConfig::serial())
+        .run_on(&mut expected_catalog, &Executor::new().threads(1))
         .unwrap();
     for (name, exec) in lanes() {
         let mut c = catalog.clone();

@@ -132,7 +132,7 @@ fn build_engine(rows: Vec<Row>, exec: &Executor) -> Engine {
         naive_table(rows),
         &ec,
         &[&c_class, &c_packs],
-        EngineConfig::with_exec(*exec.config()),
+        EngineConfig::default().with_executor(*exec),
     )
     .unwrap()
 }
