@@ -135,7 +135,7 @@ impl Study1Report {
             iv_fluids: 0,
             oxygen: 0,
         };
-        for row in table.rows() {
+        for row in table.iter_rows() {
             if !t(&row[reflux]) {
                 continue;
             }
@@ -233,8 +233,7 @@ impl Study2Report {
         Ok(Study2Report {
             ex_smokers: table.len(),
             with_hypoxia: table
-                .rows()
-                .iter()
+                .iter_rows()
                 .filter(|r| r[hyp] == Value::Bool(true))
                 .count(),
         })

@@ -390,10 +390,19 @@ pub fn compile(
             };
             // --- Component 2 uses the plan's keep predicate (cleaning +
             //     entity selection).
+            //     A predicate that keeps every instance selects nothing:
+            //     the component is the scan, and its target is the extract's
+            //     table under another database — the same rows, not a copy.
+            let keep = plan.keep_predicate();
+            let instances = Plan::scan(slug.clone());
             entities.push(EtlComponent {
                 name: format!("entities:{slug}"),
                 source_db: tmp1.clone(),
-                plan: Plan::scan(slug.clone()).select(plan.keep_predicate()),
+                plan: if keep == Expr::lit(true) {
+                    instances
+                } else {
+                    instances.select(keep)
+                },
                 target_db: tmp2.clone(),
                 target_table: slug.clone(),
             });

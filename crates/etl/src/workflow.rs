@@ -12,6 +12,18 @@
 //! against the catalog as it stood before the stage; how a component's
 //! plan uses the machine is the [`Executor`]'s business, and nothing here
 //! spawns a thread.
+//!
+//! A component's output is a persistent [`Table`] that exists once.
+//! [`EtlWorkflow::run_incremental`] keeps a resident [`DeltaPlan`] per
+//! component; a refresh moves the plan's cached output by the patch the
+//! operators emitted ([`Table::patch`] — new chunks for the delta's
+//! rows, everything else shared with the previous generation) and lands
+//! *that table* under the target's name, so landing costs O(delta) like
+//! the refresh before it, and the plan's cache, the workflow cache and the
+//! catalog's target are one storage ([`Table::same_storage`]). The
+//! wholesale path ([`EtlWorkflow::run_on`], and what every fault re-derives
+//! its error through) lands the executor's result the same way: renamed,
+//! not copied.
 
 use guava_relational::algebra::Plan;
 use guava_relational::database::{Catalog, Database};
@@ -79,7 +91,12 @@ impl EtlWorkflow {
         for stage in &self.stages {
             let results = eval_stage(stage, |comp| run_component(comp, catalog, exec));
             for (comp, result) in stage.components.iter().zip(results) {
-                runs.push(load(catalog, comp, result?)?);
+                let table = result?;
+                // Seal the output into column segments now, while the rows
+                // are hot: the next stage scans it, and starts on sealed
+                // lanes instead of paying a lazy first-scan build.
+                table.segments();
+                runs.push(load(catalog, comp, table)?);
             }
         }
         Ok(runs)
@@ -103,6 +120,12 @@ impl EtlWorkflow {
     /// [`ComponentRun`]s, and on failure the same first error with the
     /// same earlier-stage loads applied. A first call with an empty cache
     /// behaves exactly like `run_on` and populates the cache.
+    ///
+    /// A failed run spends its `deltas` all the same, and only the
+    /// components that landed took them (or what their upstream made of
+    /// them) in. The cache forgets every other component — the one that
+    /// failed included — so none of them ever patches a state it did not
+    /// see; they recompute from the catalog on the next run.
     pub fn run_incremental(
         &self,
         catalog: &mut Catalog,
@@ -111,6 +134,25 @@ impl EtlWorkflow {
         exec: &Executor,
     ) -> RelResult<Vec<ComponentRun>> {
         let mut runs = Vec::new();
+        let outcome = self.refresh_stages(catalog, deltas, cache, exec, &mut runs);
+        if outcome.is_err() {
+            cache
+                .entries
+                .retain(|name, _| runs.iter().any(|r| r.component == *name));
+        }
+        outcome.map(|()| runs)
+    }
+
+    /// The stages of [`run_incremental`](Self::run_incremental), pushing a
+    /// [`ComponentRun`] onto `runs` for every component as it lands.
+    fn refresh_stages(
+        &self,
+        catalog: &mut Catalog,
+        deltas: &DeltaSet,
+        cache: &mut WorkflowCache,
+        exec: &Executor,
+        runs: &mut Vec<ComponentRun>,
+    ) -> RelResult<()> {
         // Changes to target tables produced earlier in THIS run, visible to
         // later stages only — within a stage every component evaluates
         // against the pre-stage catalog, exactly like `run_on`.
@@ -121,6 +163,10 @@ impl EtlWorkflow {
             });
             // Apply loads in declaration order; the first failing component
             // aborts with earlier loads applied, mirroring `run_on`.
+            // Nothing is sealed here: a refreshed target's consumers are
+            // resident plans that take its patch, not scans — a segment
+            // would be a second, columnar copy nobody reads until a query
+            // does, and a scan seals what it meets.
             let mut stage_produced = Vec::new();
             for (comp, result) in stage.components.iter().zip(results) {
                 let (table, change) = result?;
@@ -129,7 +175,7 @@ impl EtlWorkflow {
             }
             produced.extend(stage_produced);
         }
-        Ok(runs)
+        Ok(())
     }
 
     /// Total component count (workflow complexity measure).
@@ -179,10 +225,6 @@ fn load(catalog: &mut Catalog, comp: &EtlComponent, table: Table) -> RelResult<C
         catalog.insert(Database::new(comp.target_db.clone()));
     }
     let target = catalog.database_mut(&comp.target_db)?;
-    // Seal the landed output into column segments now, while the rows are
-    // hot, so downstream scans start on sealed lanes instead of paying a
-    // lazy first-scan build.
-    table.segments();
     target.put_table(table);
     Ok(ComponentRun {
         component: comp.name.clone(),
@@ -200,17 +242,30 @@ fn run_component(comp: &EtlComponent, catalog: &Catalog, exec: &Executor) -> Rel
             comp.name, comp.source_db
         ))
     })?;
-    let table = exec.execute(&comp.plan, source)?;
-    Table::from_rows(
-        table.schema().renamed(comp.target_table.clone()),
-        table.into_rows(),
-    )
+    // Every executor operator validates its own output wherever
+    // validation can fail, so the result lands under the target's name
+    // as it is — sharing its storage, not re-checked row by row.
+    let table = exec
+        .execute(&comp.plan, source)?
+        .renamed(comp.target_table.clone());
+    // A result equal to the target it would replace *is* that target: a
+    // re-run that changed nothing keeps the storage, the seals and every
+    // `same_storage` fast path downstream, and the two never coexist.
+    let standing = catalog
+        .database(&comp.target_db)
+        .and_then(|db| db.table(&comp.target_table));
+    Ok(match standing {
+        Ok(old) if *old == table => old.clone(),
+        _ => table,
+    })
 }
 
 /// Per-workflow cache backing [`EtlWorkflow::run_incremental`]: one entry
 /// per component name, holding the component's differential plan, a
 /// fingerprinted snapshot of every input table from the last successful
-/// run, and the (renamed) output table it loaded.
+/// run, and the (renamed) output table it loaded — which shares the
+/// plan's cached output, so an entry costs the operators' state and no
+/// second copy of the rows.
 ///
 /// The cache is keyed by component name; an entry whose stored component
 /// definition no longer matches the workflow (plan edited, source renamed)
@@ -236,6 +291,18 @@ impl WorkflowCache {
     /// True when no component has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// `component`'s resident differential plan, once it has run.
+    pub fn plan(&self, component: &str) -> Option<&DeltaPlan> {
+        self.entries.get(component).map(|e| &e.dplan)
+    }
+
+    /// The table `component` last landed. Its rows are resident once: it
+    /// shares its storage ([`Table::same_storage`]) with the component's
+    /// target in the catalog and with its plan's cached output.
+    pub fn output(&self, component: &str) -> Option<&Table> {
+        self.entries.get(component).map(|e| &e.output)
     }
 
     /// Drop one component's entry (it will fully recompute next run).
@@ -360,7 +427,7 @@ fn run_component_incremental(
                     (Some(snap), Ok(cur)) => {
                         if !input_unchanged(snap, cur) {
                             all_unchanged = false;
-                            changes.set(t, Change::Full(cur.rows().to_vec()));
+                            changes.set(t, Change::Full(cur.clone()));
                         }
                     }
                     // No snapshot: full (re)build below regardless.
@@ -382,23 +449,26 @@ fn run_component_incremental(
 
     if entry_valid {
         let entry = cache.entries.get_mut(&comp.name).expect("entry_valid");
-        let change = entry.dplan.refresh(source, &changes, exec)?;
-        let out = entry.dplan.output()?;
-        let table = Table::from_rows(
-            out.schema().renamed(comp.target_table.clone()),
-            out.into_rows(),
-        )?;
+        // The refresh moves the plan's cached output by the change it
+        // returns — O(delta), validated like a rebuild's `from_rows` —
+        // and the target is that same table under its own name.
+        let (table, change) = match entry.dplan.refresh(source, &changes, exec) {
+            Ok(change) => (land(comp, &entry.dplan)?, change),
+            // Whatever went wrong, on whichever row: the wholesale path is
+            // the one `run_on` takes, so its verdict is `run_on`'s first
+            // error by construction. The plan is poisoned and
+            // re-initializes on the next refresh.
+            Err(_) => {
+                let table = run_component(comp, catalog, exec)?;
+                (table.clone(), Change::Full(table))
+            }
+        };
         entry.inputs = snapshot_inputs(&comp.plan, source);
         entry.output = table.clone();
         Ok((table, change))
     } else {
         let dplan = DeltaPlan::init(&comp.plan, source, exec)?;
-        let out = dplan.output()?;
-        let table = Table::from_rows(
-            out.schema().renamed(comp.target_table.clone()),
-            out.into_rows(),
-        )?;
-        let change = Change::Full(table.rows().to_vec());
+        let table = land(comp, &dplan)?;
         cache.entries.insert(
             comp.name.clone(),
             ComponentCache {
@@ -408,8 +478,15 @@ fn run_component_incremental(
                 output: table.clone(),
             },
         );
-        Ok((table, change))
+        Ok((table.clone(), Change::Full(table)))
     }
+}
+
+/// A component's target table: its plan's cached output under the
+/// target's name, sharing the cache's storage — the output rows are
+/// resident once across the plan, the workflow cache and the catalog.
+fn land(comp: &EtlComponent, dplan: &DeltaPlan) -> RelResult<Table> {
+    Ok(dplan.output()?.renamed(comp.target_table.clone()))
 }
 
 #[cfg(test)]

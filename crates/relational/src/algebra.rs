@@ -540,26 +540,46 @@ pub(crate) fn pivot_rows(
                 *e.insert(out.len() - 1)
             }
         };
-        let attr = match &row[attr_idx] {
-            Value::Text(a) => a.as_str(),
-            other => {
-                return Err(RelError::Eval(format!(
-                    "pivot attribute column holds non-text value {other}"
-                )))
-            }
-        };
-        if let Some(&pos) = attr_pos.get(attr) {
-            let v = match &row[val_idx] {
-                Value::Null => continue,
-                Value::Text(t) => cast_text(t, attrs[pos].1)?,
-                other => cast_text(&other.to_string(), attrs[pos].1)?,
-            };
+        if let Some((pos, v)) = pivot_cell(row, attr_idx, val_idx, &attr_pos, attrs)? {
             out[slot][key_idx.len() + pos] = v;
         }
-        // Attributes outside `attrs` are silently dropped: the g-tree query
-        // asked only for these nodes.
     }
     Ok(out)
+}
+
+/// What a pivot makes of one EAV row: the output column (as a position in
+/// `attrs`) its attribute names, and its value cast to that column's
+/// type. `None` when the row writes no cell — attributes outside `attrs`
+/// are silently dropped (the g-tree query asked only for these nodes),
+/// and a NULL value leaves its cell alone.
+pub(crate) type PivotCell = Option<(usize, Value)>;
+
+/// Validate and cast one pivot input row: the attribute cell must be
+/// text, and a non-null value for a requested attribute must cast to the
+/// attribute's declared type.
+pub(crate) fn pivot_cell(
+    row: &[Value],
+    attr_idx: usize,
+    val_idx: usize,
+    attr_pos: &HashMap<&str, usize>,
+    attrs: &[(String, DataType)],
+) -> RelResult<PivotCell> {
+    let attr = match &row[attr_idx] {
+        Value::Text(a) => a.as_str(),
+        other => {
+            return Err(RelError::Eval(format!(
+                "pivot attribute column holds non-text value {other}"
+            )))
+        }
+    };
+    let Some(&pos) = attr_pos.get(attr) else {
+        return Ok(None);
+    };
+    Ok(match &row[val_idx] {
+        Value::Null => None,
+        Value::Text(t) => Some((pos, cast_text(t, attrs[pos].1)?)),
+        other => Some((pos, cast_text(&other.to_string(), attrs[pos].1)?)),
+    })
 }
 
 /// Resolve each aggregate's source column (`None` for `COUNT(*)`).

@@ -16,8 +16,10 @@
 //!    the output's change without recomputing unchanged rows.
 //!    Select/Project map delta rows element-wise through the session
 //!    executor (so delta batches run the same stage walk as full
-//!    runs), Rename passes changes through untouched, Union merges
-//!    child patches by offset, hash Join re-probes only delta left rows
+//!    runs), Rename passes changes through untouched, Union shifts
+//!    each child's change by the child's offset (only child *lengths*
+//!    are kept; a replaced child becomes a delete-range plus an insert
+//!    beside its siblings' patches), hash Join re-probes only delta left rows
 //!    against the retained build side, and Aggregate/Pivot maintain group
 //!    state with retraction where it is exact (COUNT, and SUM/AVG over
 //!    INT columns) and per-group recompute where it is lossy (MIN/MAX,
@@ -37,9 +39,13 @@
 //! row, so a prefix-weight query turns a child position into an output
 //! rank), and Aggregate/Pivot group order by a persistent
 //! first-occurrence index ([`crate::rank::FirstSeenIndex`]), including
-//! group death, revival, and first-occurrence promotion. The output row
-//! vector itself absorbs patches lazily, so a refresh that only needs
-//! the new length never pays the splice.
+//! group death, revival, and first-occurrence promotion. The plan's
+//! cached output is a persistent [`Table`] that takes the same patch
+//! ([`Table::patch`]): O(delta) whoever else holds the previous
+//! generation, and in place when nobody does — so landing a refresh is a
+//! step with a delta form too, and the output a consumer lands
+//! ([`DeltaPlan::output`]) shares the cache's storage instead of copying
+//! it.
 //!
 //! # Worked example: one insert, one delete, through a grouped plan
 //!
@@ -89,9 +95,9 @@
 //! ```
 
 use crate::algebra::{
-    aggregate_output_schema, cast_text, check_union_compatible, join_output_schema, keyless,
-    pivot_output_schema, pivot_rows, resolve_aggregate_columns, resolve_column, resolve_columns,
-    sort_rows, unpivot_output_schema, unpivot_rows, AggAcc, AggFunc, Aggregate, JoinKind, Plan,
+    aggregate_output_schema, check_union_compatible, join_output_schema, keyless, pivot_cell,
+    pivot_output_schema, resolve_aggregate_columns, resolve_column, resolve_columns, sort_rows,
+    unpivot_output_schema, unpivot_rows, AggAcc, AggFunc, Aggregate, JoinKind, PivotCell, Plan,
 };
 use crate::database::{Catalog, Database};
 use crate::error::{RelError, RelResult};
@@ -235,29 +241,52 @@ impl Patch {
     }
 }
 
-/// How one table (or one operator's output) changed between two states.
+/// How one table (or one plan's output) changed between two states.
+///
+/// A wholesale replacement carries the complete new state as `F`. Across
+/// a [`DeltaPlan`]'s boundary that is a [`Table`] sharing its storage with
+/// whoever produced it — the plan's cached output, a landed ETL target —
+/// so a `Full` costs O(#chunks) to hand on, never a copy of the rows.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Change {
+pub enum Change<F = Table> {
     /// Byte-identical to the previous state.
     Unchanged,
     /// Positional edit script against the previous state.
     Patch(Patch),
-    /// Replaced wholesale; carries the complete new row vector.
-    Full(Vec<Row>),
+    /// Replaced wholesale; carries the complete new state.
+    Full(F),
 }
 
-impl Change {
+impl<F> Change<F> {
     /// True for [`Change::Unchanged`].
     pub fn is_unchanged(&self) -> bool {
         matches!(self, Change::Unchanged)
     }
+}
 
-    /// Apply the change to a cached row vector in place.
+impl Change {
+    /// Apply the change to a mirrored row vector in place.
     pub fn apply_to(&self, rows: &mut Vec<Row>) {
         match self {
             Change::Unchanged => {}
             Change::Patch(p) => p.apply_in_place(rows),
-            Change::Full(new) => *rows = new.clone(),
+            Change::Full(new) => *rows = new.rows_from(0),
+        }
+    }
+}
+
+/// A change on its way from one operator of a [`DeltaPlan`] to its
+/// parent: a wholesale replacement is an owned row vector, which the
+/// parent consumes.
+type Flow = Change<Vec<Row>>;
+
+impl Flow {
+    /// Apply the change to an operator's cached input rows in place.
+    fn apply_to(self, rows: &mut Vec<Row>) {
+        match self {
+            Change::Unchanged => {}
+            Change::Patch(p) => p.apply_in_place(rows),
+            Change::Full(new) => *rows = new,
         }
     }
 }
@@ -292,14 +321,19 @@ impl PatchBuilder {
         }
     }
 
-    fn into_change(self) -> Change {
-        if self.deleted.is_empty() && self.inserted.is_empty() {
+    fn into_patch(self) -> Patch {
+        Patch {
+            deleted: self.deleted,
+            inserted: self.inserted,
+        }
+    }
+
+    fn into_change<F>(self) -> Change<F> {
+        let patch = self.into_patch();
+        if patch.is_empty() {
             Change::Unchanged
         } else {
-            Change::Patch(Patch {
-                deleted: self.deleted,
-                inserted: self.inserted,
-            })
+            Change::Patch(patch)
         }
     }
 }
@@ -723,7 +757,7 @@ impl DeltaCatalog {
 /// [`FirstSeenIndex`]: which groups were touched, the output rank each of
 /// them held before the edit, and whether surviving-group order can have
 /// changed. Shared by the Aggregate and Pivot differential rules.
-struct FirstSeenPatch {
+struct FirstSeenPatch<T> {
     /// Touched group keys (keys of deleted and inserted rows), deduplicated
     /// in first-touch order.
     affected: Vec<Vec<Value>>,
@@ -739,25 +773,30 @@ struct FirstSeenPatch {
     /// or an insert in front of it): relative survivor order is no longer
     /// guaranteed and the caller must emit [`Change::Full`].
     order_broken: bool,
-    /// Content of the deleted pre-state rows, in ascending ordinal order
-    /// (captured before the index mutates, for accumulator retraction).
-    deleted_rows: Vec<Row>,
+    /// What the index held of the deleted pre-state rows, in ascending
+    /// ordinal order (for accumulator retraction).
+    deleted: Vec<T>,
 }
 
-impl FirstSeenPatch {
+impl<T: Default> FirstSeenPatch<T> {
     /// Apply `p` to `idx`, classifying every group-order event on the way.
-    /// `O(delta · log n)` plus promotion elections (see
-    /// [`FirstSeenIndex::remove`]).
-    fn apply(idx: &mut FirstSeenIndex, p: &Patch) -> FirstSeenPatch {
-        // Pass A (read-only, pre-state coordinates): capture deleted row
-        // content, the affected key set, and each affected key's old rank.
-        let deleted_rows: Vec<Row> = p.deleted().iter().map(|&i| idx.row(i).clone()).collect();
+    /// `entries` are the patch's new rows as the index stores them —
+    /// `(group key, payload)` in [`Patch::new_rows`] order. `O(delta ·
+    /// log n)` plus promotion elections (see [`FirstSeenIndex::remove`]).
+    fn apply(
+        idx: &mut FirstSeenIndex<T>,
+        p: &Patch,
+        entries: Vec<(Vec<Value>, T)>,
+    ) -> FirstSeenPatch<T> {
+        // Pass A (read-only, pre-state coordinates): the affected key set
+        // and each affected key's old rank.
         let mut affected: Vec<Vec<Value>> = Vec::new();
         let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        for r in deleted_rows.iter().chain(p.new_rows()) {
-            let key = idx.key_of(r);
-            if seen.insert(key.clone()) {
-                affected.push(key);
+        let deleted_keys = p.deleted().iter().map(|&i| idx.get(i).0);
+        for key in deleted_keys.chain(entries.iter().map(|(key, _)| key.as_slice())) {
+            if !seen.contains(key) {
+                seen.insert(key.to_vec());
+                affected.push(key.to_vec());
             }
         }
         let mut old_rank = HashMap::new();
@@ -774,47 +813,52 @@ impl FirstSeenPatch {
         // `i` has already been taken out.
         let mut died_once = HashSet::new();
         let mut order_broken = false;
-        let mut note = |key: &[Value], died_once: &HashSet<Vec<Value>>| {
-            // A promotion only breaks emission order when it moves the
-            // anchor of a *continuously surviving* group; born or revived
-            // groups are re-ranked from final state anyway.
-            if old_rank.contains_key(key) && !died_once.contains(key) {
-                order_broken = true;
-            }
+        // A promotion only breaks emission order when it moves the anchor
+        // of a *continuously surviving* group; born or revived groups are
+        // re-ranked from final state anyway.
+        let survives = |key: &[Value], died_once: &HashSet<Vec<Value>>| {
+            old_rank.contains_key(key) && !died_once.contains(key)
         };
+        let mut deleted = Vec::with_capacity(p.deleted().len());
+        let mut entries = entries.into_iter().rev();
         let mut di = p.deleted().len();
         let mut gi = p.inserted().len();
         while di > 0 || gi > 0 {
             let take_delete = di > 0 && (gi == 0 || p.deleted()[di - 1] >= p.inserted()[gi - 1].0);
             if take_delete {
                 di -= 1;
-                let (row, outcome) = idx.remove(p.deleted()[di]);
+                let (key, payload, outcome) = idx.remove(p.deleted()[di]);
+                deleted.push(payload);
                 match outcome {
                     RemoveOutcome::Died => {
-                        died_once.insert(idx.key_of(&row));
+                        died_once.insert(key.to_vec());
                     }
-                    RemoveOutcome::Promoted => note(&idx.key_of(&row), &died_once),
+                    RemoveOutcome::Promoted => order_broken |= survives(&key, &died_once),
                     RemoveOutcome::Later => {}
                 }
             } else {
                 gi -= 1;
+                // The group's rows go in back to front, each at the
+                // group's position: the same sequence as front to back at
+                // ascending positions, and `entries` is walked in reverse.
                 let (pos, rows) = &p.inserted()[gi];
-                for (k, r) in rows.iter().enumerate() {
-                    let key = idx.key_of(r);
-                    match idx.insert(pos + k, r.clone()) {
-                        InsertOutcome::Promoted => note(&key, &died_once),
-                        InsertOutcome::NewKey | InsertOutcome::Later => {}
+                for _ in 0..rows.len() {
+                    let (key, payload) = entries.next().expect("one entry per new row");
+                    let anchored = survives(&key, &died_once);
+                    if idx.insert(*pos, key, payload) == InsertOutcome::Promoted {
+                        order_broken |= anchored;
                     }
                 }
             }
         }
+        deleted.reverse();
         FirstSeenPatch {
             affected,
             old_rank,
             old_group_count,
             died_once,
             order_broken,
-            deleted_rows,
+            deleted,
         }
     }
 
@@ -826,7 +870,7 @@ impl FirstSeenPatch {
     /// survivors — and the caller must fall back to [`Change::Full`].
     fn emit(
         &self,
-        idx: &FirstSeenIndex,
+        idx: &FirstSeenIndex<T>,
         mut make_row: impl FnMut(&[Value]) -> Row,
     ) -> Option<Patch> {
         if self.order_broken {
@@ -871,100 +915,29 @@ impl FirstSeenPatch {
         for (_, key) in born {
             pb.insert(self.old_group_count, make_row(&key));
         }
-        Some(match pb.into_change() {
-            Change::Patch(p) => p,
-            _ => Patch::default(),
-        })
+        Some(pb.into_patch())
     }
 }
 
-/// A cached row vector that absorbs [`Change`]s lazily: patches are queued
-/// and the length tracked in `O(1)`, so a refresh that only needs the new
-/// length (or is followed by more patches) never pays the `O(n)` splice.
-/// The queue is drained on [`LazyRows::rows`] access (and bounded, so
-/// repeated refreshes without reads cannot accumulate unbounded work).
-#[derive(Clone, Default)]
-struct LazyRows {
-    rows: Vec<Row>,
-    pending: Vec<Patch>,
-    len: usize,
-}
+/// Rows go through the executor in slices of at most this many. The
+/// executor copies and validates an inline relation once more, so a whole
+/// decode input pushed through at once — a plan's first evaluation, a
+/// wholesale refresh — would be resident three times over; a slice at a
+/// time it is resident once, plus the slice. Large enough that a slice
+/// still runs morsel-parallel.
+const BATCH_ROWS: usize = 2 * crate::exec::PARALLEL_THRESHOLD;
 
-/// Queue at most this many patches before folding them into `rows`.
-const LAZY_FLUSH: usize = 32;
-
-impl LazyRows {
-    fn new(rows: Vec<Row>) -> LazyRows {
-        LazyRows {
-            len: rows.len(),
-            rows,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Post-change length, `O(1)`.
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Absorb one change. `O(1)` for patches (amortized; queued), `O(n)`
-    /// for wholesale replacement.
-    fn push(&mut self, change: &Change) {
-        match change {
-            Change::Unchanged => {}
-            Change::Patch(p) => {
-                self.len = p.new_len(self.len);
-                self.pending.push(p.clone());
-                if self.pending.len() >= LAZY_FLUSH {
-                    self.flush();
-                }
-            }
-            Change::Full(rows) => {
-                self.pending.clear();
-                self.rows = rows.clone();
-                self.len = rows.len();
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        for p in self.pending.drain(..) {
-            p.apply_in_place(&mut self.rows);
-        }
-    }
-
-    /// The materialized current rows (drains the queue).
-    fn rows(&mut self) -> &Vec<Row> {
-        self.flush();
-        &self.rows
-    }
-
-    /// Current rows without mutable access: clones the base vector and
-    /// replays any queued patches onto the clone.
-    fn to_rows(&self) -> Vec<Row> {
-        let mut rows = self.rows.clone();
-        for p in &self.pending {
-            p.apply_in_place(&mut rows);
-        }
-        rows
-    }
-}
-
-/// Evaluate `predicate` over `rows` in one executor batch, returning a
+/// Evaluate `predicate` over `rows` through the executor, returning a
 /// pass/fail flag per row. A synthetic INT ordinal column (named to avoid
 /// collisions) rides through the Select so surviving ordinals identify the
 /// passing rows; predicate errors surface in row order, exactly as a full
 /// evaluation over the same rows would report them.
-fn select_batch(
+fn select_batch<'r>(
     exec: &Executor,
     in_schema: &Schema,
     predicate: &Expr,
-    rows: Vec<Row>,
+    rows: impl IntoIterator<Item = &'r Row>,
 ) -> RelResult<Vec<bool>> {
-    let n = rows.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
     let mut ord = "__delta_ord".to_owned();
     while in_schema.index_of(&ord).is_some() {
         ord.push('_');
@@ -972,26 +945,37 @@ fn select_batch(
     let mut cols = in_schema.columns().to_vec();
     cols.push(Column::new(ord, DataType::Int));
     let schema = Schema::new(in_schema.name.clone(), cols)?;
-    let rows: Vec<Row> = rows
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut r)| {
-            r.push(Value::Int(i as i64));
-            r
-        })
-        .collect();
-    let plan = Plan::Values { schema, rows }.select(predicate.clone());
-    let out = exec.execute(&plan, &Database::new("__delta_batch__"))?;
-    let mut passed = vec![false; n];
-    for r in out.rows() {
-        if let Some(Value::Int(i)) = r.last() {
-            passed[*i as usize] = true;
+    let mut passed = Vec::new();
+    let mut rows = rows.into_iter().peekable();
+    while rows.peek().is_some() {
+        let base = passed.len();
+        let slice: Vec<Row> = rows
+            .by_ref()
+            .take(BATCH_ROWS)
+            .enumerate()
+            .map(|(i, r)| {
+                let mut r = r.clone();
+                r.push(Value::Int(i as i64));
+                r
+            })
+            .collect();
+        passed.resize(base + slice.len(), false);
+        let plan = Plan::Values {
+            schema: schema.clone(),
+            rows: slice,
+        }
+        .select(predicate.clone());
+        let out = exec.execute(&plan, &Database::new("__delta_batch__"))?;
+        for r in out.iter_rows() {
+            if let Some(Value::Int(i)) = r.last() {
+                passed[base + *i as usize] = true;
+            }
         }
     }
     Ok(passed)
 }
 
-/// Evaluate projection expressions over `rows` in one executor batch. Row
+/// Evaluate projection expressions over `rows` through the executor. Row
 /// and in-row column error order match a full evaluation over these rows.
 fn project_batch(
     exec: &Executor,
@@ -999,17 +983,20 @@ fn project_batch(
     columns: &[(String, Expr)],
     rows: Vec<Row>,
 ) -> RelResult<Vec<Row>> {
-    if rows.is_empty() {
-        return Ok(Vec::new());
+    let mut out = Vec::with_capacity(rows.len());
+    let mut rows = rows.into_iter().peekable();
+    while rows.peek().is_some() {
+        let plan = Plan::Values {
+            schema: in_schema.clone(),
+            rows: rows.by_ref().take(BATCH_ROWS).collect(),
+        }
+        .project(columns.to_vec());
+        out.extend(
+            exec.execute(&plan, &Database::new("__delta_batch__"))?
+                .into_rows(),
+        );
     }
-    let plan = Plan::Values {
-        schema: in_schema.clone(),
-        rows,
-    }
-    .project(columns.to_vec());
-    Ok(exec
-        .execute(&plan, &Database::new("__delta_batch__"))?
-        .into_rows())
+    Ok(out)
 }
 
 /// Per-group accumulators plus the live row count that decides group death.
@@ -1087,15 +1074,19 @@ enum DNode {
     },
     Union {
         inputs: Vec<DNode>,
-        /// Per-child cached rows; all-patch refreshes only read lengths,
-        /// so the splice cost is deferred until a child is materialized.
-        child_rows: Vec<LazyRows>,
+        /// Each child's current output length: all a child's change needs
+        /// to become a change of the concatenation.
+        child_lens: Vec<usize>,
         schema: Schema,
     },
     Join {
         left: Box<DNode>,
         right: Box<DNode>,
-        left_rows: Vec<Row>,
+        /// The probe side's rows, for the day the build side changes and
+        /// every one of them is probed again — `None` when the probe side
+        /// is a stored table, which is read again then instead of being
+        /// held twice.
+        left_rows: Option<Vec<Row>>,
         right_rows: Vec<Row>,
         /// Build-side index: join key → right row ordinals, ascending.
         index: HashMap<Vec<Value>, Vec<usize>>,
@@ -1111,7 +1102,7 @@ enum DNode {
         /// Input rows plus persistent first-occurrence tracking: group
         /// output order is read from the index instead of a full
         /// first-seen rescan per refresh.
-        rows_idx: FirstSeenIndex,
+        rows_idx: FirstSeenIndex<Row>,
         groups: HashMap<Vec<Value>, GroupState>,
         g_idx: Vec<usize>,
         agg_idx: Vec<Option<usize>>,
@@ -1127,9 +1118,11 @@ enum DNode {
     },
     Pivot {
         input: Box<DNode>,
-        /// Input rows with first-occurrence tracking over the entity key
-        /// columns (wide-row output order is entity first-seen order).
-        rows_idx: FirstSeenIndex,
+        /// One cast cell per input row, with first-occurrence tracking
+        /// over the entity key (wide-row output order is entity
+        /// first-seen order). The raw EAV rows are not kept: the cell is
+        /// all a wide row is ever rebuilt from.
+        cells: FirstSeenIndex<PivotCell>,
         key_idx: Vec<usize>,
         attr_idx: usize,
         val_idx: usize,
@@ -1204,7 +1197,7 @@ fn agg_row(key: &[Value], st: &GroupState, aggregates: &[Aggregate]) -> Row {
 /// All output rows in group order, read off the first-occurrence index
 /// (`O(groups · log n)` — zero-weight subtrees are skipped).
 fn agg_emit(
-    idx: &FirstSeenIndex,
+    idx: &FirstSeenIndex<Row>,
     groups: &HashMap<Vec<Value>, GroupState>,
     aggregates: &[Aggregate],
     global: bool,
@@ -1212,44 +1205,61 @@ fn agg_emit(
     if global {
         return vec![agg_row(&[], &groups[&Vec::new()], aggregates)];
     }
-    idx.first_rows_in_order()
-        .map(|first| {
-            let k = idx.key_of(first);
-            agg_row(&k, &groups[&k], aggregates)
+    idx.keys_in_order()
+        .map(|k| agg_row(k, &groups[k], aggregates))
+        .collect()
+}
+
+/// The rows of an aggregate's input as its index stores them: keyed on
+/// the GROUP BY columns, whole.
+fn agg_entries(rows: impl IntoIterator<Item = Row>, g_idx: &[usize]) -> Vec<(Vec<Value>, Row)> {
+    rows.into_iter().map(|r| (row_key(&r, g_idx), r)).collect()
+}
+
+/// The rows of a pivot's input as its index stores them — keyed on the
+/// entity columns, one cast cell each — validated in input order exactly
+/// as [`pivot_rows`] would.
+fn pivot_entries<'r>(
+    rows: impl IntoIterator<Item = &'r Row>,
+    key_idx: &[usize],
+    attr_idx: usize,
+    val_idx: usize,
+    attrs: &[(String, DataType)],
+) -> RelResult<Vec<(Vec<Value>, PivotCell)>> {
+    let attr_pos: HashMap<&str, usize> = attrs
+        .iter()
+        .enumerate()
+        .map(|(i, (n, _))| (n.as_str(), i))
+        .collect();
+    rows.into_iter()
+        .map(|r| {
+            let cell = pivot_cell(r, attr_idx, val_idx, &attr_pos, attrs)?;
+            Ok((row_key(r, key_idx), cell))
         })
         .collect()
 }
 
-/// Validate one pivot input row exactly as [`pivot_rows`] would: the
-/// attribute cell must be text, and a non-null value for a requested
-/// attribute must cast to the attribute's declared type.
-fn check_pivot_row(
-    row: &Row,
-    attr_idx: usize,
-    val_idx: usize,
-    attr_pos: &HashMap<&str, usize>,
-    attrs: &[(String, DataType)],
-) -> RelResult<()> {
-    let attr = match &row[attr_idx] {
-        Value::Text(a) => a.as_str(),
-        other => {
-            return Err(RelError::Eval(format!(
-                "pivot attribute column holds non-text value {other}"
-            )))
-        }
-    };
-    if let Some(&pos) = attr_pos.get(attr) {
-        match &row[val_idx] {
-            Value::Null => {}
-            Value::Text(t) => {
-                cast_text(t, attrs[pos].1)?;
-            }
-            other => {
-                cast_text(&other.to_string(), attrs[pos].1)?;
-            }
-        }
+/// One entity's wide row: its key, then per attribute the last cell
+/// written among `cells` (the entity's occurrences in input order).
+fn pivot_wide_row<'c>(
+    key: &[Value],
+    cells: impl IntoIterator<Item = &'c PivotCell>,
+    n_attrs: usize,
+) -> Row {
+    let mut wide = key.to_vec();
+    wide.extend(std::iter::repeat_n(Value::Null, n_attrs));
+    for (pos, v) in cells.into_iter().flatten() {
+        wide[key.len() + pos] = v.clone();
     }
-    Ok(())
+    wide
+}
+
+/// Every wide row in entity first-seen order, from scratch.
+fn pivot_emit(cells: &FirstSeenIndex<PivotCell>, n_attrs: usize) -> Vec<Row> {
+    cells
+        .keys_in_order()
+        .map(|k| pivot_wide_row(k, cells.occurrences(k), n_attrs))
+        .collect()
 }
 
 /// Build the hash-join build-side index over the right rows.
@@ -1329,7 +1339,7 @@ impl DNode {
             Plan::Select { input, predicate } => {
                 let (child, cs, crows) = DNode::init(input, db, exec)?;
                 let schema = keyless(cs);
-                let passed = select_batch(exec, &schema, predicate, crows.clone())?;
+                let passed = select_batch(exec, &schema, predicate, &crows)?;
                 let mut out = Vec::new();
                 for (i, r) in crows.into_iter().enumerate() {
                     if passed[i] {
@@ -1337,7 +1347,7 @@ impl DNode {
                     }
                 }
                 let (lineage, _) =
-                    RankList::from_entries(passed.iter().map(|&b| ((), u64::from(b))));
+                    RankList::from_entries(passed.iter().map(|&b| ((), u32::from(b))));
                 Ok((
                     DNode::Select {
                         input: Box::new(child),
@@ -1402,11 +1412,12 @@ impl DNode {
                         schema.check_row(r)?;
                     }
                 }
-                let out: Vec<Row> = child_rows.iter().flat_map(|r| r.iter().cloned()).collect();
+                let child_lens = child_rows.iter().map(Vec::len).collect();
+                let out: Vec<Row> = child_rows.into_iter().flatten().collect();
                 Ok((
                     DNode::Union {
                         inputs: nodes,
-                        child_rows: child_rows.into_iter().map(LazyRows::new).collect(),
+                        child_lens,
                         schema: schema.clone(),
                     },
                     schema,
@@ -1433,6 +1444,7 @@ impl DNode {
                     out_counts.push(outs.len());
                     out.extend(outs);
                 }
+                let left_rows = nl.stored(db).is_none().then_some(left_rows);
                 Ok((
                     DNode::Join {
                         left: Box::new(nl),
@@ -1471,7 +1483,7 @@ impl DNode {
                         AggFunc::Min(_) | AggFunc::Max(_) => false,
                     });
                 let groups = agg_build(&crows, &g_idx, &agg_idx, aggregates.len(), global);
-                let rows_idx = FirstSeenIndex::from_rows(crows, g_idx.clone());
+                let rows_idx = FirstSeenIndex::from_entries(agg_entries(crows, &g_idx));
                 let out = agg_emit(&rows_idx, &groups, aggregates, global);
                 for r in &out {
                     schema.check_row(r)?;
@@ -1504,12 +1516,14 @@ impl DNode {
                 let attr_idx = resolve_column(&cs, attr_col)?;
                 let val_idx = resolve_column(&cs, val_col)?;
                 let schema = pivot_output_schema(&cs, &key_idx, attrs)?;
-                let out = pivot_rows(&crows, &key_idx, attr_idx, val_idx, attrs)?;
-                let rows_idx = FirstSeenIndex::from_rows(crows, key_idx.clone());
+                let cells = FirstSeenIndex::from_entries(pivot_entries(
+                    &crows, &key_idx, attr_idx, val_idx, attrs,
+                )?);
+                let out = pivot_emit(&cells, attrs.len());
                 Ok((
                     DNode::Pivot {
                         input: Box::new(child),
-                        rows_idx,
+                        cells,
                         key_idx,
                         attr_idx,
                         val_idx,
@@ -1595,6 +1609,17 @@ impl DNode {
         }
     }
 
+    /// The stored table whose rows are this node's output as they stand
+    /// — a bare scan's (renames change no row). An operator above such a
+    /// node need not cache its input: the database holds it.
+    fn stored<'d>(&self, db: &'d Database) -> Option<RelResult<&'d Table>> {
+        match self {
+            DNode::Scan { table, .. } => Some(db.table(table)),
+            DNode::Rename { input } => input.stored(db),
+            _ => None,
+        }
+    }
+
     /// True when any scanned table's current schema differs from the one
     /// this node tree was initialized against (bindings would be stale).
     fn scans_stale(&self, db: &Database) -> bool {
@@ -1624,7 +1649,7 @@ impl DNode {
         db: &Database,
         changes: &TableChanges,
         exec: &Executor,
-    ) -> RelResult<Change> {
+    ) -> RelResult<Flow> {
         match self {
             DNode::Scan { table, schema, len } => {
                 let t = db.table(table)?;
@@ -1653,7 +1678,7 @@ impl DNode {
             } => match input.refresh(db, changes, exec)? {
                 Change::Unchanged => Ok(Change::Unchanged),
                 Change::Full(rows) => {
-                    let passed = select_batch(exec, in_schema, predicate, rows.clone())?;
+                    let passed = select_batch(exec, in_schema, predicate, &rows)?;
                     let mut out = Vec::new();
                     for (i, r) in rows.into_iter().enumerate() {
                         if passed[i] {
@@ -1661,7 +1686,7 @@ impl DNode {
                         }
                     }
                     let (lin, _) =
-                        RankList::from_entries(passed.iter().map(|&b| ((), u64::from(b))));
+                        RankList::from_entries(passed.iter().map(|&b| ((), u32::from(b))));
                     *lineage = lin;
                     Ok(Change::Full(out))
                 }
@@ -1671,8 +1696,7 @@ impl DNode {
                     // passes over the patch events, each O(delta · log n):
                     // pass 1 reads output ranks against the pre-state
                     // lineage; pass 2 splices the events into the index.
-                    let cands: Vec<Row> = p.new_rows().cloned().collect();
-                    let passed = select_batch(exec, in_schema, predicate, cands)?;
+                    let passed = select_batch(exec, in_schema, predicate, p.new_rows())?;
                     let mut pb = PatchBuilder::default();
                     // Pass 1 (ascending, read-only): inserts before the
                     // delete at the same child position, mirroring patch
@@ -1725,7 +1749,7 @@ impl DNode {
                             gi -= 1;
                             let (pos, rows) = &p.inserted()[gi];
                             for k in 0..rows.len() {
-                                lineage.insert_at(pos + k, (), u64::from(passed[starts[gi] + k]));
+                                lineage.insert_at(pos + k, (), u32::from(passed[starts[gi] + k]));
                             }
                         }
                     }
@@ -1761,7 +1785,7 @@ impl DNode {
             DNode::Rename { input } => input.refresh(db, changes, exec),
             DNode::Union {
                 inputs,
-                child_rows,
+                child_lens,
                 schema,
             } => {
                 let mut ch = Vec::with_capacity(inputs.len());
@@ -1774,10 +1798,7 @@ impl DNode {
                 // New rows from children ≥ 1 are the only fallible output
                 // validation (the union schema keeps child 0's nullability);
                 // check them in output order, as `from_rows` would.
-                for (k, c) in ch.iter().enumerate() {
-                    if k == 0 {
-                        continue;
-                    }
+                for c in ch.iter().skip(1) {
                     match c {
                         Change::Unchanged => {}
                         Change::Patch(p) => {
@@ -1792,32 +1813,46 @@ impl DNode {
                         }
                     }
                 }
-                if ch.iter().any(|c| matches!(c, Change::Full(_))) {
+                if ch.iter().all(|c| matches!(c, Change::Full(_))) {
                     let mut out = Vec::new();
-                    for (rows, c) in child_rows.iter_mut().zip(&ch) {
-                        rows.push(c);
-                        out.extend(rows.rows().iter().cloned());
+                    for (len, c) in child_lens.iter_mut().zip(ch) {
+                        if let Change::Full(rows) = c {
+                            *len = rows.len();
+                            out.extend(rows);
+                        }
                     }
                     return Ok(Change::Full(out));
                 }
-                // All patches: shift child coordinates by the child's old
-                // offset — O(delta), only lengths are read. Child k's
+                // Shift each child's change by the child's old offset —
+                // O(delta), only lengths are read. A patch keeps its
+                // coordinates; a replaced child deletes its old range and
+                // inserts its new rows where the range began. Child k's
                 // appends land just before child k+1's position-0 inserts
                 // at the same output position, matching the concatenated
                 // rebuild.
                 let mut pb = PatchBuilder::default();
                 let mut off = 0usize;
-                for (rows, c) in child_rows.iter_mut().zip(&ch) {
-                    let old_len = rows.len();
-                    if let Change::Patch(p) = c {
-                        for &d in p.deleted() {
-                            pb.delete(off + d);
+                for (len, c) in child_lens.iter_mut().zip(ch) {
+                    let old_len = *len;
+                    match c {
+                        Change::Unchanged => {}
+                        Change::Patch(p) => {
+                            *len = p.new_len(old_len);
+                            for &d in p.deleted() {
+                                pb.delete(off + d);
+                            }
+                            for (pos, grp) in p.inserted {
+                                pb.insert_rows(off + pos, grp);
+                            }
                         }
-                        for (pos, grp) in p.inserted() {
-                            pb.insert_rows(off + pos, grp.clone());
+                        Change::Full(rows) => {
+                            *len = rows.len();
+                            pb.insert_rows(off, rows);
+                            for d in off..off + old_len {
+                                pb.delete(d);
+                            }
                         }
                     }
-                    rows.push(c);
                     off += old_len;
                 }
                 Ok(pb.into_change())
@@ -1848,14 +1883,12 @@ impl DNode {
                         for &c in out_counts.iter() {
                             prefix.push(prefix.last().expect("nonempty") + c);
                         }
-                        let old_len = left_rows.len();
                         let old_counts = std::mem::take(out_counts);
-                        let mut new_left = Vec::with_capacity(p.new_len(old_len));
+                        let old_len = old_counts.len();
                         let mut new_counts = Vec::with_capacity(p.new_len(old_len));
                         let mut pb = PatchBuilder::default();
                         let mut del = p.deleted().iter().peekable();
                         let mut ins = p.inserted().iter().peekable();
-                        let mut old_iter = std::mem::take(left_rows).into_iter();
                         for i in 0..=old_len {
                             while ins.peek().is_some_and(|(pos, _)| *pos == i) {
                                 for r in &ins.next().expect("peeked").1 {
@@ -1863,36 +1896,46 @@ impl DNode {
                                         probe_left(r, l_idx, index, right_rows, *r_arity, *kind);
                                     new_counts.push(outs.len());
                                     pb.insert_rows(prefix[i], outs);
-                                    new_left.push(r.clone());
                                 }
                             }
                             if i == old_len {
                                 break;
                             }
-                            let row = old_iter.next().expect("in range");
                             if del.peek() == Some(&&i) {
                                 del.next();
                                 for op in prefix[i]..prefix[i + 1] {
                                     pb.delete(op);
                                 }
                             } else {
-                                new_left.push(row);
                                 new_counts.push(old_counts[i]);
                             }
                         }
-                        *left_rows = new_left;
+                        if let Some(rows) = left_rows {
+                            p.apply_in_place(rows);
+                        }
                         *out_counts = new_counts;
                         Ok(pb.into_change())
                     }
                     (lc, rc) => {
                         // Build side changed (or probe side replaced):
                         // rebuild the index and re-probe everything.
-                        lc.apply_to(left_rows);
+                        let reread;
+                        let left_rows = match left_rows {
+                            Some(rows) => {
+                                lc.apply_to(rows);
+                                &*rows
+                            }
+                            None => {
+                                let stored = left.stored(db).expect("stored at init");
+                                reread = stored?.rows_from(0);
+                                &reread
+                            }
+                        };
                         rc.apply_to(right_rows);
                         *index = build_join_index(right_rows, r_idx);
                         let mut out = Vec::new();
                         out_counts.clear();
-                        for lrow in left_rows.iter() {
+                        for lrow in left_rows {
                             let outs = probe_left(lrow, l_idx, index, right_rows, *r_arity, *kind);
                             out_counts.push(outs.len());
                             out.extend(outs);
@@ -1917,7 +1960,7 @@ impl DNode {
                     Change::Unchanged => Ok(Change::Unchanged),
                     Change::Full(rows) => {
                         *groups = agg_build(&rows, g_idx, agg_idx, n_aggs, *global);
-                        *rows_idx = FirstSeenIndex::from_rows(rows, g_idx.clone());
+                        *rows_idx = FirstSeenIndex::from_entries(agg_entries(rows, g_idx));
                         let out = agg_emit(rows_idx, groups, aggregates, *global);
                         for r in &out {
                             schema.check_row(r)?;
@@ -1928,9 +1971,10 @@ impl DNode {
                         // Splice the patch into the first-occurrence index;
                         // the returned classification carries deleted row
                         // content, old ranks, and order-breaking events.
-                        let fsp = FirstSeenPatch::apply(rows_idx, &p);
+                        let entries = agg_entries(p.new_rows().cloned(), g_idx);
+                        let fsp = FirstSeenPatch::apply(rows_idx, &p, entries);
                         if *retractable {
-                            for r in &fsp.deleted_rows {
+                            for r in &fsp.deleted {
                                 let key = row_key(r, g_idx);
                                 let st = groups.get_mut(&key).expect("row was folded");
                                 for (idx, acc) in agg_idx.iter().zip(st.accs.iter_mut()) {
@@ -1956,8 +2000,8 @@ impl DNode {
                                 groups.insert(Vec::new(), new_group(n_aggs));
                             }
                             for key in &fsp.affected {
-                                for pos in rows_idx.occurrence_positions(key) {
-                                    agg_fold(groups, rows_idx.row(pos), g_idx, agg_idx, n_aggs);
+                                for row in rows_idx.occurrences(key) {
+                                    agg_fold(groups, row, g_idx, agg_idx, n_aggs);
                                 }
                             }
                         }
@@ -1970,10 +2014,7 @@ impl DNode {
                             let mut pb = PatchBuilder::default();
                             pb.delete(0);
                             pb.insert(0, agg_row(&[], &groups[&Vec::new()], aggregates));
-                            Some(match pb.into_change() {
-                                Change::Patch(patch) => patch,
-                                _ => Patch::default(),
-                            })
+                            Some(pb.into_patch())
                         } else {
                             fsp.emit(rows_idx, |k| agg_row(k, &groups[k], aggregates))
                         };
@@ -1998,7 +2039,7 @@ impl DNode {
             }
             DNode::Pivot {
                 input,
-                rows_idx,
+                cells,
                 key_idx,
                 attr_idx,
                 val_idx,
@@ -2006,58 +2047,25 @@ impl DNode {
             } => match input.refresh(db, changes, exec)? {
                 Change::Unchanged => Ok(Change::Unchanged),
                 Change::Full(rows) => {
-                    let out = pivot_rows(&rows, key_idx, *attr_idx, *val_idx, attrs)?;
-                    *rows_idx = FirstSeenIndex::from_rows(rows, key_idx.clone());
-                    Ok(Change::Full(out))
+                    *cells = FirstSeenIndex::from_entries(pivot_entries(
+                        &rows, key_idx, *attr_idx, *val_idx, attrs,
+                    )?);
+                    Ok(Change::Full(pivot_emit(cells, attrs.len())))
                 }
                 Change::Patch(p) => {
-                    let attr_pos: HashMap<&str, usize> = attrs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (n, _))| (n.as_str(), i))
-                        .collect();
                     // Delta rows validate first, in input order — retained
                     // rows passed the same checks in a previous run, so
                     // this reproduces the rebuild's first error.
-                    for r in p.new_rows() {
-                        check_pivot_row(r, *attr_idx, *val_idx, &attr_pos, attrs)?;
-                    }
-                    let fsp = FirstSeenPatch::apply(rows_idx, &p);
-                    // Rebuild affected entities' wide rows from each
-                    // entity's surviving occurrences, in input order (last
-                    // write per cell wins, as in `pivot_rows`).
-                    let mut rebuilt: HashMap<Vec<Value>, Row> = HashMap::new();
-                    for key in &fsp.affected {
-                        for pos in rows_idx.occurrence_positions(key) {
-                            let row = rows_idx.row(pos);
-                            let slot = rebuilt.entry(key.clone()).or_insert_with_key(|k| {
-                                let mut r = k.clone();
-                                r.extend(std::iter::repeat_n(Value::Null, attrs.len()));
-                                r
-                            });
-                            let attr = match &row[*attr_idx] {
-                                Value::Text(a) => a.as_str(),
-                                _ => unreachable!("validated above or in a previous run"),
-                            };
-                            if let Some(&apos) = attr_pos.get(attr) {
-                                let v = match &row[*val_idx] {
-                                    Value::Null => continue,
-                                    Value::Text(t) => cast_text(t, attrs[apos].1)?,
-                                    other => cast_text(&other.to_string(), attrs[apos].1)?,
-                                };
-                                slot[key_idx.len() + apos] = v;
-                            }
-                        }
-                    }
-                    match fsp.emit(rows_idx, |k| rebuilt[k].clone()) {
+                    let entries = pivot_entries(p.new_rows(), key_idx, *attr_idx, *val_idx, attrs)?;
+                    let fsp = FirstSeenPatch::apply(cells, &p, entries);
+                    // Affected entities' wide rows are rebuilt from each
+                    // entity's surviving cells, in input order (last write
+                    // per cell wins, as in `pivot_rows`).
+                    let wide = |k: &[Value]| pivot_wide_row(k, cells.occurrences(k), attrs.len());
+                    match fsp.emit(cells, wide) {
                         Some(patch) if patch.is_empty() => Ok(Change::Unchanged),
                         Some(patch) => Ok(Change::Patch(patch)),
-                        None => {
-                            let rows: Vec<Row> = rows_idx.rows_in_order().cloned().collect();
-                            Ok(Change::Full(pivot_rows(
-                                &rows, key_idx, *attr_idx, *val_idx, attrs,
-                            )?))
-                        }
+                        None => Ok(Change::Full(pivot_emit(cells, attrs.len()))),
                     }
                 }
             },
@@ -2097,38 +2105,55 @@ impl DNode {
 pub struct DeltaPlan {
     plan: Plan,
     root: DNode,
-    schema: Schema,
-    rows: LazyRows,
+    /// The cached output, a persistent [`Table`]: a refresh moves it by
+    /// [`Table::apply_patch`], and [`DeltaPlan::output`] hands out clones
+    /// that share its storage — the rows are resident once however many
+    /// consumers (an ETL target, a workflow cache) hold the output.
+    out: Table,
     poisoned: bool,
 }
 
 impl DeltaPlan {
     /// Evaluate `plan` once, caching per-operator differential state.
     pub fn init(plan: &Plan, db: &Database, exec: &Executor) -> RelResult<DeltaPlan> {
-        let (root, schema, rows) = DNode::init(plan, db, exec)?;
+        let (root, out) = match plan {
+            // A bare scan's output is the stored table itself, as it is
+            // the executor's: the same storage, primary key included.
+            Plan::Scan(name) => {
+                let t = db.table(name)?;
+                let root = DNode::Scan {
+                    table: name.clone(),
+                    schema: t.schema().clone(),
+                    len: t.len(),
+                };
+                (root, t.clone())
+            }
+            _ => {
+                let (root, schema, rows) = DNode::init(plan, db, exec)?;
+                (root, Table::from_validated(schema, rows)?)
+            }
+        };
         Ok(DeltaPlan {
             plan: plan.clone(),
             root,
-            schema,
-            rows: LazyRows::new(rows),
+            out,
             poisoned: false,
         })
     }
 
     /// The plan's output schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.out.schema()
     }
 
-    /// Number of output rows currently cached. `O(1)` — patch refreshes
-    /// track the length without materializing the spliced row vector.
+    /// Number of output rows currently cached.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.out.len()
     }
 
     /// True when the cached output has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.len() == 0
+        self.out.is_empty()
     }
 
     /// True after a refresh error; the next refresh re-initializes.
@@ -2137,16 +2162,20 @@ impl DeltaPlan {
     }
 
     /// The current output as a table — byte-identical to what
-    /// `plan.eval(db)` returns for the current database state. `O(n)`:
-    /// the cached rows are cloned (and any queued patches replayed).
+    /// `plan.eval(db)` returns for the current database state. O(#chunks):
+    /// the result shares its storage with the plan's cache
+    /// ([`Table::same_storage`]).
     pub fn output(&self) -> RelResult<Table> {
-        Table::from_validated(self.schema.clone(), self.rows.to_rows())
+        Ok(self.out.clone())
     }
 
     /// Propagate base-table changes to the output. Returns how the output
     /// changed relative to the previous state ([`Change::Unchanged`] when
     /// nothing downstream-visible moved), for threading into consumers
-    /// that cache this plan's output.
+    /// that cache this plan's output. The cached output takes the same
+    /// change in O(delta) ([`Table::apply_patch`]); rows a patch inserts
+    /// are validated against the output schema there, as a rebuild's
+    /// `from_rows` would.
     pub fn refresh(
         &mut self,
         db: &Database,
@@ -2156,23 +2185,41 @@ impl DeltaPlan {
         if self.poisoned || self.root.scans_stale(db) {
             // Full re-initialization: either the previous refresh errored,
             // or a scanned table's schema changed under us (stale bindings).
-            let (root, schema, rows) = DNode::init(&self.plan, db, exec)?;
-            self.root = root;
-            self.schema = schema;
-            self.rows = LazyRows::new(rows.clone());
-            self.poisoned = false;
-            return Ok(Change::Full(rows));
+            let fresh = DeltaPlan::init(&self.plan, db, exec)?;
+            *self = fresh;
+            return Ok(Change::Full(self.out.clone()));
         }
-        match self.root.refresh(db, changes, exec) {
-            Ok(change) => {
-                self.rows.push(&change);
-                Ok(change)
+        // The cached output takes the change the operators report; a
+        // bare scan's output is whatever table the database holds now.
+        let landed = self.root.refresh(db, changes, exec).and_then(|flow| {
+            let stored = match &self.plan {
+                Plan::Scan(name) => Some(db.table(name)?),
+                _ => None,
+            };
+            match (flow, stored) {
+                (Change::Unchanged, _) => Ok(Change::Unchanged),
+                (Change::Patch(p), Some(t)) => {
+                    self.out = t.clone();
+                    Ok(Change::Patch(p))
+                }
+                (Change::Patch(p), None) => {
+                    // In place: an output nobody else holds — a
+                    // subscription's — moves no row it keeps.
+                    self.out.patch(&p)?;
+                    Ok(Change::Patch(p))
+                }
+                (Change::Full(_), Some(t)) => {
+                    self.out = t.clone();
+                    Ok(Change::Full(t.clone()))
+                }
+                (Change::Full(rows), None) => {
+                    self.out = Table::from_validated(self.out.schema().clone(), rows)?;
+                    Ok(Change::Full(self.out.clone()))
+                }
             }
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
+        });
+        self.poisoned = landed.is_err();
+        landed
     }
 }
 

@@ -32,7 +32,7 @@
 //!
 //! // Child rows 0..5; rows 1 and 3 pass a filter (weight 1).
 //! let (mut lineage, _ids) =
-//!     RankList::from_entries((0..5).map(|i| (i, u64::from(i == 1 || i == 3))));
+//!     RankList::from_entries((0..5).map(|i| (i, u32::from(i == 1 || i == 3))));
 //! assert_eq!(lineage.total_weight(), 2); // two output rows
 //! assert_eq!(lineage.weight_before(3), 1); // child row 3 is output row 1
 //!
@@ -45,7 +45,8 @@
 //! assert_eq!(lineage.weight_before(4), 2);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::table::Row;
 use crate::value::Value;
@@ -63,22 +64,23 @@ pub type NodeId = u32;
 #[derive(Clone, Debug)]
 struct Node<T> {
     value: T,
-    prio: u64,
+    prio: u32,
     left: u32,
     right: u32,
     parent: u32,
     /// Subtree size (number of nodes, including self).
     size: u32,
     /// This node's own weight.
-    weight: u64,
+    weight: u32,
     /// Subtree weight sum (including self).
-    wsum: u64,
+    wsum: u32,
 }
 
 /// A weight-augmented order-statistic list (implicit treap).
 ///
 /// Maintains a sequence of `T` values addressable by position, where every
-/// element carries a `u64` weight. All operations are `O(log n)` expected
+/// element carries a `u32` weight (a list never
+/// outgrows `u32` node ids, so neither do its weight sums at weight ≤ 1). All operations are `O(log n)` expected
 /// (deterministic pseudo-random priorities), except bulk construction
 /// ([`RankList::from_entries`], `O(n)`) and iteration.
 ///
@@ -122,9 +124,11 @@ impl<T> RankList<T> {
     /// `O(n)` via right-spine cartesian-tree construction. Returns the list
     /// and the [`NodeId`] of every entry in sequence order, so callers can
     /// record stable handles without `O(n log n)` position lookups.
-    pub fn from_entries(entries: impl IntoIterator<Item = (T, u64)>) -> (Self, Vec<NodeId>) {
+    pub fn from_entries(entries: impl IntoIterator<Item = (T, u32)>) -> (Self, Vec<NodeId>) {
+        let entries = entries.into_iter();
         let mut list = Self::new();
-        let mut ids = Vec::new();
+        list.nodes.reserve_exact(entries.size_hint().0);
+        let mut ids = Vec::with_capacity(entries.size_hint().0);
         let mut spine: Vec<u32> = Vec::new();
         for (value, weight) in entries {
             let id = list.alloc(value, weight);
@@ -186,7 +190,7 @@ impl<T> RankList<T> {
     }
 
     /// Sum of all element weights.
-    pub fn total_weight(&self) -> u64 {
+    pub fn total_weight(&self) -> u32 {
         if self.root == NIL {
             0
         } else {
@@ -199,9 +203,9 @@ impl<T> RankList<T> {
     /// `pos` may equal `len()`, in which case this is [`total_weight`].
     ///
     /// [`total_weight`]: RankList::total_weight
-    pub fn weight_before(&self, pos: usize) -> u64 {
+    pub fn weight_before(&self, pos: usize) -> u32 {
         debug_assert!(pos <= self.len());
-        let mut acc = 0u64;
+        let mut acc = 0u32;
         let mut k = pos;
         let mut cur = self.root;
         while cur != NIL {
@@ -238,7 +242,7 @@ impl<T> RankList<T> {
     }
 
     /// The weight of the element addressed by `id`.
-    pub fn weight_of(&self, id: NodeId) -> u64 {
+    pub fn weight_of(&self, id: NodeId) -> u32 {
         self.nodes[id as usize].weight
     }
 
@@ -265,7 +269,7 @@ impl<T> RankList<T> {
     /// Inserts `value` with `weight` so it ends up at position `pos`
     /// (existing elements at `>= pos` shift right). Returns a stable
     /// handle. Panics if `pos > len()`.
-    pub fn insert_at(&mut self, pos: usize, value: T, weight: u64) -> NodeId {
+    pub fn insert_at(&mut self, pos: usize, value: T, weight: u32) -> NodeId {
         debug_assert!(pos <= self.len());
         let id = self.alloc(value, weight);
         if self.root == NIL {
@@ -313,7 +317,7 @@ impl<T> RankList<T> {
 
     /// Removes and returns the element (and its weight) at `pos`
     /// (elements at `> pos` shift left). Panics if `pos >= len()`.
-    pub fn remove_at(&mut self, pos: usize) -> (T, u64)
+    pub fn remove_at(&mut self, pos: usize) -> (T, u32)
     where
         T: Default,
     {
@@ -366,7 +370,7 @@ impl<T> RankList<T> {
 
     /// Sets the weight of the element addressed by `id`, updating ancestor
     /// sums in `O(log n)`.
-    pub fn set_weight(&mut self, id: NodeId, weight: u64) {
+    pub fn set_weight(&mut self, id: NodeId, weight: u32) {
         let old = self.nodes[id as usize].weight;
         if old == weight {
             return;
@@ -432,7 +436,7 @@ impl<T> RankList<T> {
         }
     }
 
-    fn wsum_of(&self, id: u32) -> u64 {
+    fn wsum_of(&self, id: u32) -> u32 {
         if id == NIL {
             0
         } else {
@@ -486,14 +490,16 @@ impl<T> RankList<T> {
         self.pull(x);
     }
 
-    fn alloc(&mut self, value: T, weight: u64) -> u32 {
+    fn alloc(&mut self, value: T, weight: u32) -> u32 {
         // splitmix64: deterministic priorities so rebuilds and refreshes
         // are reproducible across runs and machines.
         self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.rng;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let prio = z ^ (z >> 31);
+        // The high half: a node is 12 bytes lighter for it, and a
+        // treap's balance does not need more than 32 random bits.
+        let prio = ((z ^ (z >> 31)) >> 32) as u32;
         let node = Node {
             value,
             prio,
@@ -508,6 +514,12 @@ impl<T> RankList<T> {
             self.nodes[id as usize] = node;
             id
         } else {
+            // The arena of a resident plan is the size of its input and
+            // lives as long as the plan: grow it by a quarter, not by
+            // doubling, so it never idles at twice what it holds.
+            if self.nodes.len() == self.nodes.capacity() {
+                self.nodes.reserve_exact(self.nodes.len() / 4 + 16);
+            }
             let id = self.nodes.len() as u32;
             self.nodes.push(node);
             id
@@ -586,14 +598,17 @@ struct KeyOcc {
 
 /// Persistent first-occurrence tracking over an operator's input rows.
 ///
-/// Stores the input sequence in a [`RankList`] where a row's weight is `1`
-/// iff it is the *first* live occurrence of its group key, and maintains a
-/// per-key registry of occurrence handles. This makes the aggregate/pivot
-/// order queries sub-linear:
+/// Stores the input sequence in a [`RankList`] — per row its group key and
+/// a payload `T`, whatever the operator keeps of the row: the row itself
+/// for an aggregate, one cast cell for a pivot — where an entry's weight
+/// is `1` iff it is the *first* live occurrence of its key, and maintains
+/// a per-key registry of occurrence handles. A key is stored once and
+/// shared by all its occurrences. This makes the aggregate/pivot order
+/// queries sub-linear:
 ///
 /// * a group's output rank is `weight_before(pos(first))` — `O(log n)`;
 /// * group count is `total_weight()` — `O(1)`;
-/// * groups in output order are [`FirstSeenIndex::first_rows_in_order`] —
+/// * groups in output order are [`FirstSeenIndex::keys_in_order`] —
 ///   `O(groups · log n)`;
 /// * per-row insert/remove report exactly how group order was affected
 ///   ([`InsertOutcome`] / [`RemoveOutcome`]), so the caller can tell a
@@ -604,51 +619,55 @@ struct KeyOcc {
 /// `tests/refresh_incremental.rs` asserts this against `eval_materialized`
 /// rebuilds).
 #[derive(Clone, Debug)]
-pub struct FirstSeenIndex {
-    rows: RankList<Row>,
-    key_idx: Vec<usize>,
-    keys: HashMap<Vec<Value>, KeyOcc>,
+pub struct FirstSeenIndex<T = Row> {
+    rows: RankList<(Arc<[Value]>, T)>,
+    keys: HashMap<Arc<[Value]>, KeyOcc>,
     /// Back-reference: node id → its index in `keys[key].nodes`, for O(1)
-    /// swap-removal.
-    slot: HashMap<NodeId, u32>,
+    /// swap-removal. Node ids are dense arena indices.
+    slot: Vec<u32>,
 }
 
-impl FirstSeenIndex {
-    /// Builds the index over `rows`, grouping by the column positions in
-    /// `key_idx`. `O(n)` plus hashing.
-    pub fn from_rows(rows: Vec<Row>, key_idx: Vec<usize>) -> Self {
-        let mut keys: HashMap<Vec<Value>, KeyOcc> = HashMap::new();
-        let mut slot: HashMap<NodeId, u32> = HashMap::new();
-        // Two passes: weights first (so the bulk build sees them), then the
-        // registry once node ids exist.
-        let ki = key_idx.clone();
-        let weights: Vec<u64> = {
-            let mut seen: HashMap<Vec<Value>, ()> = HashMap::new();
-            rows.iter()
-                .map(|r| {
-                    let key: Vec<Value> = ki.iter().map(|&i| r[i].clone()).collect();
-                    if seen.insert(key, ()).is_none() {
-                        1
-                    } else {
-                        0
+impl<T> FirstSeenIndex<T> {
+    /// Record that node `id` sits at index `at` of its key's `nodes`.
+    fn set_slot(slot: &mut Vec<u32>, id: NodeId, at: usize) {
+        if slot.len() <= id as usize {
+            slot.resize(id as usize + 1, 0);
+        }
+        slot[id as usize] = at as u32;
+    }
+
+    /// Builds the index over `(group key, payload)` entries in input
+    /// order. `O(n)` plus hashing.
+    pub fn from_entries(entries: impl IntoIterator<Item = (Vec<Value>, T)>) -> Self {
+        let mut keys: HashMap<Arc<[Value]>, KeyOcc> = HashMap::new();
+        // Two passes: intern the keys and flag first occurrences (so the
+        // bulk build sees the weights), then fill the registry once node
+        // ids exist.
+        let mut interned: HashSet<Arc<[Value]>> = HashSet::new();
+        let weighted =
+            entries
+                .into_iter()
+                .map(|(key, payload)| match interned.get(key.as_slice()) {
+                    Some(shared) => ((Arc::clone(shared), payload), 0),
+                    None => {
+                        let shared: Arc<[Value]> = key.into();
+                        interned.insert(Arc::clone(&shared));
+                        ((shared, payload), 1)
                     }
-                })
-                .collect()
-        };
-        let (list, ids) = RankList::from_entries(rows.into_iter().zip(weights));
+                });
+        let (list, ids) = RankList::from_entries(weighted);
+        let mut slot = vec![0; ids.len()];
         for &id in &ids {
-            let row = list.value_of(id);
-            let key: Vec<Value> = ki.iter().map(|&i| row[i].clone()).collect();
-            let occ = keys.entry(key).or_insert(KeyOcc {
+            let (key, _) = list.value_of(id);
+            let occ = keys.entry(Arc::clone(key)).or_insert(KeyOcc {
                 nodes: Vec::new(),
                 first: id,
             });
-            slot.insert(id, occ.nodes.len() as u32);
+            slot[id as usize] = occ.nodes.len() as u32;
             occ.nodes.push(id);
         }
         FirstSeenIndex {
             rows: list,
-            key_idx,
             keys,
             slot,
         }
@@ -669,14 +688,10 @@ impl FirstSeenIndex {
         self.rows.total_weight() as usize
     }
 
-    /// The input row at `pos`. `O(log n)`.
-    pub fn row(&self, pos: usize) -> &Row {
-        self.rows.get(pos)
-    }
-
-    /// Extracts the group key of `row` under this index's key columns.
-    pub fn key_of(&self, row: &Row) -> Vec<Value> {
-        self.key_idx.iter().map(|&i| row[i].clone()).collect()
+    /// The group key and payload of the input row at `pos`. `O(log n)`.
+    pub fn get(&self, pos: usize) -> (&[Value], &T) {
+        let (key, payload) = self.rows.get(pos);
+        (key, payload)
     }
 
     /// `true` when `key` currently has at least one occurrence.
@@ -692,26 +707,28 @@ impl FirstSeenIndex {
         Some(self.rows.weight_before(self.rows.pos_of(occ.first)) as usize)
     }
 
-    /// Removes the row at `pos`, reporting how its group's order was
-    /// affected. `O(log n)`, plus `O(k log n)` to elect a new first
-    /// occurrence when the current first of a `k`-occurrence group is
-    /// removed.
-    pub fn remove(&mut self, pos: usize) -> (Row, RemoveOutcome) {
+    /// Removes the row at `pos`, returning its key and payload and
+    /// reporting how its group's order was affected. `O(log n)`, plus
+    /// `O(k log n)` to elect a new first occurrence when the current first
+    /// of a `k`-occurrence group is removed.
+    pub fn remove(&mut self, pos: usize) -> (Arc<[Value]>, T, RemoveOutcome)
+    where
+        T: Default,
+    {
         let id = self.rows.id_at(pos);
         let was_first = self.rows.weight_of(id) == 1;
-        let (row, _) = self.rows.remove_at(pos);
-        let key = self.key_of(&row);
+        let ((key, payload), _) = self.rows.remove_at(pos);
         let occ = self.keys.get_mut(&key).expect("row key must be indexed");
-        let s = self.slot.remove(&id).expect("node must have a slot") as usize;
+        let s = self.slot[id as usize] as usize;
         let last = occ.nodes.pop().expect("occurrence list cannot be empty");
         if last != id {
             occ.nodes[s] = last;
-            self.slot.insert(last, s as u32);
+            self.slot[last as usize] = s as u32;
         }
         if occ.nodes.is_empty() {
             debug_assert!(was_first);
             self.keys.remove(&key);
-            return (row, RemoveOutcome::Died);
+            return (key, payload, RemoveOutcome::Died);
         }
         if was_first {
             let new_first = *occ
@@ -721,67 +738,72 @@ impl FirstSeenIndex {
                 .expect("non-empty");
             occ.first = new_first;
             self.rows.set_weight(new_first, 1);
-            return (row, RemoveOutcome::Promoted);
+            return (key, payload, RemoveOutcome::Promoted);
         }
-        (row, RemoveOutcome::Later)
+        (key, payload, RemoveOutcome::Later)
     }
 
-    /// Inserts `row` at `pos`, reporting how its group's order was
-    /// affected. `O(log n)`.
-    pub fn insert(&mut self, pos: usize, row: Row) -> InsertOutcome {
-        let key = self.key_of(&row);
-        let prev_first_pos = self.keys.get(&key).map(|occ| self.rows.pos_of(occ.first));
-        match prev_first_pos {
-            None => {
-                let id = self.rows.insert_at(pos, row, 1);
-                let occ = self.keys.entry(key).or_insert(KeyOcc {
-                    nodes: Vec::new(),
+    /// Inserts a row with group key `key` at `pos`, reporting how its
+    /// group's order was affected. `O(log n)`.
+    pub fn insert(&mut self, pos: usize, key: Vec<Value>, payload: T) -> InsertOutcome {
+        let Some((shared, occ)) = self.keys.get_key_value(key.as_slice()) else {
+            let shared: Arc<[Value]> = key.into();
+            let id = self.rows.insert_at(pos, (Arc::clone(&shared), payload), 1);
+            Self::set_slot(&mut self.slot, id, 0);
+            self.keys.insert(
+                shared,
+                KeyOcc {
+                    nodes: vec![id],
                     first: id,
-                });
-                occ.first = id;
-                self.slot.insert(id, occ.nodes.len() as u32);
-                occ.nodes.push(id);
-                InsertOutcome::NewKey
-            }
-            Some(first_pos) => {
-                let promoted = pos <= first_pos;
-                let id = self.rows.insert_at(pos, row, u64::from(promoted));
-                let occ = self.keys.get_mut(&key).expect("checked above");
-                self.slot.insert(id, occ.nodes.len() as u32);
-                occ.nodes.push(id);
-                if promoted {
-                    let old_first = occ.first;
-                    self.rows.set_weight(old_first, 0);
-                    occ.first = id;
-                    InsertOutcome::Promoted
-                } else {
-                    InsertOutcome::Later
-                }
-            }
+                },
+            );
+            return InsertOutcome::NewKey;
+        };
+        let (shared, old_first) = (Arc::clone(shared), occ.first);
+        let promoted = pos <= self.rows.pos_of(old_first);
+        let id = self
+            .rows
+            .insert_at(pos, (shared, payload), u32::from(promoted));
+        let occ = self.keys.get_mut(key.as_slice()).expect("checked above");
+        Self::set_slot(&mut self.slot, id, occ.nodes.len());
+        occ.nodes.push(id);
+        if promoted {
+            self.rows.set_weight(old_first, 0);
+            occ.first = id;
+            InsertOutcome::Promoted
+        } else {
+            InsertOutcome::Later
         }
     }
 
-    /// Current positions of `key`'s occurrences in input order.
+    /// The payloads of `key`'s occurrences, in input order.
     /// `O(k log n + k log k)`.
-    pub fn occurrence_positions(&self, key: &[Value]) -> Vec<usize> {
+    pub fn occurrences(&self, key: &[Value]) -> Vec<&T> {
         let Some(occ) = self.keys.get(key) else {
             return Vec::new();
         };
-        let mut positions: Vec<usize> = occ.nodes.iter().map(|&n| self.rows.pos_of(n)).collect();
-        positions.sort_unstable();
-        positions
+        let mut nodes: Vec<(usize, NodeId)> = occ
+            .nodes
+            .iter()
+            .map(|&n| (self.rows.pos_of(n), n))
+            .collect();
+        nodes.sort_unstable();
+        nodes
+            .into_iter()
+            .map(|(_, n)| &self.rows.value_of(n).1)
+            .collect()
     }
 
-    /// The first-occurrence row of every live group, in group output
-    /// order. `O(groups · log n)` — zero-weight subtrees are skipped.
-    pub fn first_rows_in_order(&self) -> impl Iterator<Item = &Row> {
-        self.rows.iter_weighted()
+    /// The key of every live group, in group output order.
+    /// `O(groups · log n)` — zero-weight subtrees are skipped.
+    pub fn keys_in_order(&self) -> impl Iterator<Item = &[Value]> {
+        self.rows.iter_weighted().map(|(key, _)| &**key)
     }
 
-    /// All input rows in order. `O(n)`; used only by full-recompute
-    /// fallbacks.
-    pub fn rows_in_order(&self) -> impl Iterator<Item = &Row> {
-        self.rows.iter()
+    /// The key and payload of every input row, in input order. `O(n)`;
+    /// used only by full-recompute fallbacks.
+    pub fn entries_in_order(&self) -> impl Iterator<Item = (&[Value], &T)> {
+        self.rows.iter().map(|(key, payload)| (&**key, payload))
     }
 }
 
@@ -807,14 +829,14 @@ mod tests {
         let mut rng = Lcg(7);
         for round in 0..20 {
             let mut list: RankList<u64> = RankList::new();
-            let mut oracle: Vec<(u64, u64)> = Vec::new();
+            let mut oracle: Vec<(u64, u32)> = Vec::new();
             let mut ids: Vec<NodeId> = Vec::new();
             for step in 0..400 {
                 let op = rng.next() % 4;
                 if op < 2 || oracle.is_empty() {
                     let pos = (rng.next() as usize) % (oracle.len() + 1);
                     let v = rng.next();
-                    let w = rng.next() % 3;
+                    let w = (rng.next() % 3) as u32;
                     let id = list.insert_at(pos, v, w);
                     oracle.insert(pos, (v, w));
                     ids.insert(pos, id);
@@ -826,15 +848,15 @@ mod tests {
                     assert_eq!((v, w), (ov, ow), "round {round} step {step}");
                 } else {
                     let pos = (rng.next() as usize) % oracle.len();
-                    let w = rng.next() % 3;
+                    let w = (rng.next() % 3) as u32;
                     list.set_weight(ids[pos], w);
                     oracle[pos].1 = w;
                 }
                 assert_eq!(list.len(), oracle.len());
-                let total: u64 = oracle.iter().map(|&(_, w)| w).sum();
+                let total: u32 = oracle.iter().map(|&(_, w)| w).sum();
                 assert_eq!(list.total_weight(), total);
                 let probe = (rng.next() as usize) % (oracle.len() + 1);
-                let prefix: u64 = oracle[..probe].iter().map(|&(_, w)| w).sum();
+                let prefix: u32 = oracle[..probe].iter().map(|&(_, w)| w).sum();
                 assert_eq!(
                     list.weight_before(probe),
                     prefix,
@@ -862,19 +884,21 @@ mod tests {
     #[test]
     fn bulk_build_matches_incremental() {
         let mut rng = Lcg(99);
-        let entries: Vec<(u64, u64)> = (0..1000).map(|_| (rng.next(), rng.next() % 2)).collect();
+        let entries: Vec<(u64, u32)> = (0..1000)
+            .map(|_| (rng.next(), (rng.next() % 2) as u32))
+            .collect();
         let (bulk, ids) = RankList::from_entries(entries.iter().copied());
         assert_eq!(bulk.len(), entries.len());
         assert_eq!(
             bulk.total_weight(),
-            entries.iter().map(|&(_, w)| w).sum::<u64>()
+            entries.iter().map(|&(_, w)| w).sum::<u32>()
         );
         for (pos, &id) in ids.iter().enumerate() {
             assert_eq!(bulk.pos_of(id), pos);
             assert_eq!(*bulk.value_of(id), entries[pos].0);
         }
         for probe in [0, 1, 17, 500, 999, 1000] {
-            let prefix: u64 = entries[..probe].iter().map(|&(_, w)| w).sum();
+            let prefix: u32 = entries[..probe].iter().map(|&(_, w)| w).sum();
             assert_eq!(bulk.weight_before(probe), prefix);
         }
         let collected: Vec<u64> = bulk.iter().copied().collect();
@@ -882,10 +906,10 @@ mod tests {
         assert_eq!(collected, expected);
     }
 
-    fn fs_oracle(rows: &[Row], key_idx: &[usize]) -> Vec<Vec<Value>> {
+    fn fs_oracle(rows: &[Row]) -> Vec<Vec<Value>> {
         let mut seen = Vec::new();
         for r in rows {
-            let key: Vec<Value> = key_idx.iter().map(|&i| r[i].clone()).collect();
+            let key = vec![r[0].clone()];
             if !seen.contains(&key) {
                 seen.push(key);
             }
@@ -893,13 +917,17 @@ mod tests {
         seen
     }
 
+    /// A row enters the index keyed on its first column, whole.
+    fn entry(row: &Row) -> (Vec<Value>, Row) {
+        (vec![row[0].clone()], row.clone())
+    }
+
     #[test]
     fn first_seen_index_matches_oracle() {
         let mut rng = Lcg(42);
-        let key_idx = vec![0usize];
         for round in 0..20 {
             let mut oracle: Vec<Row> = Vec::new();
-            let mut idx = FirstSeenIndex::from_rows(Vec::new(), key_idx.clone());
+            let mut idx: FirstSeenIndex = FirstSeenIndex::from_entries(Vec::new());
             for step in 0..300 {
                 if !rng.next().is_multiple_of(3) || oracle.is_empty() {
                     let pos = (rng.next() as usize) % (oracle.len() + 1);
@@ -909,60 +937,60 @@ mod tests {
                         Value::Int((rng.next() % 4) as i64),
                         Value::Int(rng.next() as i64),
                     ];
-                    idx.insert(pos, row.clone());
+                    let (key, payload) = entry(&row);
+                    idx.insert(pos, key, payload);
                     oracle.insert(pos, row);
                 } else {
                     let pos = (rng.next() as usize) % oracle.len();
-                    let (row, _) = idx.remove(pos);
+                    let (key, row, _) = idx.remove(pos);
                     let expect = oracle.remove(pos);
-                    assert_eq!(row, expect);
+                    assert_eq!((&*key, &row), (&expect[..1], &expect));
                 }
-                let expect_order = fs_oracle(&oracle, &key_idx);
+                let expect_order = fs_oracle(&oracle);
                 assert_eq!(
                     idx.group_count(),
                     expect_order.len(),
                     "round {round} step {step}"
                 );
                 let got_order: Vec<Vec<Value>> =
-                    idx.first_rows_in_order().map(|r| idx.key_of(r)).collect();
+                    idx.keys_in_order().map(<[Value]>::to_vec).collect();
                 assert_eq!(got_order, expect_order, "round {round} step {step}");
+                assert!(idx.entries_in_order().map(|(_, row)| row).eq(oracle.iter()));
                 for (rank, key) in expect_order.iter().enumerate() {
                     assert_eq!(idx.rank_of(key), Some(rank));
-                    let occs = idx.occurrence_positions(key);
+                    let occs = idx.occurrences(key);
                     assert!(!occs.is_empty());
-                    let oracle_occs: Vec<usize> = oracle
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| &idx.key_of(r) == key)
-                        .map(|(i, _)| i)
-                        .collect();
+                    let oracle_occs: Vec<&Row> =
+                        oracle.iter().filter(|r| r[..1] == key[..]).collect();
                     assert_eq!(occs, oracle_occs);
                 }
             }
+            // A bulk build over the same sequence is the same index.
+            let bulk: FirstSeenIndex = FirstSeenIndex::from_entries(oracle.iter().map(entry));
+            assert!(bulk.keys_in_order().eq(idx.keys_in_order()));
+            assert!(bulk.entries_in_order().eq(idx.entries_in_order()));
         }
     }
 
     #[test]
     fn first_seen_death_then_revival_moves_group_to_end() {
-        let rows = vec![
+        let rows = [
             vec![Value::Int(1), Value::Int(10)],
             vec![Value::Int(2), Value::Int(20)],
             vec![Value::Int(1), Value::Int(30)],
         ];
-        let mut idx = FirstSeenIndex::from_rows(rows, vec![0]);
+        let mut idx: FirstSeenIndex = FirstSeenIndex::from_entries(rows.iter().map(entry));
         assert_eq!(idx.rank_of(&[Value::Int(1)]), Some(0));
         // Kill group 1 entirely…
-        let (_, o1) = idx.remove(2);
+        let (_, _, o1) = idx.remove(2);
         assert_eq!(o1, RemoveOutcome::Later);
-        let (_, o2) = idx.remove(0);
+        let (_, _, o2) = idx.remove(0);
         assert_eq!(o2, RemoveOutcome::Died);
         assert_eq!(idx.rank_of(&[Value::Int(1)]), None);
         // …then revive it with an appended row: it must now rank AFTER
         // group 2, matching a from-scratch first-seen pass.
-        assert_eq!(
-            idx.insert(1, vec![Value::Int(1), Value::Int(40)]),
-            InsertOutcome::NewKey
-        );
+        let (key, payload) = entry(&vec![Value::Int(1), Value::Int(40)]);
+        assert_eq!(idx.insert(1, key, payload), InsertOutcome::NewKey);
         assert_eq!(idx.rank_of(&[Value::Int(2)]), Some(0));
         assert_eq!(idx.rank_of(&[Value::Int(1)]), Some(1));
     }

@@ -34,7 +34,7 @@
 //! states it, and [`Table::row_at`] / [`Table::key_position`] walk a chunk
 //! list of that bounded length.
 
-use crate::delta::TableDelta;
+use crate::delta::{Patch, TableDelta};
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::segment::{ScanPart, Segment, SegmentList, SEGMENT_ROWS};
@@ -122,6 +122,25 @@ impl Chunk {
         })
     }
 
+    /// The physical rows `from..to` of this chunk as a chunk of their own:
+    /// a narrower window over the same backing with this chunk's dead
+    /// bits; every row keeps its address. The piece gets a seal of its
+    /// own — this chunk's images rows the piece no longer holds.
+    fn slice(&self, from: usize, to: usize) -> Chunk {
+        let mut piece = Chunk::window(
+            Arc::clone(&self.rows),
+            self.lo + from,
+            self.lo + to,
+            self.base + from as Addr,
+        );
+        if self.mask.is_some() {
+            for off in (from..to).filter(|&off| self.is_dead(off)) {
+                piece.mark_dead(off - from);
+            }
+        }
+        piece
+    }
+
     /// Physical rows in this chunk.
     fn len(&self) -> usize {
         self.hi - self.lo
@@ -132,9 +151,7 @@ impl Chunk {
     }
 
     fn is_dead(&self, off: usize) -> bool {
-        self.mask
-            .as_ref()
-            .is_some_and(|m| m[off / 64] >> (off % 64) & 1 != 0)
+        dead_bit(self.mask.as_deref().map(|m| &**m), off)
     }
 
     fn mark_dead(&mut self, off: usize) {
@@ -240,6 +257,24 @@ impl Chunk {
         runs
     }
 
+    /// Hand this chunk's live rows to `out` — the chunk is about to be
+    /// replaced. Moved when nothing else (another table generation, a
+    /// sibling window, a scan in flight) reads the backing, cloned
+    /// otherwise.
+    fn take_live(&mut self, out: &mut Vec<Row>) {
+        let mask = self.mask.as_deref().map(|m| &**m);
+        match Arc::get_mut(&mut self.rows) {
+            Some(backing) => out.extend(
+                backing[self.lo..self.hi]
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(off, _)| !dead_bit(mask, *off))
+                    .map(|(_, row)| std::mem::take(row)),
+            ),
+            None => out.extend(self.iter_live().cloned()),
+        }
+    }
+
     fn iter_live(&self) -> impl Iterator<Item = &Row> + '_ {
         self.rows[self.lo..self.hi]
             .iter()
@@ -254,6 +289,11 @@ impl Chunk {
         self.seal
             .get_or_init(|| Arc::new(Segment::build(schema, &self.rows[self.lo..self.hi])))
     }
+}
+
+/// Is the bit for offset `off` set in a chunk's dead-row bitmap?
+fn dead_bit(mask: Option<&[u64]>, off: usize) -> bool {
+    mask.is_some_and(|m| m[off / 64] >> (off % 64) & 1 != 0)
 }
 
 /// Overlay fold point: the persistent pk overlay is kept within O(√n) of
@@ -275,8 +315,9 @@ fn reset_cache<T>(cell: &mut Arc<OnceLock<T>>) {
     }
 }
 
-/// Primary-key patch target used while building a new generation in
-/// [`Table::apply_delta`]: either a fresh uniquely-owned base (overlay
+/// Primary-key patch target used while validating an edit
+/// ([`Table::apply_delta`], [`Table::patch`]): either a fresh
+/// uniquely-owned base (overlay
 /// folded in) or a copy of the small overlay layered over the shared
 /// base.
 enum PkPatch<'a> {
@@ -319,6 +360,13 @@ impl PkPatch<'_> {
             }
         }
     }
+}
+
+/// A keyed table's index after an edit: a fresh base when the overlay was
+/// folded into one, and the overlay over the base.
+struct PkNext {
+    base: Option<HashMap<Vec<Value>, Addr>>,
+    overlay: HashMap<Vec<Value>, Option<Addr>>,
 }
 
 /// The physical shape of a table at one generation, for tests, benches
@@ -455,6 +503,14 @@ impl Table {
         &self.schema
     }
 
+    /// This table under another name. Only the schema is copied: chunks,
+    /// seals, index and cached views stay shared with every clone of
+    /// `self`, so [`Table::same_storage`] holds between the two.
+    pub fn renamed(mut self, name: impl Into<String>) -> Table {
+        self.schema = self.schema.renamed(name);
+        self
+    }
+
     /// The visible rows as one contiguous slice (the flat compatibility
     /// view). No row is copied while the chunks still window one backing
     /// vector end to end — the slice *is* that backing — and the view is
@@ -532,6 +588,21 @@ impl Table {
                         _ => false,
                     }
             })
+    }
+
+    /// How many of this table's chunks `prev` does not also hold — the
+    /// same window of the same backing. It is what getting from `prev` to
+    /// `self` had to build, and what a scan of `self` has to seal that a
+    /// scan of `prev` did not: O(delta) after [`Table::apply_delta`] or
+    /// [`Table::apply_patch`], every chunk after a rebuild. Mask bits do
+    /// not count: a delete leaves the chunk, and its seal, in place.
+    pub fn chunks_not_in(&self, prev: &Table) -> usize {
+        let window = |c: &Chunk| (Arc::as_ptr(&c.rows), c.lo, c.hi);
+        let held: std::collections::HashSet<_> = prev.chunks.iter().map(window).collect();
+        self.chunks
+            .iter()
+            .filter(|c| !held.contains(&window(c)))
+            .count()
     }
 
     pub fn len(&self) -> usize {
@@ -788,12 +859,215 @@ impl Table {
                 delta.pre_len, self.live
             )));
         }
-        if delta.is_empty() {
-            return Ok(self.clone());
+        debug_assert!(
+            delta
+                .deleted
+                .iter()
+                .all(|(pos, row)| self.row_at(*pos).is_none_or(|r| r == row)),
+            "delta row mismatch"
+        );
+        let tail = [(self.live, delta.inserted.as_slice())];
+        let groups = if delta.inserted.is_empty() {
+            &tail[..0]
+        } else {
+            &tail[..]
+        };
+        let mut next = self.clone();
+        next.edit(delta.deleted.iter().map(|(pos, _)| *pos), groups)?;
+        Ok(next)
+    }
+
+    /// Apply a positional [`Patch`] — the edit script a
+    /// [`crate::delta::DeltaPlan`] refresh emits — building the next
+    /// generation as a new value: [`Table::patch`] on a clone, so
+    /// everything the patch does not touch is shared by pointer with
+    /// `self`, which stays as it is.
+    pub fn apply_patch(&self, patch: &Patch) -> RelResult<Table> {
+        let mut next = self.clone();
+        next.patch(patch)?;
+        Ok(next)
+    }
+
+    /// Apply a positional [`Patch`] in place, with [`Table::apply_delta`]'s
+    /// contract and [`Patch::apply`]'s row order: ordinal deletes become
+    /// mask bits; each insert group becomes new chunks spliced in *before*
+    /// the pre-state row at its position. A position inside a chunk cuts
+    /// that chunk's window in two over the same backing (no row is
+    /// copied; the two pieces are sealed afresh when next scanned), a
+    /// position at a chunk boundary or the append point cuts nothing, and
+    /// the layout bounds of the module docs are re-established around
+    /// every chunk the patch touched.
+    ///
+    /// Storage another table (an older generation, a clone) or a scan
+    /// still holds is frozen and copied on write — chunks no edit falls
+    /// into, their seals and the pk base stay shared by pointer. What this
+    /// table alone holds is edited where it is: a mask takes its bits in
+    /// place and a layout repair *moves* the rows it rewrites, so the
+    /// holder of the only handle (a resident plan's cached output nobody
+    /// else kept) pays for a scattered delete what `Vec::retain` would.
+    ///
+    /// Inserted rows are validated first, as [`Table::from_rows`] over the
+    /// merged rows would, in merged-row order; on error the table is
+    /// untouched. On a *keyed* table that order interleaves with retained
+    /// rows unless every insert lands at the append point, and a row
+    /// address between two chunks does not exist (addresses ascend with
+    /// chunk order and are never renumbered under a pk index) — so a
+    /// keyed table taking a mid-table insert is rebuilt wholesale through
+    /// `from_rows` itself.
+    pub fn patch(&mut self, patch: &Patch) -> RelResult<()> {
+        if !patch.valid_for(self.live) {
+            return Err(RelError::Plan(format!(
+                "patch does not fit a table of {} rows",
+                self.live
+            )));
         }
-        let mut chunks = self.chunks.clone();
-        let mut pk = if self.pk_overlay.len() + delta.rows_changed()
-            > overlay_fold_threshold(self.pk_base.len())
+        let keyed = !self.schema.primary_key().is_empty();
+        if keyed && patch.inserted().iter().any(|(pos, _)| *pos < self.live) {
+            let merged = patch.apply(self.iter_rows().cloned().collect());
+            *self = Table::from_rows(self.schema.clone(), merged)?;
+            return Ok(());
+        }
+        let groups: Vec<(usize, &[Row])> = patch
+            .inserted()
+            .iter()
+            .map(|(pos, rows)| (*pos, rows.as_slice()))
+            .collect();
+        self.edit(patch.deleted().iter().copied(), &groups)
+    }
+
+    /// Take out the rows at the strictly ascending pre-state ordinals
+    /// `deleted` and put each group of `inserted` (strictly ascending
+    /// pre-state positions) in new chunks before the pre-state row at its
+    /// position. Validates, then edits: an error leaves the table as it
+    /// was. Keyed tables insert at the append point only.
+    fn edit(
+        &mut self,
+        deleted: impl ExactSizeIterator<Item = usize> + Clone,
+        inserted: &[(usize, &[Row])],
+    ) -> RelResult<()> {
+        if deleted.len() == 0 && inserted.is_empty() {
+            return Ok(());
+        }
+        if let Some(pos) = deleted.clone().last().filter(|&pos| pos >= self.live) {
+            return Err(RelError::Plan(format!(
+                "delta deletes row {pos} past the table end"
+            )));
+        }
+        let n_deleted = deleted.len();
+        let n_inserted: usize = inserted.iter().map(|(_, rows)| rows.len()).sum();
+        let pk = self.validate_edit(deleted.clone(), inserted, n_deleted + n_inserted)?;
+
+        // From here on nothing fails. Let go of the cached views first:
+        // the flat view holds the first chunk's backing, and nothing it
+        // windows could be edited in place while it does.
+        reset_cache(&mut self.flat);
+        reset_cache(&mut self.seg_view);
+        let old_chunks = std::mem::take(&mut self.chunks);
+        let mut chunks: Vec<Chunk> = Vec::with_capacity(old_chunks.len() + 2 * inserted.len());
+        let mut touched: Vec<usize> = Vec::new();
+        let mut next_addr = old_chunks.last().map_or(0, |c| c.base + c.len() as Addr);
+        let mut splice = |chunks: &mut Vec<Chunk>, rows: &[Row]| {
+            chunks.extend(Chunk::windows(Arc::new(rows.to_vec()), next_addr));
+            next_addr += rows.len() as Addr;
+        };
+        let mut deleted = deleted.peekable();
+        let mut groups = inserted
+            .iter()
+            .filter(|(_, rows)| !rows.is_empty())
+            .peekable();
+        // Pre-state ordinals deleted from the chunk at hand.
+        let mut gone: Vec<usize> = Vec::new();
+        let mut start = 0;
+        for mut c in old_chunks {
+            let end = start + c.live;
+            // The j-th pre-state row of the chunk is its (j - d)-th live
+            // row once the d deletes below it are marked.
+            gone.clear();
+            while let Some(pos) = deleted.next_if(|&pos| pos < end) {
+                debug_assert!(
+                    pos >= start && gone.last().is_none_or(|&g| g < pos),
+                    "deleted ordinals must ascend"
+                );
+                c.mark_dead(c.select_live(pos - start - gone.len()));
+                gone.push(pos);
+            }
+            // The chunk before each group's position is done: push it and
+            // carry on with the rest of the window.
+            let mut from = 0;
+            while let Some((pos, rows)) = groups.next_if(|(pos, _)| *pos < end) {
+                let k = pos - start - gone.partition_point(|&g| g < *pos);
+                let cut = match k {
+                    0 => from,
+                    k if k < c.live => c.select_live(k),
+                    _ => c.len(),
+                };
+                if cut > from {
+                    let piece = c.slice(from, cut);
+                    if piece.live > 0 {
+                        touched.push(chunks.len());
+                        chunks.push(piece);
+                    }
+                    from = cut;
+                }
+                splice(&mut chunks, rows);
+                touched.push(chunks.len() - 1);
+            }
+            if from > 0 {
+                c = c.slice(from, c.len());
+            }
+            if from > 0 || !gone.is_empty() {
+                touched.push(chunks.len());
+            }
+            chunks.push(c);
+            start = end;
+        }
+        for (_, rows) in groups {
+            splice(&mut chunks, rows);
+            touched.push(chunks.len() - 1);
+        }
+        match pk {
+            // Spliced and cut chunks sit between addresses that were
+            // adjacent; with no index to patch, re-addressing is free.
+            None => {
+                let mut base = 0;
+                for c in &mut chunks {
+                    c.base = base;
+                    base += c.len() as Addr;
+                }
+            }
+            Some(next) => {
+                if let Some(base) = next.base {
+                    self.pk_base = Arc::new(base);
+                }
+                self.pk_overlay = Arc::new(next.overlay);
+            }
+        }
+        self.chunks = chunks;
+        self.live = self.live - n_deleted + n_inserted;
+        self.settle(&touched);
+        Ok(())
+    }
+
+    /// Check the rows an [`edit`](Self::edit) inserts exactly as
+    /// [`Table::from_rows`] over the merged rows would — schema, then on a
+    /// keyed table uniqueness against the index without the deleted rows,
+    /// row by row in merged order — and work out the keyed table's next
+    /// index: a fresh base when the overlay would outgrow its fold
+    /// threshold (`Some(base)`), and the overlay over it. `None` for a
+    /// keyless table.
+    fn validate_edit(
+        &self,
+        deleted: impl Iterator<Item = usize>,
+        inserted: &[(usize, &[Row])],
+        n_edits: usize,
+    ) -> RelResult<Option<PkNext>> {
+        if self.schema.primary_key().is_empty() {
+            for row in inserted.iter().flat_map(|(_, rows)| rows.iter()) {
+                self.schema.check_row(row)?;
+            }
+            return Ok(None);
+        }
+        let mut pk = if self.pk_overlay.len() + n_edits > overlay_fold_threshold(self.pk_base.len())
         {
             let mut base = (*self.pk_base).clone();
             for (k, patch) in self.pk_overlay.iter() {
@@ -813,69 +1087,42 @@ impl Table {
                 overlay: (*self.pk_overlay).clone(),
             }
         };
-
-        // Map the ascending pre-state ordinals to physical locations in
-        // one forward walk over the chunk list (positions are relative
-        // to self's masks, which the new masks only extend).
-        let mut touched: Vec<usize> = Vec::new();
-        let mut ci = 0;
+        // Ordinals are relative to self's masks: one forward walk.
+        let mut chunks = self.chunks.iter();
+        let mut here = chunks.next();
         let mut start = 0;
-        let mut prev_pos = None;
-        for (pos, row) in &delta.deleted {
-            debug_assert!(prev_pos < Some(*pos), "delta ordinals must ascend");
-            prev_pos = Some(*pos);
-            while ci < self.chunks.len() && *pos >= start + self.chunks[ci].live {
-                start += self.chunks[ci].live;
-                ci += 1;
-            }
-            if ci == self.chunks.len() {
-                return Err(RelError::Plan(format!(
-                    "delta deletes row {pos} past the table end"
-                )));
-            }
-            let off = self.chunks[ci].select_live(*pos - start);
-            debug_assert_eq!(self.chunks[ci].row(off), row, "delta row mismatch");
-            chunks[ci].mark_dead(off);
-            if touched.last() != Some(&ci) {
-                touched.push(ci);
-            }
-            if let Some(key) = self.key_of(row) {
-                pk.del(key);
-            }
-        }
-
-        if !delta.inserted.is_empty() {
-            let base = self.end_addr();
-            let mut added: Vec<Row> = Vec::with_capacity(delta.inserted.len());
-            for row in &delta.inserted {
-                self.schema.check_row(row)?;
-                if let Some(key) = self.key_of(row) {
-                    if pk.lookup(&key).is_some() {
-                        return Err(self.dup_err(&key));
-                    }
-                    pk.put(key, base + added.len() as Addr);
+        for pos in deleted {
+            let c = loop {
+                let c = here.expect("a deleted ordinal is in range");
+                if pos < start + c.live {
+                    break c;
                 }
-                added.push(row.clone());
-            }
-            chunks.extend(Chunk::windows(Arc::new(added), base));
-            touched.push(chunks.len() - 1);
+                start += c.live;
+                here = chunks.next();
+            };
+            let row = c.row(c.select_live(pos - start));
+            pk.del(self.key_of(row).expect("keyed"));
         }
-
-        let (pk_base, pk_overlay) = match pk {
-            PkPatch::Folded(base) => (Arc::new(base), Arc::new(HashMap::new())),
-            PkPatch::Overlaid { overlay, .. } => (Arc::clone(&self.pk_base), Arc::new(overlay)),
-        };
-        let mut t = Table {
-            schema: self.schema.clone(),
-            chunks,
-            live: self.live - delta.deleted.len() + delta.inserted.len(),
-            pk_base,
-            pk_overlay,
-            seg_view: Arc::new(OnceLock::new()),
-            flat: Arc::new(OnceLock::new()),
-        };
-        t.settle(&touched);
-        Ok(t)
+        debug_assert!(inserted.iter().all(|(pos, _)| *pos == self.live));
+        let appended = inserted.iter().flat_map(|(_, rows)| rows.iter());
+        for (addr, row) in (self.end_addr()..).zip(appended) {
+            self.schema.check_row(row)?;
+            let key = self.key_of(row).expect("keyed");
+            if pk.lookup(&key).is_some() {
+                return Err(self.dup_err(&key));
+            }
+            pk.put(key, addr);
+        }
+        Ok(Some(match pk {
+            PkPatch::Folded(base) => PkNext {
+                base: Some(base),
+                overlay: HashMap::new(),
+            },
+            PkPatch::Overlaid { overlay, .. } => PkNext {
+                base: None,
+                overlay,
+            },
+        }))
     }
 
     /// Re-establish the layout invariants (module docs) around the chunks
@@ -937,11 +1184,11 @@ impl Table {
     /// is unchanged, so a cached flat view stays valid.
     fn compact(&mut self, k: usize, n: usize) {
         let base = self.chunks[k].base;
-        let rows: Vec<Row> = self.chunks[k..k + n]
-            .iter()
-            .flat_map(Chunk::iter_live)
-            .cloned()
-            .collect();
+        let doomed = &mut self.chunks[k..k + n];
+        let mut rows: Vec<Row> = Vec::with_capacity(doomed.iter().map(|c| c.live).sum());
+        for c in doomed {
+            c.take_live(&mut rows);
+        }
         debug_assert!(rows.len() <= SEGMENT_ROWS);
         if !self.schema.primary_key().is_empty() {
             for (off, row) in rows.iter().enumerate() {
@@ -1098,7 +1345,7 @@ impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
             && self.live == other.live
-            && self.iter_rows().eq(other.iter_rows())
+            && (self.same_storage(other) || self.iter_rows().eq(other.iter_rows()))
     }
 }
 
@@ -1276,9 +1523,10 @@ mod tests {
         use crate::delta::{Change, DeltaPlan, TableChanges};
         use crate::exec::Executor;
 
-        // A subscription's scan leaf owns a copy of its table's rows; on a
-        // masked multi-chunk table that copy must come straight from the
-        // chunks, not through a flat view cached in the shared table.
+        // A resident plan's scan leaf reads its table chunk by chunk —
+        // at init, and when the wholesale fallback copies the rows out —
+        // never through a flat view cached in the shared table; and a plan
+        // that *is* the scan holds the table itself, not a copy.
         let install = |t: &Table, drop: usize, add: &[i64]| {
             let delta = TableDelta {
                 pre_len: t.len(),
@@ -1295,6 +1543,7 @@ mod tests {
         let t = db.table("revs").unwrap();
         assert!(masked(t));
         assert!(t.flat.get().is_none(), "init forced the flat view");
+        assert!(plan.output().unwrap().same_storage(t));
 
         // No change claimed but the length moved: the wholesale fallback.
         let next = install(t, SEGMENT_ROWS + 1, &[-2, -3]);
@@ -1303,7 +1552,7 @@ mod tests {
         let t = db.table("revs").unwrap();
         assert!(masked(t));
         assert!(t.flat.get().is_none(), "refresh forced the flat view");
-        assert_eq!(change, Change::Full(t.iter_rows().cloned().collect()));
+        assert!(matches!(change, Change::Full(full) if full.same_storage(t)));
     }
 
     fn keyed(n: i64) -> Table {
@@ -1490,6 +1739,231 @@ mod tests {
         // the run cap admits): neither ever ran past it.
         assert!(t.chunks.iter().all(|c| c.run_count() <= MAX_LIVE_RUNS));
         assert_matches_model(&t, &model);
+    }
+
+    /// A keyless twin of [`keyed`].
+    fn keyless(n: i64) -> Table {
+        let schema = Schema::new("revs", vec![Column::required("id", DataType::Int)]).unwrap();
+        Table::from_rows(schema, (0..n).map(|i| vec![Value::Int(i)])).unwrap()
+    }
+
+    /// Deterministic stream for the patch suites.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (self.0 >> 33) as usize % n
+        }
+    }
+
+    /// `k` distinct ascending ordinals below `n`.
+    fn ordinals(rng: &mut Lcg, k: usize, n: usize) -> Vec<usize> {
+        let mut picked = Vec::new();
+        while picked.len() < k.min(n) {
+            let p = rng.below(n);
+            if !picked.contains(&p) {
+                picked.push(p);
+            }
+        }
+        picked.sort_unstable();
+        picked
+    }
+
+    #[test]
+    fn apply_patch_matches_the_vector_model() {
+        // `Patch::apply` over a plain vector is the model. Random patches:
+        // deletes anywhere, insert groups mid-table, at a deleted ordinal
+        // and at the append point; every third round deletes exactly the
+        // rows the round before inserted. Keyed tables take the same
+        // patches (a mid-table insert rebuilds them wholesale).
+        for is_keyed in [false, true] {
+            let n = SEGMENT_ROWS as i64 + 500;
+            let mut t = if is_keyed { keyed(n) } else { keyless(n) };
+            let mut model: Vec<Row> = t.iter_rows().cloned().collect();
+            let mut rng = Lcg(if is_keyed { 0xC0FFEE } else { 0x5EED });
+            let mut next_id = n;
+            let mut fresh: Vec<usize> = Vec::new();
+            for round in 0..120 {
+                let len = model.len();
+                let deleted = if round % 3 == 2 && !fresh.is_empty() {
+                    std::mem::take(&mut fresh)
+                } else {
+                    let k = rng.below(4);
+                    ordinals(&mut rng, k, len)
+                };
+                let mut at = {
+                    let k = rng.below(3);
+                    ordinals(&mut rng, k, len)
+                };
+                if let Some(&d) = deleted.first() {
+                    if !at.contains(&d) && round % 2 == 0 {
+                        at.push(d);
+                        at.sort_unstable();
+                    }
+                }
+                if round % 4 != 3 {
+                    at.push(len);
+                }
+                let inserted: Vec<(usize, Vec<Row>)> = at
+                    .iter()
+                    .map(|&pos| {
+                        let rows = (0..1 + rng.below(3))
+                            .map(|_| {
+                                next_id += 1;
+                                vec![Value::Int(next_id)]
+                            })
+                            .collect();
+                        (pos, rows)
+                    })
+                    .collect();
+                let patch = Patch::new(deleted, inserted).unwrap();
+                let next = t.apply_patch(&patch).unwrap();
+                let before = model.clone();
+                model = patch.apply(model);
+                // Where this round's rows sit in the new state.
+                fresh = model
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| patch.new_rows().any(|n| n == *r))
+                    .map(|(i, _)| i)
+                    .collect();
+                assert!(next.iter_rows().eq(model.iter()), "round {round}");
+                assert!(
+                    t.iter_rows().eq(before.iter()),
+                    "round {round}: old generation moved"
+                );
+                let layout = next.layout();
+                assert!(layout.within_bounds(), "round {round}: {layout:?}");
+                t = next;
+            }
+            if is_keyed {
+                assert_matches_model(&t, &model);
+            }
+        }
+    }
+
+    #[test]
+    fn single_row_patches_stay_within_the_layout_bounds() {
+        let mut t = keyless(2 * SMALL_CHUNK_ROWS as i64);
+        let mut model: Vec<Row> = t.iter_rows().cloned().collect();
+        let mut rng = Lcg(7);
+        for i in 0..1000 {
+            let pos = rng.below(model.len());
+            let patch = match i % 3 {
+                0 => Patch::new(vec![pos], vec![]),
+                1 => Patch::new(vec![], vec![(pos, vec![vec![Value::Int(-i)]])]),
+                // Replace in place: the shape a pivot emits for a revised group.
+                _ => Patch::new(vec![pos], vec![(pos, vec![vec![Value::Int(-i)]])]),
+            }
+            .unwrap();
+            t = t.apply_patch(&patch).unwrap();
+            model = patch.apply(model);
+            let layout = t.layout();
+            assert!(layout.within_bounds(), "patch {i}: {layout:?}");
+        }
+        assert!(t.iter_rows().eq(model.iter()));
+        assert!(t.chunks.iter().all(|c| c.run_count() <= MAX_LIVE_RUNS));
+    }
+
+    #[test]
+    fn apply_patch_shares_untouched_chunks_and_their_seals() {
+        let n = SEGMENT_ROWS;
+        let base = keyless(3 * n as i64 + 10);
+        base.segments();
+        assert_eq!((base.layout().chunks, base.unsealed_rows()), (4, 0));
+        let row = |i: i64| vec![Value::Int(i)];
+        let patch = Patch::new(
+            vec![5],
+            vec![
+                (2 * n + 100, vec![row(-1), row(-2)]),
+                (3 * n, vec![row(-3)]),
+                (3 * n + 10, vec![row(-4)]),
+            ],
+        )
+        .unwrap();
+        let next = base.apply_patch(&patch).unwrap();
+        let model = patch.apply(base.iter_rows().cloned().collect());
+        assert!(next.iter_rows().eq(model.iter()));
+        let same =
+            |a: &Chunk, b: &Chunk| Arc::ptr_eq(&a.rows, &b.rows) && (a.lo, a.hi) == (b.lo, b.hi);
+        // Deleted from: the chunk and its seal stay, a mask appears.
+        assert!(same(&next.chunks[0], &base.chunks[0]) && next.chunks[0].mask.is_some());
+        assert!(Arc::ptr_eq(&next.chunks[0].seal, &base.chunks[0].seal));
+        // Untouched: shared whole.
+        assert!(same(&next.chunks[1], &base.chunks[1]) && next.chunks[1].mask.is_none());
+        assert!(Arc::ptr_eq(&next.chunks[1].seal, &base.chunks[1].seal));
+        // Cut at the mid-chunk insert: two windows over the old backing
+        // around the new rows, no row copied, both to be sealed afresh.
+        let (left, mid, right) = (&next.chunks[2], &next.chunks[3], &next.chunks[4]);
+        assert!(Arc::ptr_eq(&left.rows, &base.chunks[2].rows));
+        assert!(Arc::ptr_eq(&right.rows, &base.chunks[2].rows));
+        assert_eq!((left.len(), mid.len(), right.len()), (100, 2, n - 100));
+        // An insert at a chunk boundary cuts nothing; the new row in
+        // front of the 10-row tail folds into it (small chunks merge).
+        // Built: two cut pieces, the spliced rows, the 11-row merge, the
+        // appended row.
+        assert_eq!(next.layout().chunks, 7);
+        assert_eq!(next.chunks_not_in(&base), 5);
+        assert_eq!(next.unsealed_rows(), n + 2 + 12);
+        assert!(next.layout().within_bounds());
+        // A bare append on a sealed table builds exactly one chunk.
+        let appended = base
+            .apply_patch(&Patch::new(vec![], vec![(base.len(), vec![row(-5)])]).unwrap())
+            .unwrap();
+        assert_eq!(appended.chunks_not_in(&base), 1);
+        assert_eq!(appended.unsealed_rows(), 1);
+    }
+
+    #[test]
+    fn apply_patch_errors_are_the_rebuilds() {
+        let rebuilt = |t: &Table, patch: &Patch| {
+            Table::from_rows(
+                t.schema().clone(),
+                patch.apply(t.iter_rows().cloned().collect()),
+            )
+            .unwrap_err()
+            .to_string()
+        };
+        // A type violation behind a valid row, keyless and mid-table.
+        let t = keyless(10);
+        let patch = Patch::new(
+            vec![],
+            vec![(4, vec![vec![Value::Int(-1)], vec![Value::text("x")]])],
+        )
+        .unwrap();
+        assert_eq!(
+            t.apply_patch(&patch).unwrap_err().to_string(),
+            rebuilt(&t, &patch)
+        );
+        // A duplicate key: appended, and mid-table in front of its twin —
+        // where the rebuild meets the *retained* row second.
+        let t = keyed(10);
+        for pos in [10, 2] {
+            let patch = Patch::new(
+                vec![0],
+                vec![(pos, vec![vec![Value::Int(0)], vec![Value::Int(7)]])],
+            )
+            .unwrap();
+            assert_eq!(
+                t.apply_patch(&patch).unwrap_err().to_string(),
+                rebuilt(&t, &patch)
+            );
+        }
+        // A patch that fails leaves the table it was applied to in place
+        // exactly as it was, mask bits included.
+        let mut held = t.clone();
+        let bad = Patch::new(vec![1, 5], vec![(10, vec![vec![Value::Int(9)]])]).unwrap();
+        assert!(held.patch(&bad).is_err());
+        assert!(held.same_storage(&t) && held.get_by_key(&[Value::Int(5)]).is_some());
+        // Re-inserting a key the same patch deleted is no duplicate.
+        let patch = Patch::new(vec![3], vec![(10, vec![vec![Value::Int(3)]])]).unwrap();
+        let next = t.apply_patch(&patch).unwrap();
+        assert_eq!(next.key_position(&[Value::Int(3)]).unwrap().0, 9);
+        // Out of range is a plan error, not a panic.
+        assert!(t
+            .apply_patch(&Patch::new(vec![10], vec![]).unwrap())
+            .is_err());
     }
 
     #[test]

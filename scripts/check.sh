@@ -52,6 +52,17 @@ if grep -rnE 'GUAVA_EXEC_THREADS|THREADS_ENV|ExecConfig|eval_with|execute_with|r
   exit 1
 fi
 
+# A refresh lands its change, not its table (DESIGN.md §12/§18): a
+# component's output is one persistent table that the plan's cache, the
+# workflow cache and the catalog share, moved by `Table::patch`. The
+# lazy row-vector cache in front of a plan's output went, and the
+# workflow copies no table into a row vector — neither may come back.
+if grep -rn 'LazyRows' crates tests examples scripts --exclude=check.sh \
+    || grep -n 'rows()\.to_vec()' crates/etl/src/workflow.rs; then
+  echo "check.sh: a deleted output cache or a whole-table copy in the ETL workflow reappeared (matches above)" >&2
+  exit 1
+fi
+
 # Sealed segments survive deletes and blocking operators read their input
 # by reference (DESIGN.md §14/§18): the survivor-copy re-seal and the
 # row-shredding parallel pipeline were *replaced*, not kept beside the new

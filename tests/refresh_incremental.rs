@@ -733,6 +733,469 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Landing a change: O(delta) as a count, resident once, run_on's errors
+// ---------------------------------------------------------------------------
+
+/// The targets of [`pipeline`], by `(database, table)`.
+const PIPELINE_TARGETS: [(&str, &str); 4] =
+    [("tmp", "f"), ("tmp", "p"), ("out", "stats"), ("out", "pv")];
+
+/// Chunks of every [`pipeline`] target that the refresh built — not held
+/// by the target's previous generation — after one fixed five-row delta
+/// (three inserts, a delete, an update) over an `n`-row source.
+fn chunks_built_by_a_refresh(n: i64) -> Vec<usize> {
+    let exec = Executor::new();
+    let wf = pipeline(3);
+    let rows = (0..n)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int(i % 12),
+                Value::Bool(i % 3 == 0),
+                Value::text("s"),
+            ]
+        })
+        .collect();
+    let mut cat = catalog(rows);
+    let mut cache = WorkflowCache::new();
+    wf.run_incremental(&mut cat, &DeltaSet::new(), &mut cache, &exec)
+        .unwrap();
+    let target =
+        |cat: &Catalog, (db, t): (&str, &str)| cat.database(db).unwrap().table(t).unwrap().clone();
+    let before: Vec<Table> = PIPELINE_TARGETS.iter().map(|t| target(&cat, *t)).collect();
+    let mut dc = DeltaCatalog::new(cat);
+    for (i, a) in [(n, 7), (n + 1, 0), (n + 2, 11)] {
+        let row = vec![
+            Value::Int(i),
+            Value::Int(a),
+            Value::Bool(true),
+            Value::text("new"),
+        ];
+        dc.insert("d", "t", row).unwrap();
+    }
+    dc.delete_where("d", "t", |r| r[0] == Value::Int(n / 2))
+        .unwrap();
+    dc.update_where(
+        "d",
+        "t",
+        |r| r[0] == Value::Int(n / 3),
+        |r| r[1] = Value::Int(9),
+    )
+    .unwrap();
+    let deltas = dc.take_deltas();
+    let mut cat = dc.into_inner();
+    wf.run_incremental(&mut cat, &deltas, &mut cache, &exec)
+        .unwrap();
+    let mut oracle = Catalog::new();
+    oracle.insert(cat.database("d").unwrap().clone());
+    wf.run_on(&mut oracle, &exec).unwrap();
+    PIPELINE_TARGETS
+        .iter()
+        .zip(&before)
+        .map(|(t, old)| {
+            let new = target(&cat, *t);
+            assert_eq!(new, target(&oracle, *t), "{t:?} at {n} rows");
+            assert!(new.layout().within_bounds());
+            new.chunks_not_in(old)
+        })
+        .collect()
+}
+
+/// Landing is O(delta) as a *count*: what a refresh builds of each target
+/// does not depend on how large the target is. (A wholesale landing
+/// builds every chunk, whatever the delta.)
+#[test]
+fn a_refresh_builds_the_same_chunks_at_any_table_size() {
+    let small = chunks_built_by_a_refresh(2_000);
+    let large = chunks_built_by_a_refresh(20_000);
+    assert_eq!(small, large);
+    assert!(small.iter().all(|&built| built <= 3), "{small:?}");
+}
+
+/// A component's output rows are resident once: after every kind of run
+/// — cold, refreshed, replayed — the plan's cached output, the workflow
+/// cache's copy and the catalog's target are one storage.
+fn assert_resident_once(wf: &EtlWorkflow, cat: &Catalog, cache: &WorkflowCache) {
+    for comp in wf.stages.iter().flat_map(|s| &s.components) {
+        let target = cat
+            .database(&comp.target_db)
+            .unwrap()
+            .table(&comp.target_table)
+            .unwrap();
+        let cached = cache.output(&comp.name).expect("component ran");
+        let plan = cache.plan(&comp.name).expect("component ran");
+        assert!(
+            cached.same_storage(target),
+            "{}: cache vs target",
+            comp.name
+        );
+        assert!(
+            plan.output().unwrap().same_storage(target),
+            "{}: plan vs target",
+            comp.name
+        );
+    }
+}
+
+/// `all_tables(a) == all_tables(b)`, naming the table that differs
+/// instead of printing two catalogs.
+fn assert_same(a: &Catalog, b: &Catalog) {
+    let (a, b) = (all_tables(a), all_tables(b));
+    assert_eq!(a.len(), b.len(), "databases");
+    for ((db, ours), (other_db, theirs)) in a.iter().zip(&b) {
+        assert_eq!(db, other_db);
+        assert_eq!(ours.len(), theirs.len(), "tables of {db}");
+        for (t, u) in ours.iter().zip(theirs) {
+            assert!(t == u, "{db}.{} differs", t.schema().name);
+        }
+    }
+}
+
+/// A delta row that faults in a *later* component of a stage — an
+/// expression error, and a row that violates the landed table's schema —
+/// gives `run_on`'s first error with `run_on`'s earlier loads applied,
+/// and the next refresh, the fault repaired, equals a rebuild — although
+/// an earlier component landed rows its consumers never took in.
+#[test]
+fn refresh_faults_are_run_ons_and_heal() {
+    let exec = Executor::new();
+    let quotient = Plan::scan("t").project(vec![
+        ("id".to_owned(), Expr::col("id")),
+        ("q".to_owned(), Expr::lit(100i64).div(Expr::col("a"))),
+    ]);
+    // `id` is required in `t` and nullable in `u`: a NULL id arriving
+    // through the second child violates the union's (child 0's) schema.
+    let required_first = Plan::union(vec![Plan::scan("t"), Plan::scan("u")]);
+    for (faulty, fault_row, fault_table) in [
+        (
+            quotient,
+            vec![Value::Int(900), Value::Int(0), Value::Null, Value::Null],
+            "t",
+        ),
+        (
+            required_first,
+            vec![Value::Null, Value::Int(1), Value::Null, Value::Null],
+            "u",
+        ),
+    ] {
+        let mut wf = pipeline(2);
+        wf.stages[0].components.insert(
+            1,
+            EtlComponent {
+                name: "faulty".into(),
+                source_db: "d".into(),
+                plan: faulty,
+                target_db: "tmp".into(),
+                target_table: "q".into(),
+            },
+        );
+        let rows = (1..40i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(1 + i % 5),
+                    Value::Bool(i % 2 == 0),
+                    Value::Null,
+                ]
+            })
+            .collect();
+        let mut cat = catalog(rows);
+        let mut loose = schema().columns().to_vec();
+        loose[0].nullable = true;
+        let u = Table::from_rows(
+            Schema::new("u", loose).unwrap(),
+            vec![vec![
+                Value::Int(-1),
+                Value::Int(4),
+                Value::Null,
+                Value::Null,
+            ]],
+        )
+        .unwrap();
+        cat.database_mut("d").unwrap().create_table(u).unwrap();
+        let mut cache = WorkflowCache::new();
+        wf.run_incremental(&mut cat, &DeltaSet::new(), &mut cache, &exec)
+            .unwrap();
+
+        let mut dc = DeltaCatalog::new(cat);
+        dc.insert(
+            "d",
+            "t",
+            vec![
+                Value::Int(800),
+                Value::Int(3),
+                Value::Bool(true),
+                Value::Null,
+            ],
+        )
+        .unwrap();
+        dc.insert("d", fault_table, fault_row).unwrap();
+        let deltas = dc.take_deltas();
+        let mut cat = dc.into_inner();
+        let mut oracle = cat.clone();
+        let inc_err = wf
+            .run_incremental(&mut cat, &deltas, &mut cache, &exec)
+            .unwrap_err();
+        let full_err = wf.run_on(&mut oracle, &exec).unwrap_err();
+        assert_eq!(inc_err, full_err);
+        // `filter` (declared before the fault) landed; `faulty` and
+        // `compute` did not, in either catalog.
+        assert_same(&cat, &oracle);
+        // The run's deltas are spent: the cache keeps what landed and
+        // forgets the rest, so nothing patches a state it never saw.
+        assert!(cache.plan("filter").is_some());
+        for lost in ["faulty", "compute", "stats", "big_v"] {
+            assert!(cache.plan(lost).is_none(), "{lost}");
+        }
+
+        // Repair the fault; the next run recomputes what was forgotten
+        // and the whole catalog equals a rebuild again.
+        let mut dc = DeltaCatalog::new(cat);
+        dc.delete_where("d", fault_table, |r| {
+            r[0] == Value::Null || r[0] == Value::Int(900)
+        })
+        .unwrap();
+        let deltas = dc.take_deltas();
+        let mut cat = dc.into_inner();
+        let runs = wf
+            .run_incremental(&mut cat, &deltas, &mut cache, &exec)
+            .unwrap();
+        let mut oracle = Catalog::new();
+        oracle.insert(cat.database("d").unwrap().clone());
+        assert_eq!(runs, wf.run_on(&mut oracle, &exec).unwrap());
+        assert_same(&cat, &oracle);
+        assert_resident_once(&wf, &cat, &cache);
+    }
+}
+
+/// A union with one wholesale child beside patched siblings stays a
+/// patch: the replaced child's old range is deleted and its new rows are
+/// inserted where the range began. `Sort` replaces its output whenever
+/// its input moves, so the middle child is wholesale on every round.
+#[test]
+fn union_folds_a_wholesale_child_into_a_patch() {
+    let plan = Plan::union(vec![
+        Plan::scan("t").select(Expr::col("a").ge(Expr::lit(3i64))),
+        Plan::scan("t").sort_by(&["a", "id"]),
+        Plan::scan("t").select(Expr::col("a").lt(Expr::lit(3i64))),
+    ]);
+    for (name, exec) in lanes() {
+        let rows = (0..30i64)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Null, Value::Null])
+            .collect();
+        let mut dc = DeltaCatalog::new(catalog(rows));
+        let db = |dc: &DeltaCatalog| dc.catalog().database("d").unwrap().clone();
+        let mut dplan = DeltaPlan::init(&plan, &db(&dc), &exec).unwrap();
+        for round in 0..6i64 {
+            apply_op(&mut dc, &Op::Insert(Some(round % 5), None));
+            apply_op(&mut dc, &Op::Delete(7, round));
+            apply_op(&mut dc, &Op::SetA(5, round % 5, Some(6 - round)));
+            let deltas = dc.take_deltas();
+            let mut changes = TableChanges::new();
+            changes.set("t", deltas.get("d", "t").unwrap().to_change());
+            let before = dplan.output().unwrap();
+            let change = dplan.refresh(&db(&dc), &changes, &exec).unwrap();
+            let Change::Patch(patch) = &change else {
+                panic!("{name} round {round}: expected a patch, got {change:?}");
+            };
+            let rebuilt = exec.execute(&plan, &db(&dc)).unwrap();
+            assert_eq!(dplan.output().unwrap(), rebuilt, "{name} round {round}");
+            assert_eq!(
+                before.apply_patch(patch).unwrap(),
+                rebuilt,
+                "{name} round {round}"
+            );
+        }
+    }
+}
+
+/// Compiled studies over the three contributors under contributor
+/// traffic: new reports typed into every tool, amendments through each
+/// tool's own revision idiom, retirements.
+mod studies {
+    use super::*;
+    use guava::clinical::prelude::*;
+    use guava::clinical::{cori, endopro, gastrolink};
+
+    const BASE_REPORTS: usize = 40;
+
+    struct Clinic {
+        dc: DeltaCatalog,
+        stacks: Vec<PatternStack>,
+        pool: Vec<Profile>,
+        next_id: i64,
+        live: Vec<i64>,
+    }
+
+    fn column(dc: &DeltaCatalog, db: &str, table: &str, name: &str) -> usize {
+        let t = dc.catalog().database(db).unwrap().table(table).unwrap();
+        t.schema().index_of(name).unwrap()
+    }
+
+    impl Clinic {
+        /// Type `n` new reports into all three tools and store their
+        /// physical rows (a lookup pattern's code rows exist already).
+        fn insert(&mut self, n: usize) {
+            let new: Vec<Profile> = (0..n)
+                .map(|_| {
+                    let mut p = self.pool[self.next_id as usize % self.pool.len()].clone();
+                    p.id = self.next_id;
+                    self.live.push(p.id);
+                    self.next_id += 1;
+                    p
+                })
+                .collect();
+            let naive = [
+                cori::naive_database(&new).unwrap(),
+                endopro::naive_database(&new).unwrap(),
+                gastrolink::naive_database(&new).unwrap(),
+            ];
+            for (stack, naive) in self.stacks.iter().zip(&naive) {
+                let encoded = stack.encode(naive).unwrap();
+                for table in encoded.tables() {
+                    let name = &table.schema().name;
+                    let key_cols = table.schema().primary_key().to_vec();
+                    for row in table.iter_rows() {
+                        let key: Vec<Value> = key_cols.iter().map(|&i| row[i].clone()).collect();
+                        let stored = self.dc.catalog().database(&encoded.name).unwrap();
+                        if key.is_empty() || stored.table(name).unwrap().get_by_key(&key).is_none()
+                        {
+                            self.dc.insert(&encoded.name, name, row.clone()).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Revise report `id` the way each tool does: CORI and EndoPro
+        /// keep the superseded row, audit-flagged; GastroLink overwrites.
+        /// EndoPro's `procedure_code` cell is its entity's *first* EAV
+        /// row, so revising it moves the group's first occurrence.
+        fn amend(&mut self, id: i64, round: usize) {
+            let note = format!("note {round}");
+            assert_eq!(
+                cori_amend_reports(&mut self.dc, "cori", &[id], &note),
+                Ok(1)
+            );
+            let eav = endopro::PHYSICAL_TABLE;
+            let (entity, attribute, value) = (
+                column(&self.dc, "endopro", eav, "entity"),
+                column(&self.dc, "endopro", eav, "attribute"),
+                column(&self.dc, "endopro", eav, "value"),
+            );
+            let (attr, new) = [
+                ("etoh", "Rare"),
+                ("procedure_code", "EGD"),
+                ("cigs_per_day", "9"),
+            ][round % 3];
+            audit_revise(
+                &mut self.dc,
+                "endopro",
+                eav,
+                "is_void",
+                |r| r[entity] == Value::Int(id) && r[attribute] == Value::text(attr),
+                |r| r[value] = Value::text(new),
+            )
+            .unwrap();
+            let master = gastrolink::PHYSICAL_TABLE;
+            let (instance, comments) = (
+                column(&self.dc, "gastrolink", master, "instance_id"),
+                column(&self.dc, "gastrolink", master, "comments"),
+            );
+            self.dc
+                .update_where(
+                    "gastrolink",
+                    master,
+                    |r| r[instance] == Value::Int(id),
+                    |r| r[comments] = Value::text(format!("seen again, round {round}")),
+                )
+                .unwrap();
+        }
+
+        /// Remove report `id` from every contributor.
+        fn retire(&mut self, id: i64) {
+            self.live.retain(|&l| l != id);
+            for (db, table, col) in [
+                ("cori", cori::PHYSICAL_TABLE, "instance_id"),
+                ("endopro", endopro::PHYSICAL_TABLE, "entity"),
+                ("gastrolink", gastrolink::PHYSICAL_TABLE, "instance_id"),
+            ] {
+                let c = column(&self.dc, db, table, col);
+                self.dc
+                    .delete_where(db, table, |r| r[c] == Value::Int(id))
+                    .unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn study_refresh_matches_rebuild_and_is_resident_once() {
+        let profiles = generate(&GeneratorConfig {
+            procedures: BASE_REPORTS,
+            ..GeneratorConfig::default()
+        });
+        let pool = generate(&GeneratorConfig {
+            seed: 99,
+            procedures: 64,
+            ..GeneratorConfig::default()
+        });
+        let contributors = build_all(&profiles).unwrap();
+        let studies = [
+            study1_definition(&contributors),
+            study2_definition(&contributors, ExSmokerMeaning::EverQuit),
+        ];
+        for study in &studies {
+            let compiled = compile(
+                study,
+                &study_schema(),
+                &registry(),
+                &bindings(&contributors),
+            )
+            .unwrap();
+            let wf = &compiled.workflow;
+            for (lane, exec) in lanes() {
+                let mut clinic = Clinic {
+                    dc: DeltaCatalog::new(physical_catalog(&contributors)),
+                    stacks: contributors.iter().map(|c| c.stack.clone()).collect(),
+                    pool: pool.clone(),
+                    next_id: BASE_REPORTS as i64 + 1,
+                    live: (1..=BASE_REPORTS as i64).collect(),
+                };
+                let mut cache = WorkflowCache::new();
+                let mut rng = 0x5EED_u64;
+                for round in 0..14usize {
+                    // Round 0 is the cold run; then batches of traffic.
+                    if round > 0 {
+                        for _ in 0..1 + round % 3 {
+                            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            let pick = clinic.live[(rng >> 33) as usize % clinic.live.len()];
+                            match (rng >> 20) % 4 {
+                                0 | 1 => clinic.insert(1 + (rng >> 40) as usize % 3),
+                                2 => clinic.amend(pick, round),
+                                _ => clinic.retire(pick),
+                            }
+                        }
+                    }
+                    let deltas = clinic.dc.take_deltas();
+                    let runs = wf
+                        .run_incremental(clinic.dc.catalog_mut(), &deltas, &mut cache, &exec)
+                        .unwrap();
+                    let mut oracle = physical_catalog(&contributors);
+                    for c in &contributors {
+                        oracle.insert(clinic.dc.catalog().database(c.name()).unwrap().clone());
+                    }
+                    let oracle_runs = wf.run_on(&mut oracle, &exec).unwrap();
+                    let at = format!("{} / {lane} / round {round}", study.name);
+                    assert_eq!(runs, oracle_runs, "{at}");
+                    assert_eq!(all_tables(clinic.dc.catalog()), all_tables(&oracle), "{at}");
+                    assert_resident_once(wf, clinic.dc.catalog(), &cache);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // StudyStore::refresh ≡ rebuild (randomized, classifier-guard flips)
 // ---------------------------------------------------------------------------
 
