@@ -21,7 +21,8 @@ use guava::relational::algebra::{AggFunc, Aggregate, JoinKind, Plan};
 use guava::relational::delta::Change;
 use guava::relational::explain::explain_plan;
 use guava::relational::expr::Expr;
-use guava::relational::prelude::{DataType, Table, Value};
+use guava::relational::optimize::prepare;
+use guava::relational::prelude::{DataType, Database, Table, Value};
 use guava::warehouse::service::{Engine, EngineConfig, Session, Subscription};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -493,8 +494,10 @@ fn serve_queries() -> Vec<(&'static str, Plan)> {
     ]
 }
 
-/// `explain <query> [--analyze]`: print the rule-optimized operator
-/// tree of one of the `serve` menu queries against the demo engine.
+/// `explain <query> [--analyze]`: print the operator tree the executor
+/// runs for one of the `serve` menu queries against the demo engine —
+/// the query after `relational::optimize::prepare`, which is what
+/// `Executor::execute` compiles.
 /// `--analyze` additionally evaluates every subtree and appends its
 /// actual row count, and each scan leaf's physical table layout (chunks,
 /// scan parts, sealed spans, dead rows under seals, small tail chunks).
@@ -511,9 +514,18 @@ fn cmd_explain(query: &str, flag: Option<&str>) -> CmdResult {
         return Err(format!("unknown query `{query}` (one of: {})", names.join(", ")).into());
     };
     let snap = engine.snapshot();
-    let chosen = snap.optimize(plan);
-    print!("{}", explain_plan(&chosen, snap.database(), analyze)?);
+    print!(
+        "{}",
+        explain_plan(&executed(plan, snap.database()), snap.database(), analyze)?
+    );
     Ok(())
+}
+
+/// The plan `Executor::execute` compiles for `plan`: prepared, or as
+/// written where the pass declines (no scan, or a binding error that
+/// `compile` is about to raise).
+fn executed(plan: &Plan, db: &Database) -> Plan {
+    prepare(plan, db).unwrap_or_else(|| plan.clone())
 }
 
 fn fmt_rows(rows: &[Vec<Value>]) -> Vec<String> {
@@ -817,10 +829,11 @@ mod tests {
         let db = snap.database();
         let queries = serve_queries();
         let (_, plan) = queries.iter().find(|(n, _)| *n == "study_packs").unwrap();
-        let chosen = snap.optimize(plan);
-        assert_eq!(chosen, guava::relational::optimize::optimize(plan));
+        let chosen = executed(plan, db);
+        // Both sides of the join are read whole: nothing to prune or fuse.
+        assert_eq!(chosen, *plan);
 
-        // The optimized tree, pre-order: Select over the join of two scans.
+        // The executed tree, pre-order: Select over the join of two scans.
         let Plan::Select { input: join, .. } = &chosen else {
             panic!("{chosen:?}")
         };
@@ -859,6 +872,56 @@ mod tests {
             bad.eval_materialized(db).unwrap_err()
         );
         assert!(explain_plan(&bad, db, false).is_ok());
+    }
+
+    #[test]
+    fn explain_prints_the_clinical_extracts_as_they_run() {
+        use guava::etl::compile::compile;
+        let profiles = generate(&GeneratorConfig::default().with_size(25));
+        let contributors = build_all(&profiles).unwrap();
+        let catalog = physical_catalog(&contributors);
+        let study = study2_definition(&contributors, ExSmokerMeaning::QuitWithinYear);
+        let compiled = compile(
+            &study,
+            &study_schema(),
+            &registry(),
+            &bindings(&contributors),
+        )
+        .unwrap();
+        let explained = |component: &str| {
+            let stage = &compiled.workflow.stages[0];
+            let comp = stage.components.iter().find(|c| c.name == component);
+            let comp = comp.unwrap();
+            let db = catalog.database(&comp.source_db).unwrap();
+            explain_plan(&executed(&comp.plan, db), db, false).unwrap()
+        };
+        // EndoPro: the audit filter's windows reach the pivot as they are,
+        // and the three-level tower above it is one row build.
+        assert_eq!(
+            explained("extract:endopro__Procedure").lines().collect::<Vec<_>>(),
+            [
+                "Project [instance_id, smoker_status, quit_months_ago, ae_hypoxia_transient, ae_hypoxia_prolonged]",
+                "  Rename → exam_report (0 columns)",
+                "    Rename (1 columns)",
+                "      Pivot [15 attrs]",
+                "        Rename → eav_records (0 columns)",
+                "          Select (is_void = 0)",
+                "            Scan eav_records",
+            ]
+        );
+        // GastroLink: the alcohol lookup nobody reads is gone, and the
+        // discriminator filter sits on the scan, where lane masks run it.
+        assert_eq!(
+            explained("extract:gastrolink__Procedure")
+                .lines()
+                .collect::<Vec<_>>(),
+            [
+                "Project [instance_id, tobacco, quit_months, c_hypoxia_t, c_hypoxia_p]",
+                "  Rename → visit (0 columns)",
+                "    Select (rec_type = 'visit')",
+                "      Scan gl_master",
+            ]
+        );
     }
 
     #[test]

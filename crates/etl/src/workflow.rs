@@ -88,14 +88,27 @@ impl EtlWorkflow {
     /// every component's plan evaluation.
     pub fn run_on(&self, catalog: &mut Catalog, exec: &Executor) -> RelResult<Vec<ComponentRun>> {
         let mut runs = Vec::new();
-        for stage in &self.stages {
+        for (i, stage) in self.stages.iter().enumerate() {
             let results = eval_stage(stage, |comp| run_component(comp, catalog, exec));
             for (comp, result) in stage.components.iter().zip(results) {
                 let table = result?;
                 // Seal the output into column segments now, while the rows
-                // are hot: the next stage scans it, and starts on sealed
-                // lanes instead of paying a lazy first-scan build.
-                table.segments();
+                // are hot, when a later stage of this workflow scans it: it
+                // starts on sealed lanes instead of paying a lazy first-scan
+                // build. What no stage reads — the last stage's targets —
+                // lands unsealed; a scan seals what it meets.
+                let scanned_later = self.stages[i + 1..]
+                    .iter()
+                    .flat_map(|later| &later.components)
+                    .any(|c| {
+                        c.source_db == comp.target_db
+                            && c.plan
+                                .scanned_tables()
+                                .contains(&comp.target_table.as_str())
+                    });
+                if scanned_later {
+                    table.segments();
+                }
                 runs.push(load(catalog, comp, table)?);
             }
         }
@@ -572,6 +585,27 @@ mod tests {
         assert_eq!(result.schema().column_names(), vec!["id"]);
         // The intermediate database is materialized and inspectable.
         assert!(cat.database("tmp1").unwrap().has_table("filtered"));
+    }
+
+    #[test]
+    fn run_on_seals_only_what_a_later_stage_scans() {
+        let mut cat = catalog();
+        two_stage().run(&mut cat).unwrap();
+        let sealed = |db: &str, t: &str| {
+            let layout = cat.database(db).unwrap().table(t).unwrap().layout();
+            layout.sealed_spans
+        };
+        // The load stage scans `tmp1.filtered`: sealed at landing, while hot.
+        assert_eq!(sealed("tmp1", "filtered"), 1);
+        // Nothing in the workflow reads `out.result`; a scan seals it when
+        // one comes.
+        assert_eq!(sealed("out", "result"), 0);
+        let result = cat.database("out").unwrap().table("result").unwrap();
+        Plan::scan("result")
+            .select(Expr::col("id").gt(Expr::lit(0i64)))
+            .eval(cat.database("out").unwrap())
+            .unwrap();
+        assert_eq!(result.layout().sealed_spans, 1);
     }
 
     #[test]

@@ -233,6 +233,24 @@ impl Plan {
         }
     }
 
+    /// The operator's inputs, in child order (a join's left, then right).
+    pub fn children(&self) -> Vec<&Plan> {
+        match self {
+            Plan::Scan(_) | Plan::Values { .. } => vec![],
+            Plan::Select { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Rename { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Unpivot { input, .. }
+            | Plan::Pivot { input, .. }
+            | Plan::AggregateBy { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => vec![input],
+            Plan::Join { left, right, .. } => vec![left, right],
+            Plan::Union { inputs } => inputs.iter().collect(),
+        }
+    }
+
     /// Evaluate the plan against a database with the default
     /// [`Executor`](crate::exec::Executor) — hold one and call its
     /// `execute` to evaluate many plans, or to set a thread count.
@@ -440,6 +458,75 @@ pub(crate) fn rename_output_schema(
     }
     let name = table.map(str::to_owned).unwrap_or_else(|| s.name.clone());
     Schema::new(name, cols)
+}
+
+/// Output schema of `plan`'s root operator over inputs with the given
+/// schemas (one per child, in child order), or the binding error the
+/// operator raises — the schema half of what the executor's `compile`
+/// resolves, for the rewrite that runs before it ([`mod@crate::optimize`]).
+pub(crate) fn bind_node(plan: &Plan, inputs: &[Schema], db: &Database) -> RelResult<Schema> {
+    Ok(match plan {
+        Plan::Scan(name) => db.table(name)?.schema().clone(),
+        Plan::Values { schema, .. } => schema.clone(),
+        Plan::Select { .. } | Plan::Distinct { .. } | Plan::Limit { .. } => {
+            keyless(inputs[0].clone())
+        }
+        Plan::Project { columns, .. } => project_output_schema(&inputs[0], columns)?,
+        Plan::Rename { table, columns, .. } => {
+            rename_output_schema(&inputs[0], table.as_deref(), columns)?
+        }
+        Plan::Join { on, kind, .. } => {
+            let (ls, rs) = (&inputs[0], &inputs[1]);
+            resolve_columns(ls, on.iter().map(|(l, _)| l))?;
+            resolve_columns(rs, on.iter().map(|(_, r)| r))?;
+            join_output_schema(ls, rs, *kind)?
+        }
+        Plan::Union { .. } => {
+            let first = inputs
+                .first()
+                .ok_or_else(|| RelError::Plan("union of zero inputs".into()))?;
+            let schema = keyless(first.clone());
+            for s in &inputs[1..] {
+                check_union_compatible(&schema, s)?;
+            }
+            schema
+        }
+        Plan::Unpivot {
+            keys,
+            attr_col,
+            val_col,
+            ..
+        } => {
+            let key_idx = resolve_columns(&inputs[0], keys)?;
+            unpivot_output_schema(&inputs[0], &key_idx, attr_col, val_col)?
+        }
+        Plan::Pivot {
+            keys,
+            attr_col,
+            val_col,
+            attrs,
+            ..
+        } => {
+            let key_idx = resolve_columns(&inputs[0], keys)?;
+            resolve_column(&inputs[0], attr_col)?;
+            resolve_column(&inputs[0], val_col)?;
+            pivot_output_schema(&inputs[0], &key_idx, attrs)?
+        }
+        Plan::AggregateBy {
+            group_by,
+            aggregates,
+            ..
+        } => {
+            let g_idx = resolve_columns(&inputs[0], group_by)?;
+            let agg_idx = resolve_aggregate_columns(&inputs[0], aggregates)?;
+            aggregate_output_schema(&inputs[0], &g_idx, &agg_idx, aggregates)?
+        }
+        Plan::Sort { by, .. } => {
+            let schema = keyless(inputs[0].clone());
+            resolve_columns(&schema, by)?;
+            schema
+        }
+    })
 }
 
 /// Output schema of a join: left columns, then right columns. Name

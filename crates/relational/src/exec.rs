@@ -11,6 +11,12 @@
 //! flowing between all operators, and one driver that walks the tree
 //! bottom-up, exhausting each child in order before finishing the parent.
 //!
+//! * **What runs is what was asked for.** [`Executor::execute`] first
+//!   rewrites the plan ([`crate::optimize::prepare`]): projection outputs
+//!   nobody reads go (when they cannot fail), projection towers fuse into
+//!   one row build, an identity projection under a pivot and a lookup join
+//!   nobody consumes disappear — same table, same schema, same first
+//!   error as the plan as written. `compile` below never knows.
 //! * **Scans are zero-copy.** A scan compiles to a leaf holding the
 //!   table's sealed chunks ([`crate::segment`]): it enters the tree as one
 //!   shared window per maximal run of live rows, each carrying its chunk's
@@ -26,7 +32,12 @@
 //! * **Select / Project / Rename chains fuse** into a single pipeline
 //!   operator: a row flows through every predicate and projection before
 //!   the next row is touched, with no intermediate tables. Rename is free
-//!   — it only rewrites the schema at compile time.
+//!   — it only rewrites the schema at compile time. A pipeline that is
+//!   nothing but lane-resolved filters, feeding an operator that reads by
+//!   reference (pivot, aggregation, either side of a join), copies no row
+//!   at all: each maximal selected run goes on as a sub-window of the
+//!   scan's own window (`exec::vector`; short runs, and anything feeding
+//!   the sink, are copied per morsel as before).
 //! * **Union forwards** batches in child order; **Join** builds a hash
 //!   index over its build side (driven first) and probes batch-by-batch;
 //!   **Distinct** forwards first occurrences as input arrives.
@@ -217,8 +228,12 @@ impl Executor {
             Plan::Values { schema, rows } => return Table::from_rows(schema.clone(), rows.clone()),
             _ => {}
         }
+        // What runs is the plan as asked for, not as written: dead columns,
+        // projection towers and unread lookups go first (`crate::optimize`).
+        let prepared = crate::optimize::prepare(plan, db);
+        let plan = prepared.as_ref().unwrap_or(plan);
         let (schema, exec) = compile(plan, db, *self)?;
-        let batches = ops::drive(exec.into_tree(*self))?;
+        let batches = ops::drive(exec.into_tree(*self, false))?;
         let mut rows: Vec<Row> = Vec::with_capacity(batches.iter().map(batch::Batch::len).sum());
         for b in batches {
             rows.extend(b.into_rows());
@@ -250,8 +265,15 @@ impl<'p> Exec<'p> {
     }
 
     /// Seal this subtree into an operator tree. A pipeline with no stages
-    /// is its source; otherwise a `PipelineOp` node wraps it.
-    fn into_tree(self, cfg: Executor) -> ops::OpTree<'p> {
+    /// is its source; otherwise a `PipelineOp` node wraps it. `by_ref`
+    /// says the consumer reads its input rows in place and hands none of
+    /// them on — `Pivot`, `AggregateBy`, both sides of a `Join` — so a
+    /// pipeline of nothing but lane-resolved filters may give it windows
+    /// instead of copies. Everything that moves rows to its output takes
+    /// them owned, copied per morsel in parallel: the sink, and `Sort`,
+    /// which would otherwise clone each row serially into its slot
+    /// (DESIGN.md §11 has the sweep).
+    fn into_tree(self, cfg: Executor, by_ref: bool) -> ops::OpTree<'p> {
         match self {
             Exec::Pipe { source, stages } if stages.is_empty() => source,
             Exec::Pipe { mut source, stages } => {
@@ -263,7 +285,7 @@ impl<'p> Exec<'p> {
                     *prune = Arc::clone(&groups);
                 }
                 ops::OpTree::Node {
-                    op: Box::new(ops::PipelineOp::new(stages, groups, cfg)),
+                    op: Box::new(ops::PipelineOp::new(stages, groups, cfg, by_ref)),
                     children: vec![source],
                 }
             }
@@ -364,7 +386,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![rchild.into_tree(cfg), lchild.into_tree(cfg)],
+                    children: vec![rchild.into_tree(cfg, true), lchild.into_tree(cfg, true)],
                 }),
             )
         }
@@ -375,11 +397,11 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 .ok_or_else(|| RelError::Plan("union of zero inputs".into()))?;
             let (first_schema, first_child) = compile(first, db, cfg)?;
             let schema = keyless(first_schema);
-            let mut children = vec![first_child.into_tree(cfg)];
+            let mut children = vec![first_child.into_tree(cfg, false)];
             for p in iter {
                 let (s, c) = compile(p, db, cfg)?;
                 check_union_compatible(&schema, &s)?;
-                children.push(c.into_tree(cfg));
+                children.push(c.into_tree(cfg, false));
             }
             // Later inputs may be nullable where the leading schema says
             // NOT NULL; re-check rows only when that can actually reject.
@@ -401,7 +423,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
+                    children: vec![child.into_tree(cfg, false)],
                 }),
             )
         }
@@ -420,7 +442,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
+                    children: vec![child.into_tree(cfg, false)],
                 }),
             )
         }
@@ -441,7 +463,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
+                    children: vec![child.into_tree(cfg, true)],
                 }),
             )
         }
@@ -480,7 +502,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
+                    children: vec![child.into_tree(cfg, true)],
                 }),
             )
         }
@@ -493,7 +515,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
+                    children: vec![child.into_tree(cfg, false)],
                 }),
             )
         }
@@ -505,7 +527,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
+                    children: vec![child.into_tree(cfg, false)],
                 }),
             )
         }
@@ -656,13 +678,41 @@ mod tests {
         let plan = Plan::scan("t").select(Expr::lit(true));
         let serial = Executor::new().threads(1);
         let (_, exec) = compile(&plan, &db, serial).unwrap();
-        let batches = ops::drive(exec.into_tree(serial)).unwrap();
+        let batches = ops::drive(exec.into_tree(serial, false)).unwrap();
         let mut total = 0;
         for b in &batches {
             assert!(b.len() > 0 && b.len() <= BATCH_SIZE);
             total += b.len();
         }
         assert_eq!(total, 2500);
+    }
+
+    #[test]
+    fn filter_only_pipes_hand_windows_to_by_reference_consumers() {
+        // Rows the pipeline clones, counted — not timed.
+        let cloned = |plan: &Plan, db: &Database, cfg: Executor, by_ref: bool| {
+            let (_, exec) = compile(plan, db, cfg).unwrap();
+            let batches = ops::drive(exec.into_tree(cfg, by_ref)).unwrap();
+            let rows: usize = batches.iter().map(batch::Batch::len).sum();
+            let owned = batches.iter().filter(|b| b.segment().is_none());
+            (owned.map(batch::Batch::len).sum::<usize>(), rows)
+        };
+        for n in [2_000, 200_000] {
+            let db = wide_db(n as i64);
+            let n_even = n / 2;
+            let all_pass = Plan::scan("t").select(Expr::col("x").ge(Expr::lit(0i64)));
+            let alternating = Plan::scan("t").select(Expr::col("grp").eq(Expr::lit("even")));
+            let rebuilt = all_pass.clone().project_cols(&["id"]);
+            for cfg in [Executor::new().threads(1), Executor::new().threads(2)] {
+                // Under a pivot, an aggregation or a join: nothing copied.
+                assert_eq!(cloned(&all_pass, &db, cfg, true), (0, n));
+                // Feeding the sink, the result must be owned.
+                assert_eq!(cloned(&all_pass, &db, cfg, false), (n, n));
+                // One-row runs are cheaper to copy; a `Map` rebuilds rows anyway.
+                assert_eq!(cloned(&alternating, &db, cfg, true), (n_even, n_even));
+                assert_eq!(cloned(&rebuilt, &db, cfg, true), (n, n));
+            }
+        }
     }
 
     #[test]

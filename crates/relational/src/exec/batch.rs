@@ -81,6 +81,12 @@ impl Batch {
         }
     }
 
+    /// `rows` as an owned batch — none when there are none: operators
+    /// never emit empty batches.
+    pub(super) fn from_rows(rows: Vec<Row>) -> Option<Batch> {
+        (!rows.is_empty()).then_some(Batch::Owned(rows))
+    }
+
     pub(super) fn len(&self) -> usize {
         match self {
             Batch::Shared { lo, hi, .. } => hi - lo,
@@ -104,6 +110,28 @@ impl Batch {
             } => Some((seg, *off)),
             Batch::Owned(_) => None,
         }
+    }
+
+    /// Rows `lo..hi` of a shared window as a window of their own, over
+    /// the same storage and the same segment: what a filter that changed
+    /// no row hands on in place of a copy.
+    pub(super) fn sub_window(&self, lo: usize, hi: usize) -> Batch {
+        let Batch::Shared {
+            rows,
+            lo: base,
+            seg: (seg, off),
+            ..
+        } = self
+        else {
+            unreachable!("only shared windows are cut into sub-windows");
+        };
+        Batch::segment_window(
+            Arc::clone(rows),
+            base + lo,
+            base + hi,
+            Arc::clone(seg),
+            off + lo,
+        )
     }
 
     /// The first `n` rows (for `Limit`); shared windows just shrink.

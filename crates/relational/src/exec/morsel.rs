@@ -198,8 +198,8 @@ fn window_slices(lens: &[usize], size: usize) -> Vec<(usize, usize, usize)> {
 }
 
 /// Run `f(rows)` over every slice of a list of windows — the batches a
-/// scan (or any child) produced — and return one owned batch per
-/// non-empty slice result, in window order. `f` also receives the window
+/// scan (or any child) produced — and return the batches each slice
+/// produced, in window order. `f` also receives the window
 /// the slice was cut from and the slice's offset in it, for kernels that
 /// read the window's segment. Morsel-parallel — slices of at most
 /// [`Executor::morsel_size`] rows on the work-stealing scheduler — when
@@ -212,7 +212,7 @@ fn window_slices(lens: &[usize], size: usize) -> Vec<(usize, usize, usize)> {
 pub(super) fn run_windows(
     windows: &[Batch],
     cfg: Executor,
-    f: impl Fn(&Batch, usize, &[Row]) -> RelResult<Vec<Row>> + Sync,
+    f: impl Fn(&Batch, usize, &[Row]) -> RelResult<Vec<Batch>> + Sync,
 ) -> RelResult<Vec<Batch>> {
     let lens: Vec<usize> = windows.iter().map(Batch::len).collect();
     let parallel = cfg.parallel_for(lens.iter().sum());
@@ -228,19 +228,14 @@ pub(super) fn run_windows(
         let (w, lo, hi) = slices[t];
         f(&windows[w], lo, &windows[w].as_slice()[lo..hi])
     };
-    let parts: RelResult<Vec<Vec<Row>>> = if parallel {
+    let parts: RelResult<Vec<Vec<Batch>>> = if parallel {
         run_tasks(slices.len(), cfg.threads, run)
             .into_iter()
             .collect()
     } else {
         (0..slices.len()).map(run).collect()
     };
-    // Operators never emit empty batches.
-    Ok(parts?
-        .into_iter()
-        .filter(|rows| !rows.is_empty())
-        .map(Batch::Owned)
-        .collect())
+    Ok(parts?.into_iter().flatten().collect())
 }
 
 /// Pivot EAV rows morsel-parallel: each morsel pivots independently
@@ -417,7 +412,7 @@ mod tests {
                 let out = run_windows(&windows, cfg, |w, lo, rows| {
                     assert!(!rows.is_empty() && rows.len() <= limit);
                     assert_eq!(rows, &w.as_slice()[lo..lo + rows.len()]);
-                    Ok(rows.to_vec())
+                    Ok(vec![Batch::Owned(rows.to_vec())])
                 })
                 .unwrap();
                 let flat: Vec<Row> = out.into_iter().flat_map(Batch::into_rows).collect();

@@ -122,9 +122,7 @@ pub(super) fn drive(tree: OpTree<'_>) -> RelResult<Vec<Batch>> {
 /// Push `rows` as an owned output batch, dropping empties (operators never
 /// emit empty batches, matching the pull executor's contract).
 fn push_rows(out: &mut Vec<Batch>, rows: Vec<Row>) {
-    if !rows.is_empty() {
-        out.push(Batch::Owned(rows));
-    }
+    out.extend(Batch::from_rows(rows));
 }
 
 // ---------------------------------------------------------------------------
@@ -144,6 +142,10 @@ pub(super) struct PipelineOp<'p> {
     /// and shared with the scan leaf below, if there is one.
     groups: Arc<[Vec<SimplePred>]>,
     cfg: Executor,
+    /// The consumer reads its input by reference: rows the lane masks
+    /// selected and no stage rebuilt go on as sub-windows, not copies
+    /// ([`vector::run_window`]).
+    share: bool,
     /// Consecutive shared windows not yet run (a scan's parts).
     windows: Vec<Batch>,
     out: Vec<Batch>,
@@ -154,24 +156,26 @@ impl<'p> PipelineOp<'p> {
         stages: Vec<Stage<'p>>,
         groups: Arc<[Vec<SimplePred>]>,
         cfg: Executor,
+        share: bool,
     ) -> PipelineOp<'p> {
         PipelineOp {
             stages,
             groups,
             cfg,
+            share,
             windows: Vec::new(),
             out: Vec::new(),
         }
     }
 
-    /// Run the buffered windows through the stages, one output batch per
-    /// slice in window order. Every slice reads its lanes straight from
-    /// its window's segment at the slice's offset, serial or parallel.
+    /// Run the buffered windows through the stages, slice by slice in
+    /// window order. Every slice reads its lanes straight from its
+    /// window's segment at the slice's offset, serial or parallel.
     fn flush(&mut self) -> RelResult<()> {
         let windows = mem::take(&mut self.windows);
         let out = morsel::run_windows(&windows, self.cfg, |window, lo, rows| {
-            let (seg, off) = window.segment().expect("only shared windows are buffered");
-            vector::run_window(&self.stages, &self.groups, seg, off + lo, rows)
+            let n = rows.len();
+            vector::run_window(&self.stages, &self.groups, window, lo, n, self.share)
         })?;
         self.out.extend(out);
         Ok(())
@@ -272,7 +276,7 @@ impl PhysicalOperator for JoinOp {
         };
         let probes = mem::take(&mut self.probe_buf);
         morsel::run_windows(&probes, self.cfg, |_, _, lrows| {
-            Ok(blocking::probe_hash(
+            let joined = blocking::probe_hash(
                 lrows,
                 &self.lschema,
                 &index,
@@ -281,7 +285,8 @@ impl PhysicalOperator for JoinOp {
                 &self.r_idx,
                 self.kind,
                 self.rschema.arity(),
-            ))
+            );
+            Ok(Batch::from_rows(joined).into_iter().collect())
         })
     }
 }

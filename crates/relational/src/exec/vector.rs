@@ -26,13 +26,13 @@
 //! which is also what lets serial slices and morsel workers share this one
 //! driver.
 
+use super::batch::Batch;
 use super::{apply_stages_ref, Stage};
 use crate::algebra::resolve_column;
 use crate::error::RelResult;
 use crate::expr::{BinOp, Expr};
 use crate::schema::Schema;
 use crate::segment::{ColumnData, Segment};
-use crate::table::Row;
 use crate::value::Value;
 use std::cmp::Ordering;
 
@@ -424,34 +424,81 @@ fn lane_select(
     (sel, done)
 }
 
-/// Run the fused `stages` over one slice of a shared scan window — `rows`,
-/// imaged by segment rows `off ..` of `seg` — and return the surviving
-/// output rows, or the error of the first failing row. `groups` are
-/// [`prune_groups`] of `stages`. Serial slices and parallel morsels both
-/// call this, so the morsel merge rules apply unchanged.
+/// Run the fused `stages` over one slice of a shared scan window — rows
+/// `lo .. lo + n` of `window` — and return what survives, or the error of
+/// the first failing row. `groups` are [`prune_groups`] of `stages`.
+/// Serial slices and parallel morsels both call this, so the morsel merge
+/// rules apply unchanged.
+///
+/// Survivors are cloned into one owned batch — unless `share` (the
+/// pipeline feeds an operator that reads its input by reference), the
+/// lane masks accounted for *every* stage, and the selected runs are long
+/// enough ([`MIN_SHARED_RUN`]): rows a filter did not change are then
+/// handed on as sub-windows of the window itself, one per maximal
+/// selected run, exactly the shape a table emits per live run.
 pub(super) fn run_window(
     stages: &[Stage],
     groups: &[Vec<SimplePred>],
-    seg: &Segment,
-    off: usize,
-    rows: &[Row],
-) -> RelResult<Vec<Row>> {
-    let (sel, done) = lane_select(groups, seg, off, rows.len());
+    window: &Batch,
+    lo: usize,
+    n: usize,
+    share: bool,
+) -> RelResult<Vec<Batch>> {
+    let (seg, off) = window.segment().expect("only shared windows are run");
+    let (sel, done) = lane_select(groups, seg, off + lo, n);
+    if share && done == stages.len() {
+        if let Some(runs) = long_runs(&sel) {
+            return Ok(runs
+                .into_iter()
+                .map(|(a, b)| window.sub_window(lo + a, lo + b))
+                .collect());
+        }
+    }
     let rest = &stages[done..];
+    let rows = &window.as_slice()[lo..lo + n];
     let mut out = Vec::new();
     for (row, _) in rows.iter().zip(sel).filter(|(_, keep)| *keep) {
         out.extend(apply_stages_ref(rest, row)?);
     }
-    Ok(out)
+    Ok(Batch::from_rows(out).into_iter().collect())
+}
+
+/// Fewest rows the selected runs of a slice must average for the slice to
+/// be handed on as shared sub-windows instead of one copied batch. A
+/// sub-window costs its consumer a batch — two reference counts here, a
+/// morsel of its own in a join probe — where a copy costs a row clone. In
+/// the sweep that chose this (DESIGN.md §11) a pivot and an aggregation
+/// read sub-windows faster at every run length, a join probe from 3-row
+/// runs on; one constant serves all three, so alternating rows copy.
+const MIN_SHARED_RUN: usize = 4;
+
+/// The maximal runs of selected rows as half-open ranges, or `None` when
+/// they average fewer than [`MIN_SHARED_RUN`] rows.
+fn long_runs(sel: &[bool]) -> Option<Vec<(usize, usize)>> {
+    let mut runs = Vec::new();
+    let mut selected = 0;
+    let mut i = 0;
+    while i < sel.len() {
+        if sel[i] {
+            let start = i;
+            while i < sel.len() && sel[i] {
+                i += 1;
+            }
+            selected += i - start;
+            runs.push((start, i));
+        } else {
+            i += 1;
+        }
+    }
+    (selected >= MIN_SHARED_RUN * runs.len()).then_some(runs)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::batch::Batch;
     use super::*;
     use crate::error::RelError;
     use crate::schema::Column;
-    use crate::table::Table;
+    use crate::table::{Row, Table};
     use crate::value::DataType;
     use std::sync::Arc;
 
@@ -632,13 +679,21 @@ mod tests {
                     }
                     // Either way the window produces what the row walk does —
                     // the same rows, or the same first error.
-                    let got = run_window(&stages, &groups, seg, off + lo, rows);
                     let want = walked.map(|keep| {
                         let kept = rows.iter().zip(keep).filter(|(_, k)| *k);
                         kept.map(|(r, _)| r.clone()).collect::<Vec<Row>>()
                     });
                     errors += usize::from(want.is_err());
-                    assert_eq!(got, want, "{predicate:?} at {off}+{lo}");
+                    // Copied or handed on as sub-windows, the same rows.
+                    for share in [false, true] {
+                        let got = run_window(&stages, &groups, &window, lo, rows.len(), share).map(
+                            |out| {
+                                let rows = out.into_iter().flat_map(Batch::into_rows);
+                                rows.collect::<Vec<Row>>()
+                            },
+                        );
+                        assert_eq!(got, want, "{predicate:?} at {off}+{lo}, share {share}");
+                    }
                 }
             }
         }

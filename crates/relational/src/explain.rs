@@ -41,27 +41,10 @@ fn render(
     }
     out.push_str(&line);
     out.push('\n');
-    for child in children(plan) {
+    for child in plan.children() {
         render(child, db, analyze, depth + 1, out)?;
     }
     Ok(())
-}
-
-fn children(plan: &Plan) -> Vec<&Plan> {
-    match plan {
-        Plan::Scan(_) | Plan::Values { .. } => vec![],
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Rename { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Unpivot { input, .. }
-        | Plan::Pivot { input, .. }
-        | Plan::AggregateBy { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => vec![input],
-        Plan::Join { left, right, .. } => vec![left, right],
-        Plan::Union { inputs } => inputs.iter().collect(),
-    }
 }
 
 fn label(plan: &Plan) -> String {

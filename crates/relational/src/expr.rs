@@ -285,6 +285,43 @@ impl Expr {
         }
     }
 
+    /// The one judgement plan rewrites rest on ([`mod@crate::optimize`]): over
+    /// *every* row valid for `schema`, does this expression evaluate
+    /// without an error **and** to a value its own [`Expr::infer_type`]
+    /// accepts — so that neither `eval` nor the projection's row check
+    /// can fail, and not evaluating it at all hides nothing?
+    ///
+    /// Deliberately conservative: a bound column, a literal, `=`/`<>` and
+    /// the NULL tests over such operands (SQL equality never raises), and
+    /// a `CASE` over them whose branch types agree — the shapes pattern
+    /// decodes emit (`BoolEncode`, `NullSentinel`, `Lookup`). Ordering
+    /// comparisons, arithmetic and the logic operators can all raise on
+    /// some input and answer `false`; so does a `CASE` whose branches fall
+    /// back to TEXT, because its values then fail the row check.
+    pub fn infallible(&self, schema: &Schema) -> bool {
+        match self {
+            Expr::Col(name) => schema.index_of(name).is_some(),
+            Expr::Lit(_) => true,
+            Expr::Bin(BinOp::Eq | BinOp::Ne, a, b) => a.infallible(schema) && b.infallible(schema),
+            Expr::IsNull(e) | Expr::IsNotNull(e) => e.infallible(schema),
+            Expr::Case { arms, default } => {
+                let mut ty = Some(None);
+                for v in arms.iter().map(|(_, v)| v).chain([&**default]) {
+                    let Ok(t) = v.infer_type_opt(schema) else {
+                        return false;
+                    };
+                    ty = ty.and_then(|ty| unify_exact(ty, t));
+                }
+                ty.is_some()
+                    && arms
+                        .iter()
+                        .all(|(c, v)| c.infallible(schema) && v.infallible(schema))
+                    && default.infallible(schema)
+            }
+            _ => false,
+        }
+    }
+
     /// Static result type against a schema, used to build projected schemas.
     /// Conservative: arithmetic over two Ints is Int, any Float makes Float.
     /// Expressions that can only produce NULL fall back to Text.
@@ -337,12 +374,18 @@ impl Expr {
 /// Int/Float widens to Float (Float columns accept Int values), NULL-only
 /// branches are transparent, anything else falls back to Text.
 fn unify_types(a: Option<DataType>, b: Option<DataType>) -> Option<DataType> {
+    unify_exact(a, b).unwrap_or(Some(DataType::Text))
+}
+
+/// [`unify_types`] without the fallback: `None` where the branch types do
+/// not agree — where the unified column is TEXT and a branch's value is not.
+fn unify_exact(a: Option<DataType>, b: Option<DataType>) -> Option<Option<DataType>> {
     match (a, b) {
-        (None, t) | (t, None) => t,
-        (Some(x), Some(y)) if x == y => Some(x),
+        (None, t) | (t, None) => Some(t),
+        (Some(x), Some(y)) if x == y => Some(Some(x)),
         (Some(DataType::Int), Some(DataType::Float))
-        | (Some(DataType::Float), Some(DataType::Int)) => Some(DataType::Float),
-        _ => Some(DataType::Text),
+        | (Some(DataType::Float), Some(DataType::Int)) => Some(Some(DataType::Float)),
+        _ => None,
     }
 }
 
@@ -634,6 +677,69 @@ mod tests {
                 .unwrap(),
             DataType::Bool
         );
+    }
+
+    #[test]
+    fn infallible_is_conservative_and_sound() {
+        let s = schema();
+        let case = |arms: Vec<(Expr, Expr)>, default: Expr| Expr::Case {
+            arms,
+            default: Box::new(default),
+        };
+        let yes = [
+            Expr::col("packs"),
+            Expr::lit(3i64),
+            Expr::Lit(Value::Null),
+            Expr::col("name").eq(Expr::lit(7i64)), // cross-type equality is just FALSE
+            Expr::col("packs").is_null(),
+            // BoolEncode's decode, and NullSentinel's.
+            case(
+                vec![
+                    (Expr::col("name").eq(Expr::lit("Y")), Expr::lit(true)),
+                    (Expr::col("name").eq(Expr::lit("N")), Expr::lit(false)),
+                ],
+                Expr::Lit(Value::Null),
+            ),
+            case(
+                vec![(
+                    Expr::col("packs").eq(Expr::lit(-9i64)),
+                    Expr::Lit(Value::Null),
+                )],
+                Expr::col("packs"),
+            ),
+            // INT widens into a FLOAT column.
+            case(
+                vec![(Expr::col("smoker"), Expr::col("packs"))],
+                Expr::col("weight"),
+            ),
+        ];
+        for e in &yes {
+            assert!(e.infallible(&s), "{e}");
+            // ...which its evaluation and its own inferred type bear out.
+            let v = e.eval(&s, &row()).unwrap();
+            Column::new("c", e.infer_type(&s).unwrap())
+                .check(&v)
+                .unwrap();
+        }
+        let no = [
+            Expr::col("ghost"),
+            Expr::col("packs").lt(Expr::lit("x")), // incomparable: raises
+            Expr::lit(100i64).div(Expr::col("packs")),
+            Expr::col("name").not(),
+            Expr::col("smoker").and(Expr::col("name")),
+            // Branch types fall back to TEXT: the INT value fails the row check.
+            case(
+                vec![(Expr::col("smoker"), Expr::col("packs"))],
+                Expr::col("name"),
+            ),
+            case(
+                vec![(Expr::col("packs").gt(Expr::lit(1i64)), Expr::lit(1i64))],
+                Expr::lit(0i64),
+            ),
+        ];
+        for e in &no {
+            assert!(!e.infallible(&s), "{e}");
+        }
     }
 
     #[test]

@@ -1,11 +1,69 @@
-//! A conservative logical plan optimizer.
+//! Plan rewrites: what runs in place of a plan as written.
+//!
+//! # The executor's front door — [`prepare`]
 //!
 //! Pattern-stack decode rewrites (GUAVA's g-tree → physical translation)
-//! mechanically produce towers of Rename/Project/Select nodes with the
-//! analyst's predicate sitting at the very top. Because our executor
-//! materializes every operator, a top-level selection forces full
-//! intermediate tables. The optimizer applies a small set of
-//! semantics-preserving rules:
+//! emit every pattern's *whole* pre-layout tower, and the study compiler
+//! projects the nodes a study asks for on top of it: a `Generic` stack
+//! copies every EAV row through an audit filter that dropped none, a
+//! `Lookup` stack joins a label nobody reads, and each tower level builds
+//! a row per report. [`Executor::execute`](crate::exec::Executor::execute)
+//! therefore runs [`prepare`]`(plan, db)` instead of `plan` — the same
+//! table, the same schema, the same first error. The database is in hand,
+//! so every rule resolves real schemas (the pass binds the whole plan
+//! first, and a plan that does not bind runs as written: `compile` raises
+//! the binding error before a row moves). Top-down, each node learns what
+//! its consumer observes of it — which columns, and whether the relation
+//! name and the NOT NULL flags reach anything — and four rules act on it:
+//!
+//! * **Liveness** — a `Project` output nobody reads is dropped, *only if*
+//!   its expression is [`Expr::infallible`] over the resolved input (bound
+//!   column, literal, `=`/`<>`/NULL tests, the `CASE` shapes `BoolEncode`
+//!   and `NullSentinel` emit). Anything else stays and is evaluated, so a
+//!   dead `100 / a` over a zero still fails; and `Pivot` keeps casting
+//!   all its attributes — a malformed value under an unread one must
+//!   still fail.
+//! * **Fusion** — `π ∘ (ρ | σ)* ∘ π` becomes one projection (and the
+//!   selections below it) by substituting the inner expressions through
+//!   the renames, *only if* every inner expression is infallible:
+//!   substitution drops inner outputs nobody reads and moves the others
+//!   into `CASE` arms and below selections, where they run on fewer rows.
+//!   A selection whose predicate names an unbound column stays where it
+//!   is — the error it raises per row names the relation it looked in.
+//! * **The identity projection under a pivot** disappears — the pivot
+//!   addresses key, attribute and value by name — *only if* nothing above
+//!   observes that the projection had made every column nullable. Without
+//!   the row build, the scan's windows reach the pivot by reference.
+//! * **The unread lookup join** — a `Left` join whose right side is a
+//!   `Scan` of a table keyed by exactly the join's right columns, with no
+//!   live right column — passes every left row through once, matched or
+//!   padded: the left input stands in for it. `Inner` joins drop rows, a
+//!   non-key join multiplies them, anything but a bare scan may raise.
+//!
+//! Whatever a rule builds is re-bound and compared with the node as
+//! written on exactly what its consumer observes; a difference (a `CASE`
+//! over a substituted NULL literal unifies to another type) leaves the
+//! subtree as written. The root observes everything, so the root schema —
+//! names, types, nullability, key, relation name — is identical by
+//! construction, and debug-asserted. The pass is O(plan nodes), and a plan
+//! with no `Scan` leaf (the inline delta batches of [`crate::delta`])
+//! returns after one walk. It chooses nothing: there is one plan per
+//! definition, as before (DESIGN.md §17) — it only stops computing what
+//! the definition never asked for. `tests/decode_parity.rs` holds it to
+//! the interpreter, single faults in unread places included.
+//!
+//! # The catalog-free rules — [`optimize`]
+//!
+//! The older entry point rewrites without a database, so it cannot tell a
+//! bound column from an unbound one or judge an expression infallible; it
+//! is on no evaluation path (`guava explain` and the spine's
+//! `relational.optimize_us` probe call it). Its rules were written when
+//! every operator materialized its output; under the push executor, whose
+//! pipeline already fuses Select/Project/Rename towers, a census over
+//! every plan the system builds found two of the seven firing — on
+//! GastroLink's extract, for 7.4 → 7.4 ms — and five firing nowhere
+//! (DESIGN.md §9 has the table; they go when the spine stops calling
+//! `Snapshot::optimize`). The rules:
 //!
 //! * **Select fusion** — `σ_p(σ_q(T)) → σ_{CASE WHEN q THEN p ELSE
 //!   FALSE}(T)`. The CASE form (not `q AND p`) is load-bearing: AND
@@ -38,12 +96,17 @@
 //! Equivalence with the unoptimized plan is property-tested in
 //! `tests/pattern_roundtrip.rs` (`optimizer_preserves_decode_semantics`)
 //! and, including single-fault error parity across all executor lanes, in
-//! `tests/optimize_equivalence.rs`; the win is measured by the
-//! `pattern_overhead` benchmark's `pattern_decode_optimized` group.
+//! `tests/optimize_equivalence.rs` — both of which now evaluate each side
+//! through [`prepare`] as well, since every evaluation does. (The
+//! `pattern_overhead` bench still times a `pattern_decode_optimized` group.)
 
-use crate::algebra::Plan;
+use crate::algebra::{bind_node, keyless, AggFunc, JoinKind, Plan};
+use crate::database::Database;
+use crate::error::RelResult;
 use crate::expr::Expr;
-use std::collections::BTreeMap;
+use crate::schema::{Column, Schema};
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Optimize a plan. Always semantics-preserving; at worst returns an
 /// equivalent plan of the same shape.
@@ -405,6 +468,503 @@ fn fuse_project(input: Plan, outer: Vec<(String, Expr)>) -> Plan {
     }
 }
 
+// ---------------------------------------------------------------------------
+// What `Executor::execute` does before `compile`: liveness and fusion over
+// resolved schemas.
+// ---------------------------------------------------------------------------
+
+/// The plan [`Executor::execute`](crate::exec::Executor::execute) runs in
+/// place of `plan`: the same table, the same schema and the same first
+/// error, computed without building what nobody reads (module docs, *The
+/// executor's front door*). `None` means "run `plan` as written" — it has
+/// no `Scan` leaf (the inline delta batches of [`crate::delta`], evaluated
+/// several times per refresh, pay one walk of the tree and nothing else),
+/// or some node does not bind, in which case the executor's `compile`
+/// raises that binding error before any row moves and there is nothing to
+/// save.
+pub fn prepare(plan: &Plan, db: &Database) -> Option<Plan> {
+    if plan.scanned_tables().is_empty() {
+        return None;
+    }
+    let mut bound = HashMap::new();
+    let root = bind(plan, db, &mut bound).ok()?;
+    let (prepared, schema) = Prepare { db, bound }.node(plan, &Need::everything());
+    debug_assert_eq!(schema, root, "prepare changed the root schema of {plan:?}");
+    Some(prepared)
+}
+
+/// Bind every node of `plan` children-first — the order the executor's
+/// `compile` reports binding errors in — recording each node's output
+/// schema under its address. The addresses are only ever compared, and
+/// `plan` outlives the map.
+fn bind(plan: &Plan, db: &Database, bound: &mut HashMap<*const Plan, Schema>) -> RelResult<Schema> {
+    let inputs = plan
+        .children()
+        .into_iter()
+        .map(|c| bind(c, db, bound))
+        .collect::<RelResult<Vec<Schema>>>()?;
+    let schema = bind_node(plan, &inputs, db)?;
+    bound.insert(plan, schema.clone());
+    Ok(schema)
+}
+
+/// What the consumer of a subplan observes of its output schema. A
+/// rewrite below may change everything else.
+struct Need {
+    /// The columns read, by output name; `None` is the whole column list,
+    /// in order.
+    cols: Option<BTreeSet<String>>,
+    /// Is the relation's name observed? Not below a table `Rename`.
+    name: bool,
+    /// Are the columns' NOT NULL flags observed? Not below a `Project`,
+    /// whose output columns are all nullable.
+    nullability: bool,
+    /// The consumer is a `Pivot`, which reads its input rows in place and
+    /// addresses them by name: an identity `Project` on top of this
+    /// subplan only copies rows to be dropped.
+    pivot_input: bool,
+}
+
+impl Need {
+    fn everything() -> Need {
+        Need {
+            cols: None,
+            name: true,
+            nullability: true,
+            pivot_input: false,
+        }
+    }
+
+    fn reads(&self, column: &str) -> bool {
+        self.cols.as_ref().is_none_or(|c| c.contains(column))
+    }
+
+    /// This need, as a consumer that passes its input's schema through
+    /// and reads `more` of it itself (`Select`, `Sort`, `Limit`).
+    fn through<'a>(&self, more: impl IntoIterator<Item = &'a str>) -> Need {
+        Need {
+            cols: self.cols.as_ref().map(|c| {
+                let more = more.into_iter().map(str::to_owned);
+                c.iter().cloned().chain(more).collect()
+            }),
+            pivot_input: false,
+            ..*self
+        }
+    }
+
+    /// Does `new` look to this consumer exactly like `old`?
+    fn satisfied_by(&self, new: &Schema, old: &Schema) -> bool {
+        let same = |a: &Column, b: &Column| {
+            a.name == b.name
+                && a.data_type == b.data_type
+                && (!self.nullability || a.nullable == b.nullable)
+        };
+        (!self.name || new.name == old.name)
+            && match &self.cols {
+                None if self.name && self.nullability => new == old,
+                None => {
+                    new.arity() == old.arity()
+                        && new
+                            .columns()
+                            .iter()
+                            .zip(old.columns())
+                            .all(|(a, b)| same(a, b))
+                }
+                Some(cols) => cols.iter().all(
+                    |c| matches!((new.column(c), old.column(c)), (Ok(a), Ok(b)) if same(a, b)),
+                ),
+            }
+    }
+}
+
+/// A projection's expressions under the names its outputs go by.
+fn bound_as<'a>(names: &[&'a str], columns: &'a [(String, Expr)]) -> BTreeMap<&'a str, &'a Expr> {
+    names
+        .iter()
+        .copied()
+        .zip(columns.iter().map(|(_, e)| e))
+        .collect()
+}
+
+/// One step of the rewrite at a node.
+enum Step {
+    /// No rule applies (or none may): the subtree stays exactly as written.
+    AsWritten,
+    /// The same operator over rewritten inputs (with their schemas).
+    Node(Plan, Vec<Schema>),
+    /// The operator is gone; its rewritten input stands in for it.
+    Replaced(Plan, Schema),
+}
+
+struct Prepare<'p> {
+    db: &'p Database,
+    /// Every node of the plan as written, bound ([`bind`]).
+    bound: HashMap<*const Plan, Schema>,
+}
+
+impl Prepare<'_> {
+    /// Output schema of a node of the plan as written.
+    fn schema(&self, plan: &Plan) -> &Schema {
+        &self.bound[&(plan as *const Plan)]
+    }
+
+    /// Rewrite `plan` for a consumer that observes `need` of it, and
+    /// return the result with its schema. Every rule resolves real
+    /// schemas, and whatever it builds is re-bound and compared with the
+    /// schema as written on exactly what the consumer observes: a rule
+    /// that would change a type (`CASE` over a substituted NULL literal
+    /// unifies differently) or cannot bind leaves the subtree as written.
+    fn node(&self, plan: &Plan, need: &Need) -> (Plan, Schema) {
+        let old = self.schema(plan);
+        let rewritten = match self.step(plan, need) {
+            Step::AsWritten => None,
+            Step::Node(node, inputs) => bind_node(&node, &inputs, self.db)
+                .ok()
+                .map(|schema| (node, schema)),
+            Step::Replaced(node, schema) => Some((node, schema)),
+        };
+        match rewritten {
+            Some((node, schema)) if need.satisfied_by(&schema, old) => (node, schema),
+            _ => (plan.clone(), old.clone()),
+        }
+    }
+
+    fn step(&self, plan: &Plan, need: &Need) -> Step {
+        // A consumer that is not named below observes its inputs whole:
+        // `Distinct` and `Unpivot` read every column, `Union` is positional,
+        // and narrowing one side of a `Join` would change which right-hand
+        // names collide.
+        let whole = Need::everything();
+        match plan {
+            Plan::Scan(_) | Plan::Values { .. } => Step::AsWritten,
+            Plan::Select { input, predicate } => {
+                let refs = predicate.referenced_columns();
+                // An unbound name only fails when a row reaches it, and the
+                // error it raises names the input relation: leave it alone.
+                if refs
+                    .iter()
+                    .any(|c| self.schema(input).index_of(c).is_none())
+                {
+                    return Step::AsWritten;
+                }
+                let (input, schema) = self.node(input, &need.through(refs));
+                let predicate = predicate.clone();
+                Step::Node(
+                    Plan::Select {
+                        input: Box::new(input),
+                        predicate,
+                    },
+                    vec![schema],
+                )
+            }
+            Plan::Project { input, columns } => self.project(input, columns, need),
+            Plan::Rename {
+                input,
+                table,
+                columns,
+            } => {
+                let source = |n: &String| match columns.iter().find(|(_, to)| to == n) {
+                    Some((from, _)) => from.clone(),
+                    None => n.clone(),
+                };
+                let below = Need {
+                    cols: need.cols.as_ref().map(|c| c.iter().map(source).collect()),
+                    name: need.name && table.is_none(),
+                    ..*need
+                };
+                let (input, schema) = self.node(input, &below);
+                // A pair whose source the input no longer produces renamed
+                // a column nobody reads.
+                let columns = columns
+                    .iter()
+                    .filter(|(from, _)| schema.index_of(from).is_some())
+                    .cloned()
+                    .collect();
+                let table = table.clone();
+                Step::Node(
+                    Plan::Rename {
+                        input: Box::new(input),
+                        table,
+                        columns,
+                    },
+                    vec![schema],
+                )
+            }
+            Plan::Join {
+                left,
+                right,
+                on,
+                kind,
+            } => {
+                if *kind == JoinKind::Left {
+                    if let Some(left_only) = self.eliminated_join(plan, left, right, on, need) {
+                        return left_only;
+                    }
+                }
+                let (left, ls) = self.node(left, &whole);
+                let (right, rs) = self.node(right, &whole);
+                let node = Plan::Join {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    on: on.clone(),
+                    kind: *kind,
+                };
+                Step::Node(node, vec![ls, rs])
+            }
+            Plan::Pivot {
+                input,
+                keys,
+                attr_col,
+                val_col,
+                ..
+            } => {
+                let reads = keys.iter().chain([attr_col, val_col]).cloned().collect();
+                let below = Need {
+                    cols: Some(reads),
+                    pivot_input: true,
+                    ..*need
+                };
+                self.unary(plan, input, &below)
+            }
+            Plan::AggregateBy {
+                input,
+                group_by,
+                aggregates,
+            } => {
+                let sources = aggregates.iter().filter_map(|a| match &a.func {
+                    AggFunc::CountAll => None,
+                    AggFunc::Count(c)
+                    | AggFunc::Sum(c)
+                    | AggFunc::Avg(c)
+                    | AggFunc::Min(c)
+                    | AggFunc::Max(c) => Some(c),
+                });
+                let reads = group_by.iter().chain(sources).cloned().collect();
+                let below = Need {
+                    cols: Some(reads),
+                    pivot_input: false,
+                    ..*need
+                };
+                self.unary(plan, input, &below)
+            }
+            Plan::Sort { input, by } => {
+                self.unary(plan, input, &need.through(by.iter().map(String::as_str)))
+            }
+            Plan::Limit { input, .. } => self.unary(plan, input, &need.through([])),
+            Plan::Distinct { input } | Plan::Unpivot { input, .. } => {
+                self.unary(plan, input, &whole)
+            }
+            Plan::Union { inputs } => {
+                let (inputs, schemas) = inputs.iter().map(|p| self.node(p, &whole)).unzip();
+                Step::Node(Plan::Union { inputs }, schemas)
+            }
+        }
+    }
+
+    /// `plan` — a one-input operator that reads its input by name — over
+    /// its input rewritten for `below`.
+    fn unary(&self, plan: &Plan, input: &Plan, below: &Need) -> Step {
+        let (input, schema) = self.node(input, below);
+        let input = Cell::new(Some(input));
+        let node = map_children(plan, &|_| input.take().expect("a one-input operator"));
+        Step::Node(node, vec![schema])
+    }
+
+    /// Liveness and fusion at a `Project`.
+    ///
+    /// *Liveness.* An output nobody reads is dropped only if its
+    /// expression is [`Expr::infallible`] over the input as written;
+    /// anything else stays and is evaluated, so the error it may raise
+    /// still surfaces.
+    ///
+    /// *An identity projection under a `Pivot`* disappears: what is left
+    /// are `name → name` columns the pivot addresses by name anyway, and
+    /// without the row build between them the scan's windows reach the
+    /// pivot by reference. Only where nothing above observes that the
+    /// projection made every column nullable.
+    ///
+    /// *Fusion.* `π_outer ∘ (ρ | σ)* ∘ π_inner` becomes one projection
+    /// over the selections by substituting the inner expressions through
+    /// the renames — only when every inner expression is infallible,
+    /// because substitution drops the inner outputs nobody reads and moves
+    /// the others into `CASE` arms and below the selections, where they
+    /// are evaluated on fewer rows. Column renames are substituted away;
+    /// the topmost table rename stays, below the fused projection, so the
+    /// relation keeps its name. Repeats down the tower.
+    fn project(&self, input: &Plan, columns: &[(String, Expr)], need: &Need) -> Step {
+        let written = self.schema(input);
+        let mut cols: Vec<(String, Expr)> = columns
+            .iter()
+            .filter(|(alias, e)| need.reads(alias) || !e.infallible(written))
+            .cloned()
+            .collect();
+        if cols.is_empty() {
+            // A consumer that reads no column still counts the rows.
+            cols.extend(columns.first().cloned());
+        }
+        let identity = cols.iter().all(
+            |(alias, e)| matches!(e, Expr::Col(c) if c == alias && written.index_of(c).is_some()),
+        );
+        if need.pivot_input && !need.nullability && identity {
+            let (input, schema) = self.node(input, need);
+            return Step::Replaced(input, schema);
+        }
+
+        let mut input = input;
+        let mut table = None;
+        // Selections passed on the way down, over `input`'s names, lowest first.
+        let mut selects: Vec<Expr> = Vec::new();
+        'tower: loop {
+            // What lies between this projection and the next one down and
+            // builds no row, top first.
+            let mut free = Vec::new();
+            let mut below = input;
+            while let Plan::Rename { input, .. } | Plan::Select { input, .. } = below {
+                free.push(below);
+                below = input;
+            }
+            let Plan::Project {
+                input: inner_input,
+                columns: inner,
+            } = below
+            else {
+                break;
+            };
+            let inner_schema = self.schema(inner_input);
+            if !inner.iter().all(|(_, e)| e.infallible(inner_schema)) {
+                break;
+            }
+            // The inner outputs under the names each level above them sees.
+            let mut names: Vec<&str> = inner.iter().map(|(alias, _)| alias.as_str()).collect();
+            let mut passed = Vec::new();
+            for level in free.iter().rev() {
+                match level {
+                    Plan::Rename { columns: pairs, .. } => {
+                        let before = names.clone();
+                        for (from, to) in pairs {
+                            if let Some(i) = before.iter().position(|n| n == from) {
+                                names[i] = to;
+                            }
+                        }
+                    }
+                    Plan::Select { predicate, .. } => {
+                        let bindings = bound_as(&names, inner);
+                        // An unbound name raises, per row, an error naming
+                        // the relation it was not found in: it stays there.
+                        if predicate
+                            .referenced_columns()
+                            .iter()
+                            .any(|c| !bindings.contains_key(c))
+                        {
+                            break 'tower;
+                        }
+                        passed.push(substitute(predicate, &bindings));
+                    }
+                    _ => unreachable!("only renames and selections were collected"),
+                }
+            }
+            let bindings = bound_as(&names, inner);
+            passed.extend(selects.iter().map(|p| substitute(p, &bindings)));
+            selects = passed;
+            for (_, e) in &mut cols {
+                *e = substitute(e, &bindings);
+            }
+            table = table.or_else(|| {
+                free.iter().find_map(|level| match level {
+                    Plan::Rename { table, .. } => table.clone(),
+                    _ => None,
+                })
+            });
+            input = inner_input;
+        }
+
+        let reads = cols
+            .iter()
+            .map(|(_, e)| e)
+            .chain(&selects)
+            .flat_map(Expr::referenced_columns)
+            .map(str::to_owned)
+            .collect();
+        let below = Need {
+            cols: Some(reads),
+            name: need.name && table.is_none(),
+            nullability: false,
+            pivot_input: false,
+        };
+        let (mut input, mut schema) = self.node(input, &below);
+        for predicate in selects {
+            input = Plan::Select {
+                input: Box::new(input),
+                predicate,
+            };
+            schema = keyless(schema);
+        }
+        if table.as_ref().is_some_and(|t| *t != schema.name) {
+            input = Plan::Rename {
+                input: Box::new(input),
+                table,
+                columns: Vec::new(),
+            };
+            match bind_node(&input, &[schema], self.db) {
+                Ok(renamed) => schema = renamed,
+                Err(_) => return Step::AsWritten,
+            }
+        }
+        Step::Node(
+            Plan::Project {
+                input: Box::new(input),
+                columns: cols,
+            },
+            vec![schema],
+        )
+    }
+
+    /// A `Left` join nobody reads the right side of, against a stored
+    /// table keyed by exactly the join's right columns, passes every left
+    /// row through once — matched or padded — so the left input stands in
+    /// for it (under the join's relation name, where that is observed).
+    /// The right side must be a bare `Scan`: it bound, so the table exists
+    /// and reading it raises nothing.
+    fn eliminated_join(
+        &self,
+        join: &Plan,
+        left: &Plan,
+        right: &Plan,
+        on: &[(String, String)],
+        need: &Need,
+    ) -> Option<Step> {
+        let (ls, rs) = (self.schema(left), self.schema(right));
+        let reads = need.cols.as_ref()?;
+        let key: BTreeSet<usize> = rs.primary_key().iter().copied().collect();
+        let joined: BTreeSet<usize> = on.iter().filter_map(|(_, r)| rs.index_of(r)).collect();
+        let sound = matches!(right, Plan::Scan(_))
+            && !key.is_empty()
+            && key == joined
+            && reads.iter().all(|c| ls.index_of(c).is_some());
+        sound.then(|| {
+            let (left, schema) = self.node(
+                left,
+                &Need {
+                    name: false,
+                    ..need.through([])
+                },
+            );
+            if !need.name {
+                return Step::Replaced(left, schema);
+            }
+            let table = Some(self.schema(join).name.clone());
+            Step::Node(
+                Plan::Rename {
+                    input: Box::new(left),
+                    table,
+                    columns: Vec::new(),
+                },
+                vec![schema],
+            )
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,6 +1184,184 @@ mod tests {
             }
         }
         assert_eq!(select_depth(&o), 1, "both selects fused below: {o:?}");
+    }
+
+    /// `prepare(plan)` evaluates exactly like `plan` as written under the
+    /// interpreter: table, schema, or error.
+    fn assert_prepared_equivalent(plan: &Plan, d: &Database) -> Plan {
+        let prepared = prepare(plan, d).expect("binds and scans");
+        match (prepared.eval_materialized(d), plan.eval_materialized(d)) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.schema(), b.schema(), "{plan:?}");
+                assert_eq!(a, b, "{plan:?}");
+            }
+            (a, b) => assert_eq!(a.err(), b.err(), "{plan:?}"),
+        }
+        prepared
+    }
+
+    #[test]
+    fn prepare_leaves_scan_free_and_unbound_plans_alone() {
+        let d = db();
+        let values = Plan::Values {
+            schema: Schema::new("v", vec![Column::new("x", DataType::Int)]).unwrap(),
+            rows: vec![vec![Value::Int(1)]],
+        };
+        assert_eq!(prepare(&values.project_cols(&["x"]), &d), None);
+        // A binding error anywhere: `compile` will raise it, as written.
+        let unbound = Plan::scan("t")
+            .project(vec![("g", Expr::col("ghost"))])
+            .project_cols(&["g"]);
+        assert_eq!(prepare(&unbound, &d), None);
+        assert_eq!(prepare(&Plan::scan("nope").project_cols(&["x"]), &d), None);
+    }
+
+    #[test]
+    fn prepare_fuses_a_decode_tower_into_one_projection_over_the_filter() {
+        let d = db();
+        // Audit-style filter, a whole-table projection, renames with a
+        // table rename among them, a BoolEncode-style CASE, then the two
+        // columns the query asked for.
+        let decode = Expr::Case {
+            arms: vec![(Expr::col("flag").eq(Expr::lit(true)), Expr::lit("Y"))],
+            default: Box::new(Expr::Lit(Value::Null)),
+        };
+        let p = Plan::scan("t")
+            .project_cols(&["id", "x", "b"])
+            .rename_table("phys")
+            .rename_columns(vec![("b", "flag")])
+            .select(Expr::col("x").is_not_null())
+            .project(vec![
+                ("id", Expr::col("id")),
+                ("x", Expr::col("x")),
+                ("yn", decode),
+            ])
+            .project_cols(&["id", "yn"]);
+        let prepared = assert_prepared_equivalent(&p, &d);
+        let Plan::Project { input, columns } = &prepared else {
+            panic!("{prepared:?}")
+        };
+        assert_eq!(columns.len(), 2);
+        let Plan::Rename {
+            input,
+            table,
+            columns,
+        } = &**input
+        else {
+            panic!("{prepared:?}")
+        };
+        assert_eq!((table.as_deref(), columns.len()), (Some("phys"), 0));
+        let Plan::Select { input, predicate } = &**input else {
+            panic!("{prepared:?}")
+        };
+        assert_eq!(*predicate, Expr::col("x").is_not_null());
+        assert_eq!(**input, Plan::scan("t"));
+    }
+
+    #[test]
+    fn prepare_keeps_what_could_fail() {
+        let d = db();
+        // x is NULL on every fifth row, never zero: no fault — but the
+        // judgement is static, so the dead division stays and is evaluated.
+        let dead_div = Plan::scan("t")
+            .project(vec![
+                ("id", Expr::col("id")),
+                ("q", Expr::lit(1i64).div(Expr::col("x"))),
+            ])
+            .project_cols(&["id"]);
+        assert_eq!(assert_prepared_equivalent(&dead_div, &d), dead_div);
+        // A fallible inner expression is not substituted into a CASE arm,
+        // where it would run on fewer rows.
+        let lazy = Plan::scan("t")
+            .project(vec![
+                ("b", Expr::col("b")),
+                (
+                    "q",
+                    Expr::lit(1i64).div(Expr::col("x").sub(Expr::lit(3i64))),
+                ),
+            ])
+            .project(vec![(
+                "r",
+                Expr::Case {
+                    arms: vec![(Expr::col("b"), Expr::col("q"))],
+                    default: Box::new(Expr::lit(0.0)),
+                },
+            )]);
+        assert!(lazy.eval_materialized(&d).is_err(), "x = 3 divides by zero");
+        assert_eq!(assert_prepared_equivalent(&lazy, &d), lazy);
+        // A predicate on an unbound name fails per row, naming its input.
+        let ghost = Plan::scan("t")
+            .project_cols(&["id", "x"])
+            .select(Expr::col("ghost").is_null())
+            .project_cols(&["id"]);
+        assert!(ghost.eval_materialized(&d).is_err());
+        assert_prepared_equivalent(&ghost, &d);
+        // Substituting a NULL literal would re-type the CASE: left alone.
+        let retyped = Plan::scan("t")
+            .project(vec![("id", Expr::col("id")), ("n", Expr::Lit(Value::Null))])
+            .project(vec![(
+                "c",
+                Expr::Case {
+                    arms: vec![(Expr::col("id").eq(Expr::lit(1i64)), Expr::col("n"))],
+                    default: Box::new(Expr::col("id")),
+                },
+            )]);
+        assert_prepared_equivalent(&retyped, &d);
+    }
+
+    #[test]
+    fn prepare_reads_through_pivot_aggregate_and_sort() {
+        use crate::algebra::{AggFunc, Aggregate};
+        let d = db();
+        let wide = Plan::scan("t").project(vec![
+            ("id", Expr::col("id")),
+            ("x", Expr::col("x")),
+            ("b", Expr::col("b")),
+            ("twice", Expr::col("x").mul(Expr::lit(2i64))),
+        ]);
+        let agg = wide.clone().sort_by(&["x"]).limit(15).aggregate(
+            &["b"],
+            vec![Aggregate {
+                func: AggFunc::Max("x".into()),
+                alias: "hi".into(),
+            }],
+        );
+        let prepared = assert_prepared_equivalent(&agg, &d);
+        // `id` is dead and infallible; the multiplication is dead but stays.
+        let mut node = &prepared;
+        while let Some(below) = node.children().first() {
+            if let Plan::Project { columns, .. } = node {
+                let names: Vec<&str> = columns.iter().map(|(a, _)| a.as_str()).collect();
+                assert_eq!(names, ["x", "b", "twice"]);
+            }
+            node = below;
+        }
+        // An identity projection under a pivot goes; the pivot's key keeps
+        // its place in the output.
+        let eav = Plan::Unpivot {
+            input: Box::new(Plan::scan("t")),
+            keys: vec!["id".into()],
+            attr_col: "attr".into(),
+            val_col: "val".into(),
+        };
+        let pivot = Plan::Pivot {
+            input: Box::new(eav.project_cols(&["id", "attr", "val"])),
+            keys: vec!["id".into()],
+            attr_col: "attr".into(),
+            val_col: "val".into(),
+            attrs: vec![("x".into(), DataType::Int), ("b".into(), DataType::Bool)],
+        };
+        // At the root the pivot's key nullability is observed: it stays.
+        assert_eq!(assert_prepared_equivalent(&pivot, &d), pivot);
+        let read = pivot.project_cols(&["id", "b"]);
+        let prepared = assert_prepared_equivalent(&read, &d);
+        let Plan::Project { input, .. } = &prepared else {
+            panic!("{prepared:?}")
+        };
+        let Plan::Pivot { input, .. } = &**input else {
+            panic!("{prepared:?}")
+        };
+        assert!(matches!(**input, Plan::Unpivot { .. }), "{prepared:?}");
     }
 
     #[test]

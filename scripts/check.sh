@@ -219,6 +219,14 @@ for b in at_1m:
         sys.exit(1)
 EOF
 
+# What `Executor::execute` does before `compile` (DESIGN.md §9: dead
+# columns, projection towers, the unread lookup join) and the copy-free
+# filtered windows under it (§11) must be invisible — table, schema and
+# first error those of the plan as written, single faults in unread places
+# included. By name, so a renamed or unregistered file fails here instead
+# of silently dropping out of the workspace run below.
+cargo test -q -p guava --test decode_parity
+
 # Property tests run with a pinned RNG stream so failures reproduce across
 # machines; bump the seed deliberately to explore a new stream. This
 # includes the executor-vs-oracle equivalence suites, which pin both lanes
