@@ -88,28 +88,12 @@ impl EtlWorkflow {
     /// every component's plan evaluation.
     pub fn run_on(&self, catalog: &mut Catalog, exec: &Executor) -> RelResult<Vec<ComponentRun>> {
         let mut runs = Vec::new();
-        for (i, stage) in self.stages.iter().enumerate() {
+        for stage in &self.stages {
             let results = eval_stage(stage, |comp| run_component(comp, catalog, exec));
+            // Outputs land as they are: a later stage's scan seals what it
+            // meets, and images only the columns its lanes read.
             for (comp, result) in stage.components.iter().zip(results) {
-                let table = result?;
-                // Seal the output into column segments now, while the rows
-                // are hot, when a later stage of this workflow scans it: it
-                // starts on sealed lanes instead of paying a lazy first-scan
-                // build. What no stage reads — the last stage's targets —
-                // lands unsealed; a scan seals what it meets.
-                let scanned_later = self.stages[i + 1..]
-                    .iter()
-                    .flat_map(|later| &later.components)
-                    .any(|c| {
-                        c.source_db == comp.target_db
-                            && c.plan
-                                .scanned_tables()
-                                .contains(&comp.target_table.as_str())
-                    });
-                if scanned_later {
-                    table.segments();
-                }
-                runs.push(load(catalog, comp, table)?);
+                runs.push(load(catalog, comp, result?)?);
             }
         }
         Ok(runs)
@@ -176,10 +160,6 @@ impl EtlWorkflow {
             });
             // Apply loads in declaration order; the first failing component
             // aborts with earlier loads applied, mirroring `run_on`.
-            // Nothing is sealed here: a refreshed target's consumers are
-            // resident plans that take its patch, not scans — a segment
-            // would be a second, columnar copy nobody reads until a query
-            // does, and a scan seals what it meets.
             let mut stage_produced = Vec::new();
             for (comp, result) in stage.components.iter().zip(results) {
                 let (table, change) = result?;
@@ -588,24 +568,26 @@ mod tests {
     }
 
     #[test]
-    fn run_on_seals_only_what_a_later_stage_scans() {
+    fn run_on_images_only_the_columns_later_stages_read() {
         let mut cat = catalog();
         two_stage().run(&mut cat).unwrap();
-        let sealed = |db: &str, t: &str| {
+        let imaged = |cat: &Catalog, db: &str, t: &str| {
             let layout = cat.database(db).unwrap().table(t).unwrap().layout();
-            layout.sealed_spans
+            (layout.sealed_spans, layout.imaged_columns)
         };
-        // The load stage scans `tmp1.filtered`: sealed at landing, while hot.
-        assert_eq!(sealed("tmp1", "filtered"), 1);
+        // The extract's `x > 10` is a lane mask: it images `x`, not `id`.
+        assert_eq!(imaged(&cat, "src", "t"), (1, 1));
+        // The load stage's scan of `tmp1.filtered` feeds a projection, a
+        // row walk: the scan seals the chunk and images no column.
+        assert_eq!(imaged(&cat, "tmp1", "filtered"), (1, 0));
         // Nothing in the workflow reads `out.result`; a scan seals it when
-        // one comes.
-        assert_eq!(sealed("out", "result"), 0);
-        let result = cat.database("out").unwrap().table("result").unwrap();
+        // one comes, and a filter images the one column it names.
+        assert_eq!(imaged(&cat, "out", "result"), (0, 0));
         Plan::scan("result")
             .select(Expr::col("id").gt(Expr::lit(0i64)))
             .eval(cat.database("out").unwrap())
             .unwrap();
-        assert_eq!(result.layout().sealed_spans, 1);
+        assert_eq!(imaged(&cat, "out", "result"), (1, 1));
     }
 
     #[test]

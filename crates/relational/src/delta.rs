@@ -495,18 +495,10 @@ pub fn table_fingerprint(t: &Table) -> u64 {
 /// inserted since. The table in the wrapped catalog always equals
 /// `surviving pre rows (in order) ++ inserted rows` — the canonical
 /// merge.
-#[derive(Clone)]
 struct TrackedTable {
     pre: Table,
     deleted: Vec<usize>,
     inserted: Vec<Row>,
-}
-
-impl TrackedTable {
-    /// Current live row count of the tracked table.
-    fn live_len(&self) -> usize {
-        self.pre.len() - self.deleted.len() + self.inserted.len()
-    }
 }
 
 /// A change-capturing wrapper around a [`Catalog`].
@@ -554,104 +546,43 @@ impl DeltaCatalog {
         self.catalog
     }
 
-    /// Snapshot `db.table` on first touch in this capture window.
-    fn touch(&mut self, db: &str, table: &str) -> RelResult<()> {
-        let key = (db.to_owned(), table.to_owned());
-        if let std::collections::btree_map::Entry::Vacant(e) = self.tracked.entry(key) {
-            let t = self.catalog.database(db)?.table(table)?;
-            e.insert(TrackedTable {
+    /// The catalog's `db.table`, ready to edit in place, and its capture
+    /// bookkeeping — snapshotted on first touch in this capture window.
+    fn touch(&mut self, db: &str, table: &str) -> RelResult<(&mut Table, &mut TrackedTable)> {
+        let t = self.catalog.database_mut(db)?.table_mut(table)?;
+        let tr = self
+            .tracked
+            .entry((db.to_owned(), table.to_owned()))
+            .or_insert_with(|| TrackedTable {
                 pre: t.clone(),
                 deleted: Vec::new(),
                 inserted: Vec::new(),
             });
-        }
-        Ok(())
-    }
-
-    /// Patch the catalog table with this operation's [`TableDelta`] —
-    /// [`Table::apply_delta`] revalidates inserted rows (primary key
-    /// included) and shares all untouched storage with the replaced
-    /// table, so each mutation costs O(op), not O(table). Called with
-    /// candidate bookkeeping *before* committing it, so a duplicate-key
-    /// error leaves everything unchanged.
-    fn commit(
-        &mut self,
-        db: &str,
-        table: &str,
-        tr: TrackedTable,
-        op: &TableDelta,
-    ) -> RelResult<()> {
-        let t = self.catalog.database(db)?.table(table)?.apply_delta(op)?;
-        self.catalog.database_mut(db)?.put_table(t);
-        self.tracked.insert((db.to_owned(), table.to_owned()), tr);
-        Ok(())
+        Ok((t, tr))
     }
 
     /// Append one row, validating it against the table schema (including
-    /// primary-key uniqueness). Atomic: on error nothing changes.
+    /// primary-key uniqueness). Atomic: on error nothing changes. The
+    /// table takes the row in place ([`Table::insert`]) and the window
+    /// records it after that succeeds, so an insert copies nothing the
+    /// window already holds.
     pub fn insert(&mut self, db: &str, table: &str, row: Row) -> RelResult<()> {
-        self.touch(db, table)?;
-        let schema = self.catalog.database(db)?.table(table)?.schema().clone();
-        schema.check_row(&row)?;
-        let mut tr = self.tracked[&(db.to_owned(), table.to_owned())].clone();
-        let op = TableDelta {
-            pre_len: tr.live_len(),
-            deleted: Vec::new(),
-            inserted: vec![row.clone()],
-        };
+        let (t, tr) = self.touch(db, table)?;
+        t.insert(row.clone())?;
         tr.inserted.push(row);
-        self.commit(db, table, tr, &op)
+        Ok(())
     }
 
     /// Delete every live row matching `pred`; returns the count removed.
+    /// Atomic like [`DeltaCatalog::insert`]: the table is patched in place
+    /// first, and the window's bookkeeping follows only if that succeeds.
     pub fn delete_where(
         &mut self,
         db: &str,
         table: &str,
         pred: impl Fn(&Row) -> bool,
     ) -> RelResult<usize> {
-        self.touch(db, table)?;
-        let tr = &self.tracked[&(db.to_owned(), table.to_owned())];
-        let mut op = TableDelta {
-            pre_len: tr.live_len(),
-            deleted: Vec::new(),
-            inserted: Vec::new(),
-        };
-        // One merge-walk over the pre-state: skip already-deleted
-        // ordinals, record each newly doomed row at its *current*
-        // position (`cur`), which counts only surviving rows.
-        let mut new_deleted = Vec::with_capacity(tr.deleted.len());
-        let mut dead = tr.deleted.iter().copied().peekable();
-        let mut cur = 0;
-        for (p, row) in tr.pre.iter_rows().enumerate() {
-            if dead.peek() == Some(&p) {
-                dead.next();
-                new_deleted.push(p);
-                continue;
-            }
-            if pred(row) {
-                new_deleted.push(p);
-                op.deleted.push((cur, row.clone()));
-            }
-            cur += 1;
-        }
-        let mut new_inserted = Vec::with_capacity(tr.inserted.len());
-        for r in &tr.inserted {
-            if pred(r) {
-                op.deleted.push((cur, r.clone()));
-            } else {
-                new_inserted.push(r.clone());
-            }
-            cur += 1;
-        }
-        let removed = op.deleted.len();
-        let tr = TrackedTable {
-            pre: tr.pre.clone(),
-            deleted: new_deleted,
-            inserted: new_inserted,
-        };
-        self.commit(db, table, tr, &op)?;
-        Ok(removed)
+        self.edit_where(db, table, pred, |_| Ok(None))
     }
 
     /// Update every live row matching `pred` by applying `f` to a copy,
@@ -666,56 +597,75 @@ impl DeltaCatalog {
         pred: impl Fn(&Row) -> bool,
         mut f: impl FnMut(&mut Row),
     ) -> RelResult<usize> {
-        self.touch(db, table)?;
         let schema = self.catalog.database(db)?.table(table)?.schema().clone();
-        let tr = &self.tracked[&(db.to_owned(), table.to_owned())];
-        let mut op = TableDelta {
-            pre_len: tr.live_len(),
-            deleted: Vec::new(),
-            inserted: Vec::new(),
-        };
+        self.edit_where(db, table, pred, |row| {
+            let mut r = row.clone();
+            f(&mut r);
+            schema.check_row(&r)?;
+            Ok(Some(r))
+        })
+    }
+
+    /// Take out every live row matching `pred`, in row order, appending
+    /// what `rewrite` turns each into (`None`: nothing) — one merge-walk
+    /// over the window's pre-state and inserted rows, then one in-place
+    /// [`Table::patch`]. `rewrite`'s first error, or the patch's (a
+    /// duplicate key), leaves the table and the window as they were.
+    fn edit_where(
+        &mut self,
+        db: &str,
+        table: &str,
+        pred: impl Fn(&Row) -> bool,
+        mut rewrite: impl FnMut(&Row) -> RelResult<Option<Row>>,
+    ) -> RelResult<usize> {
+        let (t, tr) = self.touch(db, table)?;
+        // Current positions of the doomed rows (`cur` counts only rows
+        // still live), the pre-state ordinals the window deletes after the
+        // edit, and which of the window's inserted rows stay.
+        let mut doomed = Vec::new();
         let mut moved: Vec<Row> = Vec::new();
-        let mut new_deleted = Vec::with_capacity(tr.deleted.len());
+        let mut pre_deleted = Vec::with_capacity(tr.deleted.len());
         let mut dead = tr.deleted.iter().copied().peekable();
         let mut cur = 0;
         for (p, row) in tr.pre.iter_rows().enumerate() {
-            if dead.peek() == Some(&p) {
-                dead.next();
-                new_deleted.push(p);
+            if dead.next_if_eq(&p).is_some() {
+                pre_deleted.push(p);
                 continue;
             }
             if pred(row) {
-                let mut r = row.clone();
-                f(&mut r);
-                schema.check_row(&r)?;
-                moved.push(r);
-                new_deleted.push(p);
-                op.deleted.push((cur, row.clone()));
+                moved.extend(rewrite(row)?);
+                pre_deleted.push(p);
+                doomed.push(cur);
             }
             cur += 1;
         }
-        let mut new_inserted = Vec::with_capacity(tr.inserted.len());
-        for r in &tr.inserted {
-            if pred(r) {
-                let mut m = r.clone();
-                f(&mut m);
-                schema.check_row(&m)?;
-                moved.push(m);
-                op.deleted.push((cur, r.clone()));
-            } else {
-                new_inserted.push(r.clone());
+        let mut kept = Vec::with_capacity(tr.inserted.len());
+        for row in &tr.inserted {
+            let hit = pred(row);
+            if hit {
+                moved.extend(rewrite(row)?);
+                doomed.push(cur);
             }
+            kept.push(!hit);
             cur += 1;
         }
-        let count = moved.len();
-        new_inserted.extend(moved.iter().cloned());
-        op.inserted = moved;
-        let tr = TrackedTable {
-            pre: tr.pre.clone(),
-            deleted: new_deleted,
-            inserted: new_inserted,
+        let count = doomed.len();
+        if count == 0 {
+            return Ok(0);
+        }
+        let appended = if moved.is_empty() {
+            Vec::new()
+        } else {
+            vec![(cur, moved.clone())]
         };
-        self.commit(db, table, tr, &op)?;
+        t.patch(&Patch::new(doomed, appended)?)?;
+        tr.deleted = pre_deleted;
+        let mut i = 0;
+        tr.inserted.retain(|_| {
+            i += 1;
+            kept[i - 1]
+        });
+        tr.inserted.extend(moved);
         Ok(count)
     }
 

@@ -152,7 +152,9 @@ impl Batch {
     /// still referenced elsewhere (the same cost `Table::into_rows` pays).
     pub(super) fn into_rows(self) -> Vec<Row> {
         match self {
-            Batch::Shared { rows, lo, hi, .. } => {
+            Batch::Shared { rows, lo, hi, seg } => {
+                // The segment's shell holds the same storage.
+                drop(seg);
                 if lo == 0 && hi == rows.len() {
                     Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone())
                 } else {
@@ -530,9 +532,9 @@ pub(super) mod tests {
     /// `rows` as a scan hands them over: one shared window over the whole
     /// vector, imaged by a segment sealed from it.
     pub(in crate::exec) fn whole_window(schema: &Schema, rows: Vec<Row>) -> Batch {
-        let seg = Arc::new(Segment::build(schema, &rows));
-        let hi = rows.len();
-        Batch::segment_window(Arc::new(rows), 0, hi, seg, 0)
+        let (hi, rows) = (rows.len(), Arc::new(rows));
+        let seg = Arc::new(Segment::shell(schema, Arc::clone(&rows), 0, hi));
+        Batch::segment_window(rows, 0, hi, seg, 0)
     }
 
     fn mixed_schema() -> Schema {

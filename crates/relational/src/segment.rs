@@ -1,13 +1,20 @@
 //! Columnar resting storage: immutable, typed column segments.
 //!
-//! A [`Segment`] is a sealed, immutable window of a table's rows stored
-//! column-major: one typed vector per column plus a parallel validity
-//! (null) mask, a per-column [`ZoneMap`] (min/max/null statistics), and —
-//! for text columns of modest cardinality — dictionary encoding. A table
-//! seals each of its storage chunks at most once, over the chunk's
-//! *physical* rows, and never re-seals on a delete (DESIGN.md §18); a
-//! [`SegmentList`] is the sealed view of one table version: every
-//! chunk's segment, in row order.
+//! A [`Segment`] is the columnar image of one frozen window of a table's
+//! rows: per column, one typed vector plus a parallel validity (null)
+//! mask, a [`ZoneMap`] (min/max/null statistics), and — for text columns
+//! of modest cardinality — dictionary encoding. A table seals each of its
+//! storage chunks at most once, over the chunk's *physical* rows, and
+//! never re-seals on a delete (DESIGN.md §18); a [`SegmentList`] is the
+//! sealed view of one table version: every chunk's segment, in row order.
+//!
+//! Sealing builds a *shell*: the window's length, declared types and a
+//! handle on its rows. Each [`SegmentColumn`] is imaged from those rows
+//! the first time [`Segment::column`] or [`Segment::zone`] asks for it,
+//! at most once (morsel threads racing on one column wait for one build),
+//! and is then shared with every scan and generation that holds the
+//! segment. A scan whose consumer only walks rows builds no column; a
+//! filter builds the columns its conjuncts name.
 //!
 //! Segments are what make typed column lanes the *resting* format: the
 //! executor ([`exec`](crate::exec)) consults zone maps to skip whole
@@ -28,9 +35,14 @@
 //!
 //! ## Zone-map contract
 //!
-//! A segment describes the rows it was sealed over. The rows a scan
-//! *emits* from it are a subset — rows deleted since stay in the segment
-//! — so every zone-map field is a bound over a **superset** of the live
+//! A segment describes the rows it was sealed over: the physical rows
+//! `lo..hi` of a backing the shell holds and nobody may change (a sealed
+//! chunk never grows in place, and a delete sets a bit in the chunk's
+//! mask, not in the rows). So a column imaged long after the seal, past
+//! any number of deletes, images exactly what one built at the seal
+//! would have. The rows a scan *emits* from it are a subset — rows
+//! deleted since stay in the segment — so every zone-map field is a
+//! bound over a **superset** of the live
 //! rows: `min`/`max` are the extrema of the sealed non-null values under
 //! [`Value::total_cmp`] (so NaN sorts above all numbers and `-0.0` below
 //! `0.0`; `Value::Null` when there are none) and therefore bracket the
@@ -48,7 +60,7 @@ use crate::schema::Schema;
 use crate::table::Row;
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Target row count per sealed segment. Large enough that per-segment
 /// bookkeeping (zone maps, dictionary headers, per-segment pipeline
@@ -258,37 +270,42 @@ impl SegmentColumn {
     }
 }
 
-/// An immutable columnar window of a table's rows. Built once, then
-/// shared (`Arc`) between the owning table and any scans in flight.
-#[derive(Debug, Clone, PartialEq)]
+/// The columnar image of a frozen window of a table's rows, shared
+/// (`Arc`) between the owning chunk, every generation that keeps it and
+/// any scans in flight. It holds the window's rows and declared types and
+/// images each column on first read, at most once (see the module docs).
+#[derive(Debug)]
 pub struct Segment {
-    len: usize,
-    cols: Vec<SegmentColumn>,
+    rows: Arc<Vec<Row>>,
+    lo: usize,
+    hi: usize,
+    types: Vec<DataType>,
+    cols: Vec<OnceLock<SegmentColumn>>,
 }
 
 impl Segment {
-    /// Seal `rows` (one table window) into a columnar segment.
-    pub fn build(schema: &Schema, rows: &[Row]) -> Segment {
-        let cols = schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(c, col)| SegmentColumn::build(col.data_type, rows, c))
-            .collect();
+    /// Seal rows `lo..hi` of `rows`, which nobody may change from here
+    /// on: a shell that images no column until one is read.
+    pub(crate) fn shell(schema: &Schema, rows: Arc<Vec<Row>>, lo: usize, hi: usize) -> Segment {
+        debug_assert!(lo <= hi && hi <= rows.len());
+        let types: Vec<DataType> = schema.columns().iter().map(|c| c.data_type).collect();
         Segment {
-            len: rows.len(),
-            cols,
+            cols: types.iter().map(|_| OnceLock::new()).collect(),
+            rows,
+            lo,
+            hi,
+            types,
         }
     }
 
     /// Number of rows in the segment.
     pub fn len(&self) -> usize {
-        self.len
+        self.hi - self.lo
     }
 
     /// Whether the segment holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.lo == self.hi
     }
 
     /// Number of columns.
@@ -296,14 +313,20 @@ impl Segment {
         self.cols.len()
     }
 
-    /// The column at position `c`.
+    /// The column at position `c`, imaged from the rows on first read.
     pub fn column(&self, c: usize) -> &SegmentColumn {
-        &self.cols[c]
+        self.cols[c]
+            .get_or_init(|| SegmentColumn::build(self.types[c], &self.rows[self.lo..self.hi], c))
     }
 
-    /// The zone map for column `c`.
+    /// The zone map for column `c` (imaging the column on first read).
     pub fn zone(&self, c: usize) -> &ZoneMap {
-        &self.cols[c].zone
+        &self.column(c).zone
+    }
+
+    /// How many columns have been imaged so far.
+    pub(crate) fn imaged_columns(&self) -> usize {
+        self.cols.iter().filter(|c| c.get().is_some()).count()
     }
 }
 

@@ -91,11 +91,12 @@ struct Chunk {
     /// has touched the chunk. Padding bits past the window are pre-set so
     /// word-wise popcounts over live bits need no boundary handling.
     mask: Option<Arc<Box<[u64]>>>,
-    /// The sealed columnar image of **all** physical rows `lo..hi`, built
-    /// lazily, at most once, and never reset: deletes only set mask bits,
-    /// so the segment describes a superset of the live rows (the §14
-    /// zone-map contract) and is shared with every generation that keeps
-    /// the chunk, whether or not it deleted from it.
+    /// The sealed columnar image of **all** physical rows `lo..hi`: a
+    /// shell over `rows` made by the first scan, at most once, and never
+    /// reset — it images a column when a lane first reads one. Deletes
+    /// only set mask bits, so the segment describes a superset of the
+    /// live rows (the §14 zone-map contract) and is shared with every
+    /// generation that keeps the chunk, whether or not it deleted from it.
     seal: Arc<OnceLock<Arc<Segment>>>,
 }
 
@@ -260,8 +261,10 @@ impl Chunk {
     /// Hand this chunk's live rows to `out` — the chunk is about to be
     /// replaced. Moved when nothing else (another table generation, a
     /// sibling window, a scan in flight) reads the backing, cloned
-    /// otherwise.
+    /// otherwise. The chunk's own seal lets go of the backing first: its
+    /// shell images rows that are leaving.
     fn take_live(&mut self, out: &mut Vec<Row>) {
+        reset_cache(&mut self.seal);
         let mask = self.mask.as_deref().map(|m| &**m);
         match Arc::get_mut(&mut self.rows) {
             Some(backing) => out.extend(
@@ -283,11 +286,17 @@ impl Chunk {
             .map(|(_, r)| r)
     }
 
-    /// This chunk's sealed columnar segment over all its physical rows,
-    /// built on first use.
+    /// This chunk's sealed columnar segment over all its physical rows:
+    /// a shell made on first use, which freezes the chunk.
     fn segment(&self, schema: &Schema) -> &Arc<Segment> {
-        self.seal
-            .get_or_init(|| Arc::new(Segment::build(schema, &self.rows[self.lo..self.hi])))
+        self.seal.get_or_init(|| {
+            Arc::new(Segment::shell(
+                schema,
+                Arc::clone(&self.rows),
+                self.lo,
+                self.hi,
+            ))
+        })
     }
 }
 
@@ -381,8 +390,11 @@ pub struct TableLayout {
     /// Zero-copy windows a scan emits: one per maximal run
     /// of live rows in each chunk.
     pub scan_parts: usize,
-    /// Chunks whose columnar segment has been built.
+    /// Chunks sealed under a columnar segment (a scan has met them).
     pub sealed_spans: usize,
+    /// Columns imaged across those segments: each is built on first read,
+    /// so this counts (segment, column) pairs some lane or prune has read.
+    pub imaged_columns: usize,
     /// Deleted rows that sealed segments still describe (their zone maps
     /// are bounds over a superset of the live rows).
     pub dead_rows_under_seals: usize,
@@ -404,10 +416,11 @@ impl fmt::Display for TableLayout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "chunks={} scan_parts={} sealed_spans={} dead_under_seals={} small_tail={}",
+            "chunks={} scan_parts={} sealed_spans={} imaged_columns={} dead_under_seals={} small_tail={}",
             self.chunks,
             self.scan_parts,
             self.sealed_spans,
+            self.imaged_columns,
             self.dead_rows_under_seals,
             self.small_tail_chunks
         )
@@ -698,6 +711,22 @@ impl Table {
         Arc::make_mut(&mut self.pk_overlay).insert(key, None);
     }
 
+    /// The index as one map: the base with the overlay folded in.
+    fn folded_pk(&self) -> HashMap<Vec<Value>, Addr> {
+        let mut base = (*self.pk_base).clone();
+        for (k, patch) in self.pk_overlay.iter() {
+            match patch {
+                Some(addr) => {
+                    base.insert(k.clone(), *addr);
+                }
+                None => {
+                    base.remove(k);
+                }
+            }
+        }
+        base
+    }
+
     /// Insert a row, validating schema and primary-key uniqueness.
     pub fn insert(&mut self, row: Row) -> RelResult<()> {
         self.schema.check_row(&row)?;
@@ -713,6 +742,13 @@ impl Table {
         reset_cache(&mut self.seg_view);
         let addr = self.push_row(row);
         if let Some(key) = key {
+            // Row-at-a-time inserts have no batch edit to fold the overlay
+            // for them: fold it here once it reaches the threshold, or a
+            // stream of inserts into a shared table grows it without bound.
+            if self.pk_overlay.len() >= overlay_fold_threshold(self.pk_base.len()) {
+                self.pk_base = Arc::new(self.folded_pk());
+                self.pk_overlay = Arc::new(HashMap::new());
+            }
             self.pk_put(key, addr);
         }
         self.live += 1;
@@ -1069,18 +1105,7 @@ impl Table {
         }
         let mut pk = if self.pk_overlay.len() + n_edits > overlay_fold_threshold(self.pk_base.len())
         {
-            let mut base = (*self.pk_base).clone();
-            for (k, patch) in self.pk_overlay.iter() {
-                match patch {
-                    Some(addr) => {
-                        base.insert(k.clone(), *addr);
-                    }
-                    None => {
-                        base.remove(k);
-                    }
-                }
-            }
-            PkPatch::Folded(base)
+            PkPatch::Folded(self.folded_pk())
         } else {
             PkPatch::Overlaid {
                 base: &self.pk_base,
@@ -1203,7 +1228,8 @@ impl Table {
 
     /// The sealed columnar view of this table: every chunk's
     /// [`crate::segment::Segment`] in row order, sealing on first use
-    /// whichever chunks no earlier generation sealed. A segment images
+    /// whichever chunks no earlier generation sealed. Sealing images no
+    /// column: each is built when first read. A segment images
     /// *all* physical rows of its chunk, deleted ones included (see
     /// [`TableLayout::dead_rows_under_seals`]), so its statistics bound a
     /// superset of the rows a scan emits.
@@ -1220,8 +1246,8 @@ impl Table {
 
     /// The physical scan layout: one zero-copy window per maximal run of
     /// live rows, each carrying its chunk's segment and the window's
-    /// offset into it. Seals whatever is not sealed yet (scans warm the
-    /// resting format).
+    /// offset into it. Seals whatever is not sealed yet — a shell per
+    /// chunk; a column is imaged only when a lane mask or prune reads it.
     pub(crate) fn scan_parts(&self) -> Vec<ScanPart> {
         let mut parts = Vec::with_capacity(self.chunks.len());
         for c in &self.chunks {
@@ -1251,13 +1277,18 @@ impl Table {
 
     /// The physical shape of this table version (see [`TableLayout`]).
     pub fn layout(&self) -> TableLayout {
-        let sealed = || self.chunks.iter().filter(|c| c.seal.get().is_some());
+        let sealed = || {
+            self.chunks
+                .iter()
+                .filter_map(|c| c.seal.get().map(|seg| (c, seg)))
+        };
         TableLayout {
             rows: self.live,
             chunks: self.chunks.len(),
             scan_parts: self.chunks.iter().map(Chunk::run_count).sum(),
             sealed_spans: sealed().count(),
-            dead_rows_under_seals: sealed().map(|c| c.len() - c.live).sum(),
+            imaged_columns: sealed().map(|(_, seg)| seg.imaged_columns()).sum(),
+            dead_rows_under_seals: sealed().map(|(c, _)| c.len() - c.live).sum(),
             small_tail_chunks: self
                 .chunks
                 .iter()
@@ -1279,8 +1310,9 @@ impl Table {
     pub fn into_rows(self) -> Vec<Row> {
         if let Some(backing) = self.whole_backing().cloned() {
             // Release every other handle of ours on the backing: the
-            // chunk windows and the cached flat view.
-            drop((self.chunks, self.flat));
+            // chunk windows (and the segment shells they seal), the
+            // sealed view and the cached flat view.
+            drop((self.chunks, self.seg_view, self.flat));
             return Arc::try_unwrap(backing).unwrap_or_else(|shared| (*shared).clone());
         }
         self.iter_rows().cloned().collect()
@@ -1913,6 +1945,28 @@ mod tests {
             .unwrap();
         assert_eq!(appended.chunks_not_in(&base), 1);
         assert_eq!(appended.unsealed_rows(), 1);
+    }
+
+    #[test]
+    fn layout_repair_moves_the_rows_of_a_scanned_chunk_it_alone_holds() {
+        // A scan's shell holds the chunk's backing; once the table is the
+        // only holder again, a rewrite past the run cap still moves the
+        // rows (the same heap strings) instead of cloning them.
+        let schema = Schema::new("t", vec![Column::new("s", DataType::Text)]).unwrap();
+        let rows = (0..2 * SMALL_CHUNK_ROWS).map(|i| vec![Value::text(format!("r{i}"))]);
+        let mut t = Table::from_rows(schema, rows).unwrap();
+        t.segments().segments()[0].column(0);
+        assert_eq!(t.layout().imaged_columns, 1);
+        let heap = |t: &Table, pos: usize| match &t.row_at(pos).unwrap()[0] {
+            Value::Text(s) => s.as_ptr(),
+            _ => unreachable!(),
+        };
+        let kept = heap(&t, 1);
+        let scattered: Vec<usize> = (0..2 * MAX_LIVE_RUNS + 2).step_by(2).collect();
+        t.patch(&Patch::new(scattered, vec![]).unwrap()).unwrap();
+        assert_eq!(t.chunks[0].run_count(), 1, "rewritten past the run cap");
+        assert_eq!(t.row_at(0).unwrap()[0], Value::text("r1"));
+        assert_eq!(heap(&t, 0), kept, "the repair cloned the rows");
     }
 
     #[test]

@@ -72,6 +72,18 @@ if grep -rnE '\bunsafe\b|seal_over|par_pipeline' crates/relational; then
   exit 1
 fi
 
+# A seal is a shell and each column is imaged on first read (DESIGN.md
+# §14): a scan that feeds a row walk images nothing, and a workflow lands
+# its outputs as they are. Fail if the ETL layer seals its landings again,
+# or if anything but `Segment::column` builds a column image — an eager
+# whole-segment builder on the scan path.
+if grep -rn '\.segments()' crates/etl/src \
+    || grep -rn 'Segment::build' crates/relational/src \
+    || [ "$(grep -rn 'SegmentColumn::build(' crates | wc -l)" -ne 1 ]; then
+  echo "check.sh: the ETL layer seals its outputs again, or a column image is built outside Segment::column (matches above)" >&2
+  exit 1
+fi
+
 # The benchmark snapshot must carry the fused-pipeline axis (DESIGN.md
 # §11), the blocking-operator axis (DESIGN.md §13) and the
 # resting-storage axis (DESIGN.md §14); a regeneration from a stale

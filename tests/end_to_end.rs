@@ -148,3 +148,73 @@ fn provenance_travels_with_artifacts() {
         );
     }
 }
+
+/// What one `run_on` of each study images. Every stage's scan seals the
+/// table it meets, and a column is built only where a lane mask or a
+/// zone-map prune reads it: the extracts' own filters on the physical
+/// tables, and each study's `col = literal` over its classify outputs.
+/// The `classify:*` scans feed `CASE` row walks and the `entities:*`
+/// scans are the extracts' tables as they are, so neither images one.
+#[test]
+fn run_on_images_only_the_columns_lanes_read() {
+    let profiles = generate(&GeneratorConfig::default().with_size(120));
+    let contributors = build_all(&profiles).expect("contributors");
+    let (schema, registry) = (study_schema(), classifiers::registry());
+    let binds = bindings(&contributors);
+    let mut catalog = physical_catalog(&contributors);
+    let exec = Executor::new();
+    // `(sealed_spans, imaged_columns)` of one landed table.
+    let counts = |catalog: &Catalog, db: &str, table: &str| {
+        let layout = catalog.database(db).unwrap().table(table).unwrap().layout();
+        (layout.sealed_spans, layout.imaged_columns)
+    };
+    // Was `col` the column imaged? Reading an imaged column builds nothing.
+    let is_imaged = |catalog: &Catalog, db: &str, table: &str, col: &str| {
+        let t = catalog.database(db).unwrap().table(table).unwrap();
+        let before = t.layout().imaged_columns;
+        let c = t.schema().index_of(col).unwrap();
+        for seg in t.segments().segments() {
+            seg.column(c);
+        }
+        t.layout().imaged_columns == before
+    };
+    let studies = [
+        (study1_definition(&contributors), "ProcType_kind"),
+        (
+            study2_definition(&contributors, ExSmokerMeaning::QuitWithinYear),
+            "ExSmoker_yesno",
+        ),
+    ];
+    for (study, filter_col) in &studies {
+        let compiled = compile(study, &schema, &registry, &binds).unwrap();
+        compiled.workflow.run_on(&mut catalog, &exec).unwrap();
+        for stage in &compiled.workflow.stages {
+            for c in &stage.components {
+                let (db, t) = (&c.target_db, &c.target_table);
+                let got = counts(&catalog, db, t);
+                match c.name.split(':').next().unwrap() {
+                    "extract" | "entities" => assert_eq!(got, (1, 0), "{}", c.name),
+                    "classify" => {
+                        assert_eq!(got, (1, 1), "{}", c.name);
+                        assert!(is_imaged(&catalog, db, t, filter_col), "{}", c.name);
+                    }
+                    // Nothing in the workflow reads what it lands.
+                    "load" => assert_eq!(got.0, 0, "{}", c.name),
+                    other => panic!("unexpected stage `{other}`"),
+                }
+            }
+        }
+    }
+    // The physical tables: one column each, the extract's own filter. The
+    // lookup table behind GastroLink's unread join is never scanned.
+    for (db, table, col) in [
+        ("cori", "tblProcedure", "recDeleted"),
+        ("endopro", "eav_records", "is_void"),
+        ("gastrolink", "gl_master", "rec_type"),
+    ] {
+        assert_eq!(counts(&catalog, db, table), (1, 1), "{db}.{table}");
+        assert!(is_imaged(&catalog, db, table, col), "{db}.{table}");
+    }
+    let lookup = "gl_master_alcohol_code_lookup";
+    assert_eq!(counts(&catalog, "gastrolink", lookup), (0, 0));
+}

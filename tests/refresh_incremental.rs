@@ -357,6 +357,169 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Change capture ≡ the canonical merge, failed calls included
+// ---------------------------------------------------------------------------
+
+/// The canonical merge on plain vectors: a capture window's pre-state,
+/// and its live rows, each tagged with the pre-state ordinal it is (`None`
+/// for a row the window inserted or moved to the end by an update).
+struct CaptureModel {
+    pre: Vec<Row>,
+    live: Vec<(Option<usize>, Row)>,
+}
+
+impl CaptureModel {
+    fn open(dc: &DeltaCatalog) -> CaptureModel {
+        let t = dc.catalog().database("d").unwrap().table("t").unwrap();
+        let pre: Vec<Row> = t.iter_rows().cloned().collect();
+        let live = pre
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, r)| (Some(i), r))
+            .collect();
+        CaptureModel { pre, live }
+    }
+
+    /// What [`apply_op`] does to the live rows.
+    fn apply(&mut self, op: &Op) {
+        let hit =
+            |m: i64, r: i64, row: &Row| row[0].as_i64().is_some_and(|id| id.rem_euclid(m) == r);
+        let mut update = |m: i64, r: i64, f: &dyn Fn(&mut Row)| {
+            let (moved, kept): (Vec<_>, Vec<_>) =
+                self.live.drain(..).partition(|(_, row)| hit(m, r, row));
+            self.live = kept;
+            self.live.extend(moved.into_iter().map(|(_, mut row)| {
+                f(&mut row);
+                (None, row)
+            }));
+        };
+        match op {
+            Op::Insert(a, b) => {
+                let ids = self.live.iter().filter_map(|(_, r)| r[0].as_i64());
+                let row = vec![
+                    Value::Int(ids.max().unwrap_or(-1) + 1),
+                    a.map(Value::Int).unwrap_or(Value::Null),
+                    b.map(Value::Bool).unwrap_or(Value::Null),
+                    Value::text("new"),
+                ];
+                self.live.push((None, row));
+            }
+            Op::Delete(m, r) => self.live.retain(|(_, row)| !hit(*m, *r, row)),
+            Op::SetA(m, r, a) => {
+                let v = a.map(Value::Int).unwrap_or(Value::Null);
+                update(*m, *r, &|row| row[1] = v.clone());
+            }
+            Op::FlipB(m, r) => update(*m, *r, &|row| {
+                row[2] = match row[2] {
+                    Value::Bool(x) => Value::Bool(!x),
+                    _ => Value::Bool(true),
+                }
+            }),
+        }
+    }
+
+    /// The delta set the window must have captured.
+    fn deltas(&self) -> DeltaSet {
+        let kept: std::collections::HashSet<usize> =
+            self.live.iter().filter_map(|(p, _)| *p).collect();
+        let delta = TableDelta {
+            pre_len: self.pre.len(),
+            deleted: (0..self.pre.len())
+                .filter(|p| !kept.contains(p))
+                .map(|p| (p, self.pre[p].clone()))
+                .collect(),
+            inserted: self
+                .live
+                .iter()
+                .filter(|(p, _)| p.is_none())
+                .map(|(_, r)| r.clone())
+                .collect(),
+        };
+        let mut set = DeltaSet::new();
+        if !delta.is_empty() {
+            set.insert("d", "t", delta);
+        }
+        set
+    }
+}
+
+/// Calls that must fail, each leaving the table exactly as it was: a
+/// duplicate key, a type error, and two `update_where`s — one whose edit
+/// breaks the schema, one whose edited rows collide on the key.
+fn failing_calls(dc: &mut DeltaCatalog) -> Result<(), TestCaseError> {
+    let table = |dc: &DeltaCatalog| {
+        dc.catalog()
+            .database("d")
+            .unwrap()
+            .table("t")
+            .unwrap()
+            .clone()
+    };
+    let before = table(dc);
+    let first = before.row_at(0).cloned();
+    let mut errors = vec![dc.insert(
+        "d",
+        "t",
+        vec![Value::Int(-1), Value::text("x"), Value::Null, Value::Null],
+    )];
+    if let Some(first) = first {
+        errors.push(
+            dc.update_where("d", "t", |_| true, |r| r[1] = Value::text("x"))
+                .map(|_| ()),
+        );
+        errors.push(dc.insert("d", "t", first));
+    }
+    if before.len() >= 2 {
+        errors.push(
+            dc.update_where("d", "t", |_| true, |r| r[0] = Value::Int(-1))
+                .map(|_| ()),
+        );
+    }
+    for e in errors {
+        prop_assert!(e.is_err(), "a call that must fail succeeded");
+        let after = table(dc);
+        prop_assert!(
+            after.same_storage(&before) && after == before,
+            "a failed call moved the table"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, .. ProptestConfig::default() })]
+
+    /// Over the update stream the refresh suites use, every window
+    /// captures exactly the canonical merge's delta and leaves the table
+    /// equal to its live rows — with failing calls in the middle of the
+    /// window changing neither.
+    #[test]
+    fn capture_is_the_canonical_merge_and_failed_calls_change_nothing(
+        rows in arb_rows(20),
+        batches in proptest::collection::vec(
+            proptest::collection::vec(arb_op(), 1..5),
+            1..5,
+        ),
+    ) {
+        let mut dc = DeltaCatalog::new(catalog(rows));
+        for batch in &batches {
+            let mut model = CaptureModel::open(&dc);
+            for (i, op) in batch.iter().enumerate() {
+                apply_op(&mut dc, op);
+                model.apply(op);
+                if i == batch.len() / 2 {
+                    failing_calls(&mut dc)?;
+                }
+            }
+            let t = dc.catalog().database("d").unwrap().table("t").unwrap();
+            prop_assert!(t.iter_rows().eq(model.live.iter().map(|(_, r)| r)));
+            prop_assert_eq!(dc.take_deltas(), model.deltas());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Grouped first-occurrence order ≡ from-scratch first_seen (DESIGN.md §15)
 // ---------------------------------------------------------------------------
 

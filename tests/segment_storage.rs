@@ -9,7 +9,7 @@
 //! round.
 
 use guava::prelude::*;
-use guava_relational::segment::{DICT_MAX, SEGMENT_ROWS};
+use guava_relational::segment::{Segment, DICT_MAX, SEGMENT_ROWS};
 use proptest::prelude::*;
 
 mod common;
@@ -838,4 +838,322 @@ proptest! {
             check_generation(db, model, &plans, &single_fault)?;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Columns imaged on first read
+// ---------------------------------------------------------------------------
+
+/// One column per storage encoding (two FLOAT ones: `f` is clean, `g`
+/// holds the only NaN), NULLs in each, 1 100 rows in one chunk.
+fn encodings_table() -> Table {
+    use DataType::*;
+    let cols = [
+        ("i", Int),
+        ("f", Float),
+        ("g", Float),
+        ("b", Bool),
+        ("d", Date),
+        ("s", Text),
+        ("t", Text),
+        ("m", Float),
+    ];
+    let schema = Schema::new(
+        "t",
+        cols.iter().map(|(n, ty)| Column::new(*n, *ty)).collect(),
+    )
+    .unwrap();
+    let rows = (0..1100i64).map(|k| {
+        let nullable = |v: Value, every: i64| if k % every == 0 { Value::Null } else { v };
+        let int = match k {
+            // The extremes, each held by one row.
+            40 => 1 << 53,
+            41 => -(1 << 53),
+            _ => k % 9 - 2,
+        };
+        let float = [-0.0, 0.0, 1.5, -3.25][k as usize % 4];
+        vec![
+            nullable(Value::Int(int), 11),
+            nullable(Value::Float(if k == 77 { 1e9 } else { float }), 7),
+            nullable(Value::Float(if k == 500 { f64::NAN } else { float }), 7),
+            nullable(Value::Bool(k % 3 == 0), 5),
+            nullable(Value::Date(k % 6), 13),
+            // 1 100 distinct strings: past DICT_MAX, plain storage.
+            nullable(Value::text(format!("s-{k:04}")), 17),
+            nullable(Value::text(format!("grp-{}", k % 4)), 3),
+            // INTs widened into a FLOAT column demote it to `Mixed`.
+            nullable(
+                if k % 2 == 0 {
+                    Value::Int(k % 5)
+                } else {
+                    Value::Float(0.5)
+                },
+                19,
+            ),
+        ]
+    });
+    Table::from_rows(schema, rows).unwrap()
+}
+
+/// Every `column ⟨op⟩ literal` shape the lanes and zone maps take, over
+/// every column of [`encodings_table`]: own-domain literals at and beyond
+/// the bounds, a foreign literal, NULL and NaN.
+fn encoding_plans() -> Vec<Plan> {
+    let nan = Value::Float(f64::NAN);
+    let own: [(&str, Vec<Value>, Value); 8] = [
+        (
+            "i",
+            vec![Value::Int(3), Value::Int(1 << 53), Value::Float(2.5)],
+            Value::text("3"),
+        ),
+        (
+            "f",
+            vec![Value::Float(-0.0), Value::Float(1e9), Value::Int(1)],
+            Value::Bool(true),
+        ),
+        ("g", vec![Value::Float(1.5), Value::Int(0)], Value::Date(1)),
+        (
+            "b",
+            vec![Value::Bool(true), Value::Bool(false)],
+            Value::Int(1),
+        ),
+        ("d", vec![Value::Date(5), Value::Date(-1)], Value::Int(3)),
+        (
+            "s",
+            vec![Value::text("s-0500"), Value::text("s-")],
+            Value::Int(0),
+        ),
+        (
+            "t",
+            vec![Value::text("grp-3"), Value::text("zzz")],
+            Value::Float(2.0),
+        ),
+        (
+            "m",
+            vec![Value::Int(2), Value::Float(0.5)],
+            Value::text("2"),
+        ),
+    ];
+    type Build = fn(Expr, Expr) -> Expr;
+    let compare: [Build; 6] = [Expr::eq, Expr::ne, Expr::lt, Expr::le, Expr::gt, Expr::ge];
+    let mut plans = Vec::new();
+    for (name, same_domain, foreign) in &own {
+        let scan = || Plan::scan("t");
+        plans.push(scan().select(Expr::col(*name).is_null()));
+        plans.push(scan().select(Expr::col(*name).is_not_null()));
+        for build in compare {
+            let lits = same_domain.iter().chain([foreign, &Value::Null, &nan]);
+            for lit in lits {
+                plans.push(scan().select(build(Expr::col(*name), Expr::Lit(lit.clone()))));
+            }
+        }
+    }
+    plans
+}
+
+/// A column imaged after deletes that followed the seal is the column an
+/// image built at the seal would have been — same storage, same nulls,
+/// same zone map over the sealed superset — for every encoding and every
+/// zone-map arm (NULL counts, the only NaN, both extremes, all deleted
+/// before anything read them); and both answer every lane mask, prune and
+/// first error exactly as the oracle does.
+#[test]
+fn columns_imaged_after_deletes_match_columns_imaged_at_the_seal() {
+    // Rows that set a bound: the min and max of `i`, the max of `f`, the
+    // only NaN of `g`, every NULL of `d`, plus a run and a stray.
+    let dead = |r: &[Value]| {
+        let key = match &r[5] {
+            Value::Text(s) => s[2..].parse::<i64>().unwrap(),
+            _ => return r[4].is_null(),
+        };
+        [40, 41, 77, 500, 707].contains(&key) || (300..310).contains(&key) || r[4].is_null()
+    };
+    let mut early = encodings_table();
+    let arity = early.schema().arity();
+    for c in 0..arity {
+        early.segments().segments()[0].column(c);
+    }
+    let mut late = encodings_table();
+    late.segments();
+    early.delete_where(dead).unwrap();
+    late.delete_where(dead).unwrap();
+    let (e, l) = (early.layout(), late.layout());
+    assert_eq!((e.imaged_columns, l.imaged_columns), (arity, 0));
+    assert!(l.dead_rows_under_seals > 0 && l.scan_parts > 1, "{l:?}");
+
+    let db = |t: &Table| {
+        let mut db = Database::new("d");
+        db.create_table(t.clone()).unwrap();
+        db
+    };
+    let (early_db, late_db) = (db(&early), db(&late));
+    let (mut errors, mut rows) = (0, 0);
+    for plan in encoding_plans() {
+        let oracle = plan.eval_materialized(&late_db);
+        for (name, exec) in lanes() {
+            let got_late = exec.execute(&plan, &late_db);
+            assert_eq!(got_late, oracle, "{name}: late image vs oracle, {plan:?}");
+            let got_early = exec.execute(&plan, &early_db);
+            assert_eq!(got_early, oracle, "{name}: early image vs oracle, {plan:?}");
+        }
+        match oracle {
+            Ok(t) => rows += t.len(),
+            Err(_) => errors += 1,
+        }
+    }
+    assert!(errors > 0 && rows > 0);
+    // The plans read every column; each late image equals the early one.
+    let (segs_e, segs_l) = (early.segments().segments(), late.segments().segments());
+    assert_eq!(late.layout().imaged_columns, arity);
+    let encodings: Vec<_> = (0..arity).map(|c| segs_l[0].column(c).encoding()).collect();
+    assert_eq!(
+        encodings,
+        ["int", "float", "float", "bool", "date", "str", "dict", "mixed"]
+    );
+    for c in 0..arity {
+        // Through `Debug`, where a NaN is equal to itself and `-0.0` is not
+        // `0.0`: the images are the same bits.
+        let image = |seg: &Segment| format!("{:?}", seg.column(c));
+        assert!(image(&segs_l[0]) == image(&segs_e[0]), "column {c}");
+    }
+    // The superset, read late: the deleted rows still set the bounds.
+    assert!(segs_l[0].zone(2).has_nan);
+    assert_eq!(segs_l[0].zone(0).max, Value::Int(1 << 53));
+    assert!(segs_l[0].zone(4).null_count > 0);
+}
+
+/// Scans in flight at once, serial and morsel-parallel at every morsel
+/// size, race to image the same columns of one fresh table: each lands
+/// the oracle's table, and between them they image exactly the columns a
+/// lane mask or prune names — one per chunk, however many scans and
+/// morsel workers asked for it. A row walk (a `CASE` projection, a filter
+/// behind a projection) images none.
+#[test]
+fn racing_scans_image_each_named_column_once() {
+    let row = |i: i64| {
+        vec![
+            Value::Int(i),
+            if i % 9 == 0 {
+                Value::Null
+            } else {
+                Value::Float((i % 100) as f64)
+            },
+            Value::text(format!("grp-{}", i % 5)),
+            Value::Bool(i % 2 == 0),
+        ]
+    };
+    // Four chunks: one past the small threshold, then appends that do not
+    // merge (each is under half the one before).
+    let fresh = || {
+        let mut t = Table::from_rows(schema(), (0..5000).map(row)).unwrap();
+        let mut next = 5000;
+        for n in [2000, 900, 400] {
+            let delta = TableDelta {
+                pre_len: t.len(),
+                deleted: Vec::new(),
+                inserted: (next..next + n).map(row).collect(),
+            };
+            t = t.apply_delta(&delta).unwrap();
+            next += n;
+        }
+        t
+    };
+    let chunks = fresh().layout().chunks;
+    assert_eq!(chunks, 4);
+    let plans = [
+        Plan::scan("t").select(Expr::col("x").ge(Expr::lit(40.0))),
+        Plan::scan("t").select(
+            Expr::col("s")
+                .eq(Expr::lit("grp-1"))
+                .and(Expr::col("b").eq(Expr::lit(true))),
+        ),
+        Plan::scan("t").select(Expr::col("x").lt(Expr::lit(10.0))),
+        Plan::scan("t")
+            .project_cols(&["id", "x"])
+            .select(Expr::col("id").ge(Expr::lit(100i64))),
+        Plan::scan("t").project(vec![(
+            "band".to_owned(),
+            Expr::Case {
+                arms: vec![(Expr::col("x").gt(Expr::lit(50.0)), Expr::lit("hi"))],
+                default: Box::new(Expr::lit("lo")),
+            },
+        )]),
+    ];
+    let oracle_db = {
+        let mut db = Database::new("d");
+        db.create_table(fresh()).unwrap();
+        db
+    };
+    let oracle: Vec<_> = plans
+        .iter()
+        .map(|p| p.eval_materialized(&oracle_db))
+        .collect();
+    for threads in [1, 2] {
+        for morsel in [1, 3, 64, 1000, 4096] {
+            let exec = Executor::new()
+                .threads(threads)
+                .parallel_threshold(1)
+                .morsel_size(morsel);
+            let mut db = Database::new("d");
+            db.create_table(fresh()).unwrap();
+            let db = &db;
+            // The three scans start together, none having imaged anything.
+            let start = std::sync::Barrier::new(3);
+            std::thread::scope(|scope| {
+                let runs: Vec<_> = (0..3)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            plans.iter().map(|p| exec.execute(p, db)).collect()
+                        })
+                    })
+                    .collect();
+                for run in runs {
+                    let got: Vec<_> = run.join().unwrap();
+                    assert_eq!(got, oracle, "threads {threads}, morsel {morsel}");
+                }
+            });
+            // `x`, `s` and `b`, once per chunk; `id` only behind a projection.
+            let layout = db.table("t").unwrap().layout();
+            assert_eq!(layout.imaged_columns, 3 * chunks, "morsel {morsel}");
+        }
+    }
+}
+
+/// A column imaged through one generation is the very column every
+/// generation that keeps the chunk reads, deletes or not — and one first
+/// read through a later generation is imaged for the earlier one too:
+/// they share the segment, so they share its columns.
+#[test]
+fn imaged_columns_are_shared_across_generations() {
+    use std::sync::Arc;
+    let rows: Vec<Row> = (0..3000)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Float(i as f64),
+                Value::text(format!("grp-{}", i % 3)),
+                Value::Null,
+            ]
+        })
+        .collect();
+    let g0 = Table::from_rows(schema(), rows).unwrap();
+    let seg = Arc::clone(&g0.segments().segments()[0]);
+    let x = seg.column(1);
+    let delta = TableDelta {
+        pre_len: g0.len(),
+        deleted: vec![(7, g0.row_at(7).unwrap().clone())],
+        inserted: vec![vec![Value::Int(-1), Value::Null, Value::Null, Value::Null]],
+    };
+    let g1 = g0.apply_delta(&delta).unwrap();
+    let mut db = Database::new("d");
+    db.create_table(g1.clone()).unwrap();
+    let plan = Plan::scan("t").select(Expr::col("s").eq(Expr::lit("grp-1")));
+    assert_storage_agrees(&plan, &db);
+    let shared = &g1.segments().segments()[0];
+    assert!(Arc::ptr_eq(&seg, shared));
+    assert!(std::ptr::eq(x, shared.column(1)));
+    // `s` was first read through g1, and g0 has it too.
+    assert_eq!(g0.layout().imaged_columns, 2);
+    assert!(std::ptr::eq(seg.column(2), shared.column(2)));
 }
