@@ -13,10 +13,15 @@
 //!    refresh consumer reproduces.
 //! 2. **Differential operators** — [`DeltaPlan`] caches per-operator state
 //!    for a [`Plan`] and, given a [`Change`] per scanned table, produces
-//!    the output's change without recomputing unchanged rows.
-//!    Select/Project map delta rows element-wise through the session
-//!    executor (so delta batches run the same stage walk as full
-//!    runs), Rename passes changes through untouched, Union shifts
+//!    the output's change without recomputing unchanged rows. The state
+//!    is kept for the plan the executor runs ([`crate::optimize::prepare`]),
+//!    bound before a row moves, and a first evaluation is a wholesale
+//!    refresh of it: every leaf reports [`Change::Full`], so each rule's
+//!    `Full` arm is the one place that builds its state from scratch.
+//!    Select/Project/Rename chains fuse into one pipeline exactly as the
+//!    executor compiles them, and delta rows run the executor's own stage
+//!    walk through it, row by row in row order (a Rename only renames);
+//!    Union shifts
 //!    each child's change by the child's offset (only child *lengths*
 //!    are kept; a replaced child becomes a delete-range plus an insert
 //!    beside its siblings' patches), hash Join re-probes only delta left rows
@@ -31,13 +36,14 @@
 //!    already evaluated them with the same expressions), so checking delta
 //!    rows in input order reproduces the rebuild's first error; on any
 //!    error the plan is *poisoned* and the next refresh falls back to full
-//!    re-initialization.
+//!    re-initialization. Binding errors surface before any row error, in
+//!    the order the executor's `compile` raises them.
 //!
 //! Refresh cost is **O(delta · log n)**, not O(n) (DESIGN.md §15):
-//! Select positions are maintained by a rank index
-//! ([`crate::rank::RankList`] — weight 1 per predicate-passing child
-//! row, so a prefix-weight query turns a child position into an output
-//! rank), and Aggregate/Pivot group order by a persistent
+//! a filtering pipeline's positions are maintained by a rank index
+//! ([`crate::rank::RankList`] — weight 1 per input row that reaches the
+//! output, so a prefix-weight query turns an input position into an
+//! output rank), and Aggregate/Pivot group order by a persistent
 //! first-occurrence index ([`crate::rank::FirstSeenIndex`]), including
 //! group death, revival, and first-occurrence promotion. The plan's
 //! cached output is a persistent [`Table`] that takes the same patch
@@ -95,18 +101,18 @@
 //! ```
 
 use crate::algebra::{
-    aggregate_output_schema, check_union_compatible, join_output_schema, keyless, pivot_cell,
-    pivot_output_schema, resolve_aggregate_columns, resolve_column, resolve_columns, sort_rows,
-    unpivot_output_schema, unpivot_rows, AggAcc, AggFunc, Aggregate, JoinKind, PivotCell, Plan,
+    bind_node, check_union_compatible, keyless, pivot_cell, resolve_aggregate_columns,
+    resolve_column, resolve_columns, sort_rows, unpivot_rows, AggAcc, AggFunc, Aggregate, JoinKind,
+    PivotCell, Plan,
 };
 use crate::database::{Catalog, Database};
 use crate::error::{RelError, RelResult};
-use crate::exec::Executor;
-use crate::expr::Expr;
+use crate::exec::{apply_stages, Executor, MapStage, Stage};
 use crate::rank::{FirstSeenIndex, InsertOutcome, RankList, RemoveOutcome};
-use crate::schema::{Column, Schema};
+use crate::schema::Schema;
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
@@ -261,6 +267,15 @@ impl<F> Change<F> {
     /// True for [`Change::Unchanged`].
     pub fn is_unchanged(&self) -> bool {
         matches!(self, Change::Unchanged)
+    }
+
+    /// The same change, a wholesale one carrying what `f` makes of its state.
+    fn map_full<G>(self, f: impl FnOnce(F) -> G) -> Change<G> {
+        match self {
+            Change::Unchanged => Change::Unchanged,
+            Change::Patch(p) => Change::Patch(p),
+            Change::Full(new) => Change::Full(f(new)),
+        }
     }
 }
 
@@ -869,86 +884,6 @@ impl<T: Default> FirstSeenPatch<T> {
     }
 }
 
-/// Rows go through the executor in slices of at most this many. The
-/// executor copies and validates an inline relation once more, so a whole
-/// decode input pushed through at once — a plan's first evaluation, a
-/// wholesale refresh — would be resident three times over; a slice at a
-/// time it is resident once, plus the slice. Large enough that a slice
-/// still runs morsel-parallel.
-const BATCH_ROWS: usize = 2 * crate::exec::PARALLEL_THRESHOLD;
-
-/// Evaluate `predicate` over `rows` through the executor, returning a
-/// pass/fail flag per row. A synthetic INT ordinal column (named to avoid
-/// collisions) rides through the Select so surviving ordinals identify the
-/// passing rows; predicate errors surface in row order, exactly as a full
-/// evaluation over the same rows would report them.
-fn select_batch<'r>(
-    exec: &Executor,
-    in_schema: &Schema,
-    predicate: &Expr,
-    rows: impl IntoIterator<Item = &'r Row>,
-) -> RelResult<Vec<bool>> {
-    let mut ord = "__delta_ord".to_owned();
-    while in_schema.index_of(&ord).is_some() {
-        ord.push('_');
-    }
-    let mut cols = in_schema.columns().to_vec();
-    cols.push(Column::new(ord, DataType::Int));
-    let schema = Schema::new(in_schema.name.clone(), cols)?;
-    let mut passed = Vec::new();
-    let mut rows = rows.into_iter().peekable();
-    while rows.peek().is_some() {
-        let base = passed.len();
-        let slice: Vec<Row> = rows
-            .by_ref()
-            .take(BATCH_ROWS)
-            .enumerate()
-            .map(|(i, r)| {
-                let mut r = r.clone();
-                r.push(Value::Int(i as i64));
-                r
-            })
-            .collect();
-        passed.resize(base + slice.len(), false);
-        let plan = Plan::Values {
-            schema: schema.clone(),
-            rows: slice,
-        }
-        .select(predicate.clone());
-        let out = exec.execute(&plan, &Database::new("__delta_batch__"))?;
-        for r in out.iter_rows() {
-            if let Some(Value::Int(i)) = r.last() {
-                passed[base + *i as usize] = true;
-            }
-        }
-    }
-    Ok(passed)
-}
-
-/// Evaluate projection expressions over `rows` through the executor. Row
-/// and in-row column error order match a full evaluation over these rows.
-fn project_batch(
-    exec: &Executor,
-    in_schema: &Schema,
-    columns: &[(String, Expr)],
-    rows: Vec<Row>,
-) -> RelResult<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    let mut rows = rows.into_iter().peekable();
-    while rows.peek().is_some() {
-        let plan = Plan::Values {
-            schema: in_schema.clone(),
-            rows: rows.by_ref().take(BATCH_ROWS).collect(),
-        }
-        .project(columns.to_vec());
-        out.extend(
-            exec.execute(&plan, &Database::new("__delta_batch__"))?
-                .into_rows(),
-        );
-    }
-    Ok(out)
-}
-
 /// Per-group accumulators plus the live row count that decides group death.
 #[derive(Clone)]
 struct GroupState {
@@ -996,31 +931,29 @@ impl RecomputeKernel {
 }
 
 /// One operator of a [`DeltaPlan`], holding whatever cached state its
-/// differential rule needs. Mirrors [`Plan`] node for node.
+/// differential rule needs. Mirrors the prepared [`Plan`] node for node.
 #[derive(Clone)]
 enum DNode {
     Scan {
         table: String,
-        schema: Schema,
-        len: usize,
+        /// The table's length when last read; `None` before the first
+        /// refresh, which therefore reads it whole.
+        len: Option<usize>,
     },
-    Values,
-    Select {
+    /// An inline relation: its validated rows until the first refresh
+    /// hands them on, then nothing — they never change.
+    Values { rows: Option<Vec<Row>> },
+    /// A fused Select/Project chain, as the executor's `compile` builds
+    /// it (a `Rename` only rewrites the schema and leaves no node).
+    Pipe {
         input: Box<DNode>,
-        in_schema: Schema,
-        predicate: Expr,
-        /// One entry per child row; weight 1 marks rows that pass the
-        /// predicate, so `weight_before(i)` is child row `i`'s output rank
-        /// in `O(log n)` and patch events splice in `O(log n)` each.
-        lineage: RankList<()>,
-    },
-    Project {
-        input: Box<DNode>,
-        in_schema: Schema,
-        columns: Vec<(String, Expr)>,
-    },
-    Rename {
-        input: Box<DNode>,
+        stages: Vec<Stage<'static>>,
+        /// With a filter among the stages: one entry per input row, weight
+        /// 1 marking rows that reach the output, so `weight_before(i)` is
+        /// input row `i`'s output rank in `O(log n)` and patch events
+        /// splice in `O(log n)` each. `None` when every stage maps a row
+        /// to a row and positions carry over unchanged.
+        lineage: Option<RankList<()>>,
     },
     Union {
         inputs: Vec<DNode>,
@@ -1262,166 +1195,95 @@ fn probe_left(
     }
 }
 
+/// How `t` changed since a scan last read `len` of its rows: the claim,
+/// when it is consistent with the table as it stands; `Full` when it is
+/// missing, wholesale or inconsistent with the table's actual size — and
+/// on the first read, before which there is no length to patch.
+fn scan_change(t: &Table, len: &mut Option<usize>, claim: Option<&Change>) -> Change<()> {
+    let change = match (claim, *len) {
+        (Some(Change::Patch(p)), Some(old)) if p.valid_for(old) && p.new_len(old) == t.len() => {
+            Change::Patch(p.clone())
+        }
+        (None | Some(Change::Unchanged), Some(old)) if old == t.len() => Change::Unchanged,
+        _ => Change::Full(()),
+    };
+    *len = Some(t.len());
+    change
+}
+
 impl DNode {
-    /// Evaluate `plan` bottom-up, caching per-operator state. Returns the
-    /// node, its exact output schema, and its output rows — byte-identical
-    /// to what the interpreter/executor produce (binding errors, row
-    /// errors, and validation errors surface in the same order).
-    fn init(plan: &Plan, db: &Database, exec: &Executor) -> RelResult<(DNode, Schema, Vec<Row>)> {
-        match plan {
-            Plan::Scan(name) => {
-                let t = db.table(name)?;
-                Ok((
-                    DNode::Scan {
-                        table: name.clone(),
-                        schema: t.schema().clone(),
-                        len: t.len(),
-                    },
-                    t.schema().clone(),
-                    t.rows_from(0),
-                ))
+    /// Bind `plan` the way the executor's `compile` does — children first,
+    /// each union input checked as it binds, an inline relation validated
+    /// where it stands — so every binding error surfaces, in `compile`'s
+    /// order, before any row moves. The schema half is [`bind_node`]'s;
+    /// the node resolves its column positions and holds empty state. Its
+    /// first refresh reads every leaf whole, so each rule's `Full` arm is
+    /// what builds that state.
+    fn bind(plan: &Plan, db: &Database) -> RelResult<(DNode, Schema)> {
+        let mut children = Vec::new();
+        let mut inputs: Vec<Schema> = Vec::new();
+        for child in plan.children() {
+            let (node, schema) = DNode::bind(child, db)?;
+            if let (Plan::Union { .. }, Some(first)) = (plan, inputs.first()) {
+                check_union_compatible(&keyless(first.clone()), &schema)?;
             }
-            Plan::Values { schema, rows } => {
-                let t = Table::from_rows(schema.clone(), rows.clone())?;
-                let schema = t.schema().clone();
-                Ok((DNode::Values, schema, t.into_rows()))
-            }
-            Plan::Select { input, predicate } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let schema = keyless(cs);
-                let passed = select_batch(exec, &schema, predicate, &crows)?;
-                let mut out = Vec::new();
-                for (i, r) in crows.into_iter().enumerate() {
-                    if passed[i] {
-                        out.push(r);
-                    }
+            children.push(node);
+            inputs.push(schema);
+        }
+        let schema = bind_node(plan, &inputs, db)?;
+        let mut children = children.into_iter();
+        let mut input = || Box::new(children.next().expect("one node per child"));
+        let node = match plan {
+            Plan::Scan(table) => DNode::Scan {
+                table: table.clone(),
+                len: None,
+            },
+            Plan::Values { schema, rows } => DNode::Values {
+                rows: Some(Table::from_rows(schema.clone(), rows.clone())?.into_rows()),
+            },
+            Plan::Select { predicate, .. } => DNode::piped(
+                *input(),
+                Stage::Filter {
+                    predicate: Cow::Owned(predicate.clone()),
+                    schema: inputs[0].clone(),
+                },
+            ),
+            Plan::Project { columns, .. } => DNode::piped(
+                *input(),
+                Stage::Map(MapStage::new(
+                    columns.clone(),
+                    inputs[0].clone(),
+                    schema.clone(),
+                )),
+            ),
+            Plan::Rename { .. } => *input(),
+            Plan::Union { .. } => DNode::Union {
+                inputs: children.collect(),
+                child_lens: vec![0; inputs.len()],
+                schema: schema.clone(),
+            },
+            Plan::Join { on, kind, .. } => {
+                let (left, right) = (input(), input());
+                DNode::Join {
+                    left_rows: left.stored().is_none().then(Vec::new),
+                    left,
+                    right,
+                    right_rows: Vec::new(),
+                    index: HashMap::new(),
+                    out_counts: Vec::new(),
+                    l_idx: resolve_columns(&inputs[0], on.iter().map(|(l, _)| l))?,
+                    r_idx: resolve_columns(&inputs[1], on.iter().map(|(_, r)| r))?,
+                    r_arity: inputs[1].arity(),
+                    kind: *kind,
                 }
-                let (lineage, _) =
-                    RankList::from_entries(passed.iter().map(|&b| ((), u32::from(b))));
-                Ok((
-                    DNode::Select {
-                        input: Box::new(child),
-                        in_schema: schema.clone(),
-                        predicate: predicate.clone(),
-                        lineage,
-                    },
-                    schema,
-                    out,
-                ))
-            }
-            Plan::Project { input, columns } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let schema = crate::algebra::project_output_schema(&cs, columns)?;
-                let in_schema = keyless(cs);
-                let out = project_batch(exec, &in_schema, columns, crows)?;
-                Ok((
-                    DNode::Project {
-                        input: Box::new(child),
-                        in_schema,
-                        columns: columns.clone(),
-                    },
-                    schema,
-                    out,
-                ))
-            }
-            Plan::Rename {
-                input,
-                table,
-                columns,
-            } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let schema = crate::algebra::rename_output_schema(&cs, table.as_deref(), columns)?;
-                Ok((
-                    DNode::Rename {
-                        input: Box::new(child),
-                    },
-                    schema,
-                    crows,
-                ))
-            }
-            Plan::Union { inputs } => {
-                let mut iter = inputs.iter();
-                let first = iter
-                    .next()
-                    .ok_or_else(|| RelError::Plan("union of zero inputs".into()))?;
-                let (n0, s0, r0) = DNode::init(first, db, exec)?;
-                let schema = keyless(s0);
-                let mut nodes = vec![n0];
-                let mut child_rows = vec![r0];
-                for p in iter {
-                    let (n, s, r) = DNode::init(p, db, exec)?;
-                    check_union_compatible(&schema, &s)?;
-                    nodes.push(n);
-                    child_rows.push(r);
-                }
-                // The union schema keeps child 0's nullability; rows of the
-                // other children are the only operator outputs that can
-                // fail output validation, exactly as `from_rows` reports.
-                for rows in child_rows.iter().skip(1) {
-                    for r in rows {
-                        schema.check_row(r)?;
-                    }
-                }
-                let child_lens = child_rows.iter().map(Vec::len).collect();
-                let out: Vec<Row> = child_rows.into_iter().flatten().collect();
-                Ok((
-                    DNode::Union {
-                        inputs: nodes,
-                        child_lens,
-                        schema: schema.clone(),
-                    },
-                    schema,
-                    out,
-                ))
-            }
-            Plan::Join {
-                left,
-                right,
-                on,
-                kind,
-            } => {
-                let (nl, ls, left_rows) = DNode::init(left, db, exec)?;
-                let (nr, rs, right_rows) = DNode::init(right, db, exec)?;
-                let l_idx = resolve_columns(&ls, on.iter().map(|(l, _)| l))?;
-                let r_idx = resolve_columns(&rs, on.iter().map(|(_, r)| r))?;
-                let schema = join_output_schema(&ls, &rs, *kind)?;
-                let r_arity = rs.arity();
-                let index = build_join_index(&right_rows, &r_idx);
-                let mut out = Vec::new();
-                let mut out_counts = Vec::with_capacity(left_rows.len());
-                for lrow in &left_rows {
-                    let outs = probe_left(lrow, &l_idx, &index, &right_rows, r_arity, *kind);
-                    out_counts.push(outs.len());
-                    out.extend(outs);
-                }
-                let left_rows = nl.stored(db).is_none().then_some(left_rows);
-                Ok((
-                    DNode::Join {
-                        left: Box::new(nl),
-                        right: Box::new(nr),
-                        left_rows,
-                        right_rows,
-                        index,
-                        out_counts,
-                        l_idx,
-                        r_idx,
-                        r_arity,
-                        kind: *kind,
-                    },
-                    schema,
-                    out,
-                ))
             }
             Plan::AggregateBy {
-                input,
                 group_by,
                 aggregates,
+                ..
             } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let g_idx = resolve_columns(&cs, group_by)?;
-                let agg_idx = resolve_aggregate_columns(&cs, aggregates)?;
-                let schema = aggregate_output_schema(&cs, &g_idx, &agg_idx, aggregates)?;
-                let global = g_idx.is_empty();
+                let cs = &inputs[0];
+                let agg_idx = resolve_aggregate_columns(cs, aggregates)?;
                 let retractable = aggregates
                     .iter()
                     .zip(&agg_idx)
@@ -1432,307 +1294,184 @@ impl DNode {
                         }
                         AggFunc::Min(_) | AggFunc::Max(_) => false,
                     });
-                let groups = agg_build(&crows, &g_idx, &agg_idx, aggregates.len(), global);
-                let rows_idx = FirstSeenIndex::from_entries(agg_entries(crows, &g_idx));
-                let out = agg_emit(&rows_idx, &groups, aggregates, global);
-                for r in &out {
-                    schema.check_row(r)?;
+                DNode::Aggregate {
+                    input: input(),
+                    rows_idx: FirstSeenIndex::from_entries(Vec::new()),
+                    groups: HashMap::new(),
+                    g_idx: resolve_columns(cs, group_by)?,
+                    agg_idx,
+                    aggregates: aggregates.clone(),
+                    retractable,
+                    global: group_by.is_empty(),
+                    schema: schema.clone(),
                 }
-                Ok((
-                    DNode::Aggregate {
-                        input: Box::new(child),
-                        rows_idx,
-                        groups,
-                        g_idx,
-                        agg_idx,
-                        aggregates: aggregates.clone(),
-                        retractable,
-                        global,
-                        schema: schema.clone(),
-                    },
-                    schema,
-                    out,
-                ))
             }
             Plan::Pivot {
-                input,
                 keys,
                 attr_col,
                 val_col,
                 attrs,
-            } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let key_idx = resolve_columns(&cs, keys)?;
-                let attr_idx = resolve_column(&cs, attr_col)?;
-                let val_idx = resolve_column(&cs, val_col)?;
-                let schema = pivot_output_schema(&cs, &key_idx, attrs)?;
-                let cells = FirstSeenIndex::from_entries(pivot_entries(
-                    &crows, &key_idx, attr_idx, val_idx, attrs,
-                )?);
-                let out = pivot_emit(&cells, attrs.len());
-                Ok((
-                    DNode::Pivot {
-                        input: Box::new(child),
-                        cells,
-                        key_idx,
-                        attr_idx,
-                        val_idx,
-                        attrs: attrs.clone(),
+                ..
+            } => DNode::Pivot {
+                input: input(),
+                cells: FirstSeenIndex::from_entries(Vec::new()),
+                key_idx: resolve_columns(&inputs[0], keys)?,
+                attr_idx: resolve_column(&inputs[0], attr_col)?,
+                val_idx: resolve_column(&inputs[0], val_col)?,
+                attrs: attrs.clone(),
+            },
+            Plan::Sort { .. }
+            | Plan::Distinct { .. }
+            | Plan::Limit { .. }
+            | Plan::Unpivot { .. } => {
+                let cs = &inputs[0];
+                let kernel = match plan {
+                    Plan::Sort { by, .. } => RecomputeKernel::Sort {
+                        idxs: resolve_columns(cs, by)?,
                     },
-                    schema,
-                    out,
-                ))
+                    Plan::Limit { n, .. } => RecomputeKernel::Limit { n: *n },
+                    Plan::Unpivot { keys, .. } => {
+                        let key_idx = resolve_columns(cs, keys)?;
+                        let data_idx = (0..cs.arity()).filter(|i| !key_idx.contains(i)).collect();
+                        RecomputeKernel::Unpivot { key_idx, data_idx }
+                    }
+                    _ => RecomputeKernel::Distinct,
+                };
+                DNode::Recompute {
+                    input: input(),
+                    in_schema: cs.clone(),
+                    in_rows: Vec::new(),
+                    kernel,
+                }
             }
-            Plan::Sort { input, by } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let schema = keyless(cs);
-                let idxs = resolve_columns(&schema, by)?;
-                let kernel = RecomputeKernel::Sort { idxs };
-                let out = kernel.run(&schema, &crows);
-                Ok((
-                    DNode::Recompute {
-                        input: Box::new(child),
-                        in_schema: schema.clone(),
-                        in_rows: crows,
-                        kernel,
-                    },
-                    schema,
-                    out,
-                ))
-            }
-            Plan::Distinct { input } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let schema = keyless(cs);
-                let kernel = RecomputeKernel::Distinct;
-                let out = kernel.run(&schema, &crows);
-                Ok((
-                    DNode::Recompute {
-                        input: Box::new(child),
-                        in_schema: schema.clone(),
-                        in_rows: crows,
-                        kernel,
-                    },
-                    schema,
-                    out,
-                ))
-            }
-            Plan::Limit { input, n } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let schema = keyless(cs);
-                let kernel = RecomputeKernel::Limit { n: *n };
-                let out = kernel.run(&schema, &crows);
-                Ok((
-                    DNode::Recompute {
-                        input: Box::new(child),
-                        in_schema: schema.clone(),
-                        in_rows: crows,
-                        kernel,
-                    },
-                    schema,
-                    out,
-                ))
-            }
-            Plan::Unpivot {
+        };
+        Ok((node, schema))
+    }
+
+    /// `node` with `stage` fused on: appended to its pipeline, or the
+    /// first stage of one over it.
+    fn piped(node: DNode, stage: Stage<'static>) -> DNode {
+        let (input, mut stages, mut lineage) = match node {
+            DNode::Pipe {
                 input,
-                keys,
-                attr_col,
-                val_col,
-            } => {
-                let (child, cs, crows) = DNode::init(input, db, exec)?;
-                let key_idx = resolve_columns(&cs, keys)?;
-                let data_idx: Vec<usize> =
-                    (0..cs.arity()).filter(|i| !key_idx.contains(i)).collect();
-                let schema = unpivot_output_schema(&cs, &key_idx, attr_col, val_col)?;
-                let kernel = RecomputeKernel::Unpivot { key_idx, data_idx };
-                let out = kernel.run(&cs, &crows);
-                Ok((
-                    DNode::Recompute {
-                        input: Box::new(child),
-                        in_schema: cs,
-                        in_rows: crows,
-                        kernel,
-                    },
-                    schema,
-                    out,
-                ))
-            }
+                stages,
+                lineage,
+            } => (input, stages, lineage),
+            other => (Box::new(other), Vec::new(), None),
+        };
+        if matches!(stage, Stage::Filter { .. }) {
+            lineage.get_or_insert_with(RankList::new);
+        }
+        stages.push(stage);
+        DNode::Pipe {
+            input,
+            stages,
+            lineage,
         }
     }
 
     /// The stored table whose rows are this node's output as they stand
-    /// — a bare scan's (renames change no row). An operator above such a
-    /// node need not cache its input: the database holds it.
-    fn stored<'d>(&self, db: &'d Database) -> Option<RelResult<&'d Table>> {
+    /// — a bare scan's (renames change no row and leave no node). An
+    /// operator above such a node need not cache its input: the database
+    /// holds it.
+    fn stored(&self) -> Option<&str> {
         match self {
-            DNode::Scan { table, .. } => Some(db.table(table)),
-            DNode::Rename { input } => input.stored(db),
+            DNode::Scan { table, .. } => Some(table),
             _ => None,
-        }
-    }
-
-    /// True when any scanned table's current schema differs from the one
-    /// this node tree was initialized against (bindings would be stale).
-    fn scans_stale(&self, db: &Database) -> bool {
-        match self {
-            DNode::Scan { table, schema, .. } => db
-                .table(table)
-                .map(|t| t.schema() != schema)
-                .unwrap_or(false),
-            DNode::Values => false,
-            DNode::Select { input, .. }
-            | DNode::Project { input, .. }
-            | DNode::Rename { input }
-            | DNode::Aggregate { input, .. }
-            | DNode::Pivot { input, .. }
-            | DNode::Recompute { input, .. } => input.scans_stale(db),
-            DNode::Union { inputs, .. } => inputs.iter().any(|n| n.scans_stale(db)),
-            DNode::Join { left, right, .. } => left.scans_stale(db) || right.scans_stale(db),
         }
     }
 
     /// Propagate input changes through this operator, updating cached
     /// state and returning how this node's output changed. Children
-    /// refresh left-to-right before their parent (the interpreter's
-    /// evaluation order), so errors surface in rebuild order.
-    fn refresh(
-        &mut self,
-        db: &Database,
-        changes: &TableChanges,
-        exec: &Executor,
-    ) -> RelResult<Flow> {
+    /// refresh before their parent in the order the executor drives them
+    /// (a join's build side first), so errors surface in its order.
+    fn refresh(&mut self, db: &Database, changes: &TableChanges) -> RelResult<Flow> {
         match self {
-            DNode::Scan { table, schema, len } => {
+            DNode::Scan { table, len } => {
                 let t = db.table(table)?;
-                debug_assert_eq!(t.schema(), schema, "pre-checked by DeltaPlan::refresh");
-                match changes.get(table) {
-                    Some(Change::Patch(p)) if p.valid_for(*len) && p.new_len(*len) == t.len() => {
-                        let out = Change::Patch(p.clone());
-                        *len = t.len();
-                        Ok(out)
-                    }
-                    None | Some(Change::Unchanged) if t.len() == *len => Ok(Change::Unchanged),
-                    _ => {
-                        // Claim missing, wholesale, or inconsistent with the
-                        // table's actual size: fall back to the real rows.
-                        *len = t.len();
-                        Ok(Change::Full(t.rows_from(0)))
-                    }
-                }
+                Ok(scan_change(t, len, changes.get(table)).map_full(|()| t.rows_from(0)))
             }
-            DNode::Values => Ok(Change::Unchanged),
-            DNode::Select {
+            DNode::Values { rows } => Ok(rows.take().map_or(Change::Unchanged, Change::Full)),
+            DNode::Pipe {
                 input,
-                in_schema,
-                predicate,
+                stages,
                 lineage,
-            } => match input.refresh(db, changes, exec)? {
-                Change::Unchanged => Ok(Change::Unchanged),
-                Change::Full(rows) => {
-                    let passed = select_batch(exec, in_schema, predicate, &rows)?;
-                    let mut out = Vec::new();
-                    for (i, r) in rows.into_iter().enumerate() {
-                        if passed[i] {
-                            out.push(r);
+            } => {
+                // Rows run every stage before the next row starts — the
+                // executor's walk, so the first failing row raises what it
+                // raises, whichever stage fails.
+                let run = |rows: Vec<Row>| -> RelResult<Vec<Option<Row>>> {
+                    rows.into_iter().map(|r| apply_stages(stages, r)).collect()
+                };
+                let p = match input.refresh(db, changes)? {
+                    Change::Unchanged => return Ok(Change::Unchanged),
+                    Change::Full(rows) => {
+                        let outs = run(rows)?;
+                        if let Some(lineage) = lineage {
+                            let weights = outs.iter().map(|o| ((), u32::from(o.is_some())));
+                            *lineage = RankList::from_entries(weights).0;
                         }
+                        return Ok(Change::Full(outs.into_iter().flatten().collect()));
                     }
-                    let (lin, _) =
-                        RankList::from_entries(passed.iter().map(|&b| ((), u32::from(b))));
-                    *lineage = lin;
-                    Ok(Change::Full(out))
-                }
-                Change::Patch(p) => {
-                    // Only delta rows see the predicate (retained rows
-                    // evaluated it in a previous successful run). Two
-                    // passes over the patch events, each O(delta · log n):
-                    // pass 1 reads output ranks against the pre-state
-                    // lineage; pass 2 splices the events into the index.
-                    let passed = select_batch(exec, in_schema, predicate, p.new_rows())?;
-                    let mut pb = PatchBuilder::default();
-                    // Pass 1 (ascending, read-only): inserts before the
-                    // delete at the same child position, mirroring patch
-                    // application order.
-                    let mut del = p.deleted().iter().peekable();
-                    let mut ins = p.inserted().iter().peekable();
-                    let mut ci = 0usize; // candidate cursor
-                    while del.peek().is_some() || ins.peek().is_some() {
-                        let dp = del.peek().map_or(usize::MAX, |&&d| d);
-                        let ip = ins.peek().map_or(usize::MAX, |(pos, _)| *pos);
-                        if ip <= dp {
-                            let (pos, rows) = ins.next().expect("peeked");
-                            let rank = lineage.weight_before(*pos) as usize;
-                            for r in rows {
-                                if passed[ci] {
-                                    pb.insert(rank, r.clone());
-                                }
-                                ci += 1;
-                            }
-                        } else {
-                            let d = *del.next().expect("peeked");
-                            if lineage.weight_of(lineage.id_at(d)) == 1 {
-                                pb.delete(lineage.weight_before(d) as usize);
-                            }
-                        }
-                    }
-                    // Pass 2 (descending mutation): higher positions first
-                    // so every event still applies at a valid pre-state
-                    // ordinal; at equal positions the delete goes first.
-                    let starts: Vec<usize> = {
-                        let mut s = 0usize;
-                        p.inserted()
-                            .iter()
-                            .map(|(_, rows)| {
-                                let here = s;
-                                s += rows.len();
-                                here
-                            })
-                            .collect()
-                    };
-                    let mut di = p.deleted().len();
-                    let mut gi = p.inserted().len();
-                    while di > 0 || gi > 0 {
-                        let take_delete =
-                            di > 0 && (gi == 0 || p.deleted()[di - 1] >= p.inserted()[gi - 1].0);
-                        if take_delete {
-                            di -= 1;
-                            lineage.remove_at(p.deleted()[di]);
-                        } else {
-                            gi -= 1;
-                            let (pos, rows) = &p.inserted()[gi];
-                            for k in 0..rows.len() {
-                                lineage.insert_at(pos + k, (), u32::from(passed[starts[gi] + k]));
-                            }
-                        }
-                    }
-                    Ok(pb.into_change())
-                }
-            },
-            DNode::Project {
-                input,
-                in_schema,
-                columns,
-            } => match input.refresh(db, changes, exec)? {
-                Change::Unchanged => Ok(Change::Unchanged),
-                Change::Full(rows) => {
-                    Ok(Change::Full(project_batch(exec, in_schema, columns, rows)?))
-                }
-                Change::Patch(p) => {
-                    // 1:1 positional: delta rows map through the executor,
-                    // positions carry over unchanged.
-                    let outs =
-                        project_batch(exec, in_schema, columns, p.new_rows().cloned().collect())?;
-                    let mut it = outs.into_iter();
-                    let inserted = p
-                        .inserted()
-                        .iter()
-                        .map(|(pos, rows)| (*pos, it.by_ref().take(rows.len()).collect()))
+                    Change::Patch(p) => p,
+                };
+                // Only delta rows run the stages (retained rows ran them
+                // in a previous successful run).
+                let inserted = p
+                    .inserted
+                    .into_iter()
+                    .map(|(pos, rows)| Ok((pos, run(rows)?)))
+                    .collect::<RelResult<Vec<_>>>()?;
+                let deleted = p.deleted;
+                let Some(lineage) = lineage else {
+                    let inserted = inserted
+                        .into_iter()
+                        .map(|(pos, outs)| (pos, outs.into_iter().flatten().collect()))
                         .collect();
-                    Ok(Change::Patch(Patch {
-                        deleted: p.deleted().to_vec(),
-                        inserted,
-                    }))
+                    return Ok(Change::Patch(Patch { deleted, inserted }));
+                };
+                // Two passes over the patch events, each O(delta · log n).
+                // Pass 1 (ascending, read-only) reads output ranks against
+                // the pre-state lineage: inserts before the delete at the
+                // same input position, mirroring patch application order.
+                let mut pb = PatchBuilder::default();
+                let mut del = deleted.iter().peekable();
+                let mut ins = inserted.iter().peekable();
+                while del.peek().is_some() || ins.peek().is_some() {
+                    let dp = del.peek().map_or(usize::MAX, |&&d| d);
+                    let ip = ins.peek().map_or(usize::MAX, |(pos, _)| *pos);
+                    if ip <= dp {
+                        let (pos, outs) = ins.next().expect("peeked");
+                        let rank = lineage.weight_before(*pos) as usize;
+                        for r in outs.iter().flatten() {
+                            pb.insert(rank, r.clone());
+                        }
+                    } else {
+                        let d = *del.next().expect("peeked");
+                        if lineage.weight_of(lineage.id_at(d)) == 1 {
+                            pb.delete(lineage.weight_before(d) as usize);
+                        }
+                    }
                 }
-            },
-            DNode::Rename { input } => input.refresh(db, changes, exec),
+                // Pass 2 (descending mutation) splices the events into the
+                // lineage, higher positions first so every event still
+                // applies at a valid pre-state ordinal; at equal positions
+                // the delete goes first.
+                let (mut di, mut gi) = (deleted.len(), inserted.len());
+                while di > 0 || gi > 0 {
+                    if di > 0 && (gi == 0 || deleted[di - 1] >= inserted[gi - 1].0) {
+                        di -= 1;
+                        lineage.remove_at(deleted[di]);
+                    } else {
+                        gi -= 1;
+                        let (pos, outs) = &inserted[gi];
+                        for (k, o) in outs.iter().enumerate() {
+                            lineage.insert_at(pos + k, (), u32::from(o.is_some()));
+                        }
+                    }
+                }
+                Ok(pb.into_change())
+            }
             DNode::Union {
                 inputs,
                 child_lens,
@@ -1740,28 +1479,27 @@ impl DNode {
             } => {
                 let mut ch = Vec::with_capacity(inputs.len());
                 for n in inputs.iter_mut() {
-                    ch.push(n.refresh(db, changes, exec)?);
-                }
-                if ch.iter().all(Change::is_unchanged) {
-                    return Ok(Change::Unchanged);
-                }
-                // New rows from children ≥ 1 are the only fallible output
-                // validation (the union schema keeps child 0's nullability);
-                // check them in output order, as `from_rows` would.
-                for c in ch.iter().skip(1) {
-                    match c {
-                        Change::Unchanged => {}
-                        Change::Patch(p) => {
-                            for r in p.new_rows() {
-                                schema.check_row(r)?;
+                    let c = n.refresh(db, changes)?;
+                    // New rows from children ≥ 1 are the only fallible
+                    // output validation (the union schema keeps child 0's
+                    // nullability); each child's are checked as it
+                    // arrives, before the next child runs — the
+                    // executor's order.
+                    if !ch.is_empty() {
+                        match &c {
+                            Change::Unchanged => {}
+                            Change::Patch(p) => {
+                                p.new_rows().try_for_each(|r| schema.check_row(r))?
                             }
-                        }
-                        Change::Full(rows) => {
-                            for r in rows {
-                                schema.check_row(r)?;
+                            Change::Full(rows) => {
+                                rows.iter().try_for_each(|r| schema.check_row(r))?
                             }
                         }
                     }
+                    ch.push(c);
+                }
+                if ch.iter().all(Change::is_unchanged) {
+                    return Ok(Change::Unchanged);
                 }
                 if ch.iter().all(|c| matches!(c, Change::Full(_))) {
                     let mut out = Vec::new();
@@ -1819,8 +1557,9 @@ impl DNode {
                 r_arity,
                 kind,
             } => {
-                let lc = left.refresh(db, changes, exec)?;
-                let rc = right.refresh(db, changes, exec)?;
+                // The build side first, as the executor drives it.
+                let rc = right.refresh(db, changes)?;
+                let lc = left.refresh(db, changes)?;
                 match (lc, rc) {
                     (Change::Unchanged, Change::Unchanged) => Ok(Change::Unchanged),
                     (Change::Patch(p), Change::Unchanged) => {
@@ -1868,17 +1607,24 @@ impl DNode {
                     }
                     (lc, rc) => {
                         // Build side changed (or probe side replaced):
-                        // rebuild the index and re-probe everything.
-                        let reread;
-                        let left_rows = match left_rows {
-                            Some(rows) => {
+                        // rebuild the index and re-probe every probe row —
+                        // the cached ones, the ones a wholesale change
+                        // carries, or, over an unchanged or patched stored
+                        // table nobody caches, the table read again.
+                        let fresh;
+                        let left_rows = match (left_rows, lc) {
+                            (Some(rows), lc) => {
                                 lc.apply_to(rows);
                                 &*rows
                             }
-                            None => {
-                                let stored = left.stored(db).expect("stored at init");
-                                reread = stored?.rows_from(0);
-                                &reread
+                            (None, Change::Full(rows)) => {
+                                fresh = rows;
+                                &fresh
+                            }
+                            (None, _) => {
+                                let stored = left.stored().expect("stored probe side");
+                                fresh = db.table(stored)?.rows_from(0);
+                                &fresh
                             }
                         };
                         rc.apply_to(right_rows);
@@ -1906,7 +1652,7 @@ impl DNode {
                 schema,
             } => {
                 let n_aggs = aggregates.len();
-                match input.refresh(db, changes, exec)? {
+                match input.refresh(db, changes)? {
                     Change::Unchanged => Ok(Change::Unchanged),
                     Change::Full(rows) => {
                         *groups = agg_build(&rows, g_idx, agg_idx, n_aggs, *global);
@@ -1994,7 +1740,7 @@ impl DNode {
                 attr_idx,
                 val_idx,
                 attrs,
-            } => match input.refresh(db, changes, exec)? {
+            } => match input.refresh(db, changes)? {
                 Change::Unchanged => Ok(Change::Unchanged),
                 Change::Full(rows) => {
                     *cells = FirstSeenIndex::from_entries(pivot_entries(
@@ -2024,7 +1770,7 @@ impl DNode {
                 in_schema,
                 in_rows,
                 kernel,
-            } => match input.refresh(db, changes, exec)? {
+            } => match input.refresh(db, changes)? {
                 Change::Unchanged => Ok(Change::Unchanged),
                 c => {
                     // Order-sensitive whole-input operators (Sort,
@@ -2051,9 +1797,19 @@ impl DNode {
 /// recomputation on any mismatch). After an error the plan is *poisoned*:
 /// the next refresh re-initializes from scratch, reproducing the rebuild's
 /// behavior — including the same error if the fault persists.
+///
+/// Both take the session's executor handle. The rules run its stage code
+/// row by row on the calling thread, so none of its settings changes what
+/// a refresh computes or how.
 #[derive(Clone)]
 pub struct DeltaPlan {
+    /// The plan as written: what a re-initialization prepares again.
     plan: Plan,
+    /// Every table the plan as written scans, with the schema it had at
+    /// init — a lookup table `prepare` dropped from the resident tree
+    /// included, since its going or changing shape changes the plan's
+    /// outcome.
+    scans: Vec<(String, Schema)>,
     root: DNode,
     /// The cached output, a persistent [`Table`]: a refresh moves it by
     /// [`Table::apply_patch`], and [`DeltaPlan::output`] hands out clones
@@ -2064,31 +1820,28 @@ pub struct DeltaPlan {
 }
 
 impl DeltaPlan {
-    /// Evaluate `plan` once, caching per-operator differential state.
-    pub fn init(plan: &Plan, db: &Database, exec: &Executor) -> RelResult<DeltaPlan> {
-        let (root, out) = match plan {
-            // A bare scan's output is the stored table itself, as it is
-            // the executor's: the same storage, primary key included.
-            Plan::Scan(name) => {
-                let t = db.table(name)?;
-                let root = DNode::Scan {
-                    table: name.clone(),
-                    schema: t.schema().clone(),
-                    len: t.len(),
-                };
-                (root, t.clone())
-            }
-            _ => {
-                let (root, schema, rows) = DNode::init(plan, db, exec)?;
-                (root, Table::from_validated(schema, rows)?)
-            }
-        };
-        Ok(DeltaPlan {
+    /// Evaluate `plan` once, caching per-operator differential state: the
+    /// plan the executor would run ([`crate::optimize::prepare`]), bound
+    /// before a row moves, then refreshed once with every leaf read whole.
+    /// Table, schema and first error are those of
+    /// [`Executor::execute`].
+    pub fn init(plan: &Plan, db: &Database, _exec: &Executor) -> RelResult<DeltaPlan> {
+        let prepared = crate::optimize::prepare(plan, db);
+        let (root, schema) = DNode::bind(prepared.as_ref().unwrap_or(plan), db)?;
+        let scans = plan
+            .scanned_tables()
+            .into_iter()
+            .map(|t| Ok((t.to_owned(), db.table(t)?.schema().clone())))
+            .collect::<RelResult<_>>()?;
+        let mut dp = DeltaPlan {
             plan: plan.clone(),
+            scans,
             root,
-            out,
+            out: Table::new(schema),
             poisoned: false,
-        })
+        };
+        dp.land(db, &TableChanges::new())?;
+        Ok(dp)
     }
 
     /// The plan's output schema.
@@ -2132,44 +1885,54 @@ impl DeltaPlan {
         changes: &TableChanges,
         exec: &Executor,
     ) -> RelResult<Change> {
-        if self.poisoned || self.root.scans_stale(db) {
-            // Full re-initialization: either the previous refresh errored,
-            // or a scanned table's schema changed under us (stale bindings).
-            let fresh = DeltaPlan::init(&self.plan, db, exec)?;
-            *self = fresh;
-            return Ok(Change::Full(self.out.clone()));
-        }
-        // The cached output takes the change the operators report; a
-        // bare scan's output is whatever table the database holds now.
-        let landed = self.root.refresh(db, changes, exec).and_then(|flow| {
-            let stored = match &self.plan {
-                Plan::Scan(name) => Some(db.table(name)?),
-                _ => None,
-            };
-            match (flow, stored) {
-                (Change::Unchanged, _) => Ok(Change::Unchanged),
-                (Change::Patch(p), Some(t)) => {
-                    self.out = t.clone();
-                    Ok(Change::Patch(p))
-                }
-                (Change::Patch(p), None) => {
-                    // In place: an output nobody else holds — a
-                    // subscription's — moves no row it keeps.
-                    self.out.patch(&p)?;
-                    Ok(Change::Patch(p))
-                }
-                (Change::Full(_), Some(t)) => {
-                    self.out = t.clone();
-                    Ok(Change::Full(t.clone()))
-                }
-                (Change::Full(rows), None) => {
-                    self.out = Table::from_validated(self.out.schema().clone(), rows)?;
+        let stale = self
+            .scans
+            .iter()
+            .any(|(name, schema)| db.table(name).map_or(true, |t| t.schema() != schema));
+        if self.poisoned || stale {
+            // Full re-initialization: the previous refresh errored, or a
+            // table the plan as written scans went or changed its schema
+            // (stale bindings) — which raises the executor's error if the
+            // plan no longer runs.
+            return match DeltaPlan::init(&self.plan, db, exec) {
+                Ok(fresh) => {
+                    *self = fresh;
                     Ok(Change::Full(self.out.clone()))
                 }
-            }
-        });
+                Err(e) => {
+                    self.poisoned = true;
+                    Err(e)
+                }
+            };
+        }
+        let landed = self.land(db, changes);
         self.poisoned = landed.is_err();
         landed
+    }
+
+    /// Push `changes` through the operators and move the cached output by
+    /// what they report.
+    fn land(&mut self, db: &Database, changes: &TableChanges) -> RelResult<Change> {
+        if let (Plan::Scan(_), DNode::Scan { table, len }) = (&self.plan, &mut self.root) {
+            // A bare scan's output is the stored table itself, as it is
+            // the executor's: the same storage, primary key included.
+            let t = db.table(table)?;
+            self.out = t.clone();
+            return Ok(scan_change(t, len, changes.get(table)).map_full(|()| t.clone()));
+        }
+        match self.root.refresh(db, changes)? {
+            Change::Unchanged => Ok(Change::Unchanged),
+            Change::Patch(p) => {
+                // In place: an output nobody else holds — a
+                // subscription's — moves no row it keeps.
+                self.out.patch(&p)?;
+                Ok(Change::Patch(p))
+            }
+            Change::Full(rows) => {
+                self.out = Table::from_validated(self.out.schema().clone(), rows)?;
+                Ok(Change::Full(self.out.clone()))
+            }
+        }
     }
 }
 
@@ -2178,6 +1941,7 @@ mod tests {
     use super::*;
     use crate::algebra::Aggregate;
     use crate::expr::Expr;
+    use crate::schema::Column;
 
     fn row(vals: &[i64]) -> Row {
         vals.iter().map(|&v| Value::Int(v)).collect()
@@ -2411,5 +2175,102 @@ mod tests {
         let mut dp = DeltaPlan::init(&plan, &db, &exec).unwrap();
         let c = dp.refresh(&db, &TableChanges::new(), &exec).unwrap();
         assert!(c.is_unchanged());
+    }
+
+    /// Join nodes in a resident tree.
+    fn joins(n: &DNode) -> usize {
+        match n {
+            DNode::Join { left, right, .. } => 1 + joins(left) + joins(right),
+            DNode::Pipe { input, .. }
+            | DNode::Aggregate { input, .. }
+            | DNode::Pivot { input, .. }
+            | DNode::Recompute { input, .. } => joins(input),
+            DNode::Union { inputs, .. } => inputs.iter().map(joins).sum(),
+            DNode::Scan { .. } | DNode::Values { .. } => 0,
+        }
+    }
+
+    /// What stays resident is the plan the executor runs: a `Left` lookup
+    /// join on the lookup table's key, with no right column read, leaves
+    /// no `Join` node, and the output still equals `execute`'s across
+    /// insert, amend and delete batches. The lookup table the tree no
+    /// longer reads still decides when it must bind again: changing its
+    /// schema or dropping it makes the next refresh raise `execute`'s
+    /// error and poison the plan, and restoring it heals the plan.
+    #[test]
+    fn the_prepared_plan_is_what_stays_resident() {
+        let exec = Executor::new();
+        let lookup = |key: &str| {
+            let schema = Schema::new(
+                "l",
+                vec![
+                    Column::required(key, DataType::Int),
+                    Column::new("label", DataType::Int),
+                ],
+            )
+            .unwrap()
+            .with_primary_key(&[key])
+            .unwrap();
+            Table::from_rows(schema, (0..3i64).map(|g| row(&[g, g * 100]))).unwrap()
+        };
+        let mut db = test_db();
+        db.create_table(lookup("k")).unwrap();
+        let join = |kind| Plan::scan("t").join(Plan::scan("l"), vec![("grp", "k")], kind);
+        let plan = join(JoinKind::Left).project_cols(&["id", "x"]);
+        let dp = DeltaPlan::init(
+            &join(JoinKind::Inner).project_cols(&["id", "x"]),
+            &db,
+            &exec,
+        );
+        assert_eq!(joins(&dp.unwrap().root), 1, "an inner join is read");
+        let mut cat = Catalog::new();
+        cat.insert(db);
+        let mut dc = DeltaCatalog::new(cat);
+        let mut dp = DeltaPlan::init(&plan, dc.catalog().database("d").unwrap(), &exec).unwrap();
+        assert_eq!(joins(&dp.root), 0, "the unread lookup join stays resident");
+
+        let refresh = |dc: &mut DeltaCatalog, dp: &mut DeltaPlan| {
+            let mut changes = TableChanges::new();
+            if let Some(d) = dc.take_deltas().get("d", "t") {
+                changes.set("t", d.to_change());
+            }
+            let db = dc.catalog().database("d").unwrap();
+            (dp.refresh(db, &changes, &exec), exec.execute(&plan, db))
+        };
+        for step in 0..3i64 {
+            dc.insert("d", "t", row(&[100 + step, step + 1, step]))
+                .unwrap();
+            dc.update_where(
+                "d",
+                "t",
+                |r| r[0] == Value::Int(step),
+                |r| r[2] = Value::Int(-1),
+            )
+            .unwrap();
+            dc.delete_where("d", "t", |r| r[0] == Value::Int(10 + step))
+                .unwrap();
+            let (got, want) = refresh(&mut dc, &mut dp);
+            assert!(matches!(got, Ok(Change::Patch(_))), "step {step}");
+            assert_eq!(dp.output().unwrap(), want.unwrap(), "step {step}");
+        }
+
+        fn tables(dc: &mut DeltaCatalog) -> &mut Database {
+            dc.catalog_mut().database_mut("d").unwrap()
+        }
+        let kept = tables(&mut dc).drop_table("l").unwrap();
+        tables(&mut dc).put_table(lookup("key"));
+        for broken in ["schema changed", "dropped"] {
+            if broken == "dropped" {
+                tables(&mut dc).drop_table("l").unwrap();
+            }
+            let (got, want) = refresh(&mut dc, &mut dp);
+            assert_eq!(got.err(), Some(want.unwrap_err()), "lookup table {broken}");
+            assert!(dp.is_poisoned(), "lookup table {broken}");
+        }
+        tables(&mut dc).put_table(kept);
+        let (got, want) = refresh(&mut dc, &mut dp);
+        assert!(got.is_ok() && !dp.is_poisoned());
+        assert_eq!(dp.output().unwrap(), want.unwrap());
+        assert_eq!(joins(&dp.root), 0);
     }
 }

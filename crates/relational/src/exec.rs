@@ -94,8 +94,10 @@
 //!
 //! [`Executor`] is the single handle: the three knobs and the one
 //! `execute` every other evaluator (`Plan::eval`, `EtlWorkflow::run*`,
-//! `DeltaPlan`, `Engine`) goes through. Fused Select/Project chains evaluate the
-//! leading filters that decompose into `column ⟨op⟩ literal` conjuncts as
+//! `Engine`) goes through; a `DeltaPlan` runs the same `prepare` and this
+//! module's stage walk (`apply_stages`) over its delta rows. Fused
+//! Select/Project chains evaluate the leading filters that decompose into
+//! `column ⟨op⟩ literal` conjuncts as
 //! lane masks over segment storage and walk the selected rows, in row
 //! order, through everything else (`exec::vector`; DESIGN.md §11 records
 //! why no wider expression-kernel catalog exists); the blocking operators
@@ -129,6 +131,7 @@ use crate::expr::Expr;
 use crate::schema::Schema;
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Target number of rows per batch. Large enough to amortize per-batch
@@ -141,8 +144,8 @@ pub const PARALLEL_THRESHOLD: usize = 4096;
 
 /// The executor: one `Copy` handle that says how plans use the machine
 /// and evaluates any number of them. `Plan::eval`, the ETL workflow
-/// runners, `DeltaPlan` and the warehouse `Engine` all go through one;
-/// every operator and kernel receives it by value.
+/// runners and the warehouse `Engine` all go through one; every operator
+/// and kernel receives it by value.
 ///
 /// ```
 /// use guava_relational::exec::Executor;
@@ -315,9 +318,9 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
         Plan::Values { schema, rows } => {
             // Inline relations validate eagerly — duplicate-key checks
             // included — mirroring `Table::from_rows` in the interpreter.
-            // They are evaluated once (literals, and the delta batches of
-            // `crate::delta`), so sealing them would cost more than every
-            // lane it could save: the rows go in owned and are moved.
+            // They are literals evaluated once, so sealing them would cost
+            // more than every lane it could save: the rows go in owned and
+            // are moved.
             let t = Table::from_rows(schema.clone(), rows.clone())?;
             (
                 t.schema().clone(),
@@ -332,7 +335,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
             let out = keyless(in_schema.clone());
             let (source, mut stages) = child.into_pipeline();
             stages.push(Stage::Filter {
-                predicate,
+                predicate: Cow::Borrowed(predicate),
                 schema: in_schema,
             });
             (out, Exec::Pipe { source, stages })
@@ -340,20 +343,12 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
         Plan::Project { input, columns } => {
             let (in_schema, child) = compile(input, db, cfg)?;
             let out = project_output_schema(&in_schema, columns)?;
-            let cols = columns
-                .iter()
-                .map(|(_, e)| match e {
-                    Expr::Col(name) => in_schema.index_of(name),
-                    _ => None,
-                })
-                .collect();
             let (source, mut stages) = child.into_pipeline();
-            stages.push(Stage::Map(MapStage {
-                exprs: columns,
-                cols,
+            stages.push(Stage::Map(MapStage::new(
+                columns.as_slice(),
                 in_schema,
-                out_schema: out.clone(),
-            }));
+                out.clone(),
+            )));
             (out, Exec::Pipe { source, stages })
         }
         Plan::Rename {
@@ -534,17 +529,24 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
     })
 }
 
-/// One fused per-row transform.
-enum Stage<'p> {
+/// One fused per-row transform. A compiled plan borrows its expressions;
+/// a resident `crate::delta` pipeline owns them and runs the same walk
+/// ([`apply_stages`]) over its delta rows.
+#[derive(Clone)]
+pub(crate) enum Stage<'p> {
     /// σ — drop rows failing the predicate (from `Plan::Select`).
-    Filter { predicate: &'p Expr, schema: Schema },
+    Filter {
+        predicate: Cow<'p, Expr>,
+        schema: Schema,
+    },
     /// π — evaluate expressions into a fresh row (from `Plan::Project`).
     Map(MapStage<'p>),
 }
 
 /// A fused projection, bound to its input and output schemas.
-struct MapStage<'p> {
-    exprs: &'p [(String, Expr)],
+#[derive(Clone)]
+pub(crate) struct MapStage<'p> {
+    exprs: Cow<'p, [(String, Expr)]>,
     /// Per output expression: the input position of a bare column
     /// reference, resolved once at compile time; `None` for anything
     /// [`Expr::eval`] has to compute.
@@ -553,7 +555,29 @@ struct MapStage<'p> {
     out_schema: Schema,
 }
 
-impl MapStage<'_> {
+impl<'p> MapStage<'p> {
+    /// Bind `exprs` to the schema they read and the one they produce.
+    pub(crate) fn new(
+        exprs: impl Into<Cow<'p, [(String, Expr)]>>,
+        in_schema: Schema,
+        out_schema: Schema,
+    ) -> MapStage<'p> {
+        let exprs = exprs.into();
+        let cols = exprs
+            .iter()
+            .map(|(_, e)| match e {
+                Expr::Col(name) => in_schema.index_of(name),
+                _ => None,
+            })
+            .collect();
+        MapStage {
+            exprs,
+            cols,
+            in_schema,
+            out_schema,
+        }
+    }
+
     /// Build the output row for `row` — the one projection implementation,
     /// behind the owned and the borrowed walk alike. The result is
     /// validated against `out_schema`, exactly as `Table::from_rows` would
@@ -572,8 +596,9 @@ impl MapStage<'_> {
 }
 
 /// Run one owned row through the fused stages — the walk for batches a
-/// child operator produced, which can be moved rather than cloned.
-fn apply_stages(stages: &[Stage], mut row: Row) -> RelResult<Option<Row>> {
+/// child operator produced, which can be moved rather than cloned, and
+/// for a resident plan's delta rows.
+pub(crate) fn apply_stages(stages: &[Stage], mut row: Row) -> RelResult<Option<Row>> {
     for stage in stages {
         match stage {
             Stage::Filter { predicate, schema } => {

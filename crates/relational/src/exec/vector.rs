@@ -643,7 +643,7 @@ mod tests {
             }
             for (predicate, expect_lanes) in &cases {
                 let stages = [Stage::Filter {
-                    predicate,
+                    predicate: std::borrow::Cow::Borrowed(predicate),
                     schema: schema.clone(),
                 }];
                 let groups = prune_groups(&stages);

@@ -45,12 +45,12 @@
 //! over a substituted NULL literal unifies to another type) leaves the
 //! subtree as written. The root observes everything, so the root schema —
 //! names, types, nullability, key, relation name — is identical by
-//! construction, and debug-asserted. The pass is O(plan nodes), and a plan
-//! with no `Scan` leaf (the inline delta batches of [`crate::delta`])
-//! returns after one walk. It chooses nothing: there is one plan per
-//! definition, as before (DESIGN.md §17) — it only stops computing what
-//! the definition never asked for. `tests/decode_parity.rs` holds it to
-//! the interpreter, single faults in unread places included.
+//! construction, and debug-asserted. The pass is O(plan nodes). It chooses
+//! nothing: there is one plan per definition, as before (DESIGN.md §17) —
+//! it only stops computing what the definition never asked for.
+//! `tests/decode_parity.rs` holds it to the interpreter, single faults in
+//! unread places included, and a resident [`crate::delta::DeltaPlan`] keeps
+//! state for the prepared plan, not the written one.
 //!
 //! # The catalog-free rules — [`optimize`]
 //!
@@ -476,16 +476,12 @@ fn fuse_project(input: Plan, outer: Vec<(String, Expr)>) -> Plan {
 /// The plan [`Executor::execute`](crate::exec::Executor::execute) runs in
 /// place of `plan`: the same table, the same schema and the same first
 /// error, computed without building what nobody reads (module docs, *The
-/// executor's front door*). `None` means "run `plan` as written" — it has
-/// no `Scan` leaf (the inline delta batches of [`crate::delta`], evaluated
-/// several times per refresh, pay one walk of the tree and nothing else),
-/// or some node does not bind, in which case the executor's `compile`
-/// raises that binding error before any row moves and there is nothing to
-/// save.
+/// executor's front door*). `None` means "run `plan` as written": some
+/// node does not bind, so the executor's `compile` raises that binding
+/// error before any row moves and there is nothing to save.
+/// [`DeltaPlan::init`](crate::delta::DeltaPlan::init) runs the same pass,
+/// so what stays resident is what the executor would run.
 pub fn prepare(plan: &Plan, db: &Database) -> Option<Plan> {
-    if plan.scanned_tables().is_empty() {
-        return None;
-    }
     let mut bound = HashMap::new();
     let root = bind(plan, db, &mut bound).ok()?;
     let (prepared, schema) = Prepare { db, bound }.node(plan, &Need::everything());
@@ -1189,7 +1185,7 @@ mod tests {
     /// `prepare(plan)` evaluates exactly like `plan` as written under the
     /// interpreter: table, schema, or error.
     fn assert_prepared_equivalent(plan: &Plan, d: &Database) -> Plan {
-        let prepared = prepare(plan, d).expect("binds and scans");
+        let prepared = prepare(plan, d).expect("binds");
         match (prepared.eval_materialized(d), plan.eval_materialized(d)) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.schema(), b.schema(), "{plan:?}");
@@ -1201,13 +1197,14 @@ mod tests {
     }
 
     #[test]
-    fn prepare_leaves_scan_free_and_unbound_plans_alone() {
+    fn prepare_leaves_only_unbound_plans_alone() {
         let d = db();
+        // An inline relation binds like a scan and is prepared like one.
         let values = Plan::Values {
             schema: Schema::new("v", vec![Column::new("x", DataType::Int)]).unwrap(),
             rows: vec![vec![Value::Int(1)]],
         };
-        assert_eq!(prepare(&values.project_cols(&["x"]), &d), None);
+        assert_prepared_equivalent(&values.project_cols(&["x"]), &d);
         // A binding error anywhere: `compile` will raise it, as written.
         let unbound = Plan::scan("t")
             .project(vec![("g", Expr::col("ghost"))])

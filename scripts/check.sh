@@ -84,6 +84,21 @@ if grep -rn '\.segments()' crates/etl/src \
   exit 1
 fi
 
+# A DeltaPlan keeps state for the plan the executor runs, builds it in its
+# rules' wholesale (`Change::Full`) arms and runs delta rows through the
+# executor's stage walk (DESIGN.md §12, §15). Fail if the non-test part of
+# delta.rs becomes a second evaluator again: a synthetic inline relation,
+# a call into `execute`, or a bottom-up `DNode` init. Comments are skipped
+# (the module's doctest compares with `execute`); a `match` arm on
+# `Plan::Values` is binding, not constructing.
+delta_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/relational/src/delta.rs)
+echo "check.sh: delta.rs non-test lines: $delta_lines"
+if head -n "$delta_lines" crates/relational/src/delta.rs \
+    | grep -nE 'Plan::Values[^=]*$|\.execute\(|^\s+fn init\(' | grep -vE '^[0-9]+:\s*//'; then
+  echo "check.sh: delta.rs evaluates through a synthetic plan or a bottom-up init again (matches above)" >&2
+  exit 1
+fi
+
 # The benchmark snapshot must carry the fused-pipeline axis (DESIGN.md
 # §11), the blocking-operator axis (DESIGN.md §13) and the
 # resting-storage axis (DESIGN.md §14); a regeneration from a stale

@@ -356,6 +356,105 @@ proptest! {
     }
 }
 
+/// Five rows, `a = 0` at id 2: `100 / a` fails there.
+fn rows_with_a_zero() -> Vec<Row> {
+    (0..5i64)
+        .map(|i| {
+            let a = if i == 2 { 0 } else { i + 1 };
+            vec![
+                Value::Int(i),
+                Value::Int(a),
+                Value::Bool(i % 2 == 0),
+                Value::text("x"),
+            ]
+        })
+        .collect()
+}
+
+/// `100 / a` per row, as `q`.
+fn quotient() -> Plan {
+    Plan::scan("t").project(vec![("q", Expr::lit(100i64).div(Expr::col("a")))])
+}
+
+/// Plans with a row fault (the division by the zero in `a`) and a second
+/// fault elsewhere raise, at `DeltaPlan::init`, exactly what
+/// `Executor::execute` raises — not the division error a node-by-node
+/// evaluation meets first: a binding error anywhere in the tree, found
+/// before any row moves, through a projection tower, a join and a union;
+/// and between two row faults on the two sides of a join, the build
+/// side's, which the executor drives first.
+#[test]
+fn multi_fault_init_raises_what_execute_raises() {
+    let cat = catalog(rows_with_a_zero());
+    let db = cat.database("d").unwrap();
+    let plans = [
+        quotient().project_cols(&["ghost"]),
+        quotient().join(
+            Plan::scan("t").project_cols(&["ghost"]),
+            vec![("q", "ghost")],
+            JoinKind::Inner,
+        ),
+        Plan::union(vec![quotient(), Plan::scan("missing").project_cols(&["q"])]),
+        quotient().join(
+            Plan::scan("t").select(Expr::col("ghost").is_null()),
+            vec![("q", "id")],
+            JoinKind::Inner,
+        ),
+    ];
+    for plan in &plans {
+        for (name, exec) in lanes() {
+            let want = exec.execute(plan, db).unwrap_err();
+            assert!(
+                !want.to_string().contains("division"),
+                "{name}: {plan:?} should fail elsewhere first, got {want}"
+            );
+            let got = DeltaPlan::init(plan, db, &exec).err();
+            assert_eq!(got, Some(want), "{name}: {plan:?}");
+        }
+    }
+}
+
+/// A dead output that can fail stays in the plan `prepare` leaves, so a
+/// delta that brings a zero into `a` still raises `execute`'s error from
+/// the resident plan, and the plan heals once the row is gone.
+#[test]
+fn a_dead_fallible_output_still_fails_on_a_delta_row() {
+    let plan = Plan::scan("t")
+        .project(vec![
+            ("id", Expr::col("id")),
+            ("q", Expr::lit(100i64).div(Expr::col("a"))),
+        ])
+        .project_cols(&["id"]);
+    let mut rows = rows_with_a_zero();
+    rows.retain(|r| r[1] != Value::Int(0));
+    for (name, exec) in lanes() {
+        let mut dc = DeltaCatalog::new(catalog(rows.clone()));
+        let mut dplan = DeltaPlan::init(&plan, dc.catalog().database("d").unwrap(), &exec).unwrap();
+        let step = |dc: &mut DeltaCatalog, dplan: &mut DeltaPlan| {
+            let mut changes = TableChanges::new();
+            if let Some(d) = dc.take_deltas().get("d", "t") {
+                changes.set("t", d.to_change());
+            }
+            let db = dc.catalog().database("d").unwrap();
+            (dplan.refresh(db, &changes, &exec), exec.execute(&plan, db))
+        };
+        dc.insert(
+            "d",
+            "t",
+            vec![Value::Int(9), Value::Int(0), Value::Null, Value::Null],
+        )
+        .unwrap();
+        let (got, want) = step(&mut dc, &mut dplan);
+        assert_eq!(got.err(), Some(want.unwrap_err()), "{name}");
+        assert!(dplan.is_poisoned(), "{name}");
+        dc.delete_where("d", "t", |r| r[0] == Value::Int(9))
+            .unwrap();
+        let (got, want) = step(&mut dc, &mut dplan);
+        assert!(got.is_ok() && !dplan.is_poisoned(), "{name}");
+        assert_eq!(dplan.output().unwrap(), want.unwrap(), "{name}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Change capture ≡ the canonical merge, failed calls included
 // ---------------------------------------------------------------------------
