@@ -843,7 +843,7 @@ mod tests {
         let nodes = [&chosen, &**join, &**left, &**right];
         let heads = [
             "Select (PacksPerDay >= 2)",
-            "  HashJoin on instance_id = instance_id  [build: right]",
+            "  HashJoin on instance_id = instance_id  [probe: key of clinic__All]",
             "    Scan Procedure",
             "    Scan clinic__All",
         ];

@@ -2273,4 +2273,83 @@ mod tests {
         assert_eq!(dp.output().unwrap(), want.unwrap());
         assert_eq!(joins(&dp.root), 0);
     }
+
+    /// A selection over a join moves onto the join's inputs before anything
+    /// stays resident: the tree is a `Join` over two filtering pipes, and
+    /// it refreshes to what `execute` returns under insert, amend and
+    /// delete batches on either side.
+    #[test]
+    fn a_selection_moved_past_a_join_is_what_stays_resident() {
+        let exec = Executor::new();
+        let mut db = test_db();
+        let u = Schema::new(
+            "u",
+            vec![
+                Column::required("g", DataType::Int),
+                Column::new("w", DataType::Int),
+            ],
+        )
+        .unwrap()
+        .with_primary_key(&["g"])
+        .unwrap();
+        db.create_table(Table::from_rows(u, (0..4i64).map(|g| row(&[g, g * 5]))).unwrap())
+            .unwrap();
+        // `x <> 30` reads the left input only, `w <> 5` the right only.
+        let plan = Plan::scan("t")
+            .join(Plan::scan("u"), vec![("grp", "g")], JoinKind::Inner)
+            .select(
+                Expr::col("x")
+                    .ne(Expr::lit(30i64))
+                    .and(Expr::col("w").ne(Expr::lit(5i64))),
+            );
+        let mut cat = Catalog::new();
+        cat.insert(db);
+        let mut dc = DeltaCatalog::new(cat);
+        let mut dp = DeltaPlan::init(&plan, dc.catalog().database("d").unwrap(), &exec).unwrap();
+        let DNode::Join { left, right, .. } = &dp.root else {
+            panic!("the selection stayed above the join")
+        };
+        assert!(matches!(**left, DNode::Pipe { .. }) && matches!(**right, DNode::Pipe { .. }));
+
+        for step in 0..4i64 {
+            dc.insert("d", "t", row(&[100 + step, step % 3, step * 15]))
+                .unwrap();
+            dc.update_where(
+                "d",
+                "t",
+                |r| r[0] == Value::Int(step),
+                |r| r[2] = Value::Int(30),
+            )
+            .unwrap();
+            dc.delete_where("d", "t", |r| r[0] == Value::Int(10 + step))
+                .unwrap();
+            // A right row amended into and out of the filter, a key deleted
+            // and inserted again.
+            dc.update_where(
+                "d",
+                "u",
+                |r| r[0] == Value::Int(step % 3),
+                |r| r[1] = Value::Int(5 + 2 * (step % 2)),
+            )
+            .unwrap();
+            if step == 1 {
+                dc.delete_where("d", "u", |r| r[0] == Value::Int(3))
+                    .unwrap();
+            } else if step == 2 {
+                dc.insert("d", "u", row(&[3, 20])).unwrap();
+            }
+            let deltas = dc.take_deltas();
+            let mut changes = TableChanges::new();
+            for name in ["t", "u"] {
+                if let Some(d) = deltas.get("d", name) {
+                    changes.set(name, d.to_change());
+                }
+            }
+            let db = dc.catalog().database("d").unwrap();
+            dp.refresh(db, &changes, &exec).unwrap();
+            let want = exec.execute(&plan, db).unwrap();
+            assert!(!want.is_empty(), "step {step}");
+            assert_eq!(dp.output().unwrap(), want, "step {step}");
+        }
+    }
 }

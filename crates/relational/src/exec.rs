@@ -12,10 +12,11 @@
 //! bottom-up, exhausting each child in order before finishing the parent.
 //!
 //! * **What runs is what was asked for.** [`Executor::execute`] first
-//!   rewrites the plan ([`crate::optimize::prepare`]): projection outputs
-//!   nobody reads go (when they cannot fail), projection towers fuse into
-//!   one row build, an identity projection under a pivot and a lookup join
-//!   nobody consumes disappear — same table, same schema, same first
+//!   rewrites the plan ([`crate::optimize::prepare`]): a selection over a
+//!   join filters the join's inputs instead (when it cannot fail),
+//!   projection outputs nobody reads go (likewise), projection towers fuse
+//!   into one row build, an identity projection under a pivot and a lookup
+//!   join nobody consumes disappear — same table, same schema, same first
 //!   error as the plan as written. `compile` below never knows.
 //! * **Scans are zero-copy.** A scan compiles to a leaf holding the
 //!   table's sealed chunks ([`crate::segment`]): it enters the tree as one
@@ -39,8 +40,12 @@
 //!   scan's own window (`exec::vector`; short runs, and anything feeding
 //!   the sink, are copied per morsel as before).
 //! * **Union forwards** batches in child order; **Join** builds a hash
-//!   index over its build side (driven first) and probes batch-by-batch;
-//!   **Distinct** forwards first occurrences as input arrives.
+//!   index over its build side (driven first) and probes batch-by-batch —
+//!   unless its right side is a bare scan of a table keyed by exactly the
+//!   join's right columns, which it does not read at all: each probe row
+//!   looks its key up in that table's primary-key index (a property of
+//!   the schema, never of statistics; join order and sides stay as
+//!   written); **Distinct** forwards first occurrences as input arrives.
 //! * The inherently blocking operators — Pivot, AggregateBy, Sort, and
 //!   the join's build side — buffer their input batches and read them *by
 //!   reference* in `finish`: however many windows a scan arrived as, no
@@ -369,19 +374,48 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
             kind,
         } => {
             let (ls, lchild) = compile(left, db, cfg)?;
-            let (rs, rchild) = compile(right, db, cfg)?;
+            // A stored table keyed by exactly the right columns is probed
+            // through its primary-key index; anything else is hashed.
+            let keyed = crate::optimize::keyed_lookup(right, on, db);
+            let (rs, rchild) = match &keyed {
+                Some((table, _)) => (table.schema().clone(), None),
+                None => {
+                    let (rs, rchild) = compile(right, db, cfg)?;
+                    (rs, Some(rchild))
+                }
+            };
             let l_idx = resolve_columns(&ls, on.iter().map(|(l, _)| l))?;
             let r_idx = resolve_columns(&rs, on.iter().map(|(_, r)| r))?;
             let schema = join_output_schema(&ls, &rs, *kind)?;
-            let op = ops::JoinOp::new(ls, rs, l_idx, r_idx, *kind, cfg);
-            // The build (right) side is input 0: the driver exhausts it
-            // before the probe child produces a row, preserving the
+            let r_arity = rs.arity();
+            let (l_idx, build) = match keyed {
+                Some((table, order)) => (
+                    order.iter().map(|&i| l_idx[i]).collect(),
+                    ops::Build::Key(table.clone()),
+                ),
+                None => (
+                    l_idx,
+                    ops::Build::Hash {
+                        schema: rs,
+                        r_idx,
+                        batches: Vec::new(),
+                    },
+                ),
+            };
+            // A hashed build (right) side is input 0: the driver exhausts
+            // it before the probe child produces a row, preserving the
             // executor's historical build-first runtime order.
+            let children = rchild
+                .into_iter()
+                .chain([lchild])
+                .map(|c| c.into_tree(cfg, true))
+                .collect();
+            let op = ops::JoinOp::new(ls, l_idx, *kind, r_arity, build, cfg);
             (
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![rchild.into_tree(cfg, true), lchild.into_tree(cfg, true)],
+                    children,
                 }),
             )
         }

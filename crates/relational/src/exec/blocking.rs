@@ -11,6 +11,9 @@
 //!   [`key_hashes`] and probes with the same hashes; candidates verify
 //!   with [`keys_eq`], so the emitted (probe row × postings) sequence is
 //!   identical to the `HashMap<Vec<&Value>, _>` index the interpreter uses.
+//!   Against a stored table keyed by exactly the join's right columns it
+//!   builds nothing: [`probe_key`] looks each probe key up in the table's
+//!   own primary-key index.
 //! * **Aggregation** ([`lane_aggregate`]) groups by lane hash and feeds
 //!   INT/FLOAT source columns into [`AggAcc`] through monomorphic
 //!   `update_int` / `update_float` calls; every other source type goes
@@ -43,7 +46,7 @@ use super::Executor;
 use crate::algebra::{cast_text, pivot_rows, AggAcc, Aggregate, JoinKind};
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
-use crate::table::Row;
+use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 
@@ -129,22 +132,67 @@ pub(super) fn probe_hash<R: RowRef>(
                     let rrow = right[ri as usize].as_ref();
                     if keys_eq(lrow, l_idx, rrow, r_idx) {
                         matched = true;
-                        let mut row = Vec::with_capacity(lrow.len() + r_arity);
-                        row.extend(lrow.iter().cloned());
-                        row.extend(rrow.iter().cloned());
-                        out.push(row);
+                        out.push(joined_row(lrow, rrow.iter().cloned(), r_arity));
                     }
                 }
             }
         }
         if !matched && kind == JoinKind::Left {
-            let mut row = Vec::with_capacity(lrow.len() + r_arity);
-            row.extend(lrow.iter().cloned());
-            row.extend(std::iter::repeat_n(Value::Null, r_arity));
-            out.push(row);
+            out.push(joined_row(
+                lrow,
+                std::iter::repeat_n(Value::Null, r_arity),
+                r_arity,
+            ));
         }
     }
     out
+}
+
+/// Probe a chunk of left rows against a stored table keyed by exactly the
+/// join's right columns; `l_idx` lists the probe columns in the table's
+/// primary-key order. A unique key matches at most once, so the output is
+/// in probe order; a key holding a NULL matches nothing (the join's rule,
+/// checked here rather than left to the key columns' NOT NULL); and the index
+/// hashes and compares keys by `Value`'s `Hash`/`Eq` — the relation
+/// [`key_hashes`] and [`keys_eq`] implement (`Int(2)` matches
+/// `Float(2.0)`, NaN matches NaN, `-0.0` does not match `0.0`) — so the
+/// rows are those [`probe_hash`] emits over the table's live rows.
+pub(super) fn probe_key(
+    lrows: &[Row],
+    table: &Table,
+    l_idx: &[usize],
+    kind: JoinKind,
+    r_arity: usize,
+) -> Vec<Row> {
+    let mut out: Vec<Row> = Vec::with_capacity(lrows.len());
+    let mut key: Vec<Value> = Vec::with_capacity(l_idx.len());
+    for lrow in lrows {
+        key.clear();
+        key.extend(l_idx.iter().map(|&i| lrow[i].clone()));
+        let hit = if key.iter().any(Value::is_null) {
+            None
+        } else {
+            table.get_by_key(&key)
+        };
+        match hit {
+            Some(rrow) => out.push(joined_row(lrow, rrow.iter().cloned(), r_arity)),
+            None if kind == JoinKind::Left => out.push(joined_row(
+                lrow,
+                std::iter::repeat_n(Value::Null, r_arity),
+                r_arity,
+            )),
+            None => {}
+        }
+    }
+    out
+}
+
+/// A join output row: `lrow` followed by the `r_arity` right values.
+fn joined_row(lrow: &Row, right: impl Iterator<Item = Value>, r_arity: usize) -> Row {
+    let mut row = Vec::with_capacity(lrow.len() + r_arity);
+    row.extend(lrow.iter().cloned());
+    row.extend(right);
+    row
 }
 
 /// Morsel-parallel [`key_hashes`]: per-morsel hash chunks concatenated in

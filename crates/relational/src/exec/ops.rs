@@ -8,11 +8,12 @@
 //! drives every child in order — pushing each child batch tagged with its
 //! input index — and finally calls `finish` to collect the node's output
 //! batches. Children are driven *fully, in child order*: input 0 is
-//! exhausted before input 1 produces its first batch. For a join that
+//! exhausted before input 1 produces its first batch. For a hash join that
 //! means the build side (input 0, the plan's right child) is always
 //! complete before a probe row is read — the same runtime order the
-//! pull-based executor had — and for a union it means children concatenate
-//! in declaration order.
+//! pull-based executor had; a join that probes a stored table's key has
+//! its probe side as its only child — and for a union it means children
+//! concatenate in declaration order.
 //!
 //! Parallelism selection happens **per operator**: each operator holds a
 //! copy of the session's [`Executor`] and dispatches to its kernel (`exec::vector`,
@@ -47,7 +48,7 @@ use crate::algebra::{unpivot_rows, Aggregate, JoinKind};
 use crate::error::RelResult;
 use crate::schema::Schema;
 use crate::segment::ScanPart;
-use crate::table::Row;
+use crate::table::{Row, Table};
 use crate::value::DataType;
 use std::mem;
 use std::sync::Arc;
@@ -212,45 +213,62 @@ impl PhysicalOperator for PipelineOp<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Hash join
+// Equi-join
 // ---------------------------------------------------------------------------
 
-/// Hash join. Input 0 is the **build** side (the plan's right child — the
-/// driver exhausts it before the probe child starts); input 1 probes. Both
-/// sides are buffered and the join runs in [`finish`]: the build side is
-/// indexed by reference (`u64` key hash → positions, candidates verified
-/// with [`keys_eq`] at probe time), and the probe batches are cut into
-/// morsels over the whole batch list ([`morsel::run_windows`]).
+/// Equi-join. Its inputs are buffered and the join runs in [`finish`],
+/// the probe batches cut into morsels over the whole batch list
+/// ([`morsel::run_windows`]); where a probe row finds its partners is the
+/// [`Build`].
 ///
 /// [`finish`]: PhysicalOperator::finish
 pub(super) struct JoinOp {
     lschema: Schema,
-    rschema: Schema,
+    /// Probe key columns — for [`Build::Key`], in the table's primary-key
+    /// order.
     l_idx: Vec<usize>,
-    r_idx: Vec<usize>,
     kind: JoinKind,
+    r_arity: usize,
     cfg: Executor,
-    build_buf: Vec<Batch>,
+    build: Build,
     probe_buf: Vec<Batch>,
+}
+
+/// The right side of a [`JoinOp`].
+pub(super) enum Build {
+    /// The right child's output: input 0, which the driver exhausts before
+    /// the probe child (input 1) starts, indexed by reference in `finish`
+    /// (`u64` key hash → positions, candidates verified with [`keys_eq`]
+    /// at probe time).
+    Hash {
+        schema: Schema,
+        r_idx: Vec<usize>,
+        batches: Vec<Batch>,
+    },
+    /// A stored table keyed by exactly the join's right columns
+    /// (`optimize::keyed_lookup`): each probe row looks its key up in the
+    /// table's primary-key index, so nothing is gathered or hashed. There
+    /// is no build input — the probe is input 0 — and a bound scan raises
+    /// nothing, so no error is skipped.
+    Key(Table),
 }
 
 impl JoinOp {
     pub(super) fn new(
         lschema: Schema,
-        rschema: Schema,
         l_idx: Vec<usize>,
-        r_idx: Vec<usize>,
         kind: JoinKind,
+        r_arity: usize,
+        build: Build,
         cfg: Executor,
     ) -> JoinOp {
         JoinOp {
             lschema,
-            rschema,
             l_idx,
-            r_idx,
             kind,
+            r_arity,
             cfg,
-            build_buf: Vec::new(),
+            build,
             probe_buf: Vec::new(),
         }
     }
@@ -258,36 +276,49 @@ impl JoinOp {
 
 impl PhysicalOperator for JoinOp {
     fn push_batch(&mut self, input: usize, batch: Batch) -> RelResult<()> {
-        if input == 0 {
-            self.build_buf.push(batch);
-        } else {
-            self.probe_buf.push(batch);
+        match &mut self.build {
+            Build::Hash { batches, .. } if input == 0 => batches.push(batch),
+            _ => self.probe_buf.push(batch),
         }
         Ok(())
     }
 
     fn finish(&mut self) -> RelResult<Vec<Batch>> {
-        let build = Gathered::from_batches(mem::take(&mut self.build_buf));
-        let right = build.rows();
-        let index = if self.cfg.parallel_for(right.len()) {
-            blocking::par_build_hash_index(&right, &self.rschema, &self.r_idx, self.cfg)
-        } else {
-            blocking::build_hash_index(&right, &self.rschema, &self.r_idx)
-        };
         let probes = mem::take(&mut self.probe_buf);
-        morsel::run_windows(&probes, self.cfg, |_, _, lrows| {
-            let joined = blocking::probe_hash(
-                lrows,
-                &self.lschema,
-                &index,
-                &right,
-                &self.l_idx,
-                &self.r_idx,
-                self.kind,
-                self.rschema.arity(),
-            );
+        let (l_idx, kind, r_arity, cfg) = (&self.l_idx, self.kind, self.r_arity, self.cfg);
+        let emit = |joined: Vec<Row>| -> RelResult<Vec<Batch>> {
             Ok(Batch::from_rows(joined).into_iter().collect())
-        })
+        };
+        match &mut self.build {
+            Build::Key(table) => morsel::run_windows(&probes, cfg, |_, _, lrows| {
+                emit(blocking::probe_key(lrows, table, l_idx, kind, r_arity))
+            }),
+            Build::Hash {
+                schema,
+                r_idx,
+                batches,
+            } => {
+                let build = Gathered::from_batches(mem::take(batches));
+                let right = build.rows();
+                let index = if cfg.parallel_for(right.len()) {
+                    blocking::par_build_hash_index(&right, schema, r_idx, cfg)
+                } else {
+                    blocking::build_hash_index(&right, schema, r_idx)
+                };
+                morsel::run_windows(&probes, cfg, |_, _, lrows| {
+                    emit(blocking::probe_hash(
+                        lrows,
+                        &self.lschema,
+                        &index,
+                        &right,
+                        l_idx,
+                        r_idx,
+                        kind,
+                        r_arity,
+                    ))
+                })
+            }
+        }
     }
 }
 

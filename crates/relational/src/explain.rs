@@ -6,12 +6,17 @@
 //! leaves additionally print the table's physical
 //! [`TableLayout`](crate::table::TableLayout): how many chunks and
 //! zero-copy windows the scan walks and how much of the table is sealed.
-//! There are no estimates: plans are fixed by the definitions that build
-//! them, not chosen from statistics (DESIGN.md §17).
+//! A join prints where its probe rows find their partners: a hash index
+//! over its right input (`[build: right]`), or the primary-key index of
+//! the stored table its right side scans (`[probe: key of <table>]`),
+//! decided by the same schema test `compile` applies. There are no
+//! estimates: plans are fixed by the definitions that build them, not
+//! chosen from statistics (DESIGN.md §17).
 
 use crate::algebra::{JoinKind, Plan};
 use crate::database::Database;
 use crate::error::RelResult;
+use crate::optimize::keyed_lookup;
 
 /// Render `plan` as an indented operator tree. With `analyze`, every
 /// node's subtree is additionally evaluated via
@@ -31,7 +36,7 @@ fn render(
     depth: usize,
     out: &mut String,
 ) -> RelResult<()> {
-    let mut line = format!("{:indent$}{}", "", label(plan), indent = depth * 2);
+    let mut line = format!("{:indent$}{}", "", label(plan, db), indent = depth * 2);
     if analyze {
         let actual = plan.eval_materialized(db)?.len();
         line.push_str(&format!("  [actual rows={actual}]"));
@@ -47,7 +52,7 @@ fn render(
     Ok(())
 }
 
-fn label(plan: &Plan) -> String {
+fn label(plan: &Plan, db: &Database) -> String {
     match plan {
         Plan::Scan(name) => format!("Scan {name}"),
         Plan::Values { rows, .. } => format!("Values [{} rows]", rows.len()),
@@ -60,16 +65,23 @@ fn label(plan: &Plan) -> String {
             Some(t) => format!("Rename → {t} ({} columns)", columns.len()),
             None => format!("Rename ({} columns)", columns.len()),
         },
-        Plan::Join { on, kind, .. } => {
+        Plan::Join {
+            right, on, kind, ..
+        } => {
             let k = match kind {
                 JoinKind::Inner => "HashJoin",
                 JoinKind::Left => "LeftHashJoin",
             };
+            // Where a probe row finds its partners — as `compile` decides.
+            let side = match (&**right, keyed_lookup(right, on, db)) {
+                (Plan::Scan(name), Some(_)) => format!("[probe: key of {name}]"),
+                _ => "[build: right]".to_owned(),
+            };
             if on.is_empty() {
-                format!("{k} (cross)  [build: right]")
+                format!("{k} (cross)  {side}")
             } else {
                 let pairs: Vec<String> = on.iter().map(|(l, r)| format!("{l} = {r}")).collect();
-                format!("{k} on {}  [build: right]", pairs.join(" AND "))
+                format!("{k} on {}  {side}", pairs.join(" AND "))
             }
         }
         Plan::Union { inputs } => format!("Union [{} inputs]", inputs.len()),

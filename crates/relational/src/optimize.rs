@@ -12,9 +12,20 @@
 //! table, the same schema, the same first error. The database is in hand,
 //! so every rule resolves real schemas (the pass binds the whole plan
 //! first, and a plan that does not bind runs as written: `compile` raises
-//! the binding error before a row moves). Top-down, each node learns what
-//! its consumer observes of it — which columns, and whether the relation
-//! name and the NOT NULL flags reach anything — and four rules act on it:
+//! the binding error before a row moves). Five rules act on it. The first
+//! moves selections:
+//!
+//! * **Selection past join** — `σ_C(A ⋈ B) ≡ σ_C(A) ⋈ B`: each top-level
+//!   `AND` conjunct of a `Select` directly over a `Join` whose columns one
+//!   input owns moves onto that input (the right one under `Inner` only,
+//!   through the `<right relation>.<col>` collision prefix), *only if every*
+//!   conjunct is [`Expr::infallible`] and BOOL — a moved conjunct runs on
+//!   rows the join would have dropped, and strict `AND` ran each conjunct
+//!   on every row. Join order, build side and `on` stay as written.
+//!
+//! The result is bound again. Then, top-down, each node learns what its
+//! consumer observes of it — which columns, and whether the relation name
+//! and the NOT NULL flags reach anything — and four rules act on that:
 //!
 //! * **Liveness** — a `Project` output nobody reads is dropped, *only if*
 //!   its expression is [`Expr::infallible`] over the resolved input (bound
@@ -39,6 +50,8 @@
 //!   live right column — passes every left row through once, matched or
 //!   padded: the left input stands in for it. `Inner` joins drop rows, a
 //!   non-key join multiplies them, anything but a bare scan may raise.
+//!   The same test (`keyed_lookup`) makes `compile` probe such a table's
+//!   primary-key index where the join stays, and `explain` say so.
 //!
 //! Whatever a rule builds is re-bound and compared with the node as
 //! written on exactly what its consumer observes; a difference (a `CASE`
@@ -47,7 +60,8 @@
 //! names, types, nullability, key, relation name — is identical by
 //! construction, and debug-asserted. The pass is O(plan nodes). It chooses
 //! nothing: there is one plan per definition, as before (DESIGN.md §17) —
-//! it only stops computing what the definition never asked for.
+//! it only stops computing what the definition never asked for, and
+//! filters a join's input instead of its output.
 //! `tests/decode_parity.rs` holds it to the interpreter, single faults in
 //! unread places included, and a resident [`crate::delta::DeltaPlan`] keeps
 //! state for the prepared plan, not the written one.
@@ -103,9 +117,11 @@
 use crate::algebra::{bind_node, keyless, AggFunc, JoinKind, Plan};
 use crate::database::Database;
 use crate::error::RelResult;
-use crate::expr::Expr;
+use crate::expr::{BinOp, Expr};
 use crate::schema::{Column, Schema};
-use std::cell::Cell;
+use crate::table::Table;
+use crate::value::DataType;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Optimize a plan. Always semantics-preserving; at worst returns an
@@ -484,16 +500,187 @@ fn fuse_project(input: Plan, outer: Vec<(String, Expr)>) -> Plan {
 pub fn prepare(plan: &Plan, db: &Database) -> Option<Plan> {
     let mut bound = HashMap::new();
     let root = bind(plan, db, &mut bound).ok()?;
+    // Selections move below the joins they sit on first (`push_selections`);
+    // what that built is bound again, so every later rule sees it.
+    let pushed = push_selections(plan, &bound);
+    let plan = match &pushed {
+        Some(pushed) => {
+            bound.clear();
+            bind(pushed, db, &mut bound).ok()?;
+            pushed
+        }
+        None => plan,
+    };
     let (prepared, schema) = Prepare { db, bound }.node(plan, &Need::everything());
     debug_assert_eq!(schema, root, "prepare changed the root schema of {plan:?}");
     Some(prepared)
+}
+
+/// The stored table a join's right side reads by primary key: `right` is
+/// a bare `Scan` of a table whose primary key is exactly the join's right
+/// columns, each bound by one pair of `on`. Returns the table and, per key
+/// column in primary-key order, the position in `on` of its pair. One
+/// decision behind three places: `prepare` drops such a `Left` join when
+/// nobody reads its right side, `compile` probes the table's primary-key
+/// index instead of hashing its rows, and `explain` prints which.
+pub(crate) fn keyed_lookup<'d>(
+    right: &Plan,
+    on: &[(String, String)],
+    db: &'d Database,
+) -> Option<(&'d Table, Vec<usize>)> {
+    let Plan::Scan(name) = right else {
+        return None;
+    };
+    let table = db.table(name).ok()?;
+    let schema = table.schema();
+    let order = schema
+        .primary_key()
+        .iter()
+        .map(|&k| {
+            let mut pairs = (0..on.len()).filter(|&i| schema.index_of(&on[i].1) == Some(k));
+            match (pairs.next(), pairs.next()) {
+                (Some(i), None) => Some(i),
+                _ => None,
+            }
+        })
+        .collect::<Option<Vec<usize>>>()?;
+    (!order.is_empty() && order.len() == on.len()).then_some((table, order))
+}
+
+/// Bound schemas of a plan's nodes, by address ([`bind`]).
+type Bound = HashMap<*const Plan, Schema>;
+
+/// *Selection past join*: `plan` with every `σ` that sits directly on a
+/// `Join` split into its top-level `AND` conjuncts and each conjunct one
+/// input owns moved onto that input ([`select_past_join`]) — or `None`
+/// where no selection moves. Only the nodes on the way to a moved
+/// selection are rebuilt.
+fn push_selections(plan: &Plan, bound: &Bound) -> Option<Plan> {
+    if let Plan::Select { input, predicate } = plan {
+        if let Some(pushed) = select_past_join(input, predicate, bound) {
+            return Some(pushed);
+        }
+    }
+    let children: Vec<Option<Plan>> = plan
+        .children()
+        .into_iter()
+        .map(|c| push_selections(c, bound))
+        .collect();
+    if children.iter().all(Option::is_none) {
+        return None;
+    }
+    // `map_children` visits the children in `children()` order.
+    let children = RefCell::new(children.into_iter());
+    Some(map_children(plan, &|c| {
+        children
+            .borrow_mut()
+            .next()
+            .flatten()
+            .unwrap_or_else(|| c.clone())
+    }))
+}
+
+/// `σ_predicate(join)` with the conjuncts one input owns on that input:
+/// σ_C(A ⋈ B) ≡ σ_C(A) ⋈ B. Left-owned conjuncts go left under `Inner`
+/// and `Left` joins; right-owned ones go right under `Inner` only (`Left`
+/// pads unmatched rows with NULLs), their names mapped back through the
+/// `<right relation>.<col>` collision prefix; the rest stay above, in
+/// their written order. Join order, build side and `on` stay as written.
+///
+/// Only when *every* conjunct is [`Expr::infallible`] and BOOL over the
+/// join's output: a moved conjunct runs on rows the join would have
+/// dropped, and one that stays above no longer runs on the rows a moved
+/// one rejects — strict `AND` evaluated both. Then nothing the predicate
+/// evaluates can fail, the join raises nothing, and filtering an input
+/// keeps its surviving rows in order, so the rows, their order, the schema
+/// and the first error are those of the plan as written.
+fn select_past_join(join: &Plan, predicate: &Expr, bound: &Bound) -> Option<Plan> {
+    let Plan::Join {
+        left,
+        right,
+        on,
+        kind,
+    } = join
+    else {
+        return None;
+    };
+    let schema = &bound[&(join as *const Plan)];
+    let mut conjuncts = Vec::new();
+    split_conjuncts(predicate, &mut conjuncts);
+    if !conjuncts
+        .iter()
+        .all(|c| c.infallible(schema) && c.infer_type(schema).is_ok_and(|t| t == DataType::Bool))
+    {
+        return None;
+    }
+    let split = bound[&(&**left as *const Plan)].arity();
+    let rs = &bound[&(&**right as *const Plan)];
+    let (mut to_left, mut to_right, mut above) = (Vec::new(), Vec::new(), Vec::new());
+    for c in conjuncts {
+        let at: Vec<usize> = c
+            .referenced_columns()
+            .into_iter()
+            .filter_map(|n| schema.index_of(n))
+            .collect();
+        if at.iter().all(|&i| i < split) {
+            to_left.push(c.clone());
+        } else if *kind == JoinKind::Inner && at.iter().all(|&i| i >= split) {
+            to_right.push(c.map_columns(&|n| match schema.index_of(n) {
+                Some(i) => rs.columns()[i - split].name.clone(),
+                None => n.to_owned(),
+            }));
+        } else {
+            above.push(c.clone());
+        }
+    }
+    if to_left.is_empty() && to_right.is_empty() {
+        return None;
+    }
+    // Each input under what it now owns, moved further where the input is
+    // itself a join. Only nodes of the bound plan are looked into.
+    let below = |input: &Plan| push_selections(input, bound).unwrap_or_else(|| input.clone());
+    let side = |input: &Plan, owned: Vec<Expr>| match conjunction(owned) {
+        Some(predicate) => {
+            select_past_join(input, &predicate, bound).unwrap_or_else(|| Plan::Select {
+                input: Box::new(below(input)),
+                predicate,
+            })
+        }
+        None => below(input),
+    };
+    let join = Plan::Join {
+        left: Box::new(side(left, to_left)),
+        right: Box::new(side(right, to_right)),
+        on: on.clone(),
+        kind: *kind,
+    };
+    Some(match conjunction(above) {
+        Some(predicate) => join.select(predicate),
+        None => join,
+    })
+}
+
+/// The top-level `AND` operands of `e`, left to right.
+fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::Bin(BinOp::And, a, b) => {
+            split_conjuncts(a, out);
+            split_conjuncts(b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// The conjuncts `AND`ed left to right; `None` for none.
+fn conjunction(conjuncts: Vec<Expr>) -> Option<Expr> {
+    conjuncts.into_iter().reduce(Expr::and)
 }
 
 /// Bind every node of `plan` children-first — the order the executor's
 /// `compile` reports binding errors in — recording each node's output
 /// schema under its address. The addresses are only ever compared, and
 /// `plan` outlives the map.
-fn bind(plan: &Plan, db: &Database, bound: &mut HashMap<*const Plan, Schema>) -> RelResult<Schema> {
+fn bind(plan: &Plan, db: &Database, bound: &mut Bound) -> RelResult<Schema> {
     let inputs = plan
         .children()
         .into_iter()
@@ -594,12 +781,12 @@ enum Step {
 
 struct Prepare<'p> {
     db: &'p Database,
-    /// Every node of the plan as written, bound ([`bind`]).
-    bound: HashMap<*const Plan, Schema>,
+    /// Every node of the plan, bound ([`bind`]).
+    bound: Bound,
 }
 
 impl Prepare<'_> {
-    /// Output schema of a node of the plan as written.
+    /// Output schema of a node of the plan being prepared.
     fn schema(&self, plan: &Plan) -> &Schema {
         &self.bound[&(plan as *const Plan)]
     }
@@ -919,8 +1106,8 @@ impl Prepare<'_> {
     /// table keyed by exactly the join's right columns, passes every left
     /// row through once — matched or padded — so the left input stands in
     /// for it (under the join's relation name, where that is observed).
-    /// The right side must be a bare `Scan`: it bound, so the table exists
-    /// and reading it raises nothing.
+    /// The right side must be a bare `Scan` ([`keyed_lookup`]): it bound,
+    /// so the table exists and reading it raises nothing.
     fn eliminated_join(
         &self,
         join: &Plan,
@@ -929,13 +1116,9 @@ impl Prepare<'_> {
         on: &[(String, String)],
         need: &Need,
     ) -> Option<Step> {
-        let (ls, rs) = (self.schema(left), self.schema(right));
+        let ls = self.schema(left);
         let reads = need.cols.as_ref()?;
-        let key: BTreeSet<usize> = rs.primary_key().iter().copied().collect();
-        let joined: BTreeSet<usize> = on.iter().filter_map(|(_, r)| rs.index_of(r)).collect();
-        let sound = matches!(right, Plan::Scan(_))
-            && !key.is_empty()
-            && key == joined
+        let sound = keyed_lookup(right, on, self.db).is_some()
             && reads.iter().all(|c| ls.index_of(c).is_some());
         sound.then(|| {
             let (left, schema) = self.node(

@@ -99,6 +99,23 @@ if head -n "$delta_lines" crates/relational/src/delta.rs \
   exit 1
 fi
 
+# An `Engine` is meant to stay up, so the panic sites in `relational`'s
+# non-test code (ROADMAP item 7) may only go down: every `.unwrap()`,
+# `.expect(`, `panic!` and `unreachable!` above each file's `#[cfg(test)]`,
+# comment lines skipped (doc examples are tests). 49 at the commit that
+# started counting; lower the bound when a change removes some.
+panic_sites=0
+for f in $(find crates/relational/src -name '*.rs' | sort); do
+  n=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print }' "$f" \
+    | { grep -oE '\.unwrap\(\)|\.expect\(|panic!|unreachable!' || true; } | wc -l)
+  panic_sites=$((panic_sites + n))
+done
+echo "check.sh: non-test panic sites in crates/relational: $panic_sites"
+if [ "$panic_sites" -gt 49 ]; then
+  echo "check.sh: crates/relational gained a non-test panic site (more than 49) — return a RelError instead" >&2
+  exit 1
+fi
+
 # The benchmark snapshot must carry the fused-pipeline axis (DESIGN.md
 # §11), the blocking-operator axis (DESIGN.md §13) and the
 # resting-storage axis (DESIGN.md §14); a regeneration from a stale

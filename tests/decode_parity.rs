@@ -1,13 +1,15 @@
-//! What `Executor::execute` does before `compile` — dead-column pruning,
-//! projection fusion, the identity projection under a pivot, the unread
-//! lookup join (`relational::optimize::prepare`) — and the copy-free
-//! filtered windows below it are invisible: on both executor lanes the
-//! result, its schema and the first error are those of the plan *as
-//! written* under the materializing interpreter.
+//! What `Executor::execute` does before `compile` — a selection moved past
+//! a join, dead-column pruning, projection fusion, the identity projection
+//! under a pivot, the unread lookup join (`relational::optimize::prepare`)
+//! — the key probe `compile` picks for a join against a keyed stored
+//! table, and the copy-free filtered windows below it are invisible: on
+//! both executor lanes the result, its schema and the first error are
+//! those of the plan *as written* under the materializing interpreter.
 //!
 //! The suite goes where pruning could hide a fault: a narrow projection
 //! over every pattern's decode tower, then a single fault planted in a
-//! place nobody reads.
+//! place nobody reads; and where a moved selection or a key probe could
+//! change a row: unmatched rows, NULL and cross-type keys, edited tables.
 
 use guava::clinical::prelude::*;
 use guava::prelude::*;
@@ -21,8 +23,35 @@ use common::lanes;
 /// evaluates it as written: the same table (schema included) or the same
 /// error. Returns what that was.
 fn assert_parity(label: &str, plan: &Plan, db: &Database) -> RelResult<Table> {
+    let lanes = lanes()
+        .into_iter()
+        .map(|(lane, exec)| (lane.to_owned(), exec));
+    parity_on(label, plan, db, lanes)
+}
+
+/// [`assert_parity`] on one and two threads at morsel sizes from one row
+/// up, so probe windows split anywhere.
+fn assert_parity_at_morsels(label: &str, plan: &Plan, db: &Database) -> RelResult<Table> {
+    let sweep = [1, 2].into_iter().flat_map(|threads| {
+        [1, 3, 64, 4096].map(move |morsel| {
+            let exec = Executor::new()
+                .threads(threads)
+                .parallel_threshold(1)
+                .morsel_size(morsel);
+            (format!("{threads} threads, morsel {morsel}"), exec)
+        })
+    });
+    parity_on(label, plan, db, sweep)
+}
+
+fn parity_on(
+    label: &str,
+    plan: &Plan,
+    db: &Database,
+    lanes: impl IntoIterator<Item = (String, Executor)>,
+) -> RelResult<Table> {
     let want = plan.eval_materialized(db);
-    for (lane, exec) in lanes() {
+    for (lane, exec) in lanes {
         match (exec.execute(plan, db), &want) {
             (Ok(got), Ok(want)) => {
                 assert_eq!(got.schema(), want.schema(), "{label}, {lane}: schema");
@@ -620,4 +649,389 @@ fn clinical_extracts_run_as_asked_for_and_compile_as_before() {
         ],
         "{digests:#x?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// (v) A selection over a join moves only what cannot fail
+// ---------------------------------------------------------------------------
+
+/// `l` (40 reports) and `r`, keyed by `code` 0..=5. `l.k` is NULL on every
+/// ninth row and 6 or 7 — matching nothing — on others; `l.x` is zero
+/// exactly on rows whose `k` is 7. `s` and `flag` exist on both sides, so
+/// the join names the right ones `r.s` and `r.flag`.
+fn join_db() -> Database {
+    let l = Schema::new(
+        "l",
+        vec![
+            Column::required("id", DataType::Int),
+            Column::new("x", DataType::Int),
+            Column::new("k", DataType::Int),
+            Column::new("s", DataType::Text),
+            Column::new("flag", DataType::Bool),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["id"])
+    .unwrap();
+    let rows = (0..40i64).map(|i| {
+        let zero = i % 10 == 3;
+        vec![
+            Value::Int(i),
+            Value::Int(if zero { 0 } else { i % 4 + 1 }),
+            match i {
+                _ if zero => Value::Int(7),
+                _ if i % 9 == 0 => Value::Null,
+                _ => Value::Int(i % 8),
+            },
+            Value::text(format!("s{}", i % 3)),
+            if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Bool(i % 2 == 0)
+            },
+        ]
+    });
+    let mut db = Database::new("d");
+    db.create_table(Table::from_rows(l, rows).unwrap()).unwrap();
+    db.create_table(r_table((0..6).map(|c| r_row(c, "label"))))
+        .unwrap();
+    db
+}
+
+fn r_table(rows: impl IntoIterator<Item = Row>) -> Table {
+    let r = Schema::new(
+        "r",
+        vec![
+            Column::required("code", DataType::Int),
+            Column::new("label", DataType::Text),
+            Column::new("s", DataType::Text),
+            Column::new("flag", DataType::Bool),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["code"])
+    .unwrap();
+    Table::from_rows(r, rows).unwrap()
+}
+
+fn r_row(code: i64, label: &str) -> Row {
+    vec![
+        Value::Int(code),
+        Value::text(format!("{label} {code}")),
+        Value::text(format!("s{}", code % 3)),
+        Value::Bool(code % 2 == 1),
+    ]
+}
+
+/// Where `prepare` leaves the selections around the one join of `plan`:
+/// the predicate still above it, and those on its left and right inputs.
+fn selections(plan: &Plan, db: &Database) -> [Option<Expr>; 3] {
+    let prepared = prepare(plan, db).unwrap();
+    let predicate = |p: &Plan| match p {
+        Plan::Select { predicate, .. } => Some(predicate.clone()),
+        _ => None,
+    };
+    let join = match &prepared {
+        Plan::Select { input, .. } => &**input,
+        other => other,
+    };
+    let Plan::Join { left, right, .. } = join else {
+        panic!("{prepared:?}")
+    };
+    [predicate(&prepared), predicate(left), predicate(right)]
+}
+
+#[test]
+fn selection_past_join_moves_only_what_cannot_fail() {
+    let db = join_db();
+    let join = |kind| Plan::scan("l").join(Plan::scan("r"), vec![("k", "code")], kind);
+    let eq = |c: &str, v: &str| Expr::col(c).eq(Expr::lit(v));
+    let mixed = || Expr::col("s").eq(Expr::col("r.s"));
+    // 100 / x divides by zero on the rows whose key matches nothing.
+    let div = || Expr::lit(100i64).div(Expr::col("x")).eq(Expr::lit(25.0));
+    let flag = || Expr::col("flag").eq(Expr::lit(false));
+    use JoinKind::{Inner, Left};
+    let cases = [
+        (
+            "left-owned, inner",
+            join(Inner).select(eq("s", "s1")),
+            [None, Some(eq("s", "s1")), None],
+        ),
+        (
+            "left-owned, left",
+            join(Left).select(eq("s", "s1")),
+            [None, Some(eq("s", "s1")), None],
+        ),
+        (
+            "right-owned, inner",
+            join(Inner).select(eq("label", "label 3")),
+            [None, None, Some(eq("label", "label 3"))],
+        ),
+        (
+            "right-owned, left: it reads padded rows",
+            join(Left).select(eq("label", "label 3")),
+            [Some(eq("label", "label 3")), None, None],
+        ),
+        (
+            "collided right column",
+            join(Inner).select(eq("r.s", "s2")),
+            [None, None, Some(eq("s", "s2"))],
+        ),
+        (
+            "mixed conjunct",
+            join(Inner).select(mixed()),
+            [Some(mixed()), None, None],
+        ),
+        (
+            "each conjunct to its owner, the rest in order",
+            join(Inner).select(
+                eq("s", "s2")
+                    .and(mixed())
+                    .and(eq("label", "label 5"))
+                    .and(flag()),
+            ),
+            [
+                Some(mixed()),
+                Some(eq("s", "s2").and(flag())),
+                Some(eq("label", "label 5")),
+            ],
+        ),
+        (
+            "fallible conjunct over unmatched zeros",
+            join(Inner).select(div()),
+            [Some(div()), None, None],
+        ),
+        (
+            "an infallible conjunct beside a fallible one",
+            join(Inner).select(flag().and(div())),
+            [Some(flag().and(div())), None, None],
+        ),
+    ];
+    for (label, plan, want) in cases {
+        assert_eq!(selections(&plan, &db), want, "{label}");
+        let got = assert_parity_at_morsels(label, &plan, &db).unwrap();
+        assert!(!got.is_empty(), "{label}");
+    }
+    // Through nested joins, each conjunct down to the input that owns it;
+    // a selection already under the outer one moves on its own.
+    let db = key_db();
+    let three = |inner: Plan| inner.join(Plan::scan("m"), vec![("x", "p"), ("s", "q")], Inner);
+    let nested = three(join(Inner)).select(
+        eq("s", "s1")
+            .and(eq("label", "label 2"))
+            .and(Expr::col("w").ne(Expr::lit(11i64))),
+    );
+    let filtered = |table: &str, predicate: Expr| Plan::scan(table).select(predicate);
+    assert_eq!(
+        prepare(&nested, &db).unwrap(),
+        filtered("l", eq("s", "s1"))
+            .join(
+                filtered("r", eq("label", "label 2")),
+                vec![("k", "code")],
+                Inner
+            )
+            .join(
+                filtered("m", Expr::col("w").ne(Expr::lit(11i64))),
+                vec![("x", "p"), ("s", "q")],
+                Inner
+            )
+    );
+    let stacked = three(join(Inner).select(eq("label", "label 2"))).select(eq("s", "s1"));
+    for (label, plan) in [("nested joins", nested), ("stacked selections", stacked)] {
+        let got = assert_parity_at_morsels(label, &plan, &db).unwrap();
+        assert!(!got.is_empty(), "{label}");
+    }
+
+    // Moved, the division would meet the zeros the join drops.
+    let moved = Plan::scan("l")
+        .select(div())
+        .join(Plan::scan("r"), vec![("k", "code")], Inner);
+    assert_eq!(
+        moved.eval_materialized(&db).unwrap_err(),
+        RelError::Eval("division by zero".into())
+    );
+}
+
+// ---------------------------------------------------------------------------
+// (vi) A join against a keyed stored table probes that table's key
+// ---------------------------------------------------------------------------
+
+/// The `explain` line of the one join `Executor::execute` runs for `plan`.
+fn join_line(plan: &Plan, db: &Database) -> String {
+    let runs = prepare(plan, db).unwrap_or_else(|| plan.clone());
+    let text = explain_plan(&runs, db, false).unwrap();
+    let mut joins = text.lines().filter(|l| l.contains("Join"));
+    let line = joins.next().unwrap().trim().to_owned();
+    assert!(joins.next().is_none(), "{text}");
+    line
+}
+
+/// Keys the primary-key index must match exactly as the hash join does:
+/// a two-column key probed in the other order, FLOAT keys probed by INT
+/// and FLOAT values, NaN and −0.0.
+fn key_db() -> Database {
+    let mut db = join_db();
+    let m = Schema::new(
+        "m",
+        vec![
+            Column::required("p", DataType::Int),
+            Column::required("q", DataType::Text),
+            Column::new("w", DataType::Int),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["p", "q"])
+    .unwrap();
+    let m_rows = (0..4i64).flat_map(|p| {
+        (0..3i64).map(move |q| {
+            vec![
+                Value::Int(p),
+                Value::text(format!("s{q}")),
+                Value::Int(p * 10 + q),
+            ]
+        })
+    });
+    db.create_table(Table::from_rows(m, m_rows).unwrap())
+        .unwrap();
+    let fk = Schema::new(
+        "fk",
+        vec![
+            Column::required("v", DataType::Float),
+            Column::new("name", DataType::Text),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["v"])
+    .unwrap();
+    let keys = [0.0, -0.0, 1.0, 2.0, 2.5, f64::NAN];
+    let fk_rows = keys
+        .iter()
+        .map(|&v| vec![Value::Float(v), Value::text(format!("{v:?}"))]);
+    db.create_table(Table::from_rows(fk, fk_rows).unwrap())
+        .unwrap();
+    let probe = Schema::new(
+        "probe",
+        vec![
+            Column::required("id", DataType::Int),
+            Column::new("i", DataType::Int),
+            Column::new("f", DataType::Float),
+        ],
+    )
+    .unwrap();
+    let ints = [Some(0), Some(1), Some(2), Some(3), None, Some(2), Some(-1)];
+    let floats = [
+        Some(0.0),
+        Some(-0.0),
+        Some(f64::NAN),
+        Some(2.5),
+        Some(2.0),
+        None,
+        Some(7.0),
+    ];
+    let probe_rows = ints
+        .iter()
+        .zip(&floats)
+        .enumerate()
+        .map(|(id, (i, f))| vec![Value::Int(id as i64), Value::from(*i), Value::from(*f)]);
+    db.create_table(Table::from_rows(probe, probe_rows).unwrap())
+        .unwrap();
+    db
+}
+
+#[test]
+fn a_join_against_a_keyed_table_probes_its_key() {
+    let mut db = key_db();
+    let probed = |table: &str| format!("[probe: key of {table}]");
+    let hashed = || "[build: right]".to_owned();
+    let l_r = |kind| Plan::scan("l").join(Plan::scan("r"), vec![("k", "code")], kind);
+    let l_m = |kind, on: Vec<(&str, &str)>| Plan::scan("l").join(Plan::scan("m"), on, kind);
+    let probe_fk = |col, kind| Plan::scan("probe").join(Plan::scan("fk"), vec![(col, "v")], kind);
+    for kind in [JoinKind::Inner, JoinKind::Left] {
+        let cases = [
+            // NULL keys, and keys the table does not hold.
+            ("key column", l_r(kind), probed("r")),
+            (
+                "two-column key, listed in the other order",
+                l_m(kind, vec![("s", "q"), ("x", "p")]),
+                probed("m"),
+            ),
+            ("INT probes a FLOAT key", probe_fk("i", kind), probed("fk")),
+            ("FLOAT probes: NaN, -0.0", probe_fk("f", kind), probed("fk")),
+            ("part of the key", l_m(kind, vec![("x", "p")]), hashed()),
+            (
+                "more than the key",
+                Plan::scan("l").join(Plan::scan("r"), vec![("k", "code"), ("s", "s")], kind),
+                hashed(),
+            ),
+            (
+                // Two conditions on one key column: both must hold.
+                "the key twice",
+                Plan::scan("l").join(Plan::scan("r"), vec![("k", "code"), ("id", "code")], kind),
+                hashed(),
+            ),
+            (
+                "a filtered right side",
+                Plan::scan("l").join(
+                    Plan::scan("r").select(Expr::col("code").ge(Expr::lit(1i64))),
+                    vec![("k", "code")],
+                    kind,
+                ),
+                hashed(),
+            ),
+        ];
+        for (label, plan, side) in cases {
+            let label = format!("{label}, {kind:?}");
+            assert!(join_line(&plan, &db).ends_with(&side), "{label}");
+            let got = assert_parity_at_morsels(&label, &plan, &db).unwrap();
+            assert!(!got.is_empty(), "{label}");
+        }
+
+        // A probe pipeline that fails fails as the oracle does.
+        let fallible = Plan::scan("l")
+            .project(vec![
+                ("k", Expr::col("k")),
+                ("q", Expr::lit(100i64).div(Expr::col("x"))),
+            ])
+            .join(Plan::scan("r"), vec![("k", "code")], kind);
+        assert!(join_line(&fallible, &db).ends_with(&probed("r")));
+        let err = assert_parity_at_morsels("fallible probe side", &fallible, &db).unwrap_err();
+        assert_eq!(err, RelError::Eval("division by zero".into()));
+    }
+
+    // Edited key tables: deletes under a seal, keys deleted and inserted
+    // again (a tombstone, then an overlay entry), and an empty table.
+    let r = db.table("r").unwrap().clone();
+    r.segments();
+    let patched = r
+        .apply_patch(
+            &Patch::new(
+                vec![1, 3],
+                vec![(6, vec![r_row(3, "again"), r_row(7, "new")])],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    let deleted = patched.row_at(0).unwrap().clone();
+    let mut edited = patched
+        .apply_delta(&TableDelta {
+            pre_len: patched.len(),
+            deleted: vec![(0, deleted)],
+            inserted: vec![r_row(0, "back"), r_row(1, "back")],
+        })
+        .unwrap();
+    edited.delete_where(|row| row[0] == Value::Int(4)).unwrap();
+    edited.insert(r_row(4, "last")).unwrap();
+    for (label, table, rows) in [
+        ("edited key table", edited, [30, 40]),
+        ("empty key table", r_table([]), [0, 40]),
+    ] {
+        db.put_table(table);
+        for (kind, rows) in [JoinKind::Inner, JoinKind::Left].into_iter().zip(rows) {
+            let plan = l_r(kind);
+            let label = format!("{label}, {kind:?}");
+            assert!(join_line(&plan, &db).ends_with(&probed("r")), "{label}");
+            let got = assert_parity_at_morsels(&label, &plan, &db).unwrap();
+            assert_eq!(got.len(), rows, "{label}");
+        }
+    }
 }
