@@ -240,54 +240,5 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_optimized_decode(c: &mut Criterion) {
-    // Ablation: the logical optimizer (predicate pushdown / fusion) versus
-    // the raw decode plan, over the most rewrite-heavy layouts.
-    let mut naive = naive_db();
-    naive
-        .create_table(Table::new(
-            Schema::new(
-                "form2",
-                vec![
-                    Column::required("instance_id", DataType::Int),
-                    Column::new("z", DataType::Int),
-                ],
-            )
-            .unwrap()
-            .with_primary_key(&["instance_id"])
-            .unwrap(),
-        ))
-        .unwrap();
-    let query = Plan::scan("form").select(
-        Expr::col("count")
-            .ge(Expr::lit(25i64))
-            .and(Expr::col("flag").eq(Expr::lit(true))),
-    );
-    let mut group = c.benchmark_group("pattern_decode_optimized");
-    group.sample_size(20);
-    for (name, stack) in stacks() {
-        if !matches!(name, "Generic" | "Merge" | "Versioned" | "Lookup") {
-            continue;
-        }
-        let physical = stack.encode(&naive).unwrap();
-        let optimized = || optimize(&stack.decode_plan(&query).unwrap());
-        assert_eq!(
-            stack.query(&physical, &query).unwrap().rows(),
-            optimized().eval(&physical).unwrap().rows(),
-        );
-        group.bench_with_input(BenchmarkId::new("raw", name), &physical, |b, physical| {
-            b.iter(|| black_box(stack.query(black_box(physical), &query).unwrap().len()))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("optimized", name),
-            &physical,
-            |b, physical| {
-                b.iter(|| black_box(optimized().eval(black_box(physical)).unwrap().len()))
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_decode, bench_encode, bench_optimized_decode);
+criterion_group!(benches, bench_decode, bench_encode);
 criterion_main!(benches);

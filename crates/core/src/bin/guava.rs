@@ -21,8 +21,7 @@ use guava::relational::algebra::{AggFunc, Aggregate, JoinKind, Plan};
 use guava::relational::delta::Change;
 use guava::relational::explain::explain_plan;
 use guava::relational::expr::Expr;
-use guava::relational::optimize::prepare;
-use guava::relational::prelude::{DataType, Database, Table, Value};
+use guava::relational::prelude::{DataType, Table, Value};
 use guava::warehouse::service::{Engine, EngineConfig, Session, Subscription};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -496,7 +495,7 @@ fn serve_queries() -> Vec<(&'static str, Plan)> {
 
 /// `explain <query> [--analyze]`: print the operator tree the executor
 /// runs for one of the `serve` menu queries against the demo engine —
-/// the query after `relational::optimize::prepare`, which is what
+/// the query as `Snapshot::optimize` prepares it, which is what
 /// `Executor::execute` compiles.
 /// `--analyze` additionally evaluates every subtree and appends its
 /// actual row count, and each scan leaf's physical table layout (chunks,
@@ -516,16 +515,9 @@ fn cmd_explain(query: &str, flag: Option<&str>) -> CmdResult {
     let snap = engine.snapshot();
     print!(
         "{}",
-        explain_plan(&executed(plan, snap.database()), snap.database(), analyze)?
+        explain_plan(&snap.optimize(plan), snap.database(), analyze)?
     );
     Ok(())
-}
-
-/// The plan `Executor::execute` compiles for `plan`: prepared, or as
-/// written where the pass declines (no scan, or a binding error that
-/// `compile` is about to raise).
-fn executed(plan: &Plan, db: &Database) -> Plan {
-    prepare(plan, db).unwrap_or_else(|| plan.clone())
 }
 
 fn fmt_rows(rows: &[Vec<Value>]) -> Vec<String> {
@@ -798,6 +790,7 @@ fn cmd_serve(rows: Option<&str>) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use guava::relational::optimize::prepare;
 
     fn run(script: &str) -> String {
         let engine = serve_engine(6).unwrap();
@@ -829,7 +822,7 @@ mod tests {
         let db = snap.database();
         let queries = serve_queries();
         let (_, plan) = queries.iter().find(|(n, _)| *n == "study_packs").unwrap();
-        let chosen = executed(plan, db);
+        let chosen = snap.optimize(plan);
         // Both sides of the join are read whole: nothing to prune or fuse.
         assert_eq!(chosen, *plan);
 
@@ -893,7 +886,7 @@ mod tests {
             let comp = stage.components.iter().find(|c| c.name == component);
             let comp = comp.unwrap();
             let db = catalog.database(&comp.source_db).unwrap();
-            explain_plan(&executed(&comp.plan, db), db, false).unwrap()
+            explain_plan(&prepare(&comp.plan, db).unwrap(), db, false).unwrap()
         };
         // EndoPro: the audit filter's windows reach the pivot as they are,
         // and the three-level tower above it is one row build.

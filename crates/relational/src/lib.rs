@@ -71,7 +71,6 @@ pub mod prelude {
     pub use crate::exec::Executor;
     pub use crate::explain::explain_plan;
     pub use crate::expr::{BinOp, Expr};
-    pub use crate::optimize::optimize;
     pub use crate::schema::{Column, Schema};
     pub use crate::table::{Row, Table};
     pub use crate::value::{DataType, Value};

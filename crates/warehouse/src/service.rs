@@ -188,12 +188,14 @@ impl Snapshot {
         &self.store.naive_form.schema().name
     }
 
-    /// The rule-optimized form of `plan`
-    /// ([`guava_relational::optimize::optimize`]); it evaluates
-    /// byte-identically to `plan`. No statistics are consulted — every
+    /// The plan a query of this snapshot runs in place of `plan`:
+    /// [`prepare`](guava_relational::optimize::prepare)`(plan, database)`,
+    /// or `plan` as written where it does not bind (the executor then
+    /// raises that binding error). It evaluates byte-identically to
+    /// `plan`, first error included. No statistics are consulted — every
     /// plan the system builds is fixed by its definition (DESIGN.md §17).
     pub fn optimize(&self, plan: &Plan) -> Plan {
-        guava_relational::optimize::optimize(plan)
+        guava_relational::optimize::prepare(plan, &self.db).unwrap_or_else(|| plan.clone())
     }
 }
 

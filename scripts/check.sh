@@ -52,6 +52,19 @@ if grep -rnE 'GUAVA_EXEC_THREADS|THREADS_ENV|ExecConfig|eval_with|execute_with|r
   exit 1
 fi
 
+# One plan rewriter (DESIGN.md §9): what `Executor::execute` runs is
+# `optimize::prepare`, and `Snapshot::optimize` returns what it prepares.
+# The older catalog-free pass, its seven rules and the bench group that
+# timed it fired on no plan the system builds for anything measurable and
+# were deleted. Code only — the decision record may still name what went;
+# the word boundary keeps `prepare`'s own `push_selections` out of it.
+if grep -rnE '\bpush_select\(|fuse_project|static_keyless|static_columns|optimize::optimize|pattern_decode_optimized' \
+    --exclude=check.sh \
+    crates tests examples scripts; then
+  echo "check.sh: a deleted catalog-free rewrite rule or its bench group reappeared (matches above)" >&2
+  exit 1
+fi
+
 # A refresh lands its change, not its table (DESIGN.md §12/§18): a
 # component's output is one persistent table that the plan's cache, the
 # workflow cache and the catalog share, moved by `Table::patch`. The
@@ -263,12 +276,14 @@ for b in at_1m:
         sys.exit(1)
 EOF
 
-# What `Executor::execute` does before `compile` (DESIGN.md §9: dead
-# columns, projection towers, the unread lookup join) and the copy-free
-# filtered windows under it (§11) must be invisible — table, schema and
-# first error those of the plan as written, single faults in unread places
-# included. By name, so a renamed or unregistered file fails here instead
-# of silently dropping out of the workspace run below.
+# What `Executor::execute` does before `compile` (DESIGN.md §9: selections
+# past joins, dead columns, projection towers, the identity projection
+# under a pivot, the unread lookup join) and the copy-free filtered windows
+# under it (§11) must be invisible — table, schema and first error those of
+# the plan as written, single faults in unread places included, on
+# hand-built fixtures and on random plans that count how often each rule
+# fired. By name, so a renamed or unregistered file fails here instead of
+# silently dropping out of the workspace run below.
 cargo test -q -p guava --test decode_parity
 
 # Property tests run with a pinned RNG stream so failures reproduce across

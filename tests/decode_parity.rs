@@ -10,11 +10,14 @@
 //! over every pattern's decode tower, then a single fault planted in a
 //! place nobody reads; and where a moved selection or a key probe could
 //! change a row: unmatched rows, NULL and cross-type keys, edited tables.
+//! Then random plans (section vii), generated so that every rule meets the
+//! inputs it acts on and counted so that a rule that stops firing fails.
 
 use guava::clinical::prelude::*;
 use guava::prelude::*;
 use guava::relational::optimize::prepare;
 use guava_relational::value::DataType;
+use proptest::TestRng;
 
 mod common;
 use common::lanes;
@@ -1033,5 +1036,588 @@ fn a_join_against_a_keyed_table_probes_its_key() {
             let got = assert_parity_at_morsels(&label, &plan, &db).unwrap();
             assert_eq!(got.len(), rows, "{label}");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (vii) Random plans, biased so that every rule fires
+// ---------------------------------------------------------------------------
+//
+// The contract, stated once: for every generated plan the interpreter
+// gives `prepare(plan)` the table, the schema and the first error it gives
+// `plan` — multi-fault plans included — and the executor lanes are held to
+// the interpreter over `plan` as `tests/algebra_properties.rs` holds them
+// (the same table on success, failure on both sides, one answer across
+// lanes). Four generators, one per shape a rule meets: decode towers
+// (liveness, fusion), a selection over a join, a lookup join, and a pivot
+// over an identity projection. The suite counts what fired, from the two
+// plans' structure, and fails if a rule never does.
+
+/// Cases per run; `PROPTEST_RNG_SEED` picks the stream.
+const CASES: u64 = 256;
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Ty {
+    Int,
+    Bool,
+    Text,
+    Float,
+}
+
+/// Output columns of a generated subplan, with their types.
+type Cols = Vec<(String, Ty)>;
+
+fn one_in(rng: &mut TestRng, n: usize) -> bool {
+    rng.below(n) == 0
+}
+
+fn pick<T: Clone>(rng: &mut TestRng, xs: &[T]) -> T {
+    xs[rng.below(xs.len())].clone()
+}
+
+fn literal(rng: &mut TestRng, ty: Ty) -> Expr {
+    match ty {
+        Ty::Int => Expr::lit(rng.below(8) as i64),
+        Ty::Bool => Expr::lit(one_in(rng, 2)),
+        Ty::Text => Expr::lit(format!("s{}", rng.below(3))),
+        Ty::Float => Expr::lit(rng.below(40) as f64),
+    }
+}
+
+/// A BOOL conjunct `Expr::infallible` accepts: `=`, `<>` or a NULL test.
+fn infallible_test(rng: &mut TestRng, (name, ty): &(String, Ty)) -> Expr {
+    let c = Expr::col(name);
+    match rng.below(4) {
+        0 => c.is_null(),
+        1 => c.is_not_null(),
+        2 => c.ne(literal(rng, *ty)),
+        _ => c.eq(literal(rng, *ty)),
+    }
+}
+
+/// `t` with `a` zero on some rows, whose key `k` is then one `r` never
+/// holds — so a division by `a` fails only on rows an inner join drops;
+/// `r` keyed by `code`, `r_dup` not keyed, and an EAV table with a NOT
+/// NULL key and an occasional malformed INT value.
+fn random_db(rng: &mut TestRng) -> Database {
+    let t = Schema::new(
+        "t",
+        vec![
+            Column::required("id", DataType::Int),
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Bool),
+            Column::new("s", DataType::Text),
+            Column::new("k", DataType::Int),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["id"])
+    .unwrap();
+    let maybe = |rng: &mut TestRng, v: Value| if one_in(rng, 4) { Value::Null } else { v };
+    let t_rows: Vec<Row> = (0..rng.below(24) as i64)
+        .map(|id| {
+            let [a, k, s] = [5, 8, 3].map(|n| rng.below(n) as i64);
+            let a = maybe(rng, Value::Int(a));
+            let k = if a == Value::Int(0) {
+                Value::Int(6 + k % 2)
+            } else {
+                maybe(rng, Value::Int(k))
+            };
+            let b = one_in(rng, 2);
+            let b = maybe(rng, Value::Bool(b));
+            let s = maybe(rng, Value::text(format!("s{s}")));
+            vec![Value::Int(id), a, b, s, k]
+        })
+        .collect();
+    let r = Schema::new(
+        "r",
+        vec![
+            Column::required("code", DataType::Int),
+            Column::new("label", DataType::Text),
+            Column::new("s", DataType::Text),
+            Column::new("b", DataType::Bool),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["code"])
+    .unwrap();
+    let r_rows: Vec<Row> = (0..6i64)
+        .filter(|_| !one_in(rng, 4))
+        .map(|code| {
+            vec![
+                Value::Int(code),
+                Value::text(format!("label {code}")),
+                Value::text(format!("s{}", code % 3)),
+                Value::Bool(code % 2 == 1),
+            ]
+        })
+        .collect();
+    let r_dup = Schema::new(
+        "r_dup",
+        vec![
+            Column::required("code", DataType::Int),
+            Column::new("label", DataType::Text),
+        ],
+    )
+    .unwrap();
+    let dup_rows = (0..6).map(|i| vec![Value::Int(i / 2), Value::text(format!("dup {i}"))]);
+    let eav = Schema::new(
+        "eav",
+        vec![
+            Column::required("entity", DataType::Int),
+            Column::required("attribute", DataType::Text),
+            Column::new("value", DataType::Text),
+            Column::required("void", DataType::Int),
+        ],
+    )
+    .unwrap();
+    let mut eav_rows = Vec::new();
+    for entity in 0..rng.below(8) as i64 {
+        for attr in 0..3 {
+            if one_in(rng, 3) {
+                continue;
+            }
+            let value = match rng.below(40) {
+                0 => Value::text("many"),
+                1..=4 => Value::Null,
+                n => Value::text((n % 9).to_string()),
+            };
+            let void = Value::Int(i64::from(one_in(rng, 5)));
+            eav_rows.push(vec![
+                Value::Int(entity),
+                Value::text(format!("a{attr}")),
+                value,
+                void,
+            ]);
+        }
+    }
+    let mut db = Database::new("d");
+    for table in [
+        Table::from_rows(t, t_rows),
+        Table::from_rows(r, r_rows),
+        Table::from_rows(r_dup, dup_rows),
+        Table::from_rows(eav, eav_rows),
+    ] {
+        db.create_table(table.unwrap()).unwrap();
+    }
+    db
+}
+
+/// The names in `cols` of type `ty`.
+fn of_type(cols: &Cols, ty: Ty) -> Vec<String> {
+    cols.iter()
+        .filter(|(_, t)| *t == ty)
+        .map(|(n, _)| n.clone())
+        .collect()
+}
+
+fn t_cols() -> Cols {
+    [
+        ("id", Ty::Int),
+        ("a", Ty::Int),
+        ("b", Ty::Bool),
+        ("s", Ty::Text),
+        ("k", Ty::Int),
+    ]
+    .map(|(n, ty)| (n.to_owned(), ty))
+    .to_vec()
+}
+
+/// `π ∘ ρ ∘ σ ∘ π` over `input`: the inner projection decodes each column
+/// as a pattern would — as itself, `=`, `IS NULL` or a `CASE` — beside an
+/// occasional dead `100 / a` and, rarely, an unbound `ghost`; the
+/// selection is infallible, an ordering comparison, a division or a test
+/// of `ghost`; the rename renames a column, the relation or both; the
+/// outer projection reads a subset.
+fn tower(rng: &mut TestRng, input: Plan, cols: &Cols) -> (Plan, Cols) {
+    let mut inner: Vec<(String, Expr, Ty)> = Vec::new();
+    fn add(inner: &mut Vec<(String, Expr, Ty)>, name: String, e: Expr, ty: Ty) {
+        if !inner.iter().any(|(n, ..)| *n == name) {
+            inner.push((name, e, ty));
+        }
+    }
+    for (c, ty) in cols {
+        let col = Expr::col(c);
+        match rng.below(8) {
+            0 => {}
+            1 => add(
+                &mut inner,
+                format!("{c}_eq"),
+                col.eq(literal(rng, *ty)),
+                Ty::Bool,
+            ),
+            2 => add(&mut inner, format!("{c}_null"), col.is_null(), Ty::Bool),
+            3 => {
+                // The CASE shapes BoolEncode and NullSentinel decode to.
+                let (decoded, ty) = match ty {
+                    Ty::Bool => (
+                        Expr::Case {
+                            arms: vec![
+                                (col.clone().eq(Expr::lit(true)), Expr::lit("Y")),
+                                (col.eq(Expr::lit(false)), Expr::lit("N")),
+                            ],
+                            default: Box::new(Expr::Lit(Value::Null)),
+                        },
+                        Ty::Text,
+                    ),
+                    _ => (
+                        Expr::Case {
+                            arms: vec![(col.clone().is_null(), literal(rng, *ty))],
+                            default: Box::new(col),
+                        },
+                        *ty,
+                    ),
+                };
+                add(&mut inner, format!("{c}_dec"), decoded, ty);
+            }
+            _ => add(&mut inner, c.clone(), col, *ty),
+        }
+    }
+    let ints = of_type(cols, Ty::Int);
+    if !ints.is_empty() && one_in(rng, 3) {
+        let c = pick(rng, &ints);
+        let inv = Expr::lit(100i64).div(Expr::col(&c));
+        add(&mut inner, format!("{c}_inv"), inv, Ty::Float);
+    }
+    if one_in(rng, 16) {
+        add(&mut inner, "g".to_owned(), Expr::col("ghost"), Ty::Int);
+    }
+    if inner.is_empty() {
+        let (c, ty) = cols[0].clone();
+        add(&mut inner, c.clone(), Expr::col(&c), ty);
+    }
+    let mut out: Cols = inner.iter().map(|(n, _, ty)| (n.clone(), *ty)).collect();
+    let mut plan = input.project(inner.into_iter().map(|(n, e, _)| (n, e)).collect());
+
+    let ints = of_type(&out, Ty::Int);
+    let predicate = match rng.below(9) {
+        0 | 1 => None,
+        2..=5 => {
+            let c = pick(rng, &out);
+            Some(infallible_test(rng, &c))
+        }
+        6 if !ints.is_empty() => Some(Expr::col(pick(rng, &ints)).ge(literal(rng, Ty::Int))),
+        7 if !ints.is_empty() => {
+            let c = pick(rng, &ints);
+            Some(Expr::lit(100i64).div(Expr::col(&c)).gt(Expr::lit(10i64)))
+        }
+        _ => Some(Expr::col("ghost").is_null()),
+    };
+    if let Some(p) = predicate {
+        plan = plan.select(p);
+    }
+
+    let mut renamed = Vec::new();
+    if one_in(rng, 2) {
+        let i = rng.below(out.len());
+        let to = format!("{}_r", out[i].0);
+        if !out.iter().any(|(n, _)| *n == to) {
+            renamed.push((out[i].0.clone(), to.clone()));
+            out[i].0 = to;
+        }
+    }
+    let table = one_in(rng, 3).then(|| "phys".to_owned());
+    if table.is_some() || !renamed.is_empty() {
+        plan = Plan::Rename {
+            input: Box::new(plan),
+            table,
+            columns: renamed,
+        };
+    }
+
+    let mut outer: Vec<(String, Expr)> = Vec::new();
+    let mut kept: Cols = Vec::new();
+    for (c, ty) in &out {
+        if one_in(rng, 2) {
+            outer.push((c.clone(), Expr::col(c)));
+            kept.push((c.clone(), *ty));
+        }
+    }
+    if kept.is_empty() || one_in(rng, 4) {
+        let (c, ty) = pick(rng, &out);
+        let alias = format!("{c}_o");
+        if !kept.iter().any(|(n, _)| *n == alias) {
+            let (e, ty) = if one_in(rng, 2) {
+                (infallible_test(rng, &(c, ty)), Ty::Bool)
+            } else if ty == Ty::Int {
+                (Expr::col(&c).mul(Expr::lit(2i64)), Ty::Int)
+            } else {
+                (Expr::col(&c), ty)
+            };
+            outer.push((alias.clone(), e));
+            kept.push((alias, ty));
+        }
+    }
+    (plan.project(outer), kept)
+}
+
+/// One or two towers over `t`, under a consumer that reads all, some or
+/// none of their columns by name.
+fn towers(rng: &mut TestRng) -> Plan {
+    let (mut plan, mut cols) = tower(rng, Plan::scan("t"), &t_cols());
+    if one_in(rng, 3) {
+        (plan, cols) = tower(rng, plan, &cols);
+    }
+    match rng.below(4) {
+        0 => plan.sort_by(&[cols[0].0.as_str()]),
+        1 => plan.limit(rng.below(10)),
+        _ => plan,
+    }
+}
+
+/// `σ` over a join of `t` with `r` (collided names `r.s`, `r.b`) or with
+/// the keyless `r_dup`: one to three infallible conjuncts on the left,
+/// right or both sides, sometimes beside one `>=` — a plain comparison or
+/// a division by `a`, which is zero only on rows the inner join drops.
+fn select_over_join(rng: &mut TestRng) -> Plan {
+    let kind = if one_in(rng, 2) {
+        JoinKind::Inner
+    } else {
+        JoinKind::Left
+    };
+    let left = if one_in(rng, 4) {
+        Plan::scan("t").project_cols(&["id", "a", "b", "s", "k"])
+    } else {
+        Plan::scan("t")
+    };
+    let (right, right_cols) = if one_in(rng, 4) {
+        ("r_dup", vec![("code", Ty::Int), ("label", Ty::Text)])
+    } else {
+        let cols = vec![
+            ("code", Ty::Int),
+            ("label", Ty::Text),
+            ("r.s", Ty::Text),
+            ("r.b", Ty::Bool),
+        ];
+        ("r", cols)
+    };
+    let cols: Cols = t_cols()
+        .into_iter()
+        .chain(right_cols.into_iter().map(|(n, ty)| (n.to_owned(), ty)))
+        .collect();
+    let mut conjuncts: Vec<Expr> = (0..1 + rng.below(3))
+        .map(|_| {
+            if right == "r" && one_in(rng, 5) {
+                Expr::col("s").eq(Expr::col("r.s"))
+            } else {
+                let c = pick(rng, &cols);
+                infallible_test(rng, &c)
+            }
+        })
+        .collect();
+    if one_in(rng, 2) {
+        let ordered = if one_in(rng, 2) {
+            Expr::lit(100i64).div(Expr::col("a")).ge(Expr::lit(20i64))
+        } else {
+            Expr::col(pick(rng, &["a", "k", "code"])).ge(literal(rng, Ty::Int))
+        };
+        let at = rng.below(conjuncts.len() + 1);
+        conjuncts.insert(at, ordered);
+    }
+    let predicate = conjuncts.into_iter().reduce(Expr::and).unwrap();
+    let plan = left
+        .join(Plan::scan(right), vec![("k", "code")], kind)
+        .select(predicate);
+    if one_in(rng, 3) {
+        plan.project_cols(&["id", "label"])
+    } else {
+        plan
+    }
+}
+
+/// A lookup of `t.k` in `r` (keyed), `r_dup` (not keyed) or a table that
+/// is gone, `Left` or `Inner`, with the label read or not.
+fn lookup_join(rng: &mut TestRng) -> Plan {
+    let kind = if one_in(rng, 4) {
+        JoinKind::Inner
+    } else {
+        JoinKind::Left
+    };
+    let right = match rng.below(8) {
+        0 => "r_dup",
+        1 => "gone",
+        _ => "r",
+    };
+    let left = if one_in(rng, 3) {
+        Plan::scan("t").project(vec![
+            ("id", Expr::col("id")),
+            ("k", Expr::col("k")),
+            ("s_null", Expr::col("s").is_null()),
+        ])
+    } else {
+        Plan::scan("t")
+    };
+    let read: &[&str] = match rng.below(4) {
+        0 => &["id", "label"],
+        1 => &["k"],
+        _ => &["id", "k"],
+    };
+    left.join(Plan::scan(right), vec![("k", "code")], kind)
+        .project_cols(read)
+}
+
+/// A pivot of the EAV table over a projection that is the identity once
+/// liveness has run — through an audit filter or not — under the plan's
+/// root, a sort (both observe the key's nullability) or a projection.
+fn pivot(rng: &mut TestRng) -> Plan {
+    let mut input = Plan::scan("eav");
+    if one_in(rng, 2) {
+        input = input.select(Expr::col("void").eq(Expr::lit(0i64)));
+    }
+    let mut columns: Vec<(&str, Expr)> = ["entity", "attribute", "value"]
+        .map(|c| (c, Expr::col(c)))
+        .to_vec();
+    match rng.below(3) {
+        0 => columns.push(("void", Expr::col("void"))),
+        1 => columns.push(("blank", Expr::col("value").is_null())),
+        _ => {}
+    }
+    let plan = Plan::Pivot {
+        input: Box::new(input.project(columns)),
+        keys: vec!["entity".into()],
+        attr_col: "attribute".into(),
+        val_col: "value".into(),
+        attrs: vec![
+            ("a0".into(), DataType::Int),
+            ("a1".into(), DataType::Int),
+            ("a2".into(), DataType::Text),
+        ],
+    };
+    match rng.below(4) {
+        0 => plan,
+        1 => plan.sort_by(&["entity"]),
+        2 => plan.project_cols(&["entity", "a2"]),
+        _ => plan.project_cols(&["a1"]),
+    }
+}
+
+fn random_plan(rng: &mut TestRng) -> Plan {
+    match rng.below(4) {
+        0 => towers(rng),
+        1 => select_over_join(rng),
+        2 => lookup_join(rng),
+        _ => pivot(rng),
+    }
+}
+
+/// The contract above for one plan; returns what `prepare` made of it
+/// where the plan binds.
+fn random_parity(label: &str, plan: &Plan, db: &Database) -> Option<Plan> {
+    let want = plan.eval_materialized(db);
+    let prepared = prepare(plan, db);
+    if let Some(prepared) = &prepared {
+        match (prepared.eval_materialized(db), &want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.schema(), want.schema(), "{label}: prepared schema");
+                assert_eq!(&got, want, "{label}: prepared rows");
+            }
+            (Err(got), Err(want)) => assert_eq!(&got, want, "{label}: prepared error"),
+            (got, want) => panic!("{label}: prepared {got:?}, as written {want:?}"),
+        }
+    }
+    let mut answers = lanes().into_iter().map(|(lane, exec)| {
+        let got = exec.execute(plan, db);
+        match (&got, &want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.schema(), want.schema(), "{label}, {lane}: schema");
+                assert_eq!(got, want, "{label}, {lane}: rows");
+            }
+            (Err(_), Err(_)) => {}
+            (got, want) => panic!("{label}, {lane}: executor {got:?}, oracle {want:?}"),
+        }
+        got
+    });
+    let first = answers.next().unwrap();
+    for other in answers {
+        assert_eq!(other, first, "{label}: the lanes disagree");
+    }
+    prepared
+}
+
+/// The output names of every projection in `plan`.
+fn projections(plan: &Plan, out: &mut Vec<Vec<String>>) {
+    if let Plan::Project { columns, .. } = plan {
+        out.push(columns.iter().map(|(alias, _)| alias.clone()).collect());
+    }
+    for child in plan.children() {
+        projections(child, out);
+    }
+}
+
+/// `prepare`'s rules, in the order `marks` reads them.
+const RULES: [&str; 5] = [
+    "selection past join",
+    "liveness",
+    "fusion",
+    "identity projection under a pivot",
+    "unread lookup join",
+];
+
+/// Where each rule left its mark on `prepared`, read from its structure and
+/// that of `written`: a join input gained a selection; a projection lost
+/// outputs (its name list is in no projection as written); more
+/// projections went than the pivot rule accounts for; a pivot lost the
+/// projection under it; a join went.
+fn marks(written: &Plan, prepared: &Plan) -> [bool; 5] {
+    let filtered_join = |p: &Plan| match p {
+        Plan::Join { left, right, .. } => {
+            matches!(**left, Plan::Select { .. }) || matches!(**right, Plan::Select { .. })
+        }
+        _ => false,
+    };
+    let pivot_over_project = |p: &Plan| match p {
+        Plan::Pivot { input, .. } => matches!(**input, Plan::Project { .. }),
+        _ => false,
+    };
+    let under_pivot =
+        count(written, &pivot_over_project).saturating_sub(count(prepared, &pivot_over_project));
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    projections(written, &mut before);
+    projections(prepared, &mut after);
+    let narrowed = after.iter().any(|names| {
+        let Some(i) = before.iter().position(|b| b == names) else {
+            return true;
+        };
+        before.swap_remove(i);
+        false
+    });
+    [
+        count(prepared, &filtered_join) > count(written, &filtered_join),
+        narrowed,
+        projects(written).saturating_sub(projects(prepared)) > under_pivot,
+        under_pivot > 0,
+        joins(prepared) < joins(written),
+    ]
+}
+
+#[test]
+fn prepare_is_invisible_on_random_plans() {
+    let (mut binding, mut changed, mut fired) = (0, 0, [0usize; 5]);
+    for case in 0..CASES {
+        let mut rng =
+            TestRng::for_case("decode_parity::prepare_is_invisible_on_random_plans", case);
+        let db = random_db(&mut rng);
+        let plan = random_plan(&mut rng);
+        let Some(prepared) = random_parity(&format!("case {case}: {plan:?}"), &plan, &db) else {
+            continue;
+        };
+        binding += 1;
+        if prepared != plan {
+            changed += 1;
+            for (n, marked) in fired.iter_mut().zip(marks(&plan, &prepared)) {
+                *n += usize::from(marked);
+            }
+        }
+    }
+    println!("prepare changed {changed} of {binding} binding plans in {CASES} cases");
+    for (rule, n) in RULES.iter().zip(fired) {
+        println!("  {rule}: {n}");
+    }
+    assert!(
+        3 * changed >= binding,
+        "a third of the binding plans must change"
+    );
+    for (rule, n) in RULES.iter().zip(fired) {
+        assert!(n > 0, "{rule} never fired in {CASES} cases");
     }
 }

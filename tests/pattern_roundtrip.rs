@@ -4,6 +4,7 @@
 //! queries trustworthy over any contributor layout.
 
 use guava::prelude::*;
+use guava::relational::optimize::prepare;
 use guava_relational::value::DataType;
 use proptest::prelude::*;
 
@@ -199,29 +200,45 @@ proptest! {
         }
     }
 
-    /// The logical optimizer never changes decode-plan semantics: the
-    /// optimized and unoptimized queries agree over every random stack.
+    /// What the executor runs in place of a decode plan evaluates as the
+    /// plan does: over every random stack, the interpreter gives the
+    /// prepared plan the decode plan's table, schema and first error. The
+    /// query reads a subset of the form, so liveness, fusion and the
+    /// unread lookup join have something to drop.
     #[test]
-    fn optimizer_preserves_decode_semantics(
+    fn prepare_preserves_decode_semantics(
         rows in arb_rows(30),
         rename in any::<bool>(),
         bool_encode in any::<bool>(),
         sentinel in any::<bool>(),
+        lookup in any::<bool>(),
         generic in any::<bool>(),
         audit in any::<bool>(),
         threshold in 0i64..500,
+        read in proptest::collection::vec(any::<bool>(), 4),
     ) {
         let schema = naive_schema();
         let mut naive = Database::new("naive");
         naive.create_table(Table::from_rows(schema, rows).unwrap()).unwrap();
-        let stack = build_stack(rename, bool_encode, sentinel, false, false, generic, audit, false);
+        let stack = build_stack(rename, bool_encode, sentinel, lookup, false, generic, audit, false);
         let physical = stack.encode(&naive).unwrap();
+        let others = ["flag_a", "count_b", "ratio_c", "note_d"];
+        let cols: Vec<&str> = std::iter::once("instance_id")
+            .chain(others.iter().zip(&read).filter(|(_, r)| **r).map(|(c, _)| *c))
+            .collect();
         let plan = Plan::scan("form1")
             .select(Expr::col("count_b").le(Expr::lit(threshold)))
+            .project_cols(&cols)
             .sort_by(&["instance_id"]);
-        let plain = stack.query(&physical, &plan).unwrap();
-        let optimized = optimize(&stack.decode_plan(&plan).unwrap()).eval(&physical).unwrap();
-        prop_assert_eq!(plain.rows(), optimized.rows());
+        let decode = stack.decode_plan(&plan).unwrap();
+        let prepared = prepare(&decode, &physical).expect("a decode plan binds");
+        match (prepared.eval_materialized(&physical), decode.eval_materialized(&physical)) {
+            (Ok(got), Ok(want)) => {
+                prop_assert_eq!(got.schema(), want.schema());
+                prop_assert_eq!(got, want);
+            }
+            (got, want) => prop_assert_eq!(got.err(), want.err()),
+        }
     }
 
     /// Predicates written against naive columns evaluate identically over
