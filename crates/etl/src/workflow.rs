@@ -19,21 +19,23 @@
 //! operators emitted ([`Table::patch`] — new chunks for the delta's
 //! rows, everything else shared with the previous generation) and lands
 //! *that table* under the target's name, so landing costs O(delta) like
-//! the refresh before it, and the plan's cache, the workflow cache and the
-//! catalog's target are one storage ([`Table::same_storage`]). The
-//! wholesale path ([`EtlWorkflow::run_on`], and what every fault re-derives
-//! its error through) lands the executor's result the same way: renamed,
-//! not copied.
+//! the refresh before it, and the plan's cache and the catalog's target
+//! are one storage ([`Table::same_storage`]). Whether an input moved is
+//! the plan's own question: each of its scans holds the table it last
+//! read, so a component whose inputs did not move refreshes to
+//! [`Change::Unchanged`] and lands the same storage again. The wholesale
+//! path ([`EtlWorkflow::run_on`], and what every fault re-derives its
+//! error through) lands the executor's result the same way: renamed, not
+//! copied.
 
 use guava_relational::algebra::Plan;
 use guava_relational::database::{Catalog, Database};
-use guava_relational::delta::{table_fingerprint, Change, DeltaPlan, DeltaSet, TableChanges};
+use guava_relational::delta::{Change, DeltaPlan, DeltaSet, TableChanges};
 use guava_relational::error::{RelError, RelResult};
 use guava_relational::exec::Executor;
 use guava_relational::table::Table;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
 
 /// One ETL component: evaluate `plan` against `source_db`, store the result
 /// as `target_table` in `target_db` (created on demand).
@@ -99,18 +101,20 @@ impl EtlWorkflow {
         Ok(runs)
     }
 
-    /// Incremental re-execution: like [`run_on`](Self::run_on), but
-    /// components whose inputs did not change since the cached run replay
-    /// their cached output, and changed components refresh differentially
-    /// through a cached [`DeltaPlan`] instead of recomputing from scratch.
+    /// Incremental re-execution: like [`run_on`](Self::run_on), but every
+    /// component refreshes differentially through a cached [`DeltaPlan`]
+    /// instead of recomputing from scratch — one whose inputs did not
+    /// change refreshes to [`Change::Unchanged`] and lands its cached
+    /// output again.
     ///
     /// `deltas` describes the base-table changes since the previous call
     /// (from [`guava_relational::delta::DeltaCatalog::take_deltas`]);
     /// changes to intermediate tables are threaded from component to
-    /// component automatically. Inputs with no recorded delta are verified
-    /// against fingerprinted snapshots from the cached run — a fingerprint
-    /// hit is confirmed with a full comparison, so out-of-band mutations
-    /// can never slip through and break the byte-identical guarantee.
+    /// component automatically. An input with neither is left to the
+    /// plan: unchanged only when it is the very storage its scan last read
+    /// ([`Table::same_storage`]), read whole otherwise — so an out-of-band
+    /// mutation can never slip through and break the byte-identical
+    /// guarantee.
     ///
     /// The catalog ends up byte-identical to what [`run_on`](Self::run_on)
     /// produces on the same state — same tables, same row order, same
@@ -225,21 +229,25 @@ fn load(catalog: &mut Catalog, comp: &EtlComponent, table: Table) -> RelResult<C
     })
 }
 
-/// One component: evaluate its plan over the source database and rename the
-/// result to the target table. Pure with respect to the catalog — loading
-/// is the caller's job, which is what lets a stage read the pre-stage state.
-fn run_component(comp: &EtlComponent, catalog: &Catalog, exec: &Executor) -> RelResult<Table> {
-    let source = catalog.database(&comp.source_db).map_err(|_| {
+/// The database `comp` reads.
+fn source<'c>(comp: &EtlComponent, catalog: &'c Catalog) -> RelResult<&'c Database> {
+    catalog.database(&comp.source_db).map_err(|_| {
         RelError::Plan(format!(
             "component `{}` reads missing database `{}`",
             comp.name, comp.source_db
         ))
-    })?;
+    })
+}
+
+/// One component: evaluate its plan over the source database and rename the
+/// result to the target table. Pure with respect to the catalog — loading
+/// is the caller's job, which is what lets a stage read the pre-stage state.
+fn run_component(comp: &EtlComponent, catalog: &Catalog, exec: &Executor) -> RelResult<Table> {
     // Every executor operator validates its own output wherever
     // validation can fail, so the result lands under the target's name
     // as it is — sharing its storage, not re-checked row by row.
     let table = exec
-        .execute(&comp.plan, source)?
+        .execute(&comp.plan, source(comp, catalog)?)?
         .renamed(comp.target_table.clone());
     // A result equal to the target it would replace *is* that target: a
     // re-run that changed nothing keeps the storage, the seals and every
@@ -254,16 +262,15 @@ fn run_component(comp: &EtlComponent, catalog: &Catalog, exec: &Executor) -> Rel
 }
 
 /// Per-workflow cache backing [`EtlWorkflow::run_incremental`]: one entry
-/// per component name, holding the component's differential plan, a
-/// fingerprinted snapshot of every input table from the last successful
-/// run, and the (renamed) output table it loaded — which shares the
-/// plan's cached output, so an entry costs the operators' state and no
-/// second copy of the rows.
+/// per component name, holding the component definition it was built for
+/// and the component's resident [`DeltaPlan`]. The plan's scans know what
+/// they last read and its cached output is the landed target, so an entry
+/// costs the operators' state and no second copy of any table.
 ///
-/// The cache is keyed by component name; an entry whose stored component
-/// definition no longer matches the workflow (plan edited, source renamed)
-/// is treated as a miss and rebuilt from scratch. `Clone` is cheap-ish —
-/// tables share their row storage via `Arc`.
+/// An entry whose stored component definition no longer matches the
+/// workflow (plan edited, source renamed) is treated as a miss and rebuilt
+/// from scratch. `Clone` is cheap-ish — tables share their row storage via
+/// `Arc`.
 #[derive(Default, Clone)]
 pub struct WorkflowCache {
     entries: HashMap<String, ComponentCache>,
@@ -286,26 +293,11 @@ impl WorkflowCache {
         self.entries.is_empty()
     }
 
-    /// `component`'s resident differential plan, once it has run.
+    /// `component`'s resident differential plan, once it has run. Its
+    /// output shares its storage ([`Table::same_storage`]) with the
+    /// component's target in the catalog.
     pub fn plan(&self, component: &str) -> Option<&DeltaPlan> {
         self.entries.get(component).map(|e| &e.dplan)
-    }
-
-    /// The table `component` last landed. Its rows are resident once: it
-    /// shares its storage ([`Table::same_storage`]) with the component's
-    /// target in the catalog and with its plan's cached output.
-    pub fn output(&self, component: &str) -> Option<&Table> {
-        self.entries.get(component).map(|e| &e.output)
-    }
-
-    /// Drop one component's entry (it will fully recompute next run).
-    pub fn invalidate(&mut self, component: &str) {
-        self.entries.remove(component);
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -315,56 +307,6 @@ struct ComponentCache {
     /// lookup invalidates the entry.
     component: EtlComponent,
     dplan: DeltaPlan,
-    /// Snapshot of each scanned input table at the last successful run,
-    /// with its fingerprint, used to verify "no recorded change" claims.
-    inputs: HashMap<String, CachedInput>,
-    /// The renamed output table as loaded into the target database. Replays
-    /// clone this, which shares row storage with the loaded table — so
-    /// downstream components' snapshot checks hit the `Arc` fast path.
-    output: Table,
-}
-
-#[derive(Clone)]
-struct CachedInput {
-    table: Table,
-    /// Lazily computed on the first verification that misses the `Arc`
-    /// fast path. Snapshots are re-taken after every refresh, and in the
-    /// steady delta-driven state (every input covered by a recorded delta
-    /// or an upstream change) the fingerprint is never consulted — hashing
-    /// eagerly would put an `O(n)` scan back on every refresh, exactly
-    /// the cost the rank-indexed delta path removed (DESIGN.md §15).
-    fingerprint: Arc<OnceLock<u64>>,
-}
-
-/// Is `cur` byte-identical to the snapshot? `Arc` pointer equality is the
-/// fast path; otherwise the fingerprint pre-filters and a full comparison
-/// confirms, so a hash collision can never smuggle a stale replay through.
-fn input_unchanged(snap: &CachedInput, cur: &Table) -> bool {
-    if snap.table.schema() != cur.schema() {
-        return false;
-    }
-    if snap.table.same_storage(cur) {
-        return true;
-    }
-    let fp = *snap
-        .fingerprint
-        .get_or_init(|| table_fingerprint(&snap.table));
-    fp == table_fingerprint(cur) && snap.table == *cur
-}
-
-fn snapshot_inputs(plan: &Plan, source: &Database) -> HashMap<String, CachedInput> {
-    plan.scanned_tables()
-        .into_iter()
-        .filter_map(|t| {
-            source.table(t).ok().map(|tb| {
-                let snap = CachedInput {
-                    table: tb.clone(),
-                    fingerprint: Arc::new(OnceLock::new()),
-                };
-                (t.to_owned(), snap)
-            })
-        })
-        .collect()
 }
 
 /// Incremental counterpart of [`run_component`]: returns the renamed output
@@ -378,22 +320,11 @@ fn run_component_incremental(
     cache: &mut WorkflowCache,
     exec: &Executor,
 ) -> RelResult<(Table, Change)> {
-    let source = catalog.database(&comp.source_db).map_err(|_| {
-        RelError::Plan(format!(
-            "component `{}` reads missing database `{}`",
-            comp.name, comp.source_db
-        ))
-    })?;
-    let entry_valid = cache
-        .entries
-        .get(&comp.name)
-        .is_some_and(|e| e.component == *comp);
-
-    // Assemble per-input changes: recorded deltas (base tables), changes
-    // produced by earlier stages of this run, or — with neither — verify
-    // the cached snapshot still matches the live table.
+    let source = source(comp, catalog)?;
+    // Claim what is known: recorded deltas (base tables) and changes
+    // produced by earlier stages of this run. An input with neither is
+    // left to the plan's scan, which compares it with what it last read.
     let mut changes = TableChanges::new();
-    let mut all_unchanged = true;
     for t in comp.plan.scanned_tables() {
         let recorded = deltas
             .get(&comp.source_db, t)
@@ -403,81 +334,45 @@ fn run_component_incremental(
                     .get(&(comp.source_db.clone(), t.to_owned()))
                     .cloned()
             });
-        match recorded {
-            Some(c) => {
-                if !c.is_unchanged() {
-                    all_unchanged = false;
-                }
-                changes.set(t, c);
-            }
-            None => {
-                let snap = if entry_valid {
-                    cache.entries.get(&comp.name).and_then(|e| e.inputs.get(t))
-                } else {
-                    None
-                };
-                match (snap, source.table(t)) {
-                    (Some(snap), Ok(cur)) => {
-                        if !input_unchanged(snap, cur) {
-                            all_unchanged = false;
-                            changes.set(t, Change::Full(cur.clone()));
-                        }
-                    }
-                    // No snapshot: full (re)build below regardless.
-                    (None, _) => all_unchanged = false,
-                    // Table vanished: let refresh/init surface the error.
-                    (_, Err(_)) => all_unchanged = false,
-                }
-            }
+        if let Some(c) = recorded {
+            changes.set(t, c);
         }
     }
 
-    if entry_valid && all_unchanged {
-        // Replay. Correct even if the last refresh attempt failed: the
-        // snapshots in the entry are from the last SUCCESSFUL run, so
-        // inputs matching them means a rebuild would reproduce `output`.
-        let entry = &cache.entries[&comp.name];
-        return Ok((entry.output.clone(), Change::Unchanged));
-    }
-
-    if entry_valid {
-        let entry = cache.entries.get_mut(&comp.name).expect("entry_valid");
+    match cache.entries.get_mut(&comp.name) {
         // The refresh moves the plan's cached output by the change it
-        // returns — O(delta), validated like a rebuild's `from_rows` —
-        // and the target is that same table under its own name.
-        let (table, change) = match entry.dplan.refresh(source, &changes, exec) {
-            Ok(change) => (land(comp, &entry.dplan)?, change),
-            // Whatever went wrong, on whichever row: the wholesale path is
-            // the one `run_on` takes, so its verdict is `run_on`'s first
-            // error by construction. The plan is poisoned and
-            // re-initializes on the next refresh.
-            Err(_) => {
-                let table = run_component(comp, catalog, exec)?;
-                (table.clone(), Change::Full(table))
+        // returns — O(delta), validated like a rebuild's `from_rows`, and
+        // nothing at all when no input moved — and the target is that same
+        // table under its own name.
+        Some(entry) if entry.component == *comp => {
+            match entry.dplan.refresh(source, &changes, exec) {
+                Ok(change) => Ok((land(comp, &entry.dplan)?, change)),
+                // Whatever went wrong, on whichever row: the wholesale path
+                // is the one `run_on` takes, so its verdict is `run_on`'s
+                // first error by construction. The plan is poisoned and
+                // re-initializes on the next refresh.
+                Err(_) => {
+                    let table = run_component(comp, catalog, exec)?;
+                    Ok((table.clone(), Change::Full(table)))
+                }
             }
-        };
-        entry.inputs = snapshot_inputs(&comp.plan, source);
-        entry.output = table.clone();
-        Ok((table, change))
-    } else {
-        let dplan = DeltaPlan::init(&comp.plan, source, exec)?;
-        let table = land(comp, &dplan)?;
-        cache.entries.insert(
-            comp.name.clone(),
-            ComponentCache {
+        }
+        _ => {
+            let dplan = DeltaPlan::init(&comp.plan, source, exec)?;
+            let table = land(comp, &dplan)?;
+            let entry = ComponentCache {
                 component: comp.clone(),
                 dplan,
-                inputs: snapshot_inputs(&comp.plan, source),
-                output: table.clone(),
-            },
-        );
-        Ok((table.clone(), Change::Full(table)))
+            };
+            cache.entries.insert(comp.name.clone(), entry);
+            Ok((table.clone(), Change::Full(table)))
+        }
     }
 }
 
 /// A component's target table: its plan's cached output under the
 /// target's name, sharing the cache's storage — the output rows are
-/// resident once across the plan, the workflow cache and the catalog.
+/// resident once across the plan and the catalog.
 fn land(comp: &EtlComponent, dplan: &DeltaPlan) -> RelResult<Table> {
     Ok(dplan.output()?.renamed(comp.target_table.clone()))
 }
@@ -783,13 +678,34 @@ mod tests {
         assert_eq!(cache.len(), 2);
 
         // Nothing changed: the second incremental run replays the cached
-        // outputs and leaves the catalog byte-identical.
+        // outputs and leaves every table the storage it was.
         let before = all_tables(&inc_cat);
         let replay = wf
             .run_incremental(&mut inc_cat, &DeltaSet::new(), &mut cache, &exec)
             .unwrap();
         assert_eq!(replay, full_runs);
-        assert_eq!(all_tables(&inc_cat), before);
+        let after = all_tables(&inc_cat);
+        assert_eq!(after, before);
+        for ((db, now), (_, was)) in after.iter().zip(&before) {
+            for (now, was) in now.iter().zip(was) {
+                assert!(now.same_storage(was), "{db}.{}", now.schema().name);
+            }
+        }
+
+        // The source replaced by an equal copy in new storage, with no
+        // delta: the scans read it whole, and the run equals a rebuild.
+        let src = inc_cat.database_mut("src").unwrap();
+        let t = src.table("t").unwrap();
+        let copy = Table::from_rows(t.schema().clone(), t.rows_from(0)).unwrap();
+        assert!(copy == *t && !copy.same_storage(t));
+        src.put_table(copy);
+        let runs = wf
+            .run_incremental(&mut inc_cat, &DeltaSet::new(), &mut cache, &exec)
+            .unwrap();
+        let mut full_cat = Catalog::new();
+        full_cat.insert(inc_cat.database("src").unwrap().clone());
+        assert_eq!(runs, wf.run_on(&mut full_cat, &exec).unwrap());
+        assert_eq!(all_tables(&inc_cat), all_tables(&full_cat));
     }
 
     #[test]

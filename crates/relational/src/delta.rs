@@ -114,7 +114,6 @@ use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 
 // ---------------------------------------------------------------------------
 // Patches: positional edits against a known previous row vector.
@@ -462,15 +461,17 @@ impl DeltaSet {
 }
 
 /// Per-table change map for one [`DeltaPlan::refresh`] call, keyed by table
-/// name within the plan's source database. Tables without an entry are
-/// claimed unchanged (the plan still cross-checks schema and length).
+/// name within the plan's source database. A table without an entry
+/// carries no claim: the plan's scan calls it unchanged only when it is the
+/// storage the scan last read ([`Table::same_storage`]), and reads it whole
+/// otherwise.
 #[derive(Debug, Clone, Default)]
 pub struct TableChanges {
     map: HashMap<String, Change>,
 }
 
 impl TableChanges {
-    /// Empty map: every scanned table is claimed unchanged.
+    /// Empty map: no claims, so every scan checks its table itself.
     pub fn new() -> TableChanges {
         TableChanges::default()
     }
@@ -484,20 +485,6 @@ impl TableChanges {
     pub fn get(&self, table: &str) -> Option<&Change> {
         self.map.get(table)
     }
-}
-
-/// Order-sensitive fingerprint of a table's schema and rows. Equal tables
-/// always produce equal fingerprints; the workflow cache uses it as a
-/// cheap pre-filter and confirms hits with a full comparison, so hash
-/// collisions can never break the byte-identical refresh bar.
-pub fn table_fingerprint(t: &Table) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    t.schema().to_string().hash(&mut h);
-    t.len().hash(&mut h);
-    for row in t.iter_rows() {
-        row.hash(&mut h);
-    }
-    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -936,9 +923,10 @@ impl RecomputeKernel {
 enum DNode {
     Scan {
         table: String,
-        /// The table's length when last read; `None` before the first
-        /// refresh, which therefore reads it whole.
-        len: Option<usize>,
+        /// The table as last read — an O(#chunks) clone sharing its
+        /// storage; `None` before the first refresh, which therefore reads
+        /// it whole.
+        held: Option<Table>,
     },
     /// An inline relation: its validated rows until the first refresh
     /// hands them on, then nothing — they never change.
@@ -1195,19 +1183,22 @@ fn probe_left(
     }
 }
 
-/// How `t` changed since a scan last read `len` of its rows: the claim,
-/// when it is consistent with the table as it stands; `Full` when it is
-/// missing, wholesale or inconsistent with the table's actual size — and
-/// on the first read, before which there is no length to patch.
-fn scan_change(t: &Table, len: &mut Option<usize>, claim: Option<&Change>) -> Change<()> {
-    let change = match (claim, *len) {
-        (Some(Change::Patch(p)), Some(old)) if p.valid_for(old) && p.new_len(old) == t.len() => {
+/// How `t` changed since a scan last read `held`: a claimed patch that
+/// fits the held and the current length; otherwise `Unchanged` exactly
+/// when `t` is the storage the scan read ([`Table::same_storage`]), and
+/// `Full` for everything else — a same-length edit nobody claimed, and the
+/// first read, before which nothing is held.
+fn scan_change(t: &Table, held: &mut Option<Table>, claim: Option<&Change>) -> Change<()> {
+    let change = match (claim, held.as_ref()) {
+        (Some(Change::Patch(p)), Some(old))
+            if p.valid_for(old.len()) && p.new_len(old.len()) == t.len() =>
+        {
             Change::Patch(p.clone())
         }
-        (None | Some(Change::Unchanged), Some(old)) if old == t.len() => Change::Unchanged,
+        (_, Some(old)) if old.same_storage(t) => Change::Unchanged,
         _ => Change::Full(()),
     };
-    *len = Some(t.len());
+    *held = Some(t.clone());
     change
 }
 
@@ -1236,7 +1227,7 @@ impl DNode {
         let node = match plan {
             Plan::Scan(table) => DNode::Scan {
                 table: table.clone(),
-                len: None,
+                held: None,
             },
             Plan::Values { schema, rows } => DNode::Values {
                 rows: Some(Table::from_rows(schema.clone(), rows.clone())?.into_rows()),
@@ -1387,9 +1378,9 @@ impl DNode {
     /// (a join's build side first), so errors surface in its order.
     fn refresh(&mut self, db: &Database, changes: &TableChanges) -> RelResult<Flow> {
         match self {
-            DNode::Scan { table, len } => {
+            DNode::Scan { table, held } => {
                 let t = db.table(table)?;
-                Ok(scan_change(t, len, changes.get(table)).map_full(|()| t.rows_from(0)))
+                Ok(scan_change(t, held, changes.get(table)).map_full(|()| t.rows_from(0)))
             }
             DNode::Values { rows } => Ok(rows.take().map_or(Change::Unchanged, Change::Full)),
             DNode::Pipe {
@@ -1789,14 +1780,18 @@ impl DNode {
 /// changes to get the new output without recomputing unchanged rows.
 ///
 /// The output (rows **and** errors) is byte-identical to re-running the
-/// plan from scratch on the current database state, provided the
-/// [`TableChanges`] passed to each refresh accurately describe every
-/// mutation since the previous call (changes captured through
-/// [`DeltaCatalog`] satisfy this by construction; the plan additionally
-/// cross-checks schemas and row counts and falls back to full
-/// recomputation on any mismatch). After an error the plan is *poisoned*:
-/// the next refresh re-initializes from scratch, reproducing the rebuild's
-/// behavior — including the same error if the fault persists.
+/// plan from scratch on the current database state, provided every patch
+/// claimed in the [`TableChanges`] passed to a refresh accurately
+/// describes its table's mutation since the previous call (changes
+/// captured through [`DeltaCatalog`] satisfy this by construction). Each
+/// scan holds the table it last read, so a table with no claim needs
+/// none: it is unchanged only when it is that very storage
+/// ([`Table::same_storage`]), and a patch that does not fit the held and
+/// current lengths, or any other table, is read whole. A table whose
+/// schema changed re-initializes the plan. After an error the plan is
+/// *poisoned*: the next refresh re-initializes from scratch, reproducing
+/// the rebuild's behavior — including the same error if the fault
+/// persists.
 ///
 /// Both take the session's executor handle. The rules run its stage code
 /// row by row on the calling thread, so none of its settings changes what
@@ -1913,12 +1908,12 @@ impl DeltaPlan {
     /// Push `changes` through the operators and move the cached output by
     /// what they report.
     fn land(&mut self, db: &Database, changes: &TableChanges) -> RelResult<Change> {
-        if let (Plan::Scan(_), DNode::Scan { table, len }) = (&self.plan, &mut self.root) {
+        if let (Plan::Scan(_), DNode::Scan { table, held }) = (&self.plan, &mut self.root) {
             // A bare scan's output is the stored table itself, as it is
             // the executor's: the same storage, primary key included.
             let t = db.table(table)?;
             self.out = t.clone();
-            return Ok(scan_change(t, len, changes.get(table)).map_full(|()| t.clone()));
+            return Ok(scan_change(t, held, changes.get(table)).map_full(|()| t.clone()));
         }
         match self.root.refresh(db, changes)? {
             Change::Unchanged => Ok(Change::Unchanged),
@@ -2175,6 +2170,48 @@ mod tests {
         let mut dp = DeltaPlan::init(&plan, &db, &exec).unwrap();
         let c = dp.refresh(&db, &TableChanges::new(), &exec).unwrap();
         assert!(c.is_unchanged());
+    }
+
+    /// A scan holds the table it last read, so an edit nobody claimed that
+    /// keeps the table's length is read again instead of kept: on a bare
+    /// scan (the plan's output is the stored table), a filtering pipe, and
+    /// a join whose build side is the edited table. The next refresh, with
+    /// nothing edited, is `Unchanged` again.
+    #[test]
+    fn an_unclaimed_same_length_edit_is_read_again() {
+        let exec = Executor::new();
+        let mut db = test_db();
+        let u = Schema::new("u", vec![Column::required("g", DataType::Int)]).unwrap();
+        db.create_table(Table::from_rows(u, (0..3i64).map(|g| row(&[g]))).unwrap())
+            .unwrap();
+        let plans = [
+            Plan::scan("t"),
+            Plan::scan("t").select(Expr::col("x").gt(Expr::lit(40i64))),
+            Plan::scan("u").join(Plan::scan("t"), vec![("g", "grp")], JoinKind::Inner),
+        ];
+        for plan in plans {
+            let mut db = db.clone();
+            let mut dp = DeltaPlan::init(&plan, &db, &exec).unwrap();
+            // Row 5 leaves the filter and moves to another join group.
+            let edited = db
+                .table_mut("t")
+                .unwrap()
+                .update_where(
+                    |r| r[0] == Value::Int(5),
+                    |r| r[1..].clone_from_slice(&row(&[0, 0])),
+                )
+                .unwrap();
+            assert_eq!((edited, db.table("t").unwrap().len()), (1, 20));
+            let want = exec.execute(&plan, &db).unwrap();
+            let change = dp.refresh(&db, &TableChanges::new(), &exec).unwrap();
+            assert!(
+                matches!(&change, Change::Full(full) if *full == want),
+                "{plan:?}: {change:?}"
+            );
+            assert_eq!(dp.output().unwrap(), want, "{plan:?}");
+            let again = dp.refresh(&db, &TableChanges::new(), &exec).unwrap();
+            assert!(again.is_unchanged(), "{plan:?}");
+        }
     }
 
     /// Join nodes in a resident tree.

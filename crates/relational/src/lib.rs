@@ -64,8 +64,7 @@ pub mod prelude {
     pub use crate::algebra::{AggFunc, Aggregate, JoinKind, Plan};
     pub use crate::database::{Catalog, Database};
     pub use crate::delta::{
-        table_fingerprint, Change, DeltaCatalog, DeltaPlan, DeltaSet, Patch, TableChanges,
-        TableDelta,
+        Change, DeltaCatalog, DeltaPlan, DeltaSet, Patch, TableChanges, TableDelta,
     };
     pub use crate::error::{RelError, RelResult};
     pub use crate::exec::Executor;

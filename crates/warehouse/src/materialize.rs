@@ -90,7 +90,7 @@ pub fn materialize(
             column: "instance_id".into(),
         })?;
     let mut rows: Vec<Row> = Vec::new();
-    for row in naive_form.rows() {
+    for row in naive_form.iter_rows() {
         let ec_row = entity_classifier.eval_row_from(naive_schema, row)?;
         if !entity_classifier.selects(&ec_row)? {
             continue;
@@ -204,8 +204,7 @@ impl StudyStore {
             if let Some(idx) = m.table.schema().index_of(name) {
                 return Ok(m
                     .table
-                    .rows()
-                    .iter()
+                    .iter_rows()
                     .map(|r| (r[0].clone(), r[idx].clone()))
                     .collect());
             }
@@ -228,8 +227,7 @@ impl StudyStore {
                     });
                     return m
                         .table
-                        .rows()
-                        .iter()
+                        .iter_rows()
                         .map(|r| {
                             let v = transform.eval(&base_schema, &[r[base_idx].clone()])?;
                             Ok((r[0].clone(), v))
@@ -251,7 +249,7 @@ impl StudyStore {
                 column: "instance_id".into(),
             })?;
         let mut out = Vec::new();
-        for row in self.naive_form.rows() {
+        for row in self.naive_form.iter_rows() {
             let ec_row = entity_classifier.eval_row_from(naive_schema, row)?;
             if !entity_classifier.selects(&ec_row)? {
                 continue;

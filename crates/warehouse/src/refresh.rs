@@ -144,7 +144,7 @@ impl StudyStore {
                 let mdelta = TableDelta {
                     pre_len: m.table.len(),
                     deleted: dropped,
-                    inserted: fresh.table.rows().to_vec(),
+                    inserted: fresh.table.rows_from(0),
                 };
                 if mdelta.is_empty() {
                     // Nothing materialized changed — the store keeps

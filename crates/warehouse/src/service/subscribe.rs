@@ -66,7 +66,7 @@ impl Subscription {
         engine: Weak<EngineInner>,
     ) -> Subscription {
         let schema = baseline.schema().clone();
-        let rows = baseline.rows().to_vec();
+        let rows = baseline.rows_from(0);
         Subscription {
             id,
             schema,

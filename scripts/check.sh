@@ -76,6 +76,30 @@ if grep -rn 'LazyRows' crates tests examples scripts --exclude=check.sh \
   exit 1
 fi
 
+# A resident plan checks its own inputs (DESIGN.md §12, §15 D6): each
+# scan holds the table it last read and calls an unclaimed table
+# unchanged only when it is that storage. The workflow cache's input
+# snapshots and the fingerprint that confirmed them went — fail if they
+# come back.
+if grep -rnE 'table_fingerprint|CachedInput|snapshot_inputs|input_unchanged' \
+    --exclude=check.sh \
+    crates tests examples scripts; then
+  echo "check.sh: a deleted workflow input snapshot or table fingerprint reappeared (matches above)" >&2
+  exit 1
+fi
+
+# The warehouse crate reads tables through `iter_rows`/`rows_from`, not the
+# flat view: `Table::rows()` caches a whole-table copy that every clone of
+# the table shares (ROADMAP item 5(b)). Non-test code only, comment lines
+# skipped as in the panic-site count below.
+for f in $(find crates/warehouse/src -name '*.rs' | sort); do
+  if awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" \
+      | grep -F '.rows()'; then
+    echo "check.sh: non-test warehouse code reads the flat view again (matches above)" >&2
+    exit 1
+  fi
+done
+
 # Sealed segments survive deletes and blocking operators read their input
 # by reference (DESIGN.md §14/§18): the survivor-copy re-seal and the
 # row-shredding parallel pipeline were *replaced*, not kept beside the new
@@ -105,7 +129,8 @@ fi
 # (the module's doctest compares with `execute`); a `match` arm on
 # `Plan::Values` is binding, not constructing.
 delta_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/relational/src/delta.rs)
-echo "check.sh: delta.rs non-test lines: $delta_lines"
+workflow_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/etl/src/workflow.rs)
+echo "check.sh: delta.rs non-test lines: $delta_lines, workflow.rs: $workflow_lines"
 if head -n "$delta_lines" crates/relational/src/delta.rs \
     | grep -nE 'Plan::Values[^=]*$|\.execute\(|^\s+fn init\(' | grep -vE '^[0-9]+:\s*//'; then
   echo "check.sh: delta.rs evaluates through a synthetic plan or a bottom-up init again (matches above)" >&2
