@@ -159,19 +159,23 @@ impl EntityPlan {
     }
 
     /// Should this naive row survive cleaning + entity selection?
+    ///
+    /// The row-walk form of [`EntityPlan::keep_predicate`]: like its
+    /// `AND`, it evaluates the entity classifier and then every cleaner,
+    /// each over all its guards, before deciding — so the first error is
+    /// the compiled study's.
     pub fn keeps(
         &self,
         naive_schema: &guava_relational::schema::Schema,
         row: &Row,
     ) -> RelResult<bool> {
+        let e_row = self.entity_classifier.eval_row_from(naive_schema, row)?;
+        let mut keep = self.entity_classifier.selects(&e_row)?;
         for cleaner in &self.cleaners {
             let c_row = cleaner.eval_row_from(naive_schema, row)?;
-            if cleaner.selects(&c_row)? {
-                return Ok(false);
-            }
+            keep &= !cleaner.selects(&c_row)?;
         }
-        let e_row = self.entity_classifier.eval_row_from(naive_schema, row)?;
-        self.entity_classifier.selects(&e_row)
+        Ok(keep)
     }
 }
 
@@ -497,18 +501,18 @@ pub fn direct_eval(
         })?;
         let table = db.table(&ep.form)?;
         let naive_schema = table.schema();
+        let iid =
+            naive_schema
+                .index_of(INSTANCE_COLUMN)
+                .ok_or_else(|| RelError::UnknownColumn {
+                    table: naive_schema.name.clone(),
+                    column: INSTANCE_COLUMN.into(),
+                })?;
         let rows = out.entry(ep.entity.clone()).or_default();
-        for row in table.rows() {
+        for row in table.iter_rows() {
             if !ep.keeps(naive_schema, row)? {
                 continue;
             }
-            let iid =
-                naive_schema
-                    .index_of(INSTANCE_COLUMN)
-                    .ok_or_else(|| RelError::UnknownColumn {
-                        table: naive_schema.name.clone(),
-                        column: INSTANCE_COLUMN.into(),
-                    })?;
             let mut out_row: Row = vec![Value::text(ep.contributor.clone()), row[iid].clone()];
             for (_, dc) in &ep.domain_classifiers {
                 let dc_row = dc.eval_row_from(naive_schema, row)?;

@@ -15,7 +15,7 @@ use guava_relational::error::{RelError, RelResult};
 use guava_relational::expr::Expr;
 use guava_relational::schema::{Column, Schema};
 use guava_relational::table::Row;
-use guava_relational::value::Value;
+use guava_relational::value::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -97,6 +97,13 @@ pub enum ClassifierError {
         got: String,
     },
     Eval(RelError),
+    /// A rule guard whose type is not BOOL: the rule walk, `CASE` and `OR`
+    /// would each treat its values differently, so it is rejected at bind.
+    NonBooleanGuard {
+        classifier: String,
+        guard: String,
+        found: DataType,
+    },
     /// A classified value fell outside the target domain at run time.
     RuntimeDomainViolation {
         classifier: String,
@@ -127,6 +134,14 @@ impl fmt::Display for ClassifierError {
                 write!(f, "classifier written for `{expected}`, applied to `{got}`")
             }
             ClassifierError::Eval(e) => write!(f, "{e}"),
+            ClassifierError::NonBooleanGuard {
+                classifier,
+                guard,
+                found,
+            } => write!(
+                f,
+                "classifier `{classifier}` has guard {guard} of type {found}, not BOOL"
+            ),
             ClassifierError::RuntimeDomainViolation { classifier, value } => {
                 write!(
                     f,
@@ -372,6 +387,16 @@ impl Classifier {
             }
         }
         let eval_schema = Schema::new(form.clone(), columns).map_err(ClassifierError::Eval)?;
+        for r in &rules {
+            let found = r.guard.infer_type(&eval_schema)?;
+            if found != DataType::Bool {
+                return Err(ClassifierError::NonBooleanGuard {
+                    classifier: self.name.clone(),
+                    guard: r.guard.to_string(),
+                    found,
+                });
+            }
+        }
 
         Ok(BoundClassifier {
             name: self.name.clone(),
@@ -472,13 +497,17 @@ impl BoundClassifier {
 
     /// For entity classifiers: should this instance become a study entity?
     /// For cleaning classifiers: should this instance be discarded?
+    ///
+    /// The row-walk form of [`BoundClassifier::guard_expr`]: like its
+    /// `OR`, it evaluates every guard — a guard that fails after an
+    /// earlier one matched still fails the row — so the first error is
+    /// the compiled study's.
     pub fn selects(&self, row: &Row) -> RelResult<bool> {
+        let mut selected = false;
         for rule in &self.rules {
-            if rule.guard.matches(&self.eval_schema, row)? {
-                return Ok(true);
-            }
+            selected |= rule.guard.matches(&self.eval_schema, row)?;
         }
-        Ok(false)
+        Ok(selected)
     }
 
     /// Project a naïve form row (which includes `instance_id` first) down to
@@ -522,7 +551,6 @@ mod tests {
     use crate::study_schema::{AttributeDef, EntityDef};
     use guava_forms::control::{ChoiceOption, Control};
     use guava_forms::form::{FormDef, ReportingTool};
-    use guava_relational::value::DataType;
 
     fn tree() -> GTree {
         GTree::derive(&ReportingTool::new(
@@ -729,6 +757,58 @@ mod tests {
             c.bind(&tree(), &schema()),
             Err(ClassifierError::Empty(_))
         ));
+    }
+
+    #[test]
+    fn non_boolean_guard_rejected() {
+        let c = Classifier::parse_rules(
+            "bare",
+            "cori",
+            "",
+            Target::Domain {
+                entity: "Procedure".into(),
+                attribute: "Smoking".into(),
+                domain: "class".into(),
+            },
+            &["'None' <- PacksPerDay = 0", "'Heavy' <- PacksPerDay"],
+        )
+        .unwrap();
+        let err = c.bind(&tree(), &schema()).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ClassifierError::NonBooleanGuard { classifier, found: DataType::Int, .. }
+                    if classifier == "bare"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn selects_evaluates_every_guard_like_guard_expr() {
+        let b = Classifier::parse_rules(
+            "Surgery Or Heavy",
+            "cori",
+            "",
+            Target::Entity {
+                entity: "Procedure".into(),
+            },
+            &[
+                "Procedure <- Procedure AND SurgeryPerformed = TRUE",
+                "Procedure <- 100 / PacksPerDay > 1",
+            ],
+        )
+        .unwrap()
+        .bind(&tree(), &schema())
+        .unwrap();
+        // The first guard selects the row; the second divides by zero.
+        let row = vec![Value::Int(0), Value::Bool(true), Value::Null];
+        let walked = b.selects(&row).unwrap_err();
+        let spec = b.guard_expr().matches(&b.eval_schema, &row).unwrap_err();
+        assert_eq!(walked, spec);
+        assert!(walked.to_string().contains("division by zero"), "{walked}");
+        let row = vec![Value::Int(10), Value::Bool(true), Value::Null];
+        assert!(b.selects(&row).unwrap());
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! compared by the `materialization_policies` benchmark.
 
 use guava_multiclass::classifier::BoundClassifier;
+use guava_relational::algebra::Plan;
 use guava_relational::database::Database;
 use guava_relational::error::{RelError, RelResult};
+use guava_relational::exec::Executor;
 use guava_relational::expr::Expr;
-use guava_relational::schema::{Column, Schema};
-use guava_relational::table::{Row, Table};
-use guava_relational::value::{DataType, Value};
+use guava_relational::table::Table;
+use guava_relational::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -31,7 +32,8 @@ use std::sync::Arc;
 pub struct DerivedClassifier {
     pub name: String,
     pub base: String,
-    /// Expression over the column `base`.
+    /// Expression over the column `base`, evaluated over the materialized
+    /// table's rows.
     pub transform: Expr,
 }
 
@@ -70,64 +72,68 @@ impl MaterializedTable {
 /// Build the materialized table for one (source, entity classifier) from
 /// the extracted naïve form table. `classifiers` are the domain classifiers
 /// to materialize as columns (possibly a subset under Selective policy).
+///
+/// The rows are the plan
+/// `π[instance_id, c.as_case_expr()…](σ[entity.guard_expr()](naïve))` run
+/// on an [`Executor`] — the conditionals the compiled study runs (DESIGN.md
+/// §12). The table is keyed by `instance_id` and named
+/// `{source}__{entity classifier}`, with the column types the plan infers
+/// for each classifier's `CASE`.
 pub fn materialize(
     source: &str,
     naive_form: &Table,
     entity_classifier: &BoundClassifier,
     classifiers: &[&BoundClassifier],
 ) -> RelResult<MaterializedTable> {
-    let naive_schema = naive_form.schema();
-    let mut cols: Vec<Column> = vec![Column::required("instance_id", DataType::Int)];
-    for c in classifiers {
-        cols.push(Column::new(c.name.clone(), classifier_output_type(c)));
-    }
+    let out = classify(Arc::new(naive_form.clone()), entity_classifier, classifiers)?;
     let table_name = format!("{source}__{}", entity_classifier.name.replace(' ', "_"));
-    let schema = Schema::new(table_name, cols)?.with_primary_key(&["instance_id"])?;
-    let iid = naive_schema
-        .index_of("instance_id")
-        .ok_or_else(|| RelError::UnknownColumn {
-            table: naive_schema.name.clone(),
-            column: "instance_id".into(),
-        })?;
-    let mut rows: Vec<Row> = Vec::new();
-    for row in naive_form.iter_rows() {
-        let ec_row = entity_classifier.eval_row_from(naive_schema, row)?;
-        if !entity_classifier.selects(&ec_row)? {
-            continue;
-        }
-        let mut out = vec![row[iid].clone()];
-        for c in classifiers {
-            let c_row = c.eval_row_from(naive_schema, row)?;
-            out.push(c.classify(&c_row)?);
-        }
-        rows.push(out);
-    }
+    let schema = out
+        .schema()
+        .renamed(table_name)
+        .with_primary_key(&["instance_id"])?;
     Ok(MaterializedTable {
         source: source.to_owned(),
         entity_classifier: entity_classifier.name.clone(),
-        table: Arc::new(Table::from_rows(schema, rows)?),
+        table: Arc::new(Table::from_rows(schema, out.into_rows())?),
         materialized: classifiers.iter().map(|c| c.name.clone()).collect(),
     })
 }
 
-/// Best-effort output type of a classifier, unified across all rules:
-/// identical types keep theirs, mixed Int/Float widens to Float (Float
-/// columns accept Int values), anything else falls back to Text.
-fn classifier_output_type(c: &BoundClassifier) -> DataType {
-    let mut unified: Option<DataType> = None;
-    for r in &c.rules {
-        let Ok(t) = r.output.infer_type(&c.eval_schema) else {
-            continue;
-        };
-        unified = Some(match unified {
-            None => t,
-            Some(u) if u == t => u,
-            Some(DataType::Int) if t == DataType::Float => DataType::Float,
-            Some(DataType::Float) if t == DataType::Int => DataType::Float,
-            Some(_) => return DataType::Text,
-        });
-    }
-    unified.unwrap_or(DataType::Text)
+/// The warehouse's one classifier evaluator, behind [`materialize`],
+/// on-demand reads and [`StudyStore::refresh`]: each rule is the
+/// conditional the compiled study runs (paper §4.2), so a row is
+/// classified, and fails, exactly as there. One output row per selected
+/// naïve row, in naïve order; unkeyed.
+pub(crate) fn classify(
+    naive_form: Arc<Table>,
+    entity_classifier: &BoundClassifier,
+    classifiers: &[&BoundClassifier],
+) -> RelResult<Table> {
+    let mut columns = vec![("instance_id".to_owned(), Expr::col("instance_id"))];
+    columns.extend(
+        classifiers
+            .iter()
+            .map(|c| (c.name.clone(), c.as_case_expr())),
+    );
+    run_over(naive_form, |scan| {
+        scan.select(entity_classifier.guard_expr()).project(columns)
+    })
+}
+
+/// Run the plan `build` makes of a scan of `table` over that table alone.
+fn run_over(table: Arc<Table>, build: impl FnOnce(Plan) -> Plan) -> RelResult<Table> {
+    let plan = build(Plan::scan(table.schema().name.clone()));
+    let mut db = Database::new("warehouse");
+    db.put_shared(table);
+    Executor::new().execute(&plan, &db)
+}
+
+/// `(instance_id, value)` pairs of column `idx` of a table whose first
+/// column is the instance id.
+fn pairs(t: &Table, idx: usize) -> Vec<(Value, Value)> {
+    t.iter_rows()
+        .map(|r| (r[0].clone(), r[idx].clone()))
+        .collect()
 }
 
 /// A warehouse store for one entity: naïve rows (always kept — they are
@@ -202,37 +208,17 @@ impl StudyStore {
         // 1. Materialized column.
         if let Some(m) = &self.materialized {
             if let Some(idx) = m.table.schema().index_of(name) {
-                return Ok(m
-                    .table
-                    .iter_rows()
-                    .map(|r| (r[0].clone(), r[idx].clone()))
-                    .collect());
+                return Ok(pairs(&m.table, idx));
             }
             // 2. Derivation over a materialized base.
             if let Some(d) = self.derived.get(name) {
-                if let Some(base_idx) = m.table.schema().index_of(&d.base) {
-                    let base_schema = Schema::new(
-                        "base",
-                        vec![Column::new(
-                            d.base.clone(),
-                            m.table.schema().columns()[base_idx].data_type,
-                        )],
-                    )?;
-                    let transform = d.transform.map_columns(&|c| {
-                        if c == d.base {
-                            d.base.clone()
-                        } else {
-                            c.to_owned()
-                        }
-                    });
-                    return m
-                        .table
-                        .iter_rows()
-                        .map(|r| {
-                            let v = transform.eval(&base_schema, &[r[base_idx].clone()])?;
-                            Ok((r[0].clone(), v))
-                        })
-                        .collect();
+                if m.table.schema().index_of(&d.base).is_some() {
+                    let columns = vec![
+                        ("instance_id".to_owned(), Expr::col("instance_id")),
+                        (d.name.clone(), d.transform.clone()),
+                    ];
+                    let out = run_over(Arc::clone(&m.table), |scan| scan.project(columns))?;
+                    return Ok(pairs(&out, 1));
                 }
             }
         }
@@ -241,23 +227,8 @@ impl StudyStore {
             .iter()
             .find(|c| c.name == name)
             .ok_or_else(|| RelError::Eval(format!("unknown classifier `{name}`")))?;
-        let naive_schema = self.naive_form.schema();
-        let iid = naive_schema
-            .index_of("instance_id")
-            .ok_or_else(|| RelError::UnknownColumn {
-                table: naive_schema.name.clone(),
-                column: "instance_id".into(),
-            })?;
-        let mut out = Vec::new();
-        for row in self.naive_form.iter_rows() {
-            let ec_row = entity_classifier.eval_row_from(naive_schema, row)?;
-            if !entity_classifier.selects(&ec_row)? {
-                continue;
-            }
-            let c_row = c.eval_row_from(naive_schema, row)?;
-            out.push((row[iid].clone(), c.classify(&c_row)?));
-        }
-        Ok(out)
+        let out = classify(Arc::clone(&self.naive_form), entity_classifier, &[c])?;
+        Ok(pairs(&out, 1))
     }
 
     /// Storage cells used by this store beyond the naïve extraction — the
@@ -326,6 +297,7 @@ mod tests {
     use guava_forms::form::{FormDef, ReportingTool};
     use guava_gtree::tree::GTree;
     use guava_multiclass::prelude::*;
+    use guava_relational::value::DataType;
 
     fn setup() -> (GTree, StudySchema, Table) {
         let tool = ReportingTool::new(

@@ -17,24 +17,28 @@
 //!   was not deleted and classifies **only the inserted naïve rows**,
 //!   appending their output.
 //!
-//! Because [`materialize`] is element-wise
-//! over naïve rows (one output row per selected input row, in input
-//! order), patching is byte-identical to a from-scratch
-//! [`StudyStore::build`] over the merged naïve form: the rebuild would
-//! process the retained rows first (reproducing the retained outputs — the
-//! classifiers are pure, so rows that classified successfully before
-//! classify identically now) and the inserted rows last. The first error
-//! is also identical: retained rows cannot fail (they succeeded when the
-//! store was built), so the first failing inserted row — or the first
-//! duplicate-key / type violation in the merged table — surfaces in the
-//! same order a rebuild would surface it. The refresh is atomic: on error
-//! the store is left untouched.
+//! A materialized table is the plan
+//! `π[instance_id, CASE…](σ[guard](naïve))` (see [`materialize`]), and
+//! both of its operators are row-local: σ keeps or drops a row on that
+//! row's values alone and π maps it to one output row, in input order. So
+//! the plan over the merged naïve form is the plan over the retained rows
+//! followed by the plan over the inserted rows, and patching is
+//! byte-identical to a from-scratch [`StudyStore::build`]: the retained
+//! outputs are what the rebuild would recompute (the classifiers are
+//! pure), and the inserted rows run through the same plan here. The first
+//! error is also identical: retained rows cannot fail (they succeeded
+//! when the store was built), so the first failing inserted row — or the
+//! first duplicate-key / type violation in the merged table — surfaces in
+//! the same order a rebuild would surface it. The refresh is atomic: on
+//! error the store is left untouched.
+//!
+//! [`materialize`]: crate::materialize::materialize
 //!
 //! Derived classifiers ([`StudyStore::register_derived`]) need no
 //! refreshing of their own — they are computed on read from the (now
 //! refreshed) materialized base column.
 
-use crate::materialize::{materialize, MaterializationPolicy, StudyStore};
+use crate::materialize::{classify, StudyStore};
 use guava_multiclass::classifier::BoundClassifier;
 use guava_relational::delta::TableDelta;
 use guava_relational::error::{RelError, RelResult};
@@ -102,17 +106,9 @@ impl StudyStore {
         let new_naive = Arc::new(self.naive_form.apply_delta(delta)?);
 
         // 2. Patch the materialized table, if the policy keeps one.
-        let patched = match (&self.policy, &self.materialized) {
-            (MaterializationPolicy::OnDemand, _) | (_, None) => None,
-            (policy, Some(m)) => {
-                let subset: Vec<&BoundClassifier> = match policy {
-                    MaterializationPolicy::Selective(names) => classifiers
-                        .iter()
-                        .filter(|c| names.contains(&c.name))
-                        .copied()
-                        .collect(),
-                    _ => classifiers.to_vec(),
-                };
+        let patched = match &self.materialized {
+            None => None,
+            Some(m) => {
                 let iid = naive_schema.index_of("instance_id").ok_or_else(|| {
                     RelError::UnknownColumn {
                         table: naive_schema.name.clone(),
@@ -136,15 +132,21 @@ impl StudyStore {
                     }
                 }
                 dropped.sort_by_key(|&(p, _)| p);
-                // Classify only the inserted naïve rows. The temp table
-                // cannot fail validation: its rows are a subset of the
-                // merged rows step 1 already accepted.
+                // Classify only the inserted naïve rows, with the
+                // classifiers the table materialized, in its column order.
+                // The temp table cannot fail validation: its rows are a
+                // subset of the merged rows step 1 already accepted.
+                let subset: Vec<&BoundClassifier> = classifiers
+                    .iter()
+                    .filter(|c| m.materialized.contains(&c.name))
+                    .copied()
+                    .collect();
                 let inserted = Table::from_rows(naive_schema.clone(), delta.inserted.clone())?;
-                let fresh = materialize(&self.source, &inserted, entity_classifier, &subset)?;
+                let fresh = classify(Arc::new(inserted), entity_classifier, &subset)?;
                 let mdelta = TableDelta {
                     pre_len: m.table.len(),
                     deleted: dropped,
-                    inserted: fresh.table.rows_from(0),
+                    inserted: fresh.into_rows(),
                 };
                 if mdelta.is_empty() {
                     // Nothing materialized changed — the store keeps
@@ -152,10 +154,11 @@ impl StudyStore {
                     // pointer-identical.
                     None
                 } else {
-                    // `apply_delta` runs the same duplicate-key check over
-                    // the inserted rows against the retained index that a
-                    // rebuild's final `from_rows` would hit first, so
-                    // cross-partition duplicate keys error identically.
+                    // `apply_delta` checks the inserted rows against the
+                    // keyed schema and runs the same duplicate-key check
+                    // against the retained index that a rebuild's final
+                    // `from_rows` would hit first, so cross-partition
+                    // duplicate keys error identically.
                     Some((Arc::new(m.table.apply_delta(&mdelta)?), mdelta))
                 }
             }

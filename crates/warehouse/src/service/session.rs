@@ -49,7 +49,10 @@ impl Session {
     }
 
     /// The snapshot the next query would run against: the pinned one, or
-    /// the engine's current generation when auto-advancing.
+    /// the engine's current generation when auto-advancing. On an
+    /// auto-advancing session this and a following [`Self::query`] are two
+    /// separate reads of the current generation, and a refresh may install
+    /// between them; pin the session to query the snapshot returned here.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         match &self.pinned {
             Some(s) => s.clone(),
@@ -93,7 +96,9 @@ impl Session {
 
     /// Execute a plan against this session's snapshot, with the engine's
     /// executor. Byte-identical to that executor's `execute` over the
-    /// snapshot database — the service API drives the same machinery.
+    /// snapshot database — the service API drives the same machinery. An
+    /// auto-advancing session reads the current generation afresh here, so
+    /// it need not be the one an earlier [`Self::snapshot`] returned.
     pub fn query(&self, plan: &Plan) -> ServiceResult<Table> {
         let snap = self.snapshot();
         Ok(self.engine.executor().execute(plan, snap.database())?)

@@ -90,12 +90,19 @@ fi
 
 # The warehouse crate reads tables through `iter_rows`/`rows_from`, not the
 # flat view: `Table::rows()` caches a whole-table copy that every clone of
-# the table shares (ROADMAP item 5(b)). Non-test code only, comment lines
-# skipped as in the panic-site count below.
+# the table shares (ROADMAP item 5(b)). And it classifies with the compiled
+# study's guard and CASE expressions on the executor (DESIGN.md §12, *One
+# classifier evaluator*): the per-row rule walk stays only as
+# `direct_eval`'s reference, and the second output-type rule went with it.
+# Non-test code only, comment lines skipped as in the panic-site count below.
 for f in $(find crates/warehouse/src -name '*.rs' | sort); do
-  if awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f" \
-      | grep -F '.rows()'; then
+  code=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f")
+  if grep -F '.rows()' <<<"$code"; then
     echo "check.sh: non-test warehouse code reads the flat view again (matches above)" >&2
+    exit 1
+  fi
+  if grep -E '\.classify\(|\.selects\(|eval_row_from|classifier_output_type' <<<"$code"; then
+    echo "check.sh: non-test warehouse code classifies by the row walk again (matches above)" >&2
     exit 1
   fi
 done
@@ -130,7 +137,9 @@ fi
 # `Plan::Values` is binding, not constructing.
 delta_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/relational/src/delta.rs)
 workflow_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/etl/src/workflow.rs)
-echo "check.sh: delta.rs non-test lines: $delta_lines, workflow.rs: $workflow_lines"
+store_lines=$(( $(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/warehouse/src/materialize.rs) \
+  + $(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/warehouse/src/refresh.rs) ))
+echo "check.sh: delta.rs non-test lines: $delta_lines, workflow.rs: $workflow_lines, materialize.rs + refresh.rs: $store_lines"
 if head -n "$delta_lines" crates/relational/src/delta.rs \
     | grep -nE 'Plan::Values[^=]*$|\.execute\(|^\s+fn init\(' | grep -vE '^[0-9]+:\s*//'; then
   echo "check.sh: delta.rs evaluates through a synthetic plan or a bottom-up init again (matches above)" >&2

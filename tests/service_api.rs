@@ -223,7 +223,10 @@ fn concurrent_sessions_see_consistent_generations() {
             let plan = plan.clone();
             s.spawn(move || {
                 for _ in 0..25 {
-                    let session = engine.session();
+                    // Pinned, so the query reads the snapshot the oracle
+                    // reads: an auto-advancing session's `snapshot` and
+                    // `query` are two reads a refresh may install between.
+                    let session = engine.pinned_session();
                     let snap = session.snapshot();
                     let t = session.query(&plan).unwrap();
                     // Oracle: evaluate directly on the pinned snapshot.

@@ -1,11 +1,15 @@
 //! Warehouse-layer integration over the full clinical setup (Figure 7 and
 //! the Section 4.2 materialization discussion): every policy yields the
 //! same answers, storage scales with the classifier count, and the
-//! materialized tables answer the paper's studies correctly.
+//! materialized tables answer the paper's studies correctly. Last, on a
+//! hand-built form: the warehouse, the compiled study and `direct_eval`
+//! keep one classifier contract, single faults included.
 
 use guava::clinical::prelude::*;
 use guava::clinical::{classifiers, cori};
 use guava::prelude::*;
+use guava_relational::value::DataType;
+use std::collections::BTreeMap;
 
 struct Setup {
     profiles: Vec<Profile>,
@@ -224,4 +228,187 @@ fn warehouse_database_is_queryable_with_plans() {
         .filter(|p| !p.smoking_unanswered && p.ex_smoker_loose() && p.packs_per_day >= 5.0)
         .count();
     assert_eq!(heavy_exsmokers.len(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// One classifier contract (DESIGN.md §12): a classifier means the `OR` of
+// its guards and the `CASE` over its rules that the compiled study runs —
+// `OR` evaluates every guard, `CASE` stops at the first TRUE arm — in the
+// warehouse under every policy, in the compiled workflow and in
+// `direct_eval` alike, single faults included.
+// ---------------------------------------------------------------------------
+
+/// A one-form tool, its study schema, and three rows where row 1 has
+/// `PacksPerDay = 0`, so `100 / PacksPerDay` faults on it and nowhere else.
+fn fault_fixture() -> (GTree, StudySchema, Table) {
+    let tool = ReportingTool::new(
+        "t",
+        "1.0",
+        vec![FormDef::new(
+            "Procedure",
+            "Procedure",
+            vec![
+                Control::numeric("PacksPerDay", "Packs per day", DataType::Int),
+                Control::check_box("SurgeryPerformed", "Surgery?"),
+            ],
+        )],
+    );
+    let schema = StudySchema::new(
+        "s",
+        EntityDef::new("Procedure").with_attribute(AttributeDef::new(
+            "Smoking",
+            vec![Domain::categorical(
+                "class",
+                "classes",
+                &["None", "Light", "Heavy"],
+            )],
+        )),
+    );
+    let naive = Table::from_rows(
+        tool.forms[0].naive_schema(),
+        vec![
+            vec![1.into(), 0.into(), true.into()],
+            vec![2.into(), 5.into(), false.into()],
+            vec![3.into(), 200.into(), false.into()],
+        ],
+    )
+    .unwrap();
+    (GTree::derive(&tool).unwrap(), schema, naive)
+}
+
+/// `(instance_id, class)` pairs in instance order, or the first error.
+type Classified = RelResult<Vec<(Value, Value)>>;
+
+/// Classify the fixture with entity classifier `entity_rules` and the
+/// domain classifier `class` every way there is: the warehouse under each
+/// policy, the compiled study's `run_on`, and `direct_eval`.
+fn classify_every_way(entity_rules: &[&str]) -> Vec<(String, Classified)> {
+    let (tree, schema, naive) = fault_fixture();
+    let entity = Classifier::parse_rules(
+        "study entities",
+        "t",
+        "",
+        Target::Entity {
+            entity: "Procedure".into(),
+        },
+        entity_rules,
+    )
+    .unwrap();
+    // The later arm faults on row 1, which the first arm already takes.
+    let class = Classifier::parse_rules(
+        "class",
+        "t",
+        "",
+        Target::Domain {
+            entity: "Procedure".into(),
+            attribute: "Smoking".into(),
+            domain: "class".into(),
+        },
+        &[
+            "'None' <- PacksPerDay = 0",
+            "'Light' <- 100 / PacksPerDay > 1",
+            "'Heavy' <- PacksPerDay > 0",
+        ],
+    )
+    .unwrap();
+    let (ec, dc) = (
+        entity.bind(&tree, &schema).unwrap(),
+        class.bind(&tree, &schema).unwrap(),
+    );
+    let sorted = |mut pairs: Vec<(Value, Value)>| {
+        pairs.sort();
+        pairs
+    };
+    let mut out = Vec::new();
+    for policy in [
+        MaterializationPolicy::Full,
+        MaterializationPolicy::Selective(vec!["class".into()]),
+        MaterializationPolicy::OnDemand,
+    ] {
+        let result = StudyStore::build("t", naive.clone(), &ec, &[&dc], policy.clone())
+            .and_then(|store| store.classifier_column("class", &ec, &[&dc]))
+            .map(sorted);
+        out.push((format!("warehouse {policy:?}"), result));
+    }
+
+    let mut registry = ClassifierRegistry::new();
+    registry.register(entity).unwrap();
+    registry.register(class).unwrap();
+    let study = Study::new("parity", "single faults", "s", "Procedure")
+        .with_column(StudyColumn::new("Procedure", "Smoking", "class"))
+        .with_selection(ContributorSelection::new(
+            "t",
+            vec!["study entities".into()],
+            vec!["class".into()],
+        ));
+    let stack = PatternStack::naive("t");
+    let compiled = compile(
+        &study,
+        &schema,
+        &registry,
+        &[ContributorBinding::new(tree, stack.clone())],
+    )
+    .unwrap();
+    let mut naive_db = Database::new("t");
+    naive_db.create_table(naive).unwrap();
+    // `(source, instance_id, class)` study rows to `(instance_id, class)`.
+    let study_pairs = |rows: Vec<Row>| {
+        sorted(
+            rows.into_iter()
+                .map(|r| (r[1].clone(), r[2].clone()))
+                .collect(),
+        )
+    };
+
+    let mut catalog = Catalog::new();
+    catalog.insert(stack.encode(&naive_db).unwrap());
+    let etl = compiled
+        .workflow
+        .run_on(&mut catalog, &Executor::new())
+        .and_then(|_| {
+            let db = catalog.database(&compiled.output_db)?;
+            Ok(study_pairs(
+                db.table("Procedure")?.iter_rows().cloned().collect(),
+            ))
+        });
+    out.push(("compiled study run_on".into(), etl));
+
+    let direct = direct_eval(&compiled, &study, &BTreeMap::from([("t".into(), naive_db)]))
+        .map(|mut by_entity| study_pairs(by_entity.remove("Procedure").unwrap_or_default()));
+    out.push(("direct_eval".into(), direct));
+    out
+}
+
+#[test]
+fn a_later_entity_guard_fault_fails_every_evaluator_alike() {
+    // Row 1 is selected by the first guard; the second divides by zero on
+    // it. `OR` evaluates both, so every evaluator raises that one error —
+    // none may stop at the first match and return the row.
+    let results = classify_every_way(&[
+        "Procedure <- Procedure AND SurgeryPerformed = TRUE",
+        "Procedure <- 100 / PacksPerDay > 1",
+    ]);
+    for (who, result) in &results {
+        let err = result.as_ref().expect_err(who);
+        assert_eq!(
+            err,
+            &RelError::Eval("division by zero".into()),
+            "{who}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_later_case_arm_fault_is_skipped_by_every_evaluator_alike() {
+    // Same shape in the domain classifier: row 1's first arm is TRUE, so
+    // `CASE` never reaches the arm that would divide by zero.
+    let results = classify_every_way(&["Procedure <- Procedure"]);
+    let expected = vec![
+        (Value::Int(1), Value::text("None")),
+        (Value::Int(2), Value::text("Light")),
+        (Value::Int(3), Value::text("Heavy")),
+    ];
+    for (who, result) in results {
+        assert_eq!(result.as_ref().expect(&who), &expected, "{who}");
+    }
 }
