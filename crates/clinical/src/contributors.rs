@@ -35,38 +35,45 @@ impl Contributor {
 
 /// Build all three contributors from one profile set. Every contributor
 /// receives the *same* underlying clinical reality, typed into different
-/// tools — which is what makes cross-contributor counts comparable.
+/// tools — which is what makes cross-contributor counts comparable. Each
+/// profile is typed in once per tool: the physical database is encoded
+/// from the naïve one.
 pub fn build_all(profiles: &[Profile]) -> RelResult<Vec<Contributor>> {
-    let mut out = Vec::with_capacity(3);
+    Ok(vec![
+        contributor(
+            cori::tool(),
+            cori::stack()?,
+            cori::naive_database(profiles)?,
+            cori::encode,
+        )?,
+        contributor(
+            endopro::tool(),
+            endopro::stack()?,
+            endopro::naive_database(profiles)?,
+            PatternStack::encode,
+        )?,
+        contributor(
+            gastrolink::tool(),
+            gastrolink::stack()?,
+            gastrolink::naive_database(profiles)?,
+            PatternStack::encode,
+        )?,
+    ])
+}
 
-    let tool = cori::tool();
-    out.push(Contributor {
-        tree: GTree::derive(&tool).expect("cori g-tree"),
-        stack: cori::stack()?,
-        naive: cori::naive_database(profiles)?,
-        physical: cori::physical_database(profiles)?,
+fn contributor(
+    tool: ReportingTool,
+    stack: PatternStack,
+    naive: Database,
+    encode: fn(&PatternStack, &Database) -> RelResult<Database>,
+) -> RelResult<Contributor> {
+    Ok(Contributor {
+        tree: GTree::derive(&tool).unwrap_or_else(|e| panic!("{} g-tree: {e:?}", tool.name)),
+        physical: encode(&stack, &naive)?,
+        stack,
+        naive,
         tool,
-    });
-
-    let tool = endopro::tool();
-    out.push(Contributor {
-        tree: GTree::derive(&tool).expect("endopro g-tree"),
-        stack: endopro::stack()?,
-        naive: endopro::naive_database(profiles)?,
-        physical: endopro::physical_database(profiles)?,
-        tool,
-    });
-
-    let tool = gastrolink::tool();
-    out.push(Contributor {
-        tree: GTree::derive(&tool).expect("gastrolink g-tree"),
-        stack: gastrolink::stack()?,
-        naive: gastrolink::naive_database(profiles)?,
-        physical: gastrolink::physical_database(profiles)?,
-        tool,
-    });
-
-    Ok(out)
+    })
 }
 
 /// Bindings for the ETL compiler.
@@ -131,6 +138,48 @@ mod tests {
         for c in &cs {
             assert!(catalog.database(c.name()).is_ok());
             assert!(naive.contains_key(c.name()));
+        }
+    }
+
+    /// Typing each profile in once per tool changes nothing: every part of
+    /// every contributor equals the one built from the public per-tool
+    /// builders, which type the profiles again for the physical database.
+    #[test]
+    fn build_all_equals_the_per_tool_builders() {
+        let profiles = generate(&GeneratorConfig::default().with_size(60));
+        let expected = [
+            (
+                cori::tool(),
+                cori::stack().unwrap(),
+                cori::naive_database(&profiles).unwrap(),
+                cori::physical_database(&profiles).unwrap(),
+            ),
+            (
+                endopro::tool(),
+                endopro::stack().unwrap(),
+                endopro::naive_database(&profiles).unwrap(),
+                endopro::physical_database(&profiles).unwrap(),
+            ),
+            (
+                gastrolink::tool(),
+                gastrolink::stack().unwrap(),
+                gastrolink::naive_database(&profiles).unwrap(),
+                gastrolink::physical_database(&profiles).unwrap(),
+            ),
+        ];
+        let same_db = |a: &Database, b: &Database| {
+            a.name == b.name
+                && a.table_names().eq(b.table_names())
+                && a.tables().zip(b.tables()).all(|(x, y)| x == y)
+        };
+        let built = build_all(&profiles).unwrap();
+        assert_eq!(built.len(), expected.len());
+        for (c, (tool, stack, naive, physical)) in built.iter().zip(&expected) {
+            assert_eq!(&c.tool, tool);
+            assert_eq!(c.tree, GTree::derive(tool).unwrap());
+            assert_eq!(&c.stack, stack);
+            assert!(same_db(&c.naive, naive), "{} naive", c.name());
+            assert!(same_db(&c.physical, physical), "{} physical", c.name());
         }
     }
 }

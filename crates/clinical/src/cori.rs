@@ -216,28 +216,34 @@ pub fn naive_database(profiles: &[Profile]) -> RelResult<Database> {
 /// simulate provider edits — for every 13th report the original row is
 /// kept but audit-flagged, and a corrected copy becomes the live row.
 pub fn physical_database(profiles: &[Profile]) -> RelResult<Database> {
-    let stack = stack()?;
-    let mut physical = stack.encode(&naive_database(profiles)?)?;
+    encode(&stack()?, &naive_database(profiles)?)
+}
+
+/// [`physical_database`] from a naïve database already typed in.
+pub(crate) fn encode(stack: &PatternStack, naive: &Database) -> RelResult<Database> {
+    let mut physical = stack.encode(naive)?;
     let table = physical.table_mut(PHYSICAL_TABLE)?;
     let schema = table.schema().clone();
     let flag_idx = schema.index_of(AUDIT_FLAG).expect("audit column");
     let id_idx = schema.index_of("instance_id").expect("instance id");
     let note_idx = schema.index_of("other_complication").expect("note column");
-    let edited: Vec<Vec<Value>> = table
-        .rows()
-        .iter()
-        .filter(|r| r[id_idx].as_i64().is_some_and(|i| i % 13 == 0))
-        .cloned()
+    let revised = |r: &[Value]| r[id_idx].as_i64().is_some_and(|i| i % 13 == 0);
+    let tombstones: Vec<Vec<Value>> = table
+        .iter_rows()
+        .filter(|r| revised(r))
+        .map(|r| {
+            let mut old = r.clone();
+            old[flag_idx] = Value::Int(1);
+            old
+        })
         .collect();
-    for mut old in edited {
-        // The live row gets the corrected note; the superseded original is
-        // re-inserted with the audit flag set.
-        let id = old[id_idx].clone();
-        table.update_where(
-            |r| r[id_idx] == id && r[flag_idx] == Value::Int(0),
-            |r| r[note_idx] = Value::text("amended report"),
-        )?;
-        old[flag_idx] = Value::Int(1);
+    // The live rows get the corrected note in place; the superseded
+    // originals follow, audit-flagged, in table order.
+    table.update_where(
+        |r| revised(r) && r[flag_idx] == Value::Int(0),
+        |r| r[note_idx] = Value::text("amended report"),
+    )?;
+    for old in tombstones {
         table.insert(old)?;
     }
     Ok(physical)
@@ -320,5 +326,54 @@ mod tests {
         assert!(t.len() > 80, "superseded originals are retained");
         let flag_idx = t.schema().index_of(AUDIT_FLAG).unwrap();
         assert!(t.rows().iter().any(|r| r[flag_idx] == Value::Int(1)));
+    }
+
+    /// One `update_where` over every revised report builds the table the
+    /// per-report loop built (one `update_where` and one tombstone per
+    /// report, each call re-copying the table) — row for row, in order.
+    #[test]
+    fn physical_database_matches_the_per_report_revision_loop() {
+        let profiles = generate(&GeneratorConfig::default().with_size(400));
+        let mut per_report = stack()
+            .unwrap()
+            .encode(&naive_database(&profiles).unwrap())
+            .unwrap();
+        let table = per_report.table_mut(PHYSICAL_TABLE).unwrap();
+        let schema = table.schema().clone();
+        let flag_idx = schema.index_of(AUDIT_FLAG).unwrap();
+        let id_idx = schema.index_of("instance_id").unwrap();
+        let note_idx = schema.index_of("other_complication").unwrap();
+        let edited: Vec<Vec<Value>> = table
+            .rows()
+            .iter()
+            .filter(|r| r[id_idx].as_i64().is_some_and(|i| i % 13 == 0))
+            .cloned()
+            .collect();
+        assert!(edited.len() > 20, "a few dozen revised reports");
+        for mut old in edited {
+            let id = old[id_idx].clone();
+            table
+                .update_where(
+                    |r| r[id_idx] == id && r[flag_idx] == Value::Int(0),
+                    |r| r[note_idx] = Value::text("amended report"),
+                )
+                .unwrap();
+            old[flag_idx] = Value::Int(1);
+            table.insert(old).unwrap();
+        }
+
+        let batched = physical_database(&profiles).unwrap();
+        assert_eq!(
+            batched.table_names().collect::<Vec<_>>(),
+            per_report.table_names().collect::<Vec<_>>()
+        );
+        for name in per_report.table_names() {
+            let (ours, theirs) = (
+                batched.table(name).unwrap(),
+                per_report.table(name).unwrap(),
+            );
+            assert_eq!(ours.rows(), theirs.rows(), "table {name}");
+            assert_eq!(ours, theirs, "table {name}");
+        }
     }
 }

@@ -278,15 +278,7 @@ impl Control {
 
     /// Depth-first iteration over this control and all descendants.
     pub fn walk(&self) -> impl Iterator<Item = &Control> {
-        let mut stack = vec![self];
-        std::iter::from_fn(move || {
-            let next = stack.pop()?;
-            // Push children reversed so iteration is document order.
-            for c in next.children.iter().rev() {
-                stack.push(c);
-            }
-            Some(next)
-        })
+        depth_first(vec![self])
     }
 
     /// Validate a single entered value against this control's constraints
@@ -347,6 +339,17 @@ impl Control {
             }
         }
     }
+}
+
+/// Depth-first, document-order iteration from `stack`, whose last entry
+/// comes first (so callers push siblings in reverse).
+pub(crate) fn depth_first(mut stack: Vec<&Control>) -> impl Iterator<Item = &Control> {
+    std::iter::from_fn(move || {
+        let next = stack.pop()?;
+        // Push children reversed so iteration is document order.
+        stack.extend(next.children.iter().rev());
+        Some(next)
+    })
 }
 
 #[cfg(test)]

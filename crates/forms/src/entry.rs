@@ -8,7 +8,7 @@
 //! controls enforced at save time.
 
 use crate::control::Control;
-use crate::form::{FormDef, INSTANCE_ID};
+use crate::form::FormDef;
 use guava_relational::table::Row;
 use guava_relational::value::Value;
 use serde::{Deserialize, Serialize};
@@ -29,19 +29,11 @@ impl FormInstance {
         self.answers.get(control_id).cloned().unwrap_or(Value::Null)
     }
 
-    /// Render the instance as a row of the form's naïve schema.
+    /// Render the instance as a row of the form's naïve schema:
+    /// `instance_id`, then one answer per data control in document order.
     pub fn naive_row(&self, form: &FormDef) -> Row {
-        let schema = form.naive_schema();
-        schema
-            .columns()
-            .iter()
-            .map(|c| {
-                if c.name == INSTANCE_ID {
-                    Value::Int(self.instance_id)
-                } else {
-                    self.answer(&c.name)
-                }
-            })
+        std::iter::once(Value::Int(self.instance_id))
+            .chain(form.data_controls().iter().map(|c| self.answer(&c.id)))
             .collect()
     }
 }
@@ -82,34 +74,59 @@ impl std::fmt::Display for EntryError {
 impl std::error::Error for EntryError {}
 
 /// An in-progress form filling session.
+///
+/// The session indexes its form once, when it opens: the controls in walk
+/// order, each enablement rule's controller as a position, and the answers
+/// by position. A duplicated id resolves to its first occurrence, as a
+/// search of the walk would. Nothing after `open` walks the control tree
+/// again: `set`, `get` and `is_enabled` are one position lookup each, and
+/// an enablement chain is followed by index.
 pub struct DataEntrySession<'a> {
     form: &'a FormDef,
     instance_id: i64,
-    values: BTreeMap<String, Value>,
+    /// Every control of the form, in walk (document) order.
+    controls: Vec<&'a Control>,
+    /// Per control, the position of its rule's controller; `None` when the
+    /// control has no rule or the controller does not exist.
+    controllers: Vec<Option<usize>>,
+    /// Per control, its answer. Only the first occurrence of an id holds one.
+    values: Vec<Option<Value>>,
 }
 
 impl<'a> DataEntrySession<'a> {
     /// Open the form: defaults are pre-filled exactly as the real tool
     /// would render them.
     pub fn open(form: &'a FormDef, instance_id: i64) -> DataEntrySession<'a> {
-        let mut values = BTreeMap::new();
-        for c in form.walk() {
+        let controls: Vec<&Control> = form.walk().collect();
+        let position = |id: &str| controls.iter().position(|c| c.id == id);
+        let controllers = controls
+            .iter()
+            .map(|c| c.enable.as_ref().and_then(|r| position(&r.controller)))
+            .collect();
+        let mut values = vec![None; controls.len()];
+        for (at, c) in controls.iter().enumerate() {
             if let (true, Some(d)) = (c.kind.stores_data(), &c.default) {
-                values.insert(c.id.clone(), d.clone());
+                values[position(&c.id).unwrap_or(at)] = Some(d.clone());
             }
         }
         let mut s = DataEntrySession {
             form,
             instance_id,
+            controls,
+            controllers,
             values,
         };
         s.clear_disabled();
         s
     }
 
-    fn control(&self, id: &str) -> Result<&'a Control, EntryError> {
-        self.form
-            .control(id)
+    /// Where the control `id` sits in walk order (its first occurrence).
+    fn position(&self, id: &str) -> Option<usize> {
+        self.controls.iter().position(|c| c.id == id)
+    }
+
+    fn known(&self, id: &str) -> Result<usize, EntryError> {
+        self.position(id)
             .ok_or_else(|| EntryError::UnknownControl(id.to_owned()))
     }
 
@@ -117,18 +134,18 @@ impl<'a> DataEntrySession<'a> {
     /// A control is disabled while its own rule is unsatisfied *or* while
     /// any ancestor in the enablement chain is disabled.
     pub fn is_enabled(&self, id: &str) -> Result<bool, EntryError> {
-        let mut current = self.control(id)?;
+        self.enabled_at(self.known(id)?)
+    }
+
+    fn enabled_at(&self, mut at: usize) -> Result<bool, EntryError> {
         let mut hops = 0;
-        while let Some(rule) = &current.enable {
-            let controller_value = self
-                .values
-                .get(&rule.controller)
-                .cloned()
-                .unwrap_or(Value::Null);
-            if !rule.when.satisfied_by(&controller_value) {
+        while let Some(rule) = &self.controls[at].enable {
+            let controller = self.controllers[at];
+            let value = controller.and_then(|c| self.values[c].as_ref());
+            if !rule.when.satisfied_by(value.unwrap_or(&Value::Null)) {
                 return Ok(false);
             }
-            current = self.control(&rule.controller)?;
+            at = controller.ok_or_else(|| EntryError::UnknownControl(rule.controller.clone()))?;
             hops += 1;
             if hops > 64 {
                 // Defensive: cyclic rules are rejected by FormDef::validate
@@ -143,14 +160,15 @@ impl<'a> DataEntrySession<'a> {
     /// controls become disabled, mirroring real form behaviour.
     pub fn set(&mut self, id: &str, value: impl Into<Value>) -> Result<(), EntryError> {
         let value = value.into();
-        let control = self.control(id)?;
+        let at = self.known(id)?;
+        let control = self.controls[at];
         if !control.kind.stores_data() {
             return Err(EntryError::Invalid {
                 control: id.to_owned(),
                 reason: "control stores no data".into(),
             });
         }
-        if !self.is_enabled(id)? {
+        if !self.enabled_at(at)? {
             let reason = control
                 .enable
                 .as_ref()
@@ -167,11 +185,7 @@ impl<'a> DataEntrySession<'a> {
                 control: id.to_owned(),
                 reason,
             })?;
-        if value.is_null() {
-            self.values.remove(id);
-        } else {
-            self.values.insert(id.to_owned(), value);
-        }
+        self.values[at] = (!value.is_null()).then_some(value);
         self.clear_disabled();
         Ok(())
     }
@@ -183,23 +197,27 @@ impl<'a> DataEntrySession<'a> {
 
     /// Current value of a control (NULL if unanswered or disabled).
     pub fn get(&self, id: &str) -> Value {
-        self.values.get(id).cloned().unwrap_or(Value::Null)
+        self.position(id)
+            .and_then(|at| self.values[at].clone())
+            .unwrap_or(Value::Null)
     }
 
     fn clear_disabled(&mut self) {
         // Iterate to a fixed point: clearing one answer may disable others.
+        // Only a control with a rule can be disabled.
         loop {
-            let stale: Vec<String> = self
-                .values
-                .keys()
-                .filter(|id| !self.is_enabled(id).unwrap_or(false))
-                .cloned()
+            let stale: Vec<usize> = (0..self.controls.len())
+                .filter(|&at| {
+                    self.values[at].is_some()
+                        && self.controls[at].enable.is_some()
+                        && !self.enabled_at(at).unwrap_or(false)
+                })
                 .collect();
             if stale.is_empty() {
                 break;
             }
-            for id in stale {
-                self.values.remove(&id);
+            for at in stale {
+                self.values[at] = None;
             }
         }
     }
@@ -207,15 +225,24 @@ impl<'a> DataEntrySession<'a> {
     /// Save the form: required controls must be answered; returns the
     /// immutable instance.
     pub fn save(self) -> Result<FormInstance, EntryError> {
-        for c in self.form.walk() {
-            if c.required && c.kind.stores_data() && !self.values.contains_key(&c.id) {
+        for (at, c) in self.controls.iter().enumerate() {
+            if c.required
+                && c.kind.stores_data()
+                && self.values[self.position(&c.id).unwrap_or(at)].is_none()
+            {
                 return Err(EntryError::MissingRequired(c.id.clone()));
+            }
+        }
+        let mut answers = BTreeMap::new();
+        for (c, v) in self.controls.iter().zip(self.values) {
+            if let Some(v) = v {
+                answers.insert(c.id.clone(), v);
             }
         }
         Ok(FormInstance {
             form_id: self.form.id.clone(),
             instance_id: self.instance_id,
-            answers: self.values,
+            answers,
         })
     }
 }

@@ -5,7 +5,7 @@
 //! tool" (Section 3.2). This module derives that naïve schema from the
 //! declarative control tree.
 
-use crate::control::{Control, ControlKind};
+use crate::control::{depth_first, Control, ControlKind};
 use guava_relational::schema::{Column, Schema};
 use guava_relational::value::DataType;
 use serde::{Deserialize, Serialize};
@@ -94,14 +94,10 @@ impl FormDef {
         }
     }
 
-    /// Depth-first iteration over every control of the form.
+    /// Depth-first iteration over every control of the form, on one
+    /// stack for the whole form.
     pub fn walk(&self) -> impl Iterator<Item = &Control> {
-        self.controls.iter().flat_map(Control::walk)
-    }
-
-    /// Find a control by id.
-    pub fn control(&self, id: &str) -> Option<&Control> {
-        self.walk().find(|c| c.id == id)
+        depth_first(self.controls.iter().rev().collect())
     }
 
     /// Controls that store data, in document order — the naïve columns.

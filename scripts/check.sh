@@ -107,6 +107,19 @@ for f in $(find crates/warehouse/src -name '*.rs' | sort); do
   fi
 done
 
+# Form entry looks each control up once (DESIGN.md §8, *Data-entry
+# engine*): a session indexes its form when it opens, and a saved
+# instance renders its naïve row from the data controls. Fail if non-test
+# entry code looks a control up by walking the form again (a `.control(`
+# call, like the deleted `FormDef::control`) or builds the naïve schema
+# per row. Comment lines skipped as below.
+entry_code=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' \
+  crates/forms/src/entry.rs)
+if grep -E 'naive_schema\(|\.control\(' <<<"$entry_code"; then
+  echo "check.sh: non-test form entry walks the form per answer or builds the naïve schema per row again (matches above)" >&2
+  exit 1
+fi
+
 # Sealed segments survive deletes and blocking operators read their input
 # by reference (DESIGN.md §14/§18): the survivor-copy re-seal and the
 # row-shredding parallel pipeline were *replaced*, not kept beside the new
