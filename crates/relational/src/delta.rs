@@ -108,12 +108,13 @@ use crate::algebra::{
 use crate::database::{Catalog, Database};
 use crate::error::{RelError, RelResult};
 use crate::exec::{apply_stages, Executor, MapStage, Stage};
-use crate::rank::{FirstSeenIndex, InsertOutcome, RankList, RemoveOutcome};
+use crate::rank::{FirstSeenIndex, RankList};
 use crate::schema::Schema;
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Patches: positional edits against a known previous row vector.
@@ -191,6 +192,15 @@ impl Patch {
     /// order in the post-state row vector.
     pub fn new_rows(&self) -> impl Iterator<Item = &Row> {
         self.inserted.iter().flat_map(|(_, rows)| rows.iter())
+    }
+
+    /// The patch as a change: [`Change::Unchanged`] when it edits nothing.
+    fn into_change<F>(self) -> Change<F> {
+        if self.is_empty() {
+            Change::Unchanged
+        } else {
+            Change::Patch(self)
+        }
     }
 
     /// Apply the edit script to the old rows.
@@ -343,12 +353,7 @@ impl PatchBuilder {
     }
 
     fn into_change<F>(self) -> Change<F> {
-        let patch = self.into_patch();
-        if patch.is_empty() {
-            Change::Unchanged
-        } else {
-            Change::Patch(patch)
-        }
+        self.into_patch().into_change()
     }
 }
 
@@ -707,34 +712,23 @@ impl DeltaCatalog {
 
 /// The result of pushing one input [`Patch`] through a
 /// [`FirstSeenIndex`]: which groups were touched, the output rank each of
-/// them held before the edit, and whether surviving-group order can have
-/// changed. Shared by the Aggregate and Pivot differential rules.
+/// them held before the edit, and what the index held of the deleted
+/// rows. Shared by the Aggregate and Pivot differential rules.
 struct FirstSeenPatch<T> {
     /// Touched group keys (keys of deleted and inserted rows), deduplicated
-    /// in first-touch order.
-    affected: Vec<Vec<Value>>,
-    /// Pre-patch output rank of every affected key that existed.
-    old_rank: HashMap<Vec<Value>, usize>,
-    /// Pre-patch group count (the old output length).
-    old_group_count: usize,
-    /// Keys whose last occurrence vanished at some point during the patch;
-    /// if such a key is live again afterwards it was *revived* and must
-    /// re-enter output order at the end, like a rebuild would place it.
-    died_once: HashSet<Vec<Value>>,
-    /// A surviving group's first occurrence moved (deleted-first promotion
-    /// or an insert in front of it): relative survivor order is no longer
-    /// guaranteed and the caller must emit [`Change::Full`].
-    order_broken: bool,
-    /// What the index held of the deleted pre-state rows, in ascending
-    /// ordinal order (for accumulator retraction).
-    deleted: Vec<T>,
+    /// in first-touch order, each with its pre-patch output rank if it
+    /// existed.
+    affected: Vec<(Vec<Value>, Option<usize>)>,
+    /// The deleted pre-state rows as the index held them — key and
+    /// payload — in ascending ordinal order (for accumulator retraction).
+    deleted: Vec<(Arc<[Value]>, T)>,
 }
 
 impl<T: Default> FirstSeenPatch<T> {
-    /// Apply `p` to `idx`, classifying every group-order event on the way.
-    /// `entries` are the patch's new rows as the index stores them —
+    /// Apply `p` to `idx`, noting every touched group's old rank on the
+    /// way. `entries` are the patch's new rows as the index stores them —
     /// `(group key, payload)` in [`Patch::new_rows`] order. `O(delta ·
-    /// log n)` plus promotion elections (see [`FirstSeenIndex::remove`]).
+    /// log k · log n)` (see [`FirstSeenIndex::remove`]).
     fn apply(
         idx: &mut FirstSeenIndex<T>,
         p: &Patch,
@@ -742,35 +736,19 @@ impl<T: Default> FirstSeenPatch<T> {
     ) -> FirstSeenPatch<T> {
         // Pass A (read-only, pre-state coordinates): the affected key set
         // and each affected key's old rank.
-        let mut affected: Vec<Vec<Value>> = Vec::new();
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
+        let mut affected = Vec::new();
+        let mut seen: HashSet<&[Value]> = HashSet::new();
         let deleted_keys = p.deleted().iter().map(|&i| idx.get(i).0);
         for key in deleted_keys.chain(entries.iter().map(|(key, _)| key.as_slice())) {
-            if !seen.contains(key) {
-                seen.insert(key.to_vec());
-                affected.push(key.to_vec());
+            if seen.insert(key) {
+                affected.push((key.to_vec(), idx.rank_of(key)));
             }
         }
-        let mut old_rank = HashMap::new();
-        for key in &affected {
-            if let Some(rk) = idx.rank_of(key) {
-                old_rank.insert(key.clone(), rk);
-            }
-        }
-        let old_group_count = idx.group_count();
         // Pass B (mutation): walk the patch events in *descending* position
         // order so every event applies at a still-valid pre-state ordinal.
         // At equal positions the delete goes first: the insert group at
         // `i` must land before old row `i`'s slot, which only works if row
         // `i` has already been taken out.
-        let mut died_once = HashSet::new();
-        let mut order_broken = false;
-        // A promotion only breaks emission order when it moves the anchor
-        // of a *continuously surviving* group; born or revived groups are
-        // re-ranked from final state anyway.
-        let survives = |key: &[Value], died_once: &HashSet<Vec<Value>>| {
-            old_rank.contains_key(key) && !died_once.contains(key)
-        };
         let mut deleted = Vec::with_capacity(p.deleted().len());
         let mut entries = entries.into_iter().rev();
         let mut di = p.deleted().len();
@@ -779,95 +757,56 @@ impl<T: Default> FirstSeenPatch<T> {
             let take_delete = di > 0 && (gi == 0 || p.deleted()[di - 1] >= p.inserted()[gi - 1].0);
             if take_delete {
                 di -= 1;
-                let (key, payload, outcome) = idx.remove(p.deleted()[di]);
-                deleted.push(payload);
-                match outcome {
-                    RemoveOutcome::Died => {
-                        died_once.insert(key.to_vec());
-                    }
-                    RemoveOutcome::Promoted => order_broken |= survives(&key, &died_once),
-                    RemoveOutcome::Later => {}
-                }
+                deleted.push(idx.remove(p.deleted()[di]));
             } else {
                 gi -= 1;
                 // The group's rows go in back to front, each at the
                 // group's position: the same sequence as front to back at
                 // ascending positions, and `entries` is walked in reverse.
                 let (pos, rows) = &p.inserted()[gi];
-                for _ in 0..rows.len() {
-                    let (key, payload) = entries.next().expect("one entry per new row");
-                    let anchored = survives(&key, &died_once);
-                    if idx.insert(*pos, key, payload) == InsertOutcome::Promoted {
-                        order_broken |= anchored;
-                    }
+                for (key, payload) in entries.by_ref().take(rows.len()) {
+                    idx.insert(*pos, key, payload);
                 }
             }
         }
         deleted.reverse();
-        FirstSeenPatch {
-            affected,
-            old_rank,
-            old_group_count,
-            died_once,
-            order_broken,
-            deleted,
-        }
+        FirstSeenPatch { affected, deleted }
     }
 
-    /// Emit the output patch in pre-state output coordinates: deaths
-    /// delete, surviving affected groups replace in place, and born or
-    /// revived groups append at the old output end in their new rank
-    /// order. Returns `None` when a rank patch cannot describe the edit —
-    /// survivor order broke, or a (re)born group landed *between*
-    /// survivors — and the caller must fall back to [`Change::Full`].
-    fn emit(
-        &self,
-        idx: &FirstSeenIndex<T>,
-        mut make_row: impl FnMut(&[Value]) -> Row,
-    ) -> Option<Patch> {
-        if self.order_broken {
-            return None;
-        }
-        let mut vacated: Vec<(usize, Option<Vec<Value>>)> = Vec::new();
-        let mut born: Vec<(usize, Vec<Value>)> = Vec::new();
-        for key in &self.affected {
-            let old = self.old_rank.get(key).copied();
-            let live = idx.contains(key);
-            match (old, live) {
-                (Some(r), true) if !self.died_once.contains(key) => {
-                    vacated.push((r, Some(key.clone())));
-                }
-                (Some(r), true) => {
-                    // Died and revived within one patch: vacate the old
-                    // slot and re-enter at the end.
-                    vacated.push((r, None));
-                    born.push((idx.rank_of(key).expect("live"), key.clone()));
-                }
-                (Some(r), false) => vacated.push((r, None)),
-                (None, true) => born.push((idx.rank_of(key).expect("live"), key.clone())),
-                (None, false) => {} // appeared and vanished within the patch
-            }
-        }
-        // Every born group must rank after every survivor, or the patch
-        // cannot express the reordering.
-        let slots_vacated = vacated.iter().filter(|(_, k)| k.is_none()).count();
-        let survivors = self.old_group_count - slots_vacated;
-        if born.iter().any(|(rank, _)| *rank < survivors) {
-            return None;
-        }
-        vacated.sort_unstable_by_key(|(r, _)| *r);
-        born.sort_unstable_by_key(|(r, _)| *r);
+    /// Emit the output patch in pre-state output coordinates. Groups the
+    /// patch did not touch keep their relative order (their first
+    /// occurrences are retained rows), so every affected group's old row
+    /// is deleted and each live one inserted again just after the last
+    /// untouched group that precedes it in the new order: a group that
+    /// kept its place is replaced in place, and a promotion, a birth
+    /// between survivors or a revival is the same kind of patch.
+    /// `O(a log a)` plus a rank query per affected group.
+    fn emit(&self, idx: &FirstSeenIndex<T>, mut make_row: impl FnMut(&[Value]) -> Row) -> Patch {
+        let mut vacated: Vec<usize> = self.affected.iter().filter_map(|(_, r)| *r).collect();
+        vacated.sort_unstable();
+        let mut live: Vec<(usize, &[Value])> = self
+            .affected
+            .iter()
+            .filter_map(|(key, _)| Some((idx.rank_of(key)?, key.as_slice())))
+            .collect();
+        live.sort_unstable_by_key(|&(rank, _)| rank);
         let mut pb = PatchBuilder::default();
-        for (r, key) in vacated {
+        for &r in &vacated {
             pb.delete(r);
-            if let Some(key) = key {
-                pb.insert(r, make_row(&key));
+        }
+        // The i-th live affected group in new order has `u = rank − i`
+        // untouched groups ahead of it; it goes in at the smallest
+        // pre-state position with `u` untouched rows before it, which is
+        // `u` plus the vacated slots below that position.
+        let mut below = 0;
+        for (i, (rank, key)) in live.into_iter().enumerate() {
+            let u = rank - i;
+            while vacated.get(below).is_some_and(|&v| v < u + below) {
+                below += 1;
             }
+            pb.insert(u + below, make_row(key));
         }
-        for (_, key) in born {
-            pb.insert(self.old_group_count, make_row(&key));
-        }
-        Some(pb.into_patch())
+        pb.into_patch()
     }
 }
 
@@ -913,6 +852,22 @@ impl RecomputeKernel {
             RecomputeKernel::Unpivot { key_idx, data_idx } => {
                 unpivot_rows(in_schema, rows, key_idx, data_idx)
             }
+        }
+    }
+}
+
+/// A wholesale input as a rule that only reads it gets it: the rows a
+/// child made, or a stored table's, read in place.
+enum Whole<'d> {
+    Made(Vec<Row>),
+    Stored(&'d Table),
+}
+
+impl Whole<'_> {
+    fn rows(&self) -> Box<dyn Iterator<Item = &Row> + '_> {
+        match self {
+            Whole::Made(rows) => Box::new(rows.iter()),
+            Whole::Stored(t) => Box::new(t.iter_rows()),
         }
     }
 }
@@ -972,10 +927,15 @@ enum DNode {
         input: Box<DNode>,
         /// Input rows plus persistent first-occurrence tracking: group
         /// output order is read from the index instead of a full
-        /// first-seen rescan per refresh.
-        rows_idx: FirstSeenIndex<Row>,
+        /// first-seen rescan per refresh. A row keeps only the columns
+        /// its aggregates fold (`fold`) — none at all under COUNT(*).
+        rows_idx: FirstSeenIndex<Folded>,
         groups: HashMap<Vec<Value>, GroupState>,
         g_idx: Vec<usize>,
+        /// The input columns the aggregates read, each once.
+        fold: Vec<usize>,
+        /// Each aggregate's source as a position among a row's folded
+        /// columns (`None` for COUNT(*)).
         agg_idx: Vec<Option<usize>>,
         aggregates: Vec<Aggregate>,
         /// All aggregates invert exactly under retraction (COUNT, or
@@ -1020,28 +980,46 @@ fn new_group(n_aggs: usize) -> GroupState {
     }
 }
 
-/// Fold one row into grouped aggregate state.
+/// What an aggregate's index keeps of an input row: the columns its
+/// aggregates fold, in [`DNode::Aggregate`]'s `fold` order.
+type Folded = Box<[Value]>;
+
+/// An aggregate's input row as its index stores it: keyed on the GROUP
+/// BY columns, with the columns the aggregates fold.
+fn agg_entry(row: &Row, g_idx: &[usize], fold: &[usize]) -> (Vec<Value>, Folded) {
+    (
+        row_key(row, g_idx),
+        fold.iter().map(|&i| row[i].clone()).collect(),
+    )
+}
+
+/// Fold one row's folded columns into its group's state.
 fn agg_fold(
     groups: &mut HashMap<Vec<Value>, GroupState>,
-    row: &Row,
-    g_idx: &[usize],
+    key: &[Value],
+    folded: &[Value],
     agg_idx: &[Option<usize>],
     n_aggs: usize,
 ) {
-    let st = groups
-        .entry(row_key(row, g_idx))
-        .or_insert_with(|| new_group(n_aggs));
-    for (idx, acc) in agg_idx.iter().zip(st.accs.iter_mut()) {
-        acc.update(*idx, row);
+    let fold = |st: &mut GroupState| {
+        for (idx, acc) in agg_idx.iter().zip(st.accs.iter_mut()) {
+            acc.update(*idx, folded);
+        }
+        st.rows += 1;
+    };
+    if let Some(st) = groups.get_mut(key) {
+        fold(st);
+    } else {
+        let mut st = new_group(n_aggs);
+        fold(&mut st);
+        groups.insert(key.to_vec(), st);
     }
-    st.rows += 1;
 }
 
 /// Build grouped state from scratch (output order lives in the
 /// [`FirstSeenIndex`], not here).
 fn agg_build(
-    rows: &[Row],
-    g_idx: &[usize],
+    entries: &[(Vec<Value>, Folded)],
     agg_idx: &[Option<usize>],
     n_aggs: usize,
     global: bool,
@@ -1050,8 +1028,8 @@ fn agg_build(
     if global {
         groups.insert(Vec::new(), new_group(n_aggs));
     }
-    for row in rows {
-        agg_fold(&mut groups, row, g_idx, agg_idx, n_aggs);
+    for (key, folded) in entries {
+        agg_fold(&mut groups, key, folded, agg_idx, n_aggs);
     }
     groups
 }
@@ -1068,7 +1046,7 @@ fn agg_row(key: &[Value], st: &GroupState, aggregates: &[Aggregate]) -> Row {
 /// All output rows in group order, read off the first-occurrence index
 /// (`O(groups · log n)` — zero-weight subtrees are skipped).
 fn agg_emit(
-    idx: &FirstSeenIndex<Row>,
+    idx: &FirstSeenIndex<Folded>,
     groups: &HashMap<Vec<Value>, GroupState>,
     aggregates: &[Aggregate],
     global: bool,
@@ -1079,12 +1057,6 @@ fn agg_emit(
     idx.keys_in_order()
         .map(|k| agg_row(k, &groups[k], aggregates))
         .collect()
-}
-
-/// The rows of an aggregate's input as its index stores them: keyed on
-/// the GROUP BY columns, whole.
-fn agg_entries(rows: impl IntoIterator<Item = Row>, g_idx: &[usize]) -> Vec<(Vec<Value>, Row)> {
-    rows.into_iter().map(|r| (row_key(&r, g_idx), r)).collect()
 }
 
 /// The rows of a pivot's input as its index stores them — keyed on the
@@ -1274,22 +1246,30 @@ impl DNode {
                 ..
             } => {
                 let cs = &inputs[0];
-                let agg_idx = resolve_aggregate_columns(cs, aggregates)?;
+                let sources = resolve_aggregate_columns(cs, aggregates)?;
                 let retractable = aggregates
                     .iter()
-                    .zip(&agg_idx)
+                    .zip(&sources)
                     .all(|(a, idx)| match a.func {
                         AggFunc::CountAll | AggFunc::Count(_) => true,
                         AggFunc::Sum(_) | AggFunc::Avg(_) => {
-                            cs.columns()[idx.expect("column agg")].data_type == DataType::Int
+                            idx.is_some_and(|i| cs.columns()[i].data_type == DataType::Int)
                         }
                         AggFunc::Min(_) | AggFunc::Max(_) => false,
                     });
+                let mut fold: Vec<usize> = sources.iter().flatten().copied().collect();
+                fold.sort_unstable();
+                fold.dedup();
+                let agg_idx = sources
+                    .iter()
+                    .map(|src| src.and_then(|c| fold.iter().position(|&f| f == c)))
+                    .collect();
                 DNode::Aggregate {
                     input: input(),
                     rows_idx: FirstSeenIndex::from_entries(Vec::new()),
                     groups: HashMap::new(),
                     g_idx: resolve_columns(cs, group_by)?,
+                    fold,
                     agg_idx,
                     aggregates: aggregates.clone(),
                     retractable,
@@ -1370,6 +1350,21 @@ impl DNode {
             DNode::Scan { table, .. } => Some(table),
             _ => None,
         }
+    }
+
+    /// [`DNode::refresh`] for a rule that only reads a wholesale input:
+    /// a stored table's rows are read where they rest ([`Whole::Stored`])
+    /// instead of copied out for the rule to drop again.
+    fn refresh_whole<'d>(
+        &mut self,
+        db: &'d Database,
+        changes: &TableChanges,
+    ) -> RelResult<Change<Whole<'d>>> {
+        if let DNode::Scan { table, held } = self {
+            let t = db.table(table)?;
+            return Ok(scan_change(t, held, changes.get(table)).map_full(|()| Whole::Stored(t)));
+        }
+        Ok(self.refresh(db, changes)?.map_full(Whole::Made))
     }
 
     /// Propagate input changes through this operator, updating cached
@@ -1636,6 +1631,7 @@ impl DNode {
                 rows_idx,
                 groups,
                 g_idx,
+                fold,
                 agg_idx,
                 aggregates,
                 retractable,
@@ -1643,86 +1639,83 @@ impl DNode {
                 schema,
             } => {
                 let n_aggs = aggregates.len();
-                match input.refresh(db, changes)? {
-                    Change::Unchanged => Ok(Change::Unchanged),
-                    Change::Full(rows) => {
-                        *groups = agg_build(&rows, g_idx, agg_idx, n_aggs, *global);
-                        *rows_idx = FirstSeenIndex::from_entries(agg_entries(rows, g_idx));
+                let patch = match input.refresh_whole(db, changes)? {
+                    Change::Unchanged => return Ok(Change::Unchanged),
+                    Change::Full(whole) => {
+                        let entries: Vec<_> =
+                            whole.rows().map(|r| agg_entry(r, g_idx, fold)).collect();
+                        *groups = agg_build(&entries, agg_idx, n_aggs, *global);
+                        *rows_idx = FirstSeenIndex::from_entries(entries);
                         let out = agg_emit(rows_idx, groups, aggregates, *global);
                         for r in &out {
                             schema.check_row(r)?;
                         }
-                        Ok(Change::Full(out))
+                        return Ok(Change::Full(out));
                     }
-                    Change::Patch(p) => {
-                        // Splice the patch into the first-occurrence index;
-                        // the returned classification carries deleted row
-                        // content, old ranks, and order-breaking events.
-                        let entries = agg_entries(p.new_rows().cloned(), g_idx);
-                        let fsp = FirstSeenPatch::apply(rows_idx, &p, entries);
-                        if *retractable {
-                            for r in &fsp.deleted {
-                                let key = row_key(r, g_idx);
-                                let st = groups.get_mut(&key).expect("row was folded");
-                                for (idx, acc) in agg_idx.iter().zip(st.accs.iter_mut()) {
-                                    acc.retract(*idx, r);
-                                }
-                                st.rows -= 1;
-                                if st.rows == 0 && !*global {
-                                    groups.remove(&key);
-                                }
-                            }
-                            for r in p.new_rows() {
-                                agg_fold(groups, r, g_idx, agg_idx, n_aggs);
-                            }
-                        } else {
-                            // Lossy retraction (MIN/MAX, FLOAT sums):
-                            // recompute only the affected groups, folding
-                            // each group's surviving occurrences in input
-                            // order (float summation order matters).
-                            for key in &fsp.affected {
-                                groups.remove(key);
-                            }
-                            if *global && !groups.contains_key(&Vec::new()) {
-                                groups.insert(Vec::new(), new_group(n_aggs));
-                            }
-                            for key in &fsp.affected {
-                                for row in rows_idx.occurrences(key) {
-                                    agg_fold(groups, row, g_idx, agg_idx, n_aggs);
-                                }
-                            }
-                        }
-                        // Changed output rows validate here; unchanged rows
-                        // passed the identical check in the previous
-                        // successful run, so the rebuild's first validation
-                        // error is reproduced.
-                        let out = if *global {
-                            // Single output row, always at rank 0.
-                            let mut pb = PatchBuilder::default();
-                            pb.delete(0);
-                            pb.insert(0, agg_row(&[], &groups[&Vec::new()], aggregates));
-                            Some(pb.into_patch())
-                        } else {
-                            fsp.emit(rows_idx, |k| agg_row(k, &groups[k], aggregates))
+                    Change::Patch(p) => p,
+                };
+                let entries: Vec<_> = patch
+                    .new_rows()
+                    .map(|r| agg_entry(r, g_idx, fold))
+                    .collect();
+                if *retractable {
+                    // Exact accumulators commute: the new rows fold before
+                    // the deleted ones retract, and a group left with no
+                    // row has died.
+                    for (key, folded) in &entries {
+                        agg_fold(groups, key, folded, agg_idx, n_aggs);
+                    }
+                }
+                // Splice the patch into the first-occurrence index; it
+                // hands back each deleted row's key and folded columns and
+                // every touched group's old rank.
+                let fsp = FirstSeenPatch::apply(rows_idx, &patch, entries);
+                if *retractable {
+                    for (key, folded) in &fsp.deleted {
+                        let Some(st) = groups.get_mut(&**key) else {
+                            continue;
                         };
-                        match out {
-                            Some(patch) if patch.is_empty() => Ok(Change::Unchanged),
-                            Some(patch) => {
-                                for r in patch.new_rows() {
-                                    schema.check_row(r)?;
-                                }
-                                Ok(Change::Patch(patch))
-                            }
-                            None => {
-                                let full = agg_emit(rows_idx, groups, aggregates, *global);
-                                for r in &full {
-                                    schema.check_row(r)?;
-                                }
-                                Ok(Change::Full(full))
-                            }
+                        for (idx, acc) in agg_idx.iter().zip(st.accs.iter_mut()) {
+                            acc.retract(*idx, folded);
+                        }
+                        st.rows -= 1;
+                        if st.rows == 0 && !*global {
+                            groups.remove(&**key);
+                        }
+                    }
+                } else {
+                    // Lossy retraction (MIN/MAX, FLOAT sums): recompute
+                    // only the affected groups, folding each group's
+                    // surviving occurrences in input order (float
+                    // summation order matters).
+                    for (key, _) in &fsp.affected {
+                        groups.remove(key);
+                    }
+                    if *global && !groups.contains_key(&Vec::new()) {
+                        groups.insert(Vec::new(), new_group(n_aggs));
+                    }
+                    for (key, _) in &fsp.affected {
+                        for folded in rows_idx.occurrences(key) {
+                            agg_fold(groups, key, folded, agg_idx, n_aggs);
                         }
                     }
                 }
+                // Changed output rows validate here; unchanged rows passed
+                // the identical check in the previous successful run, so
+                // the rebuild's first validation error is reproduced.
+                let out = if *global {
+                    // Single output row, always at rank 0.
+                    let mut pb = PatchBuilder::default();
+                    pb.delete(0);
+                    pb.insert(0, agg_row(&[], &groups[&Vec::new()], aggregates));
+                    pb.into_patch()
+                } else {
+                    fsp.emit(rows_idx, |k| agg_row(k, &groups[k], aggregates))
+                };
+                for r in out.new_rows() {
+                    schema.check_row(r)?;
+                }
+                Ok(out.into_change())
             }
             DNode::Pivot {
                 input,
@@ -1731,11 +1724,15 @@ impl DNode {
                 attr_idx,
                 val_idx,
                 attrs,
-            } => match input.refresh(db, changes)? {
+            } => match input.refresh_whole(db, changes)? {
                 Change::Unchanged => Ok(Change::Unchanged),
-                Change::Full(rows) => {
+                Change::Full(whole) => {
                     *cells = FirstSeenIndex::from_entries(pivot_entries(
-                        &rows, key_idx, *attr_idx, *val_idx, attrs,
+                        whole.rows(),
+                        key_idx,
+                        *attr_idx,
+                        *val_idx,
+                        attrs,
                     )?);
                     Ok(Change::Full(pivot_emit(cells, attrs.len())))
                 }
@@ -1749,11 +1746,7 @@ impl DNode {
                     // entity's surviving cells, in input order (last write
                     // per cell wins, as in `pivot_rows`).
                     let wide = |k: &[Value]| pivot_wide_row(k, cells.occurrences(k), attrs.len());
-                    match fsp.emit(cells, wide) {
-                        Some(patch) if patch.is_empty() => Ok(Change::Unchanged),
-                        Some(patch) => Ok(Change::Patch(patch)),
-                        None => Ok(Change::Full(pivot_emit(cells, attrs.len()))),
-                    }
+                    Ok(fsp.emit(cells, wide).into_change())
                 }
             },
             DNode::Recompute {

@@ -560,89 +560,79 @@ impl<'a, T> Iterator for RankIter<'a, T> {
     }
 }
 
-/// Outcome of [`FirstSeenIndex::remove`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RemoveOutcome {
-    /// The removed row was not its key's first occurrence; group order is
-    /// untouched.
-    Later,
-    /// The removed row was the last occurrence of its key: the group died.
-    Died,
-    /// The removed row was the key's first occurrence but later occurrences
-    /// survive: the next one was promoted to first, so the group's
-    /// first-seen anchor moved.
-    Promoted,
-}
-
-/// Outcome of [`FirstSeenIndex::insert`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// The row opened a key not currently present (a new group, or a
-    /// revival of one that died earlier in the same batch).
-    NewKey,
-    /// The row joined an existing key after its current first occurrence.
-    Later,
-    /// The row joined an existing key *before* its current first
-    /// occurrence and was promoted to first, moving the group's
-    /// first-seen anchor.
-    Promoted,
-}
-
-#[derive(Clone, Debug)]
-struct KeyOcc {
-    /// Live occurrence nodes (unordered; `slot` gives each node's index).
-    nodes: Vec<NodeId>,
-    /// The occurrence currently flagged as first (weight 1 in `rows`).
-    first: NodeId,
-}
-
 /// Persistent first-occurrence tracking over an operator's input rows.
 ///
 /// Stores the input sequence in a [`RankList`] — per row its group key and
-/// a payload `T`, whatever the operator keeps of the row: the row itself
-/// for an aggregate, one cast cell for a pivot — where an entry's weight
-/// is `1` iff it is the *first* live occurrence of its key, and maintains
-/// a per-key registry of occurrence handles. A key is stored once and
+/// a payload `T`, whatever the operator keeps of the row: the columns an
+/// aggregate folds, one cast cell for a pivot — where an entry's weight
+/// is `1` iff it is the *first* live occurrence of its key. Each key's
+/// live occurrences form an indexed binary min-heap ordered by input
+/// position, whose root is the key's first occurrence: inserting or
+/// removing *other* rows never changes the relative order of a key's live
+/// rows, so the heap stays valid between edits. A key is stored once and
 /// shared by all its occurrences. This makes the aggregate/pivot order
 /// queries sub-linear:
 ///
 /// * a group's output rank is `weight_before(pos(first))` — `O(log n)`;
-/// * group count is `total_weight()` — `O(1)`;
+/// * the number of live groups is `total_weight()`;
 /// * groups in output order are [`FirstSeenIndex::keys_in_order`] —
 ///   `O(groups · log n)`;
-/// * per-row insert/remove report exactly how group order was affected
-///   ([`InsertOutcome`] / [`RemoveOutcome`]), so the caller can tell a
-///   cheap in-place patch apart from an order-changing edit.
+/// * a row insert or remove is `O(log k · log n)` for a key with `k`
+///   occurrences, electing the next first occurrence included: it is the
+///   heap's new root.
 ///
 /// The index is equivalent, at every point, to recomputing first-seen
-/// order from scratch over its current row sequence (the property suite in
-/// `tests/refresh_incremental.rs` asserts this against `eval_materialized`
-/// rebuilds).
+/// order from scratch over its current row sequence (the unit-test oracle
+/// below, and the property suite in `tests/refresh_incremental.rs`
+/// against rebuilds).
 #[derive(Clone, Debug)]
 pub struct FirstSeenIndex<T = Row> {
     rows: RankList<(Arc<[Value]>, T)>,
-    keys: HashMap<Arc<[Value]>, KeyOcc>,
-    /// Back-reference: node id → its index in `keys[key].nodes`, for O(1)
-    /// swap-removal. Node ids are dense arena indices.
+    /// Per key, its live occurrence nodes as a min-heap by input position.
+    keys: HashMap<Arc<[Value]>, Vec<NodeId>>,
+    /// Back-reference: node id → its index in its key's heap, for O(1)
+    /// location on removal. Node ids are dense arena indices.
     slot: Vec<u32>,
 }
 
-impl<T> FirstSeenIndex<T> {
-    /// Record that node `id` sits at index `at` of its key's `nodes`.
-    fn set_slot(slot: &mut Vec<u32>, id: NodeId, at: usize) {
-        if slot.len() <= id as usize {
-            slot.resize(id as usize + 1, 0);
-        }
-        slot[id as usize] = at as u32;
+/// Moves the node at `heap[at]`, which sits at position `me` in `rows`,
+/// up or down until `heap` is a min-heap by position again, keeping
+/// `slot` in step. `O(log k · log n)`: every comparison reads a position.
+fn sift<T>(rows: &RankList<T>, heap: &mut [NodeId], slot: &mut [u32], mut at: usize, me: usize) {
+    let mut swap = |heap: &mut [NodeId], a: usize, b: usize| {
+        heap.swap(a, b);
+        slot[heap[a] as usize] = a as u32;
+        slot[heap[b] as usize] = b as u32;
+    };
+    while at > 0 && rows.pos_of(heap[(at - 1) / 2]) > me {
+        swap(heap, at, (at - 1) / 2);
+        at = (at - 1) / 2;
     }
+    loop {
+        let (l, r) = (2 * at + 1, 2 * at + 2);
+        let Some(lp) = heap.get(l).map(|&n| rows.pos_of(n)) else {
+            break;
+        };
+        let (child, pos) = match heap.get(r).map(|&n| rows.pos_of(n)) {
+            Some(rp) if rp < lp => (r, rp),
+            _ => (l, lp),
+        };
+        if pos > me {
+            break;
+        }
+        swap(heap, at, child);
+        at = child;
+    }
+}
 
+impl<T> FirstSeenIndex<T> {
     /// Builds the index over `(group key, payload)` entries in input
     /// order. `O(n)` plus hashing.
     pub fn from_entries(entries: impl IntoIterator<Item = (Vec<Value>, T)>) -> Self {
-        let mut keys: HashMap<Arc<[Value]>, KeyOcc> = HashMap::new();
+        let mut keys: HashMap<Arc<[Value]>, Vec<NodeId>> = HashMap::new();
         // Two passes: intern the keys and flag first occurrences (so the
-        // bulk build sees the weights), then fill the registry once node
-        // ids exist.
+        // bulk build sees the weights), then fill the heaps once node ids
+        // exist — in input order, so each is sorted and a heap already.
         let mut interned: HashSet<Arc<[Value]>> = HashSet::new();
         let weighted =
             entries
@@ -658,13 +648,9 @@ impl<T> FirstSeenIndex<T> {
         let (list, ids) = RankList::from_entries(weighted);
         let mut slot = vec![0; ids.len()];
         for &id in &ids {
-            let (key, _) = list.value_of(id);
-            let occ = keys.entry(Arc::clone(key)).or_insert(KeyOcc {
-                nodes: Vec::new(),
-                first: id,
-            });
-            slot[id as usize] = occ.nodes.len() as u32;
-            occ.nodes.push(id);
+            let heap = keys.entry(Arc::clone(&list.value_of(id).0)).or_default();
+            slot[id as usize] = heap.len() as u32;
+            heap.push(id);
         }
         FirstSeenIndex {
             rows: list,
@@ -683,110 +669,84 @@ impl<T> FirstSeenIndex<T> {
         self.rows.is_empty()
     }
 
-    /// Number of live groups. `O(1)`.
-    pub fn group_count(&self) -> usize {
-        self.rows.total_weight() as usize
-    }
-
     /// The group key and payload of the input row at `pos`. `O(log n)`.
     pub fn get(&self, pos: usize) -> (&[Value], &T) {
         let (key, payload) = self.rows.get(pos);
         (key, payload)
     }
 
-    /// `true` when `key` currently has at least one occurrence.
-    pub fn contains(&self, key: &[Value]) -> bool {
-        self.keys.contains_key(key)
-    }
-
     /// The output rank `key`'s group currently occupies (its first
     /// occurrence's rank among all first occurrences), or `None` if the
     /// key has no live occurrence. `O(log n)`.
     pub fn rank_of(&self, key: &[Value]) -> Option<usize> {
-        let occ = self.keys.get(key)?;
-        Some(self.rows.weight_before(self.rows.pos_of(occ.first)) as usize)
+        let &first = self.keys.get(key)?.first()?;
+        Some(self.rows.weight_before(self.rows.pos_of(first)) as usize)
     }
 
-    /// Removes the row at `pos`, returning its key and payload and
-    /// reporting how its group's order was affected. `O(log n)`, plus
-    /// `O(k log n)` to elect a new first occurrence when the current first
-    /// of a `k`-occurrence group is removed.
-    pub fn remove(&mut self, pos: usize) -> (Arc<[Value]>, T, RemoveOutcome)
+    /// Removes the row at `pos`, returning its key and payload. When it
+    /// was its key's first occurrence, the heap's new root — the next
+    /// occurrence — becomes first; when it was the last, the group dies.
+    /// `O(log k · log n)`.
+    pub fn remove(&mut self, pos: usize) -> (Arc<[Value]>, T)
     where
         T: Default,
     {
         let id = self.rows.id_at(pos);
-        let was_first = self.rows.weight_of(id) == 1;
-        let ((key, payload), _) = self.rows.remove_at(pos);
-        let occ = self.keys.get_mut(&key).expect("row key must be indexed");
-        let s = self.slot[id as usize] as usize;
-        let last = occ.nodes.pop().expect("occurrence list cannot be empty");
-        if last != id {
-            occ.nodes[s] = last;
-            self.slot[last as usize] = s as u32;
+        let ((key, payload), was_first) = self.rows.remove_at(pos);
+        if let Some(heap) = self.keys.get_mut(&key) {
+            // The heap's last node fills the hole and sifts; `id` has left
+            // the list already, and no comparison reads it.
+            let at = self.slot[id as usize] as usize;
+            if let Some(last) = heap.pop().filter(|&last| last != id) {
+                heap[at] = last;
+                self.slot[last as usize] = at as u32;
+                sift(&self.rows, heap, &mut self.slot, at, self.rows.pos_of(last));
+            }
+            match heap.first() {
+                None => {
+                    self.keys.remove(&key);
+                }
+                Some(&next) if was_first == 1 => self.rows.set_weight(next, 1),
+                Some(_) => {}
+            }
         }
-        if occ.nodes.is_empty() {
-            debug_assert!(was_first);
-            self.keys.remove(&key);
-            return (key, payload, RemoveOutcome::Died);
-        }
-        if was_first {
-            let new_first = *occ
-                .nodes
-                .iter()
-                .min_by_key(|&&n| self.rows.pos_of(n))
-                .expect("non-empty");
-            occ.first = new_first;
-            self.rows.set_weight(new_first, 1);
-            return (key, payload, RemoveOutcome::Promoted);
-        }
-        (key, payload, RemoveOutcome::Later)
+        (key, payload)
     }
 
-    /// Inserts a row with group key `key` at `pos`, reporting how its
-    /// group's order was affected. `O(log n)`.
-    pub fn insert(&mut self, pos: usize, key: Vec<Value>, payload: T) -> InsertOutcome {
-        let Some((shared, occ)) = self.keys.get_key_value(key.as_slice()) else {
-            let shared: Arc<[Value]> = key.into();
-            let id = self.rows.insert_at(pos, (Arc::clone(&shared), payload), 1);
-            Self::set_slot(&mut self.slot, id, 0);
-            self.keys.insert(
-                shared,
-                KeyOcc {
-                    nodes: vec![id],
-                    first: id,
-                },
-            );
-            return InsertOutcome::NewKey;
+    /// Inserts a row with group key `key` at `pos`. It becomes its key's
+    /// first occurrence when no live row of the key precedes it — a new
+    /// group, or a promotion in front of the old first. `O(log k · log n)`.
+    pub fn insert(&mut self, pos: usize, key: Vec<Value>, payload: T) {
+        let shared: Arc<[Value]> = match self.keys.get_key_value(key.as_slice()) {
+            Some((shared, _)) => Arc::clone(shared),
+            None => key.into(),
         };
-        let (shared, old_first) = (Arc::clone(shared), occ.first);
-        let promoted = pos <= self.rows.pos_of(old_first);
-        let id = self
-            .rows
-            .insert_at(pos, (shared, payload), u32::from(promoted));
-        let occ = self.keys.get_mut(key.as_slice()).expect("checked above");
-        Self::set_slot(&mut self.slot, id, occ.nodes.len());
-        occ.nodes.push(id);
-        if promoted {
-            self.rows.set_weight(old_first, 0);
-            occ.first = id;
-            InsertOutcome::Promoted
-        } else {
-            InsertOutcome::Later
+        let id = self.rows.insert_at(pos, (Arc::clone(&shared), payload), 0);
+        let heap = self.keys.entry(shared).or_default();
+        let old_first = heap.first().copied();
+        if self.slot.len() <= id as usize {
+            self.slot.resize(id as usize + 1, 0);
+        }
+        self.slot[id as usize] = heap.len() as u32;
+        heap.push(id);
+        let at = heap.len() - 1;
+        sift(&self.rows, heap, &mut self.slot, at, pos);
+        if heap[0] == id {
+            if let Some(old) = old_first {
+                self.rows.set_weight(old, 0);
+            }
+            self.rows.set_weight(id, 1);
         }
     }
 
     /// The payloads of `key`'s occurrences, in input order.
     /// `O(k log n + k log k)`.
     pub fn occurrences(&self, key: &[Value]) -> Vec<&T> {
-        let Some(occ) = self.keys.get(key) else {
+        let Some(heap) = self.keys.get(key) else {
             return Vec::new();
         };
-        let mut nodes: Vec<(usize, NodeId)> = occ
-            .nodes
-            .iter()
-            .map(|&n| (self.rows.pos_of(n), n))
-            .collect();
+        let mut nodes: Vec<(usize, NodeId)> =
+            heap.iter().map(|&n| (self.rows.pos_of(n), n)).collect();
         nodes.sort_unstable();
         nodes
             .into_iter()
@@ -942,13 +902,13 @@ mod tests {
                     oracle.insert(pos, row);
                 } else {
                     let pos = (rng.next() as usize) % oracle.len();
-                    let (key, row, _) = idx.remove(pos);
+                    let (key, row) = idx.remove(pos);
                     let expect = oracle.remove(pos);
                     assert_eq!((&*key, &row), (&expect[..1], &expect));
                 }
                 let expect_order = fs_oracle(&oracle);
                 assert_eq!(
-                    idx.group_count(),
+                    idx.rows.total_weight() as usize,
                     expect_order.len(),
                     "round {round} step {step}"
                 );
@@ -972,6 +932,105 @@ mod tests {
         }
     }
 
+    /// Where the index keeps `key`'s first occurrence: its heap's root.
+    fn first_pos<T>(idx: &FirstSeenIndex<T>, key: &[Value]) -> Option<usize> {
+        idx.keys.get(key).map(|heap| idx.rows.pos_of(heap[0]))
+    }
+
+    /// Every key's first occurrence, rank and occurrences against a
+    /// from-scratch pass over the oracle's `(key, payload)` sequence.
+    fn assert_matches(idx: &FirstSeenIndex<u64>, oracle: &[(i64, u64)], at: &str) {
+        let mut order: Vec<i64> = Vec::new();
+        for &(k, _) in oracle {
+            if !order.contains(&k) {
+                order.push(k);
+            }
+        }
+        assert_eq!(idx.len(), oracle.len(), "{at}");
+        assert_eq!(idx.rows.total_weight() as usize, order.len(), "{at}");
+        for (rank, &k) in order.iter().enumerate() {
+            let key = [Value::Int(k)];
+            let first = oracle.iter().position(|&(o, _)| o == k);
+            assert_eq!(first_pos(idx, &key), first, "{at}: first of {k}");
+            assert_eq!(idx.rank_of(&key), Some(rank), "{at}: rank of {k}");
+            let want: Vec<&u64> = oracle
+                .iter()
+                .filter(|(o, _)| *o == k)
+                .map(|(_, p)| p)
+                .collect();
+            assert_eq!(idx.occurrences(&key), want, "{at}: occurrences of {k}");
+        }
+        assert_eq!(idx.rank_of(&[Value::Int(-1)]), None, "{at}");
+    }
+
+    /// The per-key heaps against a `Vec` oracle, on the shapes that make a
+    /// scan for the next first occurrence expensive or a wrong election
+    /// visible: the first occurrence of a 1 000-row group removed again
+    /// and again, and a rare key whose two rows sit at opposite ends of
+    /// the list, mixed with random inserts and removes.
+    #[test]
+    fn first_seen_heaps_match_a_vec_oracle() {
+        let mut rng = Lcg(2024);
+        // Key 0: 1 000 rows; keys 1..=5 sprinkled in between; key 9 at
+        // both ends only.
+        let mut oracle: Vec<(i64, u64)> = vec![(9, 0)];
+        for i in 1..=1_200u64 {
+            let k = if i % 6 == 0 {
+                (i / 6 % 5 + 1) as i64
+            } else {
+                0
+            };
+            oracle.push((k, i));
+        }
+        oracle.push((9, 9_999));
+        let entries = |o: &[(i64, u64)]| -> Vec<(Vec<Value>, u64)> {
+            o.iter().map(|&(k, p)| (vec![Value::Int(k)], p)).collect()
+        };
+        let mut idx = FirstSeenIndex::from_entries(entries(&oracle));
+        assert_matches(&idx, &oracle, "bulk build");
+        let mut payload = 10_000u64;
+        for step in 0..240 {
+            let at = format!("step {step}");
+            let pos = match step % 4 {
+                // Retire a chosen key's first occurrence: the big group's,
+                // the rare key's (its next row is at the far end), or a
+                // random key's.
+                0 | 1 if !oracle.is_empty() => {
+                    let k = [0, 9, (rng.next() % 6) as i64][step % 3];
+                    oracle.iter().position(|&(o, _)| o == k)
+                }
+                2 if !oracle.is_empty() => Some((rng.next() as usize) % oracle.len()),
+                _ => None,
+            };
+            match pos {
+                Some(pos) => {
+                    let (key, got) = idx.remove(pos);
+                    let (k, want) = oracle.remove(pos);
+                    assert_eq!((&*key, got), (&[Value::Int(k)][..], want), "{at}");
+                }
+                None => {
+                    // Insert a row of a low-cardinality key — sometimes in
+                    // front of its key's first, sometimes the rare key at
+                    // either end, sometimes a dead key come back.
+                    let k = (rng.next() % 11) as i64;
+                    let pos = match rng.next() % 3 {
+                        0 => 0,
+                        1 => oracle.len(),
+                        _ => (rng.next() as usize) % (oracle.len() + 1),
+                    };
+                    payload += 1;
+                    idx.insert(pos, vec![Value::Int(k)], payload);
+                    oracle.insert(pos, (k, payload));
+                }
+            }
+            assert_matches(&idx, &oracle, &at);
+        }
+        // The same sequence built in bulk is the same index.
+        let bulk = FirstSeenIndex::from_entries(entries(&oracle));
+        assert!(bulk.keys_in_order().eq(idx.keys_in_order()));
+        assert!(bulk.entries_in_order().eq(idx.entries_in_order()));
+    }
+
     #[test]
     fn first_seen_death_then_revival_moves_group_to_end() {
         let rows = [
@@ -982,15 +1041,14 @@ mod tests {
         let mut idx: FirstSeenIndex = FirstSeenIndex::from_entries(rows.iter().map(entry));
         assert_eq!(idx.rank_of(&[Value::Int(1)]), Some(0));
         // Kill group 1 entirely…
-        let (_, _, o1) = idx.remove(2);
-        assert_eq!(o1, RemoveOutcome::Later);
-        let (_, _, o2) = idx.remove(0);
-        assert_eq!(o2, RemoveOutcome::Died);
+        idx.remove(2);
+        assert_eq!(idx.rank_of(&[Value::Int(1)]), Some(0));
+        idx.remove(0);
         assert_eq!(idx.rank_of(&[Value::Int(1)]), None);
         // …then revive it with an appended row: it must now rank AFTER
         // group 2, matching a from-scratch first-seen pass.
         let (key, payload) = entry(&vec![Value::Int(1), Value::Int(40)]);
-        assert_eq!(idx.insert(1, key, payload), InsertOutcome::NewKey);
+        idx.insert(1, key, payload);
         assert_eq!(idx.rank_of(&[Value::Int(2)]), Some(0));
         assert_eq!(idx.rank_of(&[Value::Int(1)]), Some(1));
     }

@@ -332,6 +332,67 @@ fn subscription_streams_apply_to_byte_identity() {
     }
 }
 
+/// The group-count subscription on the study table, fed like a live
+/// warehouse: every update retires the oldest report — usually its
+/// group's first row, so the group's next row is promoted — appends two
+/// new ones and amends one. Every pushed event is a patch (or nothing):
+/// the group order a promotion moves ships as a patch, never as the
+/// whole output again (DESIGN.md §15); and the mirror it moves equals a
+/// re-query at every generation.
+#[test]
+fn group_count_subscription_patches_while_the_oldest_report_retires() {
+    let seed: Vec<Row> = (1..=120i64)
+        .map(|i| vec![i.into(), (i % 4).into(), (i % 7 != 0).into()])
+        .collect();
+    let plan = Plan::scan(STUDY).aggregate(
+        &["C_class"],
+        vec![Aggregate {
+            func: AggFunc::CountAll,
+            alias: "n".into(),
+        }],
+    );
+    for (lane, exec) in lanes() {
+        let engine = build_engine(seed.clone(), &exec);
+        let mut sub = engine.session().subscribe(&plan).unwrap();
+        let (mut patches, mut next) = (0, 121i64);
+        for round in 1..=40i64 {
+            let (_, generation) = engine
+                .update(|cat| {
+                    cat.delete_where("cori", "Procedure", |r| r[0] == Value::Int(round))?;
+                    for _ in 0..2 {
+                        cat.insert(
+                            "cori",
+                            "Procedure",
+                            vec![next.into(), ((next * 5) % 4).into(), true.into()],
+                        )?;
+                        next += 1;
+                    }
+                    let amend = Value::Int(60 + round);
+                    cat.update_where(
+                        "cori",
+                        "Procedure",
+                        |r| r[0] == amend,
+                        |r| r[1] = ((round * 3) % 4).into(),
+                    )
+                })
+                .unwrap();
+            let event = sub.try_next().unwrap().expect("one event per update");
+            assert_eq!(event.generation, generation, "lane {lane}");
+            match event.change {
+                Ok(Change::Patch(_)) => patches += 1,
+                Ok(Change::Unchanged) => {}
+                other => panic!("lane {lane} round {round}: {other:?}, not a patch"),
+            }
+            assert_eq!(
+                sub.rows(),
+                engine.session().query(&plan).unwrap().rows(),
+                "lane {lane} round {round}: mirror != re-query"
+            );
+        }
+        assert!(patches > 30, "lane {lane}: only {patches} patches");
+    }
+}
+
 #[test]
 fn dropping_a_subscription_unregisters_it() {
     let engine = build_engine(seed_rows(), &Executor::new());
