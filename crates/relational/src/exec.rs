@@ -50,7 +50,12 @@
 //!   the join's build side — buffer their input batches and read them *by
 //!   reference* in `finish`: however many windows a scan arrived as, no
 //!   shared row is copied to be grouped, indexed or pivoted (sort clones
-//!   each shared row once, into its output slot).
+//!   each shared row once, into its output slot). A pivot reads a shared
+//!   window's entity, attribute and value columns off its sealed segment
+//!   instead of its rows: per segment each attribute dictionary code
+//!   resolves to its output position once and each value code is cast to
+//!   each declared type once, and only owned batches and columns no
+//!   dictionary images are read row by row (DESIGN.md §13, *Pivot*).
 //!
 //! Parallelism selection is **per operator**: each operator holds a copy
 //! of the session's [`Executor`] and dispatches its input to its kernel
@@ -109,7 +114,8 @@
 //! shred the columns they read into typed lanes with null masks
 //! (`exec::batch`) and run the lane kernels of `exec::blocking` (hashed
 //! key lanes for join build/probe, distinct, and grouping; typed
-//! accumulator lanes for aggregation; lane-driven slot filling for pivot;
+//! accumulator lanes for aggregation; slot filling from segment dictionary
+//! codes for pivot;
 //! columnar sort keys with a parallel merge-path kernel for sort), with
 //! non-conforming columns falling back to row values — byte-identical
 //! results and error parity throughout (DESIGN.md §11, §13). The

@@ -31,7 +31,7 @@
 //! `total_cmp`), so collisions cost a comparison, never correctness.
 
 use crate::schema::Schema;
-use crate::segment::Segment;
+use crate::segment::{ColumnData, Segment, SegmentColumn};
 use crate::table::Row;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
@@ -369,6 +369,38 @@ pub(super) fn value_hash(h: u64, v: &Value) -> u64 {
     }
 }
 
+/// Mix segment row `i` of `col` into a running key hash: what
+/// [`value_hash`] makes of the value the row stores, read off the typed
+/// storage instead of the row.
+pub(super) fn column_hash(h: u64, col: &SegmentColumn, i: usize) -> u64 {
+    if col.nulls[i] {
+        return mix(h, 0, 0);
+    }
+    match &col.data {
+        ColumnData::Int(v) => mix(h, 2, (v[i] as f64).to_bits()),
+        ColumnData::Float(v) => mix(h, 2, v[i].to_bits()),
+        ColumnData::Bool(v) => mix(h, 1, u64::from(v[i])),
+        ColumnData::Date(v) => mix(h, 4, v[i] as u64),
+        ColumnData::Str(v) => mix(h, 3, str_payload(&v[i])),
+        ColumnData::Dict { codes, dict } => mix(h, 3, str_payload(&dict[codes[i] as usize])),
+        ColumnData::Mixed(v) => value_hash(h, &v[i]),
+    }
+}
+
+/// Whether segment row `i` of `col` equals `v` under `Value` equality
+/// (`total_cmp`, as [`keys_eq`] compares), read off the typed storage
+/// where the variants line up and through [`SegmentColumn::value`]
+/// otherwise.
+pub(super) fn column_eq(col: &SegmentColumn, i: usize, v: &Value) -> bool {
+    match (&col.data, v) {
+        _ if col.nulls[i] => v.is_null(),
+        (ColumnData::Int(a), Value::Int(b)) | (ColumnData::Date(a), Value::Date(b)) => a[i] == *b,
+        (ColumnData::Dict { codes, dict }, Value::Text(b)) => dict[codes[i] as usize] == *b,
+        (ColumnData::Str(a), Value::Text(b)) => a[i] == *b,
+        _ => col.value(i) == *v,
+    }
+}
+
 /// Per-row key hashes over `idx` columns, computed columnar where lanes
 /// permit. Returns `(hashes, has_null)`: NULLs *do* contribute to the hash
 /// (grouping treats NULL as an ordinary key value), and `has_null[i]`
@@ -592,6 +624,26 @@ pub(super) mod tests {
             }
             assert_eq!(lane_hashes[i], h, "row {i}");
             assert_eq!(lane_nulls[i], any_null, "row {i}");
+        }
+    }
+
+    #[test]
+    fn column_hashes_and_equality_match_the_values_they_image() {
+        let schema = mixed_schema();
+        let mut rows = mixed_rows();
+        // A FLOAT column holding a widened INT images as `mixed`.
+        rows[1][1] = Value::Int(2);
+        let seg = Segment::shell(&schema, Arc::new(rows.clone()), 0, rows.len());
+        assert_eq!(seg.column(1).encoding(), "mixed");
+        for c in 0..schema.arity() {
+            let col = seg.column(c);
+            for (i, row) in rows.iter().enumerate() {
+                let v = &row[c];
+                assert_eq!(column_hash(HASH_SEED, col, i), value_hash(HASH_SEED, v));
+                for other in rows.iter().flatten() {
+                    assert_eq!(column_eq(col, i, other), v == other, "{v:?} vs {other:?}");
+                }
+            }
         }
     }
 

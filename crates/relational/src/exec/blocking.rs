@@ -18,10 +18,12 @@
 //!   INT/FLOAT source columns into [`AggAcc`] through monomorphic
 //!   `update_int` / `update_float` calls; every other source type goes
 //!   through the generic `update`, so accumulator semantics cannot drift.
-//! * **Pivot** ([`pivot_lanes`]) fills its slot map from the key-lane
-//!   hashes and reads attribute names off a string lane, falling back to
-//!   the row kernel wholesale when the attribute column is not uniformly
-//!   text (the fallback reports the exact row-kernel error).
+//! * **Pivot** ([`PivotKernel`]) reads shared windows off their sealed
+//!   segments: attribute dictionary codes resolve to output positions and
+//!   value codes cast to each declared type once per segment, so an EAV
+//!   row costs array reads. Owned batches and columns no dictionary
+//!   images take the row kernel's `pivot_cell` per row, in the same slot
+//!   map (the exact row-kernel errors included).
 //! * **Sort** ([`sort_gathered`]) sorts an index permutation against
 //!   pre-shredded [`SortKeys`]; the parallel path stable-sorts each morsel
 //!   run and merges adjacent runs pairwise ("merge path"), with the left
@@ -29,26 +31,32 @@
 //!   output is byte-identical to `sort_rows` at any morsel size or thread
 //!   count.
 //!
-//! Every kernel reads its blocking input through [`RowRef`] — a slice of
-//! rows or a [`Gathered`] list of row references — so an input that
-//! arrived as several shared windows (any table after its first install)
-//! is never copied to be aggregated, indexed or pivoted.
+//! Every kernel reads its blocking input in place — through [`RowRef`]
+//! (a slice of rows or a [`Gathered`] list of row references), or for the
+//! pivot the windows themselves — so an input that arrived as several
+//! shared windows (any table after its first install) is never copied to
+//! be aggregated, indexed or pivoted.
 //!
 //! Every kernel here is held to the executor's hard bar: rows, order, and
 //! first-error-in-row-order byte-identical to the materializing oracle —
 //! see `tests/exec_vectorized.rs` and the property suites.
 
 use super::batch::{
-    build_lane, key_hashes, keys_eq, Gathered, HashBuckets, Lane, RowRef, SortKeys, HASH_SEED,
+    build_lane, column_eq, column_hash, key_hashes, keys_eq, value_hash, Batch, Gathered,
+    HashBuckets, Lane, RowRef, SortKeys, HASH_SEED,
 };
 use super::morsel::{morsel_bounds, n_morsels, run_tasks};
 use super::Executor;
-use crate::algebra::{cast_text, pivot_rows, AggAcc, Aggregate, JoinKind};
-use crate::error::{RelError, RelResult};
+use crate::algebra::{cast_text, pivot_cell, AggAcc, Aggregate, JoinKind, PivotCell};
+use crate::error::RelResult;
 use crate::schema::Schema;
+use crate::segment::{ColumnData, Segment, SegmentColumn};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Hash join
@@ -441,88 +449,369 @@ pub(super) fn par_lane_aggregate<R: RowRef>(
 }
 
 // ---------------------------------------------------------------------------
-// Lane-aware pivot
+// Pivot over dictionary codes
 // ---------------------------------------------------------------------------
 
-/// Pivot EAV rows with the slot map keyed by lane hashes and attribute
-/// names read off a string lane. If the attribute column is not uniformly
-/// text the whole kernel falls back to [`pivot_rows`], which reports the
-/// row kernel's exact non-text error at the first offending row; a NULL
-/// attribute raises the same error here (NULL demotes to the null mask,
-/// not to the fallback). Slot creation, silent skipping of unknown
-/// attributes, NULL-value skipping, and `cast_text` error order all mirror
-/// the row kernel statement for statement.
-pub(super) fn pivot_lanes<R: RowRef>(
-    rows: &[R],
-    schema: &Schema,
-    key_idx: &[usize],
-    attr_idx: usize,
-    val_idx: usize,
-    attrs: &[(String, DataType)],
-) -> RelResult<Vec<Row>> {
-    let Lane::Str {
-        vals: attr_vals,
-        nulls: attr_nulls,
-    } = build_lane(rows, attr_idx, DataType::Text)
-    else {
-        return pivot_rows(rows, key_idx, attr_idx, val_idx, attrs);
-    };
-    let (hashes, _) = key_hashes(rows, schema, key_idx);
-    let klen = key_idx.len();
-    // Out rows store the key in positions 0..klen.
-    let out_key_idx: Vec<usize> = (0..klen).collect();
-    let mut out: Vec<Row> = Vec::new();
-    let mut buckets: HashBuckets<Vec<u32>> = HashBuckets::default();
-    // EAV inputs cluster one entity's attribute rows together, so remember
-    // the previous row's slot and skip the bucket probe for key runs. The
-    // cache is verified with the same hash + `keys_eq` test the bucket walk
-    // would apply, so slot assignment is unchanged.
-    let mut last: Option<(u64, usize)> = None;
-    for (i, row) in rows.iter().enumerate() {
-        let row = row.as_ref();
-        let cached =
-            last.filter(|&(h, s)| h == hashes[i] && keys_eq(row, key_idx, &out[s], &out_key_idx));
-        let slot = match cached {
-            Some((_, s)) => s,
-            None => {
-                let bucket = buckets.entry(hashes[i]).or_default();
-                match bucket
-                    .iter()
-                    .copied()
-                    .find(|&s| keys_eq(row, key_idx, &out[s as usize], &out_key_idx))
-                {
-                    Some(s) => s as usize,
-                    None => {
-                        let s = out.len();
-                        bucket.push(s as u32);
-                        let mut r: Row = Vec::with_capacity(klen + attrs.len());
-                        r.extend(key_idx.iter().map(|&c| row[c].clone()));
-                        r.extend(std::iter::repeat_n(Value::Null, attrs.len()));
-                        out.push(r);
-                        s
-                    }
-                }
-            }
-        };
-        last = Some((hashes[i], slot));
-        if attr_nulls[i] {
-            return Err(RelError::Eval(format!(
-                "pivot attribute column holds non-text value {}",
-                Value::Null
-            )));
-        }
-        // Attribute lists are short (one entry per output column), so a
-        // linear scan beats hashing the attribute string every row.
-        if let Some(pos) = attrs.iter().position(|(name, _)| name == attr_vals[i]) {
-            let v = match &row[val_idx] {
-                Value::Null => continue,
-                Value::Text(t) => cast_text(t, attrs[pos].1)?,
-                other => cast_text(&other.to_string(), attrs[pos].1)?,
-            };
-            out[slot][klen + pos] = v;
+/// A pivot's output while it is built: one wide row per entity in
+/// first-seen order, the key in positions `0..klen` and one cell per
+/// requested attribute after it. The previous row's entity is tried
+/// first, before any hash: EAV inputs cluster one entity's attribute
+/// rows together. Otherwise entities are found by lane key hash
+/// ([`value_hash`] of a row, [`column_hash`] of a segment row — equal for
+/// equal values) along a chain of the slots that share it, each candidate
+/// verified by value equality.
+pub(super) struct PivotSlots {
+    klen: usize,
+    width: usize,
+    out: Vec<Row>,
+    /// Per slot: its key hash, and the previous slot with the same hash.
+    hashes: Vec<u64>,
+    chain: Vec<Option<u32>>,
+    /// Key hash → the newest slot with that hash.
+    heads: HashBuckets<u32>,
+    last: Option<usize>,
+}
+
+impl PivotSlots {
+    fn new(klen: usize, width: usize) -> PivotSlots {
+        PivotSlots {
+            klen,
+            width,
+            out: Vec::new(),
+            hashes: Vec::new(),
+            chain: Vec::new(),
+            heads: HashBuckets::default(),
+            last: None,
         }
     }
-    Ok(out)
+
+    /// The slot of the entity whose key passes `eq`, or its key hash `h`
+    /// when it has none yet. `h` is computed only when the previous row's
+    /// entity is not this one.
+    fn find(
+        &mut self,
+        h: impl FnOnce() -> u64,
+        eq: impl Fn(&[Value]) -> bool,
+    ) -> Result<usize, u64> {
+        let klen = self.klen;
+        if let Some(s) = self.last.filter(|&s| eq(&self.out[s][..klen])) {
+            return Ok(s);
+        }
+        let h = h();
+        let mut next = self.heads.get(&h).copied();
+        while let Some(s) = next.map(|s| s as usize) {
+            if eq(&self.out[s][..klen]) {
+                self.last = Some(s);
+                return Ok(s);
+            }
+            next = self.chain[s];
+        }
+        Err(h)
+    }
+
+    /// A new slot holding `row`, whose key hashes to `h`.
+    fn insert(&mut self, h: u64, row: Row) -> usize {
+        let s = self.out.len();
+        self.chain.push(self.heads.insert(h, s as u32));
+        self.hashes.push(h);
+        self.out.push(row);
+        self.last = Some(s);
+        s
+    }
+
+    /// The slot of the entity whose key passes `eq` and hashes to `h`,
+    /// made from `key` and NULL cells on the entity's first row.
+    fn entity(
+        &mut self,
+        h: impl FnOnce() -> u64,
+        eq: impl Fn(&[Value]) -> bool,
+        key: impl Iterator<Item = Value>,
+    ) -> usize {
+        self.find(h, eq).unwrap_or_else(|h| {
+            let mut row = Vec::with_capacity(self.width);
+            row.extend(key);
+            row.resize(self.width, Value::Null);
+            self.insert(h, row)
+        })
+    }
+
+    /// Write attribute `pos` of slot `s`.
+    fn set(&mut self, s: usize, pos: usize, v: Value) {
+        self.out[s][self.klen + pos] = v;
+    }
+
+    /// Fold in the slots a later morsel filled: an entity seen for the
+    /// first time takes its partial row as it is, a known one its
+    /// non-NULL cells — a partial's NULL cell means "no write in that
+    /// morsel", so the last written value wins, as in a serial pass.
+    pub(super) fn merge(&mut self, part: PivotSlots) {
+        let klen = self.klen;
+        for (h, row) in part.hashes.into_iter().zip(part.out) {
+            match self.find(|| h, |k| k == &row[..klen]) {
+                Ok(s) => {
+                    for (cell, v) in self.out[s].iter_mut().zip(row).skip(klen) {
+                        if !v.is_null() {
+                            *cell = v;
+                        }
+                    }
+                }
+                Err(h) => {
+                    self.insert(h, row);
+                }
+            }
+        }
+    }
+
+    pub(super) fn into_rows(self) -> Vec<Row> {
+        self.out
+    }
+}
+
+/// A pivot over its gathered input windows, resolved before any row is
+/// read. A shared window is read from its sealed segment's columns
+/// (DESIGN.md §13, *Pivot*): per segment, each attribute dictionary code
+/// resolves to its output position once and each value code is cast to
+/// each declared attribute type at most once, so an EAV row costs array
+/// reads and the clone of a ready cell. Owned batches and the cells no dictionary
+/// answers go through the row kernel's own [`pivot_cell`]. Rows, order
+/// and first error are `pivot_rows`'s.
+pub(super) struct PivotKernel<'a> {
+    windows: &'a [Batch],
+    key_idx: &'a [usize],
+    attr_idx: usize,
+    val_idx: usize,
+    attrs: &'a [(String, DataType)],
+    attr_pos: HashMap<&'a str, usize>,
+    /// Each attribute's index among the distinct declared types.
+    type_of: Vec<usize>,
+    /// Per window: its segment's tables in `segs` and the segment row of
+    /// its first row; `None` for an owned batch.
+    seg_of: Vec<Option<(usize, usize)>>,
+    segs: Vec<SegPivot<'a>>,
+}
+
+/// What a pivot reads of one sealed segment: its key, attribute and value
+/// columns, the attribute dictionary resolved to output positions, and a
+/// cast of each value code to each declared type, made when a row first
+/// needs it.
+struct SegPivot<'a> {
+    keys: Vec<&'a SegmentColumn>,
+    attr: &'a SegmentColumn,
+    val: &'a SegmentColumn,
+    /// Attribute code → position in `attrs`, `None` when not requested;
+    /// empty unless the attribute column is dictionary-coded.
+    attr_code: Vec<Option<usize>>,
+    /// `cast_text` of value code `c` to type `t` at `c * n_types + t`,
+    /// made the first time a row reaches it — by whichever morsel does —
+    /// and raised only then; empty unless the value column is
+    /// dictionary-coded.
+    casts: Vec<OnceLock<RelResult<Value>>>,
+    n_types: usize,
+}
+
+impl<'a> PivotKernel<'a> {
+    /// `arity` is the pivot's input width: a shared window reaches the
+    /// pivot through lane filters and renames only, which move no column,
+    /// so its positions are its segment's.
+    pub(super) fn new(
+        windows: &'a [Batch],
+        key_idx: &'a [usize],
+        attr_idx: usize,
+        val_idx: usize,
+        attrs: &'a [(String, DataType)],
+        arity: usize,
+    ) -> PivotKernel<'a> {
+        let attr_pos: HashMap<&str, usize> = attrs
+            .iter()
+            .enumerate()
+            .map(|(i, (n, _))| (n.as_str(), i))
+            .collect();
+        let mut types: Vec<DataType> = Vec::new();
+        let type_of = attrs
+            .iter()
+            .map(|(_, ty)| {
+                types.iter().position(|t| t == ty).unwrap_or_else(|| {
+                    types.push(*ty);
+                    types.len() - 1
+                })
+            })
+            .collect();
+        let mut segs = Vec::new();
+        let mut seen: HashMap<*const Segment, usize> = HashMap::new();
+        let seg_of = windows
+            .iter()
+            .map(|w| {
+                let (seg, off) = w.segment()?;
+                debug_assert_eq!(
+                    seg.arity(),
+                    arity,
+                    "a shared window reaches the pivot as stored"
+                );
+                let d = *seen.entry(std::ptr::from_ref(seg)).or_insert_with(|| {
+                    segs.push(SegPivot::new(
+                        seg,
+                        key_idx,
+                        attr_idx,
+                        val_idx,
+                        &attr_pos,
+                        types.len(),
+                    ));
+                    segs.len() - 1
+                });
+                Some((d, off))
+            })
+            .collect();
+        PivotKernel {
+            windows,
+            key_idx,
+            attr_idx,
+            val_idx,
+            attrs,
+            attr_pos,
+            type_of,
+            seg_of,
+            segs,
+        }
+    }
+
+    /// Empty slots for this pivot's output rows.
+    pub(super) fn slots(&self) -> PivotSlots {
+        PivotSlots::new(self.key_idx.len(), self.key_idx.len() + self.attrs.len())
+    }
+
+    /// Pivot rows `lo..hi` of window `w` into `slots` in row order,
+    /// stopping at the first error.
+    pub(super) fn pivot_into(
+        &self,
+        w: usize,
+        lo: usize,
+        hi: usize,
+        slots: &mut PivotSlots,
+    ) -> RelResult<()> {
+        if let Some((d, off)) = self.seg_of[w] {
+            return self.segs[d].pivot_into(self, off + lo..off + hi, slots);
+        }
+        let key_idx = self.key_idx;
+        for row in &self.windows[w].as_slice()[lo..hi] {
+            let s = slots.entity(
+                || {
+                    key_idx
+                        .iter()
+                        .fold(HASH_SEED, |h, &c| value_hash(h, &row[c]))
+                },
+                |k| key_idx.iter().zip(k).all(|(&c, v)| row[c] == *v),
+                key_idx.iter().map(|&c| row[c].clone()),
+            );
+            let cell = pivot_cell(row, self.attr_idx, self.val_idx, &self.attr_pos, self.attrs)?;
+            if let Some((pos, v)) = cell {
+                slots.set(s, pos, v);
+            }
+        }
+        Ok(())
+    }
+
+    /// The whole input in one serial pass.
+    pub(super) fn pivot_all(&self) -> RelResult<Vec<Row>> {
+        let mut slots = self.slots();
+        for (w, window) in self.windows.iter().enumerate() {
+            self.pivot_into(w, 0, window.len(), &mut slots)?;
+        }
+        Ok(slots.into_rows())
+    }
+}
+
+impl<'a> SegPivot<'a> {
+    /// Image the three columns (each at most once per segment, shared
+    /// with every later reader), resolve the attribute codes and lay out
+    /// a cast slot per value code and each of `n_types` declared types.
+    fn new(
+        seg: &'a Segment,
+        key_idx: &[usize],
+        attr_idx: usize,
+        val_idx: usize,
+        attr_pos: &HashMap<&str, usize>,
+        n_types: usize,
+    ) -> SegPivot<'a> {
+        let (attr, val) = (seg.column(attr_idx), seg.column(val_idx));
+        let attr_code = match &attr.data {
+            ColumnData::Dict { dict, .. } => dict
+                .iter()
+                .map(|a| attr_pos.get(a.as_str()).copied())
+                .collect(),
+            _ => Vec::new(),
+        };
+        let casts = match &val.data {
+            ColumnData::Dict { dict, .. } => {
+                (0..dict.len() * n_types).map(|_| OnceLock::new()).collect()
+            }
+            _ => Vec::new(),
+        };
+        SegPivot {
+            keys: key_idx.iter().map(|&c| seg.column(c)).collect(),
+            attr,
+            val,
+            attr_code,
+            casts,
+            n_types,
+        }
+    }
+
+    /// Pivot segment rows `range` into `slots` in row order, stopping at
+    /// the first error.
+    fn pivot_into(
+        &self,
+        k: &PivotKernel<'_>,
+        range: Range<usize>,
+        slots: &mut PivotSlots,
+    ) -> RelResult<()> {
+        let keys = &self.keys;
+        for j in range {
+            let s = slots.entity(
+                || keys.iter().fold(HASH_SEED, |h, col| column_hash(h, col, j)),
+                |key| keys.iter().zip(key).all(|(col, v)| column_eq(col, j, v)),
+                keys.iter().map(|col| col.value(j)),
+            );
+            if let Some((pos, v)) = self.cell(k, j)? {
+                slots.set(s, pos, v);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`pivot_cell`] of segment row `j`, read off the codes where the
+    /// columns are dictionary-coded.
+    fn cell(&self, k: &PivotKernel<'_>, j: usize) -> RelResult<PivotCell> {
+        let (attr, val) = (self.attr, self.val);
+        let pos = match &attr.data {
+            ColumnData::Dict { codes, .. } if !attr.nulls[j] => self.attr_code[codes[j] as usize],
+            // A NULL, plain-string or non-text attribute: the row kernel's
+            // own cell, its errors included.
+            _ => {
+                let row = [attr.value(j), val.value(j)];
+                return pivot_cell(&row, 0, 1, &k.attr_pos, k.attrs);
+            }
+        };
+        let Some(pos) = pos else {
+            return Ok(None);
+        };
+        if val.nulls[j] {
+            return Ok(None);
+        }
+        let ty = k.attrs[pos].1;
+        let v = match &val.data {
+            ColumnData::Dict { codes, dict } => {
+                let c = codes[j] as usize;
+                let cast = &self.casts[c * self.n_types + k.type_of[pos]];
+                cast.get_or_init(|| cast_text(&dict[c], ty)).clone()?
+            }
+            ColumnData::Str(texts) => cast_text(&texts[j], ty)?,
+            _ => match val.value(j) {
+                Value::Text(t) => cast_text(&t, ty)?,
+                other => cast_text(&other.to_string(), ty)?,
+            },
+        };
+        Ok(Some((pos, v)))
+    }
 }
 
 // ---------------------------------------------------------------------------

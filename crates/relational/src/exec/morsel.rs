@@ -20,10 +20,10 @@
 //!   the join probe run on it. (The lane kernels of `exec::blocking` —
 //!   join build, aggregation, sort — apply the same rule through
 //!   `run_tasks` over one gathered input.)
-//! * `par_pivot` merges per-morsel wide rows entity-by-entity in morsel
-//!   order: first-seen entity slots match the serial kernel, and later
-//!   non-null cells overwrite earlier ones just as later rows overwrite in
-//!   a serial pass.
+//! * `par_pivot` cuts its morsels the same way and merges per-morsel wide
+//!   rows entity-by-entity in morsel order, by lane key hash: first-seen
+//!   entity slots match the serial kernel, and later non-null cells
+//!   overwrite earlier ones just as later rows overwrite in a serial pass.
 //!
 //! Fallible kernels keep **error parity** with the serial path: the error
 //! from the lowest-index failing morsel wins, and within a morsel rows are
@@ -43,14 +43,12 @@
 //! observable in the output. The mutexes are uncontended in the common
 //! case — a steal happens once per range imbalance, not once per morsel.
 
-use super::batch::{Batch, RowRef};
+use super::batch::Batch;
+use super::blocking::PivotSlots;
 use super::{Executor, BATCH_SIZE};
 use crate::error::RelResult;
 use crate::schema::Schema;
 use crate::table::Row;
-use crate::value::Value;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -238,43 +236,32 @@ pub(super) fn run_windows(
     Ok(parts?.into_iter().flatten().collect())
 }
 
-/// Pivot EAV rows morsel-parallel: each morsel pivots independently
-/// through `kernel` (`blocking::pivot_lanes`), then partial wide rows
-/// merge entity-by-entity in morsel order. A partial's NULL cell means "no write in that morsel", so skipping NULLs
-/// while merging reproduces the serial rule that the last written value
-/// wins. `klen` is the number of leading entity-key columns in each wide
-/// row.
-pub(super) fn par_pivot<R: RowRef>(
-    rows: &[R],
-    klen: usize,
+/// Pivot a list of windows morsel-parallel: `kernel(window, lo, hi)`
+/// pivots each slice (`blocking::PivotKernel::pivot_into`) into slots of
+/// its own, then the partial wide rows merge entity-by-entity in slice
+/// order, found by the lane key hash each slot already carries
+/// ([`PivotSlots::merge`]) — first-seen entity order and last-write-wins
+/// cells match the serial kernel.
+pub(super) fn par_pivot(
+    windows: &[Batch],
     cfg: Executor,
-    kernel: impl Fn(&[R]) -> RelResult<Vec<Row>> + Sync,
+    kernel: impl Fn(usize, usize, usize) -> RelResult<PivotSlots> + Sync,
 ) -> RelResult<Vec<Row>> {
-    let parts = run_tasks(n_morsels(rows.len(), cfg.morsel_size), cfg.threads, |m| {
-        let (lo, hi) = morsel_bounds(m, rows.len(), cfg.morsel_size);
-        kernel(&rows[lo..hi])
+    let lens: Vec<usize> = windows.iter().map(Batch::len).collect();
+    let slices = window_slices(&lens, cfg.morsel_size);
+    let parts = run_tasks(slices.len(), cfg.threads, |t| {
+        let (w, lo, hi) = slices[t];
+        kernel(w, lo, hi)
     });
-    let mut slots: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut out: Vec<Row> = Vec::new();
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Ok(Vec::new());
+    };
+    let mut out = first?;
     for part in parts {
-        for row in part? {
-            match slots.entry(row[..klen].to_vec()) {
-                Entry::Vacant(e) => {
-                    e.insert(out.len());
-                    out.push(row);
-                }
-                Entry::Occupied(e) => {
-                    let slot = *e.get();
-                    for (i, v) in row.into_iter().enumerate().skip(klen) {
-                        if !v.is_null() {
-                            out[slot][i] = v;
-                        }
-                    }
-                }
-            }
-        }
+        out.merge(part?);
     }
-    Ok(out)
+    Ok(out.into_rows())
 }
 
 /// Validate rows against `schema` morsel-parallel (union NOT NULL
@@ -378,7 +365,7 @@ mod tests {
         use super::super::batch::tests::whole_window;
         use crate::error::RelError;
         use crate::schema::Column;
-        use crate::value::DataType;
+        use crate::value::{DataType, Value};
         // Windows of 0, 1 and BATCH_SIZE + 1 rows, each row tagged
         // (window, position); one shared, the rest owned.
         let schema = Schema::new(

@@ -556,9 +556,10 @@ impl PhysicalOperator for AggregateOp<'_> {
     }
 }
 
-/// Pivot: buffers its input, then runs the lane kernel
-/// ([`blocking::pivot_lanes`]) — per morsel when the input is large, with
-/// wide rows merged entity-by-entity in morsel order.
+/// Pivot: buffers its input, then runs [`blocking::PivotKernel`] over it —
+/// shared windows read off their segments' dictionary codes, owned
+/// batches row by row — per morsel when the input is large, with wide
+/// rows merged entity-by-entity in morsel order.
 pub(super) struct PivotOp<'p> {
     in_schema: Schema,
     key_idx: Vec<usize>,
@@ -597,22 +598,22 @@ impl PhysicalOperator for PivotOp<'_> {
     }
 
     fn finish(&mut self) -> RelResult<Vec<Batch>> {
-        let g = Gathered::from_batches(mem::take(&mut self.buf));
-        let rows = g.rows();
-        let kernel = |slice: &[&Row]| {
-            blocking::pivot_lanes(
-                slice,
-                &self.in_schema,
-                &self.key_idx,
-                self.attr_idx,
-                self.val_idx,
-                self.attrs,
-            )
-        };
-        let out = if self.cfg.parallel_for(rows.len()) {
-            morsel::par_pivot(&rows, self.key_idx.len(), self.cfg, kernel)?
+        let windows = mem::take(&mut self.buf);
+        let kernel = blocking::PivotKernel::new(
+            &windows,
+            &self.key_idx,
+            self.attr_idx,
+            self.val_idx,
+            self.attrs,
+            self.in_schema.arity(),
+        );
+        let out = if self.cfg.parallel_for(windows.iter().map(Batch::len).sum()) {
+            morsel::par_pivot(&windows, self.cfg, |w, lo, hi| {
+                let mut slots = kernel.slots();
+                kernel.pivot_into(w, lo, hi, &mut slots).map(|()| slots)
+            })?
         } else {
-            kernel(&rows)?
+            kernel.pivot_all()?
         };
         let mut batches = Vec::new();
         push_rows(&mut batches, out);

@@ -130,10 +130,12 @@ if grep -rnE '\bunsafe\b|seal_over|par_pipeline' crates/relational; then
 fi
 
 # A seal is a shell and each column is imaged on first read (DESIGN.md
-# §14): a scan that feeds a row walk images nothing, and a workflow lands
+# §14): a scan that feeds a row walk images nothing, a pivot images the
+# three columns it reads off their dictionary codes, and a workflow lands
 # its outputs as they are. Fail if the ETL layer seals its landings again,
 # or if anything but `Segment::column` builds a column image — an eager
-# whole-segment builder on the scan path.
+# whole-segment builder on the scan path, or a second imaging path for
+# the pivot.
 if grep -rn '\.segments()' crates/etl/src \
     || grep -rn 'Segment::build' crates/relational/src \
     || [ "$(grep -rn 'SegmentColumn::build(' crates | wc -l)" -ne 1 ]; then
@@ -173,6 +175,18 @@ for f in crates/relational/src/delta.rs crates/relational/src/rank.rs; do
     exit 1
   fi
 done
+
+# A pivot merges its morsels by lane key hash (DESIGN.md §13, *Pivot*):
+# each partial slot keeps the hash it was found by, and a collision is
+# settled by value equality, so the merge clones no key. Fail if non-test
+# morsel.rs merges through a map keyed by cloned `Value` vectors again.
+# Comment lines skipped as above.
+morsel_code=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' \
+  crates/relational/src/exec/morsel.rs)
+if grep -F 'HashMap<Vec<Value>' <<<"$morsel_code"; then
+  echo "check.sh: non-test morsel.rs merges pivot morsels through a cloned-key map again (matches above)" >&2
+  exit 1
+fi
 
 # An `Engine` is meant to stay up, so the panic sites in `relational`'s
 # non-test code (ROADMAP item 7) may only go down: every `.unwrap()`,

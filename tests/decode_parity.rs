@@ -1621,3 +1621,244 @@ fn prepare_is_invisible_on_random_plans() {
         assert!(n > 0, "{rule} never fired in {CASES} cases");
     }
 }
+
+// ---------------------------------------------------------------------------
+// (viii) The pivot reads its segments' dictionary codes
+// ---------------------------------------------------------------------------
+//
+// A pivot over scan windows reads the entity, attribute and value columns
+// off each sealed segment: attribute codes resolve to output positions and
+// value codes cast to each declared type once per segment. Owned batches
+// (short selected runs) and columns no dictionary images go row by row
+// into the same slots. None of it may show: rows, order and first error
+// are the interpreter's, whatever the segment layout, window offsets,
+// morsel size or thread count.
+
+/// One requested attribute per type. A digit string is a value of four of
+/// them, each cast differently.
+fn dict_attrs() -> Vec<(String, DataType)> {
+    [
+        ("n", DataType::Int),
+        ("t", DataType::Text),
+        ("d", DataType::Date),
+        ("b", DataType::Bool),
+        ("f", DataType::Float),
+    ]
+    .map(|(name, ty)| (name.to_owned(), ty))
+    .into()
+}
+
+fn dict_eav_schema(attr_ty: DataType, val_ty: DataType) -> Schema {
+    Schema::new(
+        "eav",
+        vec![
+            Column::new("entity", DataType::Int),
+            Column::new("attribute", attr_ty),
+            Column::new("value", val_ty),
+            Column::required("keep", DataType::Int),
+        ],
+    )
+    .unwrap()
+}
+
+/// Row `i` of a generated EAV input, eight rows per entity: one per
+/// requested attribute, an unrequested one whose value casts to none of
+/// the numeric types, a later value for `n` (the last non-NULL value
+/// wins) and a NULL for `t` (which writes nothing). Some entities have a
+/// NULL key, some only NULL values, some only the unrequested attribute.
+/// `wide` gives `t` a value of its own per row, so that a segment holds
+/// more distinct values than a dictionary takes.
+fn dict_eav_row(i: i64, wide: bool, keep: bool) -> Row {
+    let e = i / 8;
+    let digit = Value::text((i % 10).to_string());
+    let (attr, value) = match i % 8 {
+        0 | 6 => ("n", digit),
+        1 if wide => ("t", Value::text(format!("w{i}"))),
+        1 => ("t", digit),
+        2 => ("d", Value::text(format!("2006-03-{:02}", 1 + i % 28))),
+        3 => ("b", Value::text((i % 2).to_string())),
+        4 => ("f", digit),
+        5 => ("zz", Value::text("not a number")),
+        _ => ("t", Value::Null),
+    };
+    vec![
+        if e % 333 == 5 {
+            Value::Null
+        } else {
+            Value::Int(e)
+        },
+        Value::text(if e % 77 == 3 { "zz" } else { attr }),
+        if e % 50 == 7 { Value::Null } else { value },
+        Value::Int(i64::from(keep)),
+    ]
+}
+
+fn dict_eav(n: i64, wide: bool, keep: impl Fn(i64) -> bool) -> Table {
+    let rows = (0..n).map(|i| dict_eav_row(i, wide, keep(i)));
+    let t = Table::from_rows(dict_eav_schema(DataType::Text, DataType::Text), rows).unwrap();
+    t.segments();
+    t
+}
+
+/// The encoding `column` of the table's first segment images as.
+fn encoding(t: &Table, column: usize) -> &'static str {
+    t.segments().segments()[0].column(column).encoding()
+}
+
+/// Pivots of the `eav` table in `db`: over the scan, over the `keep`
+/// filter (shared sub-windows, or owned copies where the selected runs
+/// are short) and over a rename of that.
+fn dict_pivots() -> Vec<(&'static str, Plan)> {
+    let pivot = |input: Plan| Plan::Pivot {
+        input: Box::new(input),
+        keys: vec!["entity".into()],
+        attr_col: "attribute".into(),
+        val_col: "value".into(),
+        attrs: dict_attrs(),
+    };
+    let kept = || Plan::scan("eav").select(Expr::col("keep").eq(Expr::lit(1i64)));
+    vec![
+        ("scan", pivot(Plan::scan("eav"))),
+        ("filtered", pivot(kept())),
+        ("renamed", pivot(kept().rename_table("kept"))),
+    ]
+}
+
+/// Every pivot of `table` matches the oracle on the default lanes and on
+/// one and two threads at morsel sizes 1, 7 and 1 024. Returns what the
+/// filtered pivot gave.
+fn dict_parity(shape: &str, table: Table) -> RelResult<Table> {
+    let mut db = Database::new("d");
+    db.create_table(table).unwrap();
+    let sweep = [1, 2].into_iter().flat_map(|threads| {
+        [1, 7, 1024].map(move |morsel| {
+            let exec = Executor::new()
+                .threads(threads)
+                .parallel_threshold(1)
+                .morsel_size(morsel);
+            (format!("{threads} threads, morsel {morsel}"), exec)
+        })
+    });
+    let lanes: Vec<(String, Executor)> = lanes()
+        .into_iter()
+        .map(|(lane, exec)| (lane.to_owned(), exec))
+        .chain([("default".to_owned(), Executor::new())])
+        .chain(sweep)
+        .collect();
+    let mut filtered = None;
+    for (name, plan) in dict_pivots() {
+        let got = parity_on(&format!("{shape}, {name}"), &plan, &db, lanes.clone());
+        filtered = filtered.or((name == "filtered").then_some(got));
+    }
+    filtered.unwrap()
+}
+
+#[test]
+fn the_segment_pivot_matches_the_oracle_on_every_layout() {
+    // Long selected runs, then alternation: shared windows and owned
+    // batches interleave in one input.
+    let mixed_runs = |i: i64| (i / 300) % 2 == 0 || i % 2 == 0;
+
+    let many = dict_eav(40_000, false, mixed_runs);
+    assert!(many.segments().segments().len() > 1);
+    assert_eq!((encoding(&many, 1), encoding(&many, 2)), ("dict", "dict"));
+    let want = dict_parity("over two segments", many).unwrap();
+    // Every entity has a slot — NULL keys are one, entities with only
+    // the unrequested attribute or only NULL values are others.
+    assert_eq!(want.len(), 40_000 / 8 - 40_000 / 8 / 333 + 1);
+    let row = |e: i64| {
+        want.iter_rows()
+            .find(|r| r[0] == Value::Int(e))
+            .unwrap()
+            .to_vec()
+    };
+    // One digit, cast four ways; `n` takes its later value and `t`
+    // keeps the one its NULL does not overwrite.
+    assert_eq!(
+        row(0),
+        vec![
+            Value::Int(0),
+            Value::Int(6),
+            Value::text("1"),
+            Value::date_from_ymd(2006, 3, 3),
+            Value::Bool(true),
+            Value::Float(4.0),
+        ]
+    );
+    assert!(row(3).iter().skip(1).all(Value::is_null), "only `zz`");
+    assert!(row(7).iter().skip(1).all(Value::is_null), "only NULLs");
+
+    let wide = dict_eav(12_000, true, |_| true);
+    assert_eq!((encoding(&wide, 1), encoding(&wide, 2)), ("dict", "str"));
+    dict_parity("values above the dictionary limit", wide).unwrap();
+
+    let mut cut = dict_eav(3_000, false, mixed_runs);
+    cut.delete_where(|r| matches!(r[0], Value::Int(e) if e % 29 == 4 || (100..120).contains(&e)))
+        .unwrap();
+    let layout = cut.layout();
+    assert!(layout.scan_parts > layout.chunks && layout.dead_rows_under_seals > 0);
+    dict_parity("cut into live runs", cut).unwrap();
+
+    // Numbers in the value column: it images as `mixed` and each cell
+    // casts through its text.
+    let schema = dict_eav_schema(DataType::Text, DataType::Float);
+    let numbers = (0..2_000i64).map(|i| {
+        let value = match i % 3 {
+            0 => Value::Int(i % 10),
+            1 => Value::Float(i as f64 / 4.0),
+            _ => Value::Null,
+        };
+        let attr = ["t", "f", "zz"][(i % 5 % 3) as usize];
+        vec![Value::Int(i / 4), Value::text(attr), value, Value::Int(1)]
+    });
+    let numbers = Table::from_rows(schema, numbers).unwrap();
+    assert_eq!(encoding(&numbers, 2), "mixed");
+    dict_parity("numeric values", numbers).unwrap();
+}
+
+#[test]
+fn a_single_fault_surfaces_from_the_segment_pivot_where_the_rows_put_it() {
+    let late = 35_000;
+    let faulty = |fault: fn(&mut Row)| {
+        let rows = (0..40_000).map(|i| {
+            let mut row = dict_eav_row(i, false, (i / 300) % 2 == 0 || i % 2 == 0);
+            if i >= late && i % 8 == 0 && row[3] == Value::Int(1) {
+                fault(&mut row);
+            }
+            row
+        });
+        let t = Table::from_rows(dict_eav_schema(DataType::Text, DataType::Text), rows).unwrap();
+        t.segments();
+        t
+    };
+    // An uncastable value late in the input, on kept rows only.
+    let err = dict_parity("uncastable", faulty(|r| r[2] = Value::text("x"))).unwrap_err();
+    assert_eq!(err, RelError::Eval("cannot cast 'x' to INT".into()));
+    // A NULL attribute.
+    let err = dict_parity("NULL attribute", faulty(|r| r[1] = Value::Null)).unwrap_err();
+    assert_eq!(
+        err,
+        RelError::Eval("pivot attribute column holds non-text value NULL".into())
+    );
+    // Non-text attributes: the row kernel's error, whether the column
+    // images as numbers or as the mixed fallback.
+    for (ty, encoded) in [(DataType::Int, "int"), (DataType::Float, "mixed")] {
+        let rows = (0..100i64).map(|i| {
+            let attr = match (ty, i % 2) {
+                (DataType::Float, 1) => Value::Float(0.5),
+                _ => Value::Int(i % 3),
+            };
+            vec![Value::Int(i / 4), attr, Value::text("1"), Value::Int(1)]
+        });
+        let t = Table::from_rows(dict_eav_schema(ty, DataType::Text), rows).unwrap();
+        assert_eq!(encoding(&t, 1), encoded);
+        let err = dict_parity(&format!("{ty} attributes"), t).unwrap_err();
+        assert_eq!(
+            err,
+            RelError::Eval("pivot attribute column holds non-text value 0".into())
+        );
+    }
+    // The generated inputs already hold values that would fail under a
+    // type no row pairs them with ("not a number", dates, "w…"): the
+    // layouts above pass, so none of them was raised.
+}

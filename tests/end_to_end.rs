@@ -150,9 +150,10 @@ fn provenance_travels_with_artifacts() {
 }
 
 /// What one `run_on` of each study images. Every stage's scan seals the
-/// table it meets, and a column is built only where a lane mask or a
-/// zone-map prune reads it: the extracts' own filters on the physical
-/// tables, and each study's `col = literal` over its classify outputs.
+/// table it meets, and a column is built only where a kernel reads it: the
+/// extracts' own filters on the physical tables (lane masks, zone-map
+/// prunes), the three columns EndoPro's pivot reads off the sealed EAV
+/// table, and each study's `col = literal` over its classify outputs.
 /// The `classify:*` scans feed `CASE` row walks and the `entities:*`
 /// scans are the extracts' tables as they are, so neither images one.
 #[test]
@@ -205,15 +206,23 @@ fn run_on_images_only_the_columns_lanes_read() {
             }
         }
     }
-    // The physical tables: one column each, the extract's own filter. The
-    // lookup table behind GastroLink's unread join is never scanned.
-    for (db, table, col) in [
-        ("cori", "tblProcedure", "recDeleted"),
-        ("endopro", "eav_records", "is_void"),
-        ("gastrolink", "gl_master", "rec_type"),
+    // The physical tables: the extract's own filter, and on EndoPro's EAV
+    // table the entity, attribute and value columns its pivot reads off
+    // their dictionary codes. The lookup table behind GastroLink's unread
+    // join is never scanned.
+    for (db, table, cols) in [
+        ("cori", "tblProcedure", &["recDeleted"][..]),
+        (
+            "endopro",
+            "eav_records",
+            &["is_void", "entity", "attribute", "value"],
+        ),
+        ("gastrolink", "gl_master", &["rec_type"]),
     ] {
-        assert_eq!(counts(&catalog, db, table), (1, 1), "{db}.{table}");
-        assert!(is_imaged(&catalog, db, table, col), "{db}.{table}");
+        assert_eq!(counts(&catalog, db, table), (1, cols.len()), "{db}.{table}");
+        for col in cols {
+            assert!(is_imaged(&catalog, db, table, col), "{db}.{table}.{col}");
+        }
     }
     let lookup = "gl_master_alcohol_code_lookup";
     assert_eq!(counts(&catalog, "gastrolink", lookup), (0, 0));
