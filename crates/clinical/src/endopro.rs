@@ -252,6 +252,46 @@ mod tests {
         }
     }
 
+    /// The executor's pivot reads EndoPro's value column off its
+    /// dictionary codes, and the dictionary holds the first EAV row's own
+    /// cell for each string: every TEXT output cell is that allocation,
+    /// however many reports share the answer.
+    #[test]
+    fn endopro_pivot_cells_of_one_code_share_one_allocation() {
+        use guava_relational::exec::Executor;
+        use std::collections::HashMap;
+        use std::sync::Arc;
+        let profiles = generate(&GeneratorConfig::default().with_size(200));
+        let physical = physical_database(&profiles).unwrap();
+        let eav = physical.table(PHYSICAL_TABLE).unwrap();
+        let segs = eav.segments();
+        assert_eq!(segs.segments().len(), 1, "one segment: one code per string");
+        let value_col = eav.schema().index_of("value").unwrap();
+        assert_eq!(segs.segments()[0].column(value_col).encoding(), "dict");
+        let mut first_row: HashMap<&str, &Arc<str>> = HashMap::new();
+        for row in eav.iter_rows() {
+            if let Value::Text(s) = &row[value_col] {
+                first_row.entry(&**s).or_insert(s);
+            }
+        }
+
+        let plan = stack()
+            .unwrap()
+            .decode_plan(&Plan::scan("exam_report"))
+            .unwrap();
+        let out = Executor::new().execute(&plan, &physical).unwrap();
+        let mut cells = 0;
+        for row in out.rows() {
+            for v in row {
+                if let Value::Text(s) = v {
+                    assert!(Arc::ptr_eq(first_row[&**s], s), "{s:?} copied");
+                    cells += 1;
+                }
+            }
+        }
+        assert!(cells > 400, "text cells repeat across reports ({cells})");
+    }
+
     #[test]
     fn polarity_inversion_is_visible_in_data() {
         let profiles = generate(&GeneratorConfig::default().with_size(60));

@@ -59,7 +59,7 @@ pub fn extraction_from_table(table: &Table) -> BTreeSet<Item> {
         .rows()
         .iter()
         .filter_map(|r| match (&r[0], &r[1]) {
-            (Value::Text(src), Value::Int(id)) => Some((src.clone(), *id)),
+            (Value::Text(src), Value::Int(id)) => Some((src.to_string(), *id)),
             _ => None,
         })
         .collect()

@@ -29,15 +29,17 @@ use crate::cori;
 /// Revise every live row of an audit-patterned table that matches
 /// `select`: append a tombstone copy with `audit_flag` set to 1, then
 /// re-insert the row amended by `amend`. Returns the number of reports
-/// revised. Atomic per underlying catalog operation; captured in the
-/// catalog's current delta window.
+/// revised. Captured in the catalog's current delta window, and atomic
+/// against a bad amendment: every amended row is built and checked
+/// against the schema before the first tombstone goes in, so an `amend`
+/// that breaks a row leaves the table and the window untouched.
 pub fn audit_revise(
     dc: &mut DeltaCatalog,
     db: &str,
     table: &str,
     audit_flag: &str,
     select: impl Fn(&Row) -> bool,
-    amend: impl FnMut(&mut Row),
+    mut amend: impl FnMut(&mut Row),
 ) -> RelResult<usize> {
     let t = dc.catalog().database(db)?.table(table)?;
     let flag_idx = t
@@ -50,19 +52,36 @@ pub fn audit_revise(
     let live = |r: &Row| r[flag_idx] == Value::Int(0);
     // `iter_rows`, not `rows()`: earlier inserts have made this table
     // multi-chunk, and the flat view would copy all of it per call.
-    let matching: Vec<Row> = t
-        .iter_rows()
-        .filter(|r| live(r) && select(r))
-        .cloned()
-        .collect();
-    for mut tombstone in matching.iter().cloned() {
+    let mut tombstones = Vec::new();
+    let mut amended = Vec::new();
+    for row in t.iter_rows().filter(|r| live(r) && select(r)) {
+        let mut next = row.clone();
+        amend(&mut next);
+        t.schema().check_row(&next)?;
+        amended.push(next);
+        let mut tombstone = row.clone();
         tombstone[flag_idx] = Value::Int(1);
+        tombstones.push(tombstone);
+    }
+    let n = amended.len();
+    for tombstone in tombstones {
         dc.insert(db, table, tombstone)?;
     }
     // The tombstones just inserted have flag = 1, so the liveness guard
-    // keeps this update from touching them.
-    let revised = dc.update_where(db, table, |r| live(r) && select(r), amend)?;
-    debug_assert_eq!(revised, matching.len());
+    // keeps this update from touching them; it meets the live matches in
+    // the row order of the walk above, so each takes its own amendment.
+    let mut amended = amended.into_iter();
+    let revised = dc.update_where(
+        db,
+        table,
+        |r| live(r) && select(r),
+        |r| {
+            if let Some(next) = amended.next() {
+                *r = next;
+            }
+        },
+    )?;
+    debug_assert_eq!(revised, n);
     Ok(revised)
 }
 
@@ -171,6 +190,45 @@ mod tests {
         // the tombstone insert.
         assert_eq!(d.rows_changed(), 3 * revised);
         assert_eq!(d.apply(pre.rows()), post.rows());
+    }
+
+    #[test]
+    fn failing_amend_leaves_table_and_window_untouched() {
+        let cat = physical_catalog(60);
+        let pre = cat
+            .database("cori")
+            .unwrap()
+            .table(cori::PHYSICAL_TABLE)
+            .unwrap()
+            .clone();
+        let id_idx = pre.schema().index_of("instance_id").unwrap();
+        let mut dc = DeltaCatalog::new(cat);
+        // The first report amends cleanly, the second breaks its row: a
+        // text in the INT key column fails the schema check.
+        let mut calls = 0;
+        let err = audit_revise(
+            &mut dc,
+            "cori",
+            cori::PHYSICAL_TABLE,
+            cori::AUDIT_FLAG,
+            |r| matches!(r[id_idx].as_i64(), Some(5 | 9)),
+            |r| {
+                calls += 1;
+                if calls == 2 {
+                    r[id_idx] = Value::text("nine");
+                }
+            },
+        );
+        assert!(err.is_err());
+        assert_eq!(calls, 2);
+        let post = dc
+            .catalog()
+            .database("cori")
+            .unwrap()
+            .table(cori::PHYSICAL_TABLE)
+            .unwrap();
+        assert_eq!(post.rows(), pre.rows());
+        assert!(dc.take_deltas().is_empty());
     }
 
     #[test]

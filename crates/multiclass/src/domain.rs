@@ -49,7 +49,7 @@ impl DomainSpec {
     pub fn contains(&self, v: &Value) -> bool {
         match (self, v) {
             (_, Value::Null) => true,
-            (DomainSpec::Categorical(labels), Value::Text(s)) => labels.iter().any(|l| l == s),
+            (DomainSpec::Categorical(labels), Value::Text(s)) => labels.iter().any(|l| **l == **s),
             (DomainSpec::Integer { min, max }, Value::Int(i)) => {
                 min.is_none_or(|m| *i >= m) && max.is_none_or(|m| *i <= m)
             }

@@ -407,7 +407,7 @@ impl Parser {
         match self.bump() {
             Some(Tok::Int(i)) => Ok(Value::Int(i)),
             Some(Tok::Float(f)) => Ok(Value::Float(f)),
-            Some(Tok::Str(s)) => Ok(Value::Text(s)),
+            Some(Tok::Str(s)) => Ok(Value::text(s)),
             Some(Tok::Ident(w)) if w.eq_ignore_ascii_case("TRUE") => Ok(Value::Bool(true)),
             Some(Tok::Ident(w)) if w.eq_ignore_ascii_case("FALSE") => Ok(Value::Bool(false)),
             Some(Tok::Ident(w)) if w.eq_ignore_ascii_case("NULL") => Ok(Value::Null),

@@ -89,17 +89,26 @@ impl GenericPattern {
         let mut out = passthrough(input, &[&self.table]);
         let t = input.table(&self.table)?;
         let key_idx = t.schema().index_of(&self.key).expect("validated key");
+        // One attribute-name cell per column and one sentinel, shared by
+        // every row that names them.
+        let names: Vec<Value> = t
+            .schema()
+            .columns()
+            .iter()
+            .map(|c| Value::text(c.name.as_str()))
+            .collect();
+        let present = Value::text("__present");
         let mut rows: Vec<Row> = Vec::new();
         for r in t.rows() {
-            for (i, c) in t.schema().columns().iter().enumerate() {
+            for (i, name) in names.iter().enumerate() {
                 if i == key_idx || r[i].is_null() {
                     continue;
                 }
-                rows.push(vec![
-                    r[key_idx].clone(),
-                    Value::text(c.name.clone()),
-                    Value::text(r[i].to_string()),
-                ]);
+                let value = match &r[i] {
+                    Value::Text(_) => r[i].clone(),
+                    other => Value::text(other.to_string()),
+                };
+                rows.push(vec![r[key_idx].clone(), name.clone(), value]);
             }
             // An instance with every optional control blank still exists:
             // record its presence with a sentinel row so decode can
@@ -110,11 +119,7 @@ impl GenericPattern {
                 .enumerate()
                 .all(|(i, _)| i == key_idx || r[i].is_null())
             {
-                rows.push(vec![
-                    r[key_idx].clone(),
-                    Value::text("__present"),
-                    Value::Null,
-                ]);
+                rows.push(vec![r[key_idx].clone(), present.clone(), Value::Null]);
             }
         }
         out.put_table(Table::from_rows(self.physical_schema()?, rows)?);

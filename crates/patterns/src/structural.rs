@@ -207,11 +207,13 @@ impl MergePattern {
         let mut rows: Vec<Row> = Vec::new();
         for src in &self.sources {
             let t = input.table(&src.name)?;
+            // One discriminator cell per source, shared by its rows.
+            let tag = Value::text(src.name.as_str());
             for row in t.rows() {
                 let mut mrow: Row = Vec::with_capacity(merged.arity());
                 for c in merged.columns() {
                     if c.name == self.discriminator {
-                        mrow.push(Value::text(src.name.clone()));
+                        mrow.push(tag.clone());
                     } else if let Some(idx) = t.schema().index_of(&c.name) {
                         mrow.push(row[idx].clone());
                     } else {

@@ -15,6 +15,7 @@ use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Join variants. `Left` keeps unmatched left rows with NULL right columns —
 /// needed when a form's optional sub-table (Split pattern) has no row.
@@ -567,16 +568,25 @@ pub(crate) fn unpivot_rows(
     key_idx: &[usize],
     data_idx: &[usize],
 ) -> Vec<Row> {
+    // One attribute-name cell per data column, shared by every EAV row
+    // that names it; a text value is shared with its source row.
+    let names: Vec<Value> = data_idx
+        .iter()
+        .map(|&di| Value::text(s.columns()[di].name.as_str()))
+        .collect();
     let mut out = Vec::new();
     for row in rows {
-        for &di in data_idx {
+        for (&di, name) in data_idx.iter().zip(&names) {
             if row[di].is_null() {
                 continue; // unanswered controls simply have no EAV row
             }
             let mut r: Row = Vec::with_capacity(key_idx.len() + 2);
             r.extend(key_idx.iter().map(|&i| row[i].clone()));
-            r.push(Value::text(s.columns()[di].name.clone()));
-            r.push(Value::text(row[di].to_string()));
+            r.push(name.clone());
+            r.push(match &row[di] {
+                Value::Text(_) => row[di].clone(),
+                other => Value::text(other.to_string()),
+            });
             out.push(r);
         }
     }
@@ -652,7 +662,7 @@ pub(crate) fn pivot_cell(
     attrs: &[(String, DataType)],
 ) -> RelResult<PivotCell> {
     let attr = match &row[attr_idx] {
-        Value::Text(a) => a.as_str(),
+        Value::Text(a) => &**a,
         other => {
             return Err(RelError::Eval(format!(
                 "pivot attribute column holds non-text value {other}"
@@ -664,7 +674,7 @@ pub(crate) fn pivot_cell(
     };
     Ok(match &row[val_idx] {
         Value::Null => None,
-        Value::Text(t) => Some((pos, cast_text(t, attrs[pos].1)?)),
+        Value::Text(t) => Some((pos, cast_cell(t, attrs[pos].1)?)),
         other => Some((pos, cast_text(&other.to_string(), attrs[pos].1)?)),
     })
 }
@@ -1026,6 +1036,15 @@ fn eval_unpivot(
     let schema = unpivot_output_schema(&s, &key_idx, attr_col, val_col)?;
     let rows = unpivot_rows(&s, t.rows(), &key_idx, &data_idx);
     Table::from_rows(schema, rows)
+}
+
+/// [`cast_text`] of a text cell: a TEXT target shares the cell's
+/// allocation instead of copying it.
+pub(crate) fn cast_cell(text: &Arc<str>, ty: DataType) -> RelResult<Value> {
+    match ty {
+        DataType::Text => Ok(Value::Text(text.clone())),
+        _ => cast_text(text, ty),
+    }
 }
 
 /// Parse a textual EAV value back into a typed column value.

@@ -290,7 +290,7 @@ pub(super) fn build_lane<R: RowRef>(rows: &[R], col: usize, decl: DataType) -> L
         DataType::Int => build_lane!(rows, col, Int, Value::Int(i) => *i, 0),
         DataType::Float => build_lane!(rows, col, Float, Value::Float(f) => *f, 0.0),
         DataType::Bool => build_lane!(rows, col, Bool, Value::Bool(b) => *b, false),
-        DataType::Text => build_lane!(rows, col, Str, Value::Text(s) => s.as_str(), ""),
+        DataType::Text => build_lane!(rows, col, Str, Value::Text(s) => &**s, ""),
         DataType::Date => build_lane!(rows, col, Date, Value::Date(d) => *d, 0),
     }
 }
@@ -395,8 +395,8 @@ pub(super) fn column_eq(col: &SegmentColumn, i: usize, v: &Value) -> bool {
     match (&col.data, v) {
         _ if col.nulls[i] => v.is_null(),
         (ColumnData::Int(a), Value::Int(b)) | (ColumnData::Date(a), Value::Date(b)) => a[i] == *b,
-        (ColumnData::Dict { codes, dict }, Value::Text(b)) => dict[codes[i] as usize] == *b,
-        (ColumnData::Str(a), Value::Text(b)) => a[i] == *b,
+        (ColumnData::Dict { codes, dict }, Value::Text(b)) => *dict[codes[i] as usize] == **b,
+        (ColumnData::Str(a), Value::Text(b)) => *a[i] == **b,
         _ => col.value(i) == *v,
     }
 }

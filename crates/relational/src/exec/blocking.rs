@@ -47,7 +47,7 @@ use super::batch::{
 };
 use super::morsel::{morsel_bounds, n_morsels, run_tasks};
 use super::Executor;
-use crate::algebra::{cast_text, pivot_cell, AggAcc, Aggregate, JoinKind, PivotCell};
+use crate::algebra::{cast_cell, cast_text, pivot_cell, AggAcc, Aggregate, JoinKind, PivotCell};
 use crate::error::RelResult;
 use crate::schema::Schema;
 use crate::segment::{ColumnData, Segment, SegmentColumn};
@@ -601,7 +601,7 @@ struct SegPivot<'a> {
     /// Attribute code → position in `attrs`, `None` when not requested;
     /// empty unless the attribute column is dictionary-coded.
     attr_code: Vec<Option<usize>>,
-    /// `cast_text` of value code `c` to type `t` at `c * n_types + t`,
+    /// `cast_cell` of value code `c` to type `t` at `c * n_types + t`,
     /// made the first time a row reaches it — by whichever morsel does —
     /// and raised only then; empty unless the value column is
     /// dictionary-coded.
@@ -734,10 +734,9 @@ impl<'a> SegPivot<'a> {
     ) -> SegPivot<'a> {
         let (attr, val) = (seg.column(attr_idx), seg.column(val_idx));
         let attr_code = match &attr.data {
-            ColumnData::Dict { dict, .. } => dict
-                .iter()
-                .map(|a| attr_pos.get(a.as_str()).copied())
-                .collect(),
+            ColumnData::Dict { dict, .. } => {
+                dict.iter().map(|a| attr_pos.get(&**a).copied()).collect()
+            }
             _ => Vec::new(),
         };
         let casts = match &val.data {
@@ -802,11 +801,11 @@ impl<'a> SegPivot<'a> {
             ColumnData::Dict { codes, dict } => {
                 let c = codes[j] as usize;
                 let cast = &self.casts[c * self.n_types + k.type_of[pos]];
-                cast.get_or_init(|| cast_text(&dict[c], ty)).clone()?
+                cast.get_or_init(|| cast_cell(&dict[c], ty)).clone()?
             }
-            ColumnData::Str(texts) => cast_text(&texts[j], ty)?,
+            ColumnData::Str(texts) => cast_cell(&texts[j], ty)?,
             _ => match val.value(j) {
-                Value::Text(t) => cast_text(&t, ty)?,
+                Value::Text(t) => cast_cell(&t, ty)?,
                 other => cast_text(&other.to_string(), ty)?,
             },
         };

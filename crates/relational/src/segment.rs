@@ -31,7 +31,10 @@
 //! falls back to [`ColumnData::Mixed`] row-major values (this is how FLOAT
 //! columns holding widened INTs stay lossless). Text columns
 //! dictionary-encode when the segment has at most [`DICT_MAX`] distinct
-//! strings and fall back to plain string storage above that.
+//! strings and fall back to plain string storage above that. Both hold
+//! the rows' own `Arc<str>` cells, so imaging a text column copies no
+//! string and [`SegmentColumn::value`] hands back the allocation the row
+//! already holds.
 //!
 //! ## Zone-map contract
 //!
@@ -86,16 +89,18 @@ pub enum ColumnData {
     Bool(Vec<bool>),
     /// DATE column: days since the Unix epoch per row.
     Date(Vec<i64>),
-    /// TEXT column above [`DICT_MAX`] distinct values: plain strings.
-    Str(Vec<String>),
+    /// TEXT column above [`DICT_MAX`] distinct values: the rows' own
+    /// strings (null rows hold an empty string, masked).
+    Str(Vec<Arc<str>>),
     /// Dictionary-encoded TEXT column: `codes[i]` indexes into `dict`
     /// (null rows carry code 0 and are masked by the null mask). `dict`
-    /// is ordered by first appearance.
+    /// is ordered by first appearance and holds the first such row's
+    /// own `Arc<str>` for each string.
     Dict {
         /// Per-row dictionary code.
         codes: Vec<u32>,
         /// Distinct strings, indexed by code.
-        dict: Vec<String>,
+        dict: Vec<Arc<str>>,
     },
     /// Non-conforming column (e.g. INTs widened into a FLOAT column):
     /// row-major values, read back exactly as stored.
@@ -216,13 +221,13 @@ impl SegmentColumn {
     /// non-null value is not text.
     fn build_text(rows: &[Row], col: usize) -> Option<ColumnData> {
         let mut codes = Vec::with_capacity(rows.len());
-        let mut dict: Vec<String> = Vec::new();
-        let mut index: HashMap<String, u32> = HashMap::new();
+        let mut dict: Vec<Arc<str>> = Vec::new();
+        let mut index: HashMap<&str, u32> = HashMap::new();
         for row in rows {
             match &row[col] {
                 Value::Null => codes.push(0),
                 Value::Text(s) => {
-                    if let Some(&c) = index.get(s.as_str()) {
+                    if let Some(&c) = index.get(&**s) {
                         codes.push(c);
                     } else {
                         if dict.len() >= DICT_MAX {
@@ -231,7 +236,7 @@ impl SegmentColumn {
                         }
                         let c = dict.len() as u32;
                         dict.push(s.clone());
-                        index.insert(s.clone(), c);
+                        index.insert(s, c);
                         codes.push(c);
                     }
                 }
@@ -243,9 +248,10 @@ impl SegmentColumn {
 
     fn build_plain_text(rows: &[Row], col: usize) -> Option<ColumnData> {
         let mut vals = Vec::with_capacity(rows.len());
+        let empty: Arc<str> = Arc::from("");
         for row in rows {
             match &row[col] {
-                Value::Null => vals.push(String::new()),
+                Value::Null => vals.push(empty.clone()),
                 Value::Text(s) => vals.push(s.clone()),
                 _ => return None,
             }

@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Logical type of a column or a scalar value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,13 +54,17 @@ impl fmt::Display for DataType {
 /// A scalar value, nullable. `Null` is typeless: it is accepted by every
 /// column type, compares less than every other value, and propagates through
 /// arithmetic — the behaviour analysts see for unanswered UI controls.
+///
+/// Text is shared, not owned: cloning a `Text` cell bumps a reference
+/// count, so row copies, projections and segment dictionaries all point
+/// at one allocation per distinct string a source created.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     Null,
     Bool(bool),
     Int(i64),
     Float(f64),
-    Text(String),
+    Text(Arc<str>),
     /// Days since the Unix epoch; see [`Value::date_from_ymd`].
     Date(i64),
 }
@@ -81,8 +86,9 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Convenience constructor for text values.
-    pub fn text(s: impl Into<String>) -> Value {
+    /// Constructor for text values. Passing an `Arc<str>` shares it;
+    /// passing a `&str` or `String` makes one allocation.
+    pub fn text(s: impl Into<Arc<str>>) -> Value {
         Value::Text(s.into())
     }
 
@@ -276,12 +282,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Text(s.to_owned())
+        Value::text(s)
     }
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Text(s)
+        Value::text(s)
     }
 }
 impl<T: Into<Value>> From<Option<T>> for Value {
@@ -405,6 +411,17 @@ mod tests {
         let mut s = HashSet::new();
         s.insert(Value::Int(2));
         assert!(s.contains(&Value::Float(2.0)));
+    }
+
+    #[test]
+    fn text_cells_are_shared_and_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        let a = Value::text("Heavy smoker");
+        let b = a.clone();
+        match (&a, &b) {
+            (Value::Text(x), Value::Text(y)) => assert!(Arc::ptr_eq(x, y)),
+            _ => unreachable!(),
+        }
     }
 
     #[test]

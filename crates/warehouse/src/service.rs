@@ -123,9 +123,7 @@ use guava_relational::delta::{DeltaCatalog, DeltaPlan, TableChanges, TableDelta}
 use guava_relational::error::RelResult;
 use guava_relational::exec::Executor;
 use guava_relational::Catalog;
-use parking_lot::{Mutex, RwLock};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// One immutable generation of warehouse state.
 ///
@@ -233,6 +231,32 @@ impl EngineInner {
     fn classifier_refs(&self) -> Vec<&BoundClassifier> {
         self.classifiers.iter().collect()
     }
+
+    /// The installed generation. Its lock is written only to swap one
+    /// whole `Arc` in, which a panic cannot leave half done, so a
+    /// poisoned lock still holds a complete generation and is read as is.
+    fn current(&self) -> Arc<Snapshot> {
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// The writer state. A panic while it was held — in an `update`
+    /// closure, a store refresh or a resident plan's refresh — never
+    /// installs a generation, but may have advanced some resident plans
+    /// past the installed one. So the next holder unregisters every
+    /// subscription (each one's `sync` then reports
+    /// [`ServiceError::EngineClosed`]) and carries on from the installed
+    /// generation.
+    fn writer(&self) -> MutexGuard<'_, WriteState> {
+        self.write.lock().unwrap_or_else(|poisoned| {
+            self.write.clear_poison();
+            let mut w = poisoned.into_inner();
+            w.subs.clear();
+            w
+        })
+    }
 }
 
 /// The warehouse service: owns the generational state, executes
@@ -287,12 +311,12 @@ impl Engine {
     /// bump — the returned snapshot stays valid (and byte-stable) however
     /// many refreshes follow.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.inner.current.read().clone()
+        self.inner.current()
     }
 
     /// The current generation number.
     pub fn generation(&self) -> u64 {
-        self.inner.current.read().generation
+        self.inner.current().generation
     }
 
     /// The executor this engine runs queries and refreshes with.
@@ -302,14 +326,14 @@ impl Engine {
 
     /// Number of live subscriptions.
     pub fn subscriber_count(&self) -> usize {
-        self.inner.write.lock().subs.len()
+        self.inner.writer().subs.len()
     }
 
     /// Open a session that auto-advances: each query runs against the
     /// latest installed generation.
     pub fn session(&self) -> Session {
         let id = {
-            let mut w = self.inner.write.lock();
+            let mut w = self.inner.writer();
             w.next_session += 1;
             w.next_session
         };
@@ -322,7 +346,7 @@ impl Engine {
     pub fn pinned_session(&self) -> Session {
         let snap = self.snapshot();
         let id = {
-            let mut w = self.inner.write.lock();
+            let mut w = self.inner.writer();
             w.next_session += 1;
             w.next_session
         };
@@ -339,7 +363,7 @@ impl Engine {
     /// and the new generation number returned. On error nothing is
     /// installed and no event is pushed.
     pub fn refresh(&self, delta: &TableDelta) -> ServiceResult<u64> {
-        let mut w = self.inner.write.lock();
+        let mut w = self.inner.writer();
         self.refresh_locked(&mut w, delta)
     }
 
@@ -360,7 +384,7 @@ impl Engine {
         &self,
         f: impl FnOnce(&mut DeltaCatalog) -> RelResult<R>,
     ) -> ServiceResult<(R, u64)> {
-        let mut w = self.inner.write.lock();
+        let mut w = self.inner.writer();
         let snap = self.snapshot();
         let mut scratch = Database::new(snap.store.source.clone());
         scratch.put_shared(Arc::clone(&snap.store.naive_form));
@@ -385,7 +409,7 @@ impl Engine {
     /// baseline exact — the subscription's initial rows are generation
     /// `g` and the first pushed event is generation `g + 1`.
     pub(crate) fn register_subscription(&self, plan: &Plan) -> ServiceResult<Subscription> {
-        let mut w = self.inner.write.lock();
+        let mut w = self.inner.writer();
         let snap = self.snapshot();
         let dplan = DeltaPlan::init(plan, &snap.db, &self.inner.exec)?;
         let baseline = dplan.output()?;
@@ -407,7 +431,7 @@ impl Engine {
     }
 
     pub(crate) fn unregister_subscription(inner: &Arc<EngineInner>, id: SubscriptionId) {
-        inner.write.lock().subs.retain(|s| s.id != id.0);
+        inner.writer().subs.retain(|s| s.id != id.0);
     }
 
     /// The single writer path: validate the delta, build the next
@@ -470,7 +494,11 @@ impl Engine {
         }
 
         // Commit point: install the generation, then push the deltas.
-        *self.inner.current.write() = next;
+        *self
+            .inner
+            .current
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = next;
         let mut dead: Vec<usize> = Vec::new();
         for (i, event) in events {
             if w.subs[i].sender.send(event).is_err() {

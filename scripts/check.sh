@@ -143,6 +143,16 @@ if grep -rn '\.segments()' crates/etl/src \
   exit 1
 fi
 
+# Text cells are shared, not owned (DESIGN.md §7, §14): `Value::Text`
+# holds an `Arc<str>`, so a row clone copies no string, and a segment's
+# dictionary and plain-text storage hold the rows' own cells. Fail if an
+# owned `Text(String)` cell returns in value.rs or a `Vec<String>` text
+# store in segment.rs.
+if grep -n 'Text(String)' crates/relational/src/value.rs \
+    || grep -n 'Vec<String>' crates/relational/src/segment.rs; then
+  echo "check.sh: text cells own their strings again (matches above)" >&2
+  exit 1
+fi
 # A DeltaPlan keeps state for the plan the executor runs, builds it in its
 # rules' wholesale (`Change::Full`) arms and runs delta rows through the
 # executor's stage walk (DESIGN.md §12, §15). Fail if the non-test part of

@@ -31,7 +31,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
         (0u32..400).prop_map(|q| Expr::Lit(Value::Float(f64::from(q) / 4.0))),
         Just(Expr::Lit(Value::Bool(true))),
         Just(Expr::Lit(Value::Bool(false))),
-        "[a-z]{1,6}".prop_map(|s| Expr::Lit(Value::Text(s))),
+        "[a-z]{1,6}".prop_map(|s| Expr::Lit(Value::text(s))),
         Just(Expr::Lit(Value::Null)),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {

@@ -173,6 +173,67 @@ fn empty_tables_and_filtered_out_segments() {
 // Dictionary encoding
 // ---------------------------------------------------------------------------
 
+/// The `Arc<str>` a text cell holds.
+fn text_arc(v: &Value) -> &std::sync::Arc<str> {
+    match v {
+        Value::Text(s) => s,
+        other => panic!("not text: {other:?}"),
+    }
+}
+
+/// A sealed text column holds the rows' own strings: rows that hold the
+/// same string read back as one allocation from a dictionary (the first
+/// such row's), and each row's own from plain storage. Every row here
+/// allocates its string separately, so sharing can only come from the
+/// segment handing cells back instead of copying them.
+#[test]
+fn sealed_text_cells_share_the_rows_allocations() {
+    let rows: Vec<Row> = (0..2000)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Null,
+                Value::text(format!("tag-{}", i % 16)),
+                Value::Null,
+            ]
+        })
+        .collect();
+    let db = db_of(rows);
+    let t = db.table("t").unwrap();
+    let col = t.segments().segments()[0].column(2);
+    assert_eq!(col.encoding(), "dict");
+    let (a, b) = (col.value(3), col.value(3 + 16));
+    assert_eq!(a, b);
+    assert!(std::sync::Arc::ptr_eq(text_arc(&a), text_arc(&b)));
+    let own = t.row_at(3).unwrap();
+    assert!(std::sync::Arc::ptr_eq(text_arc(&a), text_arc(&own[2])));
+    assert!(!std::sync::Arc::ptr_eq(
+        text_arc(&own[2]),
+        text_arc(&t.row_at(3 + 16).unwrap()[2])
+    ));
+
+    let rows: Vec<Row> = (0..(DICT_MAX as i64 + 100))
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Null,
+                Value::text(format!("unique-{i}")),
+                Value::Null,
+            ]
+        })
+        .collect();
+    let db = db_of(rows);
+    let t = db.table("t").unwrap();
+    let col = t.segments().segments()[0].column(2);
+    assert_eq!(col.encoding(), "str");
+    for i in [0, 7, DICT_MAX + 99] {
+        assert!(std::sync::Arc::ptr_eq(
+            text_arc(&col.value(i)),
+            text_arc(&t.row_at(i).unwrap()[2])
+        ));
+    }
+}
+
 #[test]
 fn dictionary_overflow_falls_back_to_plain_strings() {
     let low: Vec<Row> = (0..2000)

@@ -429,6 +429,36 @@ fn engine_drop_closes_subscriptions() {
     assert_eq!(sub.sync(), Err(ServiceError::EngineClosed));
 }
 
+/// A panic while the writer lock is held installs nothing; the next
+/// writer drops the subscriptions (their resident plans may have
+/// advanced past the installed generation) and carries on.
+#[test]
+fn panic_mid_update_keeps_the_generation_and_closes_subscriptions() {
+    let engine = build_engine(seed_rows(), &Executor::new());
+    let mut sub = engine
+        .session()
+        .subscribe(&Plan::scan("Procedure"))
+        .unwrap();
+    let before = engine.snapshot();
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.update(|cat| -> RelResult<()> {
+            cat.insert("cori", "Procedure", vec![6.into(), 0.into(), true.into()])?;
+            panic!("writer dies mid-update")
+        })
+    }));
+    assert!(panicked.is_err());
+    assert_eq!(engine.generation(), 0);
+    assert_eq!(engine.snapshot().store(), before.store());
+
+    assert_eq!(engine.subscriber_count(), 0);
+    assert_eq!(sub.sync(), Err(ServiceError::EngineClosed));
+    let (_, generation) = engine
+        .update(|cat| cat.insert("cori", "Procedure", vec![6.into(), 0.into(), true.into()]))
+        .unwrap();
+    assert_eq!(generation, 1);
+    assert_eq!(engine.snapshot().store().naive_form.len(), 5);
+}
+
 #[test]
 fn stale_delta_is_rejected_atomically() {
     let engine = build_engine(seed_rows(), &Executor::new());
