@@ -9,9 +9,14 @@
 //!   tables --table 1            # one table (1..2)
 //!   tables --study 1            # one worked study (1..2)
 //!   tables --hypothesis 3       # one hypothesis experiment (1..3)
+//!   tables --size 1000          # procedures per contributor (default 400)
+//!
+//! Selectors combine (`--figure 2 --study 1` prints both). Anything else —
+//! an unknown flag, a missing or unparsable value, a number out of range,
+//! a flag given twice — prints this usage on stderr and exits with 2.
 
 use guava::clinical::prelude::*;
-use guava::clinical::{classifiers, cori, paper_artifacts};
+use guava::clinical::{classifiers, paper_artifacts};
 use guava::etl::prelude::*;
 use guava::prelude::*;
 use guava_bench::Fixture;
@@ -476,2164 +481,68 @@ fn hypothesis3(fixture: &Fixture) {
     println!("and the compiled pipeline reproduces direct evaluation exactly.");
 }
 
-// ---------------------------------------------------------------------------
-// Executor benchmark: streaming batch executor vs materializing oracle
-// ---------------------------------------------------------------------------
-//
-// `tables --bench-executor` times `Plan::eval` (the batch-at-a-time
-// executor) against `Plan::eval_materialized` (the original tree-walking
-// interpreter, kept as a cross-validation oracle) over the workloads the
-// criterion benches exercise: pattern-decode stacks, join-heavy plans, and
-// the end-to-end multi-contributor ETL pipeline. Results are printed and
-// written to `BENCH_executor.json`.
+/// The usage block of the module doc, printed on a bad command line.
+const USAGE: &str = "\
+Usage:
+  tables                      # everything
+  tables --figure 2           # one figure (1..7)
+  tables --table 1            # one table (1..2)
+  tables --study 1            # one worked study (1..2)
+  tables --hypothesis 3       # one hypothesis experiment (1..3)
+  tables --size 1000          # procedures per contributor (default 400)
+";
 
-#[derive(serde::Serialize)]
-struct BenchEntry {
-    group: &'static str,
-    name: String,
-    input_rows: usize,
-    output_rows: usize,
-    materialized_ms: f64,
-    streaming_ms: f64,
-    materialized_rows_per_sec: f64,
-    streaming_rows_per_sec: f64,
-    speedup: f64,
+/// What the command line asks for; `None` where a flag was not given.
+#[derive(Default)]
+struct Request {
+    size: Option<usize>,
+    figure: Option<usize>,
+    table: Option<usize>,
+    study: Option<usize>,
+    hypothesis: Option<usize>,
 }
 
-/// One cell of the threads axis: a plan evaluated morsel-parallel at a
-/// fixed worker count, against the serial streaming run and the
-/// materializing interpreter as baselines.
-#[derive(serde::Serialize)]
-struct ParallelBenchEntry {
-    group: &'static str,
-    name: String,
-    threads: usize,
-    input_rows: usize,
-    output_rows: usize,
-    materialized_ms: f64,
-    serial_streaming_ms: f64,
-    parallel_ms: f64,
-    /// Parallel streaming vs serial streaming (same executor, threads
-    /// only). Bounded by the host's physical core count.
-    speedup_vs_serial_streaming: f64,
-    /// Parallel streaming vs the materializing interpreter — the executor
-    /// the streaming engine replaced.
-    speedup_vs_materialized: f64,
-}
-
-#[derive(serde::Serialize)]
-struct BenchReport {
-    description: &'static str,
-    decode_rows: usize,
-    join_rows: usize,
-    parallel_rows: usize,
-    blocking_rows: usize,
-    storage_rows: usize,
-    fixture_size: usize,
-    samples_per_measurement: usize,
-    /// `std::thread::available_parallelism()` on the machine that produced
-    /// this snapshot — the ceiling for any speedup_vs_serial_streaming.
-    host_threads: usize,
-    /// `false` when the host exposes a single hardware thread: the
-    /// `parallel` section's speedups then measure scheduling overhead,
-    /// not scaling, and must not be quoted as such.
-    scaling_valid: bool,
-    benches: Vec<BenchEntry>,
-    parallel: Vec<ParallelBenchEntry>,
-    /// The fused-pipeline axis: serial executor vs oracle over fused
-    /// Select/Project plans (a filter funnel across a projection, a
-    /// CASE-bearing projection).
-    vectorized: Vec<BenchEntry>,
-    /// The resting-storage axis: the same entry shape again, over plans
-    /// whose cost is the scan itself — lane masks over segment windows,
-    /// zone-map segment skipping, dictionary-coded low-cardinality
-    /// strings — warm, and (`after_installs/*`) on the first evaluation
-    /// of a fresh generation of a table that keeps being written.
-    storage: Vec<BenchEntry>,
-    /// The blocking-operator axis: the same entry shape as `vectorized`,
-    /// but over plans dominated by a single blocking operator (hash-join
-    /// probe, grouped aggregation, pivot, sort), so the ratios isolate the
-    /// lane-aware kernels from the pipeline fusion the `vectorized`
-    /// section measures.
-    blocking: Vec<BenchEntry>,
-}
-
-const BENCH_SAMPLES: usize = 9;
-
-/// Median-of-N wall-clock seconds for one evaluation, plus its output rows.
-fn median_secs(mut f: impl FnMut() -> usize) -> (f64, usize) {
-    let out_rows = f(); // warm-up, and the result both sides must agree on
-    let mut samples: Vec<f64> = (0..BENCH_SAMPLES)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    (samples[samples.len() / 2], out_rows)
-}
-
-fn measure(
-    group: &'static str,
-    name: impl Into<String>,
-    input_rows: usize,
-    streaming: impl FnMut() -> usize,
-    materialized: impl FnMut() -> usize,
-) -> BenchEntry {
-    let materialized = median_secs(materialized);
-    let streaming = median_secs(streaming);
-    bench_entry(group, name.into(), input_rows, streaming, materialized)
-}
-
-/// One executor-vs-oracle cell from its two `(median seconds, output
-/// rows)` measurements, printed as it is recorded.
-fn bench_entry(
-    group: &'static str,
-    name: String,
-    input_rows: usize,
-    (str_secs, str_rows): (f64, usize),
-    (mat_secs, mat_rows): (f64, usize),
-) -> BenchEntry {
-    assert_eq!(mat_rows, str_rows, "{group}/{name}: evaluators disagree");
-    let entry = BenchEntry {
-        group,
-        name,
-        input_rows,
-        output_rows: str_rows,
-        materialized_ms: mat_secs * 1e3,
-        streaming_ms: str_secs * 1e3,
-        materialized_rows_per_sec: input_rows as f64 / mat_secs,
-        streaming_rows_per_sec: input_rows as f64 / str_secs,
-        speedup: mat_secs / str_secs,
-    };
-    println!(
-        "  {:<16} {:<28} {:>10.3} {:>10.3} {:>9.2}x",
-        entry.group, entry.name, entry.materialized_ms, entry.streaming_ms, entry.speedup
-    );
-    entry
-}
-
-fn bench_naive_schema() -> Schema {
-    Schema::new(
-        "form",
-        vec![
-            Column::required("instance_id", DataType::Int),
-            Column::new("flag", DataType::Bool),
-            Column::new("count", DataType::Int),
-            Column::new("note", DataType::Text),
-        ],
-    )
-    .unwrap()
-    .with_primary_key(&["instance_id"])
-    .unwrap()
-}
-
-fn bench_naive_db(rows: usize) -> Database {
-    let data: Vec<Row> = (0..rows as i64)
-        .map(|i| {
-            vec![
-                Value::Int(i + 1),
-                if i % 7 == 0 {
-                    Value::Null
-                } else {
-                    Value::Bool(i % 2 == 0)
-                },
-                if i % 11 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(i % 100)
-                },
-                Value::text(format!("note{i}")),
-            ]
-        })
-        .collect();
-    let mut db = Database::new("naive");
-    db.create_table(Table::from_rows(bench_naive_schema(), data).unwrap())
-        .unwrap();
-    db
-}
-
-/// Count plan operators — the decode-stack depth measure reported in the
-/// JSON snapshot.
-fn plan_ops(p: &Plan) -> usize {
-    match p {
-        Plan::Scan(_) | Plan::Values { .. } => 1,
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Rename { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Unpivot { input, .. }
-        | Plan::Pivot { input, .. }
-        | Plan::AggregateBy { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. } => 1 + plan_ops(input),
-        Plan::Join { left, right, .. } => 1 + plan_ops(left) + plan_ops(right),
-        Plan::Union { inputs } => 1 + inputs.iter().map(plan_ops).sum::<usize>(),
-    }
-}
-
-/// The deepest all-relational decode stack: eight patterns whose rewrites
-/// are pure select/project/rename layers — exactly the shape the fused
-/// pipeline executes in one pass while the old interpreter materialized
-/// (and re-validated) a table per layer.
-fn deep_flat_stack() -> PatternStack {
-    let s = bench_naive_schema();
-    let rename = PatternKind::Rename(
-        RenamePattern::new(&s, "tbl", vec![("flag", "f"), ("count", "n")]).unwrap(),
-    );
-    let s1 = rename.transform_schemas(&[s]).unwrap();
-    let boolenc = PatternKind::BoolEncode(BoolEncodePattern::new(&s1[0], "f", "Y", "N").unwrap());
-    let s2 = boolenc.transform_schemas(&s1).unwrap();
-    let sentinel = PatternKind::NullSentinel(NullSentinelPattern::new(&s2[0], "n", -9i64).unwrap());
-    let s3 = sentinel.transform_schemas(&s2).unwrap();
-    let audit = PatternKind::Audit(AuditPattern::new(&s3[0], "_del").unwrap());
-    let s4 = audit.transform_schemas(&s3).unwrap();
-    let rename2 =
-        PatternKind::Rename(RenamePattern::new(&s4[0], "tbl2", vec![("note", "txt")]).unwrap());
-    let s5 = rename2.transform_schemas(&s4).unwrap();
-    let rename3 =
-        PatternKind::Rename(RenamePattern::new(&s5[0], "tbl3", vec![("f", "flag_yn")]).unwrap());
-    let s6 = rename3.transform_schemas(&s5).unwrap();
-    let rename4 =
-        PatternKind::Rename(RenamePattern::new(&s6[0], "tbl4", vec![("n", "cnt")]).unwrap());
-    let s7 = rename4.transform_schemas(&s6).unwrap();
-    let rename5 =
-        PatternKind::Rename(RenamePattern::new(&s7[0], "tbl5", vec![("txt", "note_txt")]).unwrap());
-    PatternStack::new(
-        "c",
-        vec![
-            rename, boolenc, sentinel, audit, rename2, rename3, rename4, rename5,
-        ],
-    )
-}
-
-/// The deepest EAV decode stack: seven patterns whose decode rewrites
-/// compose into a pivot at the bottom with select/project layers stacked
-/// on top. The pivot kernel itself is shared between both evaluators, so
-/// the streaming win here is bounded by the non-pivot layers.
-fn deep_eav_stack() -> PatternStack {
-    let s = bench_naive_schema();
-    let rename = PatternKind::Rename(
-        RenamePattern::new(&s, "tbl", vec![("flag", "f"), ("count", "n")]).unwrap(),
-    );
-    let s1 = rename.transform_schemas(&[s]).unwrap();
-    let boolenc = PatternKind::BoolEncode(BoolEncodePattern::new(&s1[0], "f", "Y", "N").unwrap());
-    let s2 = boolenc.transform_schemas(&s1).unwrap();
-    let sentinel = PatternKind::NullSentinel(NullSentinelPattern::new(&s2[0], "n", -9i64).unwrap());
-    let s3 = sentinel.transform_schemas(&s2).unwrap();
-    let rename2 =
-        PatternKind::Rename(RenamePattern::new(&s3[0], "tbl2", vec![("note", "txt")]).unwrap());
-    let s4 = rename2.transform_schemas(&s3).unwrap();
-    let generic = PatternKind::Generic(GenericPattern::new(&s4[0], "eav").unwrap());
-    let s5 = generic.transform_schemas(&s4).unwrap();
-    // Audit goes on the physical EAV table (it erases the primary key, so it
-    // cannot sit below Generic, which needs one).
-    let audit = PatternKind::Audit(AuditPattern::new(&s5[0], "_del").unwrap());
-    let s6 = audit.transform_schemas(&s5).unwrap();
-    let rename3 = PatternKind::Rename(
-        RenamePattern::new(&s6[0], "eav2", vec![("attribute", "attr_code")]).unwrap(),
-    );
-    PatternStack::new(
-        "c",
-        vec![rename, boolenc, sentinel, rename2, generic, audit, rename3],
-    )
-}
-
-fn bench_decode_section(entries: &mut Vec<BenchEntry>, rows: usize) {
-    let naive = bench_naive_db(rows);
-    let query = Plan::scan("form").select(
-        Expr::col("count")
-            .ge(Expr::lit(25i64))
-            .and(Expr::col("flag").eq(Expr::lit(true))),
-    );
-    let s = bench_naive_schema();
-    let stacks: Vec<(&str, PatternStack)> = vec![
-        ("Naive", PatternStack::naive("c")),
-        (
-            "Rename",
-            PatternStack::new(
-                "c",
-                vec![PatternKind::Rename(
-                    RenamePattern::new(&s, "tbl", vec![("flag", "f"), ("count", "n")]).unwrap(),
-                )],
-            ),
-        ),
-        (
-            "Split",
-            PatternStack::new(
-                "c",
-                vec![PatternKind::Split(
-                    SplitPattern::new(
-                        &s,
-                        vec![("f1", vec!["flag", "count"]), ("f2", vec!["note"])],
-                    )
-                    .unwrap(),
-                )],
-            ),
-        ),
-        (
-            "Generic",
-            PatternStack::new(
-                "c",
-                vec![PatternKind::Generic(
-                    GenericPattern::new(&s, "eav").unwrap(),
-                )],
-            ),
-        ),
-        (
-            "Versioned",
-            PatternStack::new(
-                "c",
-                vec![PatternKind::Versioned(
-                    VersionedPattern::new(&s, "_ver").unwrap(),
-                )],
-            ),
-        ),
-        (
-            "Lookup",
-            PatternStack::new(
-                "c",
-                vec![PatternKind::Lookup(
-                    LookupPattern::new(&s, "count", (0..100).map(Value::Int).collect()).unwrap(),
-                )],
-            ),
-        ),
-        ("DeepFlat(8)", deep_flat_stack()),
-        ("DeepEav(7)", deep_eav_stack()),
-    ];
-    for (name, stack) in &stacks {
-        let physical = stack.encode(&naive).unwrap();
-        let plan = stack.decode_plan(&query).unwrap();
-        let label = format!("{name} [{} ops]", plan_ops(&plan));
-        entries.push(measure(
-            "pattern_decode",
-            label,
-            rows,
-            || plan.eval(&physical).unwrap().len(),
-            || plan.eval_materialized(&physical).unwrap().len(),
-        ));
-    }
-
-    // The study-shaped workload: an eligibility funnel of chained
-    // selections (Study 1's cohort cascade) over the deepest stacks. Every
-    // funnel step used to materialize and re-validate a full intermediate
-    // table; the fused pipeline runs the whole cascade in one pass.
-    let funnel = Plan::scan("form")
-        .select(Expr::col("count").ge(Expr::lit(25i64)))
-        .project_cols(&["instance_id", "flag", "count"])
-        .select(Expr::col("flag").eq(Expr::lit(true)))
-        .select(Expr::col("count").lt(Expr::lit(90i64)));
-    for (name, stack) in &stacks {
-        if !name.starts_with("Deep") {
-            continue;
-        }
-        let physical = stack.encode(&naive).unwrap();
-        let plan = stack.decode_plan(&funnel).unwrap();
-        let label = format!("{name}+funnel [{} ops]", plan_ops(&plan));
-        entries.push(measure(
-            "pattern_decode",
-            label,
-            rows,
-            || plan.eval(&physical).unwrap().len(),
-            || plan.eval_materialized(&physical).unwrap().len(),
-        ));
-    }
-}
-
-fn bench_join_section(entries: &mut Vec<BenchEntry>, rows: usize) {
-    let dim_rows = (rows / 20).max(1);
-    let fact = Schema::new(
-        "fact",
-        vec![
-            Column::required("id", DataType::Int),
-            Column::new("k", DataType::Int),
-            Column::new("v", DataType::Int),
-        ],
-    )
-    .unwrap()
-    .with_primary_key(&["id"])
-    .unwrap();
-    let dim = Schema::new(
-        "dim",
-        vec![
-            Column::required("id", DataType::Int),
-            Column::new("label", DataType::Text),
-        ],
-    )
-    .unwrap()
-    .with_primary_key(&["id"])
-    .unwrap();
-    let mut db = Database::new("joins");
-    db.create_table(
-        Table::from_rows(
-            fact,
-            (0..rows as i64)
-                .map(|i| {
-                    vec![
-                        Value::Int(i),
-                        Value::Int(i % dim_rows as i64),
-                        Value::Int(i % 97),
-                    ]
-                })
-                .collect::<Vec<Row>>(),
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    db.create_table(
-        Table::from_rows(
-            dim,
-            (0..dim_rows as i64)
-                .map(|i| vec![Value::Int(i), Value::text(format!("d{i}"))])
-                .collect::<Vec<Row>>(),
-        )
-        .unwrap(),
-    )
-    .unwrap();
-
-    let plans = vec![
-        (
-            "fact_dim_inner",
-            Plan::scan("fact")
-                .select(Expr::col("v").ge(Expr::lit(10i64)))
-                .join(Plan::scan("dim"), vec![("k", "id")], JoinKind::Inner),
-        ),
-        (
-            "three_way_self",
-            Plan::scan("fact")
-                .join(Plan::scan("fact"), vec![("id", "id")], JoinKind::Inner)
-                .join(
-                    Plan::scan("fact").rename_table("fact3"),
-                    vec![("id", "id")],
-                    JoinKind::Inner,
-                ),
-        ),
-        (
-            "left_pad_sparse",
-            Plan::scan("fact").join(Plan::scan("dim"), vec![("v", "id")], JoinKind::Left),
-        ),
-    ];
-    for (name, plan) in plans {
-        entries.push(measure(
-            "join_heavy",
-            name,
-            rows,
-            || plan.eval(&db).unwrap().len(),
-            || plan.eval_materialized(&db).unwrap().len(),
-        ));
-    }
-}
-
-/// Sequential, fully-materializing oracle run of an ETL workflow — what
-/// execution looked like before the streaming executor and concurrent
-/// stages landed.
-fn run_workflow_materialized(
-    wf: &guava::etl::workflow::EtlWorkflow,
-    catalog: &mut Catalog,
-) -> usize {
-    let mut total = 0;
-    for stage in &wf.stages {
-        for comp in &stage.components {
-            let source = catalog.database(&comp.source_db).unwrap();
-            let t = comp.plan.eval_materialized(source).unwrap();
-            let t = Table::from_rows(t.schema().renamed(comp.target_table.clone()), t.into_rows())
-                .unwrap();
-            total += t.len();
-            if catalog.database(&comp.target_db).is_err() {
-                catalog.insert(Database::new(comp.target_db.clone()));
-            }
-            catalog.database_mut(&comp.target_db).unwrap().put_table(t);
-        }
-    }
-    total
-}
-
-fn bench_etl_section(entries: &mut Vec<BenchEntry>, fixture: &Fixture) {
-    let study = study1_definition(&fixture.contributors);
-    let compiled = compile(&study, &study_schema(), &registry(), &fixture.bindings()).unwrap();
-    let base = fixture.catalog();
-    let input_rows: usize = fixture
-        .contributors
-        .iter()
-        .map(|c| c.physical.total_rows())
-        .sum();
-    entries.push(measure(
-        "etl_pipeline",
-        "study1_end_to_end",
-        input_rows,
-        || {
-            let mut cat = base.clone();
-            let runs = compiled.workflow.run(&mut cat).unwrap();
-            runs.iter().map(|r| r.rows_out).sum()
-        },
-        || {
-            let mut cat = base.clone();
-            run_workflow_materialized(&compiled.workflow, &mut cat)
-        },
-    ));
-}
-
-/// The threads axis: morsel-parallel evaluation of the largest scan-heavy
-/// workloads at 1/2/4/8 workers. Every configuration produces the same
-/// table (asserted per measurement); only wall time may differ.
-fn bench_parallel_section(entries: &mut Vec<ParallelBenchEntry>, rows: usize) {
-    let db = bench_naive_db(rows);
-    // The largest scan-heavy plan in the suite: the Study-1-shaped
-    // eligibility funnel (chained selections + projection), fused into a
-    // single pipeline pass and morsel-parallel over the scan.
-    let funnel = Plan::scan("form")
-        .select(Expr::col("count").ge(Expr::lit(25i64)))
-        .project_cols(&["instance_id", "flag", "count"])
-        .select(Expr::col("flag").eq(Expr::lit(true)))
-        .select(Expr::col("count").lt(Expr::lit(90i64)));
-    // Hash join with a bare-scan probe side: parallel build + parallel
-    // probe (the right side's Rename is metadata-only, so both inputs stay
-    // zero-copy shared storage).
-    let join = Plan::scan("form").join(
-        Plan::scan("form").rename_columns(vec![
-            ("instance_id", "rid"),
-            ("flag", "rflag"),
-            ("count", "rcount"),
-            ("note", "rnote"),
-        ]),
-        vec![("instance_id", "rid")],
-        JoinKind::Inner,
-    );
-    // Grouped aggregation over integer columns: per-morsel partial states
-    // merged in a final reduce (FLOAT sums would pin the serial kernel).
-    let agg = Plan::scan("form").aggregate(
-        &["count"],
-        vec![
-            Aggregate {
-                func: AggFunc::CountAll,
-                alias: "n".into(),
-            },
-            Aggregate {
-                func: AggFunc::Sum("count".into()),
-                alias: "sum".into(),
-            },
-            Aggregate {
-                func: AggFunc::Avg("count".into()),
-                alias: "avg".into(),
-            },
-        ],
-    );
-    let plans = vec![
-        ("scan_funnel", funnel),
-        ("self_join", join),
-        ("group_by_agg", agg),
-    ];
-    for (name, plan) in plans {
-        let (mat_secs, mat_rows) = median_secs(|| plan.eval_materialized(&db).unwrap().len());
-        let serial = Executor::new().threads(1);
-        let (serial_secs, serial_rows) = median_secs(|| serial.execute(&plan, &db).unwrap().len());
-        assert_eq!(mat_rows, serial_rows, "parallel/{name}: oracle disagrees");
-        for threads in [2, 4, 8] {
-            let exec = Executor::new().threads(threads);
-            let (par_secs, par_rows) = median_secs(|| exec.execute(&plan, &db).unwrap().len());
-            assert_eq!(serial_rows, par_rows, "parallel/{name}: threads disagree");
-            let entry = ParallelBenchEntry {
-                group: "parallel_scan",
-                name: name.to_string(),
-                threads,
-                input_rows: rows,
-                output_rows: par_rows,
-                materialized_ms: mat_secs * 1e3,
-                serial_streaming_ms: serial_secs * 1e3,
-                parallel_ms: par_secs * 1e3,
-                speedup_vs_serial_streaming: serial_secs / par_secs,
-                speedup_vs_materialized: mat_secs / par_secs,
+impl Request {
+    fn parse(args: &[String]) -> Result<Request, String> {
+        let mut req = Request::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let (slot, range) = match flag.as_str() {
+                "--size" => (&mut req.size, 1..=usize::MAX),
+                "--figure" => (&mut req.figure, 1..=7),
+                "--table" => (&mut req.table, 1..=2),
+                "--study" => (&mut req.study, 1..=2),
+                "--hypothesis" => (&mut req.hypothesis, 1..=3),
+                _ => return Err(format!("unknown argument `{flag}`")),
             };
-            println!(
-                "  {:<16} {:<21} t={:<2} {:>9.3} {:>10.3} {:>7.2}x {:>7.2}x",
-                entry.group,
-                entry.name,
-                entry.threads,
-                entry.serial_streaming_ms,
-                entry.parallel_ms,
-                entry.speedup_vs_serial_streaming,
-                entry.speedup_vs_materialized,
-            );
-            entries.push(entry);
-        }
-    }
-}
-
-/// Time each plan on the one-thread executor against the oracle
-/// interpreter — the shared shape of the `vectorized` and `blocking` axes.
-fn measure_serial_vs_oracle(
-    entries: &mut Vec<BenchEntry>,
-    group: &'static str,
-    rows: usize,
-    db: &Database,
-    plans: Vec<(&str, Plan)>,
-) {
-    let exec = guava::relational::exec::Executor::new().threads(1);
-    for (name, plan) in plans {
-        entries.push(measure(
-            group,
-            name,
-            rows,
-            || exec.execute(&plan, db).unwrap().len(),
-            || plan.eval_materialized(db).unwrap().len(),
-        ));
-    }
-}
-
-/// The vectorized axis: the executor's fused pipeline (DESIGN.md §11) at
-/// one thread against the oracle interpreter, over a filter funnel and a
-/// CASE-bearing projection. Both must produce the same row count
-/// (asserted).
-fn bench_vectorized_section(entries: &mut Vec<BenchEntry>, rows: usize) {
-    let db = bench_naive_db(rows);
-    // The Study-1-shaped eligibility funnel again: a deep fused
-    // Select/Project stack. Its first filter runs as a lane mask; the two
-    // behind the projection walk rows.
-    let funnel = Plan::scan("form")
-        .select(Expr::col("count").ge(Expr::lit(25i64)))
-        .project_cols(&["instance_id", "flag", "count"])
-        .select(Expr::col("flag").eq(Expr::lit(true)))
-        .select(Expr::col("count").lt(Expr::lit(90i64)));
-    // What classifiers compile to: a lane-mask filter, then a CASE
-    // evaluated per surviving row next to a pre-resolved bare column.
-    let fallback = Plan::scan("form")
-        .select(Expr::col("count").is_not_null())
-        .project(vec![
-            ("instance_id".to_owned(), Expr::col("instance_id")),
-            (
-                "bucket".to_owned(),
-                Expr::Case {
-                    arms: vec![
-                        (Expr::col("count").lt(Expr::lit(30i64)), Expr::lit("low")),
-                        (Expr::col("count").lt(Expr::lit(70i64)), Expr::lit("mid")),
-                    ],
-                    default: Box::new(Expr::lit("high")),
-                },
-            ),
-        ]);
-    let plans = vec![("scan_funnel", funnel), ("case_fallback", fallback)];
-    measure_serial_vs_oracle(entries, "vectorized", rows, &db, plans);
-}
-
-/// The blocking-operator axis: the executor at one thread against the
-/// oracle interpreter over plans whose cost sits in one blocking operator
-/// — a hash-join probe, a grouped aggregation, an EAV pivot, and a sort.
-/// The interpreter runs these operators row-at-a-time (`Vec<Value>` keys,
-/// `Value` comparators); the executor hashes, accumulates, and compares
-/// typed key lanes directly. Both must produce the same row count
-/// (asserted; full-table equality is covered by the test suites).
-fn bench_blocking_section(entries: &mut Vec<BenchEntry>, rows: usize) {
-    let dim_rows = (rows / 20).max(1);
-    let mut db = bench_naive_db(rows);
-    db.create_table(
-        Table::from_rows(
-            Schema::new(
-                "dim",
-                vec![
-                    Column::required("id", DataType::Int),
-                    Column::new("label", DataType::Text),
-                ],
-            )
-            .unwrap()
-            .with_primary_key(&["id"])
-            .unwrap(),
-            (0..dim_rows as i64)
-                .map(|i| vec![Value::Int(i), Value::text(format!("d{i}"))])
-                .collect::<Vec<Row>>(),
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    // EAV triples for the pivot: four attributes per entity, values
-    // rendered as text exactly as the Generic pattern stores them.
-    let entities = rows / 4;
-    let eav: Vec<Row> = (0..entities as i64)
-        .flat_map(|e| {
-            [("a", e % 50), ("b", e % 7), ("c", e % 2), ("d", e % 13)]
-                .into_iter()
-                .map(move |(attr, v)| {
-                    vec![Value::Int(e), Value::text(attr), Value::text(v.to_string())]
-                })
-        })
-        .collect();
-    db.create_table(
-        Table::from_rows(
-            Schema::new(
-                "eav",
-                vec![
-                    Column::required("entity_id", DataType::Int),
-                    Column::required("attribute", DataType::Text),
-                    Column::new("value", DataType::Text),
-                ],
-            )
-            .unwrap(),
-            eav,
-        )
-        .unwrap(),
-    )
-    .unwrap();
-
-    // Probe-dominated join: every fact row probes a 5%-sized build side.
-    let join_probe =
-        Plan::scan("form").join(Plan::scan("dim"), vec![("count", "id")], JoinKind::Inner);
-    // Grouped aggregation over integer key and input lanes.
-    let group_by = Plan::scan("form").aggregate(
-        &["count"],
-        vec![
-            Aggregate {
-                func: AggFunc::CountAll,
-                alias: "n".into(),
-            },
-            Aggregate {
-                func: AggFunc::Sum("instance_id".into()),
-                alias: "sum".into(),
-            },
-        ],
-    );
-    // The Generic pattern's decode direction: fold EAV triples into wide
-    // rows keyed by entity.
-    let pivot = Plan::Pivot {
-        input: Box::new(Plan::scan("eav")),
-        keys: vec!["entity_id".into()],
-        attr_col: "attribute".into(),
-        val_col: "value".into(),
-        attrs: vec![
-            ("a".into(), DataType::Int),
-            ("b".into(), DataType::Int),
-            ("c".into(), DataType::Int),
-            ("d".into(), DataType::Int),
-        ],
-    };
-    // Multi-key sort over typed lanes (count carries NULLs).
-    let sort = Plan::scan("form").sort_by(&["count", "instance_id"]);
-    let plans = vec![
-        ("join_probe", join_probe),
-        ("group_by", group_by),
-        ("pivot", pivot),
-        ("sort", sort),
-    ];
-    measure_serial_vs_oracle(entries, "blocking", rows, &db, plans);
-}
-
-/// The resting-storage axis: the one-thread executor against the oracle
-/// interpreter over plans whose cost is the scan. `full_scan`'s
-/// predicates keep every segment alive, so zone maps contribute nothing
-/// and the cell reads the lane-mask scan itself. `zone_prune` puts a
-/// selective range on the monotone primary key, so the fused filter's
-/// zone-map check discards ~99% of sealed segments before a single lane
-/// is read; the oracle reads the flat row view, knows nothing of zone
-/// maps and visits every row. `dict_filter` compares a low-cardinality
-/// string column where the dictionary lane turns per-row string equality
-/// into code-table lookups. Both sides must produce the same row count
-/// (asserted; byte-level equality is covered by the property suites).
-fn bench_storage_section(entries: &mut Vec<BenchEntry>, rows: usize) {
-    let mut db = bench_naive_db(rows);
-    // Low-cardinality site labels: few enough distinct strings that the
-    // sealed segments dictionary-encode the column.
-    db.create_table(
-        Table::from_rows(
-            Schema::new(
-                "visit",
-                vec![
-                    Column::required("id", DataType::Int),
-                    Column::new("site", DataType::Text),
-                ],
-            )
-            .unwrap()
-            .with_primary_key(&["id"])
-            .unwrap(),
-            (0..rows as i64)
-                .map(|i| vec![Value::Int(i), Value::text(format!("site{:02}", i % 16))])
-                .collect::<Vec<Row>>(),
-        )
-        .unwrap(),
-    )
-    .unwrap();
-
-    let full_scan = Plan::scan("form")
-        .select(Expr::col("count").ge(Expr::lit(25i64)))
-        .select(Expr::col("flag").eq(Expr::lit(true)))
-        .project_cols(&["instance_id", "count"]);
-    let hi = (rows as i64 * 99) / 100;
-    let zone_prune = Plan::scan("form")
-        .select(Expr::col("instance_id").gt(Expr::lit(hi)))
-        .project_cols(&["instance_id", "note"]);
-    let dict_filter = Plan::scan("visit")
-        .select(Expr::col("site").eq(Expr::lit("site03")))
-        .project_cols(&["id"]);
-    let plans = vec![
-        ("full_scan", full_scan),
-        ("zone_prune", zone_prune),
-        ("dict_filter", dict_filter),
-    ];
-    // The warm-up evaluation inside `median_secs` also pays the one-time
-    // lazy segment build, keeping it out of the samples — matching a
-    // resting table, which is sealed by its first scan.
-    measure_serial_vs_oracle(entries, "storage", rows, &db, plans);
-    bench_after_installs(entries);
-}
-
-/// The `after_installs/*` cells of the storage axis: what an analyst's
-/// dashboard pays on a table that keeps being written — the shape of the
-/// spine's `analyst_queries` workload, which the warm cells above cannot
-/// see. A 30 000-row report table takes 200 mixed 11-row installs (8 new
-/// reports, 2 amendments of scattered reports, 1 retirement of the
-/// oldest; scanned, hence sealed, after each, as readers of a live
-/// engine do). Every sample then installs one more generation (untimed)
-/// and times the **first** evaluation of the plan on it: the executor
-/// seals the 11 new rows and scans one zero-copy window per live run of
-/// the chunks it already sealed, the oracle materializes the
-/// generation's flat row view and interprets over it. Below 1.0× the
-/// resting format taxes a fresh generation's first read by more than the
-/// whole interpreter costs. The five plans are the dashboard's shapes:
-/// unselective two-conjunct filter, key range the zone maps prune,
-/// dictionary-string equality, group-by count, and a self-join.
-fn bench_after_installs(entries: &mut Vec<BenchEntry>) {
-    const ROWS: i64 = 30_000;
-    const INSTALLS: i64 = 200;
-
-    let schema = Schema::new(
-        "report",
-        vec![
-            Column::required("instance_id", DataType::Int),
-            Column::new("flag", DataType::Bool),
-            Column::new("count", DataType::Int),
-            Column::new("kind", DataType::Text),
-            Column::new("note", DataType::Text),
-        ],
-    )
-    .unwrap()
-    .with_primary_key(&["instance_id"])
-    .unwrap();
-    let report = |id: i64| -> Row {
-        vec![
-            Value::Int(id),
-            Value::Bool(id % 2 == 0),
-            Value::Int(id % 100),
-            Value::text(format!("kind{}", id % 8)),
-            Value::text(format!("note{id}")),
-        ]
-    };
-    // Install `g` (0-based): positions are relative to the table it is
-    // applied to; amended reports keep their key and move to the end.
-    let install = |t: &Table, g: i64| -> Table {
-        let n = t.len() as i64;
-        let mut at = vec![
-            0,
-            n / 2 + (g * 7919) % (n / 4),
-            3 * n / 4 + (g * 104_729) % (n / 8),
-        ];
-        at.dedup();
-        let deleted: Vec<(usize, Row)> = at
-            .iter()
-            .map(|&p| (p as usize, t.row_at(p as usize).unwrap().clone()))
-            .collect();
-        let mut inserted: Vec<Row> = (0..8).map(|k| report(ROWS + 1 + 8 * g + k)).collect();
-        for (_, row) in &deleted[1..] {
-            let mut amended = row.clone();
-            amended[4] = Value::text(format!("follow-up {g}"));
-            inserted.push(amended);
-        }
-        let delta = TableDelta {
-            pre_len: t.len(),
-            deleted,
-            inserted,
-        };
-        t.apply_delta(&delta).unwrap()
-    };
-    let mut table = Table::from_rows(schema, (1..=ROWS).map(report)).unwrap();
-    table.segments();
-    for g in 0..INSTALLS {
-        table = install(&table, g);
-        table.segments();
-    }
-
-    let hi = ROWS + 8 * INSTALLS - 300;
-    let plans = vec![
-        (
-            "full_scan",
-            Plan::scan("report")
-                .select(
-                    Expr::col("count")
-                        .ge(Expr::lit(25i64))
-                        .and(Expr::col("flag").eq(Expr::lit(true))),
-                )
-                .project_cols(&["instance_id", "count"]),
-        ),
-        (
-            "zone_prune",
-            Plan::scan("report")
-                .select(Expr::col("instance_id").gt(Expr::lit(hi)))
-                .project_cols(&["instance_id", "note"]),
-        ),
-        (
-            "dict_eq",
-            Plan::scan("report")
-                .select(Expr::col("kind").eq(Expr::lit("kind3")))
-                .project_cols(&["instance_id"]),
-        ),
-        (
-            "group_by",
-            Plan::scan("report").aggregate(
-                &["kind", "flag"],
-                vec![Aggregate {
-                    func: AggFunc::CountAll,
-                    alias: "n".into(),
-                }],
-            ),
-        ),
-        (
-            "join",
-            Plan::scan("report")
-                .project_cols(&["instance_id", "count"])
-                .join(
-                    Plan::scan("report").project(vec![
-                        ("rid".to_owned(), Expr::col("instance_id")),
-                        ("rkind".to_owned(), Expr::col("kind")),
-                    ]),
-                    vec![("instance_id", "rid")],
-                    JoinKind::Inner,
-                ),
-        ),
-    ];
-    let exec = guava::relational::exec::Executor::new().threads(1);
-    let first_eval = |eval: &dyn Fn(&Database) -> Table| {
-        let mut generation = table.clone();
-        let mut g = INSTALLS;
-        median_secs_prepared(
-            || {
-                generation = install(&generation, g);
-                g += 1;
-                let mut db = Database::new("naive");
-                db.create_table(generation.clone()).unwrap();
-                db
-            },
-            |db| (eval(&db).len(), db),
-        )
-    };
-    for (name, plan) in plans {
-        let oracle = first_eval(&|db| plan.eval_materialized(db).unwrap());
-        let executor = first_eval(&|db| exec.execute(&plan, db).unwrap());
-        entries.push(bench_entry(
-            "storage",
-            format!("after_installs/{name}"),
-            table.len(),
-            executor,
-            oracle,
-        ));
-    }
-}
-
-fn bench_executor(fixture: &Fixture, fixture_size: usize, out_path: &str) {
-    heading("Executor benchmark — streaming `eval` vs materializing `eval_materialized`");
-    const DECODE_ROWS: usize = 4_000;
-    const JOIN_ROWS: usize = 8_000;
-    const PARALLEL_ROWS: usize = 200_000;
-    println!(
-        "  {:<16} {:<28} {:>10} {:>10} {:>10}",
-        "group", "bench", "mat (ms)", "stream(ms)", "speedup"
-    );
-    let mut entries = Vec::new();
-    bench_decode_section(&mut entries, DECODE_ROWS);
-    bench_join_section(&mut entries, JOIN_ROWS);
-    bench_etl_section(&mut entries, fixture);
-    println!(
-        "\n  {:<16} {:<21} {:<4} {:>9} {:>10} {:>8} {:>8}",
-        "group", "bench", "thr", "ser (ms)", "par (ms)", "vs ser", "vs mat"
-    );
-    let mut parallel = Vec::new();
-    bench_parallel_section(&mut parallel, PARALLEL_ROWS);
-    println!(
-        "\n  {:<16} {:<28} {:>10} {:>10} {:>10}",
-        "group", "bench", "mat (ms)", "stream(ms)", "speedup"
-    );
-    let mut vectorized = Vec::new();
-    bench_vectorized_section(&mut vectorized, PARALLEL_ROWS);
-    const BLOCKING_ROWS: usize = 200_000;
-    let mut blocking = Vec::new();
-    bench_blocking_section(&mut blocking, BLOCKING_ROWS);
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let scaling_valid = host_threads > 1;
-    const STORAGE_ROWS: usize = 200_000;
-    let mut storage = Vec::new();
-    bench_storage_section(&mut storage, STORAGE_ROWS);
-    if !scaling_valid {
-        println!(
-            "\n  WARNING: host exposes a single hardware thread; the parallel \
-             section's speedups measure scheduling overhead, not scaling \
-             (scaling_valid: false)."
-        );
-    }
-    let report = BenchReport {
-        description: "Streaming batch executor (Plan::eval) vs the materializing \
-                      interpreter it replaced (Plan::eval_materialized). Median wall \
-                      time per evaluation; rows/sec relative to input rows. The \
-                      `parallel` section is the threads axis: the same plans run \
-                      morsel-parallel (Executor::threads) at 2/4/8 \
-                      workers against serial-streaming and materializing baselines. \
-                      The `vectorized` section is the fused-pipeline axis: \
-                      the serial executor's lane masks and row walk vs the \
-                      interpreter over fused Select/Project plans. The `blocking` \
-                      section applies the same comparison to plans dominated by one \
-                      blocking operator (hash-join probe, grouped aggregation, \
-                      pivot, sort), isolating the lane-aware kernels from pipeline \
-                      fusion. The `storage` section is the resting-storage axis: \
-                      the same comparison over scan-bound plans (lane masks \
-                      over segment windows, zone-map segment pruning, \
-                      dictionary-coded strings), warm and — `after_installs/*` \
-                      — on the first evaluation of a fresh generation after \
-                      200 mixed installs.",
-        decode_rows: DECODE_ROWS,
-        join_rows: JOIN_ROWS,
-        parallel_rows: PARALLEL_ROWS,
-        blocking_rows: BLOCKING_ROWS,
-        storage_rows: STORAGE_ROWS,
-        fixture_size,
-        samples_per_measurement: BENCH_SAMPLES,
-        host_threads,
-        scaling_valid,
-        benches: entries,
-        parallel,
-        vectorized,
-        blocking,
-        storage,
-    };
-    let json = serde_json::to_string_pretty(&report).unwrap();
-    std::fs::write(out_path, json + "\n").unwrap();
-    println!("\nwrote {out_path}");
-}
-
-// ---------------------------------------------------------------------------
-// Refresh benchmark: incremental delta refresh vs full rebuild
-// ---------------------------------------------------------------------------
-//
-// `tables --bench-refresh` times the differential refresh machinery
-// (DESIGN.md §12) against from-scratch recomputation, at every layer:
-// `DeltaPlan::refresh` vs `Executor::execute`, the differential
-// `EtlWorkflow::run_incremental` vs `run_on`, and `StudyStore::refresh`
-// vs `StudyStore::build`. Each measurement first asserts the refreshed
-// state equals the rebuild byte for byte; results go to
-// `BENCH_refresh.json`.
-
-#[derive(serde::Serialize)]
-struct RefreshBenchEntry {
-    group: &'static str,
-    name: String,
-    base_rows: usize,
-    /// Row-level delta operations (deletes + inserts) applied between the
-    /// warmed state and the refreshed state.
-    delta_rows: usize,
-    delta_fraction: f64,
-    full_rebuild_ms: f64,
-    incremental_ms: f64,
-    speedup: f64,
-}
-
-/// One measurement on the `snapshot_install` axis: installing a new
-/// store generation from a fixed-size delta, persistent-table path vs a
-/// replica of the pre-refactor clone-based path. Entries carry their own
-/// `host_threads`/`scaling_valid` labels so curves recorded on different
-/// hosts are never naively compared.
-#[derive(serde::Serialize)]
-struct SnapshotInstallEntry {
-    group: &'static str,
-    name: String,
-    base_rows: usize,
-    delta_rows: usize,
-    /// Pre-refactor install: O(n) row-vector merge, full revalidation,
-    /// and primary-key rebuild (`TableDelta::apply` + `Table::from_rows`).
-    clone_install_ms: f64,
-    /// Shipped install: `StudyStore::refresh` over persistent tables —
-    /// retained chunks and sealed segments are shared, O(delta) allocated.
-    shared_install_ms: f64,
-    speedup: f64,
-    host_threads: usize,
-    scaling_valid: bool,
-}
-
-#[derive(serde::Serialize)]
-struct RefreshReport {
-    description: &'static str,
-    fixture_size: usize,
-    refresh_rows: usize,
-    samples_per_measurement: usize,
-    host_threads: usize,
-    /// Recorded for context, same flag as `BENCH_executor.json`. The
-    /// refresh comparisons themselves are serial-vs-serial, so they stay
-    /// meaningful on single-threaded hosts.
-    scaling_valid: bool,
-    benches: Vec<RefreshBenchEntry>,
-    /// The generation-install axis (DESIGN.md §18): fixed 100-row delta,
-    /// base growing 10k → 100k → 1M. Near-flat `shared_install_ms` is the
-    /// O(delta) claim.
-    snapshot_install: Vec<SnapshotInstallEntry>,
-}
-
-/// Median-of-N wall clock where each sample starts from a freshly
-/// prepared (untimed) state — refresh mutates the differential caches, so
-/// every timed run must begin from the same warmed snapshot, and the
-/// snapshot clone must not pollute the measurement. `run` returns
-/// `(out_rows, residue)`: the residue (consumed state, produced tables)
-/// is dropped **after** the clock stops, so neither side of the
-/// full-vs-incremental comparison is billed for deallocating
-/// harness-owned clones.
-fn median_secs_prepared<T, D>(
-    mut prepare: impl FnMut() -> T,
-    mut run: impl FnMut(T) -> (usize, D),
-) -> (f64, usize) {
-    let (out_rows, _residue) = run(prepare()); // warm-up
-    let mut samples: Vec<f64> = (0..BENCH_SAMPLES)
-        .map(|_| {
-            let state = prepare();
-            let t = std::time::Instant::now();
-            let (n, residue) = run(state);
-            std::hint::black_box(n);
-            let secs = t.elapsed().as_secs_f64();
-            drop(residue);
-            secs
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    (samples[samples.len() / 2], out_rows)
-}
-
-fn refresh_entry(
-    group: &'static str,
-    name: impl Into<String>,
-    base_rows: usize,
-    delta_rows: usize,
-    full_secs: f64,
-    inc_secs: f64,
-) -> RefreshBenchEntry {
-    let entry = RefreshBenchEntry {
-        group,
-        name: name.into(),
-        base_rows,
-        delta_rows,
-        delta_fraction: delta_rows as f64 / base_rows as f64,
-        full_rebuild_ms: full_secs * 1e3,
-        incremental_ms: inc_secs * 1e3,
-        speedup: full_secs / inc_secs,
-    };
-    println!(
-        "  {:<14} {:<26} {:>9} {:>7} {:>10.3} {:>10.3} {:>8.2}x",
-        entry.group,
-        entry.name,
-        entry.base_rows,
-        entry.delta_rows,
-        entry.full_rebuild_ms,
-        entry.incremental_ms,
-        entry.speedup
-    );
-    entry
-}
-
-/// Operator-level refresh: warmed `DeltaPlan`s over a CORI-scale table,
-/// refreshed after a ~1% update batch captured through a `DeltaCatalog`.
-fn bench_refresh_delta_plan(entries: &mut Vec<RefreshBenchEntry>, rows: usize) {
-    let exec = Executor::new();
-    let mut cat = Catalog::new();
-    let mut db = bench_naive_db(rows);
-    // Small dimension table joined on `count` — the differential hash join
-    // keeps this build side's index and re-probes only delta rows.
-    let codes: Vec<Row> = (0..100i64)
-        .map(|c| vec![Value::Int(c), Value::text(format!("code-{c:03}"))])
-        .collect();
-    db.create_table(
-        Table::from_rows(
-            Schema::new(
-                "codes",
-                vec![
-                    Column::required("code", DataType::Int),
-                    Column::new("label", DataType::Text),
-                ],
-            )
-            .unwrap()
-            .with_primary_key(&["code"])
-            .unwrap(),
-            codes,
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    cat.insert(db);
-    let plans: Vec<(&str, Plan)> = vec![
-        (
-            "audit_filter_funnel",
-            Plan::scan("form")
-                .select(Expr::col("count").ge(Expr::lit(25i64)))
-                .project_cols(&["instance_id", "flag", "count"])
-                .select(Expr::col("flag").eq(Expr::lit(true))),
-        ),
-        (
-            "hash_join_reprobe",
-            Plan::scan("form")
-                .join(
-                    Plan::scan("codes"),
-                    vec![("count", "code")],
-                    JoinKind::Inner,
-                )
-                .select(Expr::col("flag").eq(Expr::lit(true))),
-        ),
-        (
-            "group_by_agg",
-            Plan::scan("form").aggregate(
-                &["flag"],
-                vec![
-                    Aggregate {
-                        func: AggFunc::CountAll,
-                        alias: "n".into(),
-                    },
-                    Aggregate {
-                        func: AggFunc::Sum("count".into()),
-                        alias: "total".into(),
-                    },
-                ],
-            ),
-        ),
-    ];
-    let warmed: Vec<DeltaPlan> = plans
-        .iter()
-        .map(|(_, p)| DeltaPlan::init(p, cat.database("naive").unwrap(), &exec).unwrap())
-        .collect();
-    // Update every 200th report (0.5% of rows → 1% of rows as delete +
-    // re-insert delta operations).
-    let mut dc = DeltaCatalog::new(cat);
-    dc.update_where(
-        "naive",
-        "form",
-        |r| r[0].as_i64().is_some_and(|id| id % 200 == 0),
-        |r| r[2] = Value::Int(7),
-    )
-    .unwrap();
-    let deltas = dc.take_deltas();
-    let d = deltas.get("naive", "form").unwrap();
-    let delta_rows = d.rows_changed();
-    let mut changes = TableChanges::new();
-    changes.set("form", d.to_change());
-    let cat = dc.into_inner();
-    let db = cat.database("naive").unwrap();
-    for ((name, plan), warm) in plans.iter().zip(&warmed) {
-        let mut check = warm.clone();
-        check.refresh(db, &changes, &exec).unwrap();
-        let rebuilt = exec.execute(plan, db).unwrap();
-        assert_eq!(
-            check.output().unwrap(),
-            rebuilt,
-            "refresh/{name}: refresh != rebuild"
-        );
-        let (full_secs, _) = median_secs_prepared(
-            || (),
-            |()| {
-                let t = exec.execute(plan, db).unwrap();
-                (t.len(), t)
-            },
-        );
-        let (inc_secs, _) = median_secs_prepared(
-            || warm.clone(),
-            |mut dp| {
-                dp.refresh(db, &changes, &exec).unwrap();
-                (dp.len(), dp)
-            },
-        );
-        entries.push(refresh_entry(
-            "delta_plan",
-            *name,
-            rows,
-            delta_rows,
-            full_secs,
-            inc_secs,
-        ));
-    }
-}
-
-/// Sub-linearity axis: a fixed ~100-updated-row delta (1% of the smallest
-/// base) refreshed at 10k/100k/1M base rows. If delta application is
-/// O(delta·log n) (DESIGN.md §15), incremental time should stay nearly
-/// flat as the base grows 100×, while the full rebuild grows linearly —
-/// so the speedup curve should steepen with base size. Entries carry
-/// `base_rows`/`delta_rows` so the curve can be plotted straight from the
-/// JSON.
-///
-/// Unlike the `delta_plan` group (which restores a cloned warm snapshot
-/// per sample), this axis measures a *streaming* refresh: one long-lived
-/// `DeltaPlan` per plan absorbs a sequence of successive delta batches,
-/// and each `refresh` call is timed individually. That is the
-/// live-subscription shape the sub-linearity claim is about, and it keeps
-/// the measurement free of the per-sample snapshot-clone cost, which is
-/// O(base) in the harness but never paid by a resident plan. Every round
-/// also asserts the refreshed output equals a from-scratch execution.
-fn bench_refresh_delta_scaling(entries: &mut Vec<RefreshBenchEntry>) {
-    let exec = Executor::new();
-    const BASES: [usize; 3] = [10_000, 100_000, 1_000_000];
-    // One updated row per `base / 100` ids → ~100 updates (200 delta
-    // operations) at every base size.
-    for rows in BASES {
-        let stride = rows as i64 / 100;
-        let mut cat = Catalog::new();
-        cat.insert(bench_naive_db(rows));
-        let plans: Vec<(&str, Plan)> = vec![
-            (
-                "select_funnel",
-                Plan::scan("form")
-                    .select(Expr::col("count").ge(Expr::lit(25i64)))
-                    .project_cols(&["instance_id", "flag", "count"])
-                    .select(Expr::col("flag").eq(Expr::lit(true))),
-            ),
-            (
-                "group_by_agg",
-                Plan::scan("form").aggregate(
-                    &["flag"],
-                    vec![
-                        Aggregate {
-                            func: AggFunc::CountAll,
-                            alias: "n".into(),
-                        },
-                        Aggregate {
-                            func: AggFunc::Sum("count".into()),
-                            alias: "total".into(),
-                        },
-                    ],
-                ),
-            ),
-        ];
-        let mut live: Vec<DeltaPlan> = plans
-            .iter()
-            .map(|(_, p)| DeltaPlan::init(p, cat.database("naive").unwrap(), &exec).unwrap())
-            .collect();
-        let mut delta_rows = 0usize;
-        let mut full_samples: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
-        let mut inc_samples: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
-        // One warm-up round, then BENCH_SAMPLES timed rounds. Each round
-        // amends the same ~100 ids to a fresh value, so every batch is a
-        // real edit captured against the current table state.
-        for round in 0..=BENCH_SAMPLES {
-            let mut dc = DeltaCatalog::new(cat);
-            dc.update_where(
-                "naive",
-                "form",
-                |r| r[0].as_i64().is_some_and(|id| id % stride == 0),
-                |r| r[2] = Value::Int(7 + round as i64),
-            )
-            .unwrap();
-            let deltas = dc.take_deltas();
-            let d = deltas.get("naive", "form").unwrap();
-            delta_rows = d.rows_changed();
-            let mut changes = TableChanges::new();
-            changes.set("form", d.to_change());
-            cat = dc.into_inner();
-            let db = cat.database("naive").unwrap();
-            for (i, ((name, plan), dp)) in plans.iter().zip(live.iter_mut()).enumerate() {
-                let t = std::time::Instant::now();
-                dp.refresh(db, &changes, &exec).unwrap();
-                std::hint::black_box(dp.len());
-                let inc = t.elapsed().as_secs_f64();
-                let t = std::time::Instant::now();
-                let rebuilt = exec.execute(plan, db).unwrap();
-                std::hint::black_box(rebuilt.len());
-                let full = t.elapsed().as_secs_f64();
-                assert_eq!(
-                    dp.output().unwrap(),
-                    rebuilt,
-                    "delta_scaling/{name}@{rows}: refresh != rebuild"
-                );
-                if round > 0 {
-                    inc_samples[i].push(inc);
-                    full_samples[i].push(full);
-                }
+            let value = args.next().ok_or(format!("`{flag}` needs a value"))?;
+            let n = value
+                .parse()
+                .ok()
+                .filter(|n| range.contains(n))
+                .ok_or(format!("invalid value `{value}` for `{flag}`"))?;
+            if slot.replace(n).is_some() {
+                return Err(format!("`{flag}` given twice"));
             }
         }
-        let median = |mut v: Vec<f64>| -> f64 {
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
-        for (i, (name, _)) in plans.iter().enumerate() {
-            entries.push(refresh_entry(
-                "delta_scaling",
-                format!("{name}_{}k", rows / 1000),
-                rows,
-                delta_rows,
-                median(full_samples[i].clone()),
-                median(inc_samples[i].clone()),
-            ));
-        }
+        Ok(req)
     }
-}
-
-/// Workflow-level refresh: the compiled Study-1 ETL re-run after ~1% of
-/// CORI's live reports are amended through the audit pattern, with the
-/// per-component caches warm — against a full `run_on` rebuild.
-fn bench_refresh_etl(entries: &mut Vec<RefreshBenchEntry>, fixture: &Fixture) {
-    let exec = Executor::new();
-    let study = study1_definition(&fixture.contributors);
-    let compiled = compile(&study, &study_schema(), &registry(), &fixture.bindings()).unwrap();
-    let input_rows: usize = fixture
-        .contributors
-        .iter()
-        .map(|c| c.physical.total_rows())
-        .sum();
-    // Cold incremental run warms the per-component caches.
-    let mut cat = fixture.catalog();
-    let mut cache = WorkflowCache::new();
-    compiled
-        .workflow
-        .run_incremental(&mut cat, &DeltaSet::new(), &mut cache, &exec)
-        .unwrap();
-    // Amend ~1% of CORI's reports (tombstone + amended re-insert each).
-    let t = cat
-        .database("cori")
-        .unwrap()
-        .table(cori::PHYSICAL_TABLE)
-        .unwrap();
-    let id_idx = t.schema().index_of("instance_id").unwrap();
-    let ids: Vec<i64> = t
-        .rows()
-        .iter()
-        .filter_map(|r| r[id_idx].as_i64())
-        .filter(|id| id % 97 == 0)
-        .collect();
-    let mut dc = DeltaCatalog::new(cat);
-    cori_amend_reports(&mut dc, "cori", &ids, "benchmark follow-up note").unwrap();
-    let deltas = dc.take_deltas();
-    let delta_rows = deltas
-        .get("cori", cori::PHYSICAL_TABLE)
-        .map_or(0, |d| d.rows_changed());
-    let post = dc.into_inner();
-    // Refreshed catalog must equal the rebuilt one on every target table.
-    let mut check_cat = post.clone();
-    let mut check_cache = cache.clone();
-    compiled
-        .workflow
-        .run_incremental(&mut check_cat, &deltas, &mut check_cache, &exec)
-        .unwrap();
-    let mut full_cat = post.clone();
-    compiled.workflow.run_on(&mut full_cat, &exec).unwrap();
-    for comp in compiled.workflow.stages.iter().flat_map(|s| &s.components) {
-        assert_eq!(
-            check_cat
-                .database(&comp.target_db)
-                .unwrap()
-                .table(&comp.target_table)
-                .unwrap(),
-            full_cat
-                .database(&comp.target_db)
-                .unwrap()
-                .table(&comp.target_table)
-                .unwrap(),
-            "refresh/etl: `{}` diverged from rebuild",
-            comp.target_table
-        );
-    }
-    let (full_secs, _) = median_secs_prepared(
-        || post.clone(),
-        |mut c| {
-            let runs = compiled.workflow.run_on(&mut c, &exec).unwrap();
-            (runs.iter().map(|r| r.rows_out).sum(), c)
-        },
-    );
-    let (inc_secs, _) = median_secs_prepared(
-        || (post.clone(), cache.clone()),
-        |(mut c, mut ch)| {
-            let runs = compiled
-                .workflow
-                .run_incremental(&mut c, &deltas, &mut ch, &exec)
-                .unwrap();
-            (runs.iter().map(|r| r.rows_out).sum(), (c, ch))
-        },
-    );
-    entries.push(refresh_entry(
-        "etl_workflow",
-        "study1_incremental",
-        input_rows,
-        delta_rows,
-        full_secs,
-        inc_secs,
-    ));
-}
-
-/// Warehouse-level refresh: a fully-materialized CORI study store patched
-/// in place after 1% of its naïve rows are retired — against rebuilding
-/// the store (re-running every classifier on every row).
-fn bench_refresh_store(entries: &mut Vec<RefreshBenchEntry>, fixture: &Fixture) {
-    let c = fixture.cori();
-    let naive_form = c
-        .stack
-        .query(&c.physical, &Plan::scan("procedure"))
-        .unwrap();
-    let schema = study_schema();
-    let all_cls = classifiers::cori();
-    let bound: Vec<BoundClassifier> = all_cls
-        .iter()
-        .filter(|cl| matches!(cl.target, Target::Domain { .. }))
-        .take(5)
-        .map(|cl| cl.bind(&c.tree, &schema).unwrap())
-        .collect();
-    let entity = all_cls
-        .iter()
-        .find(|cl| matches!(cl.target, Target::Entity { .. }))
-        .unwrap()
-        .bind(&c.tree, &schema)
-        .unwrap();
-    let refs: Vec<&BoundClassifier> = bound.iter().collect();
-    let store = StudyStore::build(
-        "cori",
-        naive_form.clone(),
-        &entity,
-        &refs,
-        MaterializationPolicy::Full,
-    )
-    .unwrap();
-    // Retire every 100th instance, captured as a delta over the naïve form.
-    let tname = naive_form.schema().name.clone();
-    let id_idx = naive_form.schema().index_of("instance_id").unwrap();
-    let mut scratch = Catalog::new();
-    let mut db = Database::new("w");
-    db.create_table(naive_form.clone()).unwrap();
-    scratch.insert(db);
-    let mut dc = DeltaCatalog::new(scratch);
-    dc.delete_where("w", &tname, |r| {
-        r[id_idx].as_i64().is_some_and(|id| id % 100 == 0)
-    })
-    .unwrap();
-    let deltas = dc.take_deltas();
-    let d = deltas.get("w", &tname).unwrap();
-    let post_naive = dc
-        .catalog()
-        .database("w")
-        .unwrap()
-        .table(&tname)
-        .unwrap()
-        .clone();
-    let mut check = store.clone();
-    check.refresh(d, &entity, &refs).unwrap();
-    let rebuilt = StudyStore::build(
-        "cori",
-        post_naive.clone(),
-        &entity,
-        &refs,
-        MaterializationPolicy::Full,
-    )
-    .unwrap();
-    assert_eq!(check, rebuilt, "refresh/store: refresh != rebuild");
-    let (full_secs, _) = median_secs_prepared(
-        || post_naive.clone(),
-        |t| {
-            let s =
-                StudyStore::build("cori", t, &entity, &refs, MaterializationPolicy::Full).unwrap();
-            (s.naive_form.len(), s)
-        },
-    );
-    let (inc_secs, _) = median_secs_prepared(
-        || store.clone(),
-        |mut s| {
-            s.refresh(d, &entity, &refs).unwrap();
-            (s.naive_form.len(), s)
-        },
-    );
-    entries.push(refresh_entry(
-        "study_store",
-        "cori_full_policy",
-        naive_form.len(),
-        d.rows_changed(),
-        full_secs,
-        inc_secs,
-    ));
-}
-
-/// Generation-install axis (DESIGN.md §18): the cost of *installing* a
-/// new store generation from a fixed 100-row delta (50 retired + 50 new
-/// procedures) as the base grows 10k → 100k → 1M.
-///
-/// `shared_install_ms` is the shipped path — `StudyStore::refresh` over
-/// persistent tables, where every retained chunk and sealed segment of
-/// the previous generation is shared and only O(delta) state (delete
-/// masks, the inserted tail chunk, index overlay patches) is allocated.
-/// `clone_install_ms` is a faithful bench-local replica of the
-/// pre-refactor install: merge the full row vector (`TableDelta::apply`),
-/// revalidate and re-index it with `Table::from_rows`, and rebuild the
-/// materialized table's retained rows the same way. If installs are
-/// O(delta), the shared curve stays near-flat across the 100× base
-/// growth while the clone curve grows linearly. Both paths are asserted
-/// byte-identical before timing.
-fn bench_snapshot_install(
-    entries: &mut Vec<SnapshotInstallEntry>,
-    host_threads: usize,
-    scaling_valid: bool,
-) {
-    use std::collections::HashSet;
-    use std::sync::Arc;
-
-    const BASES: [usize; 3] = [10_000, 100_000, 1_000_000];
-    // The Procedure warehouse fixture from the service suites: a
-    // surgery-only entity guard plus one Smoking domain classifier,
-    // materialized under the Full policy so the install patches both the
-    // naïve form and the study table.
-    let form = FormDef::new(
-        "Procedure",
-        "Procedure",
-        vec![
-            Control::numeric("PacksPerDay", "Packs per day", DataType::Int),
-            Control::check_box("SurgeryPerformed", "Surgery?"),
-        ],
-    );
-    let tool = ReportingTool::new("cori", "1.0", vec![form.clone()]);
-    let tree = GTree::derive(&tool).unwrap();
-    let schema = StudySchema::new(
-        "s",
-        EntityDef::new("Procedure").with_attribute(AttributeDef::new(
-            "Smoking",
-            vec![Domain::categorical(
-                "class",
-                "classes",
-                &["None", "Light", "Heavy"],
-            )],
-        )),
-    );
-    let bind = |name: &str, target: Target, rules: &[&str]| {
-        Classifier::parse_rules(name, "cori", "", target, rules)
-            .unwrap()
-            .bind(&tree, &schema)
-            .unwrap()
-    };
-    let entity = bind(
-        "Surgery Only",
-        Target::Entity {
-            entity: "Procedure".into(),
-        },
-        &["Procedure <- Procedure AND SurgeryPerformed = TRUE"],
-    );
-    let c_class = bind(
-        "C_class",
-        Target::Domain {
-            entity: "Procedure".into(),
-            attribute: "Smoking".into(),
-            domain: "class".into(),
-        },
-        &[
-            "'None' <- PacksPerDay = 0",
-            "'Light' <- PacksPerDay < 2",
-            "'Heavy' <- PacksPerDay >= 2",
-        ],
-    );
-    let refs: Vec<&BoundClassifier> = vec![&c_class];
-
-    // Pre-refactor clone-based install, replicated faithfully: O(n) row
-    // merge + revalidation + primary-key rebuild on both tables.
-    let clone_install = |store: &StudyStore, delta: &TableDelta| -> StudyStore {
-        let naive_schema = store.naive_form.schema();
-        let merged = delta.apply(store.naive_form.rows());
-        let new_naive = Table::from_rows(naive_schema.clone(), merged).unwrap();
-        let mut out = store.clone();
-        if let Some(m) = &store.materialized {
-            let iid = naive_schema.index_of("instance_id").unwrap();
-            let dropped: HashSet<&Value> = delta.deleted.iter().map(|(_, r)| &r[iid]).collect();
-            let inserted = Table::from_rows(naive_schema.clone(), delta.inserted.clone()).unwrap();
-            let fresh = materialize(&store.source, &inserted, &entity, &refs).unwrap();
-            let mut rows: Vec<Row> = Vec::with_capacity(m.table.len() + fresh.table.len());
-            for row in m.table.rows() {
-                if !dropped.contains(&row[0]) {
-                    rows.push(row.clone());
-                }
-            }
-            rows.extend(fresh.table.rows().iter().cloned());
-            let table = Table::from_rows(m.table.schema().clone(), rows).unwrap();
-            let mut patched = m.clone();
-            patched.table = Arc::new(table);
-            out.materialized = Some(patched);
-        }
-        out.naive_form = Arc::new(new_naive);
-        out
-    };
-
-    for rows in BASES {
-        let seed: Vec<Row> = (0..rows as i64)
-            .map(|i| {
-                vec![
-                    Value::Int(i + 1),
-                    Value::Int(i % 4),
-                    Value::Bool(i % 3 != 0),
-                ]
-            })
-            .collect();
-        let naive = Table::from_rows(form.naive_schema(), seed).unwrap();
-        let base =
-            StudyStore::build("cori", naive, &entity, &refs, MaterializationPolicy::Full).unwrap();
-        // The fixed delta: retire the 50 oldest procedures, report 50 new
-        // ones — 100 row operations regardless of base size.
-        let delta = TableDelta {
-            pre_len: rows,
-            deleted: (0..50)
-                .map(|p| (p, base.naive_form.row_at(p).unwrap().clone()))
-                .collect(),
-            inserted: (0..50i64)
-                .map(|i| {
-                    vec![
-                        Value::Int(rows as i64 + i + 1),
-                        Value::Int(i % 4),
-                        Value::Bool(true),
-                    ]
-                })
-                .collect(),
-        };
-        // Byte-identity of the two install paths, before timing either.
-        let mut shared = base.clone();
-        shared.refresh(&delta, &entity, &refs).unwrap();
-        let cloned = clone_install(&base, &delta);
-        assert_eq!(
-            shared, cloned,
-            "snapshot_install@{rows}: shared-structure install != clone install"
-        );
-
-        let (clone_secs, _) = median_secs_prepared(
-            || base.clone(),
-            |s| {
-                let out = clone_install(&s, &delta);
-                (out.naive_form.len(), (s, out))
-            },
-        );
-        let (shared_secs, _) = median_secs_prepared(
-            || base.clone(),
-            |mut s| {
-                s.refresh(&delta, &entity, &refs).unwrap();
-                (s.naive_form.len(), s)
-            },
-        );
-        let entry = SnapshotInstallEntry {
-            group: "snapshot_install",
-            name: format!("store_install_{}k", rows / 1000),
-            base_rows: rows,
-            delta_rows: delta.rows_changed(),
-            clone_install_ms: clone_secs * 1e3,
-            shared_install_ms: shared_secs * 1e3,
-            speedup: clone_secs / shared_secs,
-            host_threads,
-            scaling_valid,
-        };
-        println!(
-            "  {:<14} {:<26} {:>9} {:>7} {:>10.3} {:>10.3} {:>8.2}x",
-            entry.group,
-            entry.name,
-            entry.base_rows,
-            entry.delta_rows,
-            entry.clone_install_ms,
-            entry.shared_install_ms,
-            entry.speedup
-        );
-        entries.push(entry);
-    }
-}
-
-/// Service-level refresh: a warehouse `Engine` (DESIGN.md §16) serving
-/// eight live subscriptions (four plans × two clients) while four
-/// concurrent reader sessions query it, measured against the re-poll
-/// strategy — an identical engine with no subscribers whose clients
-/// re-run every plan from scratch after each refresh, one execution per
-/// client. Both engines absorb the same mutation sequence in
-/// lockstep, so every cycle compares push delivery (update with resident
-/// `DeltaPlan`s + client-side `sync`) with poll delivery (update +
-/// full re-execution of each plan) on byte-identical state. Every round
-/// asserts each subscription mirror equals a from-scratch re-query on
-/// the post-refresh snapshot, and that both engines agree.
-///
-/// The `deliver_*` entries break the cycle down per plan from the
-/// client's view: applying the pushed delta (`sync`) vs re-running the
-/// plan. The server-side refresh cost is shared across subscribers, so
-/// only the `push_cycle` entry charges it.
-fn bench_refresh_service(entries: &mut Vec<RefreshBenchEntry>, rows: usize) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    // The clinic Procedure warehouse from the service suite, at bench
-    // scale: a surgery-only entity guard (so updates move instances in
-    // and out of the study) plus two Smoking domain classifiers.
-    let form = FormDef::new(
-        "Procedure",
-        "Procedure",
-        vec![
-            Control::numeric("PacksPerDay", "Packs per day", DataType::Int),
-            Control::check_box("SurgeryPerformed", "Surgery?"),
-        ],
-    );
-    let tool = ReportingTool::new("cori", "1.0", vec![form.clone()]);
-    let tree = GTree::derive(&tool).unwrap();
-    let schema = StudySchema::new(
-        "s",
-        EntityDef::new("Procedure").with_attribute(AttributeDef::new(
-            "Smoking",
-            vec![
-                Domain::categorical("class", "classes", &["None", "Light", "Heavy"]),
-                Domain::new(
-                    "packs",
-                    "packs/day",
-                    DomainSpec::Integer {
-                        min: Some(0),
-                        max: None,
-                    },
-                ),
-            ],
-        )),
-    );
-    let bind = |name: &str, target: Target, rules: &[&str]| {
-        Classifier::parse_rules(name, "cori", "", target, rules)
-            .unwrap()
-            .bind(&tree, &schema)
-            .unwrap()
-    };
-    let entity = bind(
-        "Surgery Only",
-        Target::Entity {
-            entity: "Procedure".into(),
-        },
-        &["Procedure <- Procedure AND SurgeryPerformed = TRUE"],
-    );
-    let dom = |d: &str| Target::Domain {
-        entity: "Procedure".into(),
-        attribute: "Smoking".into(),
-        domain: d.into(),
-    };
-    let c_class = bind(
-        "C_class",
-        dom("class"),
-        &[
-            "'None' <- PacksPerDay = 0",
-            "'Light' <- PacksPerDay < 2",
-            "'Heavy' <- PacksPerDay >= 2",
-        ],
-    );
-    let c_packs = bind(
-        "C_packs",
-        dom("packs"),
-        &["PacksPerDay <- PacksPerDay IS ANSWERED"],
-    );
-    let seed: Vec<Row> = (0..rows as i64)
-        .map(|i| {
-            vec![
-                Value::Int(i + 1),
-                Value::Int(i % 4),
-                Value::Bool(i % 3 != 0),
-            ]
-        })
-        .collect();
-    let naive = Table::from_rows(form.naive_schema(), seed).unwrap();
-    let build = || {
-        Engine::build(
-            "cori",
-            naive.clone(),
-            &entity,
-            &[&c_class, &c_packs],
-            EngineConfig::default(),
-        )
-        .unwrap()
-    };
-    let push_engine = build();
-    let poll_engine = build();
-    const STUDY: &str = "cori__Surgery_Only";
-    // Four distinct plans, each subscribed by two clients (8 live
-    // subscriptions): the poll side pays one full re-execution *per
-    // client*, the push side refreshes each resident plan once per
-    // subscription at O(delta · log n). All four are incrementally
-    // maintainable; a both-sides-changing join would hit the §15 D3
-    // rebuild fallback every round (study membership churns with the
-    // guard flips) and measure the fallback, not delivery — that shape
-    // is covered for correctness in tests/service_api.rs instead.
-    let plans: Vec<(&str, Plan)> = vec![
-        (
-            "guard_filter",
-            Plan::scan("Procedure").select(Expr::col("SurgeryPerformed").eq(Expr::lit(true))),
-        ),
-        (
-            "packs_funnel",
-            Plan::scan("Procedure")
-                .select(Expr::col("PacksPerDay").ge(Expr::lit(2i64)))
-                .project_cols(&["instance_id", "PacksPerDay"]),
-        ),
-        (
-            "study_heavy",
-            Plan::scan(STUDY).select(Expr::col("C_class").eq(Expr::lit("Heavy"))),
-        ),
-        (
-            "study_group_agg",
-            Plan::scan(STUDY).aggregate(
-                &["C_class"],
-                vec![
-                    Aggregate {
-                        func: AggFunc::CountAll,
-                        alias: "n".into(),
-                    },
-                    Aggregate {
-                        func: AggFunc::Sum("C_packs".into()),
-                        alias: "packs".into(),
-                    },
-                ],
-            ),
-        ),
-    ];
-    const CLIENTS_PER_PLAN: usize = 2;
-    let session = push_engine.session();
-    // subs[i] subscribes plans[i / CLIENTS_PER_PLAN].
-    let mut subs: Vec<Subscription> = plans
-        .iter()
-        .flat_map(|(_, p)| {
-            (0..CLIENTS_PER_PLAN)
-                .map(|_| session.subscribe(p).unwrap())
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
-    let mut delta_rows = 0usize;
-    let mut full_cycle: Vec<f64> = Vec::new();
-    let mut push_cycle: Vec<f64> = Vec::new();
-    let mut full_deliver: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
-    let mut push_deliver: Vec<Vec<f64>> = vec![Vec::new(); plans.len()];
-
-    // Four reader sessions stay live on the serviced engine for the
-    // whole benchmark, querying across generation swaps. Snapshot
-    // isolation means they never block (or get blocked by) the writer;
-    // they are here to prove liveness, and they load both sides of the
-    // comparison equally since the rounds interleave.
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let engine = push_engine.clone();
-                let stop = &stop;
-                s.spawn(move || {
-                    let session = engine.session();
-                    let probe = Plan::scan("Procedure").limit(64);
-                    let mut reads = 0usize;
-                    let mut last_gen = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let g = session.generation();
-                        assert!(g >= last_gen, "session generation went backwards");
-                        last_gen = g;
-                        let t = session.query(&probe).unwrap();
-                        std::hint::black_box(t.len());
-                        reads += 1;
-                    }
-                    (reads, last_gen)
-                })
-            })
-            .collect();
-
-        // One warm-up round, then BENCH_SAMPLES timed rounds. Each round
-        // amends ~1% of reports (new packs value + surgery-guard flip, so
-        // study membership churns) captured through Engine::update — a
-        // real edit against the current generation, applied to both
-        // engines in lockstep.
-        for round in 0..=BENCH_SAMPLES {
-            let packs = Value::Int(round as i64 % 4);
-            let mutate = |cat: &mut DeltaCatalog| {
-                cat.update_where(
-                    "cori",
-                    "Procedure",
-                    |r| r[0].as_i64().is_some_and(|id| id % 100 == 0),
-                    |r| {
-                        r[1] = packs.clone();
-                        r[2] = match r[2] {
-                            Value::Bool(b) => Value::Bool(!b),
-                            _ => Value::Bool(true),
-                        };
-                    },
-                )
-            };
-
-            // Push delivery: one refresh fans byte-exact deltas out to
-            // every resident plan; clients apply them with `sync`.
-            let t0 = std::time::Instant::now();
-            let (changed, generation) = push_engine.update(mutate).unwrap();
-            let update_secs = t0.elapsed().as_secs_f64();
-            let mut sync_secs = vec![0f64; subs.len()];
-            for (i, sub) in subs.iter_mut().enumerate() {
-                let t = std::time::Instant::now();
-                let applied = sub.sync().unwrap();
-                sync_secs[i] = t.elapsed().as_secs_f64();
-                assert_eq!(applied, 1, "service: one event per generation");
-                assert_eq!(sub.generation(), generation);
-            }
-            let push_secs = update_secs + sync_secs.iter().sum::<f64>();
-            delta_rows = changed * 2; // tombstone + amended re-insert each
-
-            // Poll delivery: same refresh on the subscriber-free engine,
-            // then every client re-runs its plan from scratch — one full
-            // execution per subscriber, that being the point of pushing.
-            let t0 = std::time::Instant::now();
-            poll_engine.update(mutate).unwrap();
-            let poll_session = poll_engine.session();
-            let mut query_secs = vec![0f64; plans.len()];
-            let mut polled: Vec<Table> = Vec::with_capacity(plans.len());
-            for (i, (_, p)) in plans.iter().enumerate() {
-                for client in 0..CLIENTS_PER_PLAN {
-                    let t = std::time::Instant::now();
-                    let out = poll_session.query(p).unwrap();
-                    if client == 0 {
-                        query_secs[i] = t.elapsed().as_secs_f64();
-                        polled.push(out);
-                    } else {
-                        std::hint::black_box(out.len());
-                    }
-                }
-            }
-            let poll_secs = t0.elapsed().as_secs_f64();
-
-            // Byte-identity: each mirror equals a from-scratch re-query
-            // on the post-refresh snapshot, and both engines agree.
-            let check = push_engine.session();
-            for (i, sub) in subs.iter().enumerate() {
-                let (name, plan) = &plans[i / CLIENTS_PER_PLAN];
-                let requeried = check.query(plan).unwrap();
-                assert_eq!(
-                    sub.rows(),
-                    requeried.rows(),
-                    "service/{name}: pushed stream != re-query"
-                );
-                assert_eq!(
-                    sub.rows(),
-                    polled[i / CLIENTS_PER_PLAN].rows(),
-                    "service/{name}: engines diverged"
-                );
-            }
-            if round > 0 {
-                push_cycle.push(push_secs);
-                full_cycle.push(poll_secs);
-                for i in 0..plans.len() {
-                    push_deliver[i].push(sync_secs[i * CLIENTS_PER_PLAN]);
-                    full_deliver[i].push(query_secs[i]);
-                }
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        for reader in readers {
-            let (reads, last_gen) = reader.join().unwrap();
-            assert!(reads > 0, "service: reader session starved");
-            assert!(last_gen > 0, "service: reader never saw a new generation");
-        }
-    });
-
-    let median = |mut v: Vec<f64>| -> f64 {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    entries.push(refresh_entry(
-        "service",
-        "push_cycle_8subs_4sessions",
-        rows,
-        delta_rows,
-        median(full_cycle),
-        median(push_cycle),
-    ));
-    for (i, (name, _)) in plans.iter().enumerate() {
-        entries.push(refresh_entry(
-            "service",
-            format!("deliver_{name}"),
-            rows,
-            delta_rows,
-            median(full_deliver[i].clone()),
-            median(push_deliver[i].clone()),
-        ));
-    }
-}
-
-fn bench_refresh(fixture_size: usize, out_path: &str) {
-    heading("Refresh benchmark — incremental delta refresh vs full rebuild");
-    const REFRESH_ROWS: usize = 100_000;
-    let fixture = &Fixture::new(fixture_size);
-    println!(
-        "  {:<14} {:<26} {:>9} {:>7} {:>10} {:>10} {:>9}",
-        "group", "bench", "base", "delta", "full (ms)", "incr (ms)", "speedup"
-    );
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let scaling_valid = host_threads > 1;
-    let mut entries = Vec::new();
-    bench_refresh_delta_plan(&mut entries, REFRESH_ROWS);
-    bench_refresh_delta_scaling(&mut entries);
-    bench_refresh_etl(&mut entries, fixture);
-    bench_refresh_store(&mut entries, fixture);
-    bench_refresh_service(&mut entries, REFRESH_ROWS);
-    let mut install_entries = Vec::new();
-    bench_snapshot_install(&mut install_entries, host_threads, scaling_valid);
-    let report = RefreshReport {
-        description: "Incremental warehouse refresh (DESIGN.md §12) vs full rebuild, \
-                      median wall time per run from a warmed differential state. \
-                      `delta_plan` refreshes cached operator state through \
-                      DeltaPlan::refresh against Executor::execute on the post-delta \
-                      database; `delta_scaling` holds the delta fixed (~100 updated \
-                      rows) while the base grows 10k -> 100k -> 1M, streaming \
-                      successive batches through one resident DeltaPlan per plan to \
-                      measure the sub-linearity of delta application (DESIGN.md §15); \
-                      `etl_workflow` re-runs the compiled Study-1 pipeline \
-                      through EtlWorkflow::run_incremental (warm per-component \
-                      caches) against run_on; `study_store` patches a fully \
-                      materialized StudyStore in place via StudyStore::refresh \
-                      against StudyStore::build; `service` runs a warehouse \
-                      Engine (DESIGN.md §16) with four live subscriptions and \
-                      four concurrent reader sessions against an identical \
-                      subscriber-free engine re-polled from scratch after every \
-                      refresh, in mutation lockstep; `snapshot_install` holds a \
-                      100-row delta fixed while the base grows 10k -> 100k -> 1M \
-                      and times installing the next store generation over \
-                      persistent (structure-shared) tables against a replica of \
-                      the pre-refactor clone-based install (DESIGN.md \u{a7}18). \
-                      Every measurement asserts the refreshed state is \
-                      byte-identical to the rebuild first.",
-        fixture_size,
-        refresh_rows: REFRESH_ROWS,
-        samples_per_measurement: BENCH_SAMPLES,
-        host_threads,
-        scaling_valid,
-        benches: entries,
-        snapshot_install: install_entries,
-    };
-    let json = serde_json::to_string_pretty(&report).unwrap();
-    std::fs::write(out_path, json + "\n").unwrap();
-    println!("\nwrote {out_path}");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let pick = |flag: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    let n = pick("--size").unwrap_or(400);
-    let fixture = Fixture::new(n);
-
-    let figure = pick("--figure");
-    let table = pick("--table");
-    let study = pick("--study");
-    let hypothesis = pick("--hypothesis");
-    let bench_exec = args.iter().any(|a| a == "--bench-executor");
-    let bench_refresh_flag = args.iter().any(|a| a == "--bench-refresh");
-    let all = figure.is_none()
-        && table.is_none()
-        && study.is_none()
-        && hypothesis.is_none()
-        && !bench_exec
-        && !bench_refresh_flag;
-
-    let out_arg = |default: &'static str| -> String {
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    };
-
-    if bench_exec {
-        bench_executor(&fixture, n, &out_arg("BENCH_executor.json"));
-        return;
-    }
-
-    if bench_refresh_flag {
-        // CORI-scale by default: 4000 procedures per contributor, an order
-        // of magnitude above the artifact-regeneration fixture.
-        bench_refresh(
-            pick("--size").unwrap_or(4000),
-            &out_arg("BENCH_refresh.json"),
-        );
-        return;
-    }
+    let Request {
+        size,
+        figure,
+        table,
+        study,
+        hypothesis,
+    } = Request::parse(&args).unwrap_or_else(|err| {
+        eprint!("tables: {err}\n\n{USAGE}");
+        std::process::exit(2)
+    });
+    let fixture = Fixture::new(size.unwrap_or(400));
+    let all = figure.is_none() && table.is_none() && study.is_none() && hypothesis.is_none();
 
     if all || figure == Some(1) {
         figure1(&fixture);

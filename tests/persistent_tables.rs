@@ -345,3 +345,86 @@ fn single_row_catalog_inserts_and_audit_revisions_stay_within_the_layout_bounds(
         Value::text("amended")
     );
 }
+
+/// What one install builds and ships does not grow with the table: the
+/// same update — insert a report, amend one in the middle, retire the
+/// oldest — over 2 000 and over 100 000 base reports builds the same few
+/// chunks for the naïve form and the study table, and pushes each
+/// standing query the same patch. The larger base spans several
+/// `SEGMENT_ROWS` chunks, so a clone-based install, which builds every
+/// chunk of both tables again, would count more there; a re-poll would
+/// ship whole results. These are counts, not timings, so they hold on any
+/// host.
+#[test]
+fn install_and_push_cost_the_same_at_any_base_size() {
+    use guava_relational::algebra::{AggFunc, Aggregate};
+
+    let funnel = Plan::scan(STUDY).select(Expr::col("C_class").eq(Expr::lit("Heavy")));
+    let groups = Plan::scan(STUDY).aggregate(
+        &["C_class"],
+        vec![Aggregate {
+            func: AggFunc::CountAll,
+            alias: "n".into(),
+        }],
+    );
+    // Per base size: the naïve form's chunk count before the update, then
+    // the chunks the install built for the naïve form and the study table,
+    // and the (deleted, inserted) rows pushed to each subscription.
+    let [(small_chunks, small), (large_chunks, large)] = [2_000i64, 100_000].map(|base| {
+        let engine = build_engine_over(
+            (1..=base)
+                .map(|i| vec![i.into(), (i % 4).into(), (i % 3 != 0).into()])
+                .collect(),
+        );
+        let session = engine.session();
+        let mut subs = [
+            session.subscribe(&funnel).unwrap(),
+            session.subscribe(&groups).unwrap(),
+        ];
+        let prev = engine.snapshot();
+        // The middle report is in the study (not a multiple of 3) and
+        // moves from 'None' (a multiple of 4) to 'Heavy'.
+        let middle = Value::Int(base / 2);
+        engine
+            .update(|cat| {
+                cat.insert(
+                    "cori",
+                    "Procedure",
+                    vec![(base + 1).into(), 2.into(), true.into()],
+                )?;
+                cat.update_where(
+                    "cori",
+                    "Procedure",
+                    |r| r[0] == middle,
+                    |r| r[1] = Value::Int(9),
+                )?;
+                cat.delete_where("cori", "Procedure", |r| r[0] == Value::Int(1))
+            })
+            .unwrap();
+        let next = engine.snapshot();
+        let table = |snap: &guava::warehouse::service::Snapshot, name| {
+            snap.database().table(name).unwrap().clone()
+        };
+        let built = ["Procedure", STUDY].map(|t| table(&next, t).chunks_not_in(&table(&prev, t)));
+        let pushed = subs.each_mut().map(|sub| {
+            let event = sub.try_next().unwrap().expect("one event per update");
+            match event.change {
+                Ok(Change::Patch(p)) => (p.deleted().len(), p.rows_inserted()),
+                other => panic!("base {base}: {other:?}, not a patch"),
+            }
+        });
+        (table(&prev, "Procedure").layout().chunks, (built, pushed))
+    });
+    assert!(
+        large_chunks > small_chunks,
+        "base chunks: {small_chunks} vs {large_chunks}"
+    );
+    assert_eq!(large, small, "2 000 vs 100 000 base reports");
+    let (built, pushed) = small;
+    assert!(built.iter().all(|&n| n <= 3), "chunks built: {built:?}");
+    assert_eq!(
+        pushed[0],
+        (0, 2),
+        "the funnel gains the insert and the amend"
+    );
+}

@@ -1108,11 +1108,13 @@ fn chunks_built_by_a_refresh(n: i64) -> Vec<usize> {
 
 /// Landing is O(delta) as a *count*: what a refresh builds of each target
 /// does not depend on how large the target is. (A wholesale landing
-/// builds every chunk, whatever the delta.)
+/// builds every chunk, whatever the delta; the larger source is past
+/// several `SEGMENT_ROWS` chunks so that its row-level targets span more
+/// than one, where a wholesale landing would count more.)
 #[test]
 fn a_refresh_builds_the_same_chunks_at_any_table_size() {
     let small = chunks_built_by_a_refresh(2_000);
-    let large = chunks_built_by_a_refresh(20_000);
+    let large = chunks_built_by_a_refresh(100_000);
     assert_eq!(small, large);
     assert!(small.iter().all(|&built| built <= 3), "{small:?}");
 }
