@@ -579,7 +579,7 @@ impl ServeState {
                             out,
                             "sub {id} {name} @ gen {}: {what} -> {} rows",
                             event.generation,
-                            sub.rows().len()
+                            sub.table().len()
                         )?;
                     }
                     Ok(None) => break,
@@ -665,7 +665,7 @@ fn serve_loop(input: &mut dyn BufRead, out: &mut dyn Write, engine: Engine) -> C
                                 out,
                                 "sub {} = {n} ({} rows @ gen {})",
                                 st.next_sub,
-                                sub.rows().len(),
+                                sub.table().len(),
                                 sub.generation()
                             )?;
                             st.subs.insert(st.next_sub, ((*n).to_owned(), sub));
@@ -677,13 +677,13 @@ fn serve_loop(input: &mut dyn BufRead, out: &mut dyn Write, engine: Engine) -> C
             ["rows", id] => (|| -> CmdResult {
                 let id: u64 = id.parse().map_err(|_| format!("bad sub id `{id}`"))?;
                 let (name, sub) = st.subs.get(&id).ok_or(format!("no sub {id}"))?;
-                for r in fmt_rows(sub.rows()) {
+                for r in fmt_rows(sub.table().rows()) {
                     writeln!(out, "{r}")?;
                 }
                 writeln!(
                     out,
                     "({name}: {} rows @ gen {})",
-                    sub.rows().len(),
+                    sub.table().len(),
                     sub.generation()
                 )?;
                 Ok(())
@@ -754,10 +754,10 @@ fn serve_loop(input: &mut dyn BufRead, out: &mut dyn Write, engine: Engine) -> C
                 for (id, (name, sub)) in &st.subs {
                     let plan = &queries.iter().find(|(n, _)| n == name).unwrap().1;
                     let oracle = fresh.query(plan)?;
-                    if oracle.rows() != sub.rows() {
+                    if oracle != sub.table() {
                         return Err(format!(
                             "sub {id} {name}: mirror ({} rows) != re-query ({} rows)",
-                            sub.rows().len(),
+                            sub.table().len(),
                             oracle.len()
                         )
                         .into());

@@ -24,12 +24,12 @@
 //!    Union shifts
 //!    each child's change by the child's offset (only child *lengths*
 //!    are kept; a replaced child becomes a delete-range plus an insert
-//!    beside its siblings' patches), hash Join re-probes only delta left rows
-//!    against the retained build side, and Aggregate/Pivot maintain group
+//!    beside its siblings' patches), and Aggregate/Pivot maintain group
 //!    state with retraction where it is exact (COUNT, and SUM/AVG over
 //!    INT columns) and per-group recompute where it is lossy (MIN/MAX,
-//!    FLOAT sums). Sort/Distinct/Limit/Unpivot recompute from patched
-//!    cached inputs.
+//!    FLOAT sums). A Join, Sort, Distinct, Limit or Unpivot subtree, which
+//!    no workload refreshes by patch, keeps no rule: it is `Unchanged`
+//!    while no table it scans moved, and otherwise runs on the [`Executor`].
 //! 3. **Correctness bar** — a refreshed output is **byte-identical** to a
 //!    from-scratch rebuild: same rows, same order, and the same first
 //!    error. Retained rows can never raise an error (the previous run
@@ -102,8 +102,7 @@
 
 use crate::algebra::{
     bind_node, check_union_compatible, keyless, pivot_cell, resolve_aggregate_columns,
-    resolve_column, resolve_columns, sort_rows, unpivot_rows, AggAcc, AggFunc, Aggregate, JoinKind,
-    PivotCell, Plan,
+    resolve_column, resolve_columns, AggAcc, AggFunc, Aggregate, PivotCell, Plan,
 };
 use crate::database::{Catalog, Database};
 use crate::error::{RelError, RelResult};
@@ -225,35 +224,6 @@ impl Patch {
         }
         out
     }
-
-    /// Apply the edit script in place. Equivalent to [`Patch::apply`] but
-    /// reuses the existing allocation when every insert lands at the
-    /// append point — the common shape for base-table deltas (scattered
-    /// deletes plus appended rows). Arbitrary insert positions fall back
-    /// to the rebuilding [`Patch::apply`].
-    pub fn apply_in_place(&self, rows: &mut Vec<Row>) {
-        let old_len = rows.len();
-        debug_assert!(self.valid_for(old_len), "patch out of range");
-        if self.inserted.iter().any(|(p, _)| *p < old_len) {
-            *rows = self.apply(std::mem::take(rows));
-            return;
-        }
-        if !self.deleted.is_empty() {
-            let mut del = self.deleted.iter().peekable();
-            let mut i = 0usize;
-            rows.retain(|_| {
-                let dead = del.peek() == Some(&&i);
-                if dead {
-                    del.next();
-                }
-                i += 1;
-                !dead
-            });
-        }
-        for (_, grp) in &self.inserted {
-            rows.extend(grp.iter().cloned());
-        }
-    }
 }
 
 /// How one table (or one plan's output) changed between two states.
@@ -289,31 +259,22 @@ impl<F> Change<F> {
 }
 
 impl Change {
-    /// Apply the change to a mirrored row vector in place.
-    pub fn apply_to(&self, rows: &mut Vec<Row>) {
+    /// Move a mirror of the previous state to the new one: a patch by
+    /// [`Table::patch`] (O(delta); on error the mirror is as it was), a
+    /// wholesale change by sharing the new state's storage.
+    pub fn apply_to(&self, table: &mut Table) -> RelResult<()> {
         match self {
             Change::Unchanged => {}
-            Change::Patch(p) => p.apply_in_place(rows),
-            Change::Full(new) => *rows = new.rows_from(0),
+            Change::Patch(p) => table.patch(p)?,
+            Change::Full(new) => *table = new.clone(),
         }
+        Ok(())
     }
 }
 
 /// A change on its way from one operator of a [`DeltaPlan`] to its
-/// parent: a wholesale replacement is an owned row vector, which the
-/// parent consumes.
-type Flow = Change<Vec<Row>>;
-
-impl Flow {
-    /// Apply the change to an operator's cached input rows in place.
-    fn apply_to(self, rows: &mut Vec<Row>) {
-        match self {
-            Change::Unchanged => {}
-            Change::Patch(p) => p.apply_in_place(rows),
-            Change::Full(new) => *rows = new,
-        }
-    }
-}
+/// parent: a wholesale replacement is [`Whole`], which the parent consumes.
+type Flow<'d> = Change<Whole<'d>>;
 
 /// Incrementally assembles a [`Patch`]; positions must arrive
 /// non-decreasing. Same-position insert groups merge in push order.
@@ -817,47 +778,8 @@ struct GroupState {
     rows: i64,
 }
 
-/// Which recompute kernel a cache-and-recompute node runs.
-#[derive(Clone)]
-enum RecomputeKernel {
-    Sort {
-        idxs: Vec<usize>,
-    },
-    Distinct,
-    Limit {
-        n: usize,
-    },
-    Unpivot {
-        key_idx: Vec<usize>,
-        data_idx: Vec<usize>,
-    },
-}
-
-impl RecomputeKernel {
-    fn run(&self, in_schema: &Schema, rows: &[Row]) -> Vec<Row> {
-        match self {
-            RecomputeKernel::Sort { idxs } => {
-                let mut out = rows.to_vec();
-                sort_rows(&mut out, idxs);
-                out
-            }
-            RecomputeKernel::Distinct => {
-                let mut seen = HashSet::new();
-                rows.iter()
-                    .filter(|r| seen.insert((*r).clone()))
-                    .cloned()
-                    .collect()
-            }
-            RecomputeKernel::Limit { n } => rows.iter().take(*n).cloned().collect(),
-            RecomputeKernel::Unpivot { key_idx, data_idx } => {
-                unpivot_rows(in_schema, rows, key_idx, data_idx)
-            }
-        }
-    }
-}
-
-/// A wholesale input as a rule that only reads it gets it: the rows a
-/// child made, or a stored table's, read in place.
+/// A wholesale change's rows: the rows a node made, or a stored table's,
+/// read in place — a rule that only reads them copies nothing.
 enum Whole<'d> {
     Made(Vec<Row>),
     Stored(&'d Table),
@@ -868,6 +790,14 @@ impl Whole<'_> {
         match self {
             Whole::Made(rows) => Box::new(rows.iter()),
             Whole::Stored(t) => Box::new(t.iter_rows()),
+        }
+    }
+
+    /// The rows, owned: a stored table's are copied out.
+    fn into_rows(self) -> Vec<Row> {
+        match self {
+            Whole::Made(rows) => rows,
+            Whole::Stored(t) => t.rows_from(0),
         }
     }
 }
@@ -905,24 +835,6 @@ enum DNode {
         child_lens: Vec<usize>,
         schema: Schema,
     },
-    Join {
-        left: Box<DNode>,
-        right: Box<DNode>,
-        /// The probe side's rows, for the day the build side changes and
-        /// every one of them is probed again — `None` when the probe side
-        /// is a stored table, which is read again then instead of being
-        /// held twice.
-        left_rows: Option<Vec<Row>>,
-        right_rows: Vec<Row>,
-        /// Build-side index: join key → right row ordinals, ascending.
-        index: HashMap<Vec<Value>, Vec<usize>>,
-        /// Output rows produced per left row (prefix sums give ranges).
-        out_counts: Vec<usize>,
-        l_idx: Vec<usize>,
-        r_idx: Vec<usize>,
-        r_arity: usize,
-        kind: JoinKind,
-    },
     Aggregate {
         input: Box<DNode>,
         /// Input rows plus persistent first-occurrence tracking: group
@@ -959,11 +871,15 @@ enum DNode {
         val_idx: usize,
         attrs: Vec<(String, DataType)>,
     },
-    Recompute {
-        input: Box<DNode>,
-        in_schema: Schema,
-        in_rows: Vec<Row>,
-        kernel: RecomputeKernel,
+    /// A Join, Sort, Distinct, Limit or Unpivot subtree (DESIGN.md §12):
+    /// it runs again on the executor when a table it scans moved.
+    Rerun {
+        /// The subtree as the executor runs it.
+        plan: Plan,
+        /// Each table `plan` scans, as last read ([`scan_change`]).
+        tables: Vec<(String, Option<Table>)>,
+        /// Whether it ran: a subtree that scans nothing runs once.
+        ran: bool,
     },
 }
 
@@ -1105,56 +1021,6 @@ fn pivot_emit(cells: &FirstSeenIndex<PivotCell>, n_attrs: usize) -> Vec<Row> {
         .collect()
 }
 
-/// Build the hash-join build-side index over the right rows.
-fn build_join_index(right_rows: &[Row], r_idx: &[usize]) -> HashMap<Vec<Value>, Vec<usize>> {
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, row) in right_rows.iter().enumerate() {
-        let key = row_key(row, r_idx);
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        index.entry(key).or_default().push(i);
-    }
-    index
-}
-
-/// Probe one left row against the build side, mirroring the interpreter's
-/// join kernel: NULL keys never match, matches emit in right-row order,
-/// and a LEFT join pads unmatched probes with NULLs.
-fn probe_left(
-    lrow: &Row,
-    l_idx: &[usize],
-    index: &HashMap<Vec<Value>, Vec<usize>>,
-    right_rows: &[Row],
-    r_arity: usize,
-    kind: JoinKind,
-) -> Vec<Row> {
-    let key = row_key(lrow, l_idx);
-    let matches = if key.iter().any(Value::is_null) {
-        None
-    } else {
-        index.get(&key)
-    };
-    match matches {
-        Some(idxs) => idxs
-            .iter()
-            .map(|&ri| {
-                let mut row = Vec::with_capacity(lrow.len() + r_arity);
-                row.extend(lrow.iter().cloned());
-                row.extend(right_rows[ri].iter().cloned());
-                row
-            })
-            .collect(),
-        None if kind == JoinKind::Left => {
-            let mut row = Vec::with_capacity(lrow.len() + r_arity);
-            row.extend(lrow.iter().cloned());
-            row.extend(std::iter::repeat_n(Value::Null, r_arity));
-            vec![row]
-        }
-        None => Vec::new(),
-    }
-}
-
 /// How `t` changed since a scan last read `held`: a claimed patch that
 /// fits the held and the current length; otherwise `Unchanged` exactly
 /// when `t` is the storage the scan read ([`Table::same_storage`]), and
@@ -1225,21 +1091,19 @@ impl DNode {
                 child_lens: vec![0; inputs.len()],
                 schema: schema.clone(),
             },
-            Plan::Join { on, kind, .. } => {
-                let (left, right) = (input(), input());
-                DNode::Join {
-                    left_rows: left.stored().is_none().then(Vec::new),
-                    left,
-                    right,
-                    right_rows: Vec::new(),
-                    index: HashMap::new(),
-                    out_counts: Vec::new(),
-                    l_idx: resolve_columns(&inputs[0], on.iter().map(|(l, _)| l))?,
-                    r_idx: resolve_columns(&inputs[1], on.iter().map(|(_, r)| r))?,
-                    r_arity: inputs[1].arity(),
-                    kind: *kind,
-                }
-            }
+            Plan::Join { .. }
+            | Plan::Sort { .. }
+            | Plan::Distinct { .. }
+            | Plan::Limit { .. }
+            | Plan::Unpivot { .. } => DNode::Rerun {
+                plan: plan.clone(),
+                tables: plan
+                    .scanned_tables()
+                    .into_iter()
+                    .map(|t| (t.to_owned(), None))
+                    .collect(),
+                ran: false,
+            },
             Plan::AggregateBy {
                 group_by,
                 aggregates,
@@ -1291,30 +1155,6 @@ impl DNode {
                 val_idx: resolve_column(&inputs[0], val_col)?,
                 attrs: attrs.clone(),
             },
-            Plan::Sort { .. }
-            | Plan::Distinct { .. }
-            | Plan::Limit { .. }
-            | Plan::Unpivot { .. } => {
-                let cs = &inputs[0];
-                let kernel = match plan {
-                    Plan::Sort { by, .. } => RecomputeKernel::Sort {
-                        idxs: resolve_columns(cs, by)?,
-                    },
-                    Plan::Limit { n, .. } => RecomputeKernel::Limit { n: *n },
-                    Plan::Unpivot { keys, .. } => {
-                        let key_idx = resolve_columns(cs, keys)?;
-                        let data_idx = (0..cs.arity()).filter(|i| !key_idx.contains(i)).collect();
-                        RecomputeKernel::Unpivot { key_idx, data_idx }
-                    }
-                    _ => RecomputeKernel::Distinct,
-                };
-                DNode::Recompute {
-                    input: input(),
-                    in_schema: cs.clone(),
-                    in_rows: Vec::new(),
-                    kernel,
-                }
-            }
         };
         Ok((node, schema))
     }
@@ -1341,43 +1181,24 @@ impl DNode {
         }
     }
 
-    /// The stored table whose rows are this node's output as they stand
-    /// — a bare scan's (renames change no row and leave no node). An
-    /// operator above such a node need not cache its input: the database
-    /// holds it.
-    fn stored(&self) -> Option<&str> {
-        match self {
-            DNode::Scan { table, .. } => Some(table),
-            _ => None,
-        }
-    }
-
-    /// [`DNode::refresh`] for a rule that only reads a wholesale input:
-    /// a stored table's rows are read where they rest ([`Whole::Stored`])
-    /// instead of copied out for the rule to drop again.
-    fn refresh_whole<'d>(
+    /// Propagate input changes through this operator, updating cached
+    /// state and returning how this node's output changed. Children
+    /// refresh before their parent in the order the executor drives them,
+    /// so errors surface in its order.
+    fn refresh<'d>(
         &mut self,
         db: &'d Database,
         changes: &TableChanges,
-    ) -> RelResult<Change<Whole<'d>>> {
-        if let DNode::Scan { table, held } = self {
-            let t = db.table(table)?;
-            return Ok(scan_change(t, held, changes.get(table)).map_full(|()| Whole::Stored(t)));
-        }
-        Ok(self.refresh(db, changes)?.map_full(Whole::Made))
-    }
-
-    /// Propagate input changes through this operator, updating cached
-    /// state and returning how this node's output changed. Children
-    /// refresh before their parent in the order the executor drives them
-    /// (a join's build side first), so errors surface in its order.
-    fn refresh(&mut self, db: &Database, changes: &TableChanges) -> RelResult<Flow> {
+        exec: &Executor,
+    ) -> RelResult<Flow<'d>> {
         match self {
             DNode::Scan { table, held } => {
                 let t = db.table(table)?;
-                Ok(scan_change(t, held, changes.get(table)).map_full(|()| t.rows_from(0)))
+                Ok(scan_change(t, held, changes.get(table)).map_full(|()| Whole::Stored(t)))
             }
-            DNode::Values { rows } => Ok(rows.take().map_or(Change::Unchanged, Change::Full)),
+            DNode::Values { rows } => Ok(rows
+                .take()
+                .map_or(Change::Unchanged, |rows| Change::Full(Whole::Made(rows)))),
             DNode::Pipe {
                 input,
                 stages,
@@ -1389,15 +1210,16 @@ impl DNode {
                 let run = |rows: Vec<Row>| -> RelResult<Vec<Option<Row>>> {
                     rows.into_iter().map(|r| apply_stages(stages, r)).collect()
                 };
-                let p = match input.refresh(db, changes)? {
+                let p = match input.refresh(db, changes, exec)? {
                     Change::Unchanged => return Ok(Change::Unchanged),
-                    Change::Full(rows) => {
-                        let outs = run(rows)?;
+                    Change::Full(whole) => {
+                        let outs = run(whole.into_rows())?;
                         if let Some(lineage) = lineage {
                             let weights = outs.iter().map(|o| ((), u32::from(o.is_some())));
                             *lineage = RankList::from_entries(weights).0;
                         }
-                        return Ok(Change::Full(outs.into_iter().flatten().collect()));
+                        let rows = outs.into_iter().flatten().collect();
+                        return Ok(Change::Full(Whole::Made(rows)));
                     }
                     Change::Patch(p) => p,
                 };
@@ -1465,7 +1287,7 @@ impl DNode {
             } => {
                 let mut ch = Vec::with_capacity(inputs.len());
                 for n in inputs.iter_mut() {
-                    let c = n.refresh(db, changes)?;
+                    let c = n.refresh(db, changes, exec)?;
                     // New rows from children ≥ 1 are the only fallible
                     // output validation (the union schema keeps child 0's
                     // nullability); each child's are checked as it
@@ -1477,8 +1299,8 @@ impl DNode {
                             Change::Patch(p) => {
                                 p.new_rows().try_for_each(|r| schema.check_row(r))?
                             }
-                            Change::Full(rows) => {
-                                rows.iter().try_for_each(|r| schema.check_row(r))?
+                            Change::Full(whole) => {
+                                whole.rows().try_for_each(|r| schema.check_row(r))?
                             }
                         }
                     }
@@ -1490,12 +1312,13 @@ impl DNode {
                 if ch.iter().all(|c| matches!(c, Change::Full(_))) {
                     let mut out = Vec::new();
                     for (len, c) in child_lens.iter_mut().zip(ch) {
-                        if let Change::Full(rows) = c {
+                        if let Change::Full(whole) = c {
+                            let rows = whole.into_rows();
                             *len = rows.len();
                             out.extend(rows);
                         }
                     }
-                    return Ok(Change::Full(out));
+                    return Ok(Change::Full(Whole::Made(out)));
                 }
                 // Shift each child's change by the child's old offset —
                 // O(delta), only lengths are read. A patch keeps its
@@ -1519,7 +1342,8 @@ impl DNode {
                                 pb.insert_rows(off + pos, grp);
                             }
                         }
-                        Change::Full(rows) => {
+                        Change::Full(whole) => {
+                            let rows = whole.into_rows();
                             *len = rows.len();
                             pb.insert_rows(off, rows);
                             for d in off..off + old_len {
@@ -1530,101 +1354,6 @@ impl DNode {
                     off += old_len;
                 }
                 Ok(pb.into_change())
-            }
-            DNode::Join {
-                left,
-                right,
-                left_rows,
-                right_rows,
-                index,
-                out_counts,
-                l_idx,
-                r_idx,
-                r_arity,
-                kind,
-            } => {
-                // The build side first, as the executor drives it.
-                let rc = right.refresh(db, changes)?;
-                let lc = left.refresh(db, changes)?;
-                match (lc, rc) {
-                    (Change::Unchanged, Change::Unchanged) => Ok(Change::Unchanged),
-                    (Change::Patch(p), Change::Unchanged) => {
-                        // Probe-side delta: re-probe only delta left rows
-                        // against the retained build side. Each old left
-                        // row owns a contiguous output range given by the
-                        // prefix sums of `out_counts`.
-                        let mut prefix = Vec::with_capacity(out_counts.len() + 1);
-                        prefix.push(0usize);
-                        for &c in out_counts.iter() {
-                            prefix.push(prefix.last().expect("nonempty") + c);
-                        }
-                        let old_counts = std::mem::take(out_counts);
-                        let old_len = old_counts.len();
-                        let mut new_counts = Vec::with_capacity(p.new_len(old_len));
-                        let mut pb = PatchBuilder::default();
-                        let mut del = p.deleted().iter().peekable();
-                        let mut ins = p.inserted().iter().peekable();
-                        for i in 0..=old_len {
-                            while ins.peek().is_some_and(|(pos, _)| *pos == i) {
-                                for r in &ins.next().expect("peeked").1 {
-                                    let outs =
-                                        probe_left(r, l_idx, index, right_rows, *r_arity, *kind);
-                                    new_counts.push(outs.len());
-                                    pb.insert_rows(prefix[i], outs);
-                                }
-                            }
-                            if i == old_len {
-                                break;
-                            }
-                            if del.peek() == Some(&&i) {
-                                del.next();
-                                for op in prefix[i]..prefix[i + 1] {
-                                    pb.delete(op);
-                                }
-                            } else {
-                                new_counts.push(old_counts[i]);
-                            }
-                        }
-                        if let Some(rows) = left_rows {
-                            p.apply_in_place(rows);
-                        }
-                        *out_counts = new_counts;
-                        Ok(pb.into_change())
-                    }
-                    (lc, rc) => {
-                        // Build side changed (or probe side replaced):
-                        // rebuild the index and re-probe every probe row —
-                        // the cached ones, the ones a wholesale change
-                        // carries, or, over an unchanged or patched stored
-                        // table nobody caches, the table read again.
-                        let fresh;
-                        let left_rows = match (left_rows, lc) {
-                            (Some(rows), lc) => {
-                                lc.apply_to(rows);
-                                &*rows
-                            }
-                            (None, Change::Full(rows)) => {
-                                fresh = rows;
-                                &fresh
-                            }
-                            (None, _) => {
-                                let stored = left.stored().expect("stored probe side");
-                                fresh = db.table(stored)?.rows_from(0);
-                                &fresh
-                            }
-                        };
-                        rc.apply_to(right_rows);
-                        *index = build_join_index(right_rows, r_idx);
-                        let mut out = Vec::new();
-                        out_counts.clear();
-                        for lrow in left_rows {
-                            let outs = probe_left(lrow, l_idx, index, right_rows, *r_arity, *kind);
-                            out_counts.push(outs.len());
-                            out.extend(outs);
-                        }
-                        Ok(Change::Full(out))
-                    }
-                }
             }
             DNode::Aggregate {
                 input,
@@ -1639,7 +1368,7 @@ impl DNode {
                 schema,
             } => {
                 let n_aggs = aggregates.len();
-                let patch = match input.refresh_whole(db, changes)? {
+                let patch = match input.refresh(db, changes, exec)? {
                     Change::Unchanged => return Ok(Change::Unchanged),
                     Change::Full(whole) => {
                         let entries: Vec<_> =
@@ -1650,7 +1379,7 @@ impl DNode {
                         for r in &out {
                             schema.check_row(r)?;
                         }
-                        return Ok(Change::Full(out));
+                        return Ok(Change::Full(Whole::Made(out)));
                     }
                     Change::Patch(p) => p,
                 };
@@ -1724,7 +1453,7 @@ impl DNode {
                 attr_idx,
                 val_idx,
                 attrs,
-            } => match input.refresh_whole(db, changes)? {
+            } => match input.refresh(db, changes, exec)? {
                 Change::Unchanged => Ok(Change::Unchanged),
                 Change::Full(whole) => {
                     *cells = FirstSeenIndex::from_entries(pivot_entries(
@@ -1734,7 +1463,7 @@ impl DNode {
                         *val_idx,
                         attrs,
                     )?);
-                    Ok(Change::Full(pivot_emit(cells, attrs.len())))
+                    Ok(Change::Full(Whole::Made(pivot_emit(cells, attrs.len()))))
                 }
                 Change::Patch(p) => {
                     // Delta rows validate first, in input order — retained
@@ -1749,21 +1478,20 @@ impl DNode {
                     Ok(fsp.emit(cells, wide).into_change())
                 }
             },
-            DNode::Recompute {
-                input,
-                in_schema,
-                in_rows,
-                kernel,
-            } => match input.refresh(db, changes)? {
-                Change::Unchanged => Ok(Change::Unchanged),
-                c => {
-                    // Order-sensitive whole-input operators (Sort,
-                    // Distinct, Limit, Unpivot) recompute from the patched
-                    // cached input; downstream sees a Full change.
-                    c.apply_to(in_rows);
-                    Ok(Change::Full(kernel.run(in_schema, in_rows)))
+            DNode::Rerun { plan, tables, ran } => {
+                // Every held table is brought up to date, moved or not.
+                let mut moved = !*ran;
+                for (name, held) in tables.iter_mut() {
+                    let t = db.table(name)?;
+                    moved |= !scan_change(t, held, changes.get(name)).is_unchanged();
                 }
-            },
+                if !moved {
+                    return Ok(Change::Unchanged);
+                }
+                *ran = true;
+                let rows = exec.execute(plan, db)?.into_rows();
+                Ok(Change::Full(Whole::Made(rows)))
+            }
         }
     }
 }
@@ -1787,8 +1515,9 @@ impl DNode {
 /// persists.
 ///
 /// Both take the session's executor handle. The rules run its stage code
-/// row by row on the calling thread, so none of its settings changes what
-/// a refresh computes or how.
+/// row by row on the calling thread; a Join, Sort, Distinct, Limit or
+/// Unpivot subtree runs on its lanes, which give byte-identical results,
+/// so none of its settings changes what a refresh computes.
 #[derive(Clone)]
 pub struct DeltaPlan {
     /// The plan as written: what a re-initialization prepares again.
@@ -1813,7 +1542,7 @@ impl DeltaPlan {
     /// before a row moves, then refreshed once with every leaf read whole.
     /// Table, schema and first error are those of
     /// [`Executor::execute`].
-    pub fn init(plan: &Plan, db: &Database, _exec: &Executor) -> RelResult<DeltaPlan> {
+    pub fn init(plan: &Plan, db: &Database, exec: &Executor) -> RelResult<DeltaPlan> {
         let prepared = crate::optimize::prepare(plan, db);
         let (root, schema) = DNode::bind(prepared.as_ref().unwrap_or(plan), db)?;
         let scans = plan
@@ -1828,7 +1557,7 @@ impl DeltaPlan {
             out: Table::new(schema),
             poisoned: false,
         };
-        dp.land(db, &TableChanges::new())?;
+        dp.land(db, &TableChanges::new(), exec)?;
         Ok(dp)
     }
 
@@ -1893,14 +1622,19 @@ impl DeltaPlan {
                 }
             };
         }
-        let landed = self.land(db, changes);
+        let landed = self.land(db, changes, exec);
         self.poisoned = landed.is_err();
         landed
     }
 
     /// Push `changes` through the operators and move the cached output by
     /// what they report.
-    fn land(&mut self, db: &Database, changes: &TableChanges) -> RelResult<Change> {
+    fn land(
+        &mut self,
+        db: &Database,
+        changes: &TableChanges,
+        exec: &Executor,
+    ) -> RelResult<Change> {
         if let (Plan::Scan(_), DNode::Scan { table, held }) = (&self.plan, &mut self.root) {
             // A bare scan's output is the stored table itself, as it is
             // the executor's: the same storage, primary key included.
@@ -1908,16 +1642,16 @@ impl DeltaPlan {
             self.out = t.clone();
             return Ok(scan_change(t, held, changes.get(table)).map_full(|()| t.clone()));
         }
-        match self.root.refresh(db, changes)? {
+        match self.root.refresh(db, changes, exec)? {
             Change::Unchanged => Ok(Change::Unchanged),
             Change::Patch(p) => {
-                // In place: an output nobody else holds — a
-                // subscription's — moves no row it keeps.
+                // In place where nobody else holds the storage; chunks a
+                // subscriber's mirror still shares are copied on write.
                 self.out.patch(&p)?;
                 Ok(Change::Patch(p))
             }
-            Change::Full(rows) => {
-                self.out = Table::from_validated(self.out.schema().clone(), rows)?;
+            Change::Full(whole) => {
+                self.out = Table::from_validated(self.out.schema().clone(), whole.into_rows())?;
                 Ok(Change::Full(self.out.clone()))
             }
         }
@@ -1927,7 +1661,7 @@ impl DeltaPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::Aggregate;
+    use crate::algebra::{Aggregate, JoinKind};
     use crate::expr::Expr;
     use crate::schema::Column;
 
@@ -2207,14 +1941,17 @@ mod tests {
         }
     }
 
-    /// Join nodes in a resident tree.
+    /// Joins in a resident tree: each sits in a `Rerun` node's plan.
     fn joins(n: &DNode) -> usize {
+        fn in_plan(p: &Plan) -> usize {
+            usize::from(matches!(p, Plan::Join { .. }))
+                + p.children().into_iter().map(in_plan).sum::<usize>()
+        }
         match n {
-            DNode::Join { left, right, .. } => 1 + joins(left) + joins(right),
+            DNode::Rerun { plan, .. } => in_plan(plan),
             DNode::Pipe { input, .. }
             | DNode::Aggregate { input, .. }
-            | DNode::Pivot { input, .. }
-            | DNode::Recompute { input, .. } => joins(input),
+            | DNode::Pivot { input, .. } => joins(input),
             DNode::Union { inputs, .. } => inputs.iter().map(joins).sum(),
             DNode::Scan { .. } | DNode::Values { .. } => 0,
         }
@@ -2222,7 +1959,7 @@ mod tests {
 
     /// What stays resident is the plan the executor runs: a `Left` lookup
     /// join on the lookup table's key, with no right column read, leaves
-    /// no `Join` node, and the output still equals `execute`'s across
+    /// no join resident, and the output still equals `execute`'s across
     /// insert, amend and delete batches. The lookup table the tree no
     /// longer reads still decides when it must bind again: changing its
     /// schema or dropping it makes the next refresh raise `execute`'s
@@ -2305,7 +2042,7 @@ mod tests {
     }
 
     /// A selection over a join moves onto the join's inputs before anything
-    /// stays resident: the tree is a `Join` over two filtering pipes, and
+    /// stays resident: the tree re-runs a `Join` over two selections, and
     /// it refreshes to what `execute` returns under insert, amend and
     /// delete batches on either side.
     #[test]
@@ -2336,10 +2073,14 @@ mod tests {
         cat.insert(db);
         let mut dc = DeltaCatalog::new(cat);
         let mut dp = DeltaPlan::init(&plan, dc.catalog().database("d").unwrap(), &exec).unwrap();
-        let DNode::Join { left, right, .. } = &dp.root else {
+        let DNode::Rerun {
+            plan: Plan::Join { left, right, .. },
+            ..
+        } = &dp.root
+        else {
             panic!("the selection stayed above the join")
         };
-        assert!(matches!(**left, DNode::Pipe { .. }) && matches!(**right, DNode::Pipe { .. }));
+        assert!(matches!(**left, Plan::Select { .. }) && matches!(**right, Plan::Select { .. }));
 
         for step in 0..4i64 {
             dc.insert("d", "t", row(&[100 + step, step % 3, step * 15]))

@@ -3,11 +3,12 @@
 //! A [`Subscription`] is the receiving half of the engine's push
 //! channel. The engine owns the resident
 //! [`DeltaPlan`](guava_relational::delta::DeltaPlan); the subscription
-//! owns a row mirror and applies each pushed [`Change`] in generation
-//! order. The contract (module docs of [`service`](crate::service),
-//! DESIGN.md §16): after [`Subscription::sync`], the mirror is
-//! byte-identical to re-running the subscribed plan on the generation it
-//! reports — without the subscription ever re-executing the plan.
+//! owns a mirror, a persistent [`Table`], and moves it by each pushed
+//! [`Change`] in generation order ([`Change::apply_to`]). The contract
+//! (module docs of [`service`](crate::service), DESIGN.md §16): after
+//! [`Subscription::sync`], the mirror is byte-identical to re-running the
+//! subscribed plan on the generation it reports — without the
+//! subscription ever re-executing the plan.
 //!
 //! Dropping a subscription unregisters it from the engine (directly if
 //! the engine is still alive, or implicitly at the next refresh when the
@@ -42,16 +43,17 @@ pub struct DeltaEvent {
     pub change: ServiceResult<Change>,
 }
 
-/// The client half of a standing query: a row mirror plus the channel
-/// the engine pushes [`DeltaEvent`]s over.
+/// The client half of a standing query: a mirror of the plan's output
+/// plus the channel the engine pushes [`DeltaEvent`]s over.
 ///
 /// Use [`Self::sync`] to drain pending events into the mirror, or
 /// [`Self::try_next`] to consume events one at a time (inspecting each
 /// delta before it is applied).
 pub struct Subscription {
     id: SubscriptionId,
-    schema: Schema,
-    rows: Vec<Row>,
+    /// Starts out sharing the resident plan's storage; each event patches
+    /// it in O(delta).
+    mirror: Table,
     generation: u64,
     rx: Receiver<DeltaEvent>,
     engine: Weak<EngineInner>,
@@ -65,12 +67,9 @@ impl Subscription {
         rx: Receiver<DeltaEvent>,
         engine: Weak<EngineInner>,
     ) -> Subscription {
-        let schema = baseline.schema().clone();
-        let rows = baseline.rows_from(0);
         Subscription {
             id,
-            schema,
-            rows,
+            mirror: baseline,
             generation,
             rx,
             engine,
@@ -84,7 +83,7 @@ impl Subscription {
 
     /// The subscribed plan's output schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.mirror.schema()
     }
 
     /// The generation the mirror currently reflects.
@@ -92,14 +91,17 @@ impl Subscription {
         self.generation
     }
 
-    /// The mirrored rows — the plan's output at [`Self::generation`].
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// The mirror — the plan's output at [`Self::generation`]. O(#chunks):
+    /// the result shares the mirror's storage.
+    pub fn table(&self) -> Table {
+        self.mirror.clone()
     }
 
-    /// The mirror as a table (clones and revalidates the rows).
-    pub fn table(&self) -> ServiceResult<Table> {
-        Ok(Table::from_rows(self.schema.clone(), self.rows.clone())?)
+    /// An owned copy of the mirrored rows, O(rows). Kept for callers that
+    /// compare row vectors (the `benchmark/` harness); read
+    /// [`Self::table`] instead.
+    pub fn rows(&self) -> Vec<Row> {
+        self.mirror.rows_from(0)
     }
 
     /// Receive and apply at most one pending event, without blocking.
@@ -112,7 +114,7 @@ impl Subscription {
             Ok(event) => {
                 self.generation = event.generation;
                 match &event.change {
-                    Ok(change) => change.apply_to(&mut self.rows),
+                    Ok(change) => change.apply_to(&mut self.mirror)?,
                     Err(e) => return Err(e.clone()),
                 }
                 Ok(Some(event))
@@ -130,20 +132,11 @@ impl Subscription {
     pub fn sync(&mut self) -> ServiceResult<usize> {
         let mut applied = 0;
         loop {
-            match self.rx.try_recv() {
-                Ok(event) => {
-                    self.generation = event.generation;
-                    match event.change {
-                        Ok(change) => {
-                            change.apply_to(&mut self.rows);
-                            applied += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(TryRecvError::Empty) => return Ok(applied),
-                Err(TryRecvError::Disconnected) if applied > 0 => return Ok(applied),
-                Err(TryRecvError::Disconnected) => return Err(ServiceError::EngineClosed),
+            match self.try_next() {
+                Ok(Some(_)) => applied += 1,
+                Ok(None) => return Ok(applied),
+                Err(ServiceError::EngineClosed) if applied > 0 => return Ok(applied),
+                Err(e) => return Err(e),
             }
         }
     }

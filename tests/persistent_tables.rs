@@ -350,11 +350,13 @@ fn single_row_catalog_inserts_and_audit_revisions_stay_within_the_layout_bounds(
 /// same update — insert a report, amend one in the middle, retire the
 /// oldest — over 2 000 and over 100 000 base reports builds the same few
 /// chunks for the naïve form and the study table, and pushes each
-/// standing query the same patch. The larger base spans several
-/// `SEGMENT_ROWS` chunks, so a clone-based install, which builds every
-/// chunk of both tables again, would count more there; a re-poll would
-/// ship whole results. These are counts, not timings, so they hold on any
-/// host.
+/// standing query the same patch, and a subscriber's mirror of a broad
+/// filter over the naïve form takes that patch by building the same few
+/// chunks. The larger base spans several `SEGMENT_ROWS` chunks, so a
+/// clone-based install, which builds every chunk of both tables again,
+/// would count more there; a re-poll would ship whole results, and a
+/// mirror rebuilt from its rows would build every chunk. These are
+/// counts, not timings, so they hold on any host.
 #[test]
 fn install_and_push_cost_the_same_at_any_base_size() {
     use guava_relational::algebra::{AggFunc, Aggregate};
@@ -367,9 +369,11 @@ fn install_and_push_cost_the_same_at_any_base_size() {
             alias: "n".into(),
         }],
     );
-    // Per base size: the naïve form's chunk count before the update, then
-    // the chunks the install built for the naïve form and the study table,
-    // and the (deleted, inserted) rows pushed to each subscription.
+    let broad = Plan::scan("Procedure").select(Expr::col("PacksPerDay").ge(Expr::lit(0i64)));
+    // Per base size: the chunk counts of the naïve form and of the broad
+    // mirror before the update, then the chunks the install built for the
+    // naïve form and the study table, the (deleted, inserted) rows pushed
+    // to each subscription, and the chunks the broad mirror built.
     let [(small_chunks, small), (large_chunks, large)] = [2_000i64, 100_000].map(|base| {
         let engine = build_engine_over(
             (1..=base)
@@ -381,6 +385,8 @@ fn install_and_push_cost_the_same_at_any_base_size() {
             session.subscribe(&funnel).unwrap(),
             session.subscribe(&groups).unwrap(),
         ];
+        let mut mirror = session.subscribe(&broad).unwrap();
+        let mirrored = mirror.table();
         let prev = engine.snapshot();
         // The middle report is in the study (not a multiple of 3) and
         // moves from 'None' (a multiple of 4) to 'Heavy'.
@@ -413,15 +419,23 @@ fn install_and_push_cost_the_same_at_any_base_size() {
                 other => panic!("base {base}: {other:?}, not a patch"),
             }
         });
-        (table(&prev, "Procedure").layout().chunks, (built, pushed))
+        assert_eq!(mirror.sync().unwrap(), 1, "base {base}");
+        assert_eq!(mirror.table(), session.query(&broad).unwrap());
+        let moved = mirror.table().chunks_not_in(&mirrored);
+        let base_chunks = table(&prev, "Procedure").layout().chunks;
+        (
+            (base_chunks, mirrored.layout().chunks),
+            (built, pushed, moved),
+        )
     });
     assert!(
-        large_chunks > small_chunks,
-        "base chunks: {small_chunks} vs {large_chunks}"
+        large_chunks.0 > small_chunks.0 && large_chunks.1 > small_chunks.1,
+        "base and mirror chunks: {small_chunks:?} vs {large_chunks:?}"
     );
     assert_eq!(large, small, "2 000 vs 100 000 base reports");
-    let (built, pushed) = small;
+    let (built, pushed, moved) = small;
     assert!(built.iter().all(|&n| n <= 3), "chunks built: {built:?}");
+    assert!(moved <= 3, "chunks the mirror built: {moved}");
     assert_eq!(
         pushed[0],
         (0, 2),

@@ -754,7 +754,7 @@ proptest! {
             let mut dc = DeltaCatalog::new(catalog(rows.clone()));
             let mut dplan =
                 DeltaPlan::init(&plan, dc.catalog().database("d").unwrap(), &exec).unwrap();
-            let mut mirror = dplan.output().unwrap().rows_from(0);
+            let mut mirror = dplan.output().unwrap();
             for batch in &batches {
                 for op in batch {
                     apply_group_op(&mut dc, op);
@@ -773,14 +773,14 @@ proptest! {
                     ),
                     "{}: a patched input made the grouped operator emit Full", name
                 );
-                change.apply_to(&mut mirror);
+                change.apply_to(&mut mirror).unwrap();
                 let rebuilt = exec.execute(&plan, db).unwrap();
                 prop_assert_eq!(
                     &dplan.output().unwrap(), &rebuilt,
                     "{}: grouped refresh diverged from from-scratch first_seen order", name
                 );
                 prop_assert_eq!(
-                    &mirror, &rebuilt.rows_from(0),
+                    &mirror.rows_from(0), &rebuilt.rows_from(0),
                     "{}: the emitted change does not move a mirror to the rebuild", name
                 );
             }
@@ -1306,6 +1306,58 @@ fn union_folds_a_wholesale_child_into_a_patch() {
                 rebuilt,
                 "{name} round {round}"
             );
+        }
+    }
+}
+
+/// A subtree that re-runs on the executor (`Sort`, `Limit`) reports
+/// `Unchanged` while no table it scans moved, and runs once when it scans
+/// none: beside a patched selection, under batches that touch only `t`,
+/// the union's change is exactly the selection's patch — same deletes,
+/// same inserts — and its output is what `execute` returns, on every lane.
+#[test]
+fn a_rerun_whose_tables_did_not_move_is_unchanged() {
+    let row = |i: i64| vec![Value::Int(i), Value::Int(i % 5), Value::Null, Value::Null];
+    let selection = Plan::scan("t").select(Expr::col("a").ge(Expr::lit(0i64)));
+    let plan = Plan::union(vec![
+        selection.clone(),
+        Plan::scan("u").sort_by(&["a", "id"]),
+        Plan::Values {
+            schema: schema(),
+            rows: (1..5).map(|i| row(-i)).collect(),
+        }
+        .limit(3),
+    ]);
+    for (name, exec) in lanes() {
+        let mut cat = catalog((0..20).map(row).collect());
+        let u = Table::from_rows(schema(), (0..6).map(row)).unwrap();
+        cat.database_mut("d")
+            .unwrap()
+            .create_table(u.renamed("u"))
+            .unwrap();
+        let mut dc = DeltaCatalog::new(cat);
+        let db = |dc: &DeltaCatalog| dc.catalog().database("d").unwrap().clone();
+        let mut dplan = DeltaPlan::init(&plan, &db(&dc), &exec).unwrap();
+        let mut dsel = DeltaPlan::init(&selection, &db(&dc), &exec).unwrap();
+        for round in 0..5i64 {
+            apply_op(&mut dc, &Op::Insert(Some(round % 5), None));
+            apply_op(&mut dc, &Op::Delete(6, round));
+            apply_op(&mut dc, &Op::SetA(4, round % 4, Some(round)));
+            let deltas = dc.take_deltas();
+            let mut changes = TableChanges::new();
+            changes.set("t", deltas.get("d", "t").unwrap().to_change());
+            let change = dplan.refresh(&db(&dc), &changes, &exec).unwrap();
+            let moved = dsel.refresh(&db(&dc), &changes, &exec).unwrap();
+            let (Change::Patch(got), Change::Patch(want)) = (&change, &moved) else {
+                panic!("{name} round {round}: {change:?} beside the selection's {moved:?}");
+            };
+            assert_eq!(
+                (got.rows_deleted(), got.rows_inserted()),
+                (want.rows_deleted(), want.rows_inserted()),
+                "{name} round {round}"
+            );
+            let rebuilt = exec.execute(&plan, &db(&dc)).unwrap();
+            assert_eq!(dplan.output().unwrap(), rebuilt, "{name} round {round}");
         }
     }
 }
