@@ -153,8 +153,7 @@ fn table1() {
             && naive
                 .table("form")
                 .unwrap()
-                .rows()
-                .iter()
+                .iter_rows()
                 .any(|r| r[1] == Value::Int(42))
         {
             // 42 outside demo lookup domain; skip here (covered in tests).
@@ -166,7 +165,9 @@ fn table1() {
         let back = stack
             .query(&phys, &Plan::scan("form").sort_by(&["instance_id"]))
             .unwrap();
-        let ok = back.rows() == naive.table("form").unwrap().rows();
+        let ok = back
+            .iter_rows()
+            .eq(naive.table("form").unwrap().iter_rows());
         println!("  {:<20} {}", name, if ok { "OK" } else { "MISMATCH" });
         assert!(ok, "{name} failed to round-trip");
     }
@@ -305,12 +306,7 @@ fn figure7(fixture: &Fixture) {
     let refs: Vec<&BoundClassifier> = bound.iter().collect();
     let slice = Table::from_rows(
         naive_form.schema().clone(),
-        naive_form
-            .rows()
-            .iter()
-            .take(6)
-            .cloned()
-            .collect::<Vec<_>>(),
+        naive_form.iter_rows().take(6).cloned().collect::<Vec<_>>(),
     )
     .unwrap();
     let m = materialize("cori", &slice, &entity, &refs).unwrap();

@@ -311,7 +311,7 @@ mod tests {
         let original = naive.table("procedure").unwrap();
         assert_eq!(decoded.len(), original.len(), "audit hides superseded rows");
         // Spot-check: smoking codes survive the rename + audit round trip.
-        for (a, b) in original.rows().iter().zip(decoded.rows()) {
+        for (a, b) in original.iter_rows().zip(decoded.iter_rows()) {
             assert_eq!(a[0], b[0], "instance ids align");
             let smoking_idx = original.schema().index_of("smoking").unwrap();
             assert_eq!(a[smoking_idx], b[smoking_idx]);
@@ -325,7 +325,7 @@ mod tests {
         let t = physical.table(PHYSICAL_TABLE).unwrap();
         assert!(t.len() > 80, "superseded originals are retained");
         let flag_idx = t.schema().index_of(AUDIT_FLAG).unwrap();
-        assert!(t.rows().iter().any(|r| r[flag_idx] == Value::Int(1)));
+        assert!(t.iter_rows().any(|r| r[flag_idx] == Value::Int(1)));
     }
 
     /// One `update_where` over every revised report builds the table the
@@ -344,8 +344,7 @@ mod tests {
         let id_idx = schema.index_of("instance_id").unwrap();
         let note_idx = schema.index_of("other_complication").unwrap();
         let edited: Vec<Vec<Value>> = table
-            .rows()
-            .iter()
+            .iter_rows()
             .filter(|r| r[id_idx].as_i64().is_some_and(|i| i % 13 == 0))
             .cloned()
             .collect();
@@ -372,7 +371,6 @@ mod tests {
                 batched.table(name).unwrap(),
                 per_report.table(name).unwrap(),
             );
-            assert_eq!(ours.rows(), theirs.rows(), "table {name}");
             assert_eq!(ours, theirs, "table {name}");
         }
     }

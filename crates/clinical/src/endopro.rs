@@ -247,7 +247,7 @@ mod tests {
             .unwrap();
         let original = naive.table("exam_report").unwrap();
         assert_eq!(decoded.len(), original.len());
-        for (a, b) in original.rows().iter().zip(decoded.rows()) {
+        for (a, b) in original.iter_rows().zip(decoded.iter_rows()) {
             assert_eq!(a, b, "full row round-trip through BoolEncode+Generic+Audit");
         }
     }
@@ -281,7 +281,7 @@ mod tests {
             .unwrap();
         let out = Executor::new().execute(&plan, &physical).unwrap();
         let mut cells = 0;
-        for row in out.rows() {
+        for row in out.iter_rows() {
             for v in row {
                 if let Value::Text(s) = v {
                     assert!(Arc::ptr_eq(first_row[&**s], s), "{s:?} copied");

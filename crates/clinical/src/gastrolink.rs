@@ -214,8 +214,7 @@ mod tests {
         // The sentinel is physically present for tobacco-free patients.
         let qm = master.schema().index_of("quit_months").unwrap();
         assert!(master
-            .rows()
-            .iter()
+            .iter_rows()
             .any(|r| r[qm] == Value::Int(QUIT_SENTINEL)));
     }
 
@@ -231,7 +230,7 @@ mod tests {
                 .unwrap();
             let original = naive.table(form).unwrap();
             assert_eq!(decoded.len(), original.len(), "{form} row count");
-            for (a, b) in original.rows().iter().zip(decoded.rows()) {
+            for (a, b) in original.iter_rows().zip(decoded.iter_rows()) {
                 assert_eq!(a, b, "{form} row round-trip");
             }
         }

@@ -56,8 +56,7 @@ pub fn gold_study1_eligible(profiles: &[Profile], contributors: &[&str]) -> BTre
 /// two columns) into an extraction item set.
 pub fn extraction_from_table(table: &Table) -> BTreeSet<Item> {
     table
-        .rows()
-        .iter()
+        .iter_rows()
         .filter_map(|r| match (&r[0], &r[1]) {
             (Value::Text(src), Value::Int(id)) => Some((src.to_string(), *id)),
             _ => None,

@@ -289,7 +289,7 @@ pub fn cross_check(
     etl_table: &Table,
 ) -> Result<bool, RelError> {
     let direct = direct_eval(compiled, study, &naive_map(contributors))?;
-    let mut a = etl_table.rows().to_vec();
+    let mut a = etl_table.rows_from(0);
     let mut b = direct.get("Procedure").cloned().unwrap_or_default();
     a.sort();
     b.sort();

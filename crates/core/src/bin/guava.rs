@@ -520,8 +520,8 @@ fn cmd_explain(query: &str, flag: Option<&str>) -> CmdResult {
     Ok(())
 }
 
-fn fmt_rows(rows: &[Vec<Value>]) -> Vec<String> {
-    rows.iter()
+fn fmt_rows(t: &Table) -> Vec<String> {
+    t.iter_rows()
         .map(|r| {
             r.iter()
                 .map(Value::to_string)
@@ -647,7 +647,7 @@ fn serve_loop(input: &mut dyn BufRead, out: &mut dyn Write, engine: Engine) -> C
                         .query(plan)
                         .map_err(Into::into)
                         .and_then(|t| -> CmdResult {
-                            for r in fmt_rows(t.rows()) {
+                            for r in fmt_rows(&t) {
                                 writeln!(out, "{r}")?;
                             }
                             writeln!(out, "({} rows @ gen {})", t.len(), st.session.generation())?;
@@ -677,7 +677,7 @@ fn serve_loop(input: &mut dyn BufRead, out: &mut dyn Write, engine: Engine) -> C
             ["rows", id] => (|| -> CmdResult {
                 let id: u64 = id.parse().map_err(|_| format!("bad sub id `{id}`"))?;
                 let (name, sub) = st.subs.get(&id).ok_or(format!("no sub {id}"))?;
-                for r in fmt_rows(sub.table().rows()) {
+                for r in fmt_rows(&sub.table()) {
                     writeln!(out, "{r}")?;
                 }
                 writeln!(

@@ -255,7 +255,7 @@ mod tests {
         let result = sys.run_study(&study).unwrap();
         let t = &result.tables["Procedure"];
         assert!(
-            t.rows().iter().all(|r| r[2] == Value::Bool(true)),
+            t.iter_rows().all(|r| r[2] == Value::Bool(true)),
             "filter applied"
         );
     }

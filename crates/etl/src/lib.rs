@@ -232,7 +232,7 @@ mod pipeline_tests {
             ("beta".to_owned(), naive_beta),
         ]);
         let direct = direct_eval(&compiled, &study, &naive_dbs).unwrap();
-        let mut etl_rows = table.rows().to_vec();
+        let mut etl_rows = table.rows_from(0);
         let mut direct_rows = direct["Procedure"].clone();
         etl_rows.sort();
         direct_rows.sort();
@@ -322,7 +322,7 @@ mod pipeline_tests {
         let form_table = naive.table("Procedure").unwrap();
         let facts = BTreeMap::from([(
             "Procedure".to_owned(),
-            (form_table.schema().clone(), form_table.rows().to_vec()),
+            (form_table.schema().clone(), form_table.rows_from(0)),
         )]);
         let derived = program.evaluate(&facts).unwrap();
 
@@ -331,7 +331,7 @@ mod pipeline_tests {
         assert_eq!(entities.len(), results["Procedure"].len());
         // The smoking relation agrees value-by-value with the ETL column.
         let smoking = &derived["alpha__smoking_class"];
-        for row in results["Procedure"].rows() {
+        for row in results["Procedure"].iter_rows() {
             let iid = &row[1];
             let classified = &row[2];
             if classified.is_null() {

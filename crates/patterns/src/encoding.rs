@@ -115,8 +115,7 @@ impl BoolEncodePattern {
         let t = input.table(&self.table)?;
         let idx = t.schema().index_of(&self.column).expect("validated column");
         let rows: Vec<Row> = t
-            .rows()
-            .iter()
+            .iter_rows()
             .map(|r| {
                 let mut row = r.clone();
                 row[idx] = match &row[idx] {
@@ -257,8 +256,7 @@ impl NullSentinelPattern {
         let t = input.table(&self.table)?;
         let idx = t.schema().index_of(&self.column).expect("validated column");
         let rows: Vec<Row> = t
-            .rows()
-            .iter()
+            .iter_rows()
             .map(|r| {
                 let mut row = r.clone();
                 if row[idx].is_null() {
@@ -427,8 +425,7 @@ impl LookupPattern {
         let idx = t.schema().index_of(&self.column).expect("validated column");
         let code_of: BTreeMap<&Value, i64> = self.codes.iter().map(|(k, v)| (v, *k)).collect();
         let rows: Vec<Row> = t
-            .rows()
-            .iter()
+            .iter_rows()
             .map(|r| {
                 let mut row = r.clone();
                 row[idx] = match &row[idx] {

@@ -99,7 +99,7 @@ impl GenericPattern {
             .collect();
         let present = Value::text("__present");
         let mut rows: Vec<Row> = Vec::new();
-        for r in t.rows() {
+        for r in t.iter_rows() {
             for (i, name) in names.iter().enumerate() {
                 if i == key_idx || r[i].is_null() {
                     continue;
@@ -202,7 +202,7 @@ mod tests {
         let orig = naive.table("history").unwrap();
         assert_eq!(back.len(), 3);
         assert_eq!(back.schema().column_names(), orig.schema().column_names());
-        for (a, b) in orig.rows().iter().zip(back.rows()) {
+        for (a, b) in orig.iter_rows().zip(back.iter_rows()) {
             assert_eq!(a, b);
         }
     }

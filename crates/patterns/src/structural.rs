@@ -104,7 +104,7 @@ impl RenamePattern {
         let mut out = passthrough(input, &[&self.table]);
         let t = input.table(&self.table)?;
         let schemas = self.transform_schemas(&[t.schema().clone()])?;
-        out.put_table(Table::from_rows(schemas[0].clone(), t.rows().to_vec())?);
+        out.put_table(Table::from_rows(schemas[0].clone(), t.rows_from(0))?);
         Ok(out)
     }
 
@@ -209,7 +209,7 @@ impl MergePattern {
             let t = input.table(&src.name)?;
             // One discriminator cell per source, shared by its rows.
             let tag = Value::text(src.name.as_str());
-            for row in t.rows() {
+            for row in t.iter_rows() {
                 let mut mrow: Row = Vec::with_capacity(merged.arity());
                 for c in merged.columns() {
                     if c.name == self.discriminator {
@@ -329,8 +329,7 @@ impl SplitPattern {
                 .map(|c| t.schema().index_of(c).expect("validated column"))
                 .collect();
             let rows: Vec<Row> = t
-                .rows()
-                .iter()
+                .iter_rows()
                 .map(|r| {
                     let mut row = vec![r[key_idx].clone()];
                     row.extend(idxs.iter().map(|&i| r[i].clone()));
@@ -420,7 +419,7 @@ impl HPartitionPattern {
         let mut out = passthrough(input, &[&self.table]);
         let t = input.table(&self.table)?;
         let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); self.parts.len()];
-        'rows: for row in t.rows() {
+        'rows: for row in t.iter_rows() {
             for (i, (_, pred)) in self.parts.iter().enumerate() {
                 if pred.matches(t.schema(), row)? {
                     buckets[i].push(row.clone());

@@ -66,8 +66,7 @@ impl AuditPattern {
         let mut out = passthrough(input, &[&self.table]);
         let t = input.table(&self.table)?;
         let rows: Vec<Row> = t
-            .rows()
-            .iter()
+            .iter_rows()
             .map(|r| {
                 let mut row = r.clone();
                 row.push(Value::Int(0));
@@ -172,8 +171,7 @@ impl VersionedPattern {
         let mut out = passthrough(input, &[&self.table]);
         let t = input.table(&self.table)?;
         let rows: Vec<Row> = t
-            .rows()
-            .iter()
+            .iter_rows()
             .map(|r| {
                 let mut row = r.clone();
                 row.push(Value::Int(1));
@@ -237,8 +235,7 @@ impl VersionedPattern {
         }
         let key = &new_row[key_idx];
         let next_version = t
-            .rows()
-            .iter()
+            .iter_rows()
             .filter(|r| r[key_idx].sql_eq(key) == Some(true))
             .filter_map(|r| r[ver_idx].as_i64())
             .max()
@@ -302,7 +299,7 @@ mod tests {
         );
         let visible = plan.eval(&phys).unwrap();
         assert_eq!(visible.len(), 1);
-        assert_eq!(visible.rows()[0][0], Value::Int(1));
+        assert_eq!(visible.row_at(0).unwrap()[0], Value::Int(1));
     }
 
     #[test]
@@ -324,11 +321,7 @@ mod tests {
         let plan = p.decode_scan("procedure").unwrap().unwrap();
         let current = plan.eval(&phys).unwrap();
         assert_eq!(current.len(), 2);
-        let r1 = current
-            .rows()
-            .iter()
-            .find(|r| r[0] == Value::Int(1))
-            .unwrap();
+        let r1 = current.iter_rows().find(|r| r[0] == Value::Int(1)).unwrap();
         assert_eq!(r1[1], Value::Bool(true), "latest version wins");
     }
 

@@ -304,8 +304,7 @@ impl Plan {
                 let in_schema = t.schema().clone();
                 let schema = project_output_schema(&in_schema, columns)?;
                 let rows: Vec<Row> = t
-                    .rows()
-                    .iter()
+                    .iter_rows()
                     .map(|r| columns.iter().map(|(_, e)| e.eval(&in_schema, r)).collect())
                     .collect::<RelResult<Vec<Row>>>()?;
                 Table::from_rows(schema, rows)
@@ -985,7 +984,7 @@ fn eval_join(
 
     // Hash join, build side = right. NULL keys never match (SQL semantics).
     let mut index: HashMap<Vec<&Value>, Vec<&Row>> = HashMap::new();
-    for row in rt.rows() {
+    for row in rt.iter_rows() {
         let key: Vec<&Value> = r_idx.iter().map(|&i| &row[i]).collect();
         if key.iter().any(|v| v.is_null()) {
             continue;
@@ -994,7 +993,7 @@ fn eval_join(
     }
     let (l_arity, r_arity) = (ls.arity(), rs.arity());
     let mut out: Vec<Row> = Vec::new();
-    for lrow in lt.rows() {
+    for lrow in lt.iter_rows() {
         let key: Vec<&Value> = l_idx.iter().map(|&i| &lrow[i]).collect();
         let matches = if key.iter().any(|v| v.is_null()) {
             None
@@ -1034,7 +1033,7 @@ fn eval_unpivot(
     let key_idx = resolve_columns(&s, keys)?;
     let data_idx: Vec<usize> = (0..s.arity()).filter(|i| !key_idx.contains(i)).collect();
     let schema = unpivot_output_schema(&s, &key_idx, attr_col, val_col)?;
-    let rows = unpivot_rows(&s, t.rows(), &key_idx, &data_idx);
+    let rows = unpivot_rows(&s, &t.into_rows(), &key_idx, &data_idx);
     Table::from_rows(schema, rows)
 }
 
@@ -1088,7 +1087,7 @@ fn eval_pivot(
     let attr_idx = resolve_column(&s, attr_col)?;
     let val_idx = resolve_column(&s, val_col)?;
     let schema = pivot_output_schema(&s, &key_idx, attrs)?;
-    let rows = pivot_rows(t.rows(), &key_idx, attr_idx, val_idx, attrs)?;
+    let rows = pivot_rows(&t.into_rows(), &key_idx, attr_idx, val_idx, attrs)?;
     Table::from_rows(schema, rows)
 }
 
@@ -1103,7 +1102,7 @@ fn eval_aggregate(
     let g_idx = resolve_columns(&s, group_by)?;
     let agg_idx = resolve_aggregate_columns(&s, aggregates)?;
     let schema = aggregate_output_schema(&s, &g_idx, &agg_idx, aggregates)?;
-    let rows = aggregate_rows(t.rows(), &g_idx, &agg_idx, aggregates);
+    let rows = aggregate_rows(&t.into_rows(), &g_idx, &agg_idx, aggregates);
     Table::from_rows(schema, rows)
 }
 
@@ -1171,7 +1170,7 @@ mod tests {
             .eval(&db)
             .unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.rows()[0][0], Value::text("ada"));
+        assert_eq!(t.row_at(0).unwrap()[0], Value::text("ada"));
     }
 
     #[test]
@@ -1185,8 +1184,8 @@ mod tests {
             .eval(&db)
             .unwrap();
         assert_eq!(t.schema().columns()[0].data_type, DataType::Int);
-        assert_eq!(t.rows()[1][0], Value::Int(6));
-        assert!(t.rows()[2][0].is_null());
+        assert_eq!(t.row_at(1).unwrap()[0], Value::Int(6));
+        assert!(t.row_at(2).unwrap()[0].is_null());
     }
 
     #[test]
@@ -1213,7 +1212,7 @@ mod tests {
             .eval(&db)
             .unwrap();
         assert_eq!(left.len(), 5); // procs 3 and 4 padded with NULLs
-        let pad = left.rows().iter().find(|r| r[0] == Value::Int(3)).unwrap();
+        let pad = left.iter_rows().find(|r| r[0] == Value::Int(3)).unwrap();
         assert!(pad[5].is_null());
     }
 
@@ -1273,7 +1272,7 @@ mod tests {
         .unwrap();
         assert_eq!(wide.len(), 4);
         let orig = db.table("procedures").unwrap();
-        for (a, b) in orig.rows().iter().zip(wide.rows()) {
+        for (a, b) in orig.iter_rows().zip(wide.iter_rows()) {
             assert_eq!(a, b);
         }
     }
@@ -1305,12 +1304,12 @@ mod tests {
         assert_eq!(t.len(), 3);
         // ada: rows 1 & 4, packs 0 + 1
         assert_eq!(
-            t.rows()[0],
-            vec![Value::text("ada"), 2.into(), 1.into(), Value::Float(0.5)]
+            t.row_at(0).unwrap(),
+            &vec![Value::text("ada"), 2.into(), 1.into(), Value::Float(0.5)]
         );
         // cyd: packs NULL → SUM NULL, COUNT(*)=1
-        assert_eq!(t.rows()[2][0], Value::text("cyd"));
-        assert!(t.rows()[2][2].is_null());
+        assert_eq!(t.row_at(2).unwrap()[0], Value::text("cyd"));
+        assert!(t.row_at(2).unwrap()[2].is_null());
     }
 
     #[test]
@@ -1328,7 +1327,7 @@ mod tests {
             )
             .eval(&db)
             .unwrap();
-        assert_eq!(t.rows()[0][0], Value::Int(2));
+        assert_eq!(t.row_at(0).unwrap()[0], Value::Int(2));
     }
 
     #[test]
@@ -1361,9 +1360,9 @@ mod tests {
             1,
             "SQL: COUNT(*) over empty input is a single 0 row"
         );
-        assert_eq!(t.rows()[0][0], Value::Int(0));
-        assert!(t.rows()[0][1].is_null());
-        assert!(t.rows()[0][2].is_null());
+        assert_eq!(t.row_at(0).unwrap()[0], Value::Int(0));
+        assert!(t.row_at(0).unwrap()[1].is_null());
+        assert!(t.row_at(0).unwrap()[2].is_null());
         // Grouped aggregation over empty input stays empty.
         let g = Plan::scan("e")
             .aggregate(
@@ -1388,7 +1387,7 @@ mod tests {
             .unwrap();
         assert_eq!(t.len(), 2);
         assert!(
-            t.rows()[0][2].is_null(),
+            t.row_at(0).unwrap()[2].is_null(),
             "NULL sorts first under total order"
         );
     }

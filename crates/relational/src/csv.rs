@@ -21,7 +21,7 @@ pub fn to_csv(table: &Table) -> String {
         .collect();
     out.push_str(&header.join(","));
     out.push('\n');
-    for row in table.rows() {
+    for row in table.iter_rows() {
         let cells: Vec<String> = row
             .iter()
             .map(|v| match v {
@@ -186,15 +186,15 @@ mod tests {
         .unwrap();
         let csv = to_csv(&t);
         let back = from_csv(schema(), &csv).unwrap();
-        assert_eq!(back.rows(), t.rows());
+        assert_eq!(back, t);
     }
 
     #[test]
     fn empty_quoted_is_empty_string_not_null() {
         let csv = "id,note,flag\n1,\"\",TRUE\n2,,FALSE\n";
         let t = from_csv(schema(), csv).unwrap();
-        assert_eq!(t.rows()[0][1], Value::text(""));
-        assert!(t.rows()[1][1].is_null());
+        assert_eq!(t.row_at(0).unwrap()[1], Value::text(""));
+        assert!(t.row_at(1).unwrap()[1].is_null());
     }
 
     #[test]
@@ -230,6 +230,6 @@ mod tests {
         )
         .unwrap();
         let back = from_csv(schema(), &to_csv(&t)).unwrap();
-        assert_eq!(back.rows()[0][1], Value::text("line1\nline2"));
+        assert_eq!(back.row_at(0).unwrap()[1], Value::text("line1\nline2"));
     }
 }

@@ -94,7 +94,7 @@
 //! let db = cat.database("clinic").unwrap();
 //! dp.refresh(db, &changes, &exec).unwrap();
 //! let out = dp.output().unwrap();
-//! assert_eq!(out.rows().iter().map(|r| r[0].clone()).collect::<Vec<_>>(),
+//! assert_eq!(out.iter_rows().map(|r| r[0].clone()).collect::<Vec<_>>(),
 //!            vec![Value::text("a"), Value::text("c")]);
 //! // Byte-identical to a from-scratch run on the merged state:
 //! assert_eq!(out, exec.execute(&plan, db).unwrap());
@@ -324,16 +324,19 @@ impl PatchBuilder {
 
 /// The recorded difference of one table between two capture points.
 ///
-/// `deleted` holds `(pre-state ordinal, row)` pairs in ascending ordinal
-/// order; `inserted` holds appended rows in insertion order. The canonical
-/// merge ([`TableDelta::apply`]) keeps retained pre-state rows in their
-/// original order and appends the inserted rows — updates captured as
-/// delete + insert therefore move to the end of the table.
+/// `deleted` holds `(pre-state ordinal, row)` pairs in strictly ascending
+/// ordinal order, and [`Table::apply_delta`] refuses a delta whose
+/// ordinals do not, before it touches anything; `inserted` holds appended
+/// rows in insertion order. The canonical merge ([`TableDelta::apply`])
+/// keeps retained pre-state rows in their original order and appends the
+/// inserted rows — updates captured as delete + insert therefore move to
+/// the end of the table.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableDelta {
     /// Row count of the pre-state the ordinals refer to.
     pub pre_len: usize,
-    /// Deleted rows as `(pre-state ordinal, row)`, ascending by ordinal.
+    /// Deleted rows as `(pre-state ordinal, row)`, strictly ascending by
+    /// ordinal.
     pub deleted: Vec<(usize, Row)>,
     /// Rows appended after the retained pre-state rows, in order.
     pub inserted: Vec<Row>,
@@ -1710,13 +1713,7 @@ mod tests {
     fn delta_catalog_canonical_merge_and_roundtrip() {
         let mut cat = Catalog::new();
         cat.insert(test_db());
-        let pre = cat
-            .database("d")
-            .unwrap()
-            .table("t")
-            .unwrap()
-            .rows()
-            .to_vec();
+        let pre = cat.database("d").unwrap().table("t").unwrap().rows_from(0);
         let mut dc = DeltaCatalog::new(cat);
         dc.insert("d", "t", row(&[100, 1, 5])).unwrap();
         let n = dc
@@ -1740,7 +1737,7 @@ mod tests {
             .table("t")
             .unwrap()
             .clone();
-        let last = live.rows().last().unwrap();
+        let last = live.row_at(live.len() - 1).unwrap();
         assert_eq!(last, &row(&[3, 0, 999]));
         let deltas = dc.take_deltas();
         let d = deltas.get("d", "t").unwrap();
@@ -1751,7 +1748,7 @@ mod tests {
         );
         // Roundtrip: canonical merge of the delta over the pre-state
         // reproduces the live table exactly.
-        assert_eq!(d.apply(&pre), live.rows());
+        assert_eq!(d.apply(&pre), live.rows_from(0));
         // Second window starts empty.
         assert!(dc.take_deltas().is_empty());
     }
@@ -1840,7 +1837,7 @@ mod tests {
                 let fresh = exec.execute(&plan, db).unwrap();
                 let incr = dp.output().unwrap();
                 assert_eq!(incr.schema(), fresh.schema(), "plan {plan:?} step {step}");
-                assert_eq!(incr.rows(), fresh.rows(), "plan {plan:?} step {step}");
+                assert_eq!(incr, fresh, "plan {plan:?} step {step}");
             }
         }
     }
@@ -1883,10 +1880,7 @@ mod tests {
         let db = dc.catalog().database("d").unwrap();
         dp.refresh(db, &TableChanges::new(), &exec).unwrap();
         assert!(!dp.is_poisoned());
-        assert_eq!(
-            dp.output().unwrap().rows(),
-            exec.execute(&plan, db).unwrap().rows()
-        );
+        assert_eq!(dp.output().unwrap(), exec.execute(&plan, db).unwrap());
     }
 
     #[test]

@@ -702,7 +702,7 @@ mod tests {
         assert!(matches!(
             Expr::col("i")
                 .lt(Expr::lit("3"))
-                .matches(&schema, &table.rows()[1]),
+                .matches(&schema, table.row_at(1).unwrap()),
             Err(RelError::Eval(_))
         ));
     }

@@ -74,7 +74,7 @@ type Addr = u64;
 /// vector, an optional dead-row bitmap, and a lazily built columnar seal.
 /// The backing vector only ever grows in place while this table holds
 /// the *sole* reference to it and the chunk is unsealed; the moment it is
-/// shared (a table clone, a scan in flight, a flat view) or sealed it is
+/// shared (a table clone, a scan in flight) or sealed it is
 /// frozen and further inserts open a new chunk.
 #[derive(Debug, Clone)]
 struct Chunk {
@@ -433,10 +433,10 @@ impl fmt::Display for TableLayout {
 ///
 /// Everything heavy is `Arc`-shared: cloning a table is O(#chunks), and
 /// [`Table::apply_delta`] produces the next generation while sharing all
-/// untouched storage with this one. The flat row view ([`Table::rows`])
-/// is a cached compatibility projection — O(#chunks)
-/// while the chunks still window one backing vector end to end (any table
-/// as built or loaded), materialized once per table version otherwise.
+/// untouched storage with this one. A table has two representations, its
+/// row chunks and their sealed segments; rows are read in place through
+/// [`Table::iter_rows`] and [`Table::row_at`], and copied out only on
+/// request ([`Table::rows_from`], [`Table::into_rows`]).
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
@@ -456,9 +456,6 @@ pub struct Table {
     /// assembled from survive). Derived state: excluded from serde and
     /// equality.
     seg_view: Arc<OnceLock<SegmentList>>,
-    /// Cached flat projection of the visible rows, for callers that
-    /// still consume a table as one contiguous `Arc<Vec<Row>>`.
-    flat: Arc<OnceLock<Arc<Vec<Row>>>>,
 }
 
 impl Table {
@@ -489,16 +486,13 @@ impl Table {
     /// an *empty* pk index; callers reindex (or know the schema is
     /// keyless).
     fn assemble(schema: Schema, rows: Vec<Row>) -> Table {
-        let live = rows.len();
-        let backing = Arc::new(rows);
         Table {
             schema,
-            chunks: Chunk::windows(Arc::clone(&backing), 0).collect(),
-            live,
+            live: rows.len(),
+            chunks: Chunk::windows(Arc::new(rows), 0).collect(),
             pk_base: Arc::new(HashMap::new()),
             pk_overlay: Arc::new(HashMap::new()),
             seg_view: Arc::new(OnceLock::new()),
-            flat: Arc::new(OnceLock::from(backing)),
         }
     }
 
@@ -517,22 +511,22 @@ impl Table {
     }
 
     /// This table under another name. Only the schema is copied: chunks,
-    /// seals, index and cached views stay shared with every clone of
+    /// seals, index and sealed view stay shared with every clone of
     /// `self`, so [`Table::same_storage`] holds between the two.
     pub fn renamed(mut self, name: impl Into<String>) -> Table {
         self.schema = self.schema.renamed(name);
         self
     }
 
-    /// The visible rows as one contiguous slice (the flat compatibility
-    /// view). No row is copied while the chunks still window one backing
-    /// vector end to end — the slice *is* that backing — and the view is
-    /// materialized once per table version otherwise.
-    pub fn rows(&self) -> &[Row] {
-        self.flat.get_or_init(|| match self.whole_backing() {
-            Some(backing) => Arc::clone(backing),
-            None => Arc::new(self.iter_rows().cloned().collect()),
-        })
+    /// An owned copy of the visible rows, O(rows): [`Table::rows_from`]
+    /// from 0. Kept for the `benchmark/` harness, which compares row
+    /// vectors; read [`Table::iter_rows`] or [`Table::row_at`] instead.
+    #[deprecated(
+        note = "an O(rows) copy kept for `benchmark/` until ROADMAP item 4 B1(i); \
+                read `iter_rows`, `row_at` or `rows_from`"
+    )]
+    pub fn rows(&self) -> Vec<Row> {
+        self.rows_from(0)
     }
 
     /// The one backing vector this table's chunks window end to end, in
@@ -549,7 +543,7 @@ impl Table {
         (expect == backing.len()).then_some(backing)
     }
 
-    /// Iterate the visible rows in order without forcing the flat view.
+    /// Iterate the visible rows in order, in place.
     pub fn iter_rows(&self) -> impl Iterator<Item = &Row> + '_ {
         self.chunks.iter().flat_map(|c| c.iter_live())
     }
@@ -736,9 +730,6 @@ impl Table {
                 return Err(self.dup_err(key));
             }
         }
-        // Drop the flat view before growing: it holds a clone of the
-        // last chunk's backing and would otherwise force a new chunk.
-        reset_cache(&mut self.flat);
         reset_cache(&mut self.seg_view);
         let addr = self.push_row(row);
         if let Some(key) = key {
@@ -841,7 +832,6 @@ impl Table {
         if doomed.is_empty() {
             return Ok(0);
         }
-        reset_cache(&mut self.flat);
         reset_cache(&mut self.seg_view);
         let mut touched: Vec<usize> = Vec::new();
         for &(ci, off) in &doomed {
@@ -894,6 +884,11 @@ impl Table {
                 "delta captured against {} rows, table has {}",
                 delta.pre_len, self.live
             )));
+        }
+        if !delta.deleted.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(RelError::Plan(
+                "delta deleted ordinals must be strictly ascending".into(),
+            ));
         }
         debug_assert!(
             delta
@@ -993,10 +988,7 @@ impl Table {
         let n_inserted: usize = inserted.iter().map(|(_, rows)| rows.len()).sum();
         let pk = self.validate_edit(deleted.clone(), inserted, n_deleted + n_inserted)?;
 
-        // From here on nothing fails. Let go of the cached views first:
-        // the flat view holds the first chunk's backing, and nothing it
-        // windows could be edited in place while it does.
-        reset_cache(&mut self.flat);
+        // From here on nothing fails.
         reset_cache(&mut self.seg_view);
         let old_chunks = std::mem::take(&mut self.chunks);
         let mut chunks: Vec<Chunk> = Vec::with_capacity(old_chunks.len() + 2 * inserted.len());
@@ -1206,7 +1198,7 @@ impl Table {
     /// rows (at most [`SEGMENT_ROWS`] of them), re-addressed from the
     /// first chunk's base — its range only shrinks, so it stays below the
     /// next chunk's — with the moved rows' pk entries patched. Row order
-    /// is unchanged, so a cached flat view stays valid.
+    /// is unchanged.
     fn compact(&mut self, k: usize, n: usize) {
         let base = self.chunks[k].base;
         let doomed = &mut self.chunks[k..k + n];
@@ -1310,9 +1302,9 @@ impl Table {
     pub fn into_rows(self) -> Vec<Row> {
         if let Some(backing) = self.whole_backing().cloned() {
             // Release every other handle of ours on the backing: the
-            // chunk windows (and the segment shells they seal), the
-            // sealed view and the cached flat view.
-            drop((self.chunks, self.seg_view, self.flat));
+            // chunk windows (and the segment shells they seal) and the
+            // sealed view.
+            drop((self.chunks, self.seg_view));
             return Arc::try_unwrap(backing).unwrap_or_else(|shared| (*shared).clone());
         }
         self.iter_rows().cloned().collect()
@@ -1390,9 +1382,8 @@ impl fmt::Display for Table {
 }
 
 /// Wire format: `{"schema": ..., "rows": [...]}` — the visible rows in
-/// order, as when rows were stored contiguously, walked chunk by chunk
-/// without forcing the flat view. Index and caches are derived state and
-/// are skipped.
+/// order, as when rows were stored contiguously, walked chunk by chunk.
+/// Index and caches are derived state and are skipped.
 impl Serialize for Table {
     fn to_json(&self) -> Json {
         Json::Object(vec![
@@ -1526,8 +1517,8 @@ mod tests {
         assert!(back.get_by_key(&[Value::Int(1)]).is_some());
 
         // A table that took an install with deletes is multi-chunk and
-        // masked: serializing walks the chunks (no flat copy is made or
-        // cached), and the round trip is the visible rows, re-keyable.
+        // masked: serializing walks the chunks, and the round trip is the
+        // visible rows, re-keyable.
         let base = keyed(3 * SEGMENT_ROWS as i64);
         let delta = TableDelta {
             pre_len: base.len(),
@@ -1540,7 +1531,6 @@ mod tests {
         let t = base.apply_delta(&delta).unwrap();
         assert!(t.chunks.len() > 1 && t.chunks.iter().any(|c| c.mask.is_some()));
         let json = serde_json::to_string(&t).unwrap();
-        assert!(t.flat.get().is_none(), "serializing forced the flat view");
         let mut back: Table = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
         back.reindex().unwrap();
@@ -1549,16 +1539,15 @@ mod tests {
     }
 
     #[test]
-    fn resident_scan_copies_rows_without_forcing_the_flat_view() {
+    fn resident_scan_holds_the_table_it_read() {
         use crate::algebra::Plan;
         use crate::database::Database;
         use crate::delta::{Change, DeltaPlan, TableChanges};
         use crate::exec::Executor;
 
-        // A resident plan's scan leaf reads its table chunk by chunk —
-        // at init, and when the wholesale fallback copies the rows out —
-        // never through a flat view cached in the shared table; and a plan
-        // that *is* the scan holds the table itself, not a copy.
+        // A plan that *is* the scan holds the table itself, not a copy —
+        // at init, and when the wholesale fallback takes a masked,
+        // multi-chunk table whole.
         let install = |t: &Table, drop: usize, add: &[i64]| {
             let delta = TableDelta {
                 pre_len: t.len(),
@@ -1574,7 +1563,6 @@ mod tests {
         let mut plan = DeltaPlan::init(&Plan::scan("revs"), &db, &exec).unwrap();
         let t = db.table("revs").unwrap();
         assert!(masked(t));
-        assert!(t.flat.get().is_none(), "init forced the flat view");
         assert!(plan.output().unwrap().same_storage(t));
 
         // No change claimed but the length moved: the wholesale fallback.
@@ -1583,7 +1571,6 @@ mod tests {
         let change = plan.refresh(&db, &TableChanges::new(), &exec).unwrap();
         let t = db.table("revs").unwrap();
         assert!(masked(t));
-        assert!(t.flat.get().is_none(), "refresh forced the flat view");
         assert!(matches!(change, Change::Full(full) if full.same_storage(t)));
     }
 
@@ -1644,6 +1631,26 @@ mod tests {
             ]
         );
         assert_eq!(next.key_position(&[Value::Int(201)]).unwrap().0, 99);
+    }
+
+    #[test]
+    fn apply_delta_refuses_unordered_ordinals() {
+        // Each `(pos, row)` matches the table, so only the order is wrong:
+        // descending, then repeated. Either must be refused whole, not
+        // read as some other set of rows.
+        let base = keyed(10);
+        let at = |p: usize| (p, base.row_at(p).unwrap().clone());
+        for deleted in [vec![at(5), at(2)], vec![at(3), at(3)]] {
+            let delta = TableDelta {
+                pre_len: 10,
+                deleted,
+                inserted: vec![],
+            };
+            let err = base.apply_delta(&delta).unwrap_err();
+            assert!(matches!(err, RelError::Plan(_)), "{err}");
+        }
+        assert_eq!(base, keyed(10));
+        assert!((0..10).all(|i| base.get_by_key(&[Value::Int(i)]).is_some()));
     }
 
     #[test]

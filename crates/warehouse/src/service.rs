@@ -84,7 +84,7 @@
 //! // Sessions query snapshots; subscriptions receive pushed deltas.
 //! let session = engine.session();
 //! let mut sub = session.subscribe(&Plan::scan("Procedure")).unwrap();
-//! assert_eq!(sub.rows().len(), 1);
+//! assert_eq!(sub.table().len(), 1);
 //!
 //! // A refresh installs generation 1 and pushes the delta.
 //! engine.update(|cat| {
@@ -92,10 +92,10 @@
 //! }).unwrap();
 //! sub.sync().unwrap();
 //! assert_eq!(sub.generation(), 1);
-//! assert_eq!(sub.rows().len(), 2);
+//! assert_eq!(sub.table().len(), 2);
 //! // Byte-identity: the mirror equals a fresh query on the new snapshot.
 //! let fresh = engine.session().query(&Plan::scan("Procedure")).unwrap();
-//! assert_eq!(sub.rows(), fresh.rows());
+//! assert_eq!(sub.table(), fresh);
 //! ```
 //!
 //! The pre-service entry points (`Executor::execute`, `EtlWorkflow::run_on`,

@@ -100,6 +100,10 @@ impl Subscription {
     /// An owned copy of the mirrored rows, O(rows). Kept for callers that
     /// compare row vectors (the `benchmark/` harness); read
     /// [`Self::table`] instead.
+    #[deprecated(
+        note = "an O(rows) copy kept for `benchmark/` until ROADMAP item 4 B1(i); \
+                read `table`"
+    )]
     pub fn rows(&self) -> Vec<Row> {
         self.mirror.rows_from(0)
     }

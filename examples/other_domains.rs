@@ -267,8 +267,7 @@ fn main() {
     let result = sys.run_study(&study).unwrap();
     println!("finance study result:\n{}", result.tables["Application"]);
     let r2 = result.tables["Application"]
-        .rows()
-        .iter()
+        .iter_rows()
         .find(|r| r[1] == Value::Int(2))
         .unwrap();
     assert_eq!(r2[2], Value::Float(50_000.0 / 60_000.0));

@@ -45,7 +45,7 @@ fn main() {
     let refs: Vec<&BoundClassifier> = all.iter().collect();
 
     // Show the Figure 7 layout over a small slice.
-    let small: Vec<Row> = naive_form.rows().iter().take(5).cloned().collect();
+    let small: Vec<Row> = naive_form.iter_rows().take(5).cloned().collect();
     let small_table = Table::from_rows(naive_form.schema().clone(), small).unwrap();
     let m = materialize("cori", &small_table, &entity, &refs[..4]).unwrap();
     let meta: Vec<(String, String, String)> = all[..4]

@@ -102,19 +102,26 @@ if grep -rnE 'table_fingerprint|CachedInput|snapshot_inputs|input_unchanged' \
   exit 1
 fi
 
-# The warehouse crate reads tables through `iter_rows`/`rows_from`, not the
-# flat view: `Table::rows()` caches a whole-table copy that every clone of
-# the table shares (ROADMAP item 5(b)). And it classifies with the compiled
-# study's guard and CASE expressions on the executor (DESIGN.md §12, *One
-# classifier evaluator*): the per-row rule walk stays only as
-# `direct_eval`'s reference, and the second output-type rule went with it.
-# Non-test code only, comment lines skipped as in the panic-site count below.
+# A table has two representations, row chunks and their sealed segments
+# (DESIGN.md §18, ROADMAP item 5(b)): the cached flat `Vec<Row>` view that
+# every clone of a table shared is deleted, and `Table::rows()` is a
+# deprecated owned copy that clippy's `-D warnings` above refuses anywhere
+# in the workspace. Fail if non-test table.rs regains a cached row vector
+# or a `flat` field. Comment lines skipped as in the panic-site count below.
+table_code=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' \
+  crates/relational/src/table.rs)
+if grep -E 'OnceLock<Arc<Vec<Row>>>|^[^:]*:[0-9]+: +(pub(\([a-z]+\))? )?flat *:' <<<"$table_code"; then
+  echo "check.sh: non-test table.rs caches a flat row view again (matches above)" >&2
+  exit 1
+fi
+
+# The warehouse crate classifies with the compiled study's guard and CASE
+# expressions on the executor (DESIGN.md §12, *One classifier evaluator*):
+# the per-row rule walk stays only as `direct_eval`'s reference, and the
+# second output-type rule went with it. Non-test code only, comment lines
+# skipped as in the panic-site count below.
 for f in $(find crates/warehouse/src -name '*.rs' | sort); do
   code=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f")
-  if grep -F '.rows()' <<<"$code"; then
-    echo "check.sh: non-test warehouse code reads the flat view again (matches above)" >&2
-    exit 1
-  fi
   if grep -E '\.classify\(|\.selects\(|eval_row_from|classifier_output_type' <<<"$code"; then
     echo "check.sh: non-test warehouse code classifies by the row walk again (matches above)" >&2
     exit 1

@@ -58,7 +58,7 @@ fn db(rows: Vec<Row>) -> Database {
 }
 
 fn sorted(t: &Table) -> Vec<Row> {
-    let mut rows = t.rows().to_vec();
+    let mut rows = t.rows_from(0);
     rows.sort();
     rows
 }
@@ -142,8 +142,7 @@ proptest! {
         // does not). Compare against the non-empty rows.
         let original = d.table("t").unwrap();
         let expected: Vec<Row> = original
-            .rows()
-            .iter()
+            .iter_rows()
             .filter(|r| r[1..].iter().any(|v| !v.is_null()))
             .cloned()
             .collect();
@@ -168,11 +167,10 @@ proptest! {
         let manual = d
             .table("t")
             .unwrap()
-            .rows()
-            .iter()
+            .iter_rows()
             .filter(|r| p.matches(&schema(), r).unwrap())
             .count();
-        prop_assert_eq!(counted.rows()[0][0].clone(), Value::Int(manual as i64));
+        prop_assert_eq!(counted.row_at(0).unwrap()[0].clone(), Value::Int(manual as i64));
     }
 
     /// Join with an empty right side is empty (inner) or NULL-padded
@@ -194,7 +192,7 @@ proptest! {
             .eval(&d)
             .unwrap();
         prop_assert_eq!(left.len(), d.table("t").unwrap().len());
-        prop_assert!(left.rows().iter().all(|r| r.last().unwrap().is_null()));
+        prop_assert!(left.iter_rows().all(|r| r.last().unwrap().is_null()));
     }
 
     /// Sorting is stable with respect to content: sort(sort(T)) == sort(T),
@@ -204,9 +202,9 @@ proptest! {
         let d = db(rows);
         let once = Plan::scan("t").sort_by(&["a", "id"]).eval(&d).unwrap();
         let twice = Plan::scan("t").sort_by(&["a", "id"]).sort_by(&["a", "id"]).eval(&d).unwrap();
-        prop_assert_eq!(once.rows(), twice.rows());
+        prop_assert_eq!(&once, &twice);
         let limited = Plan::scan("t").sort_by(&["a", "id"]).limit(n).eval(&d).unwrap();
-        prop_assert_eq!(limited.rows(), &once.rows()[..n.min(once.len())]);
+        prop_assert_eq!(&limited.rows_from(0)[..], &once.rows_from(0)[..n.min(once.len())]);
     }
 
     /// CSV round-trips arbitrary tables (NULLs, quoting, unicode-free).
@@ -216,7 +214,7 @@ proptest! {
         let t = d.table("t").unwrap();
         let csv = guava::relational::csv::to_csv(t);
         let back = guava::relational::csv::from_csv(schema(), &csv).unwrap();
-        prop_assert_eq!(back.rows(), t.rows());
+        prop_assert_eq!(&back, t);
     }
 }
 

@@ -95,7 +95,7 @@ fn cleaning_drops_implausible_instances() {
         4,
         "the two implausible reports are discarded"
     );
-    let ids: Vec<&Value> = cleaned.rows().iter().map(|r| &r[1]).collect();
+    let ids: Vec<&Value> = cleaned.iter_rows().map(|r| &r[1]).collect();
     assert!(!ids.contains(&&Value::Int(3)));
     assert!(!ids.contains(&&Value::Int(4)));
     assert!(
@@ -117,7 +117,7 @@ fn cleaning_agrees_across_all_three_semantics() {
         &BTreeMap::from([("cori".to_owned(), naive.clone())]),
     )
     .unwrap();
-    let mut a = etl_table.rows().to_vec();
+    let mut a = etl_table.rows_from(0);
     let mut b = direct["Procedure"].clone();
     a.sort();
     b.sort();
@@ -126,10 +126,7 @@ fn cleaning_agrees_across_all_three_semantics() {
     // Datalog translation.
     let program = study_to_datalog(&compiled);
     let t = naive.table("procedure").unwrap();
-    let facts = BTreeMap::from([(
-        "procedure".to_owned(),
-        (t.schema().clone(), t.rows().to_vec()),
-    )]);
+    let facts = BTreeMap::from([("procedure".to_owned(), (t.schema().clone(), t.rows_from(0)))]);
     let derived = program.evaluate(&facts).unwrap();
     let entities = &derived["cori__procedure"];
     assert_eq!(entities.len(), 4, "datalog derives the cleaned entity set");

@@ -103,7 +103,7 @@ fn csv_export_roundtrips_study_results() {
     let table = &result.tables["Procedure"];
     let csv = guava::relational::csv::to_csv(table);
     let back = guava::relational::csv::from_csv(table.schema().clone(), &csv).unwrap();
-    assert_eq!(back.rows(), table.rows());
+    assert_eq!(&back, table);
 }
 
 #[test]

@@ -594,7 +594,7 @@ fn join_keys_with_nan_and_negative_zero() {
             &db,
         )
         .unwrap();
-        let tags: Vec<&Value> = t.rows().iter().map(|r| &r[3]).collect();
+        let tags: Vec<&Value> = t.iter_rows().map(|r| &r[3]).collect();
         match kind {
             // NaN matches NaN; 0.0 matches only the positive zero; NULLs
             // and -0.0 drop out.
@@ -639,7 +639,7 @@ fn null_keys_group_and_order_like_the_row_path() {
     );
     let t = assert_all_modes(&plan, &db).unwrap();
     // Row 0 has a NULL key, so the NULL group must come first.
-    assert_eq!(t.rows()[0][0], Value::Null);
+    assert_eq!(t.row_at(0).unwrap()[0], Value::Null);
     // Two-column key with NULLs in both, plus distinct over the same
     // lanes (first-occurrence dedup via key hashing).
     assert_all_modes(

@@ -123,7 +123,7 @@ proptest! {
         // Direct evaluation over naive databases.
         let direct = direct_eval(&compiled, &study, &naive_map(&contributors)).unwrap();
 
-        let mut a = etl.rows().to_vec();
+        let mut a = etl.rows_from(0);
         let mut b = direct.get("Procedure").cloned().unwrap_or_default();
         a.sort();
         b.sort();
@@ -165,7 +165,7 @@ proptest! {
         for ep in &compiled.entity_plans {
             let db = &naive[&ep.contributor];
             let t = db.table(&ep.form).unwrap();
-            facts.insert(ep.form.clone(), (t.schema().clone(), t.rows().to_vec()));
+            facts.insert(ep.form.clone(), (t.schema().clone(), t.rows_from(0)));
         }
         let derived = program.evaluate(&facts).unwrap();
         for ep in &compiled.entity_plans {
@@ -175,7 +175,7 @@ proptest! {
             for (idx, (col, _)) in ep.domain_classifiers.iter().enumerate() {
                 let head = format!("{prefix}__{}", col.column_name().to_lowercase());
                 let tuples = derived.get(&head).cloned().unwrap_or_default();
-                for row in etl.rows().iter().filter(|r| r[0] == Value::text(ep.contributor.clone())) {
+                for row in etl.iter_rows().filter(|r| r[0] == Value::text(ep.contributor.clone())) {
                     let iid = &row[1];
                     let v = &row[2 + idx];
                     if v.is_null() {

@@ -217,8 +217,7 @@ fn study_produces_one_table_per_entity() {
     assert_eq!(joined.len(), 3, "every finding joins its parent procedure");
     // Findings of procedure 1 see its hypoxia flag.
     let of_p1: Vec<_> = joined
-        .rows()
-        .iter()
+        .iter_rows()
         .filter(|r| r[2] == Value::Int(1))
         .collect();
     assert_eq!(of_p1.len(), 2);
@@ -248,7 +247,7 @@ fn direct_eval_covers_all_entities() {
     )
     .unwrap();
     for entity in ["Procedure", "Finding"] {
-        let mut a = tables[entity].rows().to_vec();
+        let mut a = tables[entity].rows_from(0);
         let mut b = direct[entity].clone();
         a.sort();
         b.sort();

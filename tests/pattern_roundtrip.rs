@@ -195,7 +195,7 @@ proptest! {
             decoded.schema().column_names(),
             original.schema().column_names()
         );
-        for (a, b) in original.rows().iter().zip(decoded.rows()) {
+        for (a, b) in original.iter_rows().zip(decoded.iter_rows()) {
             prop_assert_eq!(a, b);
         }
     }
@@ -261,6 +261,6 @@ proptest! {
         let plan = Plan::scan("form1").select(predicate).sort_by(&["instance_id"]);
         let through_stack = stack.query(&physical, &plan).unwrap();
         let direct = plan.eval(&naive).unwrap();
-        prop_assert_eq!(through_stack.rows(), direct.rows());
+        prop_assert_eq!(through_stack.rows_from(0), direct.rows_from(0));
     }
 }

@@ -260,7 +260,7 @@ fn pinned_reads_survive_shared_structure_installs() {
                 cat.delete_where("cori", "Procedure", |r| r[0] == Value::Int(30 + i - 1))
             })
             .unwrap();
-        assert_eq!(pinned.query(&plan).unwrap().rows(), oracle.rows());
+        assert_eq!(pinned.query(&plan).unwrap(), oracle);
     }
     assert_eq!(pinned.generation(), 0);
     assert_eq!(engine.generation(), 3);
@@ -339,7 +339,7 @@ fn single_row_catalog_inserts_and_audit_revisions_stay_within_the_layout_bounds(
     let layout = t.layout();
     assert!(layout.within_bounds(), "{layout:?}");
     assert!(layout.chunks <= MAX_SMALL_RUN, "{layout:?}");
-    assert_eq!(t.rows().len(), t.len());
+    assert_eq!(t.iter_rows().count(), t.len());
     assert_eq!(
         t.row_at(t.len() - 1).unwrap()[note_idx],
         Value::text("amended")

@@ -111,8 +111,7 @@ fn next_id(dc: &DeltaCatalog) -> i64 {
         .unwrap()
         .table("t")
         .unwrap()
-        .rows()
-        .iter()
+        .iter_rows()
         .filter_map(|r| r[0].as_i64())
         .max()
         .unwrap_or(-1)
@@ -835,7 +834,7 @@ fn group_death_then_revival_moves_group_to_end() {
             Value::text("c"),
         ],
     ];
-    let group_keys = |t: &Table| -> Vec<Value> { t.rows().iter().map(|r| r[0].clone()).collect() };
+    let group_keys = |t: &Table| -> Vec<Value> { t.iter_rows().map(|r| r[0].clone()).collect() };
     let keys = |ks: &[&str]| -> Vec<Value> { ks.iter().map(|k| Value::text(*k)).collect() };
     for (name, exec) in lanes() {
         let mut dc = DeltaCatalog::new(catalog(rows.clone()));
@@ -892,8 +891,8 @@ fn group_death_then_revival_moves_group_to_end() {
             "{name}: revived group must re-enter at the end of group order"
         );
         assert_eq!(
-            out.rows()[2],
-            vec![Value::text("b"), Value::Int(1), Value::Int(9)],
+            out.row_at(2).unwrap(),
+            &vec![Value::text("b"), Value::Int(1), Value::Int(9)],
             "{name}: revived group restarts its accumulators from the new row"
         );
     }
@@ -1688,8 +1687,7 @@ mod store {
                             .catalog()
                             .database("naive").unwrap()
                             .table("Procedure").unwrap()
-                            .rows()
-                            .iter()
+                            .iter_rows()
                             .filter_map(|r| r[0].as_i64())
                             .max()
                             .unwrap_or(0)
@@ -1745,7 +1743,7 @@ mod store {
                 ).unwrap();
                 match deltas.get("naive", "Procedure") {
                     Some(d) => {
-                        prop_assert_eq!(&d.apply(naive.rows()), &post_naive.rows().to_vec());
+                        prop_assert_eq!(&d.apply(&naive.rows_from(0)), &post_naive.rows_from(0));
                         store.refresh(d, &ec, &classifiers).unwrap();
                     }
                     None => prop_assert_eq!(&naive, &post_naive),

@@ -3,7 +3,7 @@
 //! empty tables, dictionary overflow — plus the equivalence bar: scans
 //! over sealed segments, in the serial and the parallel executor, must
 //! stay **byte-identical** to the materializing interpreter (same rows,
-//! same order, same first error) — the oracle reads the flat row view
+//! same order, same first error) — the oracle walks each table's rows
 //! and knows nothing of segments or zone maps — and `DeltaPlan`
 //! refreshes must agree with a from-scratch evaluation round after
 //! round.
@@ -123,7 +123,7 @@ fn huge_integers_beyond_f64_precision_do_not_misprune() {
     assert_storage_agrees(&eq, &db);
     let hit = eq.eval(&db).unwrap();
     assert_eq!(hit.len(), 1);
-    assert_eq!(hit.rows()[0][0], Value::Int(BIG + 1));
+    assert_eq!(hit.row_at(0).unwrap()[0], Value::Int(BIG + 1));
     // And with BIG+1 absent, the (lossy) prune may skip but the result is
     // empty either way.
     rows.pop();
@@ -462,8 +462,8 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
-    /// Segment-backed scans are byte-identical to the oracle's scans of
-    /// the flat row view in both lanes: same table (schema, rows, order)
+    /// Segment-backed scans are byte-identical to the oracle's row walk
+    /// in both lanes: same table (schema, rows, order)
     /// on success, failure on both sides otherwise — and the two lanes
     /// byte-identical to each other, including which error a multi-fault
     /// plan reports.

@@ -186,25 +186,25 @@ fn pinned_reader_is_isolated_across_two_generations() {
             // every read must be byte-identical to the pre-refresh run.
             for _ in 0..40 {
                 let t = pinned.query(&plan).unwrap();
-                assert_eq!(t.rows(), oracle.rows(), "lane {lane}: pinned read drifted");
+                assert_eq!(t, oracle, "lane {lane}: pinned read drifted");
             }
             writer.join().unwrap();
         });
 
         // Still pinned at generation 0, still byte-identical.
         assert_eq!(pinned.generation(), 0, "lane {lane}");
-        assert_eq!(pinned.query(&plan).unwrap().rows(), oracle.rows());
+        assert_eq!(pinned.query(&plan).unwrap(), oracle);
 
         // Advancing catches up to generation 2 and sees the new state.
         pinned.advance();
         assert_eq!(pinned.generation(), 2, "lane {lane}");
         let advanced = pinned.query(&plan).unwrap();
-        assert_ne!(advanced.rows(), oracle.rows(), "lane {lane}");
+        assert_ne!(advanced.rows_from(0), oracle.rows_from(0), "lane {lane}");
 
         // An auto-advancing session was already there.
         let auto = engine.session();
         assert_eq!(auto.generation(), 2, "lane {lane}");
-        assert_eq!(auto.query(&plan).unwrap().rows(), advanced.rows());
+        assert_eq!(auto.query(&plan).unwrap(), advanced);
     }
 }
 
@@ -231,7 +231,7 @@ fn concurrent_sessions_see_consistent_generations() {
                     let t = session.query(&plan).unwrap();
                     // Oracle: evaluate directly on the pinned snapshot.
                     let oracle = engine.executor().execute(&plan, snap.database()).unwrap();
-                    assert_eq!(t.rows(), oracle.rows());
+                    assert_eq!(t, oracle);
                 }
             });
         }
@@ -321,12 +321,10 @@ fn subscription_streams_apply_to_byte_identity() {
                 assert_eq!(sub.generation(), generation);
                 let oracle = engine.session().query(plan).unwrap();
                 assert_eq!(
-                    sub.rows(),
-                    oracle.rows(),
+                    sub.table(),
+                    oracle,
                     "lane {lane} round {round}: mirror != re-query"
                 );
-                // And the mirror read as a table.
-                assert_eq!(sub.table().rows(), oracle.rows());
             }
         }
     }
@@ -384,8 +382,8 @@ fn group_count_subscription_patches_while_the_oldest_report_retires() {
                 other => panic!("lane {lane} round {round}: {other:?}, not a patch"),
             }
             assert_eq!(
-                sub.rows(),
-                engine.session().query(&plan).unwrap().rows(),
+                sub.table(),
+                engine.session().query(&plan).unwrap(),
                 "lane {lane} round {round}: mirror != re-query"
             );
         }
@@ -509,6 +507,46 @@ fn stale_delta_is_rejected_atomically() {
     assert_eq!(sub.generation(), 0);
 }
 
+/// A delta whose deleted rows all match but whose ordinals do not
+/// strictly ascend is refused whole: no generation, no event, and the
+/// writer stays usable for the next update.
+#[test]
+fn unordered_delta_is_rejected_atomically() {
+    let engine = build_engine(seed_rows(), &Executor::new());
+    let mut sub = engine
+        .session()
+        .subscribe(&Plan::scan("Procedure"))
+        .unwrap();
+    let before = engine.snapshot();
+    let at = |p: usize| (p, before.store().naive_form.row_at(p).unwrap().clone());
+    for deleted in [vec![at(3), at(1)], vec![at(2), at(2)]] {
+        let delta = TableDelta {
+            pre_len: 4,
+            deleted,
+            inserted: vec![],
+        };
+        assert!(matches!(
+            engine.refresh(&delta),
+            Err(ServiceError::Relational(RelError::Plan(_)))
+        ));
+    }
+    assert_eq!(engine.generation(), 0);
+    assert_eq!(before.store(), engine.snapshot().store());
+    assert!(sub.try_next().unwrap().is_none(), "an event was pushed");
+
+    let ordered = TableDelta {
+        pre_len: 4,
+        deleted: vec![at(1), at(3)],
+        inserted: vec![],
+    };
+    assert_eq!(engine.refresh(&ordered).unwrap(), 1);
+    assert_eq!(sub.sync().unwrap(), 1);
+    assert_eq!(
+        sub.table(),
+        engine.session().query(&Plan::scan("Procedure")).unwrap()
+    );
+}
+
 /// A subscribed plan that faults on a specific row: the pushed event
 /// must carry the same error a re-polling client would hit, and the
 /// round that removes the faulty row must recover the mirror
@@ -550,7 +588,7 @@ fn subscription_error_parity_and_recovery() {
         );
         let session = engine.session();
         let mut sub = session.subscribe(&plan).unwrap();
-        assert_eq!(sub.rows().len(), 2, "lane {lane}");
+        assert_eq!(sub.table().len(), 2, "lane {lane}");
 
         // Round 1: insert the faulty row. The generation installs (the
         // *store* refresh is valid) and the pushed event carries the
@@ -570,7 +608,7 @@ fn subscription_error_parity_and_recovery() {
             .unwrap();
         assert_eq!(sub.sync().unwrap(), 1, "lane {lane}");
         let oracle = engine.session().query(&plan).unwrap();
-        assert_eq!(sub.rows(), oracle.rows(), "lane {lane}: recovery drift");
+        assert_eq!(sub.table(), oracle, "lane {lane}: recovery drift");
         assert_eq!(sub.generation(), 2);
     }
 }
@@ -636,8 +674,7 @@ fn apply_op(cat: &mut DeltaCatalog, op: &Op) -> RelResult<()> {
         .unwrap()
         .table("Procedure")
         .unwrap()
-        .rows()
-        .iter()
+        .iter_rows()
         .filter_map(|r| r[0].as_i64())
         .max()
         .unwrap_or(0)
@@ -738,9 +775,9 @@ proptest! {
             // its reads must stay byte-identical however many generations
             // land (DESIGN.md §18).
             let pinned = engine.pinned_session();
-            let pinned_oracle: Vec<Vec<Row>> = plans
+            let pinned_oracle: Vec<Table> = plans
                 .iter()
-                .map(|p| pinned.query(p).unwrap().rows().to_vec())
+                .map(|p| pinned.query(p).unwrap())
                 .collect();
             for batch in &batches {
                 let result = engine.update(|cat| {
@@ -754,8 +791,8 @@ proptest! {
                     prop_assert_eq!(sub.sync().unwrap(), 1);
                     let oracle = engine.session().query(plan).unwrap();
                     prop_assert_eq!(
-                        sub.rows(),
-                        oracle.rows(),
+                        sub.table(),
+                        oracle,
                         "lane {}: mirror != re-query for {:?}",
                         lane,
                         plan
@@ -763,8 +800,8 @@ proptest! {
                 }
                 for (plan, want) in plans.iter().zip(&pinned_oracle) {
                     prop_assert_eq!(
-                        pinned.query(plan).unwrap().rows(),
-                        &want[..],
+                        &pinned.query(plan).unwrap(),
+                        want,
                         "lane {}: pinned read drifted for {:?}",
                         lane,
                         plan
