@@ -499,7 +499,7 @@ fn serve_queries() -> Vec<(&'static str, Plan)> {
 /// `Executor::execute` compiles.
 /// `--analyze` additionally evaluates every subtree and appends its
 /// actual row count, and each scan leaf's physical table layout (chunks,
-/// scan parts, sealed spans, dead rows under seals, small tail chunks).
+/// sealed spans, imaged columns, dead rows under seals, small tail chunks).
 fn cmd_explain(query: &str, flag: Option<&str>) -> CmdResult {
     let analyze = match flag {
         None => false,

@@ -115,10 +115,6 @@ impl GuavaSystem {
         &self.study_schema
     }
 
-    pub fn study_schema_mut(&mut self) -> &mut StudySchema {
-        &mut self.study_schema
-    }
-
     pub fn registry(&self) -> &ClassifierRegistry {
         &self.registry
     }

@@ -246,9 +246,9 @@ fn run_component(comp: &EtlComponent, catalog: &Catalog, exec: &Executor) -> Rel
     // Every executor operator validates its own output wherever
     // validation can fail, so the result lands under the target's name
     // as it is — sharing its storage, not re-checked row by row.
-    let table = exec
-        .execute(&comp.plan, source(comp, catalog)?)?
-        .renamed(comp.target_table.clone());
+    let table = exec.execute(&comp.plan, source(comp, catalog)?)?;
+    let schema = table.schema().renamed(comp.target_table.clone());
+    let table = table.renamed(schema)?;
     // A result equal to the target it would replace *is* that target: a
     // re-run that changed nothing keeps the storage, the seals and every
     // `same_storage` fast path downstream, and the two never coexist.
@@ -374,7 +374,9 @@ fn run_component_incremental(
 /// target's name, sharing the cache's storage — the output rows are
 /// resident once across the plan and the catalog.
 fn land(comp: &EtlComponent, dplan: &DeltaPlan) -> RelResult<Table> {
-    Ok(dplan.output()?.renamed(comp.target_table.clone()))
+    let out = dplan.output()?;
+    let schema = out.schema().renamed(comp.target_table.clone());
+    out.renamed(schema)
 }
 
 #[cfg(test)]
@@ -472,9 +474,13 @@ mod tests {
         };
         // The extract's `x > 10` is a lane mask: it images `x`, not `id`.
         assert_eq!(imaged(&cat, "src", "t"), (1, 1));
-        // The load stage's scan of `tmp1.filtered` feeds a projection, a
-        // row walk: the scan seals the chunk and images no column.
-        assert_eq!(imaged(&cat, "tmp1", "filtered"), (1, 0));
+        // `tmp1.filtered` is that chunk with the dropped rows dead: it
+        // shares the seal and its one image, and the load stage's scan of
+        // it feeds a projection, a row walk, which images nothing more.
+        assert_eq!(imaged(&cat, "tmp1", "filtered"), (1, 1));
+        let src = cat.database("src").unwrap().table("t").unwrap();
+        let filtered = cat.database("tmp1").unwrap().table("filtered").unwrap();
+        assert_eq!(filtered.chunks_not_in(src), 0);
         // Nothing in the workflow reads `out.result`; a scan seals it when
         // one comes, and a filter images the one column it names.
         assert_eq!(imaged(&cat, "out", "result"), (0, 0));

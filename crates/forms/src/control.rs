@@ -266,11 +266,6 @@ impl Control {
         self
     }
 
-    pub fn with_children(mut self, children: Vec<Control>) -> Control {
-        self.children = children;
-        self
-    }
-
     pub fn child(mut self, c: Control) -> Control {
         self.children.push(c);
         self

@@ -104,7 +104,7 @@ impl RenamePattern {
         let mut out = passthrough(input, &[&self.table]);
         let t = input.table(&self.table)?;
         let schemas = self.transform_schemas(&[t.schema().clone()])?;
-        out.put_table(Table::from_rows(schemas[0].clone(), t.rows_from(0))?);
+        out.put_table(t.clone().renamed(schemas[0].clone())?);
         Ok(out)
     }
 

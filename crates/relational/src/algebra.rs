@@ -561,9 +561,9 @@ pub(crate) fn unpivot_output_schema(
 
 /// Encode wide rows into EAV triples. Infallible: output columns are
 /// carried keys plus freshly built text values.
-pub(crate) fn unpivot_rows(
+pub(crate) fn unpivot_rows<'a>(
     s: &Schema,
-    rows: &[Row],
+    rows: impl IntoIterator<Item = &'a Row>,
     key_idx: &[usize],
     data_idx: &[usize],
 ) -> Vec<Row> {

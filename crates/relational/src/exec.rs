@@ -20,12 +20,11 @@
 //!   error as the plan as written. `compile` below never knows.
 //! * **Scans are zero-copy.** A scan compiles to a leaf holding the
 //!   table's sealed chunks ([`crate::segment`]): it enters the tree as one
-//!   shared window per maximal run of live rows, each carrying its chunk's
-//!   segment and its offset into it; the `column ⟨op⟩ literal` conjuncts
-//!   of the filters above consult zone maps before a batch is formed and
-//!   then run as lane masks straight over the segment's column storage
-//!   (serial or parallel), and rows are cloned only when they survive to
-//!   an owned output batch. Chunks are sealed once — on the first scan
+//!   shared window per chunk — the chunk's segment and its dead bits; the
+//!   `column ⟨op⟩ literal` conjuncts of the filters above consult zone
+//!   maps before a batch is formed and then run as lane masks straight
+//!   over the segment's column storage (serial or parallel), and rows are
+//!   cloned only when a stage rebuilds them. Chunks are sealed once — on the first scan
 //!   that meets them — and stay sealed across installs, deletes included
 //!   (DESIGN.md §18). There is no other resting format to scan; an inline
 //!   `Plan::Values` relation does not rest at all and enters as one owned
@@ -34,11 +33,11 @@
 //!   operator: a row flows through every predicate and projection before
 //!   the next row is touched, with no intermediate tables. Rename is free
 //!   — it only rewrites the schema at compile time. A pipeline that is
-//!   nothing but lane-resolved filters, feeding an operator that reads by
-//!   reference (pivot, aggregation, either side of a join), copies no row
-//!   at all: each maximal selected run goes on as a sub-window of the
-//!   scan's own window (`exec::vector`; short runs, and anything feeding
-//!   the sink, are copied per morsel as before).
+//!   nothing but lane-resolved filters copies no row at all: each window
+//!   goes on with the rows it drops marked dead (`exec::vector`), and the
+//!   sink keeps it as a chunk of the result, over the same backing and
+//!   seal (`table::TableBuilder`). Only a `Sort`, which moves its input
+//!   rows into its output, has them copied per morsel instead.
 //! * **Union forwards** batches in child order; **Join** builds a hash
 //!   index over its build side (driven first) and probes batch-by-batch —
 //!   unless its right side is a bare scan of a table keyed by exactly the
@@ -48,8 +47,8 @@
 //!   written); **Distinct** forwards first occurrences as input arrives.
 //! * The inherently blocking operators — Pivot, AggregateBy, Sort, and
 //!   the join's build side — buffer their input batches and read them *by
-//!   reference* in `finish`: however many windows a scan arrived as, no
-//!   shared row is copied to be grouped, indexed or pivoted (sort clones
+//!   reference* in `finish`, skipping dead rows: no shared row is copied
+//!   to be grouped, indexed or pivoted (sort clones
 //!   each shared row once, into its output slot). A pivot reads a shared
 //!   window's entity, attribute and value columns off its sealed segment
 //!   instead of its rows: per segment each attribute dictionary code
@@ -140,7 +139,7 @@ use crate::database::Database;
 use crate::error::{RelError, RelResult};
 use crate::expr::Expr;
 use crate::schema::Schema;
-use crate::table::{Row, Table};
+use crate::table::{Row, Table, TableBuilder};
 use crate::value::{DataType, Value};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -247,14 +246,17 @@ impl Executor {
         let prepared = crate::optimize::prepare(plan, db);
         let plan = prepared.as_ref().unwrap_or(plan);
         let (schema, exec) = compile(plan, db, *self)?;
-        let batches = ops::drive(exec.into_tree(*self, false))?;
-        let mut rows: Vec<Row> = Vec::with_capacity(batches.iter().map(batch::Batch::len).sum());
-        for b in batches {
-            rows.extend(b.into_rows());
-        }
         // Every operator validated its own output wherever validation can fail
-        // at all, so assembling the result does not re-check rows.
-        Table::from_validated(schema, rows)
+        // at all, so assembling the result does not re-check rows: a shared
+        // window becomes a chunk of the result as it is.
+        let mut out = TableBuilder::new(schema);
+        for batch in ops::drive(exec.into_tree(*self))? {
+            match batch {
+                batch::Batch::Shared(w) => out.window(w),
+                batch::Batch::Owned(rows) => out.rows(rows),
+            }
+        }
+        out.finish()
     }
 }
 
@@ -279,15 +281,8 @@ impl<'p> Exec<'p> {
     }
 
     /// Seal this subtree into an operator tree. A pipeline with no stages
-    /// is its source; otherwise a `PipelineOp` node wraps it. `by_ref`
-    /// says the consumer reads its input rows in place and hands none of
-    /// them on — `Pivot`, `AggregateBy`, both sides of a `Join` — so a
-    /// pipeline of nothing but lane-resolved filters may give it windows
-    /// instead of copies. Everything that moves rows to its output takes
-    /// them owned, copied per morsel in parallel: the sink, and `Sort`,
-    /// which would otherwise clone each row serially into its slot
-    /// (DESIGN.md §11 has the sweep).
-    fn into_tree(self, cfg: Executor, by_ref: bool) -> ops::OpTree<'p> {
+    /// is its source; otherwise a `PipelineOp` node wraps it.
+    fn into_tree(self, cfg: Executor) -> ops::OpTree<'p> {
         match self {
             Exec::Pipe { source, stages } if stages.is_empty() => source,
             Exec::Pipe { mut source, stages } => {
@@ -299,7 +294,7 @@ impl<'p> Exec<'p> {
                     *prune = Arc::clone(&groups);
                 }
                 ops::OpTree::Node {
-                    op: Box::new(ops::PipelineOp::new(stages, groups, cfg, by_ref)),
+                    op: Box::new(ops::PipelineOp::new(stages, groups, cfg)),
                     children: vec![source],
                 }
             }
@@ -414,7 +409,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
             let children = rchild
                 .into_iter()
                 .chain([lchild])
-                .map(|c| c.into_tree(cfg, true))
+                .map(|c| c.into_tree(cfg))
                 .collect();
             let op = ops::JoinOp::new(ls, l_idx, *kind, r_arity, build, cfg);
             (
@@ -432,11 +427,11 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 .ok_or_else(|| RelError::Plan("union of zero inputs".into()))?;
             let (first_schema, first_child) = compile(first, db, cfg)?;
             let schema = keyless(first_schema);
-            let mut children = vec![first_child.into_tree(cfg, false)];
+            let mut children = vec![first_child.into_tree(cfg)];
             for p in iter {
                 let (s, c) = compile(p, db, cfg)?;
                 check_union_compatible(&schema, &s)?;
-                children.push(c.into_tree(cfg, false));
+                children.push(c.into_tree(cfg));
             }
             // Later inputs may be nullable where the leading schema says
             // NOT NULL; re-check rows only when that can actually reject.
@@ -458,7 +453,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg, false)],
+                    children: vec![child.into_tree(cfg)],
                 }),
             )
         }
@@ -477,7 +472,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg, false)],
+                    children: vec![child.into_tree(cfg)],
                 }),
             )
         }
@@ -498,7 +493,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg, true)],
+                    children: vec![child.into_tree(cfg)],
                 }),
             )
         }
@@ -537,7 +532,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg, true)],
+                    children: vec![child.into_tree(cfg)],
                 }),
             )
         }
@@ -550,7 +545,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg, false)],
+                    children: vec![child.into_tree(cfg)],
                 }),
             )
         }
@@ -562,7 +557,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
                 schema,
                 Exec::Tree(ops::OpTree::Node {
                     op: Box::new(op),
-                    children: vec![child.into_tree(cfg, false)],
+                    children: vec![child.into_tree(cfg)],
                 }),
             )
         }
@@ -743,7 +738,7 @@ mod tests {
         let plan = Plan::scan("t").select(Expr::lit(true));
         let serial = Executor::new().threads(1);
         let (_, exec) = compile(&plan, &db, serial).unwrap();
-        let batches = ops::drive(exec.into_tree(serial, false)).unwrap();
+        let batches = ops::drive(exec.into_tree(serial)).unwrap();
         let mut total = 0;
         for b in &batches {
             assert!(b.len() > 0 && b.len() <= BATCH_SIZE);
@@ -755,11 +750,13 @@ mod tests {
     #[test]
     fn filter_only_pipes_hand_windows_to_by_reference_consumers() {
         // Rows the pipeline clones, counted — not timed.
-        let cloned = |plan: &Plan, db: &Database, cfg: Executor, by_ref: bool| {
+        let cloned = |plan: &Plan, db: &Database, cfg: Executor| {
             let (_, exec) = compile(plan, db, cfg).unwrap();
-            let batches = ops::drive(exec.into_tree(cfg, by_ref)).unwrap();
+            let batches = ops::drive(exec.into_tree(cfg)).unwrap();
             let rows: usize = batches.iter().map(batch::Batch::len).sum();
-            let owned = batches.iter().filter(|b| b.segment().is_none());
+            let owned = batches
+                .iter()
+                .filter(|b| matches!(b, batch::Batch::Owned(_)));
             (owned.map(batch::Batch::len).sum::<usize>(), rows)
         };
         for n in [2_000, 200_000] {
@@ -769,13 +766,12 @@ mod tests {
             let alternating = Plan::scan("t").select(Expr::col("grp").eq(Expr::lit("even")));
             let rebuilt = all_pass.clone().project_cols(&["id"]);
             for cfg in [Executor::new().threads(1), Executor::new().threads(2)] {
-                // Under a pivot, an aggregation or a join: nothing copied.
-                assert_eq!(cloned(&all_pass, &db, cfg, true), (0, n));
-                // Feeding the sink, the result must be owned.
-                assert_eq!(cloned(&all_pass, &db, cfg, false), (n, n));
-                // One-row runs are cheaper to copy; a `Map` rebuilds rows anyway.
-                assert_eq!(cloned(&alternating, &db, cfg, true), (n_even, n_even));
-                assert_eq!(cloned(&rebuilt, &db, cfg, true), (n, n));
+                // A lane-resolved filter copies nothing, at any run
+                // length: its windows carry the dropped rows as dead bits.
+                assert_eq!(cloned(&all_pass, &db, cfg), (0, n));
+                assert_eq!(cloned(&alternating, &db, cfg), (0, n_even));
+                // A `Map` rebuilds rows anyway.
+                assert_eq!(cloned(&rebuilt, &db, cfg), (n, n));
             }
         }
     }

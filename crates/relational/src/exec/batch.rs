@@ -2,13 +2,15 @@
 //! lane-level key kernels shared by every physical operator.
 //!
 //! [`Batch`] is the single unit of data flowing between
-//! [`PhysicalOperator`](super::ops::PhysicalOperator)s: a contiguous chunk
-//! of rows that is either a zero-copy window over a table's sealed
-//! storage or an owned vector produced by an upstream operator. Blocking
-//! operators collect their batches into a [`Gathered`] input and read it
-//! by reference — a list of `&Row` across however many windows the scan
-//! had — so no shared window is ever deep-copied; every kernel here is
-//! generic over [`RowRef`] (`&[Row]` or `&[&Row]`) for that reason.
+//! [`PhysicalOperator`](super::ops::PhysicalOperator)s: either a zero-copy
+//! window over a table's sealed storage — a whole chunk plus the dead bits
+//! of the rows not in the batch — or an owned vector produced by an
+//! upstream operator. Every consumer reads its live rows through one
+//! accessor ([`Batch::live`]); blocking operators collect their batches
+//! into a [`Gathered`] input and read it by reference — a list of `&Row`
+//! across the windows — so no shared window is ever deep-copied; every
+//! kernel here is generic over [`RowRef`] (`&[Row]` or `&[&Row]`) for
+//! that reason.
 //!
 //! [`Lane`] is the columnar decomposition used by the lane-aware blocking
 //! kernels (`exec::blocking`): each key or value column they read is
@@ -30,8 +32,10 @@
 //! candidates are verified with [`keys_eq`] (plain `Value` equality, i.e.
 //! `total_cmp`), so collisions cost a comparison, never correctness.
 
+use super::morsel::{morsel_bounds, n_morsels, run_tasks};
+use super::Executor;
 use crate::schema::Schema;
-use crate::segment::{ColumnData, Segment, SegmentColumn};
+use crate::segment::{is_dead, no_dead, select_live, ColumnData, SegmentColumn, Window};
 use crate::table::Row;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
@@ -42,126 +46,79 @@ use std::sync::Arc;
 
 /// One unit of data flowing between physical operators: a chunk of rows,
 /// all matching the producing operator's output schema. `Shared` batches
-/// are zero-copy windows over a table's sealed storage; `Owned` batches
-/// carry rows built by an upstream operator.
+/// are zero-copy windows over a table's sealed storage — a whole chunk and
+/// the dead bits of the rows not in the batch; `Owned` batches carry rows
+/// built by an upstream operator. Either way its rows are read through
+/// [`Batch::live`] or [`Batch::rows`], which skip the dead ones.
 pub(super) enum Batch {
-    /// Rows `lo..hi` of shared table storage: a window inside the row-form
-    /// image of a sealed column segment. `seg` carries the segment and the
-    /// segment row that images `rows[lo]`, so the fused pipeline evaluates
-    /// its lane masks straight over columnar storage: row `lo + k` is
-    /// segment row `offset + k`. A table emits
-    /// one such window per maximal run of live rows, so the offset is
-    /// non-zero wherever a delete split a segment; `take_prefix` only ever
-    /// shrinks `hi`, which leaves it valid.
-    Shared {
-        rows: Arc<Vec<Row>>,
-        lo: usize,
-        hi: usize,
-        seg: (Arc<Segment>, usize),
-    },
+    /// Every row of a chunk's sealed segment, minus its dead rows: row `k`
+    /// of the batch is segment row `k`, so the fused pipeline evaluates
+    /// its lane masks straight over columnar storage, and a filter that
+    /// changes no row hands on the same segment with more dead bits.
+    Shared(Window),
     Owned(Vec<Row>),
 }
 
 impl Batch {
-    /// A zero-copy window `lo..hi` of shared storage imaged by rows
-    /// `seg_off ..` of the sealed segment `seg`.
-    pub(super) fn segment_window(
-        rows: Arc<Vec<Row>>,
-        lo: usize,
-        hi: usize,
-        seg: Arc<Segment>,
-        seg_off: usize,
-    ) -> Batch {
-        debug_assert!(seg_off + (hi - lo) <= seg.len());
-        Batch::Shared {
-            rows,
-            lo,
-            hi,
-            seg: (seg, seg_off),
-        }
-    }
-
     /// `rows` as an owned batch — none when there are none: operators
     /// never emit empty batches.
     pub(super) fn from_rows(rows: Vec<Row>) -> Option<Batch> {
         (!rows.is_empty()).then_some(Batch::Owned(rows))
     }
 
+    /// The rows in the batch.
     pub(super) fn len(&self) -> usize {
         match self {
-            Batch::Shared { lo, hi, .. } => hi - lo,
+            Batch::Shared(w) => w.live(),
             Batch::Owned(rows) => rows.len(),
         }
     }
 
-    pub(super) fn as_slice(&self) -> &[Row] {
+    /// The physical rows the batch spans, dead ones included: what
+    /// morsels cut.
+    pub(super) fn extent(&self) -> usize {
         match self {
-            Batch::Shared { rows, lo, hi, .. } => &rows[*lo..*hi],
-            Batch::Owned(rows) => rows,
+            Batch::Shared(w) => w.seg.len(),
+            Batch::Owned(rows) => rows.len(),
         }
     }
 
-    /// The sealed segment backing a shared window and the segment row of
-    /// the window's first row; `None` for an owned batch.
-    pub(super) fn segment(&self) -> Option<(&Segment, usize)> {
-        match self {
-            Batch::Shared {
-                seg: (seg, off), ..
-            } => Some((seg, *off)),
-            Batch::Owned(_) => None,
-        }
-    }
-
-    /// Rows `lo..hi` of a shared window as a window of their own, over
-    /// the same storage and the same segment: what a filter that changed
-    /// no row hands on in place of a copy.
-    pub(super) fn sub_window(&self, lo: usize, hi: usize) -> Batch {
-        let Batch::Shared {
-            rows,
-            lo: base,
-            seg: (seg, off),
-            ..
-        } = self
-        else {
-            unreachable!("only shared windows are cut into sub-windows");
+    /// The rows at physical positions `lo..hi` that are in the batch,
+    /// with their positions, in order.
+    pub(super) fn live(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, &Row)> + '_ {
+        let (rows, dead) = match self {
+            Batch::Shared(w) => (w.seg.rows(), w.dead()),
+            Batch::Owned(rows) => (rows.as_slice(), None),
         };
-        Batch::segment_window(
-            Arc::clone(rows),
-            base + lo,
-            base + hi,
-            Arc::clone(seg),
-            off + lo,
-        )
+        (lo..hi)
+            .filter(move |&k| !is_dead(dead, k))
+            .map(move |k| (k, &rows[k]))
     }
 
-    /// The first `n` rows (for `Limit`); shared windows just shrink.
+    /// Every row in the batch, in order.
+    pub(super) fn rows(&self) -> impl Iterator<Item = &Row> + '_ {
+        self.live(0, self.extent()).map(|(_, row)| row)
+    }
+
+    /// The first `n` rows (for `Limit`): a shared window marks the rest
+    /// dead.
     pub(super) fn take_prefix(self, n: usize) -> Batch {
         match self {
-            Batch::Shared { rows, lo, hi, seg } => {
-                let hi = usize::min(hi, lo + n);
-                Batch::Shared { rows, lo, hi, seg }
+            Batch::Shared(w) if n < w.live() => {
+                let cut = select_live(w.dead(), n);
+                let mut bits = w.dead().map_or_else(|| no_dead(w.seg.len()), Box::from);
+                bits[cut / 64] |= !0u64 << (cut % 64);
+                bits[cut / 64 + 1..].fill(!0);
+                Batch::Shared(Window {
+                    seg: w.seg,
+                    dead: Some(Arc::new(bits)),
+                })
             }
             Batch::Owned(mut rows) => {
                 rows.truncate(n);
                 Batch::Owned(rows)
             }
-        }
-    }
-
-    /// Take ownership of the rows, cloning only shared storage that is
-    /// still referenced elsewhere (the same cost `Table::into_rows` pays).
-    pub(super) fn into_rows(self) -> Vec<Row> {
-        match self {
-            Batch::Shared { rows, lo, hi, seg } => {
-                // The segment's shell holds the same storage.
-                drop(seg);
-                if lo == 0 && hi == rows.len() {
-                    Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone())
-                } else {
-                    rows[lo..hi].to_vec()
-                }
-            }
-            Batch::Owned(rows) => rows,
+            whole => whole,
         }
     }
 }
@@ -191,16 +148,15 @@ impl Gathered {
     /// Every input row, in input order, by reference.
     pub(super) fn rows(&self) -> Vec<&Row> {
         let mut refs = Vec::with_capacity(self.batches.iter().map(Batch::len).sum());
-        for b in &self.batches {
-            refs.extend(b.as_slice());
-        }
+        refs.extend(self.batches.iter().flat_map(Batch::rows));
         refs
     }
 
     /// The input rows rearranged by `perm` (a permutation of input
     /// positions): owned rows move, rows of shared windows are cloned —
-    /// once, straight into their output slot.
-    pub(super) fn into_rows_ordered(mut self, perm: &[u32]) -> Vec<Row> {
+    /// once, straight into their output slot, per morsel of the output
+    /// in parallel when `cfg` would run that many rows in parallel.
+    pub(super) fn into_rows_ordered(mut self, perm: &[u32], cfg: Executor) -> Vec<Row> {
         enum Src<'a> {
             Owned(Option<Row>),
             Shared(&'a Row),
@@ -215,15 +171,32 @@ impl Gathered {
                 );
             } else {
                 let b: &Batch = b;
-                src.extend(b.as_slice().iter().map(Src::Shared));
+                src.extend(b.rows().map(Src::Shared));
             }
         }
-        perm.iter()
-            .map(|&i| match &mut src[i as usize] {
-                Src::Owned(row) => row.take().expect("permutation visits each row once"),
-                Src::Shared(row) => row.clone(),
-            })
-            .collect()
+        // Clone the shared rows into place; an owned row's slot stays
+        // empty until the serial pass below moves the row in.
+        let threads = if cfg.parallel_for(perm.len()) {
+            cfg.threads
+        } else {
+            1
+        };
+        let (n, size) = (perm.len(), cfg.morsel_size);
+        let parts = run_tasks(n_morsels(n, size), threads, |m| {
+            let (lo, hi) = morsel_bounds(m, n, size);
+            let slot = |&i: &u32| match &src[i as usize] {
+                Src::Shared(row) => Row::clone(row),
+                Src::Owned(_) => Row::new(),
+            };
+            perm[lo..hi].iter().map(slot).collect::<Vec<Row>>()
+        });
+        let mut out: Vec<Row> = parts.into_iter().flatten().collect();
+        for (slot, &i) in out.iter_mut().zip(perm) {
+            if let Src::Owned(row) = &mut src[i as usize] {
+                *slot = row.take().expect("permutation visits each row once");
+            }
+        }
+        out
     }
 }
 
@@ -560,13 +533,19 @@ fn cmp_masked(
 pub(super) mod tests {
     use super::*;
     use crate::schema::Column;
+    use crate::segment::Segment;
 
     /// `rows` as a scan hands them over: one shared window over the whole
     /// vector, imaged by a segment sealed from it.
     pub(in crate::exec) fn whole_window(schema: &Schema, rows: Vec<Row>) -> Batch {
-        let (hi, rows) = (rows.len(), Arc::new(rows));
-        let seg = Arc::new(Segment::shell(schema, Arc::clone(&rows), 0, hi));
-        Batch::segment_window(rows, 0, hi, seg, 0)
+        let hi = rows.len();
+        let seg = Arc::new(Segment::shell(schema, Arc::new(rows), 0, hi));
+        Batch::Shared(Window { seg, dead: None })
+    }
+
+    /// The rows of `batches`, in order, cloned.
+    pub(in crate::exec) fn rows_of(batches: &[Batch]) -> Vec<Row> {
+        batches.iter().flat_map(Batch::rows).cloned().collect()
     }
 
     fn mixed_schema() -> Schema {
@@ -683,28 +662,72 @@ pub(super) mod tests {
     #[test]
     fn batch_prefix_and_ownership() {
         let schema = Schema::new("t", vec![Column::new("i", DataType::Int)]).unwrap();
-        let rows: Vec<Row> = (0..5).map(|i| vec![Value::Int(i)]).collect();
+        let rows: Vec<Row> = (0..130).map(|i| vec![Value::Int(i)]).collect();
         let b = whole_window(&schema, rows.clone()).take_prefix(3);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.into_rows(), rows[..3].to_vec());
+        assert_eq!((b.len(), b.extent()), (3, 130));
+        assert_eq!(rows_of(&[b]), rows[..3].to_vec());
+        // A window with dead rows keeps its first `n` live ones, whichever
+        // word the cut falls in.
+        let Batch::Shared(w) = whole_window(&schema, rows.clone()) else {
+            unreachable!()
+        };
+        let mut bits = no_dead(130);
+        for k in [0, 63, 64, 100] {
+            bits[k / 64] |= 1 << (k % 64);
+        }
+        let bits = Arc::new(bits);
+        let masked = || {
+            let (seg, dead) = (Arc::clone(&w.seg), Some(Arc::clone(&bits)));
+            Batch::Shared(Window { seg, dead })
+        };
+        let live: Vec<Row> = (0..130)
+            .filter(|k| ![0, 63, 64, 100].contains(k))
+            .map(|k| rows[k].clone())
+            .collect();
+        for n in [1, 62, 63, 96, 126, 200] {
+            let b = masked().take_prefix(n);
+            assert_eq!(rows_of(&[b]), live[..n.min(126)].to_vec(), "prefix {n}");
+        }
         // A gathered input reads shared windows in place: the references
-        // point into the shared storage itself, across batch kinds.
-        let whole = whole_window(&schema, rows.clone());
-        let (first, last): (*const Row, *const Row) = (&whole.as_slice()[0], &whole.as_slice()[4]);
+        // point into the shared storage itself, across batch kinds, and
+        // skip dead rows.
+        let whole = whole_window(&schema, rows[..5].to_vec());
+        let mut in_place = whole.rows();
+        let first: *const Row = in_place.next().unwrap();
+        let last: *const Row = in_place.last().unwrap();
         let g = Gathered::from_batches(vec![
             Batch::Owned(rows[..2].to_vec()),
-            whole_window(&schema, rows.clone()).take_prefix(1),
+            whole_window(&schema, rows[..5].to_vec()).take_prefix(1),
+            masked(),
             whole,
         ]);
         let refs = g.rows();
-        assert_eq!(refs.len(), 8);
-        assert!(std::ptr::eq(refs[3], first));
-        assert!(std::ptr::eq(refs[7], last));
-        // Taking the rows out in a permuted order moves the owned ones
-        // and clones the shared ones into place.
-        let perm: Vec<u32> = (0..8).rev().collect();
+        assert_eq!(refs.len(), 2 + 1 + 126 + 5);
+        assert!(std::ptr::eq(refs[129], first));
+        assert!(std::ptr::eq(refs[133], last));
+        assert_eq!(
+            refs[3], &rows[1],
+            "the masked window starts at its first live row"
+        );
+        // Taking the rows out in a permuted order — serially, or per
+        // morsel of 7 on two threads — moves the owned ones and clones the
+        // shared ones into place.
+        let perm: Vec<u32> = (0..refs.len() as u32).rev().collect();
         let mut want: Vec<Row> = refs.into_iter().cloned().collect();
         want.reverse();
-        assert_eq!(g.into_rows_ordered(&perm), want);
+        let batches = g.batches;
+        let again = batches.iter().map(|b| match b {
+            Batch::Owned(rows) => Batch::Owned(rows.clone()),
+            Batch::Shared(w) => Batch::Shared(w.clone()),
+        });
+        let g2 = Gathered::from_batches(again.collect());
+        let g = Gathered::from_batches(batches);
+        let serial = Executor::new().threads(1);
+        let parallel = Executor::new()
+            .threads(2)
+            .morsel_size(7)
+            .parallel_threshold(1);
+        assert_eq!(g.into_rows_ordered(&perm, serial), want);
+        assert_eq!(g2.into_rows_ordered(&perm, parallel), want);
     }
 }

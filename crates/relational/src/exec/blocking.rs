@@ -50,13 +50,12 @@ use super::Executor;
 use crate::algebra::{cast_cell, cast_text, pivot_cell, AggAcc, Aggregate, JoinKind, PivotCell};
 use crate::error::RelResult;
 use crate::schema::Schema;
-use crate::segment::{ColumnData, Segment, SegmentColumn};
+use crate::segment::{is_dead, ColumnData, Segment, SegmentColumn, Window};
 use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Hash join
@@ -120,8 +119,8 @@ pub(super) fn par_build_hash_index<R: RowRef>(
 /// [`keys_eq`] in postings order, so output rows, order, and left-join
 /// NULL padding match the interpreter's join byte for byte.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn probe_hash<R: RowRef>(
-    lrows: &[Row],
+pub(super) fn probe_hash<L: RowRef, R: RowRef>(
+    lrows: &[L],
     lschema: &Schema,
     index: &HashIndex,
     right: &[R],
@@ -133,6 +132,7 @@ pub(super) fn probe_hash<R: RowRef>(
     let (hashes, has_null) = key_hashes(lrows, lschema, l_idx);
     let mut out: Vec<Row> = Vec::with_capacity(lrows.len());
     for (i, lrow) in lrows.iter().enumerate() {
+        let lrow = lrow.as_ref();
         let mut matched = false;
         if !has_null[i] {
             if let Some(cands) = index.buckets.get(&hashes[i]) {
@@ -165,8 +165,8 @@ pub(super) fn probe_hash<R: RowRef>(
 /// [`key_hashes`] and [`keys_eq`] implement (`Int(2)` matches
 /// `Float(2.0)`, NaN matches NaN, `-0.0` does not match `0.0`) — so the
 /// rows are those [`probe_hash`] emits over the table's live rows.
-pub(super) fn probe_key(
-    lrows: &[Row],
+pub(super) fn probe_key<L: RowRef>(
+    lrows: &[L],
     table: &Table,
     l_idx: &[usize],
     kind: JoinKind,
@@ -175,6 +175,7 @@ pub(super) fn probe_key(
     let mut out: Vec<Row> = Vec::with_capacity(lrows.len());
     let mut key: Vec<Value> = Vec::with_capacity(l_idx.len());
     for lrow in lrows {
+        let lrow = lrow.as_ref();
         key.clear();
         key.extend(l_idx.iter().map(|&i| lrow[i].clone()));
         let hit = if key.iter().any(Value::is_null) {
@@ -196,7 +197,7 @@ pub(super) fn probe_key(
 }
 
 /// A join output row: `lrow` followed by the `r_arity` right values.
-fn joined_row(lrow: &Row, right: impl Iterator<Item = Value>, r_arity: usize) -> Row {
+fn joined_row(lrow: &[Value], right: impl Iterator<Item = Value>, r_arity: usize) -> Row {
     let mut row = Vec::with_capacity(lrow.len() + r_arity);
     row.extend(lrow.iter().cloned());
     row.extend(right);
@@ -205,8 +206,8 @@ fn joined_row(lrow: &Row, right: impl Iterator<Item = Value>, r_arity: usize) ->
 
 /// Morsel-parallel [`key_hashes`]: per-morsel hash chunks concatenated in
 /// morsel order (hashing is per-row, so the result is position-identical).
-pub(super) fn par_key_hashes(
-    rows: &[Row],
+pub(super) fn par_key_hashes<R: RowRef>(
+    rows: &[R],
     schema: &Schema,
     idx: &[usize],
     cfg: Executor,
@@ -584,9 +585,9 @@ pub(super) struct PivotKernel<'a> {
     attr_pos: HashMap<&'a str, usize>,
     /// Each attribute's index among the distinct declared types.
     type_of: Vec<usize>,
-    /// Per window: its segment's tables in `segs` and the segment row of
-    /// its first row; `None` for an owned batch.
-    seg_of: Vec<Option<(usize, usize)>>,
+    /// Per window: its segment's tables in `segs`; `None` for an owned
+    /// batch.
+    seg_of: Vec<Option<usize>>,
     segs: Vec<SegPivot<'a>>,
 }
 
@@ -641,13 +642,15 @@ impl<'a> PivotKernel<'a> {
         let seg_of = windows
             .iter()
             .map(|w| {
-                let (seg, off) = w.segment()?;
+                let Batch::Shared(Window { seg, .. }) = w else {
+                    return None;
+                };
                 debug_assert_eq!(
                     seg.arity(),
                     arity,
                     "a shared window reaches the pivot as stored"
                 );
-                let d = *seen.entry(std::ptr::from_ref(seg)).or_insert_with(|| {
+                let d = *seen.entry(Arc::as_ptr(seg)).or_insert_with(|| {
                     segs.push(SegPivot::new(
                         seg,
                         key_idx,
@@ -658,7 +661,7 @@ impl<'a> PivotKernel<'a> {
                     ));
                     segs.len() - 1
                 });
-                Some((d, off))
+                Some(d)
             })
             .collect();
         PivotKernel {
@@ -679,8 +682,8 @@ impl<'a> PivotKernel<'a> {
         PivotSlots::new(self.key_idx.len(), self.key_idx.len() + self.attrs.len())
     }
 
-    /// Pivot rows `lo..hi` of window `w` into `slots` in row order,
-    /// stopping at the first error.
+    /// Pivot the rows at physical positions `lo..hi` of window `w` into
+    /// `slots` in row order, stopping at the first error.
     pub(super) fn pivot_into(
         &self,
         w: usize,
@@ -688,11 +691,13 @@ impl<'a> PivotKernel<'a> {
         hi: usize,
         slots: &mut PivotSlots,
     ) -> RelResult<()> {
-        if let Some((d, off)) = self.seg_of[w] {
-            return self.segs[d].pivot_into(self, off + lo..off + hi, slots);
+        let window = &self.windows[w];
+        if let (Some(d), Batch::Shared(win)) = (self.seg_of[w], window) {
+            let live = (lo..hi).filter(|&j| !is_dead(win.dead(), j));
+            return self.segs[d].pivot_into(self, live, slots);
         }
         let key_idx = self.key_idx;
-        for row in &self.windows[w].as_slice()[lo..hi] {
+        for (_, row) in window.live(lo, hi) {
             let s = slots.entity(
                 || {
                     key_idx
@@ -714,7 +719,7 @@ impl<'a> PivotKernel<'a> {
     pub(super) fn pivot_all(&self) -> RelResult<Vec<Row>> {
         let mut slots = self.slots();
         for (w, window) in self.windows.iter().enumerate() {
-            self.pivot_into(w, 0, window.len(), &mut slots)?;
+            self.pivot_into(w, 0, window.extent(), &mut slots)?;
         }
         Ok(slots.into_rows())
     }
@@ -755,16 +760,16 @@ impl<'a> SegPivot<'a> {
         }
     }
 
-    /// Pivot segment rows `range` into `slots` in row order, stopping at
+    /// Pivot segment rows `rows` into `slots` in row order, stopping at
     /// the first error.
     fn pivot_into(
         &self,
         k: &PivotKernel<'_>,
-        range: Range<usize>,
+        rows: impl Iterator<Item = usize>,
         slots: &mut PivotSlots,
     ) -> RelResult<()> {
         let keys = &self.keys;
-        for j in range {
+        for j in rows {
             let s = slots.entity(
                 || keys.iter().fold(HASH_SEED, |h, col| column_hash(h, col, j)),
                 |key| keys.iter().zip(key).all(|(col, v)| column_eq(col, j, v)),
@@ -844,7 +849,7 @@ pub(super) fn sort_gathered(
             perm
         }
     };
-    g.into_rows_ordered(&perm)
+    g.into_rows_ordered(&perm, cfg)
 }
 
 /// Parallel merge-path index sort: stable-sort each morsel's index run,

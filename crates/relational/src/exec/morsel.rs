@@ -13,9 +13,9 @@
 //! which is what makes parallel output byte-identical to serial output:
 //!
 //! * `run_windows` cuts morsels over a *list* of windows — a scan's
-//!   zero-copy parts, which deletes split into as many pieces as they
-//!   like — never across a window boundary, and returns per-morsel output
-//!   rows in window order: exactly the serial row order, because morsels
+//!   zero-copy chunk windows, dead rows included (a slice skips them) —
+//!   never across a window boundary, and returns per-morsel output in
+//!   window order: exactly the serial row order, because morsels
 //!   are contiguous ranges of consecutive windows. The fused pipeline and
 //!   the join probe run on it. (The lane kernels of `exec::blocking` —
 //!   join build, aggregation, sort — apply the same rule through
@@ -43,7 +43,7 @@
 //! observable in the output. The mutexes are uncontended in the common
 //! case — a steal happens once per range imbalance, not once per morsel.
 
-use super::batch::Batch;
+use super::batch::RowRef;
 use super::blocking::PivotSlots;
 use super::{Executor, BATCH_SIZE};
 use crate::error::RelResult;
@@ -195,11 +195,10 @@ fn window_slices(lens: &[usize], size: usize) -> Vec<(usize, usize, usize)> {
     slices
 }
 
-/// Run `f(rows)` over every slice of a list of windows — the batches a
-/// scan (or any child) produced — and return the batches each slice
-/// produced, in window order. `f` also receives the window
-/// the slice was cut from and the slice's offset in it, for kernels that
-/// read the window's segment. Morsel-parallel — slices of at most
+/// Run `f(w, lo, hi)` over every slice `lo..hi` of the windows of
+/// physical lengths `lens` — the batches a scan (or any child) produced,
+/// window `w` of them — and return what each slice made with its window,
+/// in window order. Morsel-parallel — slices of at most
 /// [`Executor::morsel_size`] rows on the work-stealing scheduler — when
 /// the windows *together* clear the parallel threshold; otherwise
 /// batch-sized slices inline, stopping at the first error. Either way the
@@ -207,48 +206,44 @@ fn window_slices(lens: &[usize], size: usize) -> Vec<(usize, usize, usize)> {
 /// the first failing row within a slice, so it is the error of the
 /// globally first failing row — what a single serial pass (and the
 /// materializing oracle) reports.
-pub(super) fn run_windows(
-    windows: &[Batch],
+pub(super) fn run_windows<T: Send>(
+    lens: &[usize],
     cfg: Executor,
-    f: impl Fn(&Batch, usize, &[Row]) -> RelResult<Vec<Batch>> + Sync,
-) -> RelResult<Vec<Batch>> {
-    let lens: Vec<usize> = windows.iter().map(Batch::len).collect();
+    f: impl Fn(usize, usize, usize) -> RelResult<T> + Sync,
+) -> RelResult<Vec<(usize, T)>> {
     let parallel = cfg.parallel_for(lens.iter().sum());
-    let slices = window_slices(
-        &lens,
-        if parallel {
-            cfg.morsel_size
-        } else {
-            BATCH_SIZE
-        },
-    );
+    let size = if parallel {
+        cfg.morsel_size
+    } else {
+        BATCH_SIZE
+    };
+    let slices = window_slices(lens, size);
     let run = |t: usize| {
         let (w, lo, hi) = slices[t];
-        f(&windows[w], lo, &windows[w].as_slice()[lo..hi])
+        f(w, lo, hi).map(|out| (w, out))
     };
-    let parts: RelResult<Vec<Vec<Batch>>> = if parallel {
+    if parallel {
         run_tasks(slices.len(), cfg.threads, run)
             .into_iter()
             .collect()
     } else {
         (0..slices.len()).map(run).collect()
-    };
-    Ok(parts?.into_iter().flatten().collect())
+    }
 }
 
-/// Pivot a list of windows morsel-parallel: `kernel(window, lo, hi)`
+/// Pivot a list of windows of physical lengths `lens` morsel-parallel:
+/// `kernel(window, lo, hi)`
 /// pivots each slice (`blocking::PivotKernel::pivot_into`) into slots of
 /// its own, then the partial wide rows merge entity-by-entity in slice
 /// order, found by the lane key hash each slot already carries
 /// ([`PivotSlots::merge`]) — first-seen entity order and last-write-wins
 /// cells match the serial kernel.
 pub(super) fn par_pivot(
-    windows: &[Batch],
+    lens: &[usize],
     cfg: Executor,
     kernel: impl Fn(usize, usize, usize) -> RelResult<PivotSlots> + Sync,
 ) -> RelResult<Vec<Row>> {
-    let lens: Vec<usize> = windows.iter().map(Batch::len).collect();
-    let slices = window_slices(&lens, cfg.morsel_size);
+    let slices = window_slices(lens, cfg.morsel_size);
     let parts = run_tasks(slices.len(), cfg.threads, |t| {
         let (w, lo, hi) = slices[t];
         kernel(w, lo, hi)
@@ -268,10 +263,16 @@ pub(super) fn par_pivot(
 /// re-checks). Each morsel checks its rows in order and the lowest-index
 /// failing morsel's error wins, so the reported violation is the one the
 /// globally first offending row raises — same as a serial check.
-pub(super) fn par_check_rows(rows: &[Row], schema: &Schema, cfg: Executor) -> RelResult<()> {
+pub(super) fn par_check_rows<R: RowRef>(
+    rows: &[R],
+    schema: &Schema,
+    cfg: Executor,
+) -> RelResult<()> {
     let parts = run_tasks(n_morsels(rows.len(), cfg.morsel_size), cfg.threads, |m| {
         let (lo, hi) = morsel_bounds(m, rows.len(), cfg.morsel_size);
-        rows[lo..hi].iter().try_for_each(|r| schema.check_row(r))
+        rows[lo..hi]
+            .iter()
+            .try_for_each(|r| schema.check_row(r.as_ref()))
     });
     for part in parts {
         part?;
@@ -362,31 +363,10 @@ mod tests {
 
     #[test]
     fn run_windows_keeps_window_order_and_first_error() {
-        use super::super::batch::tests::whole_window;
         use crate::error::RelError;
-        use crate::schema::Column;
-        use crate::value::{DataType, Value};
-        // Windows of 0, 1 and BATCH_SIZE + 1 rows, each row tagged
-        // (window, position); one shared, the rest owned.
-        let schema = Schema::new(
-            "w",
-            vec![
-                Column::new("window", DataType::Int),
-                Column::new("pos", DataType::Int),
-            ],
-        )
-        .unwrap();
-        let tagged = |w: i64, len: usize| -> Vec<Row> {
-            (0..len as i64)
-                .map(|i| vec![Value::Int(w), Value::Int(i)])
-                .collect()
-        };
-        let windows = [
-            Batch::Owned(tagged(0, 0)),
-            whole_window(&schema, tagged(1, 1)),
-            Batch::Owned(tagged(2, BATCH_SIZE + 1)),
-        ];
-        let want: Vec<Row> = windows.iter().flat_map(Batch::as_slice).cloned().collect();
+        // Windows of 0, 1 and BATCH_SIZE + 1 rows; a slice reports
+        // (window, lo, hi).
+        let lens = [0, 1, BATCH_SIZE + 1];
         let serial = Executor::new().threads(1);
         for size in [1, 7] {
             let parallel = Executor {
@@ -396,32 +376,42 @@ mod tests {
             };
             for cfg in [serial, parallel] {
                 let limit = if cfg.threads > 1 { size } else { BATCH_SIZE };
-                let out = run_windows(&windows, cfg, |w, lo, rows| {
-                    assert!(!rows.is_empty() && rows.len() <= limit);
-                    assert_eq!(rows, &w.as_slice()[lo..lo + rows.len()]);
-                    Ok(vec![Batch::Owned(rows.to_vec())])
+                let out = run_windows(&lens, cfg, |w, lo, hi| {
+                    assert!(lo < hi && hi - lo <= limit && hi <= lens[w]);
+                    Ok((lo, hi))
                 })
                 .unwrap();
-                let flat: Vec<Row> = out.into_iter().flat_map(Batch::into_rows).collect();
-                assert_eq!(flat, want, "size {size}, {} threads", cfg.threads);
-                // Every slice of windows 1 and 2 fails: the error of
-                // window 1 (the earlier rows) must be the one reported.
-                let err = run_windows(&windows, cfg, |_, _, rows| {
-                    Err(RelError::Eval(format!("row {:?}", rows[0])))
+                // Every row of every window once, in window order.
+                let mut next = (1, 0);
+                for (w, (lo, hi)) in out {
+                    if next.1 == lens[next.0] {
+                        next = (next.0 + 1, 0);
+                    }
+                    assert_eq!((w, lo), next);
+                    next.1 = hi;
+                }
+                assert_eq!(
+                    next,
+                    (2, BATCH_SIZE + 1),
+                    "size {size}, {} threads",
+                    cfg.threads
+                );
+                // Every slice fails: the error of window 1 (the earlier
+                // rows) must be the one reported.
+                let err = run_windows(&lens, cfg, |w, lo, _| -> RelResult<()> {
+                    Err(RelError::Eval(format!("row {w}.{lo}")))
                 })
-                .err()
-                .expect("every slice fails");
-                assert_eq!(err, RelError::Eval(format!("row {:?}", want[0])));
+                .expect_err("every slice fails");
+                assert_eq!(err, RelError::Eval("row 1.0".into()));
                 // And within a window, the lowest failing slice wins.
-                let err = run_windows(&windows, cfg, |_, lo, rows| {
-                    if lo + rows.len() > 500 {
+                let err = run_windows(&lens, cfg, |_, lo, hi| {
+                    if hi > 500 {
                         Err(RelError::Eval(format!("row {}", lo.max(500))))
                     } else {
-                        Ok(Vec::new())
+                        Ok(())
                     }
                 })
-                .err()
-                .expect("every slice fails");
+                .expect_err("every slice fails");
                 assert_eq!(err, RelError::Eval("row 500".into()));
             }
         }

@@ -21,8 +21,8 @@
 //! pipeline and the join probe — buffer the shared windows a scan hands
 //! them and cut morsels over the *window list*
 //! ([`morsel::run_windows`]): parallel when the windows together clear
-//! [`Executor::parallel_threshold`], however many
-//! pieces deletes have split the scan into. Both dispatch targets are
+//! [`Executor::parallel_threshold`], one window per chunk, dead rows
+//! skipped. Both dispatch targets are
 //! byte-identical — rows, order, and first-error-in-row-order — so the
 //! choice is invisible in the output.
 //!
@@ -42,12 +42,12 @@
 use super::batch::{key_hashes, keys_eq, Batch, Gathered, HashBuckets};
 use super::blocking;
 use super::morsel;
-use super::vector::{self, SimplePred};
+use super::vector::{self, SimplePred, Sliced};
 use super::{apply_stages, Executor, Stage};
 use crate::algebra::{unpivot_rows, Aggregate, JoinKind};
 use crate::error::RelResult;
 use crate::schema::Schema;
-use crate::segment::ScanPart;
+use crate::segment::Window;
 use crate::table::{Row, Table};
 use crate::value::DataType;
 use std::mem;
@@ -73,16 +73,15 @@ pub(super) trait PhysicalOperator {
 /// storage (or the owned rows of an inline relation), nodes are operators
 /// over their children's output.
 pub(super) enum OpTree<'p> {
-    /// A table scan (DESIGN.md §14): the table's physical scan parts in
-    /// row order — one per maximal run of live rows, none for an empty
-    /// table. Emits one zero-copy batch per part, each carrying its
-    /// chunk's [`Segment`](crate::segment::Segment) and its offset into
-    /// it, so the pipeline above can evaluate lane masks over it. `prune`
+    /// A table scan (DESIGN.md §14): the table's chunks in row order as
+    /// windows, none for an empty table. Emits one zero-copy batch per
+    /// chunk — its [`Segment`](crate::segment::Segment) and its dead bits
+    /// — so the pipeline above can evaluate lane masks over it. `prune`
     /// holds the simple filter conjuncts of that pipeline (stage-ordered,
-    /// shared with its [`PipelineOp`]) that zone maps test to skip a part
-    /// before a batch is formed.
+    /// shared with its [`PipelineOp`]) that zone maps test to skip a
+    /// window before a batch is formed.
     Leaf {
-        parts: Vec<ScanPart>,
+        parts: Vec<Window>,
         prune: Arc<[Vec<SimplePred>]>,
     },
     /// An inline relation (`Plan::Values`): its rows, already validated,
@@ -102,7 +101,7 @@ pub(super) fn drive(tree: OpTree<'_>) -> RelResult<Vec<Batch>> {
         OpTree::Leaf { parts, prune } => Ok(parts
             .into_iter()
             .filter(|part| !vector::segment_pruned(&part.seg, &prune))
-            .map(|p| Batch::segment_window(p.rows, p.lo, p.hi, p.seg, p.seg_off))
+            .map(Batch::Shared)
             .collect()),
         OpTree::Rows(rows) => {
             let mut out = Vec::new();
@@ -134,21 +133,18 @@ fn push_rows(out: &mut Vec<Batch>, rows: Vec<Row>) {
 /// intermediate tables. Shared windows are buffered and run together —
 /// one slice of at most a morsel per task, morsel-parallel when the
 /// windows together are large enough ([`morsel::run_windows`]) — lane
-/// masks first, then the row walk ([`vector::run_window`]). Owned batches
-/// (child-produced rows, which can be moved rather than cloned) walk
-/// [`apply_stages`] row by row.
+/// masks first, then the row walk ([`vector::run_window`]). A window the
+/// lane masks alone resolve goes on as one window, its dropped rows marked
+/// dead; owned batches (child-produced rows, which can be moved rather
+/// than cloned) walk [`apply_stages`] row by row.
 pub(super) struct PipelineOp<'p> {
     stages: Vec<Stage<'p>>,
     /// [`vector::prune_groups`] of `stages`, computed once at compile time
     /// and shared with the scan leaf below, if there is one.
     groups: Arc<[Vec<SimplePred>]>,
     cfg: Executor,
-    /// The consumer reads its input by reference: rows the lane masks
-    /// selected and no stage rebuilt go on as sub-windows, not copies
-    /// ([`vector::run_window`]).
-    share: bool,
     /// Consecutive shared windows not yet run (a scan's parts).
-    windows: Vec<Batch>,
+    windows: Vec<Window>,
     out: Vec<Batch>,
 }
 
@@ -157,13 +153,11 @@ impl<'p> PipelineOp<'p> {
         stages: Vec<Stage<'p>>,
         groups: Arc<[Vec<SimplePred>]>,
         cfg: Executor,
-        share: bool,
     ) -> PipelineOp<'p> {
         PipelineOp {
             stages,
             groups,
             cfg,
-            share,
             windows: Vec::new(),
             out: Vec::new(),
         }
@@ -171,14 +165,28 @@ impl<'p> PipelineOp<'p> {
 
     /// Run the buffered windows through the stages, slice by slice in
     /// window order. Every slice reads its lanes straight from its
-    /// window's segment at the slice's offset, serial or parallel.
+    /// window's segment at the slice's offset, serial or parallel; the
+    /// slices of one window fill one set of dead bits.
     fn flush(&mut self) -> RelResult<()> {
         let windows = mem::take(&mut self.windows);
-        let out = morsel::run_windows(&windows, self.cfg, |window, lo, rows| {
-            let n = rows.len();
-            vector::run_window(&self.stages, &self.groups, window, lo, n, self.share)
+        let lens: Vec<usize> = windows.iter().map(|w| w.seg.len()).collect();
+        let sliced = morsel::run_windows(&lens, self.cfg, |w, lo, hi| {
+            vector::run_window(&self.stages, &self.groups, &windows[w], lo, hi)
         })?;
-        self.out.extend(out);
+        let mut sliced = sliced.into_iter().peekable();
+        for (w, window) in windows.into_iter().enumerate() {
+            let mut dropped = Vec::new();
+            while let Some((_, out)) = sliced.next_if(|s| s.0 == w) {
+                match out {
+                    Sliced::Dropped { lo, bits } => dropped.push((lo, bits)),
+                    Sliced::Rows(rows) => self.out.extend(Batch::from_rows(rows)),
+                }
+            }
+            if !dropped.is_empty() {
+                self.out
+                    .extend(vector::drop_rows(window, dropped).map(Batch::Shared));
+            }
+        }
         Ok(())
     }
 }
@@ -190,7 +198,7 @@ impl PhysicalOperator for PipelineOp<'_> {
             return Ok(());
         }
         match batch {
-            b @ Batch::Shared { .. } => self.windows.push(b),
+            Batch::Shared(w) => self.windows.push(w),
             Batch::Owned(batch_rows) => {
                 // Output order is input order: what is buffered goes first.
                 self.flush()?;
@@ -286,12 +294,19 @@ impl PhysicalOperator for JoinOp {
     fn finish(&mut self) -> RelResult<Vec<Batch>> {
         let probes = mem::take(&mut self.probe_buf);
         let (l_idx, kind, r_arity, cfg) = (&self.l_idx, self.kind, self.r_arity, self.cfg);
-        let emit = |joined: Vec<Row>| -> RelResult<Vec<Batch>> {
-            Ok(Batch::from_rows(joined).into_iter().collect())
-        };
-        match &mut self.build {
-            Build::Key(table) => morsel::run_windows(&probes, cfg, |_, _, lrows| {
-                emit(blocking::probe_key(lrows, table, l_idx, kind, r_arity))
+        let lens: Vec<usize> = probes.iter().map(Batch::extent).collect();
+        // A slice's probe rows, by reference.
+        let slice =
+            |w: usize, lo, hi| -> Vec<&Row> { probes[w].live(lo, hi).map(|(_, r)| r).collect() };
+        let joined = match &mut self.build {
+            Build::Key(table) => morsel::run_windows(&lens, cfg, |w, lo, hi| {
+                Ok(blocking::probe_key(
+                    &slice(w, lo, hi),
+                    table,
+                    l_idx,
+                    kind,
+                    r_arity,
+                ))
             }),
             Build::Hash {
                 schema,
@@ -305,9 +320,9 @@ impl PhysicalOperator for JoinOp {
                 } else {
                     blocking::build_hash_index(&right, schema, r_idx)
                 };
-                morsel::run_windows(&probes, cfg, |_, _, lrows| {
-                    emit(blocking::probe_hash(
-                        lrows,
+                morsel::run_windows(&lens, cfg, |w, lo, hi| {
+                    Ok(blocking::probe_hash(
+                        &slice(w, lo, hi),
                         &self.lschema,
                         &index,
                         &right,
@@ -318,7 +333,11 @@ impl PhysicalOperator for JoinOp {
                     ))
                 })
             }
-        }
+        }?;
+        Ok(joined
+            .into_iter()
+            .filter_map(|(_, rows)| Batch::from_rows(rows))
+            .collect())
     }
 }
 
@@ -352,9 +371,9 @@ impl UnionOp {
 impl PhysicalOperator for UnionOp {
     fn push_batch(&mut self, input: usize, batch: Batch) -> RelResult<()> {
         if self.check_rows && input > 0 {
-            let rows = batch.as_slice();
+            let rows: Vec<&Row> = batch.rows().collect();
             if self.cfg.parallel_for(rows.len()) {
-                morsel::par_check_rows(rows, &self.schema, self.cfg)?;
+                morsel::par_check_rows(&rows, &self.schema, self.cfg)?;
             } else {
                 for row in rows {
                     self.schema.check_row(row)?;
@@ -402,14 +421,14 @@ impl DistinctOp {
 
 impl PhysicalOperator for DistinctOp {
     fn push_batch(&mut self, _input: usize, batch: Batch) -> RelResult<()> {
-        let rows = batch.as_slice();
+        let rows: Vec<&Row> = batch.rows().collect();
         // The hash pass is columnar (and morsel-parallel for large shared
         // windows); the bucket walk stays serial to keep first-occurrence
         // order.
         let (hashes, _) = if self.cfg.parallel_for(rows.len()) {
-            blocking::par_key_hashes(rows, &self.schema, &self.cols, self.cfg)
+            blocking::par_key_hashes(&rows, &self.schema, &self.cols, self.cfg)
         } else {
-            key_hashes(rows, &self.schema, &self.cols)
+            key_hashes(&rows, &self.schema, &self.cols)
         };
         for (i, row) in rows.iter().enumerate() {
             let bucket = self.buckets.entry(hashes[i]).or_default();
@@ -418,7 +437,7 @@ impl PhysicalOperator for DistinctOp {
                 .any(|&s| keys_eq(row, &self.cols, &self.kept[s as usize], &self.cols));
             if !dup {
                 bucket.push(self.kept.len() as u32);
-                self.kept.push(row.clone());
+                self.kept.push((*row).clone());
             }
         }
         Ok(())
@@ -457,12 +476,7 @@ impl UnpivotOp {
 
 impl PhysicalOperator for UnpivotOp {
     fn push_batch(&mut self, _input: usize, batch: Batch) -> RelResult<()> {
-        let rows = unpivot_rows(
-            &self.in_schema,
-            batch.as_slice(),
-            &self.key_idx,
-            &self.data_idx,
-        );
+        let rows = unpivot_rows(&self.in_schema, batch.rows(), &self.key_idx, &self.data_idx);
         push_rows(&mut self.out, rows);
         Ok(())
     }
@@ -607,8 +621,9 @@ impl PhysicalOperator for PivotOp<'_> {
             self.attrs,
             self.in_schema.arity(),
         );
-        let out = if self.cfg.parallel_for(windows.iter().map(Batch::len).sum()) {
-            morsel::par_pivot(&windows, self.cfg, |w, lo, hi| {
+        let lens: Vec<usize> = windows.iter().map(Batch::extent).collect();
+        let out = if self.cfg.parallel_for(lens.iter().sum()) {
+            morsel::par_pivot(&lens, self.cfg, |w, lo, hi| {
                 let mut slots = kernel.slots();
                 kernel.pivot_into(w, lo, hi, &mut slots).map(|()| slots)
             })?
@@ -713,23 +728,26 @@ mod tests {
             parts: t.scan_parts(),
             prune: Arc::new([]),
         };
-        let t = Table::from_rows(schema.clone(), int_rows(4)).unwrap();
+        let mut t = Table::from_rows(schema.clone(), int_rows(4)).unwrap();
         let batches = drive(leaf(&t)).unwrap();
-        assert_eq!(batches.len(), 1);
-        assert!(matches!(
-            &batches[0],
-            Batch::Shared {
-                lo: 0,
-                hi: 4,
-                seg: (_, 0),
-                ..
-            }
-        ));
+        assert!(matches!(&batches[..], [Batch::Shared(w)] if w.dead.is_none() && w.seg.len() == 4));
         // The window is the table's own backing, not a copy of it.
-        let window = batches[0].as_slice();
-        assert_eq!(window.len(), t.len());
-        assert!(std::ptr::eq(&window[0], t.row_at(0).unwrap()));
-        // An empty table has no live run, hence no window at all.
+        let first = batches[0].rows().next().unwrap();
+        assert_eq!(batches[0].len(), t.len());
+        assert!(std::ptr::eq(first, t.row_at(0).unwrap()));
+        // A delete leaves one window over the whole chunk, the deleted
+        // row dead in it.
+        t.delete_where(|r| r[0] == Value::Int(0)).unwrap();
+        let batches = drive(leaf(&t)).unwrap();
+        let [Batch::Shared(w)] = &batches[..] else {
+            panic!("one window per chunk");
+        };
+        assert_eq!((w.seg.len(), w.live()), (4, 3));
+        assert!(std::ptr::eq(
+            batches[0].rows().next().unwrap(),
+            t.row_at(0).unwrap()
+        ));
+        // An empty table has no chunk, hence no window at all.
         assert!(drive(leaf(&Table::new(schema))).unwrap().is_empty());
     }
 
@@ -742,7 +760,7 @@ mod tests {
         // child), silently dropped here.
         op.push_batch(0, Batch::Owned(int_rows(5))).unwrap();
         let out = op.finish().unwrap();
-        let rows: Vec<Row> = out.into_iter().flat_map(Batch::into_rows).collect();
+        let rows = super::super::batch::tests::rows_of(&out);
         assert_eq!(
             rows,
             vec![

@@ -8,10 +8,13 @@
 //! segments with them ([`segment_pruned`]); the pipeline evaluates them
 //! over each surviving window slice as **lane masks** ([`run_window`]):
 //! one typed loop per conjunct straight over the segment's column storage
-//! at the slice's offset, reading only the columns the conjuncts name.
-//! Everything else — filters that do not decompose, every `Map`, every
-//! stage behind one — walks the selected rows **in row order** through
-//! `Expr::eval`, stopping at the first error.
+//! at the slice's offset, reading only the columns the conjuncts name,
+//! dead rows included (they cannot fail, and the segment images them).
+//! When the masks resolve every stage, the window goes on as itself with
+//! the rows they dropped marked dead ([`drop_rows`]), and no row is
+//! copied. Everything else — filters that do not decompose, every `Map`,
+//! every stage behind one — walks the selected live rows **in row order**
+//! through `Expr::eval`, stopping at the first error.
 //!
 //! # Error parity
 //!
@@ -26,15 +29,16 @@
 //! which is also what lets serial slices and morsel workers share this one
 //! driver.
 
-use super::batch::Batch;
 use super::{apply_stages_ref, Stage};
 use crate::algebra::resolve_column;
 use crate::error::RelResult;
 use crate::expr::{BinOp, Expr};
 use crate::schema::Schema;
-use crate::segment::{ColumnData, Segment};
+use crate::segment::{is_dead, live_count, no_dead, ColumnData, Segment, Window};
+use crate::table::Row;
 use crate::value::Value;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// One filter conjunct in `column ⟨op⟩ literal` form, extracted from a
 /// fused [`Stage::Filter`].
@@ -424,87 +428,89 @@ fn lane_select(
     (sel, done)
 }
 
-/// Run the fused `stages` over one slice of a shared scan window — rows
-/// `lo .. lo + n` of `window` — and return what survives, or the error of
-/// the first failing row. `groups` are [`prune_groups`] of `stages`.
-/// Serial slices and parallel morsels both call this, so the morsel merge
-/// rules apply unchanged.
+/// What one slice of a shared window made.
+pub(super) enum Sliced {
+    /// The lane masks accounted for every stage: the rows of the slice
+    /// from `lo` on that they dropped, bit `i` for row `lo + i`, which the
+    /// window hands on as dead bits.
+    Dropped { lo: usize, bits: Vec<u64> },
+    /// The rows that survived the row walk.
+    Rows(Vec<Row>),
+}
+
+/// Run the fused `stages` over rows `lo..hi` of the shared window `w` and
+/// return what that slice made, or the error of the first failing row.
+/// `groups` are [`prune_groups`] of `stages`. Serial slices and parallel
+/// morsels both call this, so the morsel merge rules apply unchanged.
 ///
-/// Survivors are cloned into one owned batch — unless `share` (the
-/// pipeline feeds an operator that reads its input by reference), the
-/// lane masks accounted for *every* stage, and the selected runs are long
-/// enough ([`MIN_SHARED_RUN`]): rows a filter did not change are then
-/// handed on as sub-windows of the window itself, one per maximal
-/// selected run, exactly the shape a table emits per live run.
+/// The lane masks run over every row of the slice, dead ones included —
+/// they cannot fail, and the segment images those rows too. When they
+/// accounted for every stage, nothing is copied: the slice reports the
+/// rows they dropped as packed bits. Whether they do depends only on the
+/// segment, so every slice of one window ends the same way. Otherwise the selected live rows walk
+/// the remaining stages in row order.
 pub(super) fn run_window(
     stages: &[Stage],
     groups: &[Vec<SimplePred>],
-    window: &Batch,
+    w: &Window,
     lo: usize,
-    n: usize,
-    share: bool,
-) -> RelResult<Vec<Batch>> {
-    let (seg, off) = window.segment().expect("only shared windows are run");
-    let (sel, done) = lane_select(groups, seg, off + lo, n);
-    if share && done == stages.len() {
-        if let Some(runs) = long_runs(&sel) {
-            return Ok(runs
-                .into_iter()
-                .map(|(a, b)| window.sub_window(lo + a, lo + b))
-                .collect());
+    hi: usize,
+) -> RelResult<Sliced> {
+    let (sel, done) = lane_select(groups, &w.seg, lo, hi - lo);
+    if done == stages.len() {
+        let mut bits = vec![0u64; sel.len().div_ceil(64)];
+        for (i, keep) in sel.iter().enumerate() {
+            bits[i / 64] |= u64::from(!keep) << (i % 64);
         }
+        return Ok(Sliced::Dropped { lo, bits });
     }
-    let rest = &stages[done..];
-    let rows = &window.as_slice()[lo..lo + n];
+    let (rows, rest) = (w.seg.rows(), &stages[done..]);
     let mut out = Vec::new();
-    for (row, _) in rows.iter().zip(sel).filter(|(_, keep)| *keep) {
-        out.extend(apply_stages_ref(rest, row)?);
+    for (k, _) in (lo..hi)
+        .zip(sel)
+        .filter(|&(k, keep)| keep && !is_dead(w.dead(), k))
+    {
+        out.extend(apply_stages_ref(rest, &rows[k])?);
     }
-    Ok(Batch::from_rows(out).into_iter().collect())
+    Ok(Sliced::Rows(out))
 }
 
-/// Fewest rows the selected runs of a slice must average for the slice to
-/// be handed on as shared sub-windows instead of one copied batch. A
-/// sub-window costs its consumer a batch — two reference counts here, a
-/// morsel of its own in a join probe — where a copy costs a row clone. In
-/// the sweep that chose this (DESIGN.md §11) a pivot and an aggregation
-/// read sub-windows faster at every run length, a join probe from 3-row
-/// runs on; one constant serves all three, so alternating rows copy.
-const MIN_SHARED_RUN: usize = 4;
-
-/// The maximal runs of selected rows as half-open ranges, or `None` when
-/// they average fewer than [`MIN_SHARED_RUN`] rows.
-fn long_runs(sel: &[bool]) -> Option<Vec<(usize, usize)>> {
-    let mut runs = Vec::new();
-    let mut selected = 0;
-    let mut i = 0;
-    while i < sel.len() {
-        if sel[i] {
-            let start = i;
-            while i < sel.len() && sel[i] {
-                i += 1;
+/// `w` with the rows its slices dropped ([`Sliced::Dropped`]) dead, or
+/// none when no row is left. A window that lost no live row keeps its own
+/// dead bits.
+pub(super) fn drop_rows(w: Window, slices: Vec<(usize, Vec<u64>)>) -> Option<Window> {
+    let mut dead = w.dead().map_or_else(|| no_dead(w.seg.len()), Box::from);
+    for (lo, bits) in slices {
+        let (first, shift) = (lo / 64, lo % 64);
+        for (j, word) in bits.into_iter().enumerate() {
+            dead[first + j] |= word << shift;
+            if shift > 0 && first + j + 1 < dead.len() {
+                dead[first + j + 1] |= word >> (64 - shift);
             }
-            selected += i - start;
-            runs.push((start, i));
-        } else {
-            i += 1;
         }
     }
-    (selected >= MIN_SHARED_RUN * runs.len()).then_some(runs)
+    match live_count(Some(&dead), w.seg.len()) {
+        0 => None,
+        n if n == w.live() => Some(w),
+        _ => Some(Window {
+            dead: Some(Arc::new(dead)),
+            ..w
+        }),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::RelError;
+    use crate::exec::batch::Batch;
     use crate::schema::Column;
     use crate::table::{Row, Table};
     use crate::value::DataType;
-    use std::sync::Arc;
 
     /// One column per storage encoding (two FLOAT ones: `f` is clean, `g`
     /// holds a NaN), NULLs in every one of them, sealed as one segment
-    /// and then cut into live runs by deletes.
+    /// with rows deleted under the seal.
     fn encodings_table() -> Table {
         use DataType::*;
         let cols = [
@@ -570,7 +576,13 @@ mod tests {
         let table = encodings_table();
         let schema = table.schema().clone();
         let parts = table.scan_parts();
-        assert!(parts.len() >= 3 && parts.iter().any(|p| p.seg_off > 0));
+        assert!(parts.len() == 1 && parts[0].dead.is_some());
+        // What `ops::drive` hands the pipeline, cut the way `Limit` cuts
+        // it: one window over the whole chunk, dead rows and all.
+        let Batch::Shared(w) = Batch::Shared(parts[0].clone()).take_prefix(parts[0].live() - 1)
+        else {
+            unreachable!("a prefix of a window is a window")
+        };
 
         let nan = Value::Float(f64::NAN);
         let big = Value::Int((1 << 53) + 1);
@@ -648,52 +660,52 @@ mod tests {
                 }];
                 let groups = prune_groups(&stages);
                 assert_eq!(groups.len(), 1, "{predicate:?} decomposes");
-                for part in &parts {
-                    // What `ops::drive` hands the pipeline, shrunk the way
-                    // `Limit` shrinks it: the offset must survive.
-                    let window = Batch::segment_window(
-                        Arc::clone(&part.rows),
-                        part.lo,
-                        part.hi,
-                        Arc::clone(&part.seg),
-                        part.seg_off,
-                    )
-                    .take_prefix(part.hi - part.lo - 1);
-                    let (seg, off) = window.segment().unwrap();
-                    assert_eq!(off, part.seg_off);
-                    // A morsel-style slice of it, not starting at its head.
-                    let lo = usize::min(3, window.len());
-                    let rows = &window.as_slice()[lo..];
-                    let walked: RelResult<Vec<bool>> =
-                        rows.iter().map(|r| predicate.matches(&schema, r)).collect();
-                    let (sel, done) = lane_select(&groups, seg, off + lo, rows.len());
+                // Morsel-style slices of it, at its head and past it,
+                // starting on dead rows and on live ones.
+                for lo in [0, 3, 301, 1000] {
+                    let hi = w.seg.len();
+                    let live: Vec<(usize, &Row)> = (lo..hi)
+                        .filter(|&k| !is_dead(w.dead(), k))
+                        .map(|k| (k, &w.seg.rows()[k]))
+                        .collect();
+                    let walked: RelResult<Vec<bool>> = live
+                        .iter()
+                        .map(|(_, r)| predicate.matches(&schema, r))
+                        .collect();
+                    let (sel, done) = lane_select(&groups, &w.seg, lo, hi - lo);
                     assert_eq!(done == 1, *expect_lanes, "{predicate:?}");
                     if done == 1 {
                         on_lanes += 1;
                         let walked = walked.as_ref().expect("a lane group is infallible");
-                        let differs = sel.iter().zip(walked).position(|(a, b)| a != b);
-                        assert_eq!(differs, None, "{predicate:?} at {off}+{lo}");
+                        let differs = live
+                            .iter()
+                            .zip(walked)
+                            .position(|((k, _), b)| sel[k - lo] != *b);
+                        assert_eq!(differs, None, "{predicate:?} from {lo}");
                     } else {
                         refused += 1;
                         assert!(sel.iter().all(|s| *s), "a refused group dropped a row");
                     }
-                    // Either way the window produces what the row walk does —
-                    // the same rows, or the same first error.
+                    // Either way the slice produces what the row walk over
+                    // its live rows does — the same rows, or the same first
+                    // error; dead rows are neither walked nor dropped.
                     let want = walked.map(|keep| {
-                        let kept = rows.iter().zip(keep).filter(|(_, k)| *k);
-                        kept.map(|(r, _)| r.clone()).collect::<Vec<Row>>()
+                        let kept = live.iter().zip(keep).filter(|(_, k)| *k);
+                        kept.map(|((_, r), _)| (*r).clone()).collect::<Vec<Row>>()
                     });
                     errors += usize::from(want.is_err());
-                    // Copied or handed on as sub-windows, the same rows.
-                    for share in [false, true] {
-                        let got = run_window(&stages, &groups, &window, lo, rows.len(), share).map(
-                            |out| {
-                                let rows = out.into_iter().flat_map(Batch::into_rows);
-                                rows.collect::<Vec<Row>>()
-                            },
-                        );
-                        assert_eq!(got, want, "{predicate:?} at {off}+{lo}, share {share}");
-                    }
+                    // Handed on as dead bits or walked: the same rows.
+                    let got = run_window(&stages, &groups, &w, lo, hi).map(|out| match out {
+                        Sliced::Rows(rows) => rows,
+                        Sliced::Dropped { lo: from, bits } => {
+                            assert_eq!(from, lo);
+                            assert_eq!(bits.len(), (hi - lo).div_ceil(64));
+                            let gone = |k: usize| bits[(k - lo) / 64] >> ((k - lo) % 64) & 1;
+                            let kept = live.iter().filter(|(k, _)| gone(*k) == 0);
+                            kept.map(|(_, r)| (*r).clone()).collect()
+                        }
+                    });
+                    assert_eq!(got, want, "{predicate:?} from {lo}");
                 }
             }
         }

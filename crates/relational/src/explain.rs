@@ -128,7 +128,7 @@ mod tests {
         assert!(
             scan.contains("[actual rows=9]")
                 && scan.contains(
-                    "[layout: chunks=1 scan_parts=2 sealed_spans=1 imaged_columns=0 dead_under_seals=1 small_tail=1]"
+                    "[layout: chunks=1 sealed_spans=1 imaged_columns=0 dead_under_seals=1 small_tail=1]"
                 ),
             "{analyzed}"
         );

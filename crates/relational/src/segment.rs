@@ -334,21 +334,89 @@ impl Segment {
     pub(crate) fn imaged_columns(&self) -> usize {
         self.cols.iter().filter(|c| c.get().is_some()).count()
     }
+
+    /// The rows the segment was sealed over: row `k` is segment row `k`.
+    pub(crate) fn rows(&self) -> &[Row] {
+        &self.rows[self.lo..self.hi]
+    }
+
+    /// The backing vector and the window `lo..hi` of it the segment
+    /// images, for a chunk over the same rows.
+    pub(crate) fn backing(&self) -> (&Arc<Vec<Row>>, usize, usize) {
+        (&self.rows, self.lo, self.hi)
+    }
 }
 
-/// One contiguous piece of a table scan: live rows `lo..hi` of one shared
-/// storage vector, carrying the sealed [`Segment`] of their chunk and the
-/// segment row `seg_off` that images `rows[lo]` (row `lo + k` is segment
-/// row `seg_off + k`). A persistent table scans as a sequence of such
-/// parts — one per maximal run of live rows in each chunk — and the
-/// executor's scan emits one zero-copy batch per part.
+/// Which rows of a window are not shown: bit `k` set means row `k` is
+/// dead — deleted from its chunk, or dropped by a filter. Padding bits past
+/// the window are set, so `!word` holds live bits only. One type for a
+/// chunk's mask, a scan window's and a result chunk's, shared
+/// copy-on-write between them.
+pub(crate) type DeadBits = Arc<Box<[u64]>>;
+
+/// A bitmap over `len` rows with none dead.
+pub(crate) fn no_dead(len: usize) -> Box<[u64]> {
+    let words = len.div_ceil(64);
+    let mut m = vec![0u64; words].into_boxed_slice();
+    if !len.is_multiple_of(64) {
+        m[words - 1] = !0u64 << (len % 64);
+    }
+    m
+}
+
+/// Is row `k` dead under `dead` (no bitmap: nothing is)?
+pub(crate) fn is_dead(dead: Option<&[u64]>, k: usize) -> bool {
+    dead.is_some_and(|m| m[k / 64] >> (k % 64) & 1 != 0)
+}
+
+/// The live rows of a `len`-row window under `dead`.
+pub(crate) fn live_count(dead: Option<&[u64]>, len: usize) -> usize {
+    dead.map_or(len, |m| m.iter().map(|w| (!w).count_ones() as usize).sum())
+}
+
+/// Offset of the `k`-th (0-based) live row of a window with `k` below its
+/// live count.
+pub(crate) fn select_live(dead: Option<&[u64]>, mut k: usize) -> usize {
+    let Some(mask) = dead else {
+        return k;
+    };
+    let mut w = 0;
+    loop {
+        let alive = (!mask[w]).count_ones() as usize;
+        if k < alive {
+            let mut bits = !mask[w];
+            for _ in 0..k {
+                bits &= bits - 1;
+            }
+            return w * 64 + bits.trailing_zeros() as usize;
+        }
+        k -= alive;
+        w += 1;
+    }
+}
+
+/// A zero-copy window over shared table storage: every row of a chunk's
+/// sealed [`Segment`] (which holds the rows), and the dead bits saying
+/// which of them are not in the window — deleted from the chunk, or
+/// dropped by a filter. A table scans as one window per chunk, its own
+/// mask as the dead bits; a filter hands on the same segment with more
+/// bits set, and a result keeps it as a chunk (`table::TableBuilder`).
 #[derive(Debug, Clone)]
-pub(crate) struct ScanPart {
-    pub(crate) rows: Arc<Vec<Row>>,
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
+pub(crate) struct Window {
     pub(crate) seg: Arc<Segment>,
-    pub(crate) seg_off: usize,
+    pub(crate) dead: Option<DeadBits>,
+}
+
+impl Window {
+    /// The dead bits as words.
+    pub(crate) fn dead(&self) -> Option<&[u64]> {
+        self.dead.as_deref().map(|m| &**m)
+    }
+
+    /// How many rows are in the window.
+    pub(crate) fn live(&self) -> usize {
+        live_count(self.dead(), self.seg.len())
+    }
 }
 
 /// The sealed view of one table version: the segment of every storage

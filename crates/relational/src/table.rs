@@ -15,13 +15,15 @@
 //! # Layout invariants
 //!
 //! Every path that opens a chunk or deletes from one ([`Table::insert`],
-//! [`Table::delete_where`], [`Table::apply_delta`]) re-establishes, at a
-//! cost of O([`SEGMENT_ROWS`]) rows per touched chunk:
+//! [`Table::delete_where`], [`Table::apply_delta`]) — and the executor
+//! when it assembles a result out of its inputs' chunks — re-establishes,
+//! at a cost of O([`SEGMENT_ROWS`]) rows per touched chunk:
 //!
 //! * no chunk is dead (zero live rows) and none holds more than
 //!   [`SEGMENT_ROWS`] physical rows;
-//! * the live rows of a chunk form at most [`MAX_LIVE_RUNS`] maximal runs
-//!   — a chunk fragmented past that is rewritten without its dead rows;
+//! * an edited chunk's live rows form at most [`MAX_LIVE_RUNS`] maximal
+//!   runs — a chunk fragmented past that is rewritten without its dead
+//!   rows (an executor result is exempt, see below);
 //! * of two adjacent *small* chunks (fewer than [`SMALL_CHUNK_ROWS`] live
 //!   rows) the earlier holds more than twice the live rows of the later,
 //!   so small chunks merge geometrically: a row is copied O(log) times on
@@ -29,15 +31,22 @@
 //!   small chunks is at most [`MAX_SMALL_RUN`] long.
 //!
 //! Together: `chunks ≤ (MAX_SMALL_RUN + 1) · (⌈live / SMALL_CHUNK_ROWS⌉ + 1)`
-//! and `scan parts ≤ MAX_LIVE_RUNS · chunks` at every generation, whatever
-//! the history of inserts and deletes — [`TableLayout::within_bounds`]
-//! states it, and [`Table::row_at`] / [`Table::key_position`] walk a chunk
-//! list of that bounded length.
+//! at every generation, whatever the history of inserts and deletes —
+//! [`TableLayout::within_bounds`] states it, [`Table::row_at`] /
+//! [`Table::key_position`] walk a chunk list of that bounded length, and a
+//! scan emits one window per chunk. How a chunk's dead rows lie does not
+//! matter to a scan (its window carries the dead bits); the run cap is
+//! upkeep for tables that take edits, where it measured faster (DESIGN.md
+//! §18). An executor result keeps the windows its selection left, however
+//! fragmented, but copies a chunk that shows fewer than one row in 8 of
+//! those it windows (only a small chunk can).
 
 use crate::delta::{Patch, TableDelta};
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
-use crate::segment::{ScanPart, Segment, SegmentList, SEGMENT_ROWS};
+use crate::segment::{
+    is_dead, no_dead, select_live, DeadBits, Segment, SegmentList, Window, SEGMENT_ROWS,
+};
 use crate::value::Value;
 use serde::{json_get, DeError, Deserialize, Json, Serialize};
 use std::collections::hash_map::Entry;
@@ -54,9 +63,10 @@ pub type Row = Vec<Value>;
 /// dictionaries and zone maps over thousands of rows.
 pub const SMALL_CHUNK_ROWS: usize = SEGMENT_ROWS / 8;
 
-/// A chunk whose live rows have split into more runs than this is
-/// rewritten without its dead rows, so a scan never emits more than this
-/// many windows per chunk.
+/// An edit that leaves a chunk's live rows split into more maximal runs
+/// than this rewrites the chunk without its dead rows. Executor results
+/// are not held to it: their chunks share their sources' rows whatever
+/// the selection left (DESIGN.md §18).
 pub const MAX_LIVE_RUNS: usize = 256;
 
 /// Longest possible run of adjacent small chunks: their live counts more
@@ -87,13 +97,15 @@ struct Chunk {
     base: Addr,
     /// Visible rows: `hi - lo` minus dead bits in `mask`.
     live: usize,
-    /// Dead-row bitmap (bit set = deleted), present only once a delete
-    /// has touched the chunk. Padding bits past the window are pre-set so
-    /// word-wise popcounts over live bits need no boundary handling.
-    mask: Option<Arc<Box<[u64]>>>,
+    /// Dead-row bitmap (bit set = deleted, or — in an executor result —
+    /// not selected), present only once a row of the chunk is hidden.
+    /// Scans hand it on as it is, so a result chunk can share it.
+    mask: Option<DeadBits>,
     /// The sealed columnar image of **all** physical rows `lo..hi`: a
     /// shell over `rows` made by the first scan, at most once, and never
-    /// reset — it images a column when a lane first reads one. Deletes
+    /// reset — it images a column when a lane first reads one. A chunk of
+    /// an executor result shares the seal of the window it was built from
+    /// ([`TableBuilder`]), images included. Deletes
     /// only set mask bits, so the segment describes a superset of the
     /// live rows (the §14 zone-map contract) and is shared with every
     /// generation that keeps the chunk, whether or not it deleted from it.
@@ -151,46 +163,25 @@ impl Chunk {
         &self.rows[self.lo + off]
     }
 
+    fn dead(&self) -> Option<&[u64]> {
+        self.mask.as_deref().map(|m| &**m)
+    }
+
     fn is_dead(&self, off: usize) -> bool {
-        dead_bit(self.mask.as_deref().map(|m| &**m), off)
+        is_dead(self.dead(), off)
     }
 
     fn mark_dead(&mut self, off: usize) {
         let len = self.len();
-        let mask = self.mask.get_or_insert_with(|| {
-            let words = len.div_ceil(64);
-            let mut m = vec![0u64; words].into_boxed_slice();
-            if !len.is_multiple_of(64) {
-                m[words - 1] = !0u64 << (len % 64);
-            }
-            Arc::new(m)
-        });
+        let mask = self.mask.get_or_insert_with(|| Arc::new(no_dead(len)));
         Arc::make_mut(mask)[off / 64] |= 1 << (off % 64);
         self.live -= 1;
     }
 
     /// Offset of the `k`-th (0-based) live row.
-    fn select_live(&self, mut k: usize) -> usize {
+    fn select_live(&self, k: usize) -> usize {
         debug_assert!(k < self.live);
-        let Some(mask) = &self.mask else {
-            return k;
-        };
-        for (w, &word) in mask.iter().enumerate() {
-            let alive = (!word).count_ones() as usize;
-            if k < alive {
-                let mut bits = !word;
-                loop {
-                    let b = bits.trailing_zeros() as usize;
-                    if k == 0 {
-                        return w * 64 + b;
-                    }
-                    k -= 1;
-                    bits &= bits - 1;
-                }
-            }
-            k -= alive;
-        }
-        unreachable!("select past live rows")
+        select_live(self.dead(), k)
     }
 
     /// Number of live rows at offsets below `off`.
@@ -211,49 +202,15 @@ impl Chunk {
     /// Number of maximal runs of live rows: a run starts at every live
     /// bit whose predecessor is dead (or absent).
     fn run_count(&self) -> usize {
-        let Some(mask) = &self.mask else {
+        let Some(mask) = self.dead() else {
             return usize::from(self.live > 0);
         };
         let mut runs = 0;
         let mut prev_live = 0u64;
-        for &word in mask.iter() {
+        for &word in mask {
             let live = !word;
             runs += (live & !(live << 1 | prev_live)).count_ones() as usize;
             prev_live = live >> 63;
-        }
-        runs
-    }
-
-    /// The maximal runs of live rows, as ascending `(from, to)` offset
-    /// ranges. O(mask words + runs).
-    fn live_runs(&self) -> Vec<(usize, usize)> {
-        let len = self.len();
-        let Some(mask) = &self.mask else {
-            return if len == 0 { Vec::new() } else { vec![(0, len)] };
-        };
-        // First offset at or after `from` whose dead bit equals `dead`;
-        // `len` when there is none (padding bits are set, so a search for
-        // a dead bit only runs off the end of a 64-aligned window).
-        let next = |from: usize, dead: bool| -> usize {
-            let mut w = from / 64;
-            let mut skip = from % 64;
-            while w < mask.len() {
-                let word = if dead { mask[w] } else { !mask[w] };
-                let word = word & (!0u64 << skip);
-                if word != 0 {
-                    return w * 64 + word.trailing_zeros() as usize;
-                }
-                w += 1;
-                skip = 0;
-            }
-            len
-        };
-        let mut runs = Vec::new();
-        let mut from = next(0, false);
-        while from < len {
-            let to = next(from, true);
-            runs.push((from, to));
-            from = next(to, false);
         }
         runs
     }
@@ -271,7 +228,7 @@ impl Chunk {
                 backing[self.lo..self.hi]
                     .iter_mut()
                     .enumerate()
-                    .filter(|(off, _)| !dead_bit(mask, *off))
+                    .filter(|(off, _)| !is_dead(mask, *off))
                     .map(|(_, row)| std::mem::take(row)),
             ),
             None => out.extend(self.iter_live().cloned()),
@@ -298,11 +255,6 @@ impl Chunk {
             ))
         })
     }
-}
-
-/// Is the bit for offset `off` set in a chunk's dead-row bitmap?
-fn dead_bit(mask: Option<&[u64]>, off: usize) -> bool {
-    mask.is_some_and(|m| m[off / 64] >> (off % 64) & 1 != 0)
 }
 
 /// Overlay fold point: the persistent pk overlay is kept within O(√n) of
@@ -385,11 +337,9 @@ struct PkNext {
 pub struct TableLayout {
     /// Live rows.
     pub rows: usize,
-    /// Storage chunks (each at most [`SEGMENT_ROWS`] physical rows).
+    /// Storage chunks (each at most [`SEGMENT_ROWS`] physical rows): a
+    /// scan emits one zero-copy window per chunk.
     pub chunks: usize,
-    /// Zero-copy windows a scan emits: one per maximal run
-    /// of live rows in each chunk.
-    pub scan_parts: usize,
     /// Chunks sealed under a columnar segment (a scan has met them).
     pub sealed_spans: usize,
     /// Columns imaged across those segments: each is built on first read,
@@ -407,7 +357,6 @@ impl TableLayout {
     /// the module docs of [`crate::table`]).
     pub fn within_bounds(&self) -> bool {
         self.chunks <= (MAX_SMALL_RUN + 1) * (self.rows.div_ceil(SMALL_CHUNK_ROWS) + 1)
-            && self.scan_parts <= MAX_LIVE_RUNS * self.chunks
             && self.small_tail_chunks <= MAX_SMALL_RUN
     }
 }
@@ -416,9 +365,8 @@ impl fmt::Display for TableLayout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "chunks={} scan_parts={} sealed_spans={} imaged_columns={} dead_under_seals={} small_tail={}",
+            "chunks={} sealed_spans={} imaged_columns={} dead_under_seals={} small_tail={}",
             self.chunks,
-            self.scan_parts,
             self.sealed_spans,
             self.imaged_columns,
             self.dead_rows_under_seals,
@@ -510,12 +458,25 @@ impl Table {
         &self.schema
     }
 
-    /// This table under another name. Only the schema is copied: chunks,
-    /// seals, index and sealed view stay shared with every clone of
-    /// `self`, so [`Table::same_storage`] holds between the two.
-    pub fn renamed(mut self, name: impl Into<String>) -> Table {
-        self.schema = self.schema.renamed(name);
-        self
+    /// This table under `schema`, which must have its shape: the same
+    /// arity, column types, nullability and key positions (names may
+    /// differ), or the rename is an error. Only the schema is replaced —
+    /// chunks, seals, index and sealed view stay shared with every clone
+    /// of `self`, so [`Table::same_storage`] holds between the two and no
+    /// row is read.
+    pub fn renamed(mut self, schema: Schema) -> RelResult<Table> {
+        let shape = |s: &Schema| {
+            let cols = s.columns().iter().map(|c| (c.data_type, c.nullable));
+            (cols.collect::<Vec<_>>(), s.primary_key().to_vec())
+        };
+        if shape(&schema) != shape(&self.schema) {
+            return Err(RelError::Plan(format!(
+                "cannot rename {} to {}: the shapes differ",
+                self.schema, schema
+            )));
+        }
+        self.schema = schema;
+        Ok(self)
     }
 
     /// An owned copy of the visible rows, O(rows): [`Table::rows_from`]
@@ -1148,17 +1109,22 @@ impl Table {
     /// its turn comes (upkeep only ever removes chunks at or above the
     /// one it is looking at, or folds a lower chunk into its neighbour
     /// in place).
+    /// An edited chunk fragmented past [`MAX_LIVE_RUNS`] is rewritten
+    /// first.
     fn settle(&mut self, touched: &[usize]) {
         for &k in touched.iter().rev() {
             if k < self.chunks.len() {
+                if self.chunks[k].run_count() > MAX_LIVE_RUNS {
+                    self.compact(k, 1);
+                }
                 self.settle_at(k);
             }
         }
     }
 
-    /// Upkeep at chunk `k`: drop it if dead, rewrite it if fragmented,
-    /// then merge small neighbours — forwards, then backwards — until no
-    /// adjacent pair around it violates the geometric rule. Every step
+    /// Upkeep at chunk `k`: drop it if dead, then merge small neighbours
+    /// — forwards, then backwards — until no adjacent pair around it
+    /// violates the geometric rule. Every step
     /// copies fewer than [`SEGMENT_ROWS`] rows and removes a chunk, and
     /// at most [`MAX_SMALL_RUN`] steps can chain.
     fn settle_at(&mut self, mut k: usize) {
@@ -1169,8 +1135,6 @@ impl Table {
             }
             // Its neighbours are adjacent now.
             k -= 1;
-        } else if self.chunks[k].run_count() > MAX_LIVE_RUNS {
-            self.compact(k, 1);
         }
         loop {
             if self.mergeable(k) {
@@ -1236,25 +1200,18 @@ impl Table {
         })
     }
 
-    /// The physical scan layout: one zero-copy window per maximal run of
-    /// live rows, each carrying its chunk's segment and the window's
-    /// offset into it. Seals whatever is not sealed yet — a shell per
-    /// chunk; a column is imaged only when a lane mask or prune reads it.
-    pub(crate) fn scan_parts(&self) -> Vec<ScanPart> {
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for c in &self.chunks {
-            let seg = c.segment(&self.schema);
-            for (from, to) in c.live_runs() {
-                parts.push(ScanPart {
-                    rows: Arc::clone(&c.rows),
-                    lo: c.lo + from,
-                    hi: c.lo + to,
-                    seg: Arc::clone(seg),
-                    seg_off: from,
-                });
-            }
-        }
-        parts
+    /// The physical scan layout: one zero-copy window per chunk, its
+    /// segment and its own dead bits. Seals whatever is not sealed yet — a
+    /// shell per chunk; a column is imaged only when a lane mask or prune
+    /// reads it.
+    pub(crate) fn scan_parts(&self) -> Vec<Window> {
+        self.chunks
+            .iter()
+            .map(|c| Window {
+                seg: Arc::clone(c.segment(&self.schema)),
+                dead: c.mask.clone(),
+            })
+            .collect()
     }
 
     /// Live rows in chunks no scan (of this or an earlier generation) has
@@ -1277,7 +1234,6 @@ impl Table {
         TableLayout {
             rows: self.live,
             chunks: self.chunks.len(),
-            scan_parts: self.chunks.iter().map(Chunk::run_count).sum(),
             sealed_spans: sealed().count(),
             imaged_columns: sealed().map(|(_, seg)| seg.imaged_columns()).sum(),
             dead_rows_under_seals: sealed().map(|(c, _)| c.len() - c.live).sum(),
@@ -1360,6 +1316,83 @@ impl Table {
         }
         out.push_str(&sep);
         out
+    }
+}
+
+/// Assembles an executor result from its output batches, in order: a
+/// shared window becomes a chunk over the same backing, sealed by the same
+/// segment and masked by the window's dead bits — no row is read — and
+/// consecutive owned rows become fresh chunks. [`TableBuilder::finish`]
+/// runs the layout upkeep over every chunk (dead ones go, small neighbours
+/// merge) and indexes a keyed schema.
+pub(crate) struct TableBuilder {
+    table: Table,
+    /// Owned rows not yet cut into chunks.
+    rows: Vec<Row>,
+}
+
+impl TableBuilder {
+    pub(crate) fn new(schema: Schema) -> TableBuilder {
+        TableBuilder {
+            table: Table::new(schema),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Append rows no table holds; they are moved, not copied.
+    pub(crate) fn rows(&mut self, mut rows: Vec<Row>) {
+        if self.rows.is_empty() {
+            self.rows = rows;
+        } else {
+            self.rows.append(&mut rows);
+        }
+    }
+
+    /// Append the rows of `w` as a chunk sharing its segment and dead bits.
+    pub(crate) fn window(&mut self, w: Window) {
+        self.flush();
+        let (rows, lo, hi) = w.seg.backing();
+        let mut c = Chunk::window(Arc::clone(rows), lo, hi, self.table.end_addr());
+        c.live = w.live();
+        c.mask = w.dead;
+        c.seal = Arc::new(OnceLock::from(w.seg));
+        self.table.live += c.live;
+        self.table.chunks.push(c);
+    }
+
+    fn flush(&mut self) {
+        if !self.rows.is_empty() {
+            let rows = std::mem::take(&mut self.rows);
+            self.table.live += rows.len();
+            let base = self.table.end_addr();
+            self.table
+                .chunks
+                .extend(Chunk::windows(Arc::new(rows), base));
+        }
+    }
+
+    /// The table, its layout settled and its key (if any) indexed. Its
+    /// chunks are not held to [`MAX_LIVE_RUNS`], so a fragmented
+    /// selection keeps sharing its source; but a chunk that shows fewer
+    /// than one in 8 of the rows it windows — only a small one can — is
+    /// copied, so a few selected rows never keep a whole chunk alive.
+    pub(crate) fn finish(mut self) -> RelResult<Table> {
+        self.flush();
+        let mut t = self.table;
+        for k in (0..t.chunks.len()).rev() {
+            if k < t.chunks.len() {
+                t.settle_at(k);
+            }
+        }
+        for k in 0..t.chunks.len() {
+            if t.chunks[k].live * (SEGMENT_ROWS / SMALL_CHUNK_ROWS) < t.chunks[k].len() {
+                t.compact(k, 1);
+            }
+        }
+        if !t.schema.primary_key().is_empty() {
+            t.reindex()?;
+        }
+        Ok(t)
     }
 }
 
@@ -1732,7 +1765,6 @@ mod tests {
             let layout = t.layout();
             assert!(layout.within_bounds(), "install {i}: {layout:?}");
             assert!(layout.chunks <= MAX_SMALL_RUN, "install {i}: {layout:?}");
-            assert_eq!(layout.scan_parts, layout.chunks);
         }
         let model: Vec<Row> = (0..1000).map(|i| vec![Value::Int(i)]).collect();
         assert_matches_model(&t, &model);
@@ -2055,7 +2087,7 @@ mod tests {
         assert_matches_model(&t, &model);
         // The 10-row tail is small and now borders nothing small: 2 chunks.
         let layout = t.layout();
-        assert_eq!((layout.chunks, layout.scan_parts), (2, 2), "{layout:?}");
+        assert_eq!(layout.chunks, 2, "{layout:?}");
         assert!(layout.within_bounds());
         // Deleting everything leaves no chunk behind, and the table still
         // takes inserts.
@@ -2069,9 +2101,102 @@ mod tests {
     }
 
     #[test]
+    fn renamed_shares_everything_under_a_same_shape_schema() {
+        let mut t = keyed(100);
+        t.segments();
+        t.delete_where(|r| matches!(r[0], Value::Int(i) if i % 7 == 3))
+            .unwrap();
+        let key = |name: &str| {
+            Schema::new("other", vec![Column::required(name, DataType::Int)])
+                .unwrap()
+                .with_primary_key(&[name])
+                .unwrap()
+        };
+        let r = t.clone().renamed(key("k")).unwrap();
+        let copied = Table::from_rows(key("k"), t.rows_from(0)).unwrap();
+        assert_eq!(r, copied);
+        assert!(r.same_storage(&t) && Arc::ptr_eq(&r.pk_base, &t.pk_base));
+        assert_eq!(r.layout(), t.layout());
+        for i in [0, 3, 50, 99] {
+            let k = [Value::Int(i)];
+            assert_eq!(r.key_position(&k), copied.key_position(&k));
+        }
+        // Another type, nullability, key or arity is not a rename.
+        let nullable = Schema::new("other", vec![Column::new("k", DataType::Int)]).unwrap();
+        let keyless = Schema::new("other", vec![Column::required("k", DataType::Int)]).unwrap();
+        let float = Schema::new("other", vec![Column::required("k", DataType::Float)]).unwrap();
+        let wider = Schema::new(
+            "other",
+            vec![
+                Column::required("k", DataType::Int),
+                Column::new("v", DataType::Int),
+            ],
+        )
+        .unwrap();
+        for schema in [
+            nullable,
+            keyless,
+            float.with_primary_key(&["k"]).unwrap(),
+            wider,
+        ] {
+            let err = t.clone().renamed(schema.clone()).unwrap_err();
+            assert!(matches!(err, RelError::Plan(_)), "{schema}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_result_shares_fragmented_windows_and_copies_sparse_ones() {
+        let n = 2 * SEGMENT_ROWS as i64;
+        let schema = Schema::new("t", vec![Column::required("id", DataType::Int)]).unwrap();
+        let table = |ids: std::ops::Range<i64>| {
+            Table::from_rows(schema.clone(), ids.map(|i| vec![Value::Int(i)])).unwrap()
+        };
+        let (t, small) = (table(0..n), table(n..n + 100));
+        let hide = |w: Window, shown: &dyn Fn(usize) -> bool| {
+            let mut dead = no_dead(w.seg.len());
+            for k in (0..w.seg.len()).filter(|&k| !shown(k)) {
+                dead[k / 64] |= 1 << (k % 64);
+            }
+            Window {
+                dead: Some(Arc::new(dead)),
+                ..w
+            }
+        };
+        // Every other row of a whole chunk (thousands of runs), every
+        // other row of a small one, and ten rows of a whole chunk.
+        let parts = t.scan_parts();
+        let mut b = TableBuilder::new(schema.clone());
+        b.window(hide(parts[0].clone(), &|k| k % 2 == 0));
+        b.window(hide(small.scan_parts()[0].clone(), &|k| k % 2 == 0));
+        b.window(hide(parts[1].clone(), &|k| k < 10));
+        let r = b.finish().unwrap();
+        let shown = |c: &Chunk| (c.len(), c.live);
+        assert_eq!(
+            r.chunks.iter().map(shown).collect::<Vec<_>>(),
+            [(SEGMENT_ROWS, SEGMENT_ROWS / 2), (100, 50), (10, 10)]
+        );
+        assert!(
+            r.chunks[0].run_count() > MAX_LIVE_RUNS,
+            "not held to the cap"
+        );
+        assert!(Arc::ptr_eq(&r.chunks[0].rows, &t.chunks[0].rows));
+        assert!(Arc::ptr_eq(&r.chunks[1].rows, &small.chunks[0].rows));
+        assert!(!Arc::ptr_eq(&r.chunks[2].rows, &t.chunks[1].rows), "copied");
+        let half = |ids: std::ops::Range<i64>| ids.step_by(2);
+        let want = half(0..SEGMENT_ROWS as i64).chain(half(n..n + 100));
+        let want = want.chain(SEGMENT_ROWS as i64..SEGMENT_ROWS as i64 + 10);
+        assert!(r
+            .iter_rows()
+            .map(|row| row[0].clone())
+            .eq(want.map(Value::Int)));
+    }
+
+    #[test]
     fn live_runs_agree_with_the_mask_bit_by_bit() {
         // Window lengths around the word boundary, with dead bits at the
-        // edges, so padding and carry handling are both exercised.
+        // edges, so padding and carry handling are both exercised: the
+        // live count, the run count, the k-th live row and the rank of an
+        // offset agree with a walk of the mask bit by bit.
         for len in [1usize, 63, 64, 65, 130] {
             for dead in [
                 vec![],
@@ -2087,21 +2212,18 @@ mod tests {
                         c.mark_dead(off);
                     }
                 }
-                let mut want = Vec::new();
-                let mut off = 0;
-                while off < len {
-                    if c.is_dead(off) {
-                        off += 1;
-                        continue;
-                    }
-                    let from = off;
-                    while off < len && !c.is_dead(off) {
-                        off += 1;
-                    }
-                    want.push((from, off));
+                let live: Vec<usize> = (0..len).filter(|&off| !c.is_dead(off)).collect();
+                let n = crate::segment::live_count(c.dead(), len);
+                assert_eq!(n, live.len(), "len {len}, dead {dead:?}");
+                assert_eq!(c.live, live.len());
+                let runs = live.iter().enumerate();
+                let runs = runs.filter(|&(i, &off)| i == 0 || live[i - 1] + 1 != off);
+                assert_eq!(c.run_count(), runs.count(), "len {len}, dead {dead:?}");
+                for (k, &off) in live.iter().enumerate() {
+                    assert_eq!(c.select_live(k), off, "len {len}, dead {dead:?}");
+                    assert_eq!(c.rank_live(off), k, "len {len}, dead {dead:?}");
                 }
-                assert_eq!(c.live_runs(), want, "len {len}, dead {dead:?}");
-                assert_eq!(c.run_count(), want.len(), "len {len}, dead {dead:?}");
+                assert_eq!(c.rank_live(len), live.len());
             }
         }
     }

@@ -521,11 +521,11 @@ fn filtered_windows_under_by_reference_consumers_match_the_oracle() {
 
     let mut cut = eav(2_000, |_| false);
     cut.segments();
-    // Deletes under a seal: the scan arrives as live runs at offsets > 0.
+    // Deletes under a seal: the scan arrives as windows with dead rows.
     cut.delete_where(|r| matches!(r[0], Value::Int(e) if e % 97 == 5 || (200..230).contains(&e)))
         .unwrap();
     let layout = cut.layout();
-    assert!(layout.scan_parts > layout.chunks && layout.dead_rows_under_seals > 0);
+    assert!(layout.dead_rows_under_seals > 0);
     let fixtures = [
         ("all pass", eav(2_000, |_| false)),
         // CORI's recDeleted shape: seven in a hundred, scattered.
@@ -1706,8 +1706,8 @@ fn encoding(t: &Table, column: usize) -> &'static str {
 }
 
 /// Pivots of the `eav` table in `db`: over the scan, over the `keep`
-/// filter (shared sub-windows, or owned copies where the selected runs
-/// are short) and over a rename of that.
+/// filter (shared windows with the dropped rows dead, whatever the
+/// selected runs' length) and over a rename of that.
 fn dict_pivots() -> Vec<(&'static str, Plan)> {
     let pivot = |input: Plan| Plan::Pivot {
         input: Box::new(input),
@@ -1796,7 +1796,7 @@ fn the_segment_pivot_matches_the_oracle_on_every_layout() {
     cut.delete_where(|r| matches!(r[0], Value::Int(e) if e % 29 == 4 || (100..120).contains(&e)))
         .unwrap();
     let layout = cut.layout();
-    assert!(layout.scan_parts > layout.chunks && layout.dead_rows_under_seals > 0);
+    assert!(layout.dead_rows_under_seals > 0);
     dict_parity("cut into live runs", cut).unwrap();
 
     // Numbers in the value column: it images as `mixed` and each cell

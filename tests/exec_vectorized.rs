@@ -463,7 +463,7 @@ fn empty_input_skips_row_errors() {
 fn inline_relations_scan_like_stored_tables() {
     // `Plan::Values` is validated and handed over as one owned batch,
     // so an empty relation contributes no batch at all — like an empty
-    // stored table, which has no live run to scan: no operator may
+    // stored table, which has no chunk to scan: no operator may
     // depend on seeing one.
     let db = mixed_db();
     let schema = Schema::new(

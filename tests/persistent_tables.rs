@@ -296,7 +296,7 @@ fn single_row_catalog_inserts_and_audit_revisions_stay_within_the_layout_bounds(
             .unwrap()
             .layout();
         assert!(layout.within_bounds(), "insert {i}: {layout:?}");
-        assert!(layout.scan_parts <= MAX_SMALL_RUN, "insert {i}: {layout:?}");
+        assert!(layout.chunks <= MAX_SMALL_RUN, "insert {i}: {layout:?}");
     }
     let t = dc.catalog().database("d").unwrap().table("t").unwrap();
     for i in [0i64, 499, 999] {

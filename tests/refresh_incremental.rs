@@ -1332,7 +1332,7 @@ fn a_rerun_whose_tables_did_not_move_is_unchanged() {
         let u = Table::from_rows(schema(), (0..6).map(row)).unwrap();
         cat.database_mut("d")
             .unwrap()
-            .create_table(u.renamed("u"))
+            .create_table(u.renamed(schema().renamed("u")).unwrap())
             .unwrap();
         let mut dc = DeltaCatalog::new(cat);
         let db = |dc: &DeltaCatalog| dc.catalog().database("d").unwrap().clone();

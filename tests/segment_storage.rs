@@ -662,17 +662,23 @@ fn fragmented_and_dead_spans_stay_bounded_and_identical() {
         }
     };
     // 200 scattered deletes split the first span into 201 runs: under the
-    // cap, so the span is scanned as 201 windows of its original segment.
+    // cap, so the span is scanned as one window of its original segment,
+    // 200 rows dead in it.
     let first = std::sync::Arc::clone(&t.segments().segments()[0]);
     t.delete_where(|r| matches!(r[0], Value::Int(i) if i < 20_000 && i % 100 == 50))
         .unwrap();
-    assert_eq!(t.layout().scan_parts, 201 + 2);
+    let layout = t.layout();
+    assert_eq!((layout.chunks, layout.dead_rows_under_seals), (3, 200));
     assert!(std::sync::Arc::ptr_eq(&first, &t.segments().segments()[0]));
     check(&t);
-    // Past the cap the span is rewritten — one window again.
+    // Past the cap (601 runs) the span is rewritten without its dead rows:
+    // a segment of its own, nothing dead under any seal.
     t.delete_where(|r| matches!(r[0], Value::Int(i) if i < 20_000 && i % 50 == 25))
         .unwrap();
-    assert!(t.layout().scan_parts <= 3 && 201 + 400 > MAX_LIVE_RUNS);
+    const _: () = assert!(201 + 400 > MAX_LIVE_RUNS);
+    assert!(!std::sync::Arc::ptr_eq(&first, &t.segments().segments()[0]));
+    let layout = t.layout();
+    assert_eq!((layout.chunks, layout.dead_rows_under_seals), (3, 0));
     check(&t);
     // A whole span dies: it leaves the chunk list.
     let (lo, hi) = (SEGMENT_ROWS as i64, 2 * SEGMENT_ROWS as i64);
@@ -1040,7 +1046,7 @@ fn columns_imaged_after_deletes_match_columns_imaged_at_the_seal() {
     late.delete_where(dead).unwrap();
     let (e, l) = (early.layout(), late.layout());
     assert_eq!((e.imaged_columns, l.imaged_columns), (arity, 0));
-    assert!(l.dead_rows_under_seals > 0 && l.scan_parts > 1, "{l:?}");
+    assert!(l.dead_rows_under_seals > 0, "{l:?}");
 
     let db = |t: &Table| {
         let mut db = Database::new("d");
@@ -1217,4 +1223,244 @@ fn imaged_columns_are_shared_across_generations() {
     // `s` was first read through g1, and g0 has it too.
     assert_eq!(g0.layout().imaged_columns, 2);
     assert!(std::ptr::eq(seg.column(2), shared.column(2)));
+}
+
+// ---------------------------------------------------------------------------
+// Selections share their source
+// ---------------------------------------------------------------------------
+
+fn source_row(i: i64) -> Row {
+    vec![
+        Value::Int(i),
+        Value::Float((i % 10) as f64),
+        Value::text(format!("g{}", i % 3)),
+        Value::Bool(i % 2 == 0),
+    ]
+}
+
+/// Two sealed chunks — `head` rows, then `tail` appended after the seal
+/// — with every `every`-th row and a run of 100 deleted under both seals
+/// (too few runs for the edit path to rewrite a chunk).
+fn masked_source(head: i64, tail: i64, every: i64) -> Table {
+    let mut t = Table::from_rows(schema(), (0..head).map(source_row)).unwrap();
+    t.segments();
+    for i in head..head + tail {
+        t.insert(source_row(i)).unwrap();
+    }
+    t.segments();
+    t.delete_where(
+        |r| matches!(r[0], Value::Int(i) if i % every == 0 || (1000..1100).contains(&i)),
+    )
+    .unwrap();
+    let layout = t.layout();
+    assert_eq!((layout.chunks, layout.sealed_spans), (2, 2), "{layout:?}");
+    assert!(layout.dead_rows_under_seals > 300, "{layout:?}");
+    t
+}
+
+fn db_with(t: &Table) -> Database {
+    let mut db = Database::new("d");
+    db.create_table(t.clone()).unwrap();
+    db
+}
+
+/// Lane conjuncts first, then a conjunct that fails on every row it
+/// reaches: the error is the first *live* selected row's, never that of
+/// a dead row the lane masks also ran over — at the head of a chunk and
+/// past the head of the appended one.
+#[test]
+fn a_fallible_conjunct_after_lane_conjuncts_raises_the_walks_first_error() {
+    let t = masked_source(3000, 500, 13);
+    let db = db_with(&t);
+    let failing = Expr::col("s").lt(Expr::col("id"));
+    for (lanes_first, dead, first) in [
+        // Row 0 (g0, even) is dead; row 6 is the first live one.
+        (
+            Expr::col("b")
+                .eq(Expr::lit(true))
+                .and(Expr::col("s").eq(Expr::lit("g0"))),
+            0,
+            6,
+        ),
+        // Row 3003 (g0) is dead, in the chunk appended after the seal.
+        (
+            Expr::col("id")
+                .ge(Expr::lit(3003i64))
+                .and(Expr::col("s").eq(Expr::lit("g0"))),
+            3003,
+            3006,
+        ),
+    ] {
+        let plan = Plan::scan("t").select(lanes_first).select(failing.clone());
+        assert_storage_agrees(&plan, &db);
+        let err = Executor::new().execute(&plan, &db).unwrap_err();
+        let at = |i: i64| failing.matches(db.table("t").unwrap().schema(), &source_row(i));
+        assert_eq!(Err(err.clone()), at(first), "{plan:?}");
+        assert_ne!(Err(err), at(dead), "the walk reached a dead row: {plan:?}");
+    }
+}
+
+/// A source whose chunks each keep more than a small chunk's worth of
+/// live rows under a one-in-three selection, so results keep them as
+/// windows.
+fn large_masked_source() -> Table {
+    masked_source(20_000, 15_000, 97)
+}
+
+/// A masked result is a table like any other: insert, delete and patch
+/// it, and the source it shares chunks, seals and masks with is
+/// untouched.
+#[test]
+fn a_masked_result_mutates_apart_from_its_source() {
+    let t = large_masked_source();
+    let before = t.rows_from(0);
+    let db = db_with(&t);
+    let plan = Plan::scan("t").select(Expr::col("s").eq(Expr::lit("g1")));
+    for (name, exec) in lanes() {
+        let mut r = exec.execute(&plan, &db).unwrap();
+        assert_eq!(
+            r.chunks_not_in(&t),
+            0,
+            "{name}: the result is the source's chunks"
+        );
+        let mut model = r.rows_from(0);
+        r.insert(source_row(10_000)).unwrap();
+        model.push(source_row(10_000));
+        let fifth = |row: &[Value]| matches!(row[0], Value::Int(i) if i % 5 == 0);
+        r.delete_where(fifth).unwrap();
+        model.retain(|row| !fifth(row));
+        let patch = Patch::new(vec![0, 7], vec![(3, vec![source_row(20_000)])]).unwrap();
+        r.patch(&patch).unwrap();
+        let model = patch.apply(model);
+        assert!(r.iter_rows().eq(model.iter()), "{name}");
+        let source = db.table("t").unwrap();
+        assert!(source.same_storage(&t), "{name}: the source's masks moved");
+        assert_eq!(source.rows_from(0), before, "{name}");
+    }
+}
+
+/// A second query over a masked result reads its source's segments: a
+/// column the first query imaged is not imaged again, and one it did not
+/// is imaged once, for both tables.
+#[test]
+fn a_masked_result_scanned_again_reuses_its_sources_images() {
+    let t = large_masked_source();
+    let db = db_with(&t);
+    let g1 = Expr::col("s").eq(Expr::lit("g1"));
+    let r = Executor::new()
+        .execute(&Plan::scan("t").select(g1.clone()), &db)
+        .unwrap();
+    let imaged = |t: &Table| t.layout().imaged_columns;
+    let source = db.table("t").unwrap();
+    assert_eq!((imaged(source), imaged(&r)), (2, 2));
+    let again = db_with(&r);
+    let same = Plan::scan("t").select(g1.clone());
+    assert_storage_agrees(&same, &again);
+    assert_eq!((imaged(source), imaged(&r)), (2, 2));
+    let more = Plan::scan("t").select(g1.and(Expr::col("b").eq(Expr::lit(true))));
+    assert_storage_agrees(&more, &again);
+    assert_eq!((imaged(source), imaged(&r)), (4, 4));
+}
+
+/// On the wire a masked result is its live rows, exactly what a copied
+/// result writes, and it reads back as that copy.
+#[test]
+fn a_masked_results_json_is_the_copied_results() {
+    let t = large_masked_source();
+    let db = db_with(&t);
+    let plan = Plan::scan("t").select(Expr::col("s").eq(Expr::lit("g2")));
+    for (name, exec) in lanes() {
+        let r = exec.execute(&plan, &db).unwrap();
+        assert!(r.layout().dead_rows_under_seals > 0, "{name}");
+        let copied = Table::from_rows(r.schema().clone(), r.rows_from(0)).unwrap();
+        let json = serde_json::to_string(&r).unwrap();
+        assert_eq!(json, serde_json::to_string(&copied).unwrap(), "{name}");
+        let back: Table = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, copied, "{name}");
+    }
+}
+
+/// `σ[lane-only](scan t)`, bare or under a `Rename`, clones no row: every
+/// chunk of the result is a window of `t`'s own backing, its rows the
+/// very rows `t` holds; a filter that drops nothing keeps `t`'s masks too.
+#[test]
+fn a_lane_only_selection_shares_its_sources_backing() {
+    let n = 2 * SEGMENT_ROWS as i64 + 10_000;
+    let t = Table::from_rows(schema(), (0..n).map(source_row)).unwrap();
+    let db = db_with(&t);
+    let even = Expr::col("b").eq(Expr::lit(true));
+    let renamed = Plan::scan("t")
+        .select(even.clone())
+        .rename_columns(vec![("id", "key")]);
+    for (name, exec) in lanes() {
+        for plan in [Plan::scan("t").select(even.clone()), renamed.clone()] {
+            let r = exec.execute(&plan, &db).unwrap();
+            assert_eq!(r.len(), n as usize / 2, "{name}");
+            assert_eq!(
+                (r.layout().chunks, r.chunks_not_in(&t)),
+                (3, 0),
+                "{name}: {plan:?}"
+            );
+            assert!(std::ptr::eq(r.row_at(1).unwrap(), t.row_at(2).unwrap()));
+            assert_eq!(r, plan.eval_materialized(&db).unwrap(), "{name}");
+        }
+        let all = Plan::scan("t").select(Expr::col("id").ge(Expr::lit(0i64)));
+        assert!(exec.execute(&all, &db).unwrap().same_storage(&t), "{name}");
+        // A few rows are copied rather than keep a chunk's backing alive.
+        let few = Plan::scan("t").select(Expr::col("id").lt(Expr::lit(10i64)));
+        let r = exec.execute(&few, &db).unwrap();
+        assert_eq!((r.len(), r.chunks_not_in(&t)), (10, 1), "{name}");
+        assert_eq!(r.layout().dead_rows_under_seals, 0, "{name}");
+    }
+}
+
+/// Masked windows through every operator at morsel sizes 1, 7 and 1 024,
+/// serial and on two threads: the oracle's tables, `Limit` cutting a
+/// window's live rows included.
+#[test]
+fn masked_windows_agree_at_every_morsel_size() {
+    let t = masked_source(3000, 500, 13);
+    let db = db_with(&t);
+    let g1 = || Plan::scan("t").select(Expr::col("s").eq(Expr::lit("g1")));
+    let even = || Plan::scan("t").select(Expr::col("b").eq(Expr::lit(true)));
+    let plans = [
+        g1(),
+        g1().limit(700),
+        even().limit(1_700),
+        g1().select(Expr::col("x").gt(Expr::lit(3.0))),
+        g1().aggregate(
+            &["b"],
+            vec![Aggregate {
+                func: AggFunc::CountAll,
+                alias: "n".into(),
+            }],
+        ),
+        g1().join(
+            even().project(vec![("eid".to_owned(), Expr::col("id"))]),
+            vec![("id", "eid")],
+            JoinKind::Left,
+        ),
+        Plan::union(vec![g1(), even()]),
+        g1().project_cols(&["x"]).distinct(),
+        even().sort_by(&["x"]),
+        Plan::Unpivot {
+            input: Box::new(g1().limit(50)),
+            keys: vec!["id".into()],
+            attr_col: "attr".into(),
+            val_col: "val".into(),
+        },
+    ];
+    for plan in &plans {
+        let oracle = plan.eval_materialized(&db).unwrap();
+        for morsel in [1, 7, 1024] {
+            for threads in [1, 2] {
+                let exec = Executor::new()
+                    .threads(threads)
+                    .parallel_threshold(1)
+                    .morsel_size(morsel);
+                let got = exec.execute(plan, &db).unwrap();
+                assert_eq!(got, oracle, "morsel {morsel}, {threads} threads: {plan:?}");
+            }
+        }
+    }
 }
