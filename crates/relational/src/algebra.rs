@@ -395,8 +395,9 @@ impl Plan {
 
 /// Intermediate results drop primary keys: operators may legitimately
 /// produce duplicate key values (e.g. projection away from the key).
-pub(crate) fn keyless(schema: Schema) -> Schema {
-    Schema::new(schema.name.clone(), schema.columns().to_vec()).expect("schema was valid")
+pub(crate) fn keyless(mut schema: Schema) -> Schema {
+    schema.drop_key();
+    schema
 }
 
 /// Resolve column names to positions in `s`, with the table-qualified error

@@ -1,15 +1,14 @@
-//! Push-based batch executor: the physical execution layer behind
-//! [`Plan::eval`].
+//! Batch executor: the physical execution layer behind [`Plan::eval`].
 //!
 //! The logical algebra in [`crate::algebra`] can be interpreted
 //! operator-at-a-time by [`Plan::eval_materialized`], which builds a full
 //! [`Table`] at every node — simple and obviously correct, but each
 //! operator re-validates and re-allocates every intermediate row. This
-//! module compiles the same plans into a tree of **push-based physical
-//! operators** (see `exec::ops`): one `PhysicalOperator` trait with
-//! `open` / `push_batch` / `finish`, one columnar `Batch` currency
-//! flowing between all operators, and one driver that walks the tree
-//! bottom-up, exhausting each child in order before finishing the parent.
+//! module compiles the same plans into one tree of physical operators
+//! (`exec::ops`): one `Op` enum, one columnar `Batch` currency flowing
+//! between them, and one `Op::run` that runs each node's children to
+//! completion, in order, before it calls the node's kernel over their
+//! output — operator at a time over batches, with no intermediate table.
 //!
 //! * **What runs is what was asked for.** [`Executor::execute`] first
 //!   rewrites the plan ([`crate::optimize::prepare`]): a selection over a
@@ -30,7 +29,7 @@
 //!   `Plan::Values` relation does not rest at all and enters as one owned
 //!   batch of its validated rows, like the output of a child operator.
 //! * **Select / Project / Rename chains fuse** into a single pipeline
-//!   operator: a row flows through every predicate and projection before
+//!   node: a row flows through every predicate and projection before
 //!   the next row is touched, with no intermediate tables. Rename is free
 //!   — it only rewrites the schema at compile time. A pipeline that is
 //!   nothing but lane-resolved filters copies no row at all: each window
@@ -39,15 +38,15 @@
 //!   seal (`table::TableBuilder`). Only a `Sort`, which moves its input
 //!   rows into its output, has them copied per morsel instead.
 //! * **Union forwards** batches in child order; **Join** builds a hash
-//!   index over its build side (driven first) and probes batch-by-batch —
+//!   index over its build side (run first) and probes batch-by-batch —
 //!   unless its right side is a bare scan of a table keyed by exactly the
 //!   join's right columns, which it does not read at all: each probe row
 //!   looks its key up in that table's primary-key index (a property of
 //!   the schema, never of statistics; join order and sides stay as
-//!   written); **Distinct** forwards first occurrences as input arrives.
-//! * The inherently blocking operators — Pivot, AggregateBy, Sort, and
-//!   the join's build side — buffer their input batches and read them *by
-//!   reference* in `finish`, skipping dead rows: no shared row is copied
+//!   written); **Distinct** keeps first occurrences in input order.
+//! * The blocking operators — Pivot, AggregateBy, Sort, and the join's
+//!   build side — read their input batches *by reference*, skipping dead
+//!   rows: no shared row is copied
 //!   to be grouped, indexed or pivoted (sort clones
 //!   each shared row once, into its output slot). A pivot reads a shared
 //!   window's entity, attribute and value columns off its sealed segment
@@ -56,18 +55,18 @@
 //!   each declared type once, and only owned batches and columns no
 //!   dictionary images are read row by row (DESIGN.md §13, *Pivot*).
 //!
-//! Parallelism selection is **per operator**: each operator holds a copy
-//! of the session's [`Executor`] and dispatches its input to its kernel
-//! (`exec::vector`'s window walk for fused pipelines, the lane kernels of
-//! `exec::blocking` for join/aggregate/pivot/sort) or that kernel's
-//! morsel-parallel variant (`exec::morsel`). There is exactly one
+//! Parallelism selection is **per operator**: `Op::run` hands the
+//! session's [`Executor`] to each node's kernel (`exec::vector`'s window
+//! walk for fused pipelines, the lane kernels of `exec::blocking` for
+//! join/aggregate/pivot/sort), which takes its morsel-parallel variant
+//! (`exec::morsel`) when the input is large enough. There is exactly one
 //! operator tree shape and one kernel per operator.
 //!
 //! Compilation ("binding") resolves every schema and column position up
 //! front, so schema-level errors — unknown tables or columns, incompatible
 //! unions, duplicate output columns — surface before any data flows.
 //! Data-dependent errors (expression evaluation, EAV cast failures)
-//! surface in row order as batches are pushed. For plans with a single
+//! surface in row order as the operators run. For plans with a single
 //! fault this reproduces the materializing interpreter's error exactly;
 //! when a plan contains several independent faults the two evaluators may
 //! report different ones (both still fail). `tests/algebra_properties.rs`
@@ -87,7 +86,7 @@
 //! count; errors keep row order because the lowest-index failing morsel
 //! wins. The choice
 //! between the serial and parallel path is made per operator from the
-//! [`Executor`] it was compiled under: inputs below its
+//! [`Executor`] the plan runs under: inputs below its
 //! `parallel_threshold` stay serial, and so does everything when its
 //! thread count is 1. The thread count defaults to the host's
 //! [`available_parallelism`](std::thread::available_parallelism) — a
@@ -133,16 +132,16 @@ mod vector;
 use crate::algebra::{
     aggregate_output_schema, check_union_compatible, join_output_schema, keyless,
     pivot_output_schema, project_output_schema, rename_output_schema, resolve_aggregate_columns,
-    resolve_column, resolve_columns, unpivot_output_schema, AggFunc, Plan,
+    resolve_column, resolve_columns, unpivot_output_schema, Plan,
 };
 use crate::database::Database;
 use crate::error::{RelError, RelResult};
 use crate::expr::Expr;
 use crate::schema::Schema;
 use crate::table::{Row, Table, TableBuilder};
-use crate::value::{DataType, Value};
+use crate::value::Value;
+use ops::Op;
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Target number of rows per batch. Large enough to amortize per-batch
 /// dispatch, small enough that a pipeline's working set stays cache-sized.
@@ -245,12 +244,12 @@ impl Executor {
         // projection towers and unread lookups go first (`crate::optimize`).
         let prepared = crate::optimize::prepare(plan, db);
         let plan = prepared.as_ref().unwrap_or(plan);
-        let (schema, exec) = compile(plan, db, *self)?;
+        let (schema, op) = compile(plan, db)?;
         // Every operator validated its own output wherever validation can fail
         // at all, so assembling the result does not re-check rows: a shared
         // window becomes a chunk of the result as it is.
         let mut out = TableBuilder::new(schema);
-        for batch in ops::drive(exec.into_tree(*self))? {
+        for batch in op.run(*self)? {
             match batch {
                 batch::Batch::Shared(w) => out.window(w),
                 batch::Batch::Owned(rows) => out.rows(rows),
@@ -260,66 +259,14 @@ impl Executor {
     }
 }
 
-/// A compiled subtree: either a fusable pipeline (so a parent
-/// Select/Project can append itself as a stage) or a sealed operator tree.
-enum Exec<'p> {
-    Pipe {
-        source: ops::OpTree<'p>,
-        stages: Vec<Stage<'p>>,
-    },
-    Tree(ops::OpTree<'p>),
-}
-
-impl<'p> Exec<'p> {
-    /// View this subtree as a pipeline to fuse more stages onto. Sealed
-    /// trees become the pipeline's source.
-    fn into_pipeline(self) -> (ops::OpTree<'p>, Vec<Stage<'p>>) {
-        match self {
-            Exec::Pipe { source, stages } => (source, stages),
-            Exec::Tree(t) => (t, Vec::new()),
-        }
-    }
-
-    /// Seal this subtree into an operator tree. A pipeline with no stages
-    /// is its source; otherwise a `PipelineOp` node wraps it.
-    fn into_tree(self, cfg: Executor) -> ops::OpTree<'p> {
-        match self {
-            Exec::Pipe { source, stages } if stages.is_empty() => source,
-            Exec::Pipe { mut source, stages } => {
-                // The decomposable leading filters, extracted once: a scan
-                // leaf prunes whole segments with them, the pipeline masks
-                // the surviving windows with them (see `vector`).
-                let groups: Arc<[_]> = vector::prune_groups(&stages).into();
-                if let ops::OpTree::Leaf { prune, .. } = &mut source {
-                    *prune = Arc::clone(&groups);
-                }
-                ops::OpTree::Node {
-                    op: Box::new(ops::PipelineOp::new(stages, groups, cfg)),
-                    children: vec![source],
-                }
-            }
-            Exec::Tree(t) => t,
-        }
-    }
-}
-
 /// Compile a plan into its output schema and physical operator tree.
 /// Binding recurses children-first, so schema errors surface in the same
 /// order the materializing interpreter reports them.
-fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schema, Exec<'p>)> {
+fn compile<'p>(plan: &'p Plan, db: &Database) -> RelResult<(Schema, Op<'p>)> {
     Ok(match plan {
         Plan::Scan(name) => {
             let t = db.table(name)?;
-            (
-                t.schema().clone(),
-                Exec::Pipe {
-                    source: ops::OpTree::Leaf {
-                        parts: t.scan_parts(),
-                        prune: Arc::new([]),
-                    },
-                    stages: Vec::new(),
-                },
-            )
+            (t.schema().clone(), Op::Leaf(t.scan_parts()))
         }
         Plan::Values { schema, rows } => {
             // Inline relations validate eagerly — duplicate-key checks
@@ -328,34 +275,22 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
             // more than every lane it could save: the rows go in owned and
             // are moved.
             let t = Table::from_rows(schema.clone(), rows.clone())?;
-            (
-                t.schema().clone(),
-                Exec::Pipe {
-                    source: ops::OpTree::Rows(t.into_rows()),
-                    stages: Vec::new(),
-                },
-            )
+            (t.schema().clone(), Op::Rows(t.into_rows()))
         }
         Plan::Select { input, predicate } => {
-            let (in_schema, child) = compile(input, db, cfg)?;
+            let (in_schema, child) = compile(input, db)?;
             let out = keyless(in_schema.clone());
-            let (source, mut stages) = child.into_pipeline();
-            stages.push(Stage::Filter {
+            let stage = Stage::Filter {
                 predicate: Cow::Borrowed(predicate),
                 schema: in_schema,
-            });
-            (out, Exec::Pipe { source, stages })
+            };
+            (out, child.piped(stage))
         }
         Plan::Project { input, columns } => {
-            let (in_schema, child) = compile(input, db, cfg)?;
+            let (in_schema, child) = compile(input, db)?;
             let out = project_output_schema(&in_schema, columns)?;
-            let (source, mut stages) = child.into_pipeline();
-            stages.push(Stage::Map(MapStage::new(
-                columns.as_slice(),
-                in_schema,
-                out.clone(),
-            )));
-            (out, Exec::Pipe { source, stages })
+            let stage = Stage::Map(MapStage::new(columns.as_slice(), in_schema, out.clone()));
+            (out, child.piped(stage))
         }
         Plan::Rename {
             input,
@@ -364,7 +299,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
         } => {
             // Pure metadata: rows pass through untouched, so Rename costs
             // nothing at run time.
-            let (in_schema, child) = compile(input, db, cfg)?;
+            let (in_schema, child) = compile(input, db)?;
             let out = rename_output_schema(&in_schema, table.as_deref(), columns)?;
             (out, child)
         }
@@ -374,88 +309,63 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
             on,
             kind,
         } => {
-            let (ls, lchild) = compile(left, db, cfg)?;
+            let (lschema, left) = compile(left, db)?;
             // A stored table keyed by exactly the right columns is probed
             // through its primary-key index; anything else is hashed.
-            let keyed = crate::optimize::keyed_lookup(right, on, db);
-            let (rs, rchild) = match &keyed {
-                Some((table, _)) => (table.schema().clone(), None),
-                None => {
-                    let (rs, rchild) = compile(right, db, cfg)?;
-                    (rs, Some(rchild))
-                }
-            };
-            let l_idx = resolve_columns(&ls, on.iter().map(|(l, _)| l))?;
-            let r_idx = resolve_columns(&rs, on.iter().map(|(_, r)| r))?;
-            let schema = join_output_schema(&ls, &rs, *kind)?;
-            let r_arity = rs.arity();
-            let (l_idx, build) = match keyed {
+            let (rschema, build) = match crate::optimize::keyed_lookup(right, on, db) {
                 Some((table, order)) => (
-                    order.iter().map(|&i| l_idx[i]).collect(),
-                    ops::Build::Key(table.clone()),
-                ),
-                None => (
-                    l_idx,
-                    ops::Build::Hash {
-                        schema: rs,
-                        r_idx,
-                        batches: Vec::new(),
+                    table.schema().clone(),
+                    ops::Build::Key {
+                        table: table.clone(),
+                        order,
                     },
                 ),
+                None => {
+                    let (rschema, right) = compile(right, db)?;
+                    (rschema, ops::Build::Hash(Box::new(right)))
+                }
             };
-            // A hashed build (right) side is input 0: the driver exhausts
-            // it before the probe child produces a row, preserving the
-            // executor's historical build-first runtime order.
-            let children = rchild
-                .into_iter()
-                .chain([lchild])
-                .map(|c| c.into_tree(cfg))
-                .collect();
-            let op = ops::JoinOp::new(ls, l_idx, *kind, r_arity, build, cfg);
-            (
-                schema,
-                Exec::Tree(ops::OpTree::Node {
-                    op: Box::new(op),
-                    children,
-                }),
-            )
+            let l_idx = resolve_columns(&lschema, on.iter().map(|(l, _)| l))?;
+            let r_idx = resolve_columns(&rschema, on.iter().map(|(_, r)| r))?;
+            let schema = join_output_schema(&lschema, &rschema, *kind)?;
+            let op = Op::Join {
+                left: Box::new(left),
+                lschema,
+                rschema,
+                l_idx,
+                r_idx,
+                kind: *kind,
+                build,
+            };
+            (schema, op)
         }
         Plan::Union { inputs } => {
             let mut iter = inputs.iter();
             let first = iter
                 .next()
                 .ok_or_else(|| RelError::Plan("union of zero inputs".into()))?;
-            let (first_schema, first_child) = compile(first, db, cfg)?;
+            let (first_schema, first_child) = compile(first, db)?;
             let schema = keyless(first_schema);
-            let mut children = vec![first_child.into_tree(cfg)];
+            let mut children = vec![first_child];
             for p in iter {
-                let (s, c) = compile(p, db, cfg)?;
+                let (s, c) = compile(p, db)?;
                 check_union_compatible(&schema, &s)?;
-                children.push(c.into_tree(cfg));
+                children.push(c);
             }
-            // Later inputs may be nullable where the leading schema says
-            // NOT NULL; re-check rows only when that can actually reject.
-            let check_rows = schema.columns().iter().any(|c| !c.nullable);
-            let op = ops::UnionOp::new(schema.clone(), check_rows, cfg);
-            (
-                schema,
-                Exec::Tree(ops::OpTree::Node {
-                    op: Box::new(op),
-                    children,
-                }),
-            )
+            let op = Op::Union {
+                inputs: children,
+                schema: schema.clone(),
+            };
+            (schema, op)
         }
         Plan::Distinct { input } => {
-            let (in_schema, child) = compile(input, db, cfg)?;
+            let (in_schema, child) = compile(input, db)?;
             let schema = keyless(in_schema);
-            let op = ops::DistinctOp::new(schema.clone(), cfg);
-            (
-                schema,
-                Exec::Tree(ops::OpTree::Node {
-                    op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
-                }),
-            )
+            let op = Op::Distinct {
+                input: Box::new(child),
+                schema: schema.clone(),
+            };
+            (schema, op)
         }
         Plan::Unpivot {
             input,
@@ -463,18 +373,17 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
             attr_col,
             val_col,
         } => {
-            let (s, child) = compile(input, db, cfg)?;
+            let (s, child) = compile(input, db)?;
             let key_idx = resolve_columns(&s, keys)?;
             let data_idx: Vec<usize> = (0..s.arity()).filter(|i| !key_idx.contains(i)).collect();
             let schema = unpivot_output_schema(&s, &key_idx, attr_col, val_col)?;
-            let op = ops::UnpivotOp::new(s, key_idx, data_idx);
-            (
-                schema,
-                Exec::Tree(ops::OpTree::Node {
-                    op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
-                }),
-            )
+            let op = Op::Unpivot {
+                input: Box::new(child),
+                in_schema: s,
+                key_idx,
+                data_idx,
+            };
+            (schema, op)
         }
         Plan::Pivot {
             input,
@@ -483,83 +392,58 @@ fn compile<'p>(plan: &'p Plan, db: &Database, cfg: Executor) -> RelResult<(Schem
             val_col,
             attrs,
         } => {
-            let (s, child) = compile(input, db, cfg)?;
+            let (s, child) = compile(input, db)?;
             let key_idx = resolve_columns(&s, keys)?;
             let attr_idx = resolve_column(&s, attr_col)?;
             let val_idx = resolve_column(&s, val_col)?;
             let schema = pivot_output_schema(&s, &key_idx, attrs)?;
-            let op = ops::PivotOp::new(s, key_idx, attr_idx, val_idx, attrs, cfg);
-            (
-                schema,
-                Exec::Tree(ops::OpTree::Node {
-                    op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
-                }),
-            )
+            let op = Op::Pivot {
+                input: Box::new(child),
+                arity: s.arity(),
+                key_idx,
+                attr_idx,
+                val_idx,
+                attrs,
+            };
+            (schema, op)
         }
         Plan::AggregateBy {
             input,
             group_by,
             aggregates,
         } => {
-            let (s, child) = compile(input, db, cfg)?;
+            let (s, child) = compile(input, db)?;
             let g_idx = resolve_columns(&s, group_by)?;
             let agg_idx = resolve_aggregate_columns(&s, aggregates)?;
             let schema = aggregate_output_schema(&s, &g_idx, &agg_idx, aggregates)?;
-            // Integer sums are wrapping, hence associative; `f64` sums are
-            // not, so SUM/AVG over a FLOAT column pins the serial kernel to
-            // keep parallel results bit-identical to serial ones.
-            let associative =
-                aggregates
-                    .iter()
-                    .zip(&agg_idx)
-                    .all(|(a, idx)| match (&a.func, idx) {
-                        (AggFunc::Sum(_) | AggFunc::Avg(_), Some(i)) => {
-                            s.columns()[*i].data_type != DataType::Float
-                        }
-                        _ => true,
-                    });
-            let op = ops::AggregateOp::new(
-                s,
-                schema.clone(),
+            let op = Op::Aggregate {
+                input: Box::new(child),
+                in_schema: s,
+                out_schema: schema.clone(),
                 g_idx,
                 agg_idx,
                 aggregates,
-                associative,
-                cfg,
-            );
-            (
-                schema,
-                Exec::Tree(ops::OpTree::Node {
-                    op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
-                }),
-            )
+            };
+            (schema, op)
         }
         Plan::Sort { input, by } => {
-            let (in_schema, child) = compile(input, db, cfg)?;
+            let (in_schema, child) = compile(input, db)?;
             let schema = keyless(in_schema);
             let idxs = resolve_columns(&schema, by)?;
-            let op = ops::SortOp::new(schema.clone(), idxs, cfg);
-            (
-                schema,
-                Exec::Tree(ops::OpTree::Node {
-                    op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
-                }),
-            )
+            let op = Op::Sort {
+                input: Box::new(child),
+                schema: schema.clone(),
+                idxs,
+            };
+            (schema, op)
         }
         Plan::Limit { input, n } => {
-            let (in_schema, child) = compile(input, db, cfg)?;
-            let schema = keyless(in_schema);
-            let op = ops::LimitOp::new(*n);
-            (
-                schema,
-                Exec::Tree(ops::OpTree::Node {
-                    op: Box::new(op),
-                    children: vec![child.into_tree(cfg)],
-                }),
-            )
+            let (in_schema, child) = compile(input, db)?;
+            let op = Op::Limit {
+                input: Box::new(child),
+                n: *n,
+            };
+            (keyless(in_schema), op)
         }
     })
 }
@@ -737,8 +621,8 @@ mod tests {
         let db = wide_db(2500);
         let plan = Plan::scan("t").select(Expr::lit(true));
         let serial = Executor::new().threads(1);
-        let (_, exec) = compile(&plan, &db, serial).unwrap();
-        let batches = ops::drive(exec.into_tree(serial)).unwrap();
+        let (_, op) = compile(&plan, &db).unwrap();
+        let batches = op.run(serial).unwrap();
         let mut total = 0;
         for b in &batches {
             assert!(b.len() > 0 && b.len() <= BATCH_SIZE);
@@ -751,8 +635,8 @@ mod tests {
     fn filter_only_pipes_hand_windows_to_by_reference_consumers() {
         // Rows the pipeline clones, counted — not timed.
         let cloned = |plan: &Plan, db: &Database, cfg: Executor| {
-            let (_, exec) = compile(plan, db, cfg).unwrap();
-            let batches = ops::drive(exec.into_tree(cfg)).unwrap();
+            let (_, op) = compile(plan, db).unwrap();
+            let batches = op.run(cfg).unwrap();
             let rows: usize = batches.iter().map(batch::Batch::len).sum();
             let owned = batches
                 .iter()

@@ -1,8 +1,8 @@
 //! The executor's batch currency: row chunks, typed column lanes, and the
 //! lane-level key kernels shared by every physical operator.
 //!
-//! [`Batch`] is the single unit of data flowing between
-//! [`PhysicalOperator`](super::ops::PhysicalOperator)s: either a zero-copy
+//! [`Batch`] is the single unit of data flowing between the physical
+//! operators ([`Op`](super::ops::Op)): either a zero-copy
 //! window over a table's sealed storage — a whole chunk plus the dead bits
 //! of the rows not in the batch — or an owned vector produced by an
 //! upstream operator. Every consumer reads its live rows through one

@@ -577,7 +577,7 @@ mod tests {
         let schema = table.schema().clone();
         let parts = table.scan_parts();
         assert!(parts.len() == 1 && parts[0].dead.is_some());
-        // What `ops::drive` hands the pipeline, cut the way `Limit` cuts
+        // What a scan leaf hands the pipeline, cut the way `Limit` cuts
         // it: one window over the whole chunk, dead rows and all.
         let Batch::Shared(w) = Batch::Shared(parts[0].clone()).take_prefix(parts[0].live() - 1)
         else {

@@ -120,6 +120,11 @@ impl Schema {
         &self.primary_key
     }
 
+    /// Forget the primary key; the columns keep their nullability.
+    pub(crate) fn drop_key(&mut self) {
+        self.primary_key.clear();
+    }
+
     pub fn column_names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }

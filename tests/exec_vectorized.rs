@@ -685,6 +685,71 @@ fn errors_inside_a_join_build_side_surface_identically() {
     assert!(assert_all_modes(&plan, &db).is_err());
 }
 
+/// One thread, and two threads with every operator over the parallel
+/// threshold: the run order below must not depend on the lane.
+fn one_and_two_threads() -> [Executor; 2] {
+    [
+        Executor::new().threads(1),
+        Executor::new().threads(2).parallel_threshold(1),
+    ]
+}
+
+#[test]
+fn a_hashed_join_raises_its_build_sides_error_before_its_probe_sides() {
+    let db = mixed_db();
+    // Both sides fault, each with an error of its own: the build (right)
+    // side divides by zero where `a` is 0, the probe side names a column
+    // that does not exist. The build side runs first, so its error wins.
+    let build = Plan::scan("m").project(vec![
+        ("k".to_owned(), Expr::col("id")),
+        ("q".to_owned(), Expr::lit(100i64).div(Expr::col("a"))),
+    ]);
+    let probe = Plan::scan("m").select(Expr::col("ghost").is_null());
+    let plan = probe
+        .clone()
+        .join(build.clone(), vec![("id", "k")], JoinKind::Inner);
+    for exec in one_and_two_threads() {
+        let build_err = exec.execute(&build, &db).unwrap_err();
+        let probe_err = exec.execute(&probe, &db).unwrap_err();
+        assert_ne!(build_err, probe_err);
+        assert_eq!(exec.execute(&plan, &db).unwrap_err(), build_err, "{exec:?}");
+    }
+}
+
+#[test]
+fn a_union_checks_each_input_before_the_next_one_runs() {
+    let db = mixed_db();
+    // Input 0 keeps `id` NOT NULL; input 1 puts `a` — NULL on every fifth
+    // row — under it; input 2 divides by zero where `a` is 0. Input 1's
+    // rows are checked before input 2 runs, so the NULL wins.
+    let replacing = |col: &str, e: Expr| {
+        let cols = ["id", "a", "f", "b", "s"].map(|c| {
+            (
+                c.to_owned(),
+                if c == col { e.clone() } else { Expr::col(c) },
+            )
+        });
+        Plan::scan("m").project(cols.to_vec())
+    };
+    let dividing = replacing("f", Expr::lit(100i64).div(Expr::col("a")));
+    let plan = Plan::union(vec![
+        Plan::scan("m"),
+        replacing("id", Expr::col("a")),
+        dividing.clone(),
+    ]);
+    for exec in one_and_two_threads() {
+        assert!(matches!(
+            exec.execute(&dividing, &db),
+            Err(RelError::Eval(_))
+        ));
+        assert_eq!(
+            exec.execute(&plan, &db).unwrap_err(),
+            RelError::NullViolation("id".into()),
+            "{exec:?}"
+        );
+    }
+}
+
 #[test]
 fn merge_path_sort_parity_across_morsel_sizes() {
     let db = mixed_db();
