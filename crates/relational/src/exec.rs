@@ -51,9 +51,17 @@
 //!   each shared row once, into its output slot). A pivot reads a shared
 //!   window's entity, attribute and value columns off its sealed segment
 //!   instead of its rows: per segment each attribute dictionary code
-//!   resolves to its output position once and each value code is cast to
-//!   each declared type once, and only owned batches and columns no
-//!   dictionary images are read row by row (DESIGN.md §13, *Pivot*).
+//!   resolves to its attribute once, each value code's cast to a declared
+//!   type is made once and kept with the segment's column, and only owned
+//!   batches and columns no dictionary images are read row by row. A
+//!   pivot stores only the columns the stages fused over it read, and a
+//!   projection of bare columns folds into that list; every declared
+//!   attribute is still cast, so its errors surface where they did
+//!   (DESIGN.md §13, *Pivot*).
+//! * A projection binds each expression once: a `CASE` whose leading
+//!   guards are literals becomes the arm or default they select, and one
+//!   that binds to a bare column is a clone per row (DESIGN.md §12, *One
+//!   classifier evaluator*).
 //!
 //! Parallelism selection is **per operator**: `Op::run` hands the
 //! session's [`Executor`] to each node's kernel (`exec::vector`'s window
@@ -404,6 +412,7 @@ fn compile<'p>(plan: &'p Plan, db: &Database) -> RelResult<(Schema, Op<'p>)> {
                 attr_idx,
                 val_idx,
                 attrs,
+                stored: (0..schema.arity()).collect(),
             };
             (schema, op)
         }
@@ -462,10 +471,43 @@ pub(crate) enum Stage<'p> {
     Map(MapStage<'p>),
 }
 
+impl<'p> Stage<'p> {
+    /// The input positions this stage reads.
+    fn reads(&self) -> Vec<usize> {
+        let (exprs, schema): (Vec<&Expr>, _) = match self {
+            Stage::Filter { predicate, schema } => (vec![predicate], schema),
+            Stage::Map(map) => (map.exprs.iter().map(|e| &**e).collect(), &map.in_schema),
+        };
+        exprs
+            .into_iter()
+            .flat_map(Expr::referenced_columns)
+            .filter_map(|c| schema.index_of(c))
+            .collect()
+    }
+
+    /// This stage over rows that hold only the input columns at `keep`,
+    /// in that order, each under its name here; `None` if such a row
+    /// cannot be described.
+    fn narrowed(&self, keep: &[usize]) -> Option<Stage<'p>> {
+        let restrict = |s: &Schema| {
+            let cols = keep.iter().map(|&c| s.columns()[c].clone()).collect();
+            Schema::new(s.name.clone(), cols).ok()
+        };
+        Some(match self {
+            Stage::Filter { predicate, schema } => Stage::Filter {
+                predicate: predicate.clone(),
+                schema: restrict(schema)?,
+            },
+            Stage::Map(map) => Stage::Map(map.rebound(restrict(&map.in_schema)?)),
+        })
+    }
+}
+
 /// A fused projection, bound to its input and output schemas.
 #[derive(Clone)]
 pub(crate) struct MapStage<'p> {
-    exprs: Cow<'p, [(String, Expr)]>,
+    /// Per output column: its expression as bound ([`bind_guards`]).
+    exprs: Vec<Cow<'p, Expr>>,
     /// Per output expression: the input position of a bare column
     /// reference, resolved once at compile time; `None` for anything
     /// [`Expr::eval`] has to compute.
@@ -475,16 +517,31 @@ pub(crate) struct MapStage<'p> {
 }
 
 impl<'p> MapStage<'p> {
-    /// Bind `exprs` to the schema they read and the one they produce.
+    /// Bind `exprs` to the schema they read and the one they produce —
+    /// `out_schema` is the projection's as written, which every output
+    /// row is checked against.
     pub(crate) fn new(
         exprs: impl Into<Cow<'p, [(String, Expr)]>>,
         in_schema: Schema,
         out_schema: Schema,
     ) -> MapStage<'p> {
-        let exprs = exprs.into();
+        let exprs = match exprs.into() {
+            Cow::Borrowed(exprs) => exprs
+                .iter()
+                .map(|(_, e)| Cow::Borrowed(bind_guards(e)))
+                .collect(),
+            Cow::Owned(exprs) => exprs
+                .iter()
+                .map(|(_, e)| Cow::Owned(bind_guards(e).clone()))
+                .collect(),
+        };
+        MapStage::bind(exprs, in_schema, out_schema)
+    }
+
+    fn bind(exprs: Vec<Cow<'p, Expr>>, in_schema: Schema, out_schema: Schema) -> MapStage<'p> {
         let cols = exprs
             .iter()
-            .map(|(_, e)| match e {
+            .map(|e| match &**e {
                 Expr::Col(name) => in_schema.index_of(name),
                 _ => None,
             })
@@ -497,13 +554,38 @@ impl<'p> MapStage<'p> {
         }
     }
 
+    /// The input positions of a projection of distinct bare columns whose
+    /// row check cannot fail — every output column of its input column's
+    /// type, and nullable where that one is — in output order; `None` for
+    /// any other projection.
+    fn folded(&self) -> Option<Vec<usize>> {
+        let mut cols = Vec::with_capacity(self.cols.len());
+        for (col, out) in self.cols.iter().zip(self.out_schema.columns()) {
+            let c = (*col)?;
+            let input = &self.in_schema.columns()[c];
+            if cols.contains(&c)
+                || input.data_type != out.data_type
+                || (input.nullable && !out.nullable)
+            {
+                return None;
+            }
+            cols.push(c);
+        }
+        Some(cols)
+    }
+
+    /// The same projection over rows that `in_schema` describes.
+    fn rebound(&self, in_schema: Schema) -> MapStage<'p> {
+        MapStage::bind(self.exprs.clone(), in_schema, self.out_schema.clone())
+    }
+
     /// Build the output row for `row` — the one projection implementation,
     /// behind the owned and the borrowed walk alike. The result is
     /// validated against `out_schema`, exactly as `Table::from_rows` would
     /// in the interpreter.
     fn map_row(&self, row: &[Value]) -> RelResult<Row> {
         let mut out = Vec::with_capacity(self.exprs.len());
-        for ((_, e), col) in self.exprs.iter().zip(&self.cols) {
+        for (e, col) in self.exprs.iter().zip(&self.cols) {
             out.push(match col {
                 Some(c) => row[*c].clone(),
                 None => e.eval(&self.in_schema, row)?,
@@ -512,6 +594,32 @@ impl<'p> MapStage<'p> {
         self.out_schema.check_row(&out)?;
         Ok(out)
     }
+}
+
+/// `e` with its leading literal `CASE` guards resolved, again while the
+/// result is such a `CASE`: a guard equal to TRUE makes the `CASE` its
+/// arm's value, any other literal guard (FALSE, NULL) drops its arm, and
+/// a `CASE` with no arm left is its default. Evaluating the result is
+/// evaluating `e` — a literal guard reads nothing and cannot raise — so a
+/// `Map` pays per row only for the value it keeps (DESIGN.md §12, *One
+/// classifier evaluator*): `CASE WHEN TRUE THEN c ELSE NULL END` binds to
+/// the bare column `c`. The output type and nullability stay those of `e`
+/// as written ([`MapStage::new`]).
+fn bind_guards(mut e: &Expr) -> &Expr {
+    'bind: while let Expr::Case { arms, default } = e {
+        for (guard, value) in arms {
+            match guard {
+                Expr::Lit(v) if *v == Value::Bool(true) => {
+                    e = value;
+                    continue 'bind;
+                }
+                Expr::Lit(_) => {}
+                _ => break 'bind,
+            }
+        }
+        e = default;
+    }
+    e
 }
 
 /// Run one owned row through the fused stages — the walk for batches a
@@ -583,13 +691,27 @@ mod tests {
         db
     }
 
+    /// `plan` gives the oracle's table, schema included, or its error, on
+    /// the default executor, on one thread, and on two at a morsel of one
+    /// row.
     fn assert_agrees(plan: &Plan, db: &Database) {
-        let streamed = plan.eval(db);
-        let materialized = plan.eval_materialized(db);
-        match (streamed, materialized) {
-            (Ok(s), Ok(m)) => assert_eq!(s, m, "streamed != materialized for {plan:?}"),
-            (Err(s), Err(m)) => assert_eq!(s, m, "errors differ for {plan:?}"),
-            (s, m) => panic!("evaluators disagree for {plan:?}: {s:?} vs {m:?}"),
+        let want = plan.eval_materialized(db);
+        for exec in [
+            Executor::new(),
+            Executor::new().threads(1),
+            Executor::new()
+                .threads(2)
+                .parallel_threshold(1)
+                .morsel_size(1),
+        ] {
+            match (exec.execute(plan, db), &want) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.schema(), want.schema(), "{plan:?}");
+                    assert_eq!(&got, want, "{plan:?}");
+                }
+                (Err(got), Err(want)) => assert_eq!(&got, want, "{plan:?}"),
+                (got, want) => panic!("evaluators disagree for {plan:?}: {got:?} vs {want:?}"),
+            }
         }
     }
 
@@ -808,6 +930,137 @@ mod tests {
         };
         assert_agrees(&dup, &db);
         assert_agrees(&dup.clone().project_cols(&["k"]), &db);
+    }
+
+    fn case(arms: Vec<(Expr, Expr)>, default: Expr) -> Expr {
+        Expr::Case {
+            arms,
+            default: Box::new(default),
+        }
+    }
+
+    #[test]
+    fn a_literal_case_guard_binds_to_its_value() {
+        let db = wide_db(10);
+        let null = || Expr::Lit(Value::Null);
+        // What a TRUE guard binds to raises where it did: 1 / (x - 3)
+        // divides by zero at id 3, before id 5 adds a number to text.
+        let inner = case(
+            vec![(
+                Expr::col("id").eq(Expr::lit(5i64)),
+                Expr::col("grp").add(Expr::lit(1i64)),
+            )],
+            Expr::lit(1i64).div(Expr::col("x").sub(Expr::lit(3i64))),
+        );
+        let div =
+            Plan::scan("t").project(vec![("q", case(vec![(Expr::lit(true), inner)], null()))]);
+        assert_agrees(&div, &db);
+        let err = div.eval_materialized(&db).unwrap_err();
+        assert_eq!(err, RelError::Eval("division by zero".into()));
+        // FALSE and NULL guards drop their arms; with none left, the
+        // default is the value.
+        let dropped = case(
+            vec![
+                (Expr::lit(false), Expr::col("id")),
+                (null(), Expr::col("x").add(Expr::lit(100i64))),
+            ],
+            Expr::col("x"),
+        );
+        let z = Plan::scan("t").project(vec![("v", dropped)]);
+        assert_agrees(&z, &db);
+        let z = z.eval_materialized(&db).unwrap();
+        let xs: Vec<Value> = z.iter_rows().map(|r| r[0].clone()).collect();
+        assert_eq!(xs, (0..10).map(|i| Value::Int(i % 7)).collect::<Vec<_>>());
+        // A NOT NULL column under a TRUE guard keeps the nullable output
+        // column the projection as written has.
+        let kept = case(vec![(Expr::lit(true), Expr::col("id"))], null());
+        let t = Plan::scan("t").project(vec![("id", kept)]);
+        assert_agrees(&t, &db);
+        let t = t.eval_materialized(&db).unwrap();
+        assert!(!db.table("t").unwrap().schema().columns()[0].nullable);
+        assert!(t.schema().columns()[0].nullable);
+    }
+
+    #[test]
+    fn binding_resolves_only_leading_literal_guards() {
+        let (t, f) = (Expr::lit(true), Expr::lit(false));
+        let bound = |e: &Expr| bind_guards(e).clone();
+        let c = |n: &str| Expr::col(n);
+        let guard = c("x").ge(Expr::lit(1i64));
+        // A TRUE arm after dropped ones; nested CASEs resolve in turn.
+        let nested = case(vec![(t.clone(), c("b"))], c("z"));
+        assert_eq!(
+            bound(&case(
+                vec![(f.clone(), c("a")), (t.clone(), nested)],
+                c("z")
+            )),
+            c("b")
+        );
+        // A non-literal guard first: nothing after it moves.
+        let opaque = case(vec![(guard, c("a")), (t.clone(), c("b"))], c("z"));
+        assert_eq!(bound(&opaque), opaque);
+        // A literal that is not TRUE never fires, whatever its type.
+        assert_eq!(
+            bound(&case(vec![(Expr::lit(1i64), c("a"))], c("z"))),
+            c("z")
+        );
+    }
+
+    #[test]
+    fn a_pivot_stores_only_the_columns_its_stages_read() {
+        let db = wide_db(50);
+        let eav = Plan::Unpivot {
+            input: Box::new(Plan::scan("t")),
+            keys: vec!["id".into()],
+            attr_col: "attr".into(),
+            val_col: "val".into(),
+        };
+        let pivot = Plan::Pivot {
+            input: Box::new(eav),
+            keys: vec!["id".into()],
+            attr_col: "attr".into(),
+            val_col: "val".into(),
+            attrs: vec![("grp".into(), DataType::Text), ("x".into(), DataType::Int)],
+        };
+        // The stored list of the pivot under the compiled pipeline.
+        let stored = |plan: &Plan| {
+            let (_, op) = compile(plan, &db).unwrap();
+            let Op::Pipeline { input, .. } = op else {
+                panic!("a pipeline at the root of {plan:?}");
+            };
+            let Op::Pivot { stored, .. } = *input else {
+                panic!("a pivot under the pipeline of {plan:?}");
+            };
+            stored
+        };
+        // Bare columns fold: the pivot stores them in their order and no
+        // pipeline is left.
+        let bare = pivot.clone().project_cols(&["x", "id"]);
+        let (_, op) = compile(&bare, &db).unwrap();
+        assert!(matches!(&op, Op::Pivot { stored, .. } if stored == &[2, 0]));
+        // A filter reading a column the map does not keeps the map, over
+        // the read columns in the row's order.
+        let filtered = pivot
+            .clone()
+            .select(Expr::col("grp").eq(Expr::lit("odd")))
+            .project_cols(&["id"]);
+        assert_eq!(stored(&filtered), [0, 1]);
+        // A computed map stays, over what it reads.
+        let computed = pivot
+            .clone()
+            .project(vec![("x2", Expr::col("x").mul(Expr::lit(2i64)))]);
+        assert_eq!(stored(&computed), [2]);
+        // A map over a folded one narrows the list again, through it.
+        let twice = bare
+            .clone()
+            .project(vec![("x2", Expr::col("x").mul(Expr::lit(2i64)))]);
+        assert_eq!(stored(&twice), [2]);
+        // No map: everything is stored.
+        let all = pivot.clone().select(Expr::col("x").ge(Expr::lit(3i64)));
+        assert_eq!(stored(&all), [0, 1, 2]);
+        for plan in [bare, filtered, computed, twice, all] {
+            assert_agrees(&plan, &db);
+        }
     }
 
     #[test]

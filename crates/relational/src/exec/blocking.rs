@@ -55,7 +55,7 @@ use crate::table::{Row, Table};
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Hash join
@@ -453,17 +453,24 @@ pub(super) fn par_lane_aggregate<R: RowRef>(
 // Pivot over dictionary codes
 // ---------------------------------------------------------------------------
 
-/// A pivot's output while it is built: one wide row per entity in
-/// first-seen order, the key in positions `0..klen` and one cell per
-/// requested attribute after it. The previous row's entity is tried
+/// A pivot's output while it is built: one row per entity in first-seen
+/// order, holding only the cells the pivot stores ([`PivotKernel`]'s
+/// stored list): key cells at the positions `key_at` names, attribute
+/// cells where the kernel puts them, NULL until written. Each entity's
+/// key is kept apart, `klen` values per slot, so an entity is found
+/// whether or not its key is stored. The previous row's entity is tried
 /// first, before any hash: EAV inputs cluster one entity's attribute
 /// rows together. Otherwise entities are found by lane key hash
 /// ([`value_hash`] of a row, [`column_hash`] of a segment row — equal for
 /// equal values) along a chain of the slots that share it, each candidate
 /// verified by value equality.
-pub(super) struct PivotSlots {
+pub(super) struct PivotSlots<'k> {
     klen: usize,
     width: usize,
+    /// (row position, key column) of each stored key cell.
+    key_at: &'k [(usize, usize)],
+    /// Slot `s`'s key at `s * klen..(s + 1) * klen`.
+    keys: Vec<Value>,
     out: Vec<Row>,
     /// Per slot: its key hash, and the previous slot with the same hash.
     hashes: Vec<u64>,
@@ -473,17 +480,9 @@ pub(super) struct PivotSlots {
     last: Option<usize>,
 }
 
-impl PivotSlots {
-    fn new(klen: usize, width: usize) -> PivotSlots {
-        PivotSlots {
-            klen,
-            width,
-            out: Vec::new(),
-            hashes: Vec::new(),
-            chain: Vec::new(),
-            heads: HashBuckets::default(),
-            last: None,
-        }
+impl<'k> PivotSlots<'k> {
+    fn key(&self, s: usize) -> &[Value] {
+        &self.keys[s * self.klen..(s + 1) * self.klen]
     }
 
     /// The slot of the entity whose key passes `eq`, or its key hash `h`
@@ -494,14 +493,13 @@ impl PivotSlots {
         h: impl FnOnce() -> u64,
         eq: impl Fn(&[Value]) -> bool,
     ) -> Result<usize, u64> {
-        let klen = self.klen;
-        if let Some(s) = self.last.filter(|&s| eq(&self.out[s][..klen])) {
+        if let Some(s) = self.last.filter(|&s| eq(self.key(s))) {
             return Ok(s);
         }
         let h = h();
         let mut next = self.heads.get(&h).copied();
         while let Some(s) = next.map(|s| s as usize) {
-            if eq(&self.out[s][..klen]) {
+            if eq(self.key(s)) {
                 self.last = Some(s);
                 return Ok(s);
             }
@@ -510,9 +508,10 @@ impl PivotSlots {
         Err(h)
     }
 
-    /// A new slot holding `row`, whose key hashes to `h`.
-    fn insert(&mut self, h: u64, row: Row) -> usize {
+    /// A new slot for `key`, whose hash is `h`, holding `row`.
+    fn insert(&mut self, h: u64, key: impl Iterator<Item = Value>, row: Row) -> usize {
         let s = self.out.len();
+        self.keys.extend(key);
         self.chain.push(self.heads.insert(h, s as u32));
         self.hashes.push(h);
         self.out.push(row);
@@ -529,35 +528,38 @@ impl PivotSlots {
         key: impl Iterator<Item = Value>,
     ) -> usize {
         self.find(h, eq).unwrap_or_else(|h| {
-            let mut row = Vec::with_capacity(self.width);
-            row.extend(key);
-            row.resize(self.width, Value::Null);
-            self.insert(h, row)
+            let s = self.insert(h, key, vec![Value::Null; self.width]);
+            for &(p, i) in self.key_at {
+                self.out[s][p] = self.keys[s * self.klen + i].clone();
+            }
+            s
         })
     }
 
-    /// Write attribute `pos` of slot `s`.
+    /// Write stored cell `pos` of slot `s`.
     fn set(&mut self, s: usize, pos: usize, v: Value) {
-        self.out[s][self.klen + pos] = v;
+        self.out[s][pos] = v;
     }
 
     /// Fold in the slots a later morsel filled: an entity seen for the
-    /// first time takes its partial row as it is, a known one its
-    /// non-NULL cells — a partial's NULL cell means "no write in that
+    /// first time takes its partial row and key as they are, a known one
+    /// its non-NULL cells — a partial's NULL cell means "no write in that
     /// morsel", so the last written value wins, as in a serial pass.
-    pub(super) fn merge(&mut self, part: PivotSlots) {
+    pub(super) fn merge(&mut self, mut part: PivotSlots<'k>) {
         let klen = self.klen;
-        for (h, row) in part.hashes.into_iter().zip(part.out) {
-            match self.find(|| h, |k| k == &row[..klen]) {
+        for (t, (h, row)) in part.hashes.into_iter().zip(part.out).enumerate() {
+            let key = &mut part.keys[t * klen..(t + 1) * klen];
+            match self.find(|| h, |k| k == key) {
                 Ok(s) => {
-                    for (cell, v) in self.out[s].iter_mut().zip(row).skip(klen) {
+                    for (cell, v) in self.out[s].iter_mut().zip(row) {
                         if !v.is_null() {
                             *cell = v;
                         }
                     }
                 }
                 Err(h) => {
-                    self.insert(h, row);
+                    let key = key.iter_mut().map(|v| std::mem::replace(v, Value::Null));
+                    self.insert(h, key, row);
                 }
             }
         }
@@ -569,13 +571,19 @@ impl PivotSlots {
 }
 
 /// A pivot over its gathered input windows, resolved before any row is
-/// read. A shared window is read from its sealed segment's columns
-/// (DESIGN.md §13, *Pivot*): per segment, each attribute dictionary code
-/// resolves to its output position once and each value code is cast to
-/// each declared attribute type at most once, so an EAV row costs array
-/// reads and the clone of a ready cell. Owned batches and the cells no dictionary
-/// answers go through the row kernel's own [`pivot_cell`]. Rows, order
-/// and first error are `pivot_rows`'s.
+/// read. Its rows store only the cells of `stored` — positions of the
+/// pivot's declared output, keys then attributes, in the order its
+/// consumer reads them (`Op::Pivot`); every declared attribute is still
+/// resolved and its value cast, so a cast error is raised at its row
+/// whether or not the cell is stored, and an unstored cell is neither
+/// cloned nor kept. A shared window is read from its sealed segment's
+/// columns (DESIGN.md §13, *Pivot*): per segment, each attribute
+/// dictionary code resolves to its attribute once, and each value code's
+/// cast to a declared type is made once and kept with the value column
+/// ([`SegmentColumn::cast`]), so an EAV row costs array reads and the
+/// clone of a ready cell. Owned batches and the cells no dictionary
+/// answers go through the row kernel's own [`pivot_cell`]. Stored rows,
+/// order and first error are `pivot_rows`'s.
 pub(super) struct PivotKernel<'a> {
     windows: &'a [Batch],
     key_idx: &'a [usize],
@@ -583,8 +591,13 @@ pub(super) struct PivotKernel<'a> {
     val_idx: usize,
     attrs: &'a [(String, DataType)],
     attr_pos: HashMap<&'a str, usize>,
-    /// Each attribute's index among the distinct declared types.
-    type_of: Vec<usize>,
+    /// Stored row width, and the (row position, key column) of each
+    /// stored key cell.
+    width: usize,
+    key_at: Vec<(usize, usize)>,
+    /// Per attribute: its stored row position; `None` when it is only
+    /// checked.
+    attr_at: Vec<Option<usize>>,
     /// Per window: its segment's tables in `segs`; `None` for an owned
     /// batch.
     seg_of: Vec<Option<usize>>,
@@ -592,9 +605,7 @@ pub(super) struct PivotKernel<'a> {
 }
 
 /// What a pivot reads of one sealed segment: its key, attribute and value
-/// columns, the attribute dictionary resolved to output positions, and a
-/// cast of each value code to each declared type, made when a row first
-/// needs it.
+/// columns, and the attribute dictionary resolved to attributes.
 struct SegPivot<'a> {
     keys: Vec<&'a SegmentColumn>,
     attr: &'a SegmentColumn,
@@ -602,18 +613,13 @@ struct SegPivot<'a> {
     /// Attribute code → position in `attrs`, `None` when not requested;
     /// empty unless the attribute column is dictionary-coded.
     attr_code: Vec<Option<usize>>,
-    /// `cast_cell` of value code `c` to type `t` at `c * n_types + t`,
-    /// made the first time a row reaches it — by whichever morsel does —
-    /// and raised only then; empty unless the value column is
-    /// dictionary-coded.
-    casts: Vec<OnceLock<RelResult<Value>>>,
-    n_types: usize,
 }
 
 impl<'a> PivotKernel<'a> {
     /// `arity` is the pivot's input width: a shared window reaches the
     /// pivot through lane filters and renames only, which move no column,
-    /// so its positions are its segment's.
+    /// so its positions are its segment's. `stored` lists the output
+    /// positions each row keeps, in row order.
     pub(super) fn new(
         windows: &'a [Batch],
         key_idx: &'a [usize],
@@ -621,22 +627,22 @@ impl<'a> PivotKernel<'a> {
         val_idx: usize,
         attrs: &'a [(String, DataType)],
         arity: usize,
+        stored: &[usize],
     ) -> PivotKernel<'a> {
         let attr_pos: HashMap<&str, usize> = attrs
             .iter()
             .enumerate()
             .map(|(i, (n, _))| (n.as_str(), i))
             .collect();
-        let mut types: Vec<DataType> = Vec::new();
-        let type_of = attrs
-            .iter()
-            .map(|(_, ty)| {
-                types.iter().position(|t| t == ty).unwrap_or_else(|| {
-                    types.push(*ty);
-                    types.len() - 1
-                })
-            })
-            .collect();
+        let klen = key_idx.len();
+        let mut key_at = Vec::new();
+        let mut attr_at = vec![None; attrs.len()];
+        for (p, &c) in stored.iter().enumerate() {
+            match c.checked_sub(klen) {
+                Some(a) => attr_at[a] = Some(p),
+                None => key_at.push((p, c)),
+            }
+        }
         let mut segs = Vec::new();
         let mut seen: HashMap<*const Segment, usize> = HashMap::new();
         let seg_of = windows
@@ -651,14 +657,7 @@ impl<'a> PivotKernel<'a> {
                     "a shared window reaches the pivot as stored"
                 );
                 let d = *seen.entry(Arc::as_ptr(seg)).or_insert_with(|| {
-                    segs.push(SegPivot::new(
-                        seg,
-                        key_idx,
-                        attr_idx,
-                        val_idx,
-                        &attr_pos,
-                        types.len(),
-                    ));
+                    segs.push(SegPivot::new(seg, key_idx, attr_idx, val_idx, &attr_pos));
                     segs.len() - 1
                 });
                 Some(d)
@@ -671,15 +670,27 @@ impl<'a> PivotKernel<'a> {
             val_idx,
             attrs,
             attr_pos,
-            type_of,
+            width: stored.len(),
+            key_at,
+            attr_at,
             seg_of,
             segs,
         }
     }
 
     /// Empty slots for this pivot's output rows.
-    pub(super) fn slots(&self) -> PivotSlots {
-        PivotSlots::new(self.key_idx.len(), self.key_idx.len() + self.attrs.len())
+    pub(super) fn slots(&self) -> PivotSlots<'_> {
+        PivotSlots {
+            klen: self.key_idx.len(),
+            width: self.width,
+            key_at: &self.key_at,
+            keys: Vec::new(),
+            out: Vec::new(),
+            hashes: Vec::new(),
+            chain: Vec::new(),
+            heads: HashBuckets::default(),
+            last: None,
+        }
     }
 
     /// Pivot the rows at physical positions `lo..hi` of window `w` into
@@ -708,7 +719,7 @@ impl<'a> PivotKernel<'a> {
                 key_idx.iter().map(|&c| row[c].clone()),
             );
             let cell = pivot_cell(row, self.attr_idx, self.val_idx, &self.attr_pos, self.attrs)?;
-            if let Some((pos, v)) = cell {
+            if let Some((pos, v)) = self.stored(cell) {
                 slots.set(s, pos, v);
             }
         }
@@ -723,40 +734,36 @@ impl<'a> PivotKernel<'a> {
         }
         Ok(slots.into_rows())
     }
+
+    /// A checked cell at its stored row position, or `None` when the
+    /// row writes no stored cell.
+    fn stored(&self, cell: PivotCell) -> Option<(usize, Value)> {
+        cell.and_then(|(a, v)| Some((self.attr_at[a]?, v)))
+    }
 }
 
 impl<'a> SegPivot<'a> {
     /// Image the three columns (each at most once per segment, shared
-    /// with every later reader), resolve the attribute codes and lay out
-    /// a cast slot per value code and each of `n_types` declared types.
+    /// with every later reader) and resolve the attribute codes.
     fn new(
         seg: &'a Segment,
         key_idx: &[usize],
         attr_idx: usize,
         val_idx: usize,
         attr_pos: &HashMap<&str, usize>,
-        n_types: usize,
     ) -> SegPivot<'a> {
-        let (attr, val) = (seg.column(attr_idx), seg.column(val_idx));
+        let attr = seg.column(attr_idx);
         let attr_code = match &attr.data {
             ColumnData::Dict { dict, .. } => {
                 dict.iter().map(|a| attr_pos.get(&**a).copied()).collect()
             }
             _ => Vec::new(),
         };
-        let casts = match &val.data {
-            ColumnData::Dict { dict, .. } => {
-                (0..dict.len() * n_types).map(|_| OnceLock::new()).collect()
-            }
-            _ => Vec::new(),
-        };
         SegPivot {
             keys: key_idx.iter().map(|&c| seg.column(c)).collect(),
             attr,
-            val,
+            val: seg.column(val_idx),
             attr_code,
-            casts,
-            n_types,
         }
     }
 
@@ -782,9 +789,10 @@ impl<'a> SegPivot<'a> {
         Ok(())
     }
 
-    /// [`pivot_cell`] of segment row `j`, read off the codes where the
-    /// columns are dictionary-coded.
-    fn cell(&self, k: &PivotKernel<'_>, j: usize) -> RelResult<PivotCell> {
+    /// [`pivot_cell`] of segment row `j` at its stored row position, read
+    /// off the codes where the columns are dictionary-coded. The cast of
+    /// an attribute nobody reads is checked and dropped.
+    fn cell(&self, k: &PivotKernel<'_>, j: usize) -> RelResult<Option<(usize, Value)>> {
         let (attr, val) = (self.attr, self.val);
         let pos = match &attr.data {
             ColumnData::Dict { codes, .. } if !attr.nulls[j] => self.attr_code[codes[j] as usize],
@@ -792,7 +800,7 @@ impl<'a> SegPivot<'a> {
             // own cell, its errors included.
             _ => {
                 let row = [attr.value(j), val.value(j)];
-                return pivot_cell(&row, 0, 1, &k.attr_pos, k.attrs);
+                return Ok(k.stored(pivot_cell(&row, 0, 1, &k.attr_pos, k.attrs)?));
             }
         };
         let Some(pos) = pos else {
@@ -801,20 +809,19 @@ impl<'a> SegPivot<'a> {
         if val.nulls[j] {
             return Ok(None);
         }
-        let ty = k.attrs[pos].1;
+        let (ty, at) = (k.attrs[pos].1, k.attr_at[pos]);
+        if let Some(cast) = val.cast(j, ty) {
+            let v = cast.as_ref().map_err(Clone::clone)?;
+            return Ok(at.map(|p| (p, v.clone())));
+        }
         let v = match &val.data {
-            ColumnData::Dict { codes, dict } => {
-                let c = codes[j] as usize;
-                let cast = &self.casts[c * self.n_types + k.type_of[pos]];
-                cast.get_or_init(|| cast_cell(&dict[c], ty)).clone()?
-            }
             ColumnData::Str(texts) => cast_cell(&texts[j], ty)?,
             _ => match val.value(j) {
                 Value::Text(t) => cast_cell(&t, ty)?,
                 other => cast_text(&other.to_string(), ty)?,
             },
         };
-        Ok(Some((pos, v)))
+        Ok(at.map(|p| (p, v)))
     }
 }
 

@@ -159,16 +159,30 @@ where
         .collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queues = &queues;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(i) = next_task(w, queues) {
-                    let out = f(i);
-                    *slots[i].lock().unwrap() = Some(out);
-                }
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|w| {
+                let queues = &queues;
+                let slots = &slots;
+                let f = &f;
+                scope.spawn(move || {
+                    while let Some(i) = next_task(w, queues) {
+                        let out = f(i);
+                        *slots[i].lock().unwrap() = Some(out);
+                    }
+                })
+            })
+            .collect();
+        // Join each worker before returning. The scope's own wait ends when
+        // the closures finish, while the threads may still be exiting; the
+        // next kernel's workers then find the allocator's per-thread arenas
+        // still attached and make new ones, each keeping its freed memory
+        // (`study_batch` `peak_rss_mb` read 189–227 MiB with 4–5 arenas
+        // against ~151 MiB with 2, 2-core host). A worker's panic goes on
+        // as it was raised.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -238,10 +252,10 @@ pub(super) fn run_windows<T: Send>(
 /// order, found by the lane key hash each slot already carries
 /// ([`PivotSlots::merge`]) — first-seen entity order and last-write-wins
 /// cells match the serial kernel.
-pub(super) fn par_pivot(
+pub(super) fn par_pivot<'k>(
     lens: &[usize],
     cfg: Executor,
-    kernel: impl Fn(usize, usize, usize) -> RelResult<PivotSlots> + Sync,
+    kernel: impl Fn(usize, usize, usize) -> RelResult<PivotSlots<'k>> + Sync,
 ) -> RelResult<Vec<Row>> {
     let slices = window_slices(lens, cfg.morsel_size);
     let parts = run_tasks(slices.len(), cfg.threads, |t| {

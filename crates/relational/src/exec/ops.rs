@@ -111,7 +111,9 @@ pub(super) enum Op<'p> {
     /// Pivot: [`blocking::PivotKernel`] over the input — shared windows
     /// read off their segments' dictionary codes, owned batches row by row
     /// — per morsel when the input is large, with wide rows merged
-    /// entity-by-entity in morsel order.
+    /// entity-by-entity in morsel order. Each row stores the output
+    /// positions `stored` lists, in that order: every one, unless the
+    /// stages fused over the pivot read fewer ([`Op::piped`]).
     Pivot {
         input: Box<Op<'p>>,
         arity: usize,
@@ -119,6 +121,7 @@ pub(super) enum Op<'p> {
         attr_idx: usize,
         val_idx: usize,
         attrs: &'p [(String, DataType)],
+        stored: Vec<usize>,
     },
     /// Sort via [`blocking::sort_gathered`]: lane sort keys, and the
     /// parallel merge-path kernel over sorted morsel runs for large inputs.
@@ -145,17 +148,24 @@ pub(super) enum Build<'p> {
 
 impl<'p> Op<'p> {
     /// `self` with `stage` fused on: appended to its pipeline, or the
-    /// first stage of one over it.
+    /// first stage of one over it. The first `Map` fused over a pivot
+    /// narrows what the pivot stores to what the stages read
+    /// ([`narrow`]), and may fold away.
     pub(super) fn piped(self, stage: Stage<'p>) -> Op<'p> {
-        match self {
-            Op::Pipeline { input, mut stages } => {
-                stages.push(stage);
-                Op::Pipeline { input, stages }
-            }
-            input => Op::Pipeline {
-                input: Box::new(input),
-                stages: vec![stage],
-            },
+        let (mut input, mut stages) = match self {
+            Op::Pipeline { input, stages } => (input, stages),
+            input => (Box::new(input), Vec::new()),
+        };
+        let first_map =
+            matches!(stage, Stage::Map(_)) && !stages.iter().any(|s| matches!(s, Stage::Map(_)));
+        stages.push(stage);
+        if let (Op::Pivot { stored, .. }, true) = (&mut *input, first_map) {
+            stages = narrow(stored, stages);
+        }
+        if stages.is_empty() {
+            *input
+        } else {
+            Op::Pipeline { input, stages }
         }
     }
 
@@ -330,10 +340,12 @@ impl<'p> Op<'p> {
                 attr_idx,
                 val_idx,
                 attrs,
+                stored,
             } => {
                 let windows = input.run(cfg)?;
-                let kernel =
-                    blocking::PivotKernel::new(&windows, &key_idx, attr_idx, val_idx, attrs, arity);
+                let kernel = blocking::PivotKernel::new(
+                    &windows, &key_idx, attr_idx, val_idx, attrs, arity, &stored,
+                );
                 let lens = extents(&windows);
                 owned(if cfg.parallel_for(lens.iter().sum()) {
                     morsel::par_pivot(&lens, cfg, |w, lo, hi| {
@@ -368,6 +380,41 @@ impl<'p> Op<'p> {
             }
         })
     }
+}
+
+/// Narrow a pivot's `stored` list to what `stages` read — filters, then
+/// the first `Map`, all over the pivot's row — and bind the stages to the
+/// narrowed row (DESIGN.md §13, *Pivot*). Each stage keeps its own column
+/// names, restricted to the positions kept.
+///
+/// A `Map` of distinct bare columns that reads every column the filters
+/// do, and whose row check cannot fail, folds into the list: the pivot
+/// stores exactly its columns in its order and no row is rebuilt. Any
+/// other `Map` stays, over the read columns in the row's own order.
+/// Unknown names keep failing where they did: a narrowed schema keeps its
+/// table name, and nothing but known columns is dropped from it.
+fn narrow<'p>(stored: &mut Vec<usize>, mut stages: Vec<Stage<'p>>) -> Vec<Stage<'p>> {
+    let Some((Stage::Map(map), filters)) = stages.split_last() else {
+        return stages;
+    };
+    let mut read: Vec<usize> = filters.iter().flat_map(Stage::reads).collect();
+    let keep = match map.folded() {
+        Some(cols) if read.iter().all(|c| cols.contains(c)) => {
+            stages.pop();
+            cols
+        }
+        _ => {
+            read.extend(stages.last().into_iter().flat_map(Stage::reads));
+            read.sort_unstable();
+            read.dedup();
+            read
+        }
+    };
+    let Some(narrowed) = stages.iter().map(|s| s.narrowed(&keep)).collect() else {
+        return stages;
+    };
+    *stored = keep.iter().map(|&c| stored[c]).collect();
+    narrowed
 }
 
 /// `rows` as output batches: one owned batch, none when there are none —

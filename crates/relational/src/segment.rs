@@ -14,7 +14,9 @@
 //! at most once (morsel threads racing on one column wait for one build),
 //! and is then shared with every scan and generation that holds the
 //! segment. A scan whose consumer only walks rows builds no column; a
-//! filter builds the columns its conjuncts name.
+//! filter builds the columns its conjuncts name. A dictionary-coded
+//! column a pivot reads also keeps its codes' casts to each declared type,
+//! each made when a row first reaches it (`SegmentColumn::cast`).
 //!
 //! Segments are what make typed column lanes the *resting* format: the
 //! executor ([`exec`](crate::exec)) consults zone maps to skip whole
@@ -59,6 +61,8 @@
 //! could suppress the row walk's "cannot compare" error, and a refused
 //! skip merely scans rows that then produce nothing.
 
+use crate::algebra::cast_cell;
+use crate::error::RelResult;
 use crate::schema::Schema;
 use crate::table::Row;
 use crate::value::{DataType, Value};
@@ -141,13 +145,23 @@ pub struct ZoneMap {
 
 /// One column of a [`Segment`]: typed storage, a validity mask, and the
 /// zone map.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SegmentColumn {
     pub(crate) data: ColumnData,
     /// `true` where the row is NULL (parallel to `data`).
     pub(crate) nulls: Vec<bool>,
     pub(crate) zone: ZoneMap,
+    /// For a dictionary-coded column: `cast_cell` of code `c` to declared
+    /// type `t` at `c * N_TYPES + t`, laid out the first time a pivot
+    /// casts one of the column's codes and each slot filled when a row
+    /// first reaches it — by whichever execution or morsel does, like the
+    /// column image itself. At most [`DICT_MAX`] × `N_TYPES` slots.
+    casts: OnceLock<Box<[OnceLock<RelResult<Value>>]>>,
 }
+
+/// How many declared types a dictionary code can be cast to: one slot per
+/// [`DataType`] variant, indexed by its discriminant.
+const N_TYPES: usize = 5;
 
 impl SegmentColumn {
     /// The column's zone map.
@@ -187,7 +201,12 @@ impl SegmentColumn {
         }
         let data = Self::build_data(decl, rows, col)
             .unwrap_or_else(|| ColumnData::Mixed(rows.iter().map(|r| r[col].clone()).collect()));
-        SegmentColumn { data, nulls, zone }
+        SegmentColumn {
+            data,
+            nulls,
+            zone,
+            casts: OnceLock::new(),
+        }
     }
 
     /// Typed storage for the declared type, or `None` when some non-null
@@ -257,6 +276,22 @@ impl SegmentColumn {
             }
         }
         Some(ColumnData::Str(vals))
+    }
+
+    /// `cast_cell` of non-null row `i`'s text to `ty` in a
+    /// dictionary-coded column: made the first time any reader reaches
+    /// the row's code and kept with the column, its error included, so a
+    /// caller raises it only at a row that reaches that code. `None` when
+    /// the column is not dictionary-coded.
+    pub(crate) fn cast(&self, i: usize, ty: DataType) -> Option<&RelResult<Value>> {
+        let ColumnData::Dict { codes, dict } = &self.data else {
+            return None;
+        };
+        let casts = self
+            .casts
+            .get_or_init(|| (0..dict.len() * N_TYPES).map(|_| OnceLock::new()).collect());
+        let c = codes[i] as usize;
+        Some(casts[c * N_TYPES + ty as usize].get_or_init(|| cast_cell(&dict[c], ty)))
     }
 
     /// Read one value back, exactly as the row stored it.

@@ -245,6 +245,18 @@ if grep -F 'HashMap<Vec<Value>' <<<"$morsel_code"; then
   exit 1
 fi
 
+# A segment keeps its value-code casts (DESIGN.md §13, *Pivot*): a
+# dictionary-coded column holds one lazily filled slot per (code, declared
+# type) for every execution and morsel that reads it, so a pivot lays out
+# no cast slots of its own. Fail if non-test blocking.rs makes a `OnceLock`
+# again. Comment lines skipped as above.
+blocking_code=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' \
+  crates/relational/src/exec/blocking.rs)
+if grep -F 'OnceLock::new(' <<<"$blocking_code"; then
+  echo "check.sh: non-test blocking.rs lays out per-execution cast slots again (matches above)" >&2
+  exit 1
+fi
+
 # A selection shares its source (DESIGN.md §11, §18): a scan emits one
 # window per chunk, a batch is a chunk window plus its dead bits, and a
 # lane-resolved filter marks the rows it drops dead instead of copying

@@ -282,11 +282,26 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
         1 => (arb_col(), 0i64..50).prop_map(|(c, k)| {
             Expr::Coalesce(vec![Expr::col(&c), Expr::lit(k)]).lt(Expr::lit(25i64))
         }),
-        1 => (arb_cmp(), arb_col()).prop_map(|(p, c)| Expr::Case {
-            arms: vec![(p, Expr::col(&c).is_not_null())],
+        1 => (arb_guards(), arb_col()).prop_map(|(guards, c)| Expr::Case {
+            arms: guards
+                .into_iter()
+                .map(|g| (g, Expr::col(&c).is_not_null()))
+                .collect(),
             default: Box::new(Expr::lit(false)),
         }),
     ]
+}
+
+/// One or two CASE guards: comparisons, and the literals TRUE, FALSE and
+/// NULL that a projection resolves when the executor binds it.
+fn arb_guards() -> impl Strategy<Value = Vec<Expr>> {
+    let guard = prop_oneof![
+        3 => arb_cmp(),
+        1 => Just(Expr::lit(true)),
+        1 => Just(Expr::lit(false)),
+        1 => Just(Expr::Lit(Value::Null)),
+    ];
+    proptest::collection::vec(guard, 1..3)
 }
 
 /// Random plans over the fixture database: scans (occasionally of a missing
@@ -317,6 +332,22 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
                     ),
                 ])
             }),
+            // A CASE projection whose leading guards may be literals.
+            1 => (inner.clone(), arb_guards(), arb_col(), arb_col()).prop_map(
+                |(p, guards, c, d)| {
+                    let arms = guards.into_iter().map(|g| (g, Expr::col(&c))).collect();
+                    p.project(vec![
+                        ("id".to_owned(), Expr::col("id")),
+                        (
+                            "k".to_owned(),
+                            Expr::Case {
+                                arms,
+                                default: Box::new(Expr::col(&d)),
+                            },
+                        ),
+                    ])
+                }
+            ),
             1 => (inner.clone(), arb_col()).prop_map(|(p, c)| {
                 p.rename_columns(vec![(c, "renamed".to_owned())])
             }),

@@ -1724,12 +1724,9 @@ fn dict_pivots() -> Vec<(&'static str, Plan)> {
     ]
 }
 
-/// Every pivot of `table` matches the oracle on the default lanes and on
-/// one and two threads at morsel sizes 1, 7 and 1 024. Returns what the
-/// filtered pivot gave.
-fn dict_parity(shape: &str, table: Table) -> RelResult<Table> {
-    let mut db = Database::new("d");
-    db.create_table(table).unwrap();
+/// The default lanes, and one and two threads at morsel sizes 1, 7 and
+/// 1 024.
+fn pivot_lanes() -> Vec<(String, Executor)> {
     let sweep = [1, 2].into_iter().flat_map(|threads| {
         [1, 7, 1024].map(move |morsel| {
             let exec = Executor::new()
@@ -1739,12 +1736,20 @@ fn dict_parity(shape: &str, table: Table) -> RelResult<Table> {
             (format!("{threads} threads, morsel {morsel}"), exec)
         })
     });
-    let lanes: Vec<(String, Executor)> = lanes()
+    lanes()
         .into_iter()
         .map(|(lane, exec)| (lane.to_owned(), exec))
         .chain([("default".to_owned(), Executor::new())])
         .chain(sweep)
-        .collect();
+        .collect()
+}
+
+/// Every pivot of `table` matches the oracle on [`pivot_lanes`]. Returns
+/// what the filtered pivot gave.
+fn dict_parity(shape: &str, table: Table) -> RelResult<Table> {
+    let mut db = Database::new("d");
+    db.create_table(table).unwrap();
+    let lanes = pivot_lanes();
     let mut filtered = None;
     for (name, plan) in dict_pivots() {
         let got = parity_on(&format!("{shape}, {name}"), &plan, &db, lanes.clone());
@@ -1861,4 +1866,143 @@ fn a_single_fault_surfaces_from_the_segment_pivot_where_the_rows_put_it() {
     // The generated inputs already hold values that would fail under a
     // type no row pairs them with ("not a number", dates, "w…"): the
     // layouts above pass, so none of them was raised.
+}
+
+// ---------------------------------------------------------------------------
+// (ix) The pivot stores what its consumer reads
+// ---------------------------------------------------------------------------
+//
+// The stages `compile` fuses over a pivot narrow what it stores to the
+// columns they read, up to and including the first `Map`; a `Map` of bare
+// columns folds into that list, and any other is bound to the narrowed row
+// by name. Every declared attribute is still resolved and its value cast,
+// so a malformed value under an attribute nobody reads raises at its row,
+// with the interpreter's message. None of it may show on any lane.
+
+/// Consumers of the pivot of the kept `eav` rows that read fewer columns
+/// than it declares: `t` and `d` are read by none of them.
+fn narrowed_plans() -> Vec<(&'static str, Plan)> {
+    let (_, pivot) = dict_pivots()
+        .into_iter()
+        .find(|(n, _)| *n == "filtered")
+        .unwrap();
+    let when_true = |c: &str| Expr::Case {
+        arms: vec![(Expr::lit(true), Expr::col(c))],
+        default: Box::new(Expr::Lit(Value::Null)),
+    };
+    vec![
+        (
+            "bare columns",
+            pivot.clone().project_cols(&["f", "entity", "n"]),
+        ),
+        (
+            "a select reading a column the map does not",
+            pivot
+                .clone()
+                .select(Expr::col("b").eq(Expr::lit(true)))
+                .project_cols(&["entity", "n"]),
+        ),
+        (
+            "a computed map",
+            pivot.clone().project(vec![
+                ("entity", Expr::col("entity")),
+                ("n2", Expr::col("n").mul(Expr::lit(2i64))),
+                ("f", when_true("f")),
+                (
+                    "b",
+                    Expr::Case {
+                        arms: vec![(Expr::col("b"), Expr::lit("yes"))],
+                        default: Box::new(Expr::lit("no")),
+                    },
+                ),
+            ]),
+        ),
+        (
+            "a select and a map over a rename",
+            pivot
+                .rename_columns(vec![("n", "count")])
+                .select(Expr::col("count").ge(Expr::lit(3i64)))
+                .project(vec![("count", Expr::col("count")), ("f", when_true("f"))]),
+        ),
+    ]
+}
+
+/// Every plan of [`narrowed_plans`] over `table` matches the oracle on
+/// [`pivot_lanes`]; returns what each gave.
+fn narrowed_parity(shape: &str, table: Table) -> Vec<RelResult<Table>> {
+    let mut db = Database::new("d");
+    db.create_table(table).unwrap();
+    let lanes = pivot_lanes();
+    narrowed_plans()
+        .into_iter()
+        .map(|(name, plan)| parity_on(&format!("{shape}, {name}"), &plan, &db, lanes.clone()))
+        .collect()
+}
+
+#[test]
+fn a_narrowed_pivot_matches_the_oracle() {
+    let mixed_runs = |i: i64| (i / 300) % 2 == 0 || i % 2 == 0;
+    for (shape, t) in [
+        ("dictionary values", dict_eav(40_000, false, mixed_runs)),
+        ("plain values", dict_eav(12_000, true, |_| true)),
+    ] {
+        for got in narrowed_parity(shape, t) {
+            assert!(!got.unwrap().is_empty(), "{shape}: rows reach the consumer");
+        }
+    }
+}
+
+#[test]
+fn a_fault_under_an_attribute_nobody_reads_raises_at_its_row() {
+    // Row `i` of the kept input with `fault` applied to `d`'s (unread) or
+    // `n`'s (read) value at the rows `at` picks.
+    let faulty = |attr: i64, at: fn(i64) -> bool, text: &'static str| {
+        let rows = (0..40_000).map(|i| {
+            let mut row = dict_eav_row(i, false, (i / 300) % 2 == 0 || i % 2 == 0);
+            if i % 8 == attr && at(i) && row[3] == Value::Int(1) && !row[2].is_null() {
+                row[2] = Value::text(text);
+            }
+            row
+        });
+        let t = Table::from_rows(dict_eav_schema(DataType::Text, DataType::Text), rows).unwrap();
+        t.segments();
+        t
+    };
+    let (d, n) = (2, 0);
+    let late = |i: i64| i >= 35_000;
+    let early = |i: i64| (20_000..20_100).contains(&i);
+    let first_error = |shape: &str, t: Table| {
+        let errs: Vec<RelError> = narrowed_parity(shape, t)
+            .into_iter()
+            .map(|r| r.unwrap_err())
+            .collect();
+        assert!(errs.windows(2).all(|w| w[0] == w[1]), "{shape}: {errs:?}");
+        errs[0].clone()
+    };
+    let cast = |text: &str, ty: &str| RelError::Eval(format!("cannot cast '{text}' to {ty}"));
+    // One fault, under the unread `d`, then under the read `n`.
+    assert_eq!(
+        first_error("unread", faulty(d, late, "x")),
+        cast("x", "DATE")
+    );
+    assert_eq!(first_error("read", faulty(n, late, "x")), cast("x", "INT"));
+    // Two faults: whichever row comes first raises, read or not.
+    let both = |first: i64, second: i64| {
+        let rows = (0..40_000).map(|i| {
+            let mut row = dict_eav_row(i, false, true);
+            let at = |attr: i64, rows: fn(i64) -> bool| i % 8 == attr && rows(i);
+            if (at(first, early) || at(second, late)) && !row[2].is_null() {
+                row[2] = Value::text(if at(first, early) { "early" } else { "late" });
+            }
+            row
+        });
+        let t = Table::from_rows(dict_eav_schema(DataType::Text, DataType::Text), rows).unwrap();
+        t.segments();
+        t
+    };
+    assert_eq!(
+        first_error("unread first", both(d, n)),
+        cast("early", "DATE")
+    );
+    assert_eq!(first_error("read first", both(n, d)), cast("early", "INT"));
 }
